@@ -171,9 +171,7 @@ def cmd_analyze(args) -> int:
 
 def _prediction_rows(p: HeunParams, tag) -> tuple[list[list[str]], list]:
     preds = predict_roots(p, tag)
-    refined = multiplicity_prefactors(p, tag) if any(
-        e.prefactor == BALANCED and e.multiplicity >= 2 for e in preds
-    ) else []
+    refined = multiplicity_prefactors(p, tag)
     rows = []
     for e in preds:
         pf = e.prefactor if isinstance(e.prefactor, str) else _fmt(e.prefactor)
@@ -311,9 +309,8 @@ def cmd_verify(args) -> int:
     # balanced multiple roots: compare |ratio| magnitudes against the
     # s-polynomial refinement (meaningful once q is small enough that
     # subleading corrections sit below the tolerance)
-    refined = []
-    if any(e.prefactor == BALANCED and e.multiplicity >= 2 for e in preds):
-        refined = multiplicity_prefactors(p, tag)
+    refined = multiplicity_prefactors(p, tag, epoly=ep)
+    if refined:
         if q2 <= PREFACTOR_GATE_QMAX:
             got = sorted(
                 (abs(r.prefactor_ratio) for r in report.rows

@@ -42,6 +42,9 @@ __all__ = [
     "qsum_add",
     "qsum_merge",
     "qsum_mul",
+    "TermDict",
+    "terms_merge",
+    "terms_mul",
     "leading_part",
     "equiv_sim",
     "equiv_approx",
@@ -65,6 +68,10 @@ EXACT_ZERO = "exact-zero"
 SIGN_CONFLICT = "sign-conflict-at-leading-exponent"
 
 _ZERO = Fraction(0)
+
+#: (qexp, t1pow, t2pow) -> nonzero coefficient; qexp of any type that adds
+#: and orders (Fractions in QSum, integer-scaled in the exact recursion).
+TermDict = dict
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -263,46 +270,74 @@ def qpow(mu: RationalLike) -> QSum:
 # ---------------------------------------------------------------------------
 
 
-def _slice_sign(terms: Sequence[QMonomial]) -> int | None:
+def _slice_sign(coeffs: Sequence) -> int | None:
     """+1 / -1 when every coefficient shares that sign, else None."""
-    pos = any(t.coeff > 0 for t in terms)
-    neg = any(t.coeff < 0 for t in terms)
+    pos = any(c > 0 for c in coeffs)
+    neg = any(c < 0 for c in coeffs)
     if pos and neg:
         return None
     return 1 if pos else -1
 
 
-def qsum_merge(
-    parts: Sequence[QSum], site: str = ""
-) -> tuple[QSum, list[CancellationEvent]]:
-    """Sum several QSums, recording cancellation diagnostics.
+def terms_mul(a: TermDict, b: TermDict) -> TermDict:
+    """Exact product of two term dicts (no diagnostics: products create no
+    cancellations of their own, only the subsequent merge can)."""
+    out: TermDict = {}
+    get = out.get
+    for (ka0, ka1, ka2), ca in a.items():
+        for (kb0, kb1, kb2), cb in b.items():
+            k = (ka0 + kb0, ka1 + kb1, ka2 + kb2)
+            prev = get(k)
+            out[k] = ca * cb if prev is None else prev + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def terms_merge(
+    parts: Sequence[TermDict], site: str = ""
+) -> tuple[TermDict, list[CancellationEvent]]:
+    """Sum several term dicts, recording cancellation diagnostics.
 
     Events: one EXACT_ZERO per key whose contributions annihilated, and one
     SIGN_CONFLICT when the result's leading-exponent slice is mixed-sign.
+    Event exponents are the key exponents as given; EXACT_ZERO events come
+    in key order.
     """
-    acc: dict[tuple[Fraction, int, int], Fraction] = {}
-    multi: set[tuple[Fraction, int, int]] = set()
+    acc: TermDict = {}
+    multi = set()
     for part in parts:
-        for t in part.terms:
-            k = (t.qexp, t.t1pow, t.t2pow)
+        for k, c in part.items():
             if k in acc:
                 multi.add(k)
-                acc[k] += t.coeff
+                acc[k] += c
             else:
-                acc[k] = t.coeff
-    events: list[CancellationEvent] = []
-    for k in multi:
-        if not acc[k]:
-            events.append(CancellationEvent(site, k[0], EXACT_ZERO))
-    result = QSum(
-        QMonomial(k[0], k[1], k[2], c) for k, c in acc.items() if c
-    )
-    if result.terms:
-        lead = result.terms[0].qexp
-        slice_terms = [t for t in result.terms if t.qexp == lead]
-        if _slice_sign(slice_terms) is None:
+                acc[k] = c
+    events = [
+        CancellationEvent(site, k[0], EXACT_ZERO)
+        for k in sorted(k for k in multi if not acc[k])
+    ]
+    cleaned = {k: c for k, c in acc.items() if c}
+    if cleaned:
+        lead = min(k[0] for k in cleaned)
+        if _slice_sign([c for k, c in cleaned.items() if k[0] == lead]) is None:
             events.append(CancellationEvent(site, lead, SIGN_CONFLICT))
-    return result, events
+    return cleaned, events
+
+
+def _as_terms(a: QSum) -> TermDict:
+    return {t.key(): t.coeff for t in a.terms}
+
+
+def _from_terms(d: TermDict) -> QSum:
+    return QSum(QMonomial(k[0], k[1], k[2], c) for k, c in d.items())
+
+
+def qsum_merge(
+    parts: Sequence[QSum], site: str = ""
+) -> tuple[QSum, list[CancellationEvent]]:
+    """Sum several QSums, recording cancellation diagnostics; see
+    terms_merge."""
+    merged, events = terms_merge([_as_terms(a) for a in parts], site)
+    return _from_terms(merged), events
 
 
 def qsum_add(
@@ -313,20 +348,8 @@ def qsum_add(
 
 
 def qsum_mul(a: QSum, b: QSum) -> QSum:
-    """Exact product (no diagnostics: products create no cancellations of
-    their own, only the subsequent merge can)."""
-    if not a.terms or not b.terms:
-        return QSum()
-    acc: dict[tuple[Fraction, int, int], Fraction] = {}
-    for ta in a.terms:
-        for tb in b.terms:
-            k = (ta.qexp + tb.qexp, ta.t1pow + tb.t1pow, ta.t2pow + tb.t2pow)
-            c = ta.coeff * tb.coeff
-            if k in acc:
-                acc[k] += c
-            else:
-                acc[k] = c
-    return QSum(QMonomial(k[0], k[1], k[2], c) for k, c in acc.items() if c)
+    """Exact product; see terms_mul."""
+    return _from_terms(terms_mul(_as_terms(a), _as_terms(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +396,7 @@ def ultradiscretize(a: QSum) -> tuple[Fraction, int]:
     Raises SignIndefiniteError when the leading slice carries both signs.
     """
     lead = leading_part(a)
-    sign = _slice_sign(lead.terms)
+    sign = _slice_sign([t.coeff for t in lead.terms])
     if sign is None:
         raise SignIndefiniteError(
             f"sign-indefinite leading part at q^({lead.terms[0].qexp})"

@@ -226,10 +226,6 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
-def _fraction_to_mpf(x: Fraction):
-    return mpmath.mpf(x.numerator) / x.denominator
-
-
 # ---------------------------------------------------------------------------
 # public surface
 # ---------------------------------------------------------------------------
@@ -262,15 +258,13 @@ class NumPoly:
         return cls(tuple(vals), as_fraction(q), as_fraction(t1), as_fraction(t2), bits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RootEstimate:
     """One numerically isolated root with its empirical log-q exponent."""
 
     value: object
     q: Fraction
     est_exponent: object
-    matched: Optional[PredictedRoot] = None
-    rel_err: Optional[float] = None
 
 
 def find_real_roots(poly: NumPoly, seeds: Sequence | None = None) -> list:
@@ -292,7 +286,7 @@ def find_real_roots(poly: NumPoly, seeds: Sequence | None = None) -> list:
         ]
     roots = _real_roots_fractions(fracs, poly.bits, cuts)
     with mpmath.workprec(poly.bits):
-        return [_fraction_to_mpf(r) for r in roots]
+        return [to_mpf(r) for r in roots]
 
 
 def _prediction_seeds(p: HeunParams, predictions, q) -> list:
@@ -462,8 +456,6 @@ def match_predictions(
                 enforce == "explicit" and not isinstance(pred.prefactor, str)
             )
             prefactor_ok = abs(ratio - 1) <= tol_prefactor if gate else None
-            est.matched = pred
-            est.rel_err = derr
             if not exponent_ok or prefactor_ok is False:
                 ok = False
             rows.append(MatchRow(est, pred, derr, ratio, exponent_ok, prefactor_ok))
@@ -476,4 +468,4 @@ def real_roots_of_rational_poly(coeffs: Sequence, bits: int = 256) -> list:
     fracs = [as_fraction(c) for c in coeffs]
     roots = _real_roots_fractions(fracs, bits)
     with mpmath.workprec(bits):
-        return [_fraction_to_mpf(r) for r in roots]
+        return [to_mpf(r) for r in roots]

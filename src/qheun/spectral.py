@@ -44,14 +44,15 @@ from .errors import DomainError, ParameterError
 from .qmono import (
     EVAL_GUARD_BITS,
     CancellationEvent,
-    EXACT_ZERO,
     QMonomial,
     QSum,
-    SIGN_CONFLICT,
+    TermDict,
     UNIT_MONOMIAL,
     as_fraction,
     eval_terms,
     leading_part,
+    terms_merge,
+    terms_mul,
     to_mpf,
 )
 
@@ -149,18 +150,14 @@ def derive(h1, h2, l1, l2, alpha1, alpha2, beta, t1, t2) -> HeunParams:
 # ---------------------------------------------------------------------------
 
 
-def _check_n(p: HeunParams, n: int) -> None:
-    if not 1 <= n <= p.N + 1:
-        raise DomainError(f"recursion index n = {n} outside 1..N+1 = 1..{p.N + 1}")
-
-
 def a_row_structured(p: HeunParams, n: int) -> tuple[QMonomial, tuple[Fraction, Fraction]]:
     """A_n as monomial t1 t2 q^{h1+h2} times factors (1-q^n)(1-q^{n-beta}).
 
     Both factor exponents are positive under the standing assumptions
     (n >= 1, beta < 1), so A_n never vanishes for q in (0,1).
     """
-    _check_n(p, n)
+    if not 1 <= n <= p.N + 1:
+        raise DomainError(f"recursion index n = {n} outside 1..N+1 = 1..{p.N + 1}")
     return (
         QMonomial(p.h1 + p.h2, 1, 1, Fraction(1)),
         (Fraction(n), n - p.beta),
@@ -168,8 +165,10 @@ def a_row_structured(p: HeunParams, n: int) -> tuple[QMonomial, tuple[Fraction, 
 
 
 def recursion_coeff_rows(p: HeunParams, n: int) -> tuple[QSum, QSum, QSum, QSum]:
-    """The exact rows (A, B, C, D) of step n, each expanded as a QSum."""
-    _check_n(p, n)
+    """The exact rows (A, B, C, D) of step n, each expanded as a QSum.
+
+    This is the one exact definition of the rows; coefficients_exact runs
+    on them."""
     lam = p.lambda1
     mono, (e1, e2) = a_row_structured(p, n)
     A = QSum((mono,)) * (
@@ -261,27 +260,14 @@ class EPoly:
         with mpmath.workprec(bits):
             return [+v for v in vals]
 
-    def eval_at(self, E, q, t1, t2, bits: int = 512):
-        """Horner evaluation of the polynomial at numeric E."""
-        vals = self.coefficient_values(q, t1, t2, bits=bits + EVAL_GUARD_BITS)
-        with mpmath.workprec(bits + EVAL_GUARD_BITS):
-            Ev = to_mpf(E)
-            acc = mpmath.mpf(0)
-            for v in reversed(vals):
-                acc = acc * Ev + v
-        with mpmath.workprec(bits):
-            return +acc
-
 
 # ---------------------------------------------------------------------------
 # exact coefficient pipeline
 #
-# Internally the recursion runs on dicts keyed by (qexp*D, t1pow, t2pow) with
+# The recursion runs on term dicts keyed by (qexp*D, t1pow, t2pow) with
 # integer-scaled exponents: D = 2*lcm(parameter denominators) clears every
 # exponent the rows can produce, and integer keys keep the merge cheap.
 # ---------------------------------------------------------------------------
-
-_TermDict = dict  # dict[tuple[int, int, int], Fraction]
 
 
 def _scale_den(p: HeunParams) -> int:
@@ -296,105 +282,20 @@ def _scale_den(p: HeunParams) -> int:
     )
 
 
-def _sc(e: Fraction, D: int) -> int:
-    v = e * D
-    if v.denominator != 1:
-        raise AssertionError(f"exponent {e} not in (1/{D})Z")
-    return v.numerator
+def _scaled(a: QSum, D: int) -> TermDict:
+    out: TermDict = {}
+    for t in a.terms:
+        v = t.qexp * D
+        if v.denominator != 1:
+            raise AssertionError(f"exponent {t.qexp} not in (1/{D})Z")
+        out[(v.numerator, t.t1pow, t.t2pow)] = t.coeff
+    return out
 
 
-def _dadd(d: _TermDict, k, c: Fraction) -> None:
-    if k in d:
-        nc = d[k] + c
-        if nc:
-            d[k] = nc
-        else:
-            del d[k]
-    elif c:
-        d[k] = c
-
-
-def _dmul(a: _TermDict, b: _TermDict) -> _TermDict:
-    out: _TermDict = {}
-    get = out.get
-    for (ka0, ka1, ka2), ca in a.items():
-        for (kb0, kb1, kb2), cb in b.items():
-            k = (ka0 + kb0, ka1 + kb1, ka2 + kb2)
-            prev = get(k)
-            out[k] = ca * cb if prev is None else prev + ca * cb
-    return {k: c for k, c in out.items() if c}
-
-
-def _dneg(a: _TermDict) -> _TermDict:
-    return {k: -c for k, c in a.items()}
-
-
-def _dmerge(parts: Sequence[_TermDict], site: str, events: list, D: int) -> _TermDict:
-    acc: _TermDict = {}
-    multi = set()
-    for part in parts:
-        for k, c in part.items():
-            if k in acc:
-                multi.add(k)
-                acc[k] += c
-            else:
-                acc[k] = c
-    for k in multi:
-        if not acc[k]:
-            events.append(CancellationEvent(site, Fraction(k[0], D), EXACT_ZERO))
-    cleaned = {k: c for k, c in acc.items() if c}
-    if cleaned:
-        lead = min(k[0] for k in cleaned)
-        pos = neg = False
-        for k, c in cleaned.items():
-            if k[0] == lead:
-                if c > 0:
-                    pos = True
-                else:
-                    neg = True
-        if pos and neg:
-            events.append(CancellationEvent(site, Fraction(lead, D), SIGN_CONFLICT))
-    return cleaned
-
-
-def _rows_scaled(p: HeunParams, n: int, D: int):
-    lam = p.lambda1
-    A: _TermDict = {}
-    hh = p.h1 + p.h2
-    _dadd(A, (_sc(hh, D), 1, 1), Fraction(1))
-    _dadd(A, (_sc(hh + n, D), 1, 1), Fraction(-1))
-    _dadd(A, (_sc(hh + n - p.beta, D), 1, 1), Fraction(-1))
-    _dadd(A, (_sc(hh + 2 * n - p.beta, D), 1, 1), Fraction(1))
-    B: _TermDict = {(_sc(n - 1 + lam, D), 0, 0): Fraction(1)}
-    C: _TermDict = {}
-    ce = 2 * (n + lam) + p.alpha1 + p.alpha2 - Fraction(5, 2)
-    _dadd(C, (_sc(_HALF + p.h1, D), 1, 0), Fraction(1))
-    _dadd(C, (_sc(_HALF + p.h2, D), 0, 1), Fraction(1))
-    _dadd(C, (_sc(p.l1 + ce, D), 1, 0), Fraction(1))
-    _dadd(C, (_sc(p.l2 + ce, D), 0, 1), Fraction(1))
-    Dd: _TermDict = {}
-    d1 = n - 2 + lam + p.alpha1
-    d2 = n - 2 + lam + p.alpha2
-    _dadd(Dd, (_sc(Fraction(1), D), 0, 0), Fraction(1))
-    _dadd(Dd, (_sc(1 + d1, D), 0, 0), Fraction(-1))
-    _dadd(Dd, (_sc(1 + d2, D), 0, 0), Fraction(-1))
-    _dadd(Dd, (_sc(1 + d1 + d2, D), 0, 0), Fraction(1))
-    return A, B, C, Dd
-
-
-def _dict_to_qsum(d: _TermDict, D: int) -> QSum:
+def _dict_to_qsum(d: TermDict, D: int) -> QSum:
     return QSum(
         QMonomial(Fraction(k0, D), k1, k2, c) for (k0, k1, k2), c in d.items()
     )
-
-
-def _denominator_for(p: HeunParams, n: int) -> tuple[QMonomial, tuple[Fraction, ...]]:
-    mono = QMonomial(n * (p.h1 + p.h2), n, n, Fraction(1))
-    factors = sorted(
-        [Fraction(k) for k in range(1, n + 1)]
-        + [k - p.beta for k in range(1, n + 1)]
-    )
-    return mono, tuple(factors)
 
 
 def coefficients_exact(
@@ -402,11 +303,12 @@ def coefficients_exact(
 ) -> tuple[list[EPoly], list[CancellationEvent]]:
     """Exact c_0 .. c_up_to with cancellation diagnostics.
 
-    Per step n and E-degree j, the three contributions
-    B*c_{n-1}[j-1], C*c_{n-1}[j] and -(D*A_{n-1})*c_{n-2}[j] are merged in a
-    single pass; the recorded events are the right-hand-side cancellation
-    diagnostics the leading-term propositions are about.  The exact result
-    itself is always correct, events or not.
+    The rows come from recursion_coeff_rows.  Per step n and E-degree j,
+    the three contributions B*c_{n-1}[j-1], C*c_{n-1}[j] and R*c_{n-2}[j],
+    with R = -(D*A_{n-1}), are merged in a single pass; the recorded events
+    are the right-hand-side cancellation diagnostics the leading-term
+    propositions are about.  The exact result itself is always correct,
+    events or not.
     """
     if up_to is None:
         up_to = p.N + 1
@@ -414,33 +316,42 @@ def coefficients_exact(
         raise DomainError(f"up_to = {up_to} outside 0..N+1 = 0..{p.N + 1}")
     D = _scale_den(p)
     events: list[CancellationEvent] = []
-    levels: list[list[_TermDict]] = [[{(0, 0, 0): Fraction(1)}]]
-    prev_A: _TermDict | None = None
+    levels: list[list[TermDict]] = [[{(0, 0, 0): Fraction(1)}]]
+    prev_A: QSum | None = None
     for n in range(1, up_to + 1):
-        A, B, C, Dd = _rows_scaled(p, n, D)
+        A, B, C, Dn = recursion_coeff_rows(p, n)
+        B, C = _scaled(B, D), _scaled(C, D)
+        R = _scaled(-(Dn * prev_A), D) if n >= 2 else None
         prev = levels[n - 1]
         prev2 = levels[n - 2] if n >= 2 else None
-        DA = _dmul(Dd, prev_A) if n >= 2 else None
-        new: list[_TermDict] = []
+        new: list[TermDict] = []
         for j in range(n + 1):
             parts = []
             if j >= 1:
-                parts.append(_dmul(B, prev[j - 1]))
+                parts.append(terms_mul(B, prev[j - 1]))
             if j < len(prev):
-                parts.append(_dmul(C, prev[j]))
+                parts.append(terms_mul(C, prev[j]))
             if prev2 is not None and j < len(prev2):
-                parts.append(_dneg(_dmul(DA, prev2[j])))
-            new.append(_dmerge(parts, f"c{n}[E^{j}]", events, D))
+                parts.append(terms_mul(R, prev2[j]))
+            merged, found = terms_merge(parts, f"c{n}[E^{j}]")
+            events.extend(
+                CancellationEvent(e.site, Fraction(e.qexp, D), e.kind) for e in found
+            )
+            new.append(merged)
         if not new[n]:
             raise AssertionError(f"degree invariant failed: c_{n} has degree < {n}")
         levels.append(new)
         prev_A = A
+    # c_n's denominator is A_1 ... A_n with the factors kept structured
     polys = []
+    den, factors = QSum.one(), []
     for n, dicts in enumerate(levels):
-        mono, factors = _denominator_for(p, n)
-        polys.append(
-            EPoly(tuple(_dict_to_qsum(d, D) for d in dicts), mono, factors)
-        )
+        if n:
+            mono, row_factors = a_row_structured(p, n)
+            den = den * QSum((mono,))
+            factors.extend(row_factors)
+        coeffs = tuple(_dict_to_qsum(d, D) for d in dicts)
+        polys.append(EPoly(coeffs, den.terms[0], tuple(sorted(factors))))
     return polys, events
 
 

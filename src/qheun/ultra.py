@@ -619,13 +619,12 @@ def predict_roots(p: HeunParams, tag: CaseTag) -> list[PredictedRoot]:
 # ---------------------------------------------------------------------------
 
 
-def _s_polynomial(p: HeunParams, g: Fraction) -> list[Fraction]:
+def _s_polynomial(ep: EPoly, p: HeunParams, g: Fraction) -> list[Fraction]:
     """Coefficients (degree-ascending) of the minimal-q-power slice of
     c_{N+1}(s q^g) with t1, t2 substituted at their rational values.
 
     The structured denominator scales all terms by one positive factor and
     shifts the exponents uniformly, so it cannot change the slice."""
-    ep = spectral_polynomial(p)
     per_total: dict[Fraction, dict[int, Fraction]] = {}
     for j, c in enumerate(ep.coeffs):
         for t in c.terms:
@@ -646,19 +645,24 @@ def _s_polynomial(p: HeunParams, g: Fraction) -> list[Fraction]:
     return [bucket.get(j, Fraction(0)) for j in range(deg + 1)]
 
 
-def multiplicity_prefactors(p: HeunParams, tag: CaseTag, bits: int = 256) -> list:
+def multiplicity_prefactors(
+    p: HeunParams, tag: CaseTag, bits: int = 256, *, epoly: EPoly | None = None
+) -> list:
     """Distinct signed prefactors refining a multiplicity >= 2 balanced pair.
 
-    Empty when the prediction multiset has no such pair.  Solves the
-    s-polynomial exactly (its coefficients are rational once t1, t2 are
-    substituted) and returns the nonzero real roots, sorted ascending.
+    Empty when the prediction multiset has no such pair; otherwise
+    non-empty, or DegenerateSPolyError.  Solves the s-polynomial exactly
+    (its coefficients are rational once t1, t2 are substituted) and returns
+    the nonzero real roots, sorted ascending.  ``epoly`` is the spectral
+    polynomial of ``p`` when the caller has it already.
     """
     from .roots import real_roots_of_rational_poly
 
     preds = predict_roots(p, tag)
     if not any(e.prefactor == BALANCED and e.multiplicity >= 2 for e in preds):
         return []
-    coeffs = _s_polynomial(p, balanced_exponent(p))
+    ep = epoly if epoly is not None else spectral_polynomial(p)
+    coeffs = _s_polynomial(ep, p, balanced_exponent(p))
     low = 0
     while low < len(coeffs) and not coeffs[low]:
         low += 1
@@ -680,9 +684,9 @@ def refined_predictions(p: HeunParams, tag: CaseTag, bits: int = 256) -> list[Pr
     """Predictions with every multiplicity >= 2 balanced pair replaced by
     explicit-prefactor entries from the s-polynomial."""
     preds = predict_roots(p, tag)
-    if not any(e.prefactor == BALANCED and e.multiplicity >= 2 for e in preds):
-        return preds
     vals = multiplicity_prefactors(p, tag, bits=bits)
+    if not vals:
+        return preds
     pos = sorted((v for v in vals if v > 0), reverse=True)
     neg = sorted((-v for v in vals if v < 0), reverse=True)
     out: list[PredictedRoot] = []

@@ -28,6 +28,18 @@ t1 = 1
 t2 = 1
 """
 
+P4 = """
+h1 = -1
+h2 = 0
+l1 = 8
+l2 = 10
+alpha1 = 1
+alpha2 = 0
+beta = -10
+t1 = 1
+t2 = 1
+"""
+
 
 def _write(tmp_path, name, body):
     path = tmp_path / name
@@ -186,18 +198,7 @@ def test_verify_excluded_params_exit_2(tmp_path, capsys):
 
 
 def test_verify_p4_ratio_column_shows_refined_magnitudes(tmp_path, capsys):
-    body = """
-    h1 = -1
-    h2 = 0
-    l1 = 8
-    l2 = 10
-    alpha1 = 1
-    alpha2 = 0
-    beta = -10
-    t1 = 1
-    t2 = 1
-    """
-    path = _write(tmp_path, "p4.params", body)
+    path = _write(tmp_path, "p4.params", P4)
     out = tmp_path / "out"
     assert main(["verify", "--params", path, "--out", str(out)]) == 0
     rows = (out / "roots.csv").read_text().splitlines()[1:]
@@ -205,6 +206,25 @@ def test_verify_p4_ratio_column_shows_refined_magnitudes(tmp_path, capsys):
     golden = sorted([0.618, 0.618, 1.618, 1.618])
     for got, want in zip(ratios, golden):
         assert abs(got / want - 1) < 0.05
+
+
+def test_verify_builds_the_spectral_polynomial_once(tmp_path, monkeypatch, capsys):
+    # p4 has balanced double pairs, so verify also refines their prefactors;
+    # that refinement must reuse the polynomial verify already built
+    import qheun.spectral as spectral
+
+    calls = []
+    original = spectral.coefficients_exact
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "coefficients_exact", counting)
+    path = _write(tmp_path, "p4.params", P4)
+    assert main(["verify", "--params", path]) == 0
+    assert "refined balanced prefactors" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_qheun_bits_env_overrides_default(monkeypatch):

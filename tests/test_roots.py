@@ -99,7 +99,7 @@ def test_match_predictions_pass(p1):
     assert report.ok
     assert len(report.rows) == 3
     assert all(r.exponent_ok for r in report.rows)
-    assert all(e.matched is not None for e in ests)
+    assert all(r.estimate is not None and r.prediction is not None for r in report.rows)
 
 
 def test_match_predictions_detects_shuffled(p1):

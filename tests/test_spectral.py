@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from qheun.errors import DomainError, ParameterError
-from qheun.qmono import QSum, eval_numeric, qpow, ultradiscretize
+from qheun.qmono import EXACT_ZERO, QSum, eval_numeric, qpow, ultradiscretize
 from qheun.sampling import sample_params
 from qheun.spectral import (
     coefficients_exact,
@@ -127,6 +128,68 @@ def test_degree_invariant_randomized():
         for n, ep in enumerate(polys):
             assert ep.degree == n
             assert not ep.coeffs[n].is_zero()
+
+
+def test_homogeneity_invariant(p1, p2, p3, p4):
+    # every row is homogeneous in (t1, t2, E): B has degree 1 (through E),
+    # C degree 1, D*A_{n-1} degree 2, so c_m is homogeneous of degree 0 over
+    # the denominator monomial (t1 t2)^m
+    rng = random.Random(64)
+    sampled = [
+        sample_params(regime, rng, N=n)
+        for regime in ("R31", "R32", "R33")
+        for n in range(1, 7)
+    ]
+    for p in [p1, p2, p3, p4] + sampled:
+        polys, _ = coefficients_exact(p)
+        for m, ep in enumerate(polys):
+            assert (ep.denom_monomial.t1pow, ep.denom_monomial.t2pow) == (m, m)
+            for j, c in enumerate(ep.coeffs):
+                assert all(t.t1pow + t.t2pow + j == m for t in c.terms), (p, m, j)
+
+
+# (site, qexp, kind) -> count of the cancellation events of the fixtures
+_EVENT_PINS = {
+    "p1": {("c3[E^1]", F(-4), EXACT_ZERO): 1},
+    "p2": {
+        ("c2[E^0]", F(-1, 2), EXACT_ZERO): 1,
+        ("c2[E^0]", F(3, 2), EXACT_ZERO): 1,
+        ("c2[E^0]", F(7, 2), EXACT_ZERO): 1,
+    },
+    "p3": {
+        ("c2[E^0]", F(1, 2), EXACT_ZERO): 1,
+        ("c2[E^0]", F(2), EXACT_ZERO): 1,
+        ("c2[E^0]", F(7, 2), EXACT_ZERO): 1,
+    },
+    "p4": {
+        ("c3[E^0]", F(-1, 2), EXACT_ZERO): 1,
+        ("c3[E^0]", F(-3, 2), EXACT_ZERO): 1,
+        ("c3[E^0]", F(-9, 2), EXACT_ZERO): 1,
+        ("c3[E^0]", F(25, 2), EXACT_ZERO): 1,
+        ("c3[E^0]", F(27, 2), EXACT_ZERO): 2,
+        ("c4[E^0]", F(-2), EXACT_ZERO): 1,
+        ("c4[E^0]", F(-5), EXACT_ZERO): 1,
+        ("c4[E^0]", F(23), EXACT_ZERO): 2,
+        ("c4[E^1]", F(-11, 2), EXACT_ZERO): 1,
+        ("c4[E^1]", F(-15, 2), EXACT_ZERO): 1,
+        ("c4[E^1]", F(-17, 2), EXACT_ZERO): 1,
+        ("c4[E^1]", F(25, 2), EXACT_ZERO): 1,
+        ("c4[E^1]", F(31, 2), EXACT_ZERO): 1,
+        ("c4[E^1]", F(35, 2), EXACT_ZERO): 1,
+        ("c4[E^2]", F(-5), EXACT_ZERO): 1,
+        ("c4[E^2]", F(-6), EXACT_ZERO): 1,
+        ("c4[E^2]", F(4), EXACT_ZERO): 1,
+        ("c4[E^2]", F(5), EXACT_ZERO): 1,
+    },
+}
+
+
+def test_cancellation_events_pinned(p1, p2, p3, p4):
+    # event exponents are in q units, not in the recursion's scaled units
+    for name, p in {"p1": p1, "p2": p2, "p3": p3, "p4": p4}.items():
+        _, events = coefficients_exact(p)
+        got = Counter((e.site, e.qexp, e.kind) for e in events)
+        assert got == Counter(_EVENT_PINS[name]), name
 
 
 # ---------------------------------------------------------------------------
