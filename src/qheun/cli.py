@@ -171,7 +171,7 @@ def cmd_analyze(args) -> int:
 
 def _prediction_rows(p: HeunParams, tag) -> tuple[list[list[str]], list]:
     preds = predict_roots(p, tag)
-    refined = multiplicity_prefactors(p, tag)
+    refined = multiplicity_prefactors(p, tag, predictions=preds)
     rows = []
     for e in preds:
         pf = e.prefactor if isinstance(e.prefactor, str) else _fmt(e.prefactor)
@@ -309,7 +309,7 @@ def cmd_verify(args) -> int:
     # balanced multiple roots: compare |ratio| magnitudes against the
     # s-polynomial refinement (meaningful once q is small enough that
     # subleading corrections sit below the tolerance)
-    refined = multiplicity_prefactors(p, tag, epoly=ep)
+    refined = multiplicity_prefactors(p, tag, epoly=ep, predictions=preds)
     if refined:
         if q2 <= PREFACTOR_GATE_QMAX:
             got = sorted(

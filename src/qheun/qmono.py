@@ -428,21 +428,28 @@ def to_mpf(x):
     raise TypeError(f"cannot convert {type(x).__name__} to mpf")
 
 
-def eval_terms(a: QSum, qv, t1v, t2v, lq=None):
+def eval_terms(a: QSum, qv, t1v, t2v, lq=None, qpowers=None):
     """Evaluate ``a`` inside the caller's mpmath context.
 
     q^mu is computed as exp(mu * log q), which keeps the accuracy uniform in
-    |mu| (``lq`` lets callers reuse log q across many sums).
+    |mu| (``lq`` lets callers reuse log q across many sums).  ``qpowers``
+    memoises q^mu by mu across sums evaluated at the same q and precision;
+    a memoised power is the very value a fresh exp call returns.
     """
     if not a.terms:
         return mpmath.mpf(0)
     if lq is None:
         lq = mpmath.log(qv)
+    if qpowers is None:
+        qpowers = {}
     vals = []
     for t in a.terms:
         v = _fraction_to_mpf(t.coeff)
         if t.qexp:
-            v *= mpmath.exp(_fraction_to_mpf(t.qexp) * lq)
+            qp = qpowers.get(t.qexp)
+            if qp is None:
+                qp = qpowers[t.qexp] = mpmath.exp(_fraction_to_mpf(t.qexp) * lq)
+            v *= qp
         if t.t1pow:
             v *= t1v ** t.t1pow
         if t.t2pow:

@@ -2,16 +2,24 @@
 
 Spectral polynomials at small q carry coefficients spanning hundreds of
 orders of magnitude, which defeats floating eigenvalue methods.  Instead the
-mpf coefficients (exact dyadic rationals) are converted to Fractions and the
-whole isolation pipeline runs in exact arithmetic:
+mpf coefficients (exact dyadic rationals) are converted to Fractions, and
+every sign decision is exact:
 
-* Sturm chain over the (power-of-two) Cauchy bound interval counts the
+* each polynomial, and each member of its Sturm chain, is scaled once by a
+  positive integer to integer coefficients; the one exact evaluator
+  (``_sign_at``) gives the sign at x = u/v as the sign of
+  sum n_i u^i v^(d-i), with no gcd;
+* the Sturm chain over the (power-of-two) Cauchy bound interval counts the
   distinct real roots -- the count must equal the degree, otherwise the
   polynomial image itself was computed too coarsely and PrecisionError asks
   for a retry at doubled bits;
 * interval splitting (optionally pre-cut between predicted root locations)
   isolates single roots;
-* exact sign bisection refines each to relative width 2^-(bits//2).
+* each root is refined to the point exact sign bisection to relative width
+  2^-(bits//2) would return, without running it: a floating approximation
+  (geometric bisection, then Newton inside the bracket) steers an integer
+  replay of the bisection path, and two exact signs at the final bracket
+  certify it.  A failed certificate falls back to exact bisection.
 
 On top of that sit the two-q exponent estimator (log-log slope per matched
 root) and the prediction matcher used by the verification pipeline.
@@ -19,6 +27,7 @@ root) and the prediction matcher used by the verification pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -43,6 +52,10 @@ __all__ = [
 ]
 
 _FPoly = list  # list[Fraction], degree-ascending
+_IPoly = list  # list[int], degree-ascending
+
+#: Extra bits of the floating root approximation beyond the target bits.
+_APPROX_GUARD_BITS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -57,11 +70,22 @@ def _strip(c: _FPoly) -> _FPoly:
     return c
 
 
-def _eval(c: _FPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(c):
-        acc = acc * x + a
-    return acc
+def _integer_scaled(c: _FPoly) -> _IPoly:
+    """c times the lcm of its denominators: a positive multiple, so its sign
+    at every point is the sign of c."""
+    m = math.lcm(*(a.denominator for a in c))
+    return [a.numerator * (m // a.denominator) for a in c]
+
+
+def _sign_at(n: _IPoly, u: int, v: int) -> int:
+    """Sign of the polynomial n at x = u/v, v > 0: the sign of
+    sum n_i u^i v^(d-i), which is n(x) times v^d.  The one exact evaluator."""
+    acc = n[-1]
+    w = 1
+    for a in reversed(n[:-1]):
+        w *= v
+        acc = acc * u + a * w
+    return (acc > 0) - (acc < 0)
 
 
 def _deriv(c: _FPoly) -> _FPoly:
@@ -88,24 +112,21 @@ def _rescale(c: _FPoly) -> _FPoly:
     return [a / m for a in c]
 
 
-def _sturm_chain(c: _FPoly) -> list[_FPoly]:
+def _sturm_chain(c: _FPoly) -> list[_IPoly]:
+    """The Sturm chain of c, each member scaled to integer coefficients."""
     chain = [c, _strip(_deriv(c))]
     while len(chain[-1]) > 1:
         r = _rem(chain[-2], chain[-1])
         if not r:
             break  # chain ends at a gcd; variation counts stay valid
         chain.append(_rescale([-a for a in r]))
-    return chain
+    return [_integer_scaled(m) for m in chain]
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _variations(chain: list[_FPoly], x: Fraction) -> int:
+def _variations(chain: list[_IPoly], x: Fraction) -> int:
     signs = []
-    for c in chain:
-        s = _sign(_eval(c, x))
+    for n in chain:
+        s = _sign_at(n, x.numerator, x.denominator)
         if s:
             signs.append(s)
     return sum(1 for i in range(1, len(signs)) if signs[i] != signs[i - 1])
@@ -122,22 +143,23 @@ def _cauchy_bound(c: _FPoly) -> Fraction:
     return _pow2_at_least(1 + body / lead)
 
 
-def _nonroot(c: _FPoly, x: Fraction, step: Fraction) -> Fraction:
-    while _eval(c, x) == 0:
+def _nonroot(n: _IPoly, x: Fraction, step: Fraction) -> Fraction:
+    while _sign_at(n, x.numerator, x.denominator) == 0:
         x += step
     return x
 
 
 def _isolate(
-    chain: list[_FPoly], c: _FPoly, lo: Fraction, hi: Fraction, cuts: Sequence[Fraction]
+    chain: list[_IPoly], lo: Fraction, hi: Fraction, cuts: Sequence[Fraction]
 ) -> list[tuple[Fraction, Fraction]]:
     """Split (lo, hi) into open intervals holding exactly one distinct root
-    each; lo, hi and every split point are non-roots."""
+    of chain[0] each; lo, hi and every split point are non-roots."""
+    n = chain[0]
     nudge = (hi - lo) / 2 ** 24
     points = [lo]
     for cut in sorted(set(cuts)):
         if lo < cut < hi:
-            points.append(_nonroot(c, cut, nudge))
+            points.append(_nonroot(n, cut, nudge))
     points.append(hi)
     var = {pt: _variations(chain, pt) for pt in points}
     stack = [
@@ -147,13 +169,13 @@ def _isolate(
     out = []
     while stack:
         a, b, va, vb = stack.pop()
-        n = va - vb
-        if n <= 0:
+        k = va - vb
+        if k <= 0:
             continue
-        if n == 1:
+        if k == 1:
             out.append((a, b))
             continue
-        mid = _nonroot(c, (a + b) / 2, (b - a) / 2 ** 24)
+        mid = _nonroot(n, (a + b) / 2, (b - a) / 2 ** 24)
         vm = _variations(chain, mid)
         stack.append((a, mid, va, vm))
         stack.append((mid, b, vm, vb))
@@ -161,29 +183,157 @@ def _isolate(
     return out
 
 
-def _refine(c: _FPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
-    """Bisect the single simple root inside (a, b) down to relative width
-    2^-(bits//2) (absolute floor 2^-(2*bits) near zero)."""
-    fa = _sign(_eval(c, a))
-    fb = _sign(_eval(c, b))
-    assert fa and fb and fa != fb, "bracket must straddle a simple root"
-    rel = Fraction(1, 2 ** (bits // 2))
-    floor_w = Fraction(1, 2 ** (2 * bits))
+# ---------------------------------------------------------------------------
+# refinement: the bisection path, replayed from a floating approximation and
+# certified by two exact signs
+# ---------------------------------------------------------------------------
+
+
+def _bisect(A: int, B: int, V: int, bits: int, side) -> tuple[int, int, int, Fraction | None]:
+    """Bisect (A/V, B/V) to relative width 2^-(bits//2) (absolute floor
+    2^-(2*bits) near zero), probing zero first when the bracket straddles it.
+
+    ``side(M, W)`` says where the root lies against M/W: +1 above, -1
+    below, 0 exactly at it.  Returns the final (A, B, V) and the midpoint
+    hit, if one ended the bisection.  Probing zero first makes an exact
+    root at the origin exact in the output (and splits a sign-straddling
+    bracket well regardless).
+    """
+    half, floor_bits = bits // 2, 2 * bits
     while True:
-        w = b - a
-        scale = max(abs(a), abs(b))
-        if w <= scale * rel or w <= floor_w:
-            return (a + b) / 2
-        # probing zero first makes an exact root at the origin exact in the
-        # output (and splits a sign-straddling bracket well regardless)
-        mid = Fraction(0) if a < 0 < b else (a + b) / 2
-        s = _sign(_eval(c, mid))
-        if s == 0:
-            return mid
-        if s == fa:
-            a = mid
+        w = B - A
+        if w << half <= max(abs(A), abs(B)) or w << floor_bits <= V:
+            return A, B, V, None
+        if A < 0 < B:
+            M = 0
         else:
-            b = mid
+            M = A + B
+            if M & 1:
+                A, B, V = A << 1, B << 1, V << 1
+            else:
+                M >>= 1
+        s = side(M, V)
+        if s == 0:
+            return A, B, V, Fraction(M, V)
+        if s > 0:
+            A = M
+        else:
+            B = M
+
+
+def _approximate(n: _IPoly, a: Fraction, b: Fraction, fa: int, bits: int):
+    """A floating approximation of the one root of n in (a, b), as mpf
+    ``(root, tol)`` with tol an estimate of its error, or None.
+
+    Works at bits + _APPROX_GUARD_BITS: a zero split when (a, b) straddles
+    the origin, geometric bisection while the bracket spans more than 2x,
+    then Newton kept inside the bracket.  ``fa`` is the exact sign of n at a.
+    """
+    prec = bits + _APPROX_GUARD_BITS
+    with mpmath.workprec(prec):
+        cs = [mpmath.mpf(c) for c in n]
+        noise = 2 * len(cs) * mpmath.mpf(2) ** -prec
+
+        def ev(x):
+            # p(x), p'(x) and the rounding noise of p(x)
+            p = dp = size = mpmath.mpf(0)
+            ax = abs(x)
+            for c in reversed(cs):
+                dp = dp * x + p
+                p = p * x + c
+                size = size * ax + abs(c)
+            return p, dp, size * noise
+
+        def below_root(p):
+            return (p > 0) - (p < 0) == fa
+
+        lo, hi = to_mpf(a), to_mpf(b)
+        if lo < 0 < hi:
+            if not n[0]:
+                return mpmath.mpf(0), mpmath.mpf(0)
+            if (n[0] > 0) - (n[0] < 0) == fa:
+                lo = mpmath.mpf(0)
+            else:
+                hi = mpmath.mpf(0)
+        if not lo or not hi:
+            # no nonzero root is nearer to 0 than |c_0| / (|c_0| + max |c_i|)
+            c0 = abs(cs[0])
+            bound = c0 / (c0 + max(abs(c) for c in cs[1:])) / 2
+            lo, hi = (bound, hi) if hi > 0 else (lo, -bound)
+        sgn = 1 if hi > 0 else -1
+        while max(abs(lo), abs(hi)) > 2 * min(abs(lo), abs(hi)):
+            x = sgn * mpmath.sqrt(lo * hi)
+            if below_root(ev(x)[0]):
+                lo = x
+            else:
+                hi = x
+        x = (lo + hi) / 2
+        for _ in range(4 * prec):  # bisection alone would need about prec
+            p, dp, err = ev(x)
+            if abs(p) <= err:
+                break  # x is a root within the rounding noise of p
+            if below_root(p):
+                lo = x
+            else:
+                hi = x
+            nx = x - p / dp if dp else hi
+            if not lo < nx < hi:
+                nx = (lo + hi) / 2
+            if nx == x:
+                break
+            x = nx
+        p, dp, err = ev(x)
+        if not dp:
+            return None
+        return x, 4 * (abs(p) + err) / abs(dp)
+
+
+def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
+    """The point where exact bisection of the single simple root inside
+    (a, b) stops: relative width 2^-(bits//2), absolute floor 2^-(2*bits).
+
+    The bisection path is replayed in integers, steered by a floating
+    approximation of the root; a midpoint within the approximation's error
+    (and zero, the first probe of a straddling bracket) is decided by an
+    exact sign.  The final bracket is certified by the exact signs at its
+    endpoints: opposite and nonzero, it holds the one root of (a, b), and
+    then every step went the way exact bisection goes.  Any failed check
+    falls back to exact bisection.
+    """
+    V = math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (V // a.denominator), b.numerator * (V // b.denominator)
+    fa = _sign_at(n, A, V)
+    assert fa, "bracket endpoints must be non-roots"
+
+    def exact(M: int, W: int) -> int:
+        s = _sign_at(n, M, W)
+        return s and (1 if s == fa else -1)
+
+    guess = _approximate(n, a, b, fa, bits)
+    if guess is not None:
+        r, t = (_mpf_to_fraction(v) for v in guess)
+        D = max(r.denominator, t.denominator)  # both are powers of two
+        R, T = r.numerator * (D // r.denominator), t.numerator * (D // t.denominator)
+
+        def steer(M: int, W: int) -> int:
+            if M:
+                d = R * W - M * D  # (r - M/W) * W * D
+                if abs(d) > T * W:
+                    return 1 if d > 0 else -1
+            return exact(M, W)
+
+        A1, B1, W, hit = _bisect(A, B, V, bits, steer)
+        if hit is not None:
+            return hit
+        if _sign_at(n, A1, W) == fa and _sign_at(n, B1, W) == -fa:
+            return Fraction(A1 + B1, 2 * W)
+    return _bisect_exact(A, B, V, bits, exact)
+
+
+def _bisect_exact(A: int, B: int, V: int, bits: int, exact) -> Fraction:
+    """Plain exact bisection, every step steered by an exact sign."""
+    A, B, V, hit = _bisect(A, B, V, bits, exact)
+    return hit if hit is not None else Fraction(A + B, 2 * V)
 
 
 def _real_roots_fractions(
@@ -201,9 +351,7 @@ def _real_roots_fractions(
             f"Sturm isolation found {total} distinct real roots for degree "
             f"{deg}; precision insufficient (or roots not real/simple)"
         )
-    roots = [
-        _refine(c, a, b, bits) for a, b in _isolate(chain, c, -R, R, cuts)
-    ]
+    roots = [_refine(chain[0], a, b, bits) for a, b in _isolate(chain, -R, R, cuts)]
     return sorted(roots)
 
 

@@ -256,7 +256,8 @@ class EPoly:
                 den *= t2v ** m.t2pow
             for e in self.denom_factors:
                 den *= 1 - mpmath.exp(to_mpf(e) * lq)
-            vals = [eval_terms(c, qv, t1v, t2v, lq) / den for c in self.coeffs]
+            qpowers: dict = {}
+            vals = [eval_terms(c, qv, t1v, t2v, lq, qpowers) / den for c in self.coeffs]
         with mpmath.workprec(bits):
             return [+v for v in vals]
 
@@ -474,25 +475,25 @@ def residual_check(
         const = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
             qp(p.beta / 2) + qp(-p.beta / 2)
         ) * t1v * t2v
+        a1f, a2f = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
+        b1f, b2f = qp(p.l1 - _HALF) * t1v, qp(p.l2 - _HALF) * t2v
+        pref2 = qp(p.alpha1 + p.alpha2)
+        quad = qp(p.alpha1) + qp(p.alpha2)
         worst = mpmath.mpf(0)
         for x in xs:
             g_up = f(x / qv)
             g_dn = f(x * qv)
             g_0 = f(x)
-            a1f, a2f = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
-            b1f, b2f = qp(p.l1 - _HALF) * t1v, qp(p.l2 - _HALF) * t2v
-            pref2 = qp(p.alpha1 + p.alpha2)
             term1 = (x - a1f) * (x - a2f) * g_up
             term2 = pref2 * (x - b1f) * (x - b2f) * g_dn
-            term3 = -((qp(p.alpha1) + qp(p.alpha2)) * x * x + E0v * x + const) * g_0
+            term3 = -(quad * x * x + E0v * x + const) * g_0
             # scale by the pre-cancellation magnitudes: a sample x may sit at
             # a zero of a factor group or of the series itself, where the
             # grouped values say nothing about the working magnitude
             scale = max(
                 (x + a1f) * (x + a2f) * f_abs(x / qv),
                 pref2 * (x + b1f) * (x + b2f) * f_abs(x * qv),
-                ((qp(p.alpha1) + qp(p.alpha2)) * x * x + abs(E0v) * x + const)
-                * f_abs(x),
+                (quad * x * x + abs(E0v) * x + const) * f_abs(x),
             )
             rel = abs(term1 + term2 + term3) / scale
             worst = max(worst, rel)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import mpmath
 
@@ -646,7 +646,12 @@ def _s_polynomial(ep: EPoly, p: HeunParams, g: Fraction) -> list[Fraction]:
 
 
 def multiplicity_prefactors(
-    p: HeunParams, tag: CaseTag, bits: int = 256, *, epoly: EPoly | None = None
+    p: HeunParams,
+    tag: CaseTag,
+    bits: int = 256,
+    *,
+    epoly: EPoly | None = None,
+    predictions: Sequence[PredictedRoot] | None = None,
 ) -> list:
     """Distinct signed prefactors refining a multiplicity >= 2 balanced pair.
 
@@ -654,11 +659,12 @@ def multiplicity_prefactors(
     non-empty, or DegenerateSPolyError.  Solves the s-polynomial exactly
     (its coefficients are rational once t1, t2 are substituted) and returns
     the nonzero real roots, sorted ascending.  ``epoly`` is the spectral
-    polynomial of ``p`` when the caller has it already.
+    polynomial of ``p`` and ``predictions`` is ``predict_roots(p, tag)``,
+    when the caller has them already.
     """
     from .roots import real_roots_of_rational_poly
 
-    preds = predict_roots(p, tag)
+    preds = predictions if predictions is not None else predict_roots(p, tag)
     if not any(e.prefactor == BALANCED and e.multiplicity >= 2 for e in preds):
         return []
     ep = epoly if epoly is not None else spectral_polynomial(p)
@@ -684,7 +690,7 @@ def refined_predictions(p: HeunParams, tag: CaseTag, bits: int = 256) -> list[Pr
     """Predictions with every multiplicity >= 2 balanced pair replaced by
     explicit-prefactor entries from the s-polynomial."""
     preds = predict_roots(p, tag)
-    vals = multiplicity_prefactors(p, tag, bits=bits)
+    vals = multiplicity_prefactors(p, tag, bits=bits, predictions=preds)
     if not vals:
         return preds
     pos = sorted((v for v in vals if v > 0), reverse=True)

@@ -1,3 +1,4 @@
+import hashlib
 import textwrap
 
 import pytest
@@ -11,6 +12,18 @@ l1 = 0
 l2 = 1
 alpha1 = 0
 alpha2 = 1/2
+beta = 1/2
+t1 = 1
+t2 = 1
+"""
+
+P2 = """
+h1 = 0
+h2 = 1
+l1 = 1
+l2 = 4
+alpha1 = 0
+alpha2 = -1/2
 beta = 1/2
 t1 = 1
 t2 = 1
@@ -225,6 +238,60 @@ def test_verify_builds_the_spectral_polynomial_once(tmp_path, monkeypatch, capsy
     assert main(["verify", "--params", path]) == 0
     assert "refined balanced prefactors" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_verify_predicts_the_roots_once(tmp_path, monkeypatch, capsys):
+    # the prefactor refinement of p4 reuses the predictions verify made
+    import qheun.cli as cli
+    import qheun.ultra as ultra
+
+    calls = []
+    original = ultra.predict_roots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ultra, "predict_roots", counting)
+    monkeypatch.setattr(cli, "predict_roots", counting)
+    path = _write(tmp_path, "p4.params", P4)
+    assert main(["verify", "--params", path]) == 0
+    assert "refined balanced prefactors" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+# sha256 of the CSVs written on p1-p4, recorded before the root refinement
+# was replayed from floating approximations: the roots must not move by a bit
+GOLDEN_CSV_SHA256 = {
+    ("verify", "P1"): "59651ebaa0bae4cf62f030e1fed3ecc68087386ca36f44da90a3aebb7d777f7c",
+    ("verify", "P2"): "2ba4b1593a1d83ed92414cb60df332c9d29e0ce9b779c0e04d2452f7cb51e876",
+    ("verify", "P3"): "a0f9e823064bf93f32b2c1be6fb3858ef455649c6e2dfdd9e82cdfabd8288220",
+    ("verify", "P4"): "98c29dedb7bd00c0916f95922bac6d551bc9a61a68541e9f652d4324979b55cc",
+    ("roots", "P1"): "6aff24a2e1359f570c023baf92af23a656599935ae3786e03be5a14bbab5388c",
+    ("roots", "P2"): "5ceb7884ea4caaed9cfcdae7c5b186346e7dde3b9fae117628f53e9be2f5195d",
+    ("roots", "P3"): "afd3bf7f638eceabb51b930525d5bce82178aea40a14ad699ab172d842162b25",
+    ("roots", "P4"): "53a5df06fd45e3d33924e92677278f2307b37b0806e41b404be8c4c71b9be715",
+    ("predict", "P1"): "c7a0126af68046ad2bffd32f6abb9070b84b6baff560647568a6ea9a2bdad527",
+    ("predict", "P2"): "50af009b09cbb4a2e5d4f4216b4a84151e5eb619cf8c5b12905cc69d5fa4a9ae",
+    ("predict", "P3"): "89d07eb628a39852cdcd3d5d7346cb62263bf097741f6313641cdacac9462b5e",
+    ("predict", "P4"): "ef3b673245a93fea748f9ca473faea9f096a526461bdf80ac73584e95cc0d25f",
+}
+GOLDEN_RUNS = {
+    "verify": (["--q", "1/1000", "--q", "1/10000"], "roots.csv"),
+    "roots": (["--q", "1/1000", "--q", "1/1000000"], "rootcurves.csv"),
+    "predict": ([], "predictions.csv"),
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(GOLDEN_CSV_SHA256))
+def test_csv_matches_golden_digest(command, name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("QHEUN_BITS", raising=False)
+    path = _write(tmp_path, f"{name}.params", globals()[name])
+    flags, csv_name = GOLDEN_RUNS[command]
+    out = tmp_path / "out"
+    assert main([command, "--params", path, *flags, "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / csv_name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_CSV_SHA256[command, name]
 
 
 def test_qheun_bits_env_overrides_default(monkeypatch):

@@ -152,3 +152,207 @@ def test_rational_poly_roots_exact():
     roots = real_roots_of_rational_poly([1, 0, -3, 0, 1], bits=192)
     with mpmath.workprec(192):
         assert abs(roots[-1] - (mpmath.sqrt(5) + 1) / 2) < mpmath.mpf(2) ** -80
+
+
+# ---------------------------------------------------------------------------
+# refinement and isolation against the exact-Fraction pipeline they replaced
+# ---------------------------------------------------------------------------
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import qheun.roots as roots_mod  # noqa: E402
+from qheun.roots import _real_roots_fractions  # noqa: E402
+
+
+def _f_eval(c, x):
+    acc = Fraction(0)
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
+
+
+def _f_sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _f_variations(chain, x):
+    signs = [s for s in (_f_sign(_f_eval(c, x)) for c in chain) if s]
+    return sum(1 for i in range(1, len(signs)) if signs[i] != signs[i - 1])
+
+
+def _f_sturm_chain(c):
+    chain = [c, roots_mod._strip(roots_mod._deriv(c))]
+    while len(chain[-1]) > 1:
+        r = roots_mod._rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(roots_mod._rescale([-a for a in r]))
+    return chain
+
+
+def _f_nonroot(c, x, step):
+    while _f_eval(c, x) == 0:
+        x += step
+    return x
+
+
+def _f_isolate(chain, c, lo, hi, cuts):
+    nudge = (hi - lo) / 2 ** 24
+    points = [lo]
+    for cut in sorted(set(cuts)):
+        if lo < cut < hi:
+            points.append(_f_nonroot(c, cut, nudge))
+    points.append(hi)
+    var = {pt: _f_variations(chain, pt) for pt in points}
+    stack = [
+        (points[i], points[i + 1], var[points[i]], var[points[i + 1]])
+        for i in range(len(points) - 1)
+    ]
+    out = []
+    while stack:
+        a, b, va, vb = stack.pop()
+        n = va - vb
+        if n <= 0:
+            continue
+        if n == 1:
+            out.append((a, b))
+            continue
+        mid = _f_nonroot(c, (a + b) / 2, (b - a) / 2 ** 24)
+        vm = _f_variations(chain, mid)
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
+    out.sort()
+    return out
+
+
+def _f_refine(c, a, b, bits):
+    fa = _f_sign(_f_eval(c, a))
+    fb = _f_sign(_f_eval(c, b))
+    assert fa and fb and fa != fb
+    rel = Fraction(1, 2 ** (bits // 2))
+    floor_w = Fraction(1, 2 ** (2 * bits))
+    while True:
+        w = b - a
+        scale = max(abs(a), abs(b))
+        if w <= scale * rel or w <= floor_w:
+            return (a + b) / 2
+        mid = Fraction(0) if a < 0 < b else (a + b) / 2
+        s = _f_sign(_f_eval(c, mid))
+        if s == 0:
+            return mid
+        if s == fa:
+            a = mid
+        else:
+            b = mid
+
+
+def _oracle_roots(coeffs, bits, cuts=()):
+    """Exact-Fraction Sturm isolation and sign bisection, evaluated by
+    Fraction Horner at every probe."""
+    c = roots_mod._strip(list(coeffs))
+    chain = _f_sturm_chain(c)
+    R = roots_mod._cauchy_bound(c)
+    assert _f_variations(chain, -R) - _f_variations(chain, R) == len(c) - 1
+    return sorted(_f_refine(c, a, b, bits) for a, b in _f_isolate(chain, c, -R, R, cuts))
+
+
+def _from_roots(lead, rs):
+    c = [Fraction(lead)]
+    for r in rs:  # multiply by (x - r)
+        c = [-r * c[0]] + [c[i - 1] - r * c[i] for i in range(1, len(c))] + [c[-1]]
+    return c
+
+
+# dyadic roots can land exactly on a bisection midpoint of their bracket
+_DYADIC = [Fraction(k, 2 ** j) for k in (-5, -3, -1, 1, 3, 7) for j in (0, 1, 3, 6)]
+_roots = st.lists(
+    st.one_of(
+        st.just(Fraction(0)),
+        st.sampled_from(_DYADIC),
+        st.fractions(min_value=-300, max_value=300, max_denominator=12),
+    ),
+    min_size=1,
+    max_size=5,
+    unique=True,
+)
+_leads = st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool)
+_cuts = st.lists(st.fractions(min_value=-300, max_value=300, max_denominator=64), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_roots, _leads, _cuts, st.sampled_from([64, 128, 256]))
+@example([Fraction(0), Fraction(-3, 7), Fraction(1, 2), Fraction(5)], Fraction(3, 7), [], 128)
+@example([Fraction(-1, 8), Fraction(9, 8)], Fraction(1), [Fraction(1, 2)], 64)
+def test_refined_roots_equal_the_fraction_oracle(rs, lead, cuts, bits):
+    coeffs = _from_roots(lead, rs)
+    got = _real_roots_fractions(coeffs, bits, cuts)
+    assert got == _oracle_roots(coeffs, bits, cuts)
+    # the zero probe makes a root at the origin exact
+    assert (Fraction(0) in rs) == (Fraction(0) in got)
+
+
+def test_roots_on_a_bisection_midpoint_are_returned_exactly(monkeypatch):
+    # isolation gives (-8, 0) and (0, 8); bisecting them probes -1/8 and 9/8,
+    # where the approximation ties with the midpoint and an exact sign of 0
+    # ends the replay without a fallback
+    rs = [Fraction(-1, 8), Fraction(9, 8)]
+    coeffs = _from_roots(Fraction(1), rs)
+    assert _oracle_roots(coeffs, 64) == rs
+    fallbacks = []
+    monkeypatch.setattr(roots_mod, "_bisect_exact", lambda *a: fallbacks.append(a))
+    assert _real_roots_fractions(coeffs, 64) == rs
+    assert not fallbacks
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [lambda n, a, b, fa, bits: (mpmath.mpf(a.numerator) / a.denominator, mpmath.mpf(0)),
+     lambda n, a, b, fa, bits: None],
+    ids=["left-endpoint", "none"],
+)
+def test_wrong_approximation_falls_back_to_exact_bisection(monkeypatch, wrong):
+    coeffs = _from_roots(Fraction(5, 3), [Fraction(-7, 3), Fraction(0), Fraction(1, 3), Fraction(11, 2)])
+    want = _oracle_roots(coeffs, 128)
+    fallbacks = []
+    original = roots_mod._bisect_exact
+
+    def counting(*args):
+        fallbacks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(roots_mod, "_approximate", wrong)
+    monkeypatch.setattr(roots_mod, "_bisect_exact", counting)
+    assert _real_roots_fractions(coeffs, 128) == want
+    assert fallbacks
+
+
+def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4, monkeypatch):
+    # the exact bisection spent about 425 exact evaluations per root
+    evaluations, per_root, fallbacks = [0], [], []
+    sign_at, refine = roots_mod._sign_at, roots_mod._refine
+
+    def counting_sign(*args):
+        evaluations[0] += 1
+        return sign_at(*args)
+
+    def counting_refine(*args):
+        before = evaluations[0]
+        out = refine(*args)
+        per_root.append(evaluations[0] - before)
+        return out
+
+    monkeypatch.setattr(roots_mod, "_sign_at", counting_sign)
+    monkeypatch.setattr(roots_mod, "_refine", counting_refine)
+    monkeypatch.setattr(roots_mod, "_bisect_exact", lambda *a: fallbacks.append(a))
+    expected = 0
+    for p in (p1, p2, p3, p4):
+        ep = spectral_polynomial(p)
+        preds = predict_roots(p, classify(p))
+        for q in (F(1, 1000), F(1, 10000), F(1, 100000), F(1, 1000000)):
+            found, _ = find_spectral_roots(p, q, 512, epoly=ep, predictions=preds)
+            assert len(found) == p.N + 1
+            expected += p.N + 1
+    assert not fallbacks
+    assert len(per_root) == expected
+    assert max(per_root) <= 6

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from qheun.errors import DomainError, ParameterError
-from qheun.qmono import EXACT_ZERO, QSum, eval_numeric, qpow, ultradiscretize
+from qheun.qmono import EVAL_GUARD_BITS, EXACT_ZERO, QSum, eval_numeric, qpow, to_mpf, ultradiscretize
 from qheun.sampling import sample_params
 from qheun.spectral import (
     coefficients_exact,
@@ -214,6 +214,47 @@ def test_exact_matches_numeric_recursion(p1, p2, p3, bits):
                     exact_val = exact_val * mpmath.mpf(E0.numerator) / E0.denominator + v
                 err = abs(exact_val - numeric[n])
                 assert err <= mpmath.mpf(2) ** (-bits + 64) * (abs(numeric[n]) + 1)
+
+
+def _uncached_coefficient_values(ep, q, t1, t2, bits):
+    """The image term by term, one exp call per term: no q-power is reused."""
+    with mpmath.workprec(bits + EVAL_GUARD_BITS):
+        qv, t1v, t2v = to_mpf(q), to_mpf(t1), to_mpf(t2)
+        lq = mpmath.log(qv)
+        m = ep.denom_monomial
+        den = to_mpf(m.coeff) * mpmath.exp(to_mpf(m.qexp) * lq)
+        if m.t1pow:
+            den *= t1v ** m.t1pow
+        if m.t2pow:
+            den *= t2v ** m.t2pow
+        for e in ep.denom_factors:
+            den *= 1 - mpmath.exp(to_mpf(e) * lq)
+        vals = []
+        for c in ep.coeffs:
+            terms = []
+            for t in c.terms:
+                v = to_mpf(t.coeff)
+                if t.qexp:
+                    v *= mpmath.exp(to_mpf(t.qexp) * lq)
+                if t.t1pow:
+                    v *= t1v ** t.t1pow
+                if t.t2pow:
+                    v *= t2v ** t.t2pow
+                terms.append(v)
+            vals.append((mpmath.fsum(terms) if terms else mpmath.mpf(0)) / den)
+    with mpmath.workprec(bits):
+        return [(+v)._mpf_ for v in vals]
+
+
+@pytest.mark.parametrize("bits", [512, 1024])
+def test_coefficient_values_equal_the_uncached_image(p1, p2, p3, p4, bits):
+    r32_n6 = derive(-2, -1, F(67, 6), F(33, 2), 0, F(-41, 3), -3, 2, 1)
+    assert r32_n6.N == 6
+    for p in (p1, p2, p3, p4, r32_n6):
+        ep = spectral_polynomial(p)
+        for q in (F(1, 1000), F(1, 10 ** 6)):
+            got = [v._mpf_ for v in ep.coefficient_values(q, p.t1, p.t2, bits=bits)]
+            assert got == _uncached_coefficient_values(ep, q, p.t1, p.t2, bits)
 
 
 # ---------------------------------------------------------------------------
