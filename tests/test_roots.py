@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import qheun.roots as roots_mod
 from qheun.errors import MatchingError, PrecisionError
 from qheun.roots import (
     NumPoly,
@@ -11,6 +14,7 @@ from qheun.roots import (
     find_spectral_roots,
     match_predictions,
     real_roots_of_rational_poly,
+    _real_roots_fractions,
     _sign_groups,
 )
 from qheun.spectral import spectral_polynomial
@@ -157,12 +161,6 @@ def test_rational_poly_roots_exact():
 # ---------------------------------------------------------------------------
 # refinement and isolation against the exact-Fraction pipeline they replaced
 # ---------------------------------------------------------------------------
-
-from hypothesis import example, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-import qheun.roots as roots_mod  # noqa: E402
-from qheun.roots import _real_roots_fractions  # noqa: E402
 
 
 def _f_eval(c, x):
