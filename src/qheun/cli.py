@@ -12,9 +12,9 @@ Exit codes: 0 success, 1 usage/parse/validation, 2 unclassifiable/excluded
 parameters, 3 verification failure.
 
 Parameter files are flat key=value lines (keys h1 h2 l1 l2 alpha1 alpha2
-beta t1 t2, values rational strings like -5, 1/2, 2.5); '#' starts a
-comment.  All numeric CSV cells are printed with 40 significant digits, so
-identical configurations produce byte-identical files.
+beta t1 t2, each once, values rational strings like -5, 1/2, 2.5); '#'
+starts a comment.  All numeric CSV cells are printed with 40 significant
+digits, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     QHeunError,
     RegimeError,
 )
-from .qmono import to_mpf
+from .qmono import EVAL_MIN_BITS, to_mpf
 from .spectral import (
     HeunParams,
     coefficients_numeric,
@@ -104,6 +104,8 @@ def load_params(path: str) -> HeunParams:
                 f"{path}:{lineno}: unknown key {key!r} (expected one of "
                 f"{', '.join(PARAM_KEYS)})"
             )
+        if key in values:
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = Fraction(val)
         except (ValueError, ZeroDivisionError) as exc:
@@ -117,11 +119,25 @@ def load_params(path: str) -> HeunParams:
     return derive(**values)
 
 
-def _parse_q(text: str) -> Fraction:
+def _parse_rational(text: str, what: str) -> Fraction:
     try:
-        q = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"invalid rational q value {text!r}") from exc
+        raise UsageError(f"invalid rational {what} value {text!r}") from exc
+
+
+def _parse_bits(text: str, source: str = "--bits") -> int:
+    try:
+        bits = int(text)
+    except ValueError as exc:
+        raise UsageError(f"{source} must be an integer, got {text!r}") from exc
+    if bits < EVAL_MIN_BITS:
+        raise UsageError(f"{source} must be at least {EVAL_MIN_BITS}, got {bits}")
+    return bits
+
+
+def _parse_q(text: str) -> Fraction:
+    q = _parse_rational(text, "q")
     if not 0 < q < 1:
         raise UsageError(f"q must lie in (0,1), got {text}")
     return q
@@ -401,9 +417,9 @@ def cmd_sweep(args) -> int:
     p = load_params(args.params)
     if args.axis not in PARAM_KEYS:
         raise UsageError(f"--axis must be one of {', '.join(PARAM_KEYS)}")
-    lo = Fraction(getattr(args, "from"))
-    hi = Fraction(args.to)
-    step = Fraction(args.step)
+    lo = _parse_rational(getattr(args, "from"), "--from")
+    hi = _parse_rational(args.to, "--to")
+    step = _parse_rational(args.step, "--step")
     if step <= 0:
         raise UsageError("--step must be positive")
     grid = []
@@ -523,14 +539,14 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_bits = int(os.environ.get("QHEUN_BITS", "512"))
+    default_bits = _parse_bits(os.environ.get("QHEUN_BITS", "512"), "QHEUN_BITS")
 
     def common(sp, needs_params=True):
         if needs_params:
             sp.add_argument("--params", required=True, help="key=value parameter file")
         sp.add_argument("--q", action="append", metavar="RATIONAL",
                         help="q value in (0,1), e.g. 1/1000 (repeatable)")
-        sp.add_argument("--bits", type=int, default=default_bits,
+        sp.add_argument("--bits", type=_parse_bits, default=default_bits,
                         help=f"working precision in bits (default {default_bits}; "
                              "env QHEUN_BITS overrides)")
         sp.add_argument("--tol-exponent", type=float, default=0.05, dest="tol_exponent")
@@ -578,9 +594,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

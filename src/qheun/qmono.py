@@ -14,15 +14,19 @@ The q -> +0 comparison machinery lives here as well:
 * ``equiv_sim``       -- ratio tends to 1 (equal leading slices);
 * ``equiv_approx``    -- ratio tends to a positive constant (equal leading
                          exponents, same definite sign);
-* ``ultradiscretize`` -- (exponent, sign) of the leading slice;
-* ``eval_numeric``    -- extended-precision evaluation at fixed q, t1, t2.
+* ``ultradiscretize`` -- (exponent, sign) of the leading slice.
 
 All symbolic operations are exact; floating point enters only through
-``eval_numeric``.
+``AtQ``, the one evaluator at fixed q, t1, t2.  It validates them once, and
+every q-power of the numeric layers comes from it: the image of the
+spectral polynomial, the numeric recursion, the residual, the root seeds
+and the matching ratios.  ``eval_terms`` evaluates one sum with it, and
+``eval_numeric`` is the extended-precision value of one sum.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -49,9 +53,12 @@ __all__ = [
     "equiv_sim",
     "equiv_approx",
     "ultradiscretize",
+    "AtQ",
+    "eval_terms",
     "eval_numeric",
     "EVAL_GUARD_BITS",
     "EVAL_MARGIN_BITS",
+    "EVAL_MIN_BITS",
 ]
 
 RationalLike = Union[Fraction, int, str]
@@ -62,6 +69,8 @@ RationalLike = Union[Fraction, int, str]
 #: the absolute values of the evaluated terms.
 EVAL_GUARD_BITS = 24
 EVAL_MARGIN_BITS = 16
+#: The least precision eval_numeric and the command line accept.
+EVAL_MIN_BITS = 64
 
 #: CancellationEvent kinds.
 EXACT_ZERO = "exact-zero"
@@ -428,34 +437,44 @@ def to_mpf(x):
     raise TypeError(f"cannot convert {type(x).__name__} to mpf")
 
 
-def eval_terms(a: QSum, qv, t1v, t2v, lq=None, qpowers=None):
-    """Evaluate ``a`` inside the caller's mpmath context.
+class AtQ:
+    """Evaluation at a fixed q in (0,1) and positive t1, t2.
 
-    q^mu is computed as exp(mu * log q), which keeps the accuracy uniform in
-    |mu| (``lq`` lets callers reuse log q across many sums).  ``qpowers``
-    memoises q^mu by mu across sums evaluated at the same q and precision;
-    a memoised power is the very value a fresh exp call returns.
+    Build and use it inside one mpmath precision: each distinct q^mu, t1^a,
+    t2^b and coefficient is computed once, at the precision current when it
+    is first asked for, and a memoised value is the very value a fresh
+    computation returns.  ``qpow(mu)`` is q^mu, computed as exp(mu * log q),
+    which keeps the accuracy uniform in |mu|.
     """
-    if not a.terms:
-        return mpmath.mpf(0)
-    if lq is None:
-        lq = mpmath.log(qv)
-    if qpowers is None:
-        qpowers = {}
-    vals = []
-    for t in a.terms:
-        v = _fraction_to_mpf(t.coeff)
+
+    def __init__(self, q, t1, t2):
+        self.q = to_mpf(q)
+        if not (0 < self.q < 1):
+            raise DomainError(f"q must lie in (0,1), got {q}")
+        self.t1, self.t2 = to_mpf(t1), to_mpf(t2)
+        if not (self.t1 > 0 and self.t2 > 0):
+            raise DomainError("t1 and t2 must be positive")
+        self.lq = lq = mpmath.log(self.q)
+        self.qpow = functools.cache(lambda mu: mpmath.exp(to_mpf(mu) * lq))
+        self._t1pow = functools.cache(self.t1.__pow__)
+        self._t2pow = functools.cache(self.t2.__pow__)
+        self._coeff = functools.cache(to_mpf)
+
+    def term(self, t: QMonomial):
+        """coeff * q^qexp * t1^t1pow * t2^t2pow, multiplied in that order."""
+        v = self._coeff(t.coeff)
         if t.qexp:
-            qp = qpowers.get(t.qexp)
-            if qp is None:
-                qp = qpowers[t.qexp] = mpmath.exp(_fraction_to_mpf(t.qexp) * lq)
-            v *= qp
+            v *= self.qpow(t.qexp)
         if t.t1pow:
-            v *= t1v ** t.t1pow
+            v *= self._t1pow(t.t1pow)
         if t.t2pow:
-            v *= t2v ** t.t2pow
-        vals.append(v)
-    return mpmath.fsum(vals)
+            v *= self._t2pow(t.t2pow)
+        return v
+
+
+def eval_terms(a: QSum, at: AtQ):
+    """Value of ``a`` at ``at``, in the precision ``at`` is used in."""
+    return mpmath.fsum([at.term(t) for t in a.terms])
 
 
 def eval_numeric(a: QSum, q, t1, t2, bits: int = 512):
@@ -465,16 +484,9 @@ def eval_numeric(a: QSum, q, t1, t2, bits: int = 512):
     ``bits``; the result is exact to within 2**(-bits + EVAL_MARGIN_BITS)
     relative to the sum of the term magnitudes.
     """
-    if bits < 64:
-        raise DomainError(f"bits must be at least 64, got {bits}")
+    if bits < EVAL_MIN_BITS:
+        raise DomainError(f"bits must be at least {EVAL_MIN_BITS}, got {bits}")
     with mpmath.workprec(bits + EVAL_GUARD_BITS):
-        qv = to_mpf(q)
-        if not (0 < qv < 1):
-            raise DomainError(f"q must lie in (0,1), got {q}")
-        t1v = to_mpf(t1)
-        t2v = to_mpf(t2)
-        if not (t1v > 0 and t2v > 0):
-            raise DomainError("t1 and t2 must be positive")
-        total = eval_terms(a, qv, t1v, t2v)
+        total = eval_terms(a, AtQ(q, t1, t2))
     with mpmath.workprec(bits):
         return +total

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import mpmath
 
 from .errors import DomainError, MatchingError, PrecisionError
-from .qmono import as_fraction, to_mpf
+from .qmono import AtQ, as_fraction, to_mpf
 from .spectral import EPoly, HeunParams, spectral_polynomial
 from .ultra import PredictedRoot
 
@@ -439,12 +439,8 @@ def find_real_roots(poly: NumPoly, seeds: Sequence | None = None) -> list:
 
 def _prediction_seeds(p: HeunParams, predictions, q) -> list:
     with mpmath.workprec(128):
-        lq = mpmath.log(to_mpf(q))
-        vals = []
-        for e in predictions:
-            v = e.sign * e.prefactor_value(p.t1, p.t2) * mpmath.exp(to_mpf(e.d) * lq)
-            vals.append(v)
-    return vals
+        at = AtQ(q, p.t1, p.t2)
+        return [e.sign * e.prefactor_value(p.t1, p.t2) * at.qpow(e.d) for e in predictions]
 
 
 def find_spectral_roots(
@@ -510,7 +506,7 @@ def estimate_exponents(
         )
     out = []
     with mpmath.workprec(max(b1, b2)):
-        dlq = mpmath.log(to_mpf(q2)) - mpmath.log(to_mpf(q1))
+        dlq = AtQ(q2, p.t1, p.t2).lq - AtQ(q1, p.t1, p.t2).lq
         for v1, v2 in zip(n1 + p1, n2 + p2):
             slope = (mpmath.log(abs(v2)) - mpmath.log(abs(v1))) / dlq
             out.append(RootEstimate(value=v2, q=q2, est_exponent=slope))
@@ -595,9 +591,8 @@ def match_predictions(
                 continue
             derr = abs(float(est.est_exponent) - float(pred.d))
             with mpmath.workprec(192):
-                scale = pred.sign * pred.prefactor_value(t1, t2) * mpmath.exp(
-                    to_mpf(pred.d) * mpmath.log(to_mpf(est.q))
-                )
+                at = AtQ(est.q, t1, t2)
+                scale = pred.sign * pred.prefactor_value(t1, t2) * at.qpow(pred.d)
                 ratio = to_mpf(est.value) / scale
             exponent_ok = derr <= tol_exponent
             gate = (enforce == "sharp" and pred.sharp) or (

@@ -36,13 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import mpmath
 
 from .errors import DomainError, ParameterError
 from .qmono import (
     EVAL_GUARD_BITS,
+    AtQ,
     CancellationEvent,
     QMonomial,
     QSum,
@@ -243,21 +243,11 @@ class EPoly:
     def coefficient_values(self, q, t1, t2, bits: int = 512) -> list:
         """True numeric E^j coefficient values at fixed q in (0,1)."""
         with mpmath.workprec(bits + EVAL_GUARD_BITS):
-            qv = to_mpf(q)
-            if not (0 < qv < 1):
-                raise DomainError(f"q must lie in (0,1), got {q}")
-            t1v, t2v = to_mpf(t1), to_mpf(t2)
-            lq = mpmath.log(qv)
-            m = self.denom_monomial
-            den = to_mpf(m.coeff) * mpmath.exp(to_mpf(m.qexp) * lq)
-            if m.t1pow:
-                den *= t1v ** m.t1pow
-            if m.t2pow:
-                den *= t2v ** m.t2pow
+            at = AtQ(q, t1, t2)
+            den = at.term(self.denom_monomial)
             for e in self.denom_factors:
-                den *= 1 - mpmath.exp(to_mpf(e) * lq)
-            qpowers: dict = {}
-            vals = [eval_terms(c, qv, t1v, t2v, lq, qpowers) / den for c in self.coeffs]
+                den *= 1 - at.qpow(e)
+            vals = [eval_terms(c, at) / den for c in self.coeffs]
         with mpmath.workprec(bits):
             return [+v for v in vals]
 
@@ -390,16 +380,9 @@ def series_coefficient_values(p: HeunParams, E0, q, bits: int = 512, up_to: int 
         up_to = p.N
     lam = p.lambda1
     with mpmath.workprec(bits + EVAL_GUARD_BITS):
-        qv = to_mpf(q)
-        if not (0 < qv < 1):
-            raise DomainError(f"q must lie in (0,1), got {q}")
-        t1v, t2v = to_mpf(p.t1), to_mpf(p.t2)
+        at = AtQ(q, p.t1, p.t2)
+        qp, t1v, t2v = at.qpow, at.t1, at.t2
         E0v = to_mpf(E0)
-        lq = mpmath.log(qv)
-
-        def qp(e):
-            return mpmath.exp(to_mpf(e) * lq)
-
         cs = [mpmath.mpf(1)]
         cm2, cm1 = mpmath.mpf(0), mpmath.mpf(1)
         for n in range(1, up_to + 1):
@@ -410,7 +393,7 @@ def series_coefficient_values(p: HeunParams, E0, q, bits: int = 512, up_to: int 
             Cv = qp(_HALF) * (qp(p.h1) * t1v + qp(p.h2) * t2v) + (
                 qp(p.l1) * t1v + qp(p.l2) * t2v
             ) * qp(ce)
-            Dv = qv * (1 - qp(n - 2 + lam + p.alpha1)) * (1 - qp(n - 2 + lam + p.alpha2))
+            Dv = at.q * (1 - qp(n - 2 + lam + p.alpha1)) * (1 - qp(n - 2 + lam + p.alpha2))
             cn = ((Bv * E0v + Cv) * cm1 - Dv * cm2) / Av
             cs.append(cn)
             cm2, cm1 = cm1, cn
@@ -428,30 +411,18 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     )
 
 
-def residual_check(
-    p: HeunParams,
-    sol: SeriesSolution,
-    xs: Sequence | None = None,
-    bits: int | None = None,
-):
+def residual_check(p: HeunParams, sol: SeriesSolution):
     """Largest relative residual of the q-Heun operator applied to the series.
 
     Evaluates the operator's three groups at each sample x and divides the
-    absolute sum by the largest group magnitude.  Default samples
+    absolute sum by the largest group magnitude.  The samples
     {t1 q^{1/2}, t1, t1 q^{-1/2}} spread across the relevant scales.
     """
-    if bits is None:
-        bits = sol.bits
     lam = p.lambda1
-    with mpmath.workprec(bits + EVAL_GUARD_BITS):
-        qv = to_mpf(sol.q)
-        t1v, t2v = to_mpf(sol.t1), to_mpf(sol.t2)
+    with mpmath.workprec(sol.bits + EVAL_GUARD_BITS):
+        at = AtQ(sol.q, sol.t1, sol.t2)
+        qv, qp, t1v, t2v = at.q, at.qpow, at.t1, at.t2
         E0v = to_mpf(sol.E0)
-        lq = mpmath.log(qv)
-
-        def qp(e):
-            return mpmath.exp(to_mpf(e) * lq)
-
         coeffs = [to_mpf(c) for c in sol.coeffs]
         abs_coeffs = [abs(c) for c in coeffs]
 
@@ -467,11 +438,7 @@ def residual_check(
         def f_abs(x):
             return mpmath.exp(to_mpf(lam) * mpmath.log(x)) * _horner(abs_coeffs, x)
 
-        if xs is None:
-            xs = [t1v * qp(_HALF), t1v, t1v * qp(-_HALF)]
-        else:
-            xs = [to_mpf(x) for x in xs]
-
+        xs = [t1v * qp(_HALF), t1v, t1v * qp(-_HALF)]
         const = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
             qp(p.beta / 2) + qp(-p.beta / 2)
         ) * t1v * t2v
@@ -497,5 +464,5 @@ def residual_check(
             )
             rel = abs(term1 + term2 + term3) / scale
             worst = max(worst, rel)
-    with mpmath.workprec(bits):
+    with mpmath.workprec(sol.bits):
         return +worst

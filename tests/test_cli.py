@@ -117,6 +117,12 @@ def test_missing_key_reported(tmp_path, capsys):
     assert "missing keys" in capsys.readouterr().err
 
 
+def test_duplicate_key_reported(tmp_path, capsys):
+    path = _write(tmp_path, "dup.params", P1.replace("h1 = -5", "h1 = -5\nh1 = -4"))
+    assert main(["analyze", "--params", path]) == 1
+    assert "dup.params:2: duplicate key 'h1'" in capsys.readouterr().err
+
+
 def test_predict_writes_csv(p1_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["predict", "--params", p1_file, "--out", str(out)]) == 0
@@ -192,6 +198,28 @@ def test_usage_error_unknown_axis(p1_file, capsys):
         ["sweep", "--params", p1_file, "--axis", "zeta", "--from", "0",
          "--to", "1", "--step", "1"]
     ) == 1
+
+
+@pytest.mark.parametrize(
+    "bounds,bad",
+    [(["--from", "abc", "--to", "1", "--step", "1"], "--from value 'abc'"),
+     (["--from", "0", "--to", "1", "--step", "1/0"], "--step value '1/0'")],
+)
+def test_sweep_invalid_rational_is_usage_error(p1_file, capsys, bounds, bad):
+    assert main(["sweep", "--params", p1_file, "--axis", "h1", *bounds]) == 1
+    assert capsys.readouterr().err == f"error: invalid rational {bad}\n"
+
+
+@pytest.mark.parametrize(
+    "command,bits,message",
+    [("verify", "0", "--bits must be at least 64, got 0"),
+     ("roots", "16", "--bits must be at least 64, got 16"),
+     ("roots", "abc", "--bits must be an integer, got 'abc'")],
+)
+def test_bits_below_the_floor_is_usage_error(p1_file, capsys, command, bits, message):
+    assert main([command, "--params", p1_file, "--bits", bits]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_verify_excluded_params_exit_2(tmp_path, capsys):
@@ -300,6 +328,22 @@ def test_qheun_bits_env_overrides_default(monkeypatch):
     monkeypatch.setenv("QHEUN_BITS", "192")
     args = _build_parser().parse_args(["selftest"])
     assert args.bits == 192
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [("abc", "QHEUN_BITS must be an integer, got 'abc'"),
+     ("32", "QHEUN_BITS must be at least 64, got 32")],
+)
+def test_invalid_qheun_bits_env_is_usage_error(p1_file, monkeypatch, capsys, value, message):
+    monkeypatch.setenv("QHEUN_BITS", value)
+    assert main(["analyze", "--params", p1_file]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bits_at_the_floor_is_accepted(p1_file, monkeypatch, capsys):
+    monkeypatch.setenv("QHEUN_BITS", "64")
+    assert main(["analyze", "--params", p1_file, "--bits", "64"]) == 0
 
 
 def test_selftest_passes(capsys):

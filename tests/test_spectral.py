@@ -257,6 +257,91 @@ def test_coefficient_values_equal_the_uncached_image(p1, p2, p3, p4, bits):
             assert got == _uncached_coefficient_values(ep, q, p.t1, p.t2, bits)
 
 
+def _uncached_series(p, E0, q, bits, up_to):
+    """The numeric recursion with one exp call per q-power use."""
+    lam = p.lambda1
+    with mpmath.workprec(bits + EVAL_GUARD_BITS):
+        qv, t1v, t2v, E0v = to_mpf(q), to_mpf(p.t1), to_mpf(p.t2), to_mpf(E0)
+        lq = mpmath.log(qv)
+
+        def qp(e):
+            return mpmath.exp(to_mpf(e) * lq)
+
+        cs = [mpmath.mpf(1)]
+        cm2, cm1 = mpmath.mpf(0), mpmath.mpf(1)
+        for n in range(1, up_to + 1):
+            Av = t1v * t2v * qp(p.h1 + p.h2) * (1 - qp(n)) * (1 - qp(n - p.beta))
+            Bv = qp(n - 1 + lam)
+            ce = 2 * (n + lam) + p.alpha1 + p.alpha2 - F(5, 2)
+            Cv = qp(H) * (qp(p.h1) * t1v + qp(p.h2) * t2v) + (
+                qp(p.l1) * t1v + qp(p.l2) * t2v
+            ) * qp(ce)
+            Dv = qv * (1 - qp(n - 2 + lam + p.alpha1)) * (1 - qp(n - 2 + lam + p.alpha2))
+            cn = ((Bv * E0v + Cv) * cm1 - Dv * cm2) / Av
+            cs.append(cn)
+            cm2, cm1 = cm1, cn
+    with mpmath.workprec(bits):
+        return [(+c)._mpf_ for c in cs]
+
+
+def _uncached_residual(p, sol):
+    """The operator residual with one exp call per q-power use."""
+    lam = p.lambda1
+    with mpmath.workprec(sol.bits + EVAL_GUARD_BITS):
+        qv, t1v, t2v, E0v = to_mpf(sol.q), to_mpf(sol.t1), to_mpf(sol.t2), to_mpf(sol.E0)
+        lq = mpmath.log(qv)
+
+        def qp(e):
+            return mpmath.exp(to_mpf(e) * lq)
+
+        def f(cs, x):
+            acc = mpmath.mpf(0)
+            for c in reversed(cs):
+                acc = acc * x + c
+            return mpmath.exp(to_mpf(lam) * mpmath.log(x)) * acc
+
+        cs = [to_mpf(c) for c in sol.coeffs]
+        abs_cs = [abs(c) for c in cs]
+        const = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
+            qp(p.beta / 2) + qp(-p.beta / 2)
+        ) * t1v * t2v
+        a1f, a2f = qp(p.h1 + H) * t1v, qp(p.h2 + H) * t2v
+        b1f, b2f = qp(p.l1 - H) * t1v, qp(p.l2 - H) * t2v
+        pref2 = qp(p.alpha1 + p.alpha2)
+        quad = qp(p.alpha1) + qp(p.alpha2)
+        worst = mpmath.mpf(0)
+        for x in (t1v * qp(H), t1v, t1v * qp(-H)):
+            term1 = (x - a1f) * (x - a2f) * f(cs, x / qv)
+            term2 = pref2 * (x - b1f) * (x - b2f) * f(cs, x * qv)
+            term3 = -(quad * x * x + E0v * x + const) * f(cs, x)
+            scale = max(
+                (x + a1f) * (x + a2f) * f(abs_cs, x / qv),
+                pref2 * (x + b1f) * (x + b2f) * f(abs_cs, x * qv),
+                (quad * x * x + abs(E0v) * x + const) * f(abs_cs, x),
+            )
+            worst = max(worst, abs(term1 + term2 + term3) / scale)
+    with mpmath.workprec(sol.bits):
+        return (+worst)._mpf_
+
+
+@pytest.mark.parametrize("bits", [512, 1024])
+def test_series_and_residual_equal_the_uncached_reference(p1, p2, p3, p4, bits):
+    # at the roots, where the residual certifies them, and off them; in the
+    # last set t1, t2 are not powers of two and neither alpha is 0, so the
+    # order of more products shows in the rounding
+    r32_n6 = derive(-2, -1, F(67, 6), F(33, 2), 0, F(-41, 3), -3, 2, 1)
+    odd = sample_params("R32", random.Random(3), N=4)
+    odd = odd.with_value("t1", F(5, 3)).with_value("t2", F(3, 7))
+    q = F(1, 1000)
+    for p in (p1, p2, p3, p4, r32_n6, odd):
+        roots, _ = find_spectral_roots(p, q, bits)
+        for E0 in roots + [F(7, 5)]:
+            got = series_coefficient_values(p, E0, q, bits=bits, up_to=p.N + 1)
+            assert [c._mpf_ for c in got] == _uncached_series(p, E0, q, bits, p.N + 1)
+            sol = coefficients_numeric(p, E0, q, bits)
+            assert residual_check(p, sol)._mpf_ == _uncached_residual(p, sol)
+
+
 # ---------------------------------------------------------------------------
 # residual oracle
 # ---------------------------------------------------------------------------
