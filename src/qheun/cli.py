@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -134,6 +136,16 @@ def _parse_bits(text: str, source: str = "--bits") -> int:
     if bits < EVAL_MIN_BITS:
         raise UsageError(f"{source} must be at least {EVAL_MIN_BITS}, got {bits}")
     return bits
+
+
+def _parse_tolerance(text: str, source: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise UsageError(f"{source} must be a number, got {text!r}") from exc
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"{source} must be finite and nonnegative, got {text!r}")
+    return tol
 
 
 def _parse_q(text: str) -> Fraction:
@@ -549,9 +561,10 @@ def _build_parser() -> _Parser:
         sp.add_argument("--bits", type=_parse_bits, default=default_bits,
                         help=f"working precision in bits (default {default_bits}; "
                              "env QHEUN_BITS overrides)")
-        sp.add_argument("--tol-exponent", type=float, default=0.05, dest="tol_exponent")
-        sp.add_argument("--tol-prefactor", type=float, default=0.01, dest="tol_prefactor")
-        sp.add_argument("--tol-residual", type=float, default=1e-30, dest="tol_residual")
+        for name, default in (("exponent", 0.05), ("prefactor", 0.01), ("residual", 1e-30)):
+            option = f"--tol-{name}"
+            sp.add_argument(option, default=default, dest=f"tol_{name}",
+                            type=functools.partial(_parse_tolerance, source=option))
         sp.add_argument("--out", help="directory for CSV output")
 
     sp = sub.add_parser("analyze", help="classify parameters")

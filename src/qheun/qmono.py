@@ -128,9 +128,10 @@ class QSum:
 
     Construction merges terms with equal (qexp, t1pow, t2pow), drops zero
     coefficients and sorts the rest, so two QSums compare equal iff they are
-    the same element of the ring.  Instances are immutable and hashable;
-    every operation returns a fresh value, which makes them safe to share
-    across threads.
+    the same element of the ring.  Operations whose result is already in
+    that normal form build it with ``_sorted``, which does neither again.
+    Instances are immutable and hashable; every operation returns a fresh
+    value, which makes them safe to share across threads.
     """
 
     __slots__ = ("terms",)
@@ -147,6 +148,15 @@ class QSum:
         )
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _sorted(cls, terms: tuple[QMonomial, ...]) -> "QSum":
+        """Trusted constructor: ``terms`` must already be the normal form,
+        sorted by (qexp, t1pow, t2pow) with distinct keys and nonzero
+        coefficients.  They are stored as given."""
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls) -> "QSum":
@@ -215,9 +225,9 @@ class QSum:
         return NotImplemented
 
     def __neg__(self) -> "QSum":
-        return QSum(
+        return QSum._sorted(tuple(
             QMonomial(t.qexp, t.t1pow, t.t2pow, -t.coeff) for t in self.terms
-        )
+        ))
 
     def __sub__(self, other: "QSum") -> "QSum":
         return self + (-other)
@@ -229,25 +239,32 @@ class QSum:
             c = as_fraction(other)
             if not c:
                 return QSum()
-            return QSum(
+            return QSum._sorted(tuple(
                 QMonomial(t.qexp, t.t1pow, t.t2pow, t.coeff * c)
                 for t in self.terms
-            )
+            ))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def div_monomial(self, m: QMonomial) -> "QSum":
-        """Exact division by a single monomial."""
-        return QSum(
-            QMonomial(
-                t.qexp - m.qexp,
-                t.t1pow - m.t1pow,
-                t.t2pow - m.t2pow,
-                t.coeff / m.coeff,
-            )
-            for t in self.terms
-        )
+        """Exact division by a single monomial: a uniform shift of the keys,
+        so the order of the terms is kept.  Terms sharing one exponent
+        object (as the exact recursion builds them) share its shift."""
+        e, a, b, c = m.qexp, m.t1pow, m.t2pow, m.coeff
+        unit = c == 1
+        terms = []
+        mu = shifted = None
+        for t in self.terms:
+            if t.qexp is not mu:
+                mu, shifted = t.qexp, t.qexp - e
+            terms.append(QMonomial(
+                shifted,
+                t.t1pow - a,
+                t.t2pow - b,
+                t.coeff if unit else t.coeff / c,
+            ))
+        return QSum._sorted(tuple(terms))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -337,7 +354,11 @@ def _as_terms(a: QSum) -> TermDict:
 
 
 def _from_terms(d: TermDict) -> QSum:
-    return QSum(QMonomial(k[0], k[1], k[2], c) for k, c in d.items())
+    """The QSum of a term dict with nonzero coefficients (as terms_mul and
+    terms_merge return them): dict keys are distinct, so sorting suffices."""
+    return QSum._sorted(tuple(
+        QMonomial(k[0], k[1], k[2], c) for k, c in sorted(d.items())
+    ))
 
 
 def qsum_merge(
@@ -371,7 +392,10 @@ def leading_part(a: QSum) -> QSum:
     if not a.terms:
         raise ZeroQSumError("zero has no leading part")
     lead = a.terms[0].qexp
-    return QSum(t for t in a.terms if t.qexp == lead)
+    n = 1
+    while n < len(a.terms) and a.terms[n].qexp == lead:
+        n += 1
+    return QSum._sorted(a.terms[:n])
 
 
 def equiv_sim(a: QSum, b: QSum) -> bool:

@@ -33,6 +33,7 @@ and the monomial only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -279,14 +280,21 @@ def _scaled(a: QSum, D: int) -> TermDict:
         v = t.qexp * D
         if v.denominator != 1:
             raise AssertionError(f"exponent {t.qexp} not in (1/{D})Z")
-        out[(v.numerator, t.t1pow, t.t2pow)] = t.coeff
+        if t.coeff.denominator != 1:
+            raise AssertionError(f"coefficient {t.coeff} is not an integer")
+        out[(v.numerator, t.t1pow, t.t2pow)] = t.coeff.numerator
     return out
 
 
-def _dict_to_qsum(d: TermDict, D: int) -> QSum:
-    return QSum(
-        QMonomial(Fraction(k0, D), k1, k2, c) for (k0, k1, k2), c in d.items()
-    )
+def _dict_to_qsum(d: TermDict, qexp, coeff) -> QSum:
+    """The QSum of an integer-keyed term dict, built once: sorting the
+    integer keys gives the order of the Fraction keys (D > 0), and dict keys
+    are distinct.  ``qexp`` and ``coeff`` are the memoised conversions
+    k0 -> Fraction(k0, D) and c -> Fraction(c)."""
+    return QSum._sorted(tuple(
+        QMonomial(qexp(k0), k1, k2, coeff(c))
+        for (k0, k1, k2), c in sorted(d.items())
+    ))
 
 
 def coefficients_exact(
@@ -307,7 +315,7 @@ def coefficients_exact(
         raise DomainError(f"up_to = {up_to} outside 0..N+1 = 0..{p.N + 1}")
     D = _scale_den(p)
     events: list[CancellationEvent] = []
-    levels: list[list[TermDict]] = [[{(0, 0, 0): Fraction(1)}]]
+    levels: list[list[TermDict]] = [[{(0, 0, 0): 1}]]
     prev_A: QSum | None = None
     for n in range(1, up_to + 1):
         A, B, C, Dn = recursion_coeff_rows(p, n)
@@ -336,12 +344,14 @@ def coefficients_exact(
     # c_n's denominator is A_1 ... A_n with the factors kept structured
     polys = []
     den, factors = QSum.one(), []
+    qexp = functools.cache(lambda k0: Fraction(k0, D))
+    coeff = functools.cache(Fraction)
     for n, dicts in enumerate(levels):
         if n:
             mono, row_factors = a_row_structured(p, n)
             den = den * QSum((mono,))
             factors.extend(row_factors)
-        coeffs = tuple(_dict_to_qsum(d, D) for d in dicts)
+        coeffs = tuple(_dict_to_qsum(d, qexp, coeff) for d in dicts)
         polys.append(EPoly(coeffs, den.terms[0], tuple(sorted(factors))))
     return polys, events
 
@@ -432,11 +442,13 @@ def residual_check(p: HeunParams, sol: SeriesSolution):
                 acc = acc * x + c
             return acc
 
-        def f(x):
-            return mpmath.exp(to_mpf(lam) * mpmath.log(x)) * _horner(coeffs, x)
+        lamv = to_mpf(lam)
 
-        def f_abs(x):
-            return mpmath.exp(to_mpf(lam) * mpmath.log(x)) * _horner(abs_coeffs, x)
+        def f(x):
+            """The series and its absolute-coefficient bound at x, both
+            times x^lambda1 (computed once)."""
+            xl = mpmath.exp(lamv * mpmath.log(x))
+            return xl * _horner(coeffs, x), xl * _horner(abs_coeffs, x)
 
         xs = [t1v * qp(_HALF), t1v, t1v * qp(-_HALF)]
         const = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
@@ -448,9 +460,9 @@ def residual_check(p: HeunParams, sol: SeriesSolution):
         quad = qp(p.alpha1) + qp(p.alpha2)
         worst = mpmath.mpf(0)
         for x in xs:
-            g_up = f(x / qv)
-            g_dn = f(x * qv)
-            g_0 = f(x)
+            g_up, m_up = f(x / qv)
+            g_dn, m_dn = f(x * qv)
+            g_0, m_0 = f(x)
             term1 = (x - a1f) * (x - a2f) * g_up
             term2 = pref2 * (x - b1f) * (x - b2f) * g_dn
             term3 = -(quad * x * x + E0v * x + const) * g_0
@@ -458,9 +470,9 @@ def residual_check(p: HeunParams, sol: SeriesSolution):
             # a zero of a factor group or of the series itself, where the
             # grouped values say nothing about the working magnitude
             scale = max(
-                (x + a1f) * (x + a2f) * f_abs(x / qv),
-                pref2 * (x + b1f) * (x + b2f) * f_abs(x * qv),
-                (quad * x * x + abs(E0v) * x + const) * f_abs(x),
+                (x + a1f) * (x + a2f) * m_up,
+                pref2 * (x + b1f) * (x + b2f) * m_dn,
+                (quad * x * x + abs(E0v) * x + const) * m_0,
             )
             rel = abs(term1 + term2 + term3) / scale
             worst = max(worst, rel)

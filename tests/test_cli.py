@@ -222,6 +222,20 @@ def test_bits_below_the_floor_is_usage_error(p1_file, capsys, command, bits, mes
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "option,value,message",
+    [("--tol-residual", "nan", "must be finite and nonnegative, got 'nan'"),
+     ("--tol-exponent", "inf", "must be finite and nonnegative, got 'inf'"),
+     ("--tol-prefactor", "-1", "must be finite and nonnegative, got '-1'"),
+     ("--tol-residual", "abc", "must be a number, got 'abc'")],
+)
+def test_invalid_tolerance_is_usage_error(p1_file, capsys, option, value, message):
+    # a nan tolerance would switch its gate off: nan > tol is never true
+    assert main(["verify", "--params", p1_file, option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {option} {message}\n" and captured.out == ""
+
+
 def test_verify_excluded_params_exit_2(tmp_path, capsys):
     body = """
     h1 = -6

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +19,7 @@ from qheun.qmono import (
     leading_part,
     qpow,
     qsum_add,
+    qsum_merge,
     qsum_mul,
     ultradiscretize,
 )
@@ -185,6 +187,23 @@ def test_normalization_canonical_under_permutation(terms, rnd):
     assert QSum(terms) == QSum(shuffled)
     s = QSum(terms)
     assert QSum(s.terms) == s  # idempotent
+
+
+@given(qsums, qsums, monomials, fracs)
+@settings(max_examples=150)
+def test_trusted_constructions_keep_the_normal_form(a, b, m, c):
+    # these results are built without a merge or sort; each must equal the
+    # normal form the merging constructor gives
+    unit = replace(m, coeff=F(1))
+    results = [a.div_monomial(m), a.div_monomial(unit), -a, a * c, c * a, a * 3,
+               qsum_mul(a, b), qsum_merge([a, b, -a])[0]]
+    if a:
+        results.append(leading_part(a))
+    for r in results:
+        assert r.terms == QSum(r.terms).terms
+        assert all(type(t.qexp) is Fraction and type(t.coeff) is Fraction for t in r.terms)
+    assert qsum_mul(a.div_monomial(m), QSum((m,))) == a
+    assert qsum_merge([a, b, -a])[0] == b
 
 
 def _definite(s):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ from qheun.errors import DomainError, ParameterError
 from qheun.qmono import EVAL_GUARD_BITS, EXACT_ZERO, QSum, eval_numeric, qpow, to_mpf, ultradiscretize
 from qheun.sampling import sample_params
 from qheun.spectral import (
+    _scaled,
     coefficients_exact,
     coefficients_numeric,
     derive,
@@ -190,6 +192,56 @@ def test_cancellation_events_pinned(p1, p2, p3, p4):
         _, events = coefficients_exact(p)
         got = Counter((e.site, e.qexp, e.kind) for e in events)
         assert got == Counter(_EVENT_PINS[name]), name
+
+
+@pytest.fixture(scope="module")
+def n8_sets():
+    return {r: sample_params(r, random.Random(8), N=8) for r in ("R31", "R32", "R33")}
+
+
+def test_exact_coefficients_are_in_normal_form(p1, p2, p3, p4, n8_sets):
+    # coefficients_exact builds its QSums without merging or sorting; they
+    # must equal the normal form the merging constructor gives, with
+    # Fraction exponents and coefficients (the recursion runs on ints)
+    for p in [p1, p2, p3, p4, *n8_sets.values()]:
+        polys, _ = coefficients_exact(p)
+        for ep in polys:
+            for c in ep.coeffs:
+                assert c.terms == QSum(c.terms).terms, p
+                assert all(
+                    type(t.qexp) is Fraction and type(t.coeff) is Fraction
+                    for t in c.terms
+                ), p
+
+
+# sha256 over repr of every level (denominator monomial, factors, terms) and
+# of the event list of coefficients_exact, recorded before the recursion ran
+# on integer coefficients; repr shows the value types as well as the values
+_EXACT_DIGESTS = {
+    "R31": "aa3b118ce2b04801907d39127aa2208df8ee25a0f00ad14bf81beda7628df416",
+    "R32": "b5a2e3954a94af63355187af3fd7ca50e74b591e113065d6131d2ec66bec97e2",
+    "R33": "e5dac9f3f56256d9eb49c164bd401021fc9da35c949411bb94edef1480e2bd76",
+}
+
+
+def test_scaled_rows_reject_non_integers():
+    # the recursion runs on ints: a row term off the integer lattice must
+    # stop it, never be truncated
+    with pytest.raises(AssertionError, match="coefficient 1/2 is not an integer"):
+        _scaled(QSum.term(H, qexp=1), 2)
+    with pytest.raises(AssertionError, match="exponent 1/3"):
+        _scaled(QSum.term(1, qexp=F(1, 3)), 2)
+
+
+def test_exact_build_pinned(n8_sets):
+    for regime, p in n8_sets.items():
+        polys, events = coefficients_exact(p)
+        levels = tuple(
+            (ep.denom_monomial, ep.denom_factors, tuple(c.terms for c in ep.coeffs))
+            for ep in polys
+        )
+        digest = hashlib.sha256(repr((levels, events)).encode()).hexdigest()
+        assert digest == _EXACT_DIGESTS[regime], regime
 
 
 # ---------------------------------------------------------------------------
