@@ -6,7 +6,11 @@ Subcommands
     roots     numerical roots at each requested q (+ log-log plot data CSV)
     verify    predictions vs numerics end to end, roots.csv report
     sweep     regime/prediction scan along one parameter axis
-    selftest  built-in correctness battery
+    selftest  the acceptance criteria of qheun.acceptance, one PASS or
+              FAIL line each
+
+Each subcommand accepts only the options it reads; `qheun <subcommand>
+--help` lists them.
 
 Exit codes: 0 success, 1 usage/parse/validation, 2 unclassifiable/excluded
 parameters, 3 verification failure.
@@ -463,82 +467,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    import random
+    from . import acceptance
 
-    from .qmono import equiv_approx, equiv_sim
-    from .sampling import sample_params
-    from .ultra import R31, R32, R33, collision_check, leading_recursion, tilde_cN1
-
-    failures = []
-
-    def check(name, fn):
+    failed = False
+    for description, criterion in acceptance.CRITERIA:
         try:
-            okay = fn()
+            criterion()
         except Exception as exc:  # report, keep going
-            okay = False
-            name = f"{name} ({type(exc).__name__}: {exc})"
-        print(("PASS " if okay else "FAIL ") + name)
-        if not okay:
-            failures.append(name)
-
-    P1 = derive(-5, 1, 0, 1, 0, Fraction(1, 2), Fraction(1, 2), 1, 1)
-    P2 = derive(0, 1, 1, 4, 0, Fraction(-1, 2), Fraction(1, 2), 1, 1)
-    P3 = derive(0, 1, 1, 3, 0, Fraction(1, 2), Fraction(1, 2), 1, 1)
-    P4 = derive(-1, 0, 8, 10, 1, 0, -10, 1, 1)
-
-    def slopes(p, expect):
-        ests = estimate_exponents(p, Fraction(1, 1000), Fraction(1, 10000), args.bits)
-        got = sorted(float(e.est_exponent) for e in ests)
-        return all(abs(a - b) <= 0.05 for a, b in zip(got, sorted(expect)))
-
-    check("R31 case (i) exponents (-5/2,-7/2,-9/2)", lambda: slopes(P1, [-2.5, -3.5, -4.5]))
-    check("R32 case (i) exponents (-1,0)", lambda: slopes(P2, [-1.0, 0.0]))
-    check("switching-regime exponents (0,1/2)", lambda: slopes(P3, [0.0, 0.5]))
-
-    def golden():
-        tag = classify(P4)
-        vals = multiplicity_prefactors(P4, tag)
-        with mpmath.workprec(64):
-            want = sorted(
-                [(mpmath.sqrt(5) + 1) / 2, (mpmath.sqrt(5) - 1) / 2,
-                 -(mpmath.sqrt(5) + 1) / 2, -(mpmath.sqrt(5) - 1) / 2]
-            )
-            return all(abs(a - b) < 1e-12 for a, b in zip(sorted(vals), want))
-
-    check("golden-ratio balanced prefactors", golden)
-
-    def residual():
-        roots, _ = find_spectral_roots(P2, Fraction(1, 1000), args.bits)
-        worst = mpmath.mpf(0)
-        for r in roots:
-            sol = coefficients_numeric(P2, r, Fraction(1, 1000), args.bits)
-            worst = max(worst, residual_check(P2, sol))
-        return worst < mpmath.mpf(10) ** -30
-
-    check("equation residual < 1e-30 at roots", residual)
-
-    def oracle():
-        rng = random.Random(20240406)
-        for regime in (R31, R32, R33):
-            for _ in range(3):
-                p = sample_params(regime, rng, n_max=4)
-                tag = classify(p)
-                exact = spectral_polynomial(p)
-                til = tilde_cN1(p, tag)
-                cmp = equiv_sim if regime == R33 else equiv_approx
-                if not all(
-                    cmp(exact.reduced_coefficient(j), til.reduced_coefficient(j))
-                    for j in range(p.N + 2)
-                ):
-                    return False
-                leading_recursion(p, tag)
-                if regime != R33 and collision_check(p, p.N + 1, tag):
-                    return False
-        return True
-
-    check("randomized limit-product oracle (3 per regime)", oracle)
-
-    return EXIT_OK if not failures else EXIT_VERIFY_FAILED
+            failed = True
+            print(f"FAIL {description} ({type(exc).__name__}: {exc})")
+        else:
+            print(f"PASS {description}")
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -553,38 +493,40 @@ def _build_parser() -> _Parser:
 
     default_bits = _parse_bits(os.environ.get("QHEUN_BITS", "512"), "QHEUN_BITS")
 
-    def common(sp, needs_params=True):
-        if needs_params:
+    def add_options(sp, names):
+        if "params" in names:
             sp.add_argument("--params", required=True, help="key=value parameter file")
-        sp.add_argument("--q", action="append", metavar="RATIONAL",
-                        help="q value in (0,1), e.g. 1/1000 (repeatable)")
-        sp.add_argument("--bits", type=_parse_bits, default=default_bits,
-                        help=f"working precision in bits (default {default_bits}; "
-                             "env QHEUN_BITS overrides)")
-        for name, default in (("exponent", 0.05), ("prefactor", 0.01), ("residual", 1e-30)):
-            option = f"--tol-{name}"
-            sp.add_argument(option, default=default, dest=f"tol_{name}",
-                            type=functools.partial(_parse_tolerance, source=option))
-        sp.add_argument("--out", help="directory for CSV output")
+        if "q" in names:
+            sp.add_argument("--q", action="append", metavar="RATIONAL",
+                            help="q value in (0,1), e.g. 1/1000 (repeatable)")
+        if "bits" in names:
+            sp.add_argument("--bits", type=_parse_bits, default=default_bits,
+                            help=f"working precision in bits (default {default_bits}; "
+                                 "env QHEUN_BITS overrides)")
+        if "tol" in names:
+            for name, default in (("exponent", 0.05), ("prefactor", 0.01), ("residual", 1e-30)):
+                option = f"--tol-{name}"
+                sp.add_argument(option, default=default, dest=f"tol_{name}",
+                                type=functools.partial(_parse_tolerance, source=option))
+        if "out" in names:
+            sp.add_argument("--out", help="directory for CSV output")
 
-    sp = sub.add_parser("analyze", help="classify parameters")
-    common(sp)
-    sp.set_defaults(func=cmd_analyze)
+    subcommands = (
+        ("analyze", "classify parameters", cmd_analyze, ("params",)),
+        ("predict", "ultradiscrete root predictions", cmd_predict, ("params", "out")),
+        ("roots", "numerical roots at fixed q", cmd_roots, ("params", "q", "bits", "out")),
+        ("verify", "verify predictions against numerics", cmd_verify,
+         ("params", "q", "bits", "tol", "out")),
+        ("sweep", "scan one parameter axis", cmd_sweep, ("params", "bits", "out")),
+        ("selftest", "run the acceptance criteria", cmd_selftest, ()),
+    )
+    parsers = {}
+    for name, help_text, func, options in subcommands:
+        sp = parsers[name] = sub.add_parser(name, help=help_text)
+        add_options(sp, options)
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("predict", help="ultradiscrete root predictions")
-    common(sp)
-    sp.set_defaults(func=cmd_predict)
-
-    sp = sub.add_parser("roots", help="numerical roots at fixed q")
-    common(sp)
-    sp.set_defaults(func=cmd_roots)
-
-    sp = sub.add_parser("verify", help="verify predictions against numerics")
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("sweep", help="scan one parameter axis")
-    common(sp)
+    sp = parsers["sweep"]
     sp.add_argument("--axis", required=True, help="parameter to sweep")
     sp.add_argument("--from", required=True, help="start value (rational)")
     sp.add_argument("--to", required=True, help="end value (rational)")
@@ -597,11 +539,6 @@ def _build_parser() -> _Parser:
                          "lambda1 leaves N non-integer at most grid points)")
     sp.add_argument("--jobs", type=int, default=0,
                     help="parallel workers (0 = auto, 1 = serial)")
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("selftest", help="built-in correctness battery")
-    common(sp, needs_params=False)
-    sp.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -56,6 +56,8 @@ _IPoly = list  # list[int], degree-ascending
 
 #: Extra bits of the floating root approximation beyond the target bits.
 _APPROX_GUARD_BITS = 32
+#: The precision find_spectral_roots doubles up to before it gives up.
+MAX_BITS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +452,6 @@ def find_spectral_roots(
     *,
     epoly: EPoly | None = None,
     predictions: Sequence[PredictedRoot] | None = None,
-    max_bits: int = 4096,
 ) -> tuple[list, int]:
     """Roots of c_{N+1} at fixed q, doubling precision until isolation
     certifies degree-many distinct real roots.  Returns (roots, bits used).
@@ -463,7 +464,7 @@ def find_spectral_roots(
         try:
             return find_real_roots(poly, seeds), b
         except PrecisionError:
-            if 2 * b > max_bits:
+            if 2 * b > MAX_BITS:
                 raise
             b *= 2
 

@@ -81,6 +81,11 @@ UNCLASSIFIED = "Unclassified"
 
 BALANCED = "sqrt(t1*t2)"
 
+#: Distance from a regime boundary within which analyze warns.
+BOUNDARY_WARNING_DISTANCE = Fraction(1, 4)
+#: Working precision of the s-polynomial roots (the refined prefactors).
+S_ROOT_BITS = 256
+
 _HALF = Fraction(1, 2)
 
 
@@ -305,7 +310,7 @@ def classify(p: HeunParams) -> CaseTag:
     return CaseTag(R33, K=K, detail=f"-2K < 1+h2-l2-beta = {S1} < -2K+2 with K={K}")
 
 
-def boundary_proximity(p: HeunParams, tag: CaseTag, threshold=Fraction(1, 4)) -> list[str]:
+def boundary_proximity(p: HeunParams, tag: CaseTag) -> list[str]:
     """Warnings for classified parameters sitting close to a boundary."""
     warnings = []
     N = p.N
@@ -313,9 +318,9 @@ def boundary_proximity(p: HeunParams, tag: CaseTag, threshold=Fraction(1, 4)) ->
 
     def _near(value, boundaries, name):
         for b in sorted(boundaries):
-            if value != b and abs(value - b) <= threshold:
+            if value != b and abs(value - b) <= BOUNDARY_WARNING_DISTANCE:
                 warnings.append(
-                    f"{name} = {value} is within {threshold} of boundary {b}"
+                    f"{name} = {value} is within {BOUNDARY_WARNING_DISTANCE} of boundary {b}"
                 )
 
     _near(S1, {Fraction(0), Fraction(-2 * N)}, "1+h2-l2-beta")
@@ -648,7 +653,6 @@ def _s_polynomial(ep: EPoly, p: HeunParams, g: Fraction) -> list[Fraction]:
 def multiplicity_prefactors(
     p: HeunParams,
     tag: CaseTag,
-    bits: int = 256,
     *,
     epoly: EPoly | None = None,
     predictions: Sequence[PredictedRoot] | None = None,
@@ -676,7 +680,7 @@ def multiplicity_prefactors(
     if len(reduced) <= 1:
         raise DegenerateSPolyError("s-polynomial has no nonzero roots")
     try:
-        roots = real_roots_of_rational_poly(reduced, bits)
+        roots = real_roots_of_rational_poly(reduced, S_ROOT_BITS)
     except Exception as exc:  # count shortfall means non-simple/complex roots
         raise DegenerateSPolyError(f"s-polynomial root isolation failed: {exc}") from exc
     if len(roots) != len(reduced) - 1:
@@ -686,11 +690,11 @@ def multiplicity_prefactors(
     return sorted(roots)
 
 
-def refined_predictions(p: HeunParams, tag: CaseTag, bits: int = 256) -> list[PredictedRoot]:
+def refined_predictions(p: HeunParams, tag: CaseTag) -> list[PredictedRoot]:
     """Predictions with every multiplicity >= 2 balanced pair replaced by
     explicit-prefactor entries from the s-polynomial."""
     preds = predict_roots(p, tag)
-    vals = multiplicity_prefactors(p, tag, bits=bits, predictions=preds)
+    vals = multiplicity_prefactors(p, tag, predictions=preds)
     if not vals:
         return preds
     pos = sorted((v for v in vals if v > 0), reverse=True)

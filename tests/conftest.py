@@ -1,29 +1,23 @@
-from fractions import Fraction
-
 import pytest
 
-from qheun import derive
+from qheun import acceptance
 
 
 @pytest.fixture(scope="session")
 def p1():
-    # one-scale regime, case (i): exponents -5/2, -7/2, -9/2
-    return derive(-5, 1, 0, 1, 0, Fraction(1, 2), Fraction(1, 2), 1, 1)
+    return acceptance.P1
 
 
 @pytest.fixture(scope="session")
 def p2():
-    # mirrored one-scale regime, case (i): exponents -1, 0
-    return derive(0, 1, 1, 4, 0, Fraction(-1, 2), Fraction(1, 2), 1, 1)
+    return acceptance.P2
 
 
 @pytest.fixture(scope="session")
 def p3():
-    # switching regime, K = 1: exponents 0, 1/2
-    return derive(0, 1, 1, 3, 0, Fraction(1, 2), Fraction(1, 2), 1, 1)
+    return acceptance.P3
 
 
 @pytest.fixture(scope="session")
 def p4():
-    # balanced double pairs refining to the golden-ratio prefactors
-    return derive(-1, 0, 8, 10, 1, 0, -10, 1, 1)
+    return acceptance.P4

@@ -1,171 +1,47 @@
-"""Acceptance suite: one test per criterion, printed as a pass/fail line.
+"""Acceptance suite: one test per criterion of `qheun.acceptance`, each held to
+a time budget.  `pytest tests/test_acceptance.py -v -s` shows the per-criterion
+pass lines and timings."""
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.
-"""
-
-import random
 import time
-from fractions import Fraction
 
-import mpmath
-
-from qheun.qmono import SIGN_CONFLICT, equiv_approx, equiv_sim, ultradiscretize
-from qheun.sampling import sample_params
-from qheun.spectral import coefficients_exact, coefficients_numeric, residual_check, spectral_polynomial
-from qheun.ultra import (
-    R31,
-    R32,
-    R33,
-    classify,
-    collision_check,
-    leading_recursion,
-    multiplicity_prefactors,
-    predict_roots,
-    tilde_cN1,
-)
-from qheun.roots import estimate_exponents, find_spectral_roots, match_predictions
-
-F = Fraction
+from qheun import acceptance
 
 
-def _report(name, start, limit):
+def _run(criterion, limit):
+    start = time.time()
+    criterion()
     elapsed = time.time() - start
-    print(f"PASS {name} ({elapsed:.2f}s)")
-    assert elapsed < limit, f"{name} exceeded the {limit}s budget"
+    print(f"PASS {criterion.__doc__} ({elapsed:.2f}s)")
+    assert elapsed < limit, f"{criterion.__doc__} exceeded the {limit}s budget"
 
 
-def test_criterion_1_golden_ratio_prefactors(p4):
-    start = time.time()
-    q = F(1, 10 ** 6)
-    roots, _ = find_spectral_roots(p4, q, 512)
-    assert len(roots) == 4
-    signs = sorted(1 if r > 0 else -1 for r in roots)
-    assert signs == [-1, -1, 1, 1]
-    with mpmath.workprec(128):
-        hi = (mpmath.sqrt(5) + 1) / 2
-        lo = (mpmath.sqrt(5) - 1) / 2
-        mags = sorted(abs(r) for r in roots)
-        for got, want in zip(mags, sorted([hi, lo, hi, lo])):
-            assert abs(got / want - 1) < 0.01
-    # and the s-polynomial reproduces s^4 - 3 t1 t2 s^2 + t1^2 t2^2 = 0
-    vals = multiplicity_prefactors(p4, classify(p4))
-    with mpmath.workprec(128):
-        assert sorted(abs(v) for v in set(map(abs, vals))) == sorted({abs(v) for v in vals})
-        assert min(abs(abs(v) - lo) for v in vals) < 1e-20
-        assert min(abs(abs(v) - hi) for v in vals) < 1e-20
-    _report("criterion 1: golden-ratio prefactors at q=1e-6 within 1%", start, 5.0)
+def test_criterion_1_golden_ratio_prefactors():
+    _run(acceptance.criterion_1_golden_ratio_prefactors, 5.0)
 
 
-def test_criterion_2_r31_case_i_exponents(p1):
-    start = time.time()
-    ests = estimate_exponents(p1, F(1, 1000), F(1, 10000), 512)
-    assert all(e.value < 0 for e in ests)
-    slopes = sorted(float(e.est_exponent) for e in ests)
-    for got, want in zip(slopes, [-4.5, -3.5, -2.5]):
-        assert abs(got - want) <= 0.05
-    _report("criterion 2: one-scale exponents (-5/2,-7/2,-9/2) within 0.05", start, 5.0)
+def test_criterion_2_r31_case_i_exponents():
+    _run(acceptance.criterion_2_r31_case_i_exponents, 5.0)
 
 
-def test_criterion_3_r32_case_i_exponents(p2):
-    start = time.time()
-    ests = estimate_exponents(p2, F(1, 1000), F(1, 10000), 512)
-    assert all(e.value < 0 for e in ests)
-    slopes = sorted(float(e.est_exponent) for e in ests)
-    for got, want in zip(slopes, [-1.0, 0.0]):
-        assert abs(got - want) <= 0.05
-    _report("criterion 3: mirrored exponents (-1,0) within 0.05", start, 5.0)
+def test_criterion_3_r32_case_i_exponents():
+    _run(acceptance.criterion_3_r32_case_i_exponents, 5.0)
 
 
-def test_criterion_4_switching_regime_exactness(p3):
-    start = time.time()
-    tag = classify(p3)
-    exact = spectral_polynomial(p3)
-    til = tilde_cN1(p3, tag)
-    for j in range(p3.N + 2):
-        assert equiv_sim(exact.reduced_coefficient(j), til.reduced_coefficient(j))
-    preds = predict_roots(p3, tag)
-    ests = estimate_exponents(p3, F(1, 10 ** 5), F(1, 10 ** 6), 512)
-    report = match_predictions(
-        ests, preds, tol_exponent=0.05, tol_prefactor=0.01,
-        t1=p3.t1, t2=p3.t2, enforce="sharp",
-    )
-    assert report.ok
-    assert {str(r.prediction.d) for r in report.rows} == {"0", "1/2"}
-    _report("criterion 4: switching-regime sim-exactness and -t1 q^0, -t1 q^(1/2) roots", start, 2.0)
-
-
-def _ns_for_suite(rng):
-    ns = [1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 7, 8]
-    ns += [rng.randint(1, 5) for _ in range(2)]
-    return ns  # 20 sets, ceiling N = 8
+def test_criterion_4_switching_regime_exactness():
+    _run(acceptance.criterion_4_switching_regime_exactness, 2.0)
 
 
 def test_criterion_5_theorem_oracle_suite():
-    start = time.time()
-    rng = random.Random(777)
-    for regime in (R31, R32, R33):
-        for n in _ns_for_suite(rng):
-            p = sample_params(regime, rng, N=n)
-            tag = classify(p)
-            exact = spectral_polynomial(p)
-            til = tilde_cN1(p, tag)
-            cmp = equiv_sim if regime == R33 else equiv_approx
-            for j in range(p.N + 2):
-                assert cmp(
-                    exact.reduced_coefficient(j), til.reduced_coefficient(j)
-                ), (p, j)
-            leading_recursion(p, tag)  # raises CancellationError on failure
-            if regime != R33:
-                assert collision_check(p, p.N + 1, tag) == []
-    _report("criterion 5: limit-product oracle, 20 random sets per regime (N <= 8)", start, 60.0)
+    _run(acceptance.criterion_5_theorem_oracle_suite, 60.0)
 
 
 def test_criterion_6_non_cancellation_sufficiency():
-    start = time.time()
-    rng = random.Random(4242)
-    for regime in (R31, R32):
-        for n in [0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 5]:
-            p = sample_params(regime, rng, N=max(n, 0))
-            polys, events = coefficients_exact(p)
-            assert all(e.kind != SIGN_CONFLICT for e in events), (p, events)
-            for m, ep in enumerate(polys):
-                for j in range(m + 1):
-                    # sign-definite leading slice == no leading-term cancellation
-                    ultradiscretize(ep.reduced_coefficient(j))
-    _report("criterion 6: exact recursion free of leading sign conflicts", start, 60.0)
+    _run(acceptance.criterion_6_non_cancellation_sufficiency, 60.0)
 
 
-def test_criterion_7_equation_residuals(p1, p2, p3):
-    start = time.time()
-    q = F(1, 1000)
-    threshold = mpmath.mpf(10) ** -30
-    for p in (p1, p2, p3):
-        roots, _ = find_spectral_roots(p, q, 512)
-        assert len(roots) == p.N + 1
-        for r in roots:
-            sol = coefficients_numeric(p, r, q, 512)
-            res = residual_check(p, sol)
-            assert res < threshold, (p, float(r), float(res))
-    _report("criterion 7: truncated series solves the equation to < 1e-30", start, 60.0)
+def test_criterion_7_equation_residuals():
+    _run(acceptance.criterion_7_equation_residuals, 60.0)
 
 
 def test_criterion_8_slope_calibration():
-    start = time.time()
-    from qheun.roots import NumPoly, find_real_roots
-
-    q1, q2 = F(1, 1000), F(1, 10000)
-    roots = []
-    for q in (q1, q2):
-        with mpmath.workprec(256):
-            qv = mpmath.mpf(1) / q.denominator
-            c0 = 3 * mpmath.exp(mpmath.mpf("-2.5") * mpmath.log(qv))
-            poly = NumPoly((c0, mpmath.mpf(1)), q, F(1), F(1), 256)
-        roots.append(find_real_roots(poly)[0])
-    with mpmath.workprec(256):
-        slope = (mpmath.log(abs(roots[1])) - mpmath.log(abs(roots[0]))) / (
-            mpmath.log(mpmath.mpf(1) / q2.denominator)
-            - mpmath.log(mpmath.mpf(1) / q1.denominator)
-        )
-        assert abs(slope + mpmath.mpf("2.5")) < 1e-6
-    _report("criterion 8: synthetic power-law slope exact to < 1e-6", start, 10.0)
+    _run(acceptance.criterion_8_slope_calibration, 10.0)

@@ -3,7 +3,8 @@ import textwrap
 
 import pytest
 
-from qheun.cli import main
+from qheun import acceptance
+from qheun.cli import _build_parser, main
 
 P1 = """
 h1 = -5
@@ -337,10 +338,8 @@ def test_csv_matches_golden_digest(command, name, tmp_path, monkeypatch, capsys)
 
 
 def test_qheun_bits_env_overrides_default(monkeypatch):
-    from qheun.cli import _build_parser
-
     monkeypatch.setenv("QHEUN_BITS", "192")
-    args = _build_parser().parse_args(["selftest"])
+    args = _build_parser().parse_args(["roots", "--params", "unread.params"])
     assert args.bits == 192
 
 
@@ -357,10 +356,30 @@ def test_invalid_qheun_bits_env_is_usage_error(p1_file, monkeypatch, capsys, val
 
 def test_bits_at_the_floor_is_accepted(p1_file, monkeypatch, capsys):
     monkeypatch.setenv("QHEUN_BITS", "64")
-    assert main(["analyze", "--params", p1_file, "--bits", "64"]) == 0
+    assert main(["roots", "--params", p1_file, "--bits", "64"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--bits", "256"], ["predict", "--tol-exponent", "0.1"],
+     ["roots", "--tol-residual", "1e-20"], ["selftest", "--bits", "256"],
+     ["sweep", "--axis", "h1", "--from", "0", "--to", "1", "--step", "1", "--q", "1/10"]],
+)
+def test_option_the_subcommand_does_not_read_is_usage_error(p1_file, capsys, argv):
+    # refused, not silently ignored; selftest reads neither --params nor --bits
+    assert main([argv[0], "--params", p1_file, *argv[1:]]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):
-    assert main(["selftest", "--bits", "256"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 6 and "FAIL" not in out
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"PASS {d}" for d, _ in acceptance.CRITERIA]
+
+
+def test_selftest_reports_each_failure_and_keeps_going(monkeypatch, capsys):
+    def boom():
+        raise AssertionError("boom")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [("a", lambda: None), ("b", boom), ("c", lambda: None)])
+    assert main(["selftest"]) == 3
+    assert capsys.readouterr().out.splitlines() == ["PASS a", "FAIL b (AssertionError: boom)", "PASS c"]
