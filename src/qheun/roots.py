@@ -16,10 +16,12 @@ every sign decision is exact:
 * interval splitting (optionally pre-cut between predicted root locations)
   isolates single roots;
 * each root is refined to the point exact sign bisection to relative width
-  2^-(bits//2) would return, without running it: a floating approximation
-  (geometric bisection, then Newton inside the bracket) steers an integer
-  replay of the bisection path, and two exact signs at the final bracket
-  certify it.  A failed certificate falls back to exact bisection.
+  2^-bits would return, without running it: the final level of the
+  bisection is read off a floating approximation (geometric bisection,
+  then Newton inside the bracket), two exact signs at the grid points just
+  outside its error bound certify that the root lies between them, and
+  exact signs at the grid points between, usually none, place it.  A
+  failed check falls back to exact bisection.
 
 On top of that sit the two-q exponent estimator (log-log slope per matched
 root) and the prediction matcher used by the verification pipeline.
@@ -186,50 +188,126 @@ def _isolate(
 
 
 # ---------------------------------------------------------------------------
-# refinement: the bisection path, replayed from a floating approximation and
-# certified by two exact signs
+# refinement: the point exact bisection returns, computed from a floating
+# approximation and certified by exact signs
 # ---------------------------------------------------------------------------
 
 
-def _bisect(A: int, B: int, V: int, bits: int, side) -> tuple[int, int, int, Fraction | None]:
-    """Bisect (A/V, B/V) to relative width 2^-(bits//2) (absolute floor
-    2^-(2*bits) near zero), probing zero first when the bracket straddles it.
+def _stops(A: int, B: int, V: int, bits: int) -> bool:
+    """The stop rule of bisection on (A/V, B/V): relative width 2^-bits,
+    absolute floor 2^-(2*bits) near zero."""
+    w = B - A
+    return w << bits <= max(abs(A), abs(B)) or w << (2 * bits) <= V
 
-    ``side(M, W)`` says where the root lies against M/W: +1 above, -1
-    below, 0 exactly at it.  Returns the final (A, B, V) and the midpoint
-    hit, if one ended the bisection.  Probing zero first makes an exact
-    root at the origin exact in the output (and splits a sign-straddling
-    bracket well regardless).
-    """
-    half, floor_bits = bits // 2, 2 * bits
-    while True:
-        w = B - A
-        if w << half <= max(abs(A), abs(B)) or w << floor_bits <= V:
-            return A, B, V, None
-        if A < 0 < B:
-            M = 0
+
+def _bisect_exact(A: int, B: int, V: int, bits: int, side) -> Fraction:
+    """Bisect the one-signed bracket (A/V, B/V) until it stops, and return
+    the midpoint of the final bracket, or the midpoint hit that ended the
+    bisection.  ``side(M, W)`` says where the root lies against M/W: +1
+    above, -1 below, 0 exactly at it."""
+    while not _stops(A, B, V, bits):
+        M = A + B
+        if M & 1:
+            A, B, V = A << 1, B << 1, V << 1
         else:
-            M = A + B
-            if M & 1:
-                A, B, V = A << 1, B << 1, V << 1
-            else:
-                M >>= 1
+            M >>= 1
         s = side(M, V)
         if s == 0:
-            return A, B, V, Fraction(M, V)
+            return Fraction(M, V)
         if s > 0:
             A = M
         else:
             B = M
+    return Fraction(A + B, 2 * V)
+
+
+def _bisection_point(
+    A: int, B: int, V: int, bits: int, r: Fraction, t: Fraction, side
+) -> Fraction | None:
+    """The point ``_bisect_exact`` returns, computed directly from an
+    approximation r of the root with error estimate t; None when a check
+    fails.
+
+    Bisecting the one-signed bracket (a, b) = (A/V, B/V) k times leaves the
+    level-k bracket i, between the grid points (A 2^k + i W) / (V 2^k) and
+    the next, W = B - A.  Along a chain of nested brackets the stop rule,
+    once met, stays met (the width halves, max(|a|, |b|) at most halves),
+    so bisection stops at the first level K whose bracket holding the root
+    x meets it and returns its midpoint, or returns x itself if x is a grid
+    point of a level up to K.  K is read off r; exact signs at the level-K
+    grid points next to r - t and r + t certify that x lies between them,
+    and exact signs at the grid points between, if any, place x.
+    """
+    if _stops(A, B, V, bits):
+        return Fraction(A + B, 2 * V)
+    W = B - A
+
+    def stops(k: int, i: int) -> bool:
+        lo = (A << k) + i * W
+        return _stops(lo, lo + W, V << k, bits)
+
+    D = max(r.denominator, t.denominator)  # both are powers of two
+    R, T = r.numerator * (D // r.denominator), t.numerator * (D // t.denominator)
+    den = D * W
+
+    def offset(X: int) -> int:  # (X/D - a) / (b - a), times den
+        return X * V - A * D
+
+    # K: the first level at which the bracket holding r stops; the absolute
+    # floor holds for every bracket at level hi
+    lo, hi = 1, max(1, (W << 2 * bits).bit_length() - V.bit_length() + 1)
+    while lo < hi:
+        k = (lo + hi) // 2
+        i = min(max((offset(R) << k) // den, 0), (1 << k) - 1)
+        if stops(k, i):
+            hi = k
+        else:
+            lo = k + 1
+    K = lo
+
+    def at(i: int) -> int:  # side of x against level-K grid point i
+        return side((A << K) + i * W, V << K)
+
+    def hit(i: int) -> Fraction | None:
+        # x is grid point i: bisection probes it if a level-(K-1) bracket
+        # next to it has not stopped
+        if all(stops(K - 1, m >> 1) for m in (i - 1, i)):
+            return None
+        return Fraction((A << K) + i * W, V << K)
+
+    # the last grid point below r - t and the first above r + t hold x
+    # between them if the approximation holds; their exact signs certify
+    # that, and exact bisection between them places x
+    lo = min(max(-(-(offset(R - T) << K) // den) - 1, 0), (1 << K) - 1)
+    hi = max(min((offset(R + T) << K) // den + 1, 1 << K), lo + 1)
+    s_lo, s_hi = at(lo), at(hi)
+    if s_lo == 0:
+        return hit(lo)
+    if s_hi == 0:
+        return hit(hi)
+    if not s_lo > 0 > s_hi:
+        return None
+    while hi - lo > 1:
+        m = (lo + hi) // 2
+        s = at(m)
+        if s == 0:
+            return hit(m)
+        if s > 0:
+            lo = m
+        else:
+            hi = m
+    if stops(K, lo) and not stops(K - 1, lo >> 1):
+        return Fraction(2 * ((A << K) + lo * W) + W, V << (K + 1))
+    return None
 
 
 def _approximate(n: _IPoly, a: Fraction, b: Fraction, fa: int, bits: int):
     """A floating approximation of the one root of n in (a, b), as mpf
     ``(root, tol)`` with tol an estimate of its error, or None.
 
-    Works at bits + _APPROX_GUARD_BITS: a zero split when (a, b) straddles
-    the origin, geometric bisection while the bracket spans more than 2x,
-    then Newton kept inside the bracket.  ``fa`` is the exact sign of n at a.
+    (a, b) is one-signed.  Works at bits + _APPROX_GUARD_BITS: geometric
+    bisection while the bracket spans more than 2x, then Newton kept inside
+    the bracket.  ``fa`` is the exact sign of n at a.
     """
     prec = bits + _APPROX_GUARD_BITS
     with mpmath.workprec(prec):
@@ -250,13 +328,6 @@ def _approximate(n: _IPoly, a: Fraction, b: Fraction, fa: int, bits: int):
             return (p > 0) - (p < 0) == fa
 
         lo, hi = to_mpf(a), to_mpf(b)
-        if lo < 0 < hi:
-            if not n[0]:
-                return mpmath.mpf(0), mpmath.mpf(0)
-            if (n[0] > 0) - (n[0] < 0) == fa:
-                lo = mpmath.mpf(0)
-            else:
-                hi = mpmath.mpf(0)
         if not lo or not hi:
             # no nonzero root is nearer to 0 than |c_0| / (|c_0| + max |c_i|)
             c0 = abs(cs[0])
@@ -292,50 +363,38 @@ def _approximate(n: _IPoly, a: Fraction, b: Fraction, fa: int, bits: int):
 
 def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
     """The point where exact bisection of the single simple root inside
-    (a, b) stops: relative width 2^-(bits//2), absolute floor 2^-(2*bits).
+    (a, b) stops: relative width 2^-bits, absolute floor 2^-(2*bits).
 
-    The bisection path is replayed in integers, steered by a floating
-    approximation of the root; a midpoint within the approximation's error
-    (and zero, the first probe of a straddling bracket) is decided by an
-    exact sign.  The final bracket is certified by the exact signs at its
-    endpoints: opposite and nonzero, it holds the one root of (a, b), and
-    then every step went the way exact bisection goes.  Any failed check
-    falls back to exact bisection.
+    A bracket straddling zero is first split there by one exact sign.  The
+    final bracket is then computed from a floating approximation of the
+    root (``_bisection_point``), with two exact signs that certify it in
+    the usual case.  Any failed check falls back to exact bisection.
     """
     V = math.lcm(a.denominator, b.denominator)
     A, B = a.numerator * (V // a.denominator), b.numerator * (V // b.denominator)
     fa = _sign_at(n, A, V)
     assert fa, "bracket endpoints must be non-roots"
 
-    def exact(M: int, W: int) -> int:
+    def side(M: int, W: int) -> int:
         s = _sign_at(n, M, W)
         return s and (1 if s == fa else -1)
 
-    guess = _approximate(n, a, b, fa, bits)
+    if _stops(A, B, V, bits):
+        return Fraction(A + B, 2 * V)
+    if A < 0 < B:
+        # probing zero first makes a root at the origin exact in the output
+        # and splits a sign-straddling bracket well regardless
+        s = side(0, V)
+        if s == 0:
+            return Fraction(0)
+        A, B = (0, B) if s > 0 else (A, 0)
+    guess = _approximate(n, Fraction(A, V), Fraction(B, V), fa, bits)
     if guess is not None:
         r, t = (_mpf_to_fraction(v) for v in guess)
-        D = max(r.denominator, t.denominator)  # both are powers of two
-        R, T = r.numerator * (D // r.denominator), t.numerator * (D // t.denominator)
-
-        def steer(M: int, W: int) -> int:
-            if M:
-                d = R * W - M * D  # (r - M/W) * W * D
-                if abs(d) > T * W:
-                    return 1 if d > 0 else -1
-            return exact(M, W)
-
-        A1, B1, W, hit = _bisect(A, B, V, bits, steer)
-        if hit is not None:
-            return hit
-        if _sign_at(n, A1, W) == fa and _sign_at(n, B1, W) == -fa:
-            return Fraction(A1 + B1, 2 * W)
-    return _bisect_exact(A, B, V, bits, exact)
-
-
-def _bisect_exact(A: int, B: int, V: int, bits: int, exact) -> Fraction:
-    """Plain exact bisection, every step steered by an exact sign."""
-    A, B, V, hit = _bisect(A, B, V, bits, exact)
-    return hit if hit is not None else Fraction(A + B, 2 * V)
+        x = _bisection_point(A, B, V, bits, r, t, side)
+        if x is not None:
+            return x
+    return _bisect_exact(A, B, V, bits, side)
 
 
 def _real_roots_fractions(

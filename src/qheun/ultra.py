@@ -698,7 +698,8 @@ def refined_predictions(p: HeunParams, tag: CaseTag) -> list[PredictedRoot]:
     if not vals:
         return preds
     pos = sorted((v for v in vals if v > 0), reverse=True)
-    neg = sorted((-v for v in vals if v < 0), reverse=True)
+    with mpmath.workprec(S_ROOT_BITS):  # unary minus rounds to the working precision
+        neg = sorted((-v for v in vals if v < 0), reverse=True)
     out: list[PredictedRoot] = []
     for e in preds:
         if e.prefactor == BALANCED and e.multiplicity >= 2:

@@ -54,6 +54,20 @@ t1 = 1
 t2 = 1
 """
 
+# a sampled R32 set whose roots refined to 2^-(bits//2) failed the residual
+# gate at 512 bits (worst residual 1.75e-20)
+R32_N3 = """
+h1 = -4
+h2 = -1
+l1 = 1/3
+l2 = 17/2
+alpha1 = -2
+alpha2 = -19/3
+beta = -3/2
+t1 = 1
+t2 = 2
+"""
+
 
 def _write(tmp_path, name, body):
     path = tmp_path / name
@@ -142,6 +156,12 @@ def test_verify_p1_passes_and_is_byte_stable(p1_file, tmp_path, capsys):
     lines = data1.decode().splitlines()
     assert lines[0].startswith("index,q,root_value,est_exponent,pred_exponent")
     assert len(lines) == 4  # header + 3 roots
+
+
+def test_verify_certifies_the_roots_at_the_bits_they_were_found_with(tmp_path, capsys):
+    path = _write(tmp_path, "r32.params", R32_N3)
+    assert main(["verify", "--params", path, "--q", "1/1000", "--q", "1/10000", "--bits", "512"]) == 0
+    assert "verification PASSED" in capsys.readouterr().out
 
 
 def test_verify_detects_forced_failure(p1_file, capsys):
@@ -303,13 +323,16 @@ def test_verify_predicts_the_roots_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-# sha256 of the CSVs written on p1-p4, recorded before the root refinement
-# was replayed from floating approximations: the roots must not move by a bit
+# sha256 of the CSVs written on p1-p4.  The roots and predictions digests
+# were recorded before the root refinement was computed from floating
+# approximations: the roots must not move by a bit.  The verify digests
+# were re-recorded when the refinement target went from 2^-(bits//2) to
+# 2^-bits, which changed only the residual column.
 GOLDEN_CSV_SHA256 = {
-    ("verify", "P1"): "59651ebaa0bae4cf62f030e1fed3ecc68087386ca36f44da90a3aebb7d777f7c",
-    ("verify", "P2"): "2ba4b1593a1d83ed92414cb60df332c9d29e0ce9b779c0e04d2452f7cb51e876",
-    ("verify", "P3"): "a0f9e823064bf93f32b2c1be6fb3858ef455649c6e2dfdd9e82cdfabd8288220",
-    ("verify", "P4"): "98c29dedb7bd00c0916f95922bac6d551bc9a61a68541e9f652d4324979b55cc",
+    ("verify", "P1"): "e662e60ae6002a3fcdec4b0cb3f83563216bfd35957c2afb815fa4fd26e0a06f",
+    ("verify", "P2"): "dae615614340b1ae602965d4ea67e10c7a1c2e5c3a110002faf4de70da7c060c",
+    ("verify", "P3"): "dbf147b745d5469783d34a80746e66e23b6b5ac5d901f686165b7b71d1deedd8",
+    ("verify", "P4"): "90e6fc3e954528923570b60f36aa0df63d9731d8b26efae6f4e3bac8db93bf03",
     ("roots", "P1"): "6aff24a2e1359f570c023baf92af23a656599935ae3786e03be5a14bbab5388c",
     ("roots", "P2"): "5ceb7884ea4caaed9cfcdae7c5b186346e7dde3b9fae117628f53e9be2f5195d",
     ("roots", "P3"): "afd3bf7f638eceabb51b930525d5bce82178aea40a14ad699ab172d842162b25",

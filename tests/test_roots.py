@@ -61,10 +61,10 @@ def test_seeded_isolation_agrees_with_unseeded(p1):
     plain = find_real_roots(poly)
     seeded = find_real_roots(poly, seeds=[-1e9, -3e10, -1e14, -1e18])
     # different isolation brackets may shift the refined midpoint within
-    # the 2^-(bits//2) relative target, never beyond
+    # the 2^-bits relative target, never beyond
     with mpmath.workprec(512):
         for a, b in zip(plain, seeded):
-            assert abs((a - b) / a) < mpmath.mpf(2) ** -250
+            assert abs((a - b) / a) < mpmath.mpf(2) ** -(poly.bits - 2)
 
 
 def test_synthetic_power_law_slope_calibration():
@@ -228,7 +228,7 @@ def _f_refine(c, a, b, bits):
     fa = _f_sign(_f_eval(c, a))
     fb = _f_sign(_f_eval(c, b))
     assert fa and fb and fa != fb
-    rel = Fraction(1, 2 ** (bits // 2))
+    rel = Fraction(1, 2 ** bits)
     floor_w = Fraction(1, 2 ** (2 * bits))
     while True:
         w = b - a
@@ -292,8 +292,8 @@ def test_refined_roots_equal_the_fraction_oracle(rs, lead, cuts, bits):
 
 def test_roots_on_a_bisection_midpoint_are_returned_exactly(monkeypatch):
     # isolation gives (-8, 0) and (0, 8); bisecting them probes -1/8 and 9/8,
-    # where the approximation ties with the midpoint and an exact sign of 0
-    # ends the replay without a fallback
+    # which are grid points of the final level: the approximation lands on
+    # them and an exact sign of 0 returns them without a fallback
     rs = [Fraction(-1, 8), Fraction(9, 8)]
     coeffs = _from_roots(Fraction(1), rs)
     assert _oracle_roots(coeffs, 64) == rs
@@ -323,6 +323,24 @@ def test_wrong_approximation_falls_back_to_exact_bisection(monkeypatch, wrong):
     monkeypatch.setattr(roots_mod, "_bisect_exact", counting)
     assert _real_roots_fractions(coeffs, 128) == want
     assert fallbacks
+
+
+@pytest.mark.parametrize(
+    "root,guess",
+    [(Fraction(4, 3), -10), (1 + Fraction(1, 2 ** 70), -10), (Fraction(4, 3 * 2 ** 10), 0)],
+    ids=["below", "below-grid-point", "above"],
+)
+def test_an_approximation_far_from_the_root_gives_the_bisection_point(monkeypatch, root, guess):
+    # the approximation 2^guess, with an error bound that covers the root,
+    # reads a final level deeper (below) or shallower (above) than the one
+    # where bisection to 2^-64 stops; 1 + 2^-70 even lies on the grid of
+    # that deeper level, although bisection stops before it probes it
+    coeffs = _from_roots(Fraction(1), [root])
+    want = _oracle_roots(coeffs, 64)
+    assert want != [root]
+    far = (mpmath.mpf(2) ** guess, mpmath.mpf(2))
+    monkeypatch.setattr(roots_mod, "_approximate", lambda n, a, b, fa, bits: far)
+    assert _real_roots_fractions(coeffs, 64) == want
 
 
 def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4, monkeypatch):

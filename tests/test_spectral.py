@@ -411,6 +411,22 @@ def test_residual_detects_non_root(p2):
     assert residual_check(p2, sol) > mpmath.mpf(10) ** -6
 
 
+@pytest.mark.parametrize("q", [F(1, 1000), F(1, 10 ** 6)])
+def test_residual_gate_passes_roots_and_rejects_non_roots(p1, p2, p3, p4, q):
+    # every root refined at 512 bits passes the 1e-30 gate of verify; a
+    # root moved by 2^-40 of itself fails it, and so does the midpoint of
+    # two neighbouring roots
+    gate = mpmath.mpf(10) ** -30
+    for p in (p1, p2, p3, p4):
+        roots, _ = find_spectral_roots(p, q, 512)
+        with mpmath.workprec(512):
+            moved = [r * (1 + mpmath.mpf(2) ** -40) for r in roots]
+            mids = [(a + b) / 2 for a, b in zip(roots, roots[1:])]
+        res = [residual_check(p, coefficients_numeric(p, E, q, 512)) for E in roots + moved + mids]
+        assert all(r <= gate for r in res[: len(roots)])
+        assert all(r > gate for r in res[len(roots):])
+
+
 def test_residual_n_zero_closed_form():
     # N = 0: the single condition c_1(E) = 0 is linear, and the solution
     # f(x) = x^{lambda1} alone must satisfy the equation

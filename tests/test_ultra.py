@@ -16,6 +16,7 @@ from qheun.ultra import (
     R32,
     R33,
     EXCLUDED,
+    S_ROOT_BITS,
     UNCLASSIFIED,
     balanced_exponent,
     classify,
@@ -416,6 +417,19 @@ def test_refined_predictions_split_multiplicity(p4):
     mags = sorted(float(e.prefactor) for e in refined)
     assert mags[0] == pytest.approx(0.618033988749895, rel=1e-12)
     assert mags[-1] == pytest.approx(1.618033988749895, rel=1e-12)
+
+
+def test_refined_prefactors_keep_the_s_root_precision(p4):
+    # both signs of a pair come from the same S_ROOT_BITS s-roots; negating
+    # the negative ones at a lower precision would round them
+    refined = refined_predictions(p4, classify(p4))
+    with mpmath.workprec(S_ROOT_BITS):
+        hi = (mpmath.sqrt(5) + 1) / 2
+        want = sorted([(-1, hi - 1), (-1, hi), (1, hi - 1), (1, hi)])
+        got = sorted((e.sign, e.prefactor) for e in refined)
+        assert [s for s, _ in got] == [s for s, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert abs(g - w) < mpmath.mpf(2) ** -240
 
 
 def test_no_refinement_for_simple_predictions(p1):
