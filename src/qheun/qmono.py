@@ -16,6 +16,13 @@ The q -> +0 comparison machinery lives here as well:
                          exponents, same definite sign);
 * ``ultradiscretize`` -- (exponent, sign) of the leading slice.
 
+Every sum is kept in integer form: one scale ``D`` (exponents are
+multiples of 1/D) and the terms as (packed key, coefficient) pairs, sorted
+by key; see ``pack_key``.  The Fraction ``QMonomial`` tuple ``QSum.terms``
+is built only when it is read.  ``terms_mul`` and ``terms_merge`` are the
+one product and the one merge; they work on term dicts keyed by packed
+keys, which the sums and the exact recursion share.
+
 All symbolic operations are exact; floating point enters only through
 ``AtQ``, the one evaluator at fixed q, t1, t2.  It validates them once, and
 every q-power of the numeric layers comes from it: the image of the
@@ -27,6 +34,9 @@ and the matching ratios.  ``eval_terms`` evaluates one sum with it, and
 from __future__ import annotations
 
 import functools
+import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -47,6 +57,8 @@ __all__ = [
     "qsum_merge",
     "qsum_mul",
     "TermDict",
+    "pack_key",
+    "unpack_key",
     "terms_merge",
     "terms_mul",
     "leading_part",
@@ -76,16 +88,55 @@ EVAL_MIN_BITS = 64
 EXACT_ZERO = "exact-zero"
 SIGN_CONFLICT = "sign-conflict-at-leading-exponent"
 
-_ZERO = Fraction(0)
+# ---------------------------------------------------------------------------
+# integer keys
+#
+# The key (e, a, b) of a term coeff * t1^a * t2^b * q^(e/D) is packed into
+# the one int e*2^(2W) + a*2^W + b.  The packing is linear, so the sum of two
+# keys is the key of the product and a difference is a division; and while
+# a and b lie in the packed range [-L, L), L = 2^(W-2), int order is
+# (e, a, b) order.  e is the top field and unbounded.  A t-field is twice as
+# wide as its range, so a sum of two packed keys never carries into the next
+# field before it is checked: pack_key, terms_mul and div_monomial raise
+# AssertionError for a t-power outside the range, and nothing ever wraps.
+# ---------------------------------------------------------------------------
 
-#: (qexp, t1pow, t2pow) -> nonzero coefficient; qexp of any type that adds
-#: and orders (Fractions in QSum, integer-scaled in the exact recursion).
+_W = 32
+_W2 = 2 * _W
+_MASK = (1 << _W) - 1
+T_LIMIT = 1 << (_W - 2)
+_BIAS = (T_LIMIT << _W) | T_LIMIT
+# with _BIAS added, a t-field in the range has its bit 2L clear
+_GUARD = (2 * T_LIMIT << _W) | (2 * T_LIMIT)
+
+#: packed key -> nonzero int or Fraction coefficient, at one scale D.
 TermDict = dict
 
 
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce ints, Fractions and strings like '3/4' or '1e-3' to Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def pack_key(e: int, a: int, b: int) -> int:
+    """The packed key of q^(e/D) t1^a t2^b at scale D."""
+    if not (-T_LIMIT <= a < T_LIMIT and -T_LIMIT <= b < T_LIMIT):
+        raise AssertionError(f"t-powers ({a}, {b}) outside the packed range [-{T_LIMIT}, {T_LIMIT})")
+    return (e << _W2) + (a << _W) + b
+
+
+def unpack_key(k: int) -> tuple[int, int, int]:
+    """(e, t1pow, t2pow) of a packed key."""
+    z = k + _BIAS
+    return z >> _W2, ((z >> _W) & _MASK) - T_LIMIT, (z & _MASK) - T_LIMIT
+
+
+def _check_t_range(keys) -> None:
+    """Raise unless every key has its t-powers in the packed range.  Exact
+    for sums and differences of two keys in the range: their t-fields lie in
+    [-2L, 2L), where a field outside [-L, L) sets its guard bit."""
+    if functools.reduce(operator.or_, map(_BIAS.__add__, keys), 0) & _GUARD:
+        raise AssertionError(f"a t-power outside the packed range [-{T_LIMIT}, {T_LIMIT})")
 
 
 @dataclass(frozen=True, order=True)
@@ -101,12 +152,9 @@ class QMonomial:
     t2pow: int
     coeff: Fraction
 
-    def key(self) -> tuple[Fraction, int, int]:
-        return (self.qexp, self.t1pow, self.t2pow)
-
 
 #: Multiplicative unit monomial, also the default EPoly denominator.
-UNIT_MONOMIAL = QMonomial(_ZERO, 0, 0, Fraction(1))
+UNIT_MONOMIAL = QMonomial(Fraction(0), 0, 0, Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -126,37 +174,41 @@ class CancellationEvent:
 class QSum:
     """A normalized finite sum of q-monomials; the empty sum is zero.
 
-    Construction merges terms with equal (qexp, t1pow, t2pow), drops zero
-    coefficients and sorts the rest, so two QSums compare equal iff they are
-    the same element of the ring.  Operations whose result is already in
-    that normal form build it with ``_sorted``, which does neither again.
-    Instances are immutable and hashable; every operation returns a fresh
-    value, which makes them safe to share across threads.
+    Held in integer form: ``den`` is the scale D, and ``items`` the
+    (packed key, nonzero int or Fraction coefficient) pairs at that scale,
+    with distinct keys, sorted.  Equal keys are merged and zero
+    coefficients dropped, so two QSums compare equal iff they are the same
+    element of the ring, whatever their scales.  ``terms``, the QMonomial
+    tuple with Fraction exponents and coefficients, is built on its first
+    read.  Instances are immutable and hashable; every operation returns a
+    fresh value, which makes them safe to share across threads.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "items", "_terms")
 
     def __init__(self, terms: Iterable[QMonomial] = ()):
-        acc: dict[tuple[Fraction, int, int], Fraction] = {}
+        terms = tuple(terms)
+        den = math.lcm(*(t.qexp.denominator for t in terms))
+        acc: TermDict = {}
         for t in terms:
-            k = (t.qexp, t.t1pow, t.t2pow)
-            acc[k] = acc.get(k, _ZERO) + t.coeff
-        self.terms: tuple[QMonomial, ...] = tuple(
-            QMonomial(k[0], k[1], k[2], c)
-            for k, c in sorted(acc.items())
-            if c
-        )
+            k = pack_key(t.qexp.numerator * (den // t.qexp.denominator), t.t1pow, t.t2pow)
+            acc[k] = acc.get(k, 0) + t.coeff
+        self.den, self.items, self._terms = den, tuple(sorted((k, c) for k, c in acc.items() if c)), None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _sorted(cls, terms: tuple[QMonomial, ...]) -> "QSum":
-        """Trusted constructor: ``terms`` must already be the normal form,
-        sorted by (qexp, t1pow, t2pow) with distinct keys and nonzero
-        coefficients.  They are stored as given."""
+    def _packed(cls, den: int, items: tuple) -> "QSum":
+        """Trusted constructor: ``items`` are stored as given, the normal form at scale ``den``."""
         self = object.__new__(cls)
-        self.terms = terms
+        self.den, self.items, self._terms = den, items, None
         return self
+
+    @classmethod
+    def from_term_dict(cls, d: TermDict, den: int) -> "QSum":
+        """The QSum of a term dict at scale ``den`` with nonzero coefficients,
+        as terms_mul and terms_merge return them: sorting suffices."""
+        return cls._packed(den, tuple(sorted(d.items())))
 
     @classmethod
     def zero(cls) -> "QSum":
@@ -181,14 +233,44 @@ class QSum:
 
     # -- predicates and views ----------------------------------------------
 
+    @property
+    def terms(self) -> tuple[QMonomial, ...]:
+        """The sorted QMonomials, with Fraction exponents and coefficients."""
+        terms = self._terms
+        if terms is None:
+            den, out, last, fractions = self.den, [], None, {}
+            for k, c in self.items:
+                e, a, b = unpack_key(k)
+                if e != last:
+                    last, mu = e, Fraction(e, den)
+                if type(c) is not Fraction:
+                    c = fractions.get(c) or fractions.setdefault(c, Fraction(c))
+                out.append(QMonomial(mu, a, b, c))
+            terms = self._terms = tuple(out)
+        return terms
+
+    def at_scale(self, den: int) -> tuple:
+        """``items`` with the keys at scale ``den``; AssertionError when an
+        exponent is not a multiple of 1/den."""
+        if den == self.den:
+            return self.items
+        out = []
+        for k, c in self.items:
+            e = (k + _BIAS) >> _W2
+            e2, r = divmod(e * den, self.den)
+            if r:
+                raise AssertionError(f"exponent {Fraction(e, self.den)} not in (1/{den})Z")
+            out.append((k + ((e2 - e) << _W2), c))
+        return tuple(out)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.items
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.items)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.items)
 
     def __iter__(self):
         return iter(self.terms)
@@ -196,16 +278,19 @@ class QSum:
     @property
     def leading_exponent(self) -> Fraction:
         """Minimal q-exponent; undefined for zero."""
-        if not self.terms:
+        if not self.items:
             raise ZeroQSumError("zero has no leading exponent")
-        return self.terms[0].qexp
+        return Fraction((self.items[0][0] + _BIAS) >> _W2, self.den)
 
     # -- ring structure ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, QSum):
-            return self.terms == other.terms
-        return NotImplemented
+        if not isinstance(other, QSum):
+            return NotImplemented
+        if self.den == other.den:
+            return self.items == other.items
+        den = math.lcm(self.den, other.den)
+        return len(self) == len(other) and self.at_scale(den) == other.at_scale(den)
 
     def __hash__(self) -> int:
         return hash(self.terms)
@@ -213,11 +298,11 @@ class QSum:
     def __add__(self, other: "QSum") -> "QSum":
         if not isinstance(other, QSum):
             return NotImplemented
-        if not other.terms:
+        if not other.items:
             return self
-        if not self.terms:
+        if not self.items:
             return other
-        return QSum(self.terms + other.terms)
+        return qsum_merge((self, other))[0]
 
     def __radd__(self, other):
         if other == 0:  # allows sum(...)
@@ -225,9 +310,7 @@ class QSum:
         return NotImplemented
 
     def __neg__(self) -> "QSum":
-        return QSum._sorted(tuple(
-            QMonomial(t.qexp, t.t1pow, t.t2pow, -t.coeff) for t in self.terms
-        ))
+        return QSum._packed(self.den, tuple((k, -c) for k, c in self.items))
 
     def __sub__(self, other: "QSum") -> "QSum":
         return self + (-other)
@@ -236,38 +319,25 @@ class QSum:
         if isinstance(other, QSum):
             return qsum_mul(self, other)
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if not c:
+            if not other:
                 return QSum()
-            return QSum._sorted(tuple(
-                QMonomial(t.qexp, t.t1pow, t.t2pow, t.coeff * c)
-                for t in self.terms
-            ))
+            return QSum._packed(self.den, tuple((k, c * other) for k, c in self.items))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def div_monomial(self, m: QMonomial) -> "QSum":
         """Exact division by a single monomial: a uniform shift of the keys,
-        so the order of the terms is kept.  Terms sharing one exponent
-        object (as the exact recursion builds them) share its shift."""
-        e, a, b, c = m.qexp, m.t1pow, m.t2pow, m.coeff
-        unit = c == 1
-        terms = []
-        mu = shifted = None
-        for t in self.terms:
-            if t.qexp is not mu:
-                mu, shifted = t.qexp, t.qexp - e
-            terms.append(QMonomial(
-                shifted,
-                t.t1pow - a,
-                t.t2pow - b,
-                t.coeff if unit else t.coeff / c,
-            ))
-        return QSum._sorted(tuple(terms))
+        so the order of the terms is kept."""
+        den = math.lcm(self.den, m.qexp.denominator)
+        items = self.at_scale(den)
+        shift = -pack_key(m.qexp.numerator * (den // m.qexp.denominator), m.t1pow, m.t2pow)
+        _check_t_range(k + shift for k, _ in items)
+        c = m.coeff
+        return QSum._packed(den, tuple((k + shift, v if c == 1 else v / c) for k, v in items))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.items:
             return "QSum(0)"
         bits = []
         for t in self.terms:
@@ -306,59 +376,56 @@ def _slice_sign(coeffs: Sequence) -> int | None:
 
 
 def terms_mul(a: TermDict, b: TermDict) -> TermDict:
-    """Exact product of two term dicts (no diagnostics: products create no
-    cancellations of their own, only the subsequent merge can)."""
+    """Exact product of two term dicts at one scale (no diagnostics:
+    products create no cancellations of their own, only the subsequent
+    merge can)."""
+    if len(a) < len(b):
+        a, b = b, a
     out: TermDict = {}
-    get = out.get
-    for (ka0, ka1, ka2), ca in a.items():
-        for (kb0, kb1, kb2), cb in b.items():
-            k = (ka0 + kb0, ka1 + kb1, ka2 + kb2)
+    for kb, cb in b.items():
+        if not out:
+            out = {ka + kb: ca * cb for ka, ca in a.items()}
+            continue
+        get = out.get
+        for ka, ca in a.items():
+            k = ka + kb
             prev = get(k)
             out[k] = ca * cb if prev is None else prev + ca * cb
-    return {k: c for k, c in out.items() if c}
+    _check_t_range(out)
+    if 0 in out.values():
+        return {k: c for k, c in out.items() if c}
+    return out
 
 
 def terms_merge(
-    parts: Sequence[TermDict], site: str = ""
+    parts: Sequence[TermDict], site: str = "", den: int = 1
 ) -> tuple[TermDict, list[CancellationEvent]]:
-    """Sum several term dicts, recording cancellation diagnostics.
+    """Sum several term dicts at scale ``den``, recording cancellation
+    diagnostics.
 
-    Events: one EXACT_ZERO per key whose contributions annihilated, and one
-    SIGN_CONFLICT when the result's leading-exponent slice is mixed-sign.
-    Event exponents are the key exponents as given; EXACT_ZERO events come
-    in key order.
+    Events: one EXACT_ZERO per key whose contributions annihilated (the
+    parts have nonzero coefficients, so these are the keys that sum to 0),
+    and one SIGN_CONFLICT when the result's leading-exponent slice is
+    mixed-sign.  Event exponents are Fractions, the key exponents over
+    ``den``; EXACT_ZERO events come in key order.
     """
-    acc: TermDict = {}
-    multi = set()
-    for part in parts:
+    acc: TermDict = dict(parts[0]) if parts else {}
+    get = acc.get
+    for part in parts[1:]:
         for k, c in part.items():
-            if k in acc:
-                multi.add(k)
-                acc[k] += c
-            else:
-                acc[k] = c
+            prev = get(k)
+            acc[k] = c if prev is None else prev + c
     events = [
-        CancellationEvent(site, k[0], EXACT_ZERO)
-        for k in sorted(k for k in multi if not acc[k])
+        CancellationEvent(site, Fraction((k + _BIAS) >> _W2, den), EXACT_ZERO)
+        for k in sorted(k for k, c in acc.items() if not c)
     ]
-    cleaned = {k: c for k, c in acc.items() if c}
+    cleaned = {k: c for k, c in acc.items() if c} if events else acc
     if cleaned:
-        lead = min(k[0] for k in cleaned)
-        if _slice_sign([c for k, c in cleaned.items() if k[0] == lead]) is None:
-            events.append(CancellationEvent(site, lead, SIGN_CONFLICT))
+        lead = (min(cleaned) + _BIAS) >> _W2
+        end = ((lead + 1) << _W2) - _BIAS
+        if _slice_sign([c for k, c in cleaned.items() if k < end]) is None:
+            events.append(CancellationEvent(site, Fraction(lead, den), SIGN_CONFLICT))
     return cleaned, events
-
-
-def _as_terms(a: QSum) -> TermDict:
-    return {t.key(): t.coeff for t in a.terms}
-
-
-def _from_terms(d: TermDict) -> QSum:
-    """The QSum of a term dict with nonzero coefficients (as terms_mul and
-    terms_merge return them): dict keys are distinct, so sorting suffices."""
-    return QSum._sorted(tuple(
-        QMonomial(k[0], k[1], k[2], c) for k, c in sorted(d.items())
-    ))
 
 
 def qsum_merge(
@@ -366,8 +433,9 @@ def qsum_merge(
 ) -> tuple[QSum, list[CancellationEvent]]:
     """Sum several QSums, recording cancellation diagnostics; see
     terms_merge."""
-    merged, events = terms_merge([_as_terms(a) for a in parts], site)
-    return _from_terms(merged), events
+    den = math.lcm(*(a.den for a in parts))
+    merged, events = terms_merge([dict(a.at_scale(den)) for a in parts], site, den)
+    return QSum.from_term_dict(merged, den), events
 
 
 def qsum_add(
@@ -379,7 +447,8 @@ def qsum_add(
 
 def qsum_mul(a: QSum, b: QSum) -> QSum:
     """Exact product; see terms_mul."""
-    return _from_terms(terms_mul(_as_terms(a), _as_terms(b)))
+    den = math.lcm(a.den, b.den)
+    return QSum.from_term_dict(terms_mul(dict(a.at_scale(den)), dict(b.at_scale(den))), den)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +458,10 @@ def qsum_mul(a: QSum, b: QSum) -> QSum:
 
 def leading_part(a: QSum) -> QSum:
     """All terms of ``a`` at the minimal q-exponent; they dominate as q -> +0."""
-    if not a.terms:
+    if not a.items:
         raise ZeroQSumError("zero has no leading part")
-    lead = a.terms[0].qexp
-    n = 1
-    while n < len(a.terms) and a.terms[n].qexp == lead:
-        n += 1
-    return QSum._sorted(a.terms[:n])
+    end = ((((a.items[0][0] + _BIAS) >> _W2) + 1) << _W2) - _BIAS
+    return QSum._packed(a.den, a.items[:bisect_left(a.items, end, key=operator.itemgetter(0))])
 
 
 def equiv_sim(a: QSum, b: QSum) -> bool:
@@ -429,12 +495,12 @@ def ultradiscretize(a: QSum) -> tuple[Fraction, int]:
     Raises SignIndefiniteError when the leading slice carries both signs.
     """
     lead = leading_part(a)
-    sign = _slice_sign([t.coeff for t in lead.terms])
+    sign = _slice_sign([c for _, c in lead.items])
     if sign is None:
         raise SignIndefiniteError(
-            f"sign-indefinite leading part at q^({lead.terms[0].qexp})"
+            f"sign-indefinite leading part at q^({lead.leading_exponent})"
         )
-    return lead.terms[0].qexp, sign
+    return lead.leading_exponent, sign
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +549,14 @@ class AtQ:
         self._t1pow = functools.cache(self.t1.__pow__)
         self._t2pow = functools.cache(self.t2.__pow__)
         self._coeff = functools.cache(to_mpf)
+        self._qpow_scaled: dict = {}
+
+    def qpow_scaled(self, den: int):
+        """e -> q^(e/den), memoised by the int e; the values are qpow's."""
+        if den not in self._qpow_scaled:
+            qpow = self.qpow
+            self._qpow_scaled[den] = functools.cache(lambda e: qpow(Fraction(e, den)))
+        return self._qpow_scaled[den]
 
     def term(self, t: QMonomial):
         """coeff * q^qexp * t1^t1pow * t2^t2pow, multiplied in that order."""
@@ -497,8 +571,21 @@ class AtQ:
 
 
 def eval_terms(a: QSum, at: AtQ):
-    """Value of ``a`` at ``at``, in the precision ``at`` is used in."""
-    return mpmath.fsum([at.term(t) for t in a.terms])
+    """Value of ``a`` at ``at``, in the precision ``at`` is used in.  Reads
+    the integer form; each term is AtQ.term of its monomial."""
+    qk, coeff, t1p, t2p = at.qpow_scaled(a.den), at._coeff, at._t1pow, at._t2pow
+    vals = []
+    for k, c in a.items:
+        e, t1, t2 = unpack_key(k)
+        v = coeff(c)
+        if e:
+            v *= qk(e)
+        if t1:
+            v *= t1p(t1)
+        if t2:
+            v *= t2p(t2)
+        vals.append(v)
+    return mpmath.fsum(vals)
 
 
 def eval_numeric(a: QSum, q, t1, t2, bits: int = 512):

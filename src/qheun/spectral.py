@@ -28,12 +28,12 @@ Division by A_n is not closed in the q-monomial ring, so exact coefficients
 are carried as EPoly: a numerator polynomial over a structured denominator
 (monomial times a product of (1-q^e) factors, every e > 0).  Each factor
 tends to 1 as q -> +0, hence all leading-term analysis reads the numerator
-and the monomial only.
+and the monomial only.  The numerators keep the recursion's integer form
+(qmono.pack_key); Fraction terms are built only when ``.terms`` is read.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +52,7 @@ from .qmono import (
     as_fraction,
     eval_terms,
     leading_part,
+    pack_key,
     terms_merge,
     terms_mul,
     to_mpf,
@@ -256,9 +257,10 @@ class EPoly:
 # ---------------------------------------------------------------------------
 # exact coefficient pipeline
 #
-# The recursion runs on term dicts keyed by (qexp*D, t1pow, t2pow) with
-# integer-scaled exponents: D = 2*lcm(parameter denominators) clears every
-# exponent the rows can produce, and integer keys keep the merge cheap.
+# The recursion runs on term dicts keyed by packed integer keys at one scale
+# D = 2*lcm(parameter denominators), which clears every exponent the rows
+# can produce, with integer coefficients; see qmono.pack_key.  Its QSums
+# keep that integer form: no Fraction term is built unless .terms is read.
 # ---------------------------------------------------------------------------
 
 
@@ -276,25 +278,11 @@ def _scale_den(p: HeunParams) -> int:
 
 def _scaled(a: QSum, D: int) -> TermDict:
     out: TermDict = {}
-    for t in a.terms:
-        v = t.qexp * D
-        if v.denominator != 1:
-            raise AssertionError(f"exponent {t.qexp} not in (1/{D})Z")
-        if t.coeff.denominator != 1:
-            raise AssertionError(f"coefficient {t.coeff} is not an integer")
-        out[(v.numerator, t.t1pow, t.t2pow)] = t.coeff.numerator
+    for k, c in a.at_scale(D):
+        if c.denominator != 1:
+            raise AssertionError(f"coefficient {c} is not an integer")
+        out[k] = c.numerator
     return out
-
-
-def _dict_to_qsum(d: TermDict, qexp, coeff) -> QSum:
-    """The QSum of an integer-keyed term dict, built once: sorting the
-    integer keys gives the order of the Fraction keys (D > 0), and dict keys
-    are distinct.  ``qexp`` and ``coeff`` are the memoised conversions
-    k0 -> Fraction(k0, D) and c -> Fraction(c)."""
-    return QSum._sorted(tuple(
-        QMonomial(qexp(k0), k1, k2, coeff(c))
-        for (k0, k1, k2), c in sorted(d.items())
-    ))
 
 
 def coefficients_exact(
@@ -315,7 +303,7 @@ def coefficients_exact(
         raise DomainError(f"up_to = {up_to} outside 0..N+1 = 0..{p.N + 1}")
     D = _scale_den(p)
     events: list[CancellationEvent] = []
-    levels: list[list[TermDict]] = [[{(0, 0, 0): 1}]]
+    levels: list[list[TermDict]] = [[{pack_key(0, 0, 0): 1}]]
     prev_A: QSum | None = None
     for n in range(1, up_to + 1):
         A, B, C, Dn = recursion_coeff_rows(p, n)
@@ -332,10 +320,8 @@ def coefficients_exact(
                 parts.append(terms_mul(C, prev[j]))
             if prev2 is not None and j < len(prev2):
                 parts.append(terms_mul(R, prev2[j]))
-            merged, found = terms_merge(parts, f"c{n}[E^{j}]")
-            events.extend(
-                CancellationEvent(e.site, Fraction(e.qexp, D), e.kind) for e in found
-            )
+            merged, found = terms_merge(parts, f"c{n}[E^{j}]", D)
+            events.extend(found)
             new.append(merged)
         if not new[n]:
             raise AssertionError(f"degree invariant failed: c_{n} has degree < {n}")
@@ -344,14 +330,12 @@ def coefficients_exact(
     # c_n's denominator is A_1 ... A_n with the factors kept structured
     polys = []
     den, factors = QSum.one(), []
-    qexp = functools.cache(lambda k0: Fraction(k0, D))
-    coeff = functools.cache(Fraction)
     for n, dicts in enumerate(levels):
         if n:
             mono, row_factors = a_row_structured(p, n)
             den = den * QSum((mono,))
             factors.extend(row_factors)
-        coeffs = tuple(_dict_to_qsum(d, qexp, coeff) for d in dicts)
+        coeffs = tuple(QSum.from_term_dict(d, D) for d in dicts)
         polys.append(EPoly(coeffs, den.terms[0], tuple(sorted(factors))))
     return polys, events
 

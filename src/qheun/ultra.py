@@ -29,9 +29,12 @@ root (degree 4 yields the golden-ratio pair (sqrt(5)+-1)/2 when t1 t2 = 1).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import mpmath
@@ -51,6 +54,7 @@ from .qmono import (
     qpow,
     to_mpf,
     ultradiscretize,
+    unpack_key,
 )
 from .spectral import EPoly, HeunParams, spectral_polynomial
 
@@ -629,25 +633,28 @@ def _s_polynomial(ep: EPoly, p: HeunParams, g: Fraction) -> list[Fraction]:
     c_{N+1}(s q^g) with t1, t2 substituted at their rational values.
 
     The structured denominator scales all terms by one positive factor and
-    shifts the exponents uniformly, so it cannot change the slice."""
-    per_total: dict[Fraction, dict[int, Fraction]] = {}
-    for j, c in enumerate(ep.coeffs):
-        for t in c.terms:
-            tot = t.qexp + j * g
-            val = t.coeff * (p.t1 ** t.t1pow) * (p.t2 ** t.t2pow)
-            bucket = per_total.setdefault(tot, {})
-            bucket[j] = bucket.get(j, Fraction(0)) + val
-    cleaned = {
-        tot: {j: v for j, v in bucket.items() if v}
-        for tot, bucket in per_total.items()
-    }
-    cleaned = {tot: b for tot, b in cleaned.items() if b}
-    if not cleaned:
-        raise DegenerateSPolyError("all s-polynomial coefficients cancelled")
-    mu = min(cleaned)
-    bucket = cleaned[mu]
-    deg = max(bucket)
-    return [bucket.get(j, Fraction(0)) for j in range(deg + 1)]
+    shifts the exponents uniformly, so it cannot change the slice.  The runs
+    of one total qexp + j*g are merged in increasing order of the total from
+    the sorted integer forms, up to the first total that does not cancel."""
+    den = math.lcm(g.denominator, *(c.den for c in ep.coeffs))
+
+    def runs(j: int, c: QSum):
+        scale, shift = den // c.den, int(j * g * den)
+        terms = ((unpack_key(k), v) for k, v in c.items)
+        for e, run in groupby(terms, key=lambda t: t[0][0]):
+            yield e * scale + shift, j, [(a, b, v) for (_, a, b), v in run]
+
+    t1, t2 = p.t1, p.t2
+    merged = heapq.merge(*(runs(j, c) for j, c in enumerate(ep.coeffs)))
+    for _, group in groupby(merged, key=itemgetter(0)):
+        bucket = {}
+        for _, j, run in group:
+            v = sum(c * t1 ** a * t2 ** b for a, b, c in run)
+            if v:
+                bucket[j] = v
+        if bucket:
+            return [bucket.get(j, Fraction(0)) for j in range(max(bucket) + 1)]
+    raise DegenerateSPolyError("all s-polynomial coefficients cancelled")
 
 
 def multiplicity_prefactors(

@@ -11,18 +11,25 @@ from qheun.qmono import (
     EXACT_ZERO,
     SIGN_CONFLICT,
     EVAL_MARGIN_BITS,
+    T_LIMIT,
+    AtQ,
     QMonomial,
     QSum,
     equiv_approx,
     equiv_sim,
     eval_numeric,
+    eval_terms,
     leading_part,
+    pack_key,
     qpow,
     qsum_add,
     qsum_merge,
     qsum_mul,
+    terms_mul,
     ultradiscretize,
+    unpack_key,
 )
+from qheun.spectral import coefficients_exact
 
 F = Fraction
 
@@ -250,3 +257,133 @@ def test_eval_is_ring_homomorphism_within_margin(a, b):
     with mpmath.workprec(bits):
         bound = mpmath.mpf(2) ** (-bits + EVAL_MARGIN_BITS) * (scale + 1)
         assert abs(vs - (va + vb)) <= bound
+
+
+# ---------------------------------------------------------------------------
+# packed keys and the integer form
+# ---------------------------------------------------------------------------
+
+L = T_LIMIT
+
+
+def test_pack_key_round_trips_at_the_edges_of_each_field():
+    # the t-fields hold [-L, L); the exponent field is the top one and has
+    # no edge, so any size round-trips
+    for e in (0, 1, -1, 10 ** 30, -(10 ** 30)):
+        for a in (-L, -1, 0, L - 1):
+            for b in (-L, -1, 0, L - 1):
+                assert unpack_key(pack_key(e, a, b)) == (e, a, b)
+    for bad in (-L - 1, L):
+        with pytest.raises(AssertionError, match="outside the packed range"):
+            pack_key(0, bad, 0)
+        with pytest.raises(AssertionError, match="outside the packed range"):
+            pack_key(0, 0, bad)
+        with pytest.raises(AssertionError, match="outside the packed range"):
+            QSum.term(1, t1pow=bad)
+
+
+@given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-L, L - 1),
+                          st.integers(-L, L - 1)), min_size=2, max_size=2))
+@settings(max_examples=200)
+def test_packed_keys_add_and_order_like_the_tuples(keys):
+    (ka, kb) = [pack_key(*k) for k in keys]
+    assert (ka < kb) == (keys[0] < keys[1])
+    total = tuple(x + y for x, y in zip(*keys))
+    if all(-L <= f < L for f in total[1:]):
+        assert unpack_key(ka + kb) == total
+
+
+@pytest.mark.parametrize("field", [1, 2])
+def test_products_and_divisions_never_wrap_a_t_field(field):
+    def fields(e, t):  # (e, t, 0) or (e, 0, t)
+        return (e, t, 0) if field == 1 else (e, 0, t)
+
+    def key(e, t):
+        return pack_key(*fields(e, t))
+
+    def mono(t):  # t1^t or t2^t
+        return QMonomial(F(0), *fields(0, t)[1:], F(1))
+
+    def keys(s):
+        return [unpack_key(k) for k, _ in s.items]
+
+    up, down = {key(0, 1): 1}, {key(0, -1): 1}
+    # a product reaches each edge of the range, and one step further raises
+    assert [unpack_key(k) for k in terms_mul({key(3, L - 2): 1}, up)] == [fields(3, L - 1)]
+    assert [unpack_key(k) for k in terms_mul({key(-3, -L + 1): 1}, down)] == [fields(-3, -L)]
+    with pytest.raises(AssertionError, match="outside the packed range"):
+        terms_mul({key(3, L - 1): 1}, up)
+    with pytest.raises(AssertionError, match="outside the packed range"):
+        terms_mul({key(-3, -L): 1}, down)
+    # division by a positive power gives negative t-powers down to -L
+    s = QSum.term(3, qexp=F(1, 3)).div_monomial(mono(L - 1))
+    assert keys(s) == [fields(1, -L + 1)]
+    edge = s.div_monomial(mono(1))
+    assert keys(edge) == [fields(1, -L)]
+    with pytest.raises(AssertionError, match="outside the packed range"):
+        edge.div_monomial(mono(1))
+    # and division by a negative power gives t-powers up to L - 1
+    top = QSum.term(3).div_monomial(mono(-(L - 1)))
+    assert keys(top) == [fields(0, L - 1)]
+    with pytest.raises(AssertionError, match="outside the packed range"):
+        top.div_monomial(mono(-1))
+
+
+def _agree(f, x, y):
+    """f(x) == f(y), where raising the same error type counts as agreeing."""
+    try:
+        fx = f(x)
+    except (ZeroQSumError, SignIndefiniteError) as exc:
+        with pytest.raises(type(exc)):
+            f(y)
+        return
+    assert fx == f(y)
+
+
+term_dicts = st.dictionaries(
+    st.tuples(st.integers(-12, 12), st.integers(-3, 3), st.integers(-3, 3)),
+    st.one_of(st.integers(-5, 5), nonzero_fracs).filter(lambda c: c != 0),
+    max_size=6,
+)
+
+
+@given(term_dicts, st.sampled_from([1, 2, 6, 12]), monomials, qsums)
+@settings(max_examples=150, deadline=None)
+def test_integer_form_agrees_with_its_terms(d, den, m, other):
+    # x keeps the integer form it was built in, at a scale that need not be
+    # minimal; y is rebuilt from its Fraction terms
+    x = QSum.from_term_dict({pack_key(*k): c for k, c in d.items()}, den)
+    y = QSum(x.terms)
+    assert x == y and hash(x) == hash(y)
+    assert len(x) == len(y) and bool(x) == bool(y) and x.is_zero() == y.is_zero()
+    assert x.terms == y.terms
+    for f in (leading_part, lambda s: s.div_monomial(m), lambda s: s.div_monomial(replace(m, coeff=F(1)))):
+        try:
+            fx = f(x)
+        except ZeroQSumError:
+            with pytest.raises(ZeroQSumError):
+                f(y)
+            continue
+        assert fx == f(y) and fx.terms == f(y).terms
+    _agree(ultradiscretize, x, y)
+    _agree(lambda s: equiv_sim(s, other), x, y)
+    _agree(lambda s: equiv_approx(s, other), x, y)
+    for bits in (128, 512):
+        with mpmath.workprec(bits):
+            at = AtQ(F(1, 1000), F(3, 2), F(2, 7))
+            got = eval_terms(x, at)._mpf_
+            # the term-by-term sum of the Fraction monomials
+            assert got == mpmath.fsum([at.term(t) for t in x.terms])._mpf_
+            assert got == eval_terms(y, AtQ(F(1, 1000), F(3, 2), F(2, 7)))._mpf_
+
+
+def test_exact_coefficients_agree_with_their_terms(p1, p2, p3, p4):
+    for p in (p1, p2, p3, p4):
+        polys, _ = coefficients_exact(p)
+        for ep in polys:
+            for x in ep.coeffs:
+                y = QSum(x.terms)
+                assert x == y and hash(x) == hash(y) and len(x) == len(y)
+                if x:
+                    assert leading_part(x).terms == leading_part(y).terms
+                    assert x.div_monomial(ep.denom_monomial).terms == y.div_monomial(ep.denom_monomial).terms

@@ -309,6 +309,44 @@ def test_coefficient_values_equal_the_uncached_image(p1, p2, p3, p4, bits):
             assert got == _uncached_coefficient_values(ep, q, p.t1, p.t2, bits)
 
 
+# sha256 over repr of the coefficient_values _mpf_ tuples, recorded while
+# the image still read the Fraction terms of each coefficient
+_IMAGE_DIGESTS = {
+    ("P1", 1000, 512): "560f17aa1eb16a51d2babc64a77bcdaf08606f9fd73631d3f41db8a5f18ef6d6",
+    ("P1", 1000, 1024): "cf889a9de74f459ed416972c7a8ab0ad5783cbba3cd344edbfa2a04681919c66",
+    ("P1", 1000000, 512): "17f4dde425431334b5a2b7849a9d261dc3cd0e00b1683e907c4e36dd430e4883",
+    ("P1", 1000000, 1024): "bf59d522ab49d3b8edf926155afdfa8f10be3a288216e14a7867da0d4830766e",
+    ("P2", 1000, 512): "755ab48ca441dd59450fe3cef469d37460190cddd82801a59dc6d7395a8c6729",
+    ("P2", 1000, 1024): "5a342eed0cf0c9fe280e34df47aaa764d427f84e538dde674f57eeb0a8db8b59",
+    ("P2", 1000000, 512): "db35ea619ba893cfb68d4a758d87f0ca91bb59c4a63984887ed736125b645263",
+    ("P2", 1000000, 1024): "19fff51d157d34a4bcaf293fbb32417a01f5a245e663000960f6b0c783a5feb0",
+    ("P3", 1000, 512): "504ec0befe881972b334d091ef9430eb012408036b943f906e27a9066f44b81b",
+    ("P3", 1000, 1024): "151a63515f30cd32cfffbd641681d166dd05d274001f7983c8e53cee0be889bf",
+    ("P3", 1000000, 512): "939883f59c7ef53adcccc6c3814873526cfe6063ae74437a19ee1cc4ec2d5721",
+    ("P3", 1000000, 1024): "b0c8b8d85f34b0baec87161f31b5bff664f73a691df8948111006d7ee1604776",
+    ("P4", 1000, 512): "426410f99563002087a10a89b22b972ad3b4dda803e5af15e664a39ab627b900",
+    ("P4", 1000, 1024): "c86d0b05d54d347e5fe48ef98470518d3f60bfb2338d31f53ba9328bbd1ba9fe",
+    ("P4", 1000000, 512): "860f8a6bfae262f25fdbc2cf1f143c4539d5cdec24f581ea024cd040865825c7",
+    ("P4", 1000000, 1024): "68cf61f5d305ef6e65197e0ae9a823e92653a3ef5f7853d6877d941f03b9ee5b",
+    ("R32_N6", 1000, 512): "12a12b275973dc7fbed4bcc966069be4568f0afc9b57e5694657b5ec41e7abc4",
+    ("R32_N6", 1000, 1024): "3f9f811df139eb4eedc86b6b285b6ccc7ffc7138db078fa6f6c4a9f7317f7a00",
+    ("R32_N6", 1000000, 512): "ea2565a66ed2b214c0dac331fc30ffa9839ef3b9b36d330d3b31cf8c068eac86",
+    ("R32_N6", 1000000, 1024): "b40bc65aab264e1f400aa2b6aec1a76fb6e087b934f1c5d90e5d8e4a8b8d2e30",
+}
+
+
+def test_image_pinned(p1, p2, p3, p4):
+    sets = {"P1": p1, "P2": p2, "P3": p3, "P4": p4,
+            "R32_N6": sample_params("R32", random.Random(8), N=6)}
+    for name, p in sets.items():
+        ep = spectral_polynomial(p)
+        for qden in (1000, 10 ** 6):
+            for bits in (512, 1024):
+                vals = [v._mpf_ for v in ep.coefficient_values(F(1, qden), p.t1, p.t2, bits=bits)]
+                digest = hashlib.sha256(repr(vals).encode()).hexdigest()
+                assert digest == _IMAGE_DIGESTS[(name, qden, bits)], (name, qden, bits)
+
+
 def _uncached_series(p, E0, q, bits, up_to):
     """The numeric recursion with one exp call per q-power use."""
     lam = p.lambda1

@@ -5,12 +5,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qheun.errors import ExcludedCaseError, RegimeError
+from qheun.errors import DegenerateSPolyError, ExcludedCaseError, RegimeError
 from qheun.qmono import QSum, equiv_approx, equiv_sim, qpow
 from qheun.sampling import sample_params
-from qheun.spectral import coefficients_exact, derive, spectral_polynomial
+from qheun.spectral import EPoly, coefficients_exact, derive, spectral_polynomial
 from qheun.ultra import (
     BALANCED,
+    _s_polynomial,
     CaseTag,
     R31,
     R32,
@@ -446,6 +447,63 @@ def test_prefactors_scale_with_sqrt_t1_t2(p4):
         mags = sorted({abs(v) for v in vals})
         assert abs(mags[0] - (mpmath.sqrt(5) - 1)) < mpmath.mpf(2) ** -100
         assert abs(mags[1] - (mpmath.sqrt(5) + 1)) < mpmath.mpf(2) ** -100
+
+
+def _s_polynomial_full_scan(ep, p, g):
+    """The s-polynomial from every Fraction term of every coefficient: the
+    slice at the least total exponent qexp + j*g that does not cancel."""
+    per_total = {}
+    for j, c in enumerate(ep.coeffs):
+        for t in c.terms:
+            bucket = per_total.setdefault(t.qexp + j * g, {})
+            bucket[j] = bucket.get(j, F(0)) + t.coeff * p.t1 ** t.t1pow * p.t2 ** t.t2pow
+    cleaned = {tot: {j: v for j, v in b.items() if v} for tot, b in per_total.items()}
+    cleaned = {tot: b for tot, b in cleaned.items() if b}
+    if not cleaned:
+        raise DegenerateSPolyError("all s-polynomial coefficients cancelled")
+    bucket = cleaned[min(cleaned)]
+    return [bucket.get(j, F(0)) for j in range(max(bucket) + 1)]
+
+
+def _balanced_pair_sets():
+    """p4 and the sampled R32 sets at N = 4, 6 with a balanced multiple pair."""
+    out = []
+    for N in (4, 6):
+        for seed in range(8):
+            p = sample_params("R32", random.Random(seed), N=N)
+            preds = predict_roots(p, classify(p))
+            if any(e.prefactor == BALANCED and e.multiplicity >= 2 for e in preds):
+                out.append(p)
+    return out
+
+
+def test_s_polynomial_reads_the_prefix_the_full_scan_finds(p4):
+    sets = [p4, *_balanced_pair_sets()]
+    assert len(sets) >= 6
+    for p in sets:
+        ep, g = spectral_polynomial(p), balanced_exponent(p)
+        got = _s_polynomial(ep, p, g)
+        assert got == _s_polynomial_full_scan(ep, p, g)
+        assert all(type(c) is Fraction for c in got)
+
+
+def test_s_polynomial_skips_totals_that_cancel(p4):
+    # with t1 = t2 the least total, 0, cancels in E^0 and in E^1; the slice
+    # is then the next total, 1; with t1 != t2 it is total 0
+    g = H
+    ep = EPoly((
+        QSum.term(1) - QSum.term(1, t1pow=1, t2pow=-1) + QSum.term(2, qexp=1),
+        QSum.term(5, t1pow=1, qexp=-H) - QSum.term(5, t2pow=1, qexp=-H) + QSum.term(3, qexp=H),
+        QSum.term(7, qexp=1),
+    ))
+    assert p4.t1 == p4.t2
+    assert _s_polynomial(ep, p4, g) == _s_polynomial_full_scan(ep, p4, g) == [2, 3]
+    p = p4.with_value("t1", 2)
+    assert _s_polynomial(ep, p, g) == _s_polynomial_full_scan(ep, p, g) == [-1, 5]
+    every = EPoly((QSum.term(1) - QSum.term(1, t1pow=1, t2pow=-1),))
+    for f in (_s_polynomial, _s_polynomial_full_scan):
+        with pytest.raises(DegenerateSPolyError):
+            f(every, p4, g)
 
 
 # ---------------------------------------------------------------------------
