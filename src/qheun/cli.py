@@ -51,7 +51,7 @@ from .spectral import (
     coefficients_numeric,
     derive,
     residual_check,
-    spectral_polynomial,
+    spectral_polynomial,  # noqa: F401 -- perfbench/tracing.py wraps it here
 )
 from .ultra import (
     BALANCED,
@@ -251,12 +251,9 @@ def cmd_roots(args) -> int:
     tag = classify(p)
     preds = predict_roots(p, tag) if tag.classified() else None
     qs = sorted({_parse_q(t) for t in (args.q or ["1/1000"])}, reverse=True)
-    ep = spectral_polynomial(p)
     rows = []
     for q in qs:
-        roots, bits_used = find_spectral_roots(
-            p, q, args.bits, epoly=ep, predictions=preds
-        )
+        roots, bits_used = find_spectral_roots(p, q, args.bits, predictions=preds)
         print(f"q={q} (bits={bits_used}):")
         with mpmath.workprec(64):
             lq10 = mpmath.log10(to_mpf(q))
@@ -294,10 +291,7 @@ def cmd_verify(args) -> int:
         return EXIT_UNCLASSIFIED
     q1, q2 = _q_pair(args)
     preds = predict_roots(p, tag)
-    ep = spectral_polynomial(p)
-    estimates = estimate_exponents(
-        p, q1, q2, args.bits, epoly=ep, predictions=preds
-    )
+    estimates = estimate_exponents(p, q1, q2, args.bits, predictions=preds)
     report = match_predictions(
         estimates,
         preds,
@@ -341,7 +335,8 @@ def cmd_verify(args) -> int:
     # balanced multiple roots: compare |ratio| magnitudes against the
     # s-polynomial refinement (meaningful once q is small enough that
     # subleading corrections sit below the tolerance)
-    refined = multiplicity_prefactors(p, tag, epoly=ep, predictions=preds)
+    # builds c_{N+1} only for a balanced multiple pair
+    refined = multiplicity_prefactors(p, tag, predictions=preds)
     if refined:
         if q2 <= PREFACTOR_GATE_QMAX:
             got = sorted(

@@ -1,27 +1,26 @@
-"""Real-root isolation at extreme dynamic range, and root/prediction matching.
+"""Real roots at extreme dynamic range, and root/prediction matching.
 
-Spectral polynomials at small q carry coefficients spanning hundreds of
-orders of magnitude, which defeats floating eigenvalue methods.  Instead the
-mpf coefficients (exact dyadic rationals) are converted to Fractions, and
-every sign decision is exact:
+The roots of the spectral polynomial c_{N+1} at a fixed q come from its
+three-term recursion (``find_spectral_roots``): plain counts of the roots
+above a point isolate them, Newton on the recursion approximates them, and
+counts run in interval arithmetic on the rows of the exact q certify them.
+The polynomial itself is never formed.
 
-* each polynomial, and each member of its Sturm chain, is scaled once by a
-  positive integer to integer coefficients; the one exact evaluator
-  (``_sign_at``) gives the sign at x = u/v as the sign of
-  sum n_i u^i v^(d-i), with no gcd;
-* the Sturm chain over the (power-of-two) Cauchy bound interval counts the
-  distinct real roots -- the count must equal the degree, otherwise the
-  polynomial image itself was computed too coarsely and PrecisionError asks
-  for a retry at doubled bits;
-* interval splitting (optionally pre-cut between predicted root locations)
-  isolates single roots;
-* each root is refined to the point exact sign bisection to relative width
-  2^-bits would return, without running it: the final level of the
-  bisection is read off a floating approximation (geometric bisection,
-  then Newton inside the bracket), two exact signs at the grid points just
-  outside its error bound certify that the root lies between them, and
-  exact signs at the grid points between, usually none, place it.  A
-  failed check falls back to exact bisection.
+A polynomial given by its coefficients (``find_real_roots``,
+``real_roots_of_rational_poly``) is isolated exactly instead: its mpf
+coefficients (exact dyadic rationals) become Fractions, each member of its
+Sturm chain is scaled once to integer coefficients, and the one exact
+evaluator (``_sign_at``) gives the sign at x = u/v as the sign of
+sum n_i u^i v^(d-i).  A Sturm count short of the degree raises
+PrecisionError.
+
+Either way each root is refined to the point sign bisection to relative
+width 2^-bits would return, without running it: the final level of the
+bisection is read off a floating approximation (geometric bisection, then
+Newton inside the bracket), two signs at the grid points just outside its
+error bound certify that the root lies between them, and signs at the grid
+points between, usually none, place it.  A failed check falls back to
+bisection.
 
 On top of that sit the two-q exponent estimator (log-log slope per matched
 root) and the prediction matcher used by the verification pipeline.
@@ -37,8 +36,14 @@ from typing import Optional, Sequence
 import mpmath
 
 from .errors import DomainError, MatchingError, PrecisionError
-from .qmono import AtQ, as_fraction, to_mpf
-from .spectral import EPoly, HeunParams, spectral_polynomial
+from .qmono import EVAL_GUARD_BITS, AtQ, as_fraction, to_mpf
+from .spectral import (  # noqa: F401 -- perfbench/tracing.py wraps spectral_polynomial here
+    EPoly,
+    HeunParams,
+    ctx_workprec,
+    recursion_rows_at,
+    spectral_polynomial,
+)
 from .ultra import PredictedRoot
 
 __all__ = [
@@ -58,8 +63,10 @@ _IPoly = list  # list[int], degree-ascending
 
 #: Extra bits of the floating root approximation beyond the target bits.
 _APPROX_GUARD_BITS = 32
-#: The precision find_spectral_roots doubles up to before it gives up.
+#: The precision a certified count doubles up to before it gives up.
 MAX_BITS = 4096
+#: Steps of the search R 2^(-2^j) for a point between 0 and the roots.
+_ZERO_SEARCH_STEPS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -301,31 +308,72 @@ def _bisection_point(
     return None
 
 
+def _newton_in_bracket(ev, lo, hi, prec: int, start=None):
+    """A floating approximation of the one root in the one-signed bracket
+    (lo, hi), lo and hi nonzero mpf, as mpf ``(root, tol)`` with tol an
+    estimate of its error, or None.
+
+    ``ev(x)`` gives f(x), f'(x), the rounding noise of f(x) and whether x
+    lies below the root.  Newton kept inside the bracket, from ``start``
+    if it lies inside, else from the midpoint once geometric bisection has
+    narrowed the bracket to within 2x, until f(x) is within its rounding
+    noise.  A step that leaves the bracket is replaced by its geometric
+    mean while it spans more than 2x, else by its midpoint.
+    """
+    sgn = 1 if hi > 0 else -1
+
+    def wide(lo, hi):
+        return max(abs(lo), abs(hi)) > 2 * min(abs(lo), abs(hi))
+
+    if start is not None and lo < start < hi:
+        x = start
+    else:
+        while wide(lo, hi):
+            x = sgn * mpmath.sqrt(lo * hi)
+            if ev(x)[3]:
+                lo = x
+            else:
+                hi = x
+        x = (lo + hi) / 2
+    for _ in range(4 * prec):  # bisection alone would need about prec
+        p, dp, err, below = ev(x)
+        if abs(p) <= err:
+            break  # x is a root within the rounding noise of p
+        if below:
+            lo = x
+        else:
+            hi = x
+        nx = x - p / dp if dp else hi
+        if not lo < nx < hi:
+            nx = sgn * mpmath.sqrt(lo * hi) if wide(lo, hi) else (lo + hi) / 2
+        if nx == x:
+            break
+        x = nx
+    else:
+        p, dp, err, _ = ev(x)
+    if not dp:
+        return None
+    return x, 4 * (abs(p) + err) / abs(dp)
+
+
 def _approximate(n: _IPoly, a: Fraction, b: Fraction, fa: int, bits: int):
     """A floating approximation of the one root of n in (a, b), as mpf
-    ``(root, tol)`` with tol an estimate of its error, or None.
-
-    (a, b) is one-signed.  Works at bits + _APPROX_GUARD_BITS: geometric
-    bisection while the bracket spans more than 2x, then Newton kept inside
-    the bracket.  ``fa`` is the exact sign of n at a.
-    """
+    ``(root, tol)``, or None: ``_newton_in_bracket`` on the mpf polynomial
+    at bits + _APPROX_GUARD_BITS.  ``fa`` is the exact sign of n at a."""
     prec = bits + _APPROX_GUARD_BITS
     with mpmath.workprec(prec):
         cs = [mpmath.mpf(c) for c in n]
         noise = 2 * len(cs) * mpmath.mpf(2) ** -prec
 
         def ev(x):
-            # p(x), p'(x) and the rounding noise of p(x)
+            # p(x), p'(x), the rounding noise of p(x), and x below the root
             p = dp = size = mpmath.mpf(0)
             ax = abs(x)
             for c in reversed(cs):
                 dp = dp * x + p
                 p = p * x + c
                 size = size * ax + abs(c)
-            return p, dp, size * noise
-
-        def below_root(p):
-            return (p > 0) - (p < 0) == fa
+            return p, dp, size * noise, (p > 0) - (p < 0) == fa
 
         lo, hi = to_mpf(a), to_mpf(b)
         if not lo or not hi:
@@ -333,32 +381,7 @@ def _approximate(n: _IPoly, a: Fraction, b: Fraction, fa: int, bits: int):
             c0 = abs(cs[0])
             bound = c0 / (c0 + max(abs(c) for c in cs[1:])) / 2
             lo, hi = (bound, hi) if hi > 0 else (lo, -bound)
-        sgn = 1 if hi > 0 else -1
-        while max(abs(lo), abs(hi)) > 2 * min(abs(lo), abs(hi)):
-            x = sgn * mpmath.sqrt(lo * hi)
-            if below_root(ev(x)[0]):
-                lo = x
-            else:
-                hi = x
-        x = (lo + hi) / 2
-        for _ in range(4 * prec):  # bisection alone would need about prec
-            p, dp, err = ev(x)
-            if abs(p) <= err:
-                break  # x is a root within the rounding noise of p
-            if below_root(p):
-                lo = x
-            else:
-                hi = x
-            nx = x - p / dp if dp else hi
-            if not lo < nx < hi:
-                nx = (lo + hi) / 2
-            if nx == x:
-                break
-            x = nx
-        p, dp, err = ev(x)
-        if not dp:
-            return None
-        return x, 4 * (abs(p) + err) / abs(dp)
+        return _newton_in_bracket(ev, lo, hi, prec)
 
 
 def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
@@ -504,6 +527,212 @@ def _prediction_seeds(p: HeunParams, predictions, q) -> list:
         return [e.sign * e.prefactor_value(p.t1, p.t2) * at.qpow(e.d) for e in predictions]
 
 
+# ---------------------------------------------------------------------------
+# spectral roots from the three-term recursion
+#
+# derive enforces t1, t2 > 0, beta < 1 and alpha2 - alpha1 < 1, so A_n, B_n
+# and D_n are positive for every q in (0, 1) and the recursion
+# A_n c_n = (B_n E + C_n) c_{n-1} - D_n c_{n-2} is a Favard recurrence:
+# c_{N+1} has N+1 simple real roots, and the number of negative ratios
+# c_n / c_{n-1} is the number of roots above E (Barth, Martin & Wilkinson,
+# Numer. Math. 9 (1967)).  With s_n = A_n c_n / c_{n-1} that count runs
+#     s_n = B_n E + C_n - G_n / s_{n-1},   G_n = D_n A_{n-1},  G_1 = 0.
+# ---------------------------------------------------------------------------
+
+
+def _ratio_rows(rows) -> list:
+    """(B_n, C_n, G_n) of the count, in the precision current."""
+    out, prev_A = [], 0
+    for A, B, C, D in rows:
+        out.append((B, C, D * prev_A))
+        prev_A = A
+    return out
+
+
+def _count(ratio, x) -> int:
+    """The number of roots above x by the ratio recursion in mpf.  A zero
+    s_n is moved off zero by one unit of its terms: the count only guides
+    the search; certified counts decide."""
+    above, s = 0, 1
+    for B, C, G in ratio:
+        bx = B * x
+        s = bx + C - G / s
+        if s < 0:
+            above += 1
+        elif not s:
+            s = mpmath.ldexp(abs(bx) + C, -mpmath.mp.prec)
+    return above
+
+
+def _certified_count(ratio, x) -> int | None:
+    """The count of ``_count`` in interval arithmetic, or None when an s_n
+    interval contains 0."""
+    above, s = 0, 1
+    for B, C, G in ratio:
+        s = B * x + C - G / s
+        if s.b < 0:
+            above += 1
+        elif not s.a > 0:
+            return None
+    return above
+
+
+def _newton_rows(rows) -> list:
+    """(B_n/A_n, C_n/A_n, D_n/A_n) of Newton, in the precision current."""
+    return [(B / A, C / A, D / A) for A, B, C, D in rows]
+
+
+def _newton_eval(newton_rows, x):
+    """c_{N+1}(x), its derivative, and a bound on the rounding noise of
+    c_{N+1}(x): the recursion run on absolute values."""
+    zero, one = mpmath.mpf(0), mpmath.mpf(1)
+    c2, c1, d2, d1, m2, m1 = zero, one, zero, zero, zero, one
+    for b, g, e in newton_rows:
+        bx = b * x
+        f = bx + g
+        c1, c2 = f * c1 - e * c2, c1
+        d1, d2 = b * c2 + f * d1 - e * d2, d1
+        m1, m2 = (abs(bx) + g) * m1 + e * m2, m1
+    return c1, d1, mpmath.ldexp(m1 * len(newton_rows), 4 - mpmath.mp.prec)
+
+
+def _certified_counter(p: HeunParams, q: Fraction, bits: int):
+    """``count(M, W)``: the certified number of roots above E = M/W, or None
+    when E is a root.
+
+    The ratio recursion runs in mpmath.iv on rows enclosing those of the
+    exact q, at bits + EVAL_GUARD_BITS.  A count is certified when every
+    A_n, B_n, D_n interval is positive and no s_n interval contains 0;
+    otherwise that point is redone at doubled bits, up to MAX_BITS.  A point
+    where only s_{N+1} still holds 0 there is a root to within that
+    precision (an exact one when q-powers are rational), and count returns
+    None; any other uncertified point raises PrecisionError."""
+    levels = [bits]
+    while 2 * levels[-1] <= MAX_BITS:
+        levels.append(2 * levels[-1])
+    ratios: dict = {}
+
+    def ratio_at(b: int):
+        if b not in ratios:
+            rows = recursion_rows_at(p, q, b + EVAL_GUARD_BITS, mpmath.iv)
+            positive = all(A.a > 0 and B.a > 0 and D.a > 0 for A, B, _, D in rows)
+            with ctx_workprec(mpmath.iv, b + EVAL_GUARD_BITS):
+                ratios[b] = _ratio_rows(rows) if positive else None
+        return ratios[b]
+
+    def count(M: int, W: int) -> int | None:
+        for b in levels:
+            ratio = ratio_at(b)
+            if ratio is None:
+                continue
+            with ctx_workprec(mpmath.iv, b + EVAL_GUARD_BITS):
+                x = mpmath.iv.mpf(M) / W
+                n = _certified_count(ratio, x)
+                if n is not None:
+                    return n
+                if b == levels[-1] and _certified_count(ratio[:-1], x) is not None:
+                    return None  # only s_{N+1} holds 0: E is the root
+        with mpmath.workprec(64):
+            where = mpmath.nstr(mpmath.mpf(M) / W, 20)
+        raise PrecisionError(
+            f"the root count at E = {where}, q = {q} is not certified at "
+            f"{levels[-1]} bits"
+        )
+
+    return count
+
+
+def _gershgorin_bound(ratio):
+    """A power of two above twice the Gershgorin bound of the symmetrised
+    Jacobi matrix: diagonal -C_n/B_n, off-diagonal sqrt(G_{n+1}/(B_n B_{n+1}))."""
+    off = [mpmath.mpf(0)]
+    for (B0, _, _), (B1, _, G) in zip(ratio, ratio[1:]):
+        off.append(mpmath.sqrt(G / (B0 * B1)))
+    off.append(mpmath.mpf(0))
+    bound = max(C / B + off[i] + off[i + 1] for i, (B, C, _) in enumerate(ratio))
+    return mpmath.ldexp(1, mpmath.mag(bound) + 1)
+
+
+def _isolate_by_counts(ratio, seeds) -> list[tuple]:
+    """Brackets (a, b, m), a < b of one sign, each holding one root of
+    c_{N+1}, m the number of roots above b, sorted; by plain counts.
+
+    The points are +-R (Gershgorin), 0, the largest R 2^(-2^j) of each sign
+    with no root between it and 0, and the midpoints between consecutive
+    distinct seeds; a bracket holding more than one root is split at its
+    geometric mean until each holds one."""
+    n = len(ratio)
+    R = _gershgorin_bound(ratio)
+    zero = mpmath.mpf(0)
+    counts = {x: _count(ratio, x) for x in (-R, zero, R)}
+    if (counts[-R], counts[R]) != (n, 0):
+        raise PrecisionError(f"counts {counts[-R]}, {counts[R]} at -R, R for degree {n}")
+    c0 = counts[zero]
+    for sgn, none_of_sign in ((1, c0 == 0), (-1, c0 == n)):
+        if none_of_sign:
+            continue
+        for j in range(_ZERO_SEARCH_STEPS):
+            x = sgn * mpmath.ldexp(R, -(2 ** j))
+            counts[x] = _count(ratio, x)
+            if counts[x] == c0:
+                break
+        else:
+            raise PrecisionError(f"a root of sign {sgn} is not separated from 0")
+    seeds = sorted(seeds)
+    for a, b in zip(seeds, seeds[1:]):
+        x = (a + b) / 2
+        if a != b and -R < x < R:
+            counts[x] = _count(ratio, x)
+    xs = sorted(counts)
+    stack = list(zip(xs, xs[1:]))
+    out = []
+    while stack:
+        a, b = stack.pop()
+        k = counts[a] - counts[b]
+        if k == 1:
+            out.append((a, b, counts[b]))
+        elif k > 1:
+            x = mpmath.sqrt(a * b) * (1 if b > 0 else -1)
+            if not a < x < b:
+                raise PrecisionError(f"{k} roots in an unsplittable bracket")
+            counts[x] = _count(ratio, x)
+            stack += [(a, x), (x, b)]
+    if len(out) != n:
+        raise PrecisionError(f"count isolation found {len(out)} roots for degree {n}")
+    return sorted(out)
+
+
+def _spectral_root(newton_rows, count, a, b, m: int, bits: int, start) -> Fraction:
+    """The point where bisection of (a, b) for the root with m roots above
+    it stops at relative width 2^-bits, every side decided by a certified
+    count.  Computed by ``_bisection_point`` from a Newton approximation
+    (from ``start``, if given); exact bisection on the counts if a check
+    fails."""
+    fa, fb = _mpf_to_fraction(a), _mpf_to_fraction(b)
+    V = math.lcm(fa.denominator, fb.denominator)
+    A, B = fa.numerator * (V // fa.denominator), fb.numerator * (V // fb.denominator)
+
+    def side(M: int, W: int) -> int:
+        n = count(M, W)
+        return 0 if n is None else 1 if n > m else -1
+
+    def ev(x):
+        # below the root, c_{N+1} has the sign (-1)^(m+1) of its m+1 roots above
+        c, dc, err = _newton_eval(newton_rows, x)
+        return c, dc, err, (c < 0) if m % 2 == 0 else (c > 0)
+
+    if not _stops(A, B, V, bits):
+        guess = _newton_in_bracket(ev, a, b, mpmath.mp.prec, start)
+        if guess is not None:
+            r, t = (_mpf_to_fraction(v) for v in guess)
+            x = _bisection_point(A, B, V, bits, r, t, side)
+            if x is not None:
+                return x
+    if side(A, V) <= 0 or side(B, V) >= 0:
+        raise PrecisionError(f"the isolating bracket of root {m + 1} is not certified")
+    return _bisect_exact(A, B, V, bits, side)
+
+
 def find_spectral_roots(
     p: HeunParams,
     q,
@@ -512,20 +741,30 @@ def find_spectral_roots(
     epoly: EPoly | None = None,
     predictions: Sequence[PredictedRoot] | None = None,
 ) -> tuple[list, int]:
-    """Roots of c_{N+1} at fixed q, doubling precision until isolation
-    certifies degree-many distinct real roots.  Returns (roots, bits used).
+    """Roots of c_{N+1} at fixed q, sorted ascending, from the three-term
+    recursion.  Returns (roots, bits).
+
+    Each root is the point where bisection of its isolating bracket to
+    relative width 2^-bits stops, with every side certified by an
+    interval count of the true c_{N+1} at q; a count that stays
+    uncertified at MAX_BITS raises PrecisionError.  ``predictions``, when
+    given, seed the isolation.  ``epoly`` is not read: the polynomial
+    itself is not needed.
     """
-    ep = epoly if epoly is not None else spectral_polynomial(p)
-    seeds = _prediction_seeds(p, predictions, q) if predictions else None
-    b = bits
-    while True:
-        poly = NumPoly.from_epoly(ep, q, p.t1, p.t2, bits=b)
-        try:
-            return find_real_roots(poly, seeds), b
-        except PrecisionError:
-            if 2 * b > MAX_BITS:
-                raise
-            b *= 2
+    q = as_fraction(q)
+    prec = bits + EVAL_GUARD_BITS
+    rows = recursion_rows_at(p, q, prec)
+    count = _certified_counter(p, q, bits)
+    seeds = _prediction_seeds(p, predictions, q) if predictions else ()
+    with mpmath.workprec(prec):
+        newton_rows = _newton_rows(rows)
+        roots = []
+        for a, b, m in _isolate_by_counts(_ratio_rows(rows), seeds):
+            inside = {s for s in seeds if a < s < b}
+            start = inside.pop() if len(inside) == 1 else None
+            roots.append(_spectral_root(newton_rows, count, a, b, m, bits, start))
+    with mpmath.workprec(bits):
+        return [to_mpf(r) for r in roots], bits
 
 
 def _sign_groups(roots) -> tuple[list, list]:
@@ -542,7 +781,6 @@ def estimate_exponents(
     q2,
     bits: int = 512,
     *,
-    epoly: EPoly | None = None,
     predictions: Sequence[PredictedRoot] | None = None,
 ) -> list[RootEstimate]:
     """Pair the roots at q1 and q2 by sign and magnitude rank and estimate
@@ -554,9 +792,8 @@ def estimate_exponents(
     q1, q2 = as_fraction(q1), as_fraction(q2)
     if not 0 < q2 < q1 < 1:
         raise DomainError(f"need 0 < q2 < q1 < 1, got q1={q1}, q2={q2}")
-    ep = epoly if epoly is not None else spectral_polynomial(p)
-    roots1, b1 = find_spectral_roots(p, q1, bits, epoly=ep, predictions=predictions)
-    roots2, b2 = find_spectral_roots(p, q2, bits, epoly=ep, predictions=predictions)
+    roots1, b1 = find_spectral_roots(p, q1, bits, predictions=predictions)
+    roots2, b2 = find_spectral_roots(p, q2, bits, predictions=predictions)
     n1, p1 = _sign_groups(roots1)
     n2, p2 = _sign_groups(roots2)
     if len(n1) != len(n2):

@@ -34,7 +34,9 @@ and the monomial only.  The numerators keep the recursion's integer form
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,6 +68,7 @@ __all__ = [
     "recursion_coeff_rows",
     "coefficients_exact",
     "spectral_polynomial",
+    "recursion_rows_at",
     "coefficients_numeric",
     "series_coefficient_values",
     "residual_check",
@@ -364,30 +367,71 @@ class SeriesSolution:
     bits: int
 
 
-def series_coefficient_values(p: HeunParams, E0, q, bits: int = 512, up_to: int | None = None):
-    """c_0(E0) .. c_up_to(E0) by running the recursion in fixed precision.
+@contextmanager
+def ctx_workprec(ctx, prec: int):
+    """Working precision ``prec`` in the mpmath context ``ctx`` (mpmath.iv
+    has no workprec of its own)."""
+    old = ctx.prec
+    ctx.prec = prec
+    try:
+        yield
+    finally:
+        ctx.prec = old
 
-    The rows are evaluated literally at the numeric q; A_n > 0 throughout
-    (q in (0,1), n >= 1, beta < 1), so the division is always defined.
-    """
-    if up_to is None:
-        up_to = p.N
+
+@functools.lru_cache(maxsize=64)
+def recursion_rows_at(p: HeunParams, q, prec: int, ctx=mpmath.mp) -> tuple:
+    """The rows (A_n, B_n, C_n, D_n) of steps n = 1 .. N+1 at q, computed at
+    working precision ``prec`` in ``ctx``: mpmath.mp, or mpmath.iv for
+    intervals that enclose the rows of the exact q.
+
+    The one numeric definition of the rows; the series, the root counts and
+    Newton all read it.  Each row is evaluated literally at q, every q-power
+    as exp(mu log q); in mpmath.mp these are the values AtQ gives.
+    Memoised per argument tuple."""
+    if not 0 < q < 1:
+        raise DomainError(f"q must lie in (0,1), got {q}")
+    if ctx is mpmath.mp:
+        conv = to_mpf
+    else:
+        def conv(x):
+            x = as_fraction(x)
+            return ctx.mpf(x.numerator) / x.denominator
     lam = p.lambda1
-    with mpmath.workprec(bits + EVAL_GUARD_BITS):
-        at = AtQ(q, p.t1, p.t2)
-        qp, t1v, t2v = at.qpow, at.t1, at.t2
-        E0v = to_mpf(E0)
-        cs = [mpmath.mpf(1)]
-        cm2, cm1 = mpmath.mpf(0), mpmath.mpf(1)
-        for n in range(1, up_to + 1):
+    rows = []
+    with ctx_workprec(ctx, prec):
+        qv, t1v, t2v = conv(q), conv(p.t1), conv(p.t2)
+        lq = ctx.log(qv)
+        qp = functools.cache(lambda mu: ctx.exp(conv(mu) * lq))
+        for n in range(1, p.N + 2):
             Av = t1v * t2v * qp(p.h1 + p.h2) * (1 - qp(n)) * (1 - qp(n - p.beta))
-            assert Av != 0, "A row vanished; outside the validated domain"
             Bv = qp(n - 1 + lam)
             ce = 2 * (n + lam) + p.alpha1 + p.alpha2 - Fraction(5, 2)
             Cv = qp(_HALF) * (qp(p.h1) * t1v + qp(p.h2) * t2v) + (
                 qp(p.l1) * t1v + qp(p.l2) * t2v
             ) * qp(ce)
-            Dv = at.q * (1 - qp(n - 2 + lam + p.alpha1)) * (1 - qp(n - 2 + lam + p.alpha2))
+            Dv = qv * (1 - qp(n - 2 + lam + p.alpha1)) * (1 - qp(n - 2 + lam + p.alpha2))
+            rows.append((Av, Bv, Cv, Dv))
+    return tuple(rows)
+
+
+def series_coefficient_values(p: HeunParams, E0, q, bits: int = 512, up_to: int | None = None):
+    """c_0(E0) .. c_up_to(E0) by running the recursion in fixed precision.
+
+    The rows are recursion_rows_at's; A_n > 0 throughout (q in (0,1),
+    n >= 1, beta < 1), so the division is always defined.
+    """
+    if up_to is None:
+        up_to = p.N
+    if not 0 <= up_to <= p.N + 1:
+        raise DomainError(f"up_to = {up_to} outside 0..N+1 = 0..{p.N + 1}")
+    rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
+    with mpmath.workprec(bits + EVAL_GUARD_BITS):
+        E0v = to_mpf(E0)
+        cs = [mpmath.mpf(1)]
+        cm2, cm1 = mpmath.mpf(0), mpmath.mpf(1)
+        for Av, Bv, Cv, Dv in rows[:up_to]:
+            assert Av != 0, "A row vanished; outside the validated domain"
             cn = ((Bv * E0v + Cv) * cm1 - Dv * cm2) / Av
             cs.append(cn)
             cm2, cm1 = cm1, cn

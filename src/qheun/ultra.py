@@ -661,7 +661,6 @@ def multiplicity_prefactors(
     p: HeunParams,
     tag: CaseTag,
     *,
-    epoly: EPoly | None = None,
     predictions: Sequence[PredictedRoot] | None = None,
 ) -> list:
     """Distinct signed prefactors refining a multiplicity >= 2 balanced pair.
@@ -669,17 +668,16 @@ def multiplicity_prefactors(
     Empty when the prediction multiset has no such pair; otherwise
     non-empty, or DegenerateSPolyError.  Solves the s-polynomial exactly
     (its coefficients are rational once t1, t2 are substituted) and returns
-    the nonzero real roots, sorted ascending.  ``epoly`` is the spectral
-    polynomial of ``p`` and ``predictions`` is ``predict_roots(p, tag)``,
-    when the caller has them already.
+    the nonzero real roots, sorted ascending.  c_{N+1} is built only when
+    there is such a pair.  ``predictions`` is ``predict_roots(p, tag)``,
+    when the caller has it already.
     """
     from .roots import real_roots_of_rational_poly
 
     preds = predictions if predictions is not None else predict_roots(p, tag)
     if not any(e.prefactor == BALANCED and e.multiplicity >= 2 for e in preds):
         return []
-    ep = epoly if epoly is not None else spectral_polynomial(p)
-    coeffs = _s_polynomial(ep, p, balanced_exponent(p))
+    coeffs = _s_polynomial(spectral_polynomial(p), p, balanced_exponent(p))
     low = 0
     while low < len(coeffs) and not coeffs[low]:
         low += 1

@@ -1,10 +1,12 @@
 import hashlib
+import random
 import textwrap
 
 import pytest
 
 from qheun import acceptance
 from qheun.cli import _build_parser, main
+from qheun.sampling import sample_params
 
 P1 = """
 h1 = -5
@@ -303,6 +305,28 @@ def test_verify_builds_the_spectral_polynomial_once(tmp_path, monkeypatch, capsy
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["roots", "--q", "1/1000", "--q", "1/1000000"]], ids=["verify", "roots"]
+)
+def test_p1_builds_no_spectral_polynomial(p1_file, monkeypatch, capsys, argv):
+    # the roots come from the recursion; c_{N+1} is built only to refine a
+    # balanced multiple pair, and p1 has none
+    import qheun.spectral as spectral
+
+    def refused(*args, **kwargs):
+        raise AssertionError("coefficients_exact called")
+
+    monkeypatch.setattr(spectral, "coefficients_exact", refused)
+    assert main([argv[0], "--params", p1_file, *argv[1:]]) == 0
+
+
+def test_verify_passes_on_an_n12_r31_set_at_512_bits(tmp_path, capsys):
+    p = sample_params("R31", random.Random(12), N=12)
+    path = _write(tmp_path, "r31.params", "".join(f"{k} = {v}\n" for k, v in p.raw().items()))
+    assert main(["verify", "--params", path, "--bits", "512"]) == 0
+    assert "verification PASSED" in capsys.readouterr().out
+
+
 def test_verify_predicts_the_roots_once(tmp_path, monkeypatch, capsys):
     # the prefactor refinement of p4 reuses the predictions verify made
     import qheun.cli as cli
@@ -394,9 +418,12 @@ def test_option_the_subcommand_does_not_read_is_usage_error(p1_file, capsys, arg
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_selftest_passes(capsys):
+def test_selftest_passes(monkeypatch, capsys):
+    # the CLI wiring only: tests/test_acceptance.py runs the criteria
+    descriptions = [d for d, _ in acceptance.CRITERIA]
+    monkeypatch.setattr(acceptance, "CRITERIA", [(d, lambda: None) for d in descriptions])
     assert main(["selftest"]) == 0
-    assert capsys.readouterr().out.splitlines() == [f"PASS {d}" for d, _ in acceptance.CRITERIA]
+    assert capsys.readouterr().out.splitlines() == [f"PASS {d}" for d in descriptions]
 
 
 def test_selftest_reports_each_failure_and_keeps_going(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -17,7 +18,9 @@ from qheun.roots import (
     _real_roots_fractions,
     _sign_groups,
 )
-from qheun.spectral import spectral_polynomial
+from qheun.qmono import EVAL_GUARD_BITS, to_mpf
+from qheun.sampling import sample_params
+from qheun.spectral import derive, recursion_coeff_rows, spectral_polynomial
 from qheun.ultra import PredictedRoot, classify, predict_roots
 
 F = Fraction
@@ -344,31 +347,132 @@ def test_an_approximation_far_from_the_root_gives_the_bisection_point(monkeypatc
 
 
 def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4, monkeypatch):
-    # the exact bisection spent about 425 exact evaluations per root
-    evaluations, per_root, fallbacks = [0], [], []
-    sign_at, refine = roots_mod._sign_at, roots_mod._refine
+    # a root costs a bounded number of recursion evaluations (plain counts,
+    # Newton steps and certified counts; the exact bisection spent about
+    # 425 exact evaluations per root), with no fallback to bisection on the
+    # counts and no count escalated past the first precision
+    evaluations, per_root, fallbacks, escalated = [0], [], [], []
+    for name in ("_count", "_certified_count", "_newton_eval"):
+        def counting(*args, _f=getattr(roots_mod, name)):
+            evaluations[0] += 1
+            return _f(*args)
 
-    def counting_sign(*args):
-        evaluations[0] += 1
-        return sign_at(*args)
+        monkeypatch.setattr(roots_mod, name, counting)
+    spectral_root, rows_at = roots_mod._spectral_root, roots_mod.recursion_rows_at
 
-    def counting_refine(*args):
+    def counting_root(*args):
         before = evaluations[0]
-        out = refine(*args)
+        out = spectral_root(*args)
         per_root.append(evaluations[0] - before)
         return out
 
-    monkeypatch.setattr(roots_mod, "_sign_at", counting_sign)
-    monkeypatch.setattr(roots_mod, "_refine", counting_refine)
+    def rows_seen(p, q, prec, ctx=mpmath.mp):
+        if ctx is mpmath.iv and prec != 512 + EVAL_GUARD_BITS:
+            escalated.append((p, q, prec))
+        return rows_at(p, q, prec, ctx)
+
+    monkeypatch.setattr(roots_mod, "_spectral_root", counting_root)
+    monkeypatch.setattr(roots_mod, "recursion_rows_at", rows_seen)
     monkeypatch.setattr(roots_mod, "_bisect_exact", lambda *a: fallbacks.append(a))
     expected = 0
     for p in (p1, p2, p3, p4):
-        ep = spectral_polynomial(p)
         preds = predict_roots(p, classify(p))
         for q in (F(1, 1000), F(1, 10000), F(1, 100000), F(1, 1000000)):
-            found, _ = find_spectral_roots(p, q, 512, epoly=ep, predictions=preds)
+            found, _ = find_spectral_roots(p, q, 512, predictions=preds)
             assert len(found) == p.N + 1
             expected += p.N + 1
-    assert not fallbacks
+    assert not fallbacks and not escalated
     assert len(per_root) == expected
-    assert max(per_root) <= 6
+    assert max(per_root) <= 20
+
+
+# ---------------------------------------------------------------------------
+# the roots from the recursion against independent oracles
+# ---------------------------------------------------------------------------
+
+
+def _within_width(got, want, bits, k=4):
+    """Each root within k units of relative width 2^-bits of the other.  Two
+    roots each certified to that width differ by at most 2 units; a root of
+    the rounded image may move by a few more."""
+    assert len(got) == len(want)
+    with mpmath.workprec(bits + 64):
+        for a, b in zip(got, want):
+            assert abs(a - b) <= k * mpmath.mpf(2) ** -bits * abs(b), (a, b)
+
+
+def _image_roots(p, q, bits, preds=None):
+    """The roots of the mpf image of the exact c_{N+1}, by Sturm isolation."""
+    seeds = roots_mod._prediction_seeds(p, preds, q) if preds else None
+    return find_real_roots(NumPoly.from_epoly(spectral_polynomial(p), q, p.t1, p.t2, bits), seeds)
+
+
+@pytest.mark.parametrize("q", [F(1, 10 ** k) for k in (3, 4, 5, 6)])
+def test_roots_agree_with_the_image_pipeline(p1, p2, p3, p4, q):
+    for p in (p1, p2, p3, p4):
+        preds = predict_roots(p, classify(p))
+        found, bits = find_spectral_roots(p, q, 512, predictions=preds)
+        assert bits == 512
+        _within_width(found, _image_roots(p, q, 512, preds), 512, k=8)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["R31", "R32", "R33"]), st.integers(0, 10 ** 6),
+       st.sampled_from([F(1, 1000), F(1, 10 ** 6)]), st.sampled_from([128, 512]))
+def test_sampled_roots_agree_with_the_image_pipeline(regime, seed, q, bits):
+    p = sample_params(regime, random.Random(seed), n_max=6)
+    preds = predict_roots(p, classify(p))
+    found, _ = find_spectral_roots(p, q, bits, predictions=preds)
+    _within_width(found, _image_roots(p, q, bits, preds), bits, k=8)
+    # the seeds choose the isolation points, not the roots' accuracy
+    _within_width(find_spectral_roots(p, q, bits)[0], found, bits)
+
+
+@pytest.mark.parametrize("s", [F(2), F(3, 2)])
+def test_scaling_t1_and_t2_scales_every_root(p1, p2, p3, p4, s):
+    # homogeneity: E -> s E, t1 -> s t1, t2 -> s t2 leaves c_{N+1} = 0
+    sampled = sample_params("R32", random.Random(5), N=5)
+    for p in (p1, p2, p3, p4, sampled):
+        scaled = p.with_value("t1", s * p.t1).with_value("t2", s * p.t2)
+        for q in (F(1, 1000), F(1, 10 ** 6)):
+            roots, _ = find_spectral_roots(p, q, 512)
+            moved, _ = find_spectral_roots(scaled, q, 512)
+            with mpmath.workprec(600):
+                _within_width(moved, [to_mpf(s) * r for r in roots], 512)
+
+
+def test_an_uncertified_count_is_redone_at_doubled_bits(p1, monkeypatch):
+    q = F(1, 1000)
+    want, _ = find_spectral_roots(p1, q, 512)
+    certified = roots_mod._certified_count
+
+    def blurred_at_512(ratio, x):
+        return None if mpmath.iv.prec == 512 + EVAL_GUARD_BITS else certified(ratio, x)
+
+    monkeypatch.setattr(roots_mod, "_certified_count", blurred_at_512)
+    got, bits = find_spectral_roots(p1, q, 512)
+    assert bits == 512 and got == want
+
+
+def test_an_exact_root_on_the_bisection_grid_is_returned_exactly():
+    # N = 0 and q = 10^-6 make every q-power in c_1(E) = (B_1 E + C_1) / A_1
+    # rational: its root -C_1/B_1 is an integer, a grid point that
+    # bisection probes, where no count can be certified
+    p = derive(-4, -1, F(7, 6), 2, 0, F(-17, 3), F(-1, 2), F(1, 2), 2)
+    q = F(1, 10 ** 6)
+
+    def exact(a):  # every 6 qexp is an integer, so q^qexp = 10^(-6 qexp)
+        return sum(t.coeff * F(10) ** int(-6 * t.qexp) * p.t1 ** t.t1pow * p.t2 ** t.t2pow
+                   for t in a.terms)
+
+    _, B, C, _ = recursion_coeff_rows(p, 1)
+    root = -exact(C) / exact(B)
+    assert root.denominator == 1
+    found, _ = find_spectral_roots(p, q, 512)
+    assert [roots_mod._mpf_to_fraction(r) for r in found] == [root]
+
+
+def test_a_count_uncertified_at_max_bits_names_its_point(p1, monkeypatch):
+    monkeypatch.setattr(roots_mod, "_certified_count", lambda ratio, x: None)
+    with pytest.raises(PrecisionError, match=r"root count at E = -?\d.* is not certified at 4096 bits"):
+        find_spectral_roots(p1, F(1, 1000), 512)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qheun.errors import DomainError, ParameterError
 from qheun.qmono import EVAL_GUARD_BITS, EXACT_ZERO, QSum, eval_numeric, qpow, to_mpf, ultradiscretize
@@ -15,6 +17,7 @@ from qheun.spectral import (
     coefficients_numeric,
     derive,
     recursion_coeff_rows,
+    recursion_rows_at,
     residual_check,
     series_coefficient_values,
     spectral_polynomial,
@@ -266,6 +269,50 @@ def test_exact_matches_numeric_recursion(p1, p2, p3, bits):
                     exact_val = exact_val * mpmath.mpf(E0.numerator) / E0.denominator + v
                 err = abs(exact_val - numeric[n])
                 assert err <= mpmath.mpf(2) ** (-bits + 64) * (abs(numeric[n]) + 1)
+
+
+def _abs_recursion(rows, x):
+    """c_0 .. c_{N+1} at x with every term taken by its absolute value: the
+    scale of the rounding error of the recursion."""
+    out, m2, m1 = [mpmath.mpf(1)], mpmath.mpf(0), mpmath.mpf(1)
+    for A, B, C, D in rows:
+        m2, m1 = m1, ((abs(B * x) + C) * m1 + D * m2) / A
+        out.append(m1)
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["R31", "R32", "R33"]), st.integers(0, 10 ** 6), st.integers(1, 8),
+       st.integers(1, 10), st.integers(2, 12), st.integers(-60, 60), st.integers(0, 40),
+       st.sampled_from([128, 512]))
+def test_numeric_rows_match_the_exact_image(regime, seed, N, m, k, e0, e0_exp, bits):
+    # the shared rows, in mpf and as intervals, against the exact rows
+    # evaluated at twice the precision; and c_0 .. c_{N+1} run on them
+    # against the exact polynomials' image, over N <= 8, q in [1e-12, 1e-1].
+    # A q-power exp(mu log q) carries the rounding of log q times |mu log q|
+    # (below 2^11 here), so the rows hold bits + EVAL_GUARD_BITS - 11 bits
+    p = sample_params(regime, random.Random(seed), N=N)
+    q = F(m, 10 ** k)
+    E0 = F(e0, 7) * 10 ** e0_exp
+    rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
+    boxes = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS, mpmath.iv)
+    polys, _ = coefficients_exact(p)
+    numeric = series_coefficient_values(p, E0, q, bits=bits, up_to=p.N + 1)
+    with mpmath.workprec(2 * bits):
+        for n in range(1, p.N + 2):
+            exact = recursion_coeff_rows(p, n)
+            for v, box, row in zip(rows[n - 1], boxes[n - 1], exact):
+                ref = eval_numeric(row, q, p.t1, p.t2, bits=2 * bits)
+                assert abs(v - ref) <= mpmath.mpf(2) ** -bits * abs(ref)
+                slack = mpmath.mpf(2) ** -(2 * bits - 32) * abs(ref)
+                lo, hi = (mpmath.mp.make_mpf(e) for e in box._mpi_)
+                assert lo - slack <= ref <= hi + slack
+        scale = _abs_recursion(rows, abs(to_mpf(E0)))
+        for n, ep in enumerate(polys):
+            image = mpmath.mpf(0)
+            for c in reversed(ep.coefficient_values(q, p.t1, p.t2, bits=2 * bits)):
+                image = image * to_mpf(E0) + c
+            assert abs(image - numeric[n]) <= mpmath.mpf(2) ** -(bits - 32) * scale[n]
 
 
 def _uncached_coefficient_values(ep, q, t1, t2, bits):
