@@ -428,6 +428,16 @@ def test_sampled_roots_agree_with_the_image_pipeline(regime, seed, q, bits):
     _within_width(find_spectral_roots(p, q, bits)[0], found, bits)
 
 
+def test_roots_near_q_one_hold_their_width_against_more_bits():
+    # at q = 99/100 the image's coefficients cancel heavily, and its roots
+    # at 512 bits lie about 1e15 units of 2^-512 from the true ones; the
+    # counts certify against the exact q
+    p = sample_params("R33", random.Random(0), N=4)
+    q = F(99, 100)
+    found, _ = find_spectral_roots(p, q, 512)
+    _within_width(found, find_spectral_roots(p, q, 2048)[0], 512, k=2)
+
+
 @pytest.mark.parametrize("s", [F(2), F(3, 2)])
 def test_scaling_t1_and_t2_scales_every_root(p1, p2, p3, p4, s):
     # homogeneity: E -> s E, t1 -> s t1, t2 -> s t2 leaves c_{N+1} = 0
