@@ -60,7 +60,6 @@ from .ultra import (
 )
 from .roots import (
     MatchReport,
-    NumPoly,
     RootEstimate,
     estimate_exponents,
     find_real_roots,

@@ -13,8 +13,8 @@ from fractions import Fraction as F
 import mpmath
 
 from .qmono import SIGN_CONFLICT, equiv_approx, equiv_sim, ultradiscretize
-from .roots import (NumPoly, estimate_exponents, find_real_roots,
-                    find_spectral_roots, match_predictions)
+from .roots import (estimate_exponents, find_real_roots, find_spectral_roots,
+                    match_predictions)
 from .sampling import sample_params
 from .spectral import (coefficients_exact, coefficients_numeric, derive,
                        residual_check, spectral_polynomial)
@@ -149,8 +149,7 @@ def criterion_8_slope_calibration() -> None:
         with mpmath.workprec(256):
             qv = mpmath.mpf(1) / q.denominator
             c0 = 3 * mpmath.exp(mpmath.mpf("-2.5") * mpmath.log(qv))
-            poly = NumPoly((c0, mpmath.mpf(1)), q, F(1), F(1), 256)
-        roots.append(find_real_roots(poly)[0])
+        roots.append(find_real_roots((c0, mpmath.mpf(1)), 256)[0])
     with mpmath.workprec(256):
         slope = (mpmath.log(abs(roots[1])) - mpmath.log(abs(roots[0]))) / (
             mpmath.log(mpmath.mpf(1) / q2.denominator)

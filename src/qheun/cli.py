@@ -433,6 +433,8 @@ def cmd_sweep(args) -> int:
     step = _parse_rational(args.step, "--step")
     if step <= 0:
         raise UsageError("--step must be positive")
+    if args.jobs < 0:
+        raise UsageError(f"--jobs must be nonnegative, got {args.jobs}")
     grid = []
     v = lo
     while v <= hi:
@@ -443,8 +445,9 @@ def cmd_sweep(args) -> int:
         (tuple(raw.items()), args.axis, v, args.compensate, args.verify, args.bits)
         for v in grid
     ]
-    workers = args.jobs if args.jobs > 0 else min(8, os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
+    # a pool starts all its workers at once: no more of them than points
+    workers = min(args.jobs or min(8, os.cpu_count() or 1), len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
@@ -533,7 +536,8 @@ def _build_parser() -> _Parser:
                          "fixed (a bare sweep of any parameter entering "
                          "lambda1 leaves N non-integer at most grid points)")
     sp.add_argument("--jobs", type=int, default=0,
-                    help="parallel workers (0 = auto, 1 = serial)")
+                    help="parallel workers, at most one per grid point "
+                         "(0 = auto, 1 = serial)")
 
     return parser
 

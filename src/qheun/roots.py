@@ -4,23 +4,25 @@ The roots of the spectral polynomial c_{N+1} at a fixed q come from its
 three-term recursion (``find_spectral_roots``): plain counts of the roots
 above a point isolate them, Newton on the recursion approximates them, and
 counts run in interval arithmetic on the rows of the exact q certify them.
-The polynomial itself is never formed.
-
-A polynomial given by its coefficients (``find_real_roots``,
-``real_roots_of_rational_poly``) is isolated exactly instead: its mpf
-coefficients (exact dyadic rationals) become Fractions, each member of its
-Sturm chain is scaled once to integer coefficients, and the one exact
-evaluator (``_sign_at``) gives the sign at x = u/v as the sign of
-sum n_i u^i v^(d-i).  A Sturm count short of the degree raises
-PrecisionError.
-
-Either way each root is refined to the point sign bisection to relative
-width 2^-bits would return, without running it: the final level of the
-bisection is read off a floating approximation (geometric bisection, then
-Newton inside the bracket), two signs at the grid points just outside its
-error bound certify that the root lies between them, and signs at the grid
+The polynomial itself is never formed.  Each root is the point sign
+bisection to relative width 2^-bits would return, computed without running
+it (``_bisection_point``): the final level of the bisection is read off the
+Newton approximation, certified counts at the grid points just outside its
+error bound certify that the root lies between them, and counts at the grid
 points between, usually none, place it.  A failed check falls back to
-bisection.
+bisection on the counts.
+
+A polynomial given by its coefficients (``find_real_roots``, also bound as
+``real_roots_of_rational_poly``) is solved exactly by Sturm isolation and
+sign bisection: its coefficients (mpf, which are dyadic rationals, or
+rationals) become Fractions, each member of its Sturm chain is scaled once
+to integer coefficients, and the one exact evaluator (``_sign_at``) gives
+the sign at x = u/v as the sign of sum n_i u^i v^(d-i).  A Sturm count
+short of the degree raises PrecisionError.
+
+Both isolators split brackets in one loop (``_split_brackets``): at the
+midpoint, nudged off roots, for Sturm variations, and at the geometric mean
+for the counts.
 
 On top of that sit the two-q exponent estimator (log-log slope per matched
 root) and the prediction matcher used by the verification pipeline.
@@ -47,7 +49,6 @@ from .spectral import (  # noqa: F401 -- perfbench/tracing.py wraps spectral_pol
 from .ultra import PredictedRoot
 
 __all__ = [
-    "NumPoly",
     "RootEstimate",
     "MatchRow",
     "MatchReport",
@@ -61,8 +62,6 @@ __all__ = [
 _FPoly = list  # list[Fraction], degree-ascending
 _IPoly = list  # list[int], degree-ascending
 
-#: Extra bits of the floating root approximation beyond the target bits.
-_APPROX_GUARD_BITS = 32
 #: The precision a certified count doubles up to before it gives up.
 MAX_BITS = 4096
 #: Steps of the search R 2^(-2^j) for a point between 0 and the roots.
@@ -160,43 +159,52 @@ def _nonroot(n: _IPoly, x: Fraction, step: Fraction) -> Fraction:
     return x
 
 
-def _isolate(
-    chain: list[_IPoly], lo: Fraction, hi: Fraction, cuts: Sequence[Fraction]
-) -> list[tuple[Fraction, Fraction]]:
-    """Split (lo, hi) into open intervals holding exactly one distinct root
-    of chain[0] each; lo, hi and every split point are non-roots."""
-    n = chain[0]
-    nudge = (hi - lo) / 2 ** 24
-    points = [lo]
-    for cut in sorted(set(cuts)):
-        if lo < cut < hi:
-            points.append(_nonroot(n, cut, nudge))
-    points.append(hi)
-    var = {pt: _variations(chain, pt) for pt in points}
-    stack = [
-        (points[i], points[i + 1], var[points[i]], var[points[i + 1]])
-        for i in range(len(points) - 1)
-    ]
+def _split_brackets(counts: dict, count, split) -> list[tuple]:
+    """Brackets (a, b, counts[b]) between consecutive points, each holding
+    one root, sorted.
+
+    ``counts`` maps each point x to ``count(x)``, the number of roots above
+    x up to a constant; a bracket holding more than one root is split at
+    ``split(a, b)``, whose count joins ``counts``, until each holds one."""
+    xs = sorted(counts)
+    stack = list(zip(xs, xs[1:]))
     out = []
     while stack:
-        a, b, va, vb = stack.pop()
-        k = va - vb
-        if k <= 0:
-            continue
+        a, b = stack.pop()
+        k = counts[a] - counts[b]
         if k == 1:
-            out.append((a, b))
-            continue
-        mid = _nonroot(n, (a + b) / 2, (b - a) / 2 ** 24)
-        vm = _variations(chain, mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
-    out.sort()
-    return out
+            out.append((a, b, counts[b]))
+        elif k > 1:
+            x = split(a, b)
+            if not a < x < b:
+                raise PrecisionError(f"{k} roots in an unsplittable bracket")
+            counts[x] = count(x)
+            stack += [(a, x), (x, b)]
+    return sorted(out)
+
+
+def _isolate(
+    chain: list[_IPoly], lo: Fraction, hi: Fraction, cuts: Sequence[Fraction]
+) -> list[tuple]:
+    """Split (lo, hi) into open intervals (a, b, m) holding exactly one
+    distinct root of chain[0] each; lo, hi and every split point are
+    non-roots, a split at the midpoint nudged off roots."""
+    n = chain[0]
+    nudge = (hi - lo) / 2 ** 24
+    points = [lo, hi] + [_nonroot(n, cut, nudge) for cut in set(cuts) if lo < cut < hi]
+
+    def variations(x: Fraction) -> int:
+        return _variations(chain, x)
+
+    def split(a: Fraction, b: Fraction) -> Fraction:
+        return _nonroot(n, (a + b) / 2, (b - a) / 2 ** 24)
+
+    return _split_brackets({x: variations(x) for x in points}, variations, split)
 
 
 # ---------------------------------------------------------------------------
-# refinement: the point exact bisection returns, computed from a floating
-# approximation and certified by exact signs
+# refinement: the point exact bisection returns, by bisection or computed
+# from a floating approximation and certified by exact sides
 # ---------------------------------------------------------------------------
 
 
@@ -311,7 +319,8 @@ def _bisection_point(
 def _newton_in_bracket(ev, lo, hi, prec: int, start=None):
     """A floating approximation of the one root in the one-signed bracket
     (lo, hi), lo and hi nonzero mpf, as mpf ``(root, tol)`` with tol an
-    estimate of its error, or None.
+    estimate of its error, or None: the input of ``_bisection_point`` for
+    a root of c_{N+1} (``_spectral_root``).
 
     ``ev(x)`` gives f(x), f'(x), the rounding noise of f(x) and whether x
     lies below the root.  Newton kept inside the bracket, from ``start``
@@ -356,43 +365,10 @@ def _newton_in_bracket(ev, lo, hi, prec: int, start=None):
     return x, 4 * (abs(p) + err) / abs(dp)
 
 
-def _approximate(n: _IPoly, a: Fraction, b: Fraction, fa: int, bits: int):
-    """A floating approximation of the one root of n in (a, b), as mpf
-    ``(root, tol)``, or None: ``_newton_in_bracket`` on the mpf polynomial
-    at bits + _APPROX_GUARD_BITS.  ``fa`` is the exact sign of n at a."""
-    prec = bits + _APPROX_GUARD_BITS
-    with mpmath.workprec(prec):
-        cs = [mpmath.mpf(c) for c in n]
-        noise = 2 * len(cs) * mpmath.mpf(2) ** -prec
-
-        def ev(x):
-            # p(x), p'(x), the rounding noise of p(x), and x below the root
-            p = dp = size = mpmath.mpf(0)
-            ax = abs(x)
-            for c in reversed(cs):
-                dp = dp * x + p
-                p = p * x + c
-                size = size * ax + abs(c)
-            return p, dp, size * noise, (p > 0) - (p < 0) == fa
-
-        lo, hi = to_mpf(a), to_mpf(b)
-        if not lo or not hi:
-            # no nonzero root is nearer to 0 than |c_0| / (|c_0| + max |c_i|)
-            c0 = abs(cs[0])
-            bound = c0 / (c0 + max(abs(c) for c in cs[1:])) / 2
-            lo, hi = (bound, hi) if hi > 0 else (lo, -bound)
-        return _newton_in_bracket(ev, lo, hi, prec)
-
-
 def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
     """The point where exact bisection of the single simple root inside
-    (a, b) stops: relative width 2^-bits, absolute floor 2^-(2*bits).
-
-    A bracket straddling zero is first split there by one exact sign.  The
-    final bracket is then computed from a floating approximation of the
-    root (``_bisection_point``), with two exact signs that certify it in
-    the usual case.  Any failed check falls back to exact bisection.
-    """
+    (a, b) stops: relative width 2^-bits, absolute floor 2^-(2*bits).  A
+    bracket straddling zero is first split there by one exact sign."""
     V = math.lcm(a.denominator, b.denominator)
     A, B = a.numerator * (V // a.denominator), b.numerator * (V // b.denominator)
     fa = _sign_at(n, A, V)
@@ -402,40 +378,31 @@ def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
         s = _sign_at(n, M, W)
         return s and (1 if s == fa else -1)
 
-    if _stops(A, B, V, bits):
-        return Fraction(A + B, 2 * V)
-    if A < 0 < B:
+    if A < 0 < B and not _stops(A, B, V, bits):
         # probing zero first makes a root at the origin exact in the output
         # and splits a sign-straddling bracket well regardless
         s = side(0, V)
         if s == 0:
             return Fraction(0)
         A, B = (0, B) if s > 0 else (A, 0)
-    guess = _approximate(n, Fraction(A, V), Fraction(B, V), fa, bits)
-    if guess is not None:
-        r, t = (_mpf_to_fraction(v) for v in guess)
-        x = _bisection_point(A, B, V, bits, r, t, side)
-        if x is not None:
-            return x
     return _bisect_exact(A, B, V, bits, side)
 
 
 def _real_roots_fractions(
     coeffs: Sequence[Fraction], bits: int, cuts: Sequence[Fraction] = ()
 ) -> list[Fraction]:
-    c = _strip(list(coeffs))
-    if len(c) <= 1:
-        raise DomainError("root isolation requires degree >= 1")
-    deg = len(c) - 1
-    chain = _sturm_chain(c)
-    R = _cauchy_bound(c)
+    """The roots of ``coeffs`` (a nonzero leading coefficient, degree >= 1)
+    refined to relative width 2^-bits, sorted ascending."""
+    deg = len(coeffs) - 1
+    chain = _sturm_chain(list(coeffs))
+    R = _cauchy_bound(coeffs)
     total = _variations(chain, -R) - _variations(chain, R)
     if total != deg:
         raise PrecisionError(
             f"Sturm isolation found {total} distinct real roots for degree "
             f"{deg}; precision insufficient (or roots not real/simple)"
         )
-    roots = [_refine(chain[0], a, b, bits) for a, b in _isolate(chain, -R, R, cuts)]
+    roots = [_refine(chain[0], a, b, bits) for a, b, _ in _isolate(chain, -R, R, cuts)]
     return sorted(roots)
 
 
@@ -445,9 +412,6 @@ def _real_roots_fractions(
 
 
 def _mpf_to_fraction(x) -> Fraction:
-    if not isinstance(x, mpmath.mpf):
-        with mpmath.workprec(max(mpmath.mp.prec, 64)):
-            x = mpmath.mpf(x)
     if not mpmath.isfinite(x):
         raise DomainError(f"cannot convert non-finite value {x}")
     sign, man, exp, _ = x._mpf_
@@ -464,33 +428,6 @@ def _mpf_to_fraction(x) -> Fraction:
 
 
 @dataclass(frozen=True)
-class NumPoly:
-    """Numeric image of a spectral polynomial at fixed q (degree-ascending
-    mpf coefficients; q, t and the working precision are kept for reports)."""
-
-    coeffs: tuple
-    q: Fraction
-    t1: Fraction
-    t2: Fraction
-    bits: int
-
-    def __post_init__(self):
-        if len(self.coeffs) < 2:
-            raise DomainError("NumPoly requires degree >= 1")
-        if self.coeffs[-1] == 0:
-            raise PrecisionError("leading coefficient vanished at working precision")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def from_epoly(cls, ep: EPoly, q, t1, t2, bits: int = 512) -> "NumPoly":
-        vals = ep.coefficient_values(q, t1, t2, bits=bits)
-        return cls(tuple(vals), as_fraction(q), as_fraction(t1), as_fraction(t2), bits)
-
-
-@dataclass(frozen=True)
 class RootEstimate:
     """One numerically isolated root with its empirical log-q exponent."""
 
@@ -499,15 +436,23 @@ class RootEstimate:
     est_exponent: object
 
 
-def find_real_roots(poly: NumPoly, seeds: Sequence | None = None) -> list:
-    """All real roots of ``poly``, sorted ascending.
+def find_real_roots(coeffs: Sequence, bits: int, seeds: Sequence | None = None) -> list:
+    """All real roots of the polynomial with degree-ascending ``coeffs``,
+    refined to relative width 2^-bits and sorted ascending, as mpf.
 
-    ``seeds`` (approximate root values, e.g. predicted magnitudes) pre-cut
-    the isolation interval between consecutive seeds.  Raises PrecisionError
-    when the Sturm count over the Cauchy interval is not the full degree;
-    the caller should retry with the polynomial evaluated at more bits.
+    The coefficients are mpf (an image at fixed q) or rationals, both
+    converted exactly.  ``seeds`` (approximate root values, e.g. predicted
+    magnitudes) pre-cut the isolation interval between consecutive seeds.
+    Raises DomainError below degree 1, and PrecisionError when the leading
+    coefficient is zero or the Sturm count over the Cauchy interval is not
+    the full degree; for an image, the caller should retry with the
+    polynomial evaluated at more bits.
     """
-    fracs = [_mpf_to_fraction(v) for v in poly.coeffs]
+    if len(coeffs) < 2:
+        raise DomainError("root isolation requires degree >= 1")
+    fracs = [_mpf_to_fraction(c) if isinstance(c, mpmath.mpf) else as_fraction(c) for c in coeffs]
+    if not fracs[-1]:
+        raise PrecisionError("leading coefficient vanished at working precision")
     cuts: list[Fraction] = []
     if seeds:
         svals = sorted(_mpf_to_fraction(to_mpf(s)) for s in seeds)
@@ -516,9 +461,14 @@ def find_real_roots(poly: NumPoly, seeds: Sequence | None = None) -> list:
             for i in range(len(svals) - 1)
             if svals[i] != svals[i + 1]
         ]
-    roots = _real_roots_fractions(fracs, poly.bits, cuts)
-    with mpmath.workprec(poly.bits):
+    roots = _real_roots_fractions(fracs, bits, cuts)
+    with mpmath.workprec(bits):
         return [to_mpf(r) for r in roots]
+
+
+# multiplicity_prefactors solves its s-polynomial by this name, so that
+# perfbench/tracing.py times it apart from find_real_roots
+real_roots_of_rational_poly = find_real_roots
 
 
 def _prediction_seeds(p: HeunParams, predictions, q) -> list:
@@ -683,23 +633,14 @@ def _isolate_by_counts(ratio, seeds) -> list[tuple]:
         x = (a + b) / 2
         if a != b and -R < x < R:
             counts[x] = _count(ratio, x)
-    xs = sorted(counts)
-    stack = list(zip(xs, xs[1:]))
-    out = []
-    while stack:
-        a, b = stack.pop()
-        k = counts[a] - counts[b]
-        if k == 1:
-            out.append((a, b, counts[b]))
-        elif k > 1:
-            x = mpmath.sqrt(a * b) * (1 if b > 0 else -1)
-            if not a < x < b:
-                raise PrecisionError(f"{k} roots in an unsplittable bracket")
-            counts[x] = _count(ratio, x)
-            stack += [(a, x), (x, b)]
+    out = _split_brackets(
+        counts,
+        lambda x: _count(ratio, x),
+        lambda a, b: mpmath.sqrt(a * b) * (1 if b > 0 else -1),
+    )
     if len(out) != n:
         raise PrecisionError(f"count isolation found {len(out)} roots for degree {n}")
-    return sorted(out)
+    return out
 
 
 def _spectral_root(newton_rows, count, a, b, m: int, bits: int, start) -> Fraction:
@@ -792,8 +733,8 @@ def estimate_exponents(
     q1, q2 = as_fraction(q1), as_fraction(q2)
     if not 0 < q2 < q1 < 1:
         raise DomainError(f"need 0 < q2 < q1 < 1, got q1={q1}, q2={q2}")
-    roots1, b1 = find_spectral_roots(p, q1, bits, predictions=predictions)
-    roots2, b2 = find_spectral_roots(p, q2, bits, predictions=predictions)
+    roots1, _ = find_spectral_roots(p, q1, bits, predictions=predictions)
+    roots2, _ = find_spectral_roots(p, q2, bits, predictions=predictions)
     n1, p1 = _sign_groups(roots1)
     n2, p2 = _sign_groups(roots2)
     if len(n1) != len(n2):
@@ -802,7 +743,7 @@ def estimate_exponents(
             f"root lists\n  q1={q1}: {roots1}\n  q2={q2}: {roots2}"
         )
     out = []
-    with mpmath.workprec(max(b1, b2)):
+    with mpmath.workprec(bits):
         dlq = AtQ(q2, p.t1, p.t2).lq - AtQ(q1, p.t1, p.t2).lq
         for v1, v2 in zip(n1 + p1, n2 + p2):
             slope = (mpmath.log(abs(v2)) - mpmath.log(abs(v1))) / dlq
@@ -900,12 +841,3 @@ def match_predictions(
                 ok = False
             rows.append(MatchRow(est, pred, derr, ratio, exponent_ok, prefactor_ok))
     return MatchReport(rows, ok, tol_exponent, tol_prefactor)
-
-
-def real_roots_of_rational_poly(coeffs: Sequence, bits: int = 256) -> list:
-    """Exact real roots of a rational-coefficient polynomial (all roots must
-    be real and simple, else PrecisionError)."""
-    fracs = [as_fraction(c) for c in coeffs]
-    roots = _real_roots_fractions(fracs, bits)
-    with mpmath.workprec(bits):
-        return [to_mpf(r) for r in roots]

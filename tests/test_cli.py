@@ -1,10 +1,11 @@
 import hashlib
+import os
 import random
 import textwrap
 
 import pytest
 
-from qheun import acceptance
+from qheun import acceptance, cli
 from qheun.cli import _build_parser, main
 from qheun.sampling import sample_params
 
@@ -214,6 +215,65 @@ def test_sweep_records_invalid_rows(p1_file, capsys):
     out = capsys.readouterr().out.splitlines()
     regimes = [line.split(",")[2] for line in out[1:]]
     assert regimes == ["Invalid", "Invalid", "R31"]
+
+
+def test_sweep_parallel_csv_equals_serial(p1_file, tmp_path):
+    csvs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(
+            ["sweep", "--params", p1_file, "--axis", "t1", "--from", "1",
+             "--to", "2", "--step", "1/2", "--verify", "--jobs", jobs,
+             "--out", str(out)]
+        ) == 0
+        csvs.append((out / "sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    assert csvs[0].count(b",yes") == 3
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs,workers",
+    [("1", None), ("2", 2), ("3", 3), ("64", 3),
+     ("0", min(8, os.cpu_count() or 1, 3))],
+)
+def test_sweep_starts_at_most_one_worker_per_point(p1_file, monkeypatch, capsys, jobs, workers):
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _SerialPool(made, max_workers))
+    assert main(
+        ["sweep", "--params", p1_file, "--axis", "beta", "--from", "1/4",
+         "--to", "1/2", "--step", "1/8", "--jobs", jobs]
+    ) == 0
+    assert made == ([] if workers in (None, 1) else [workers])
+    regimes = [line.split(",")[2] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert regimes == ["Invalid", "Invalid", "R31"]
+
+
+def test_sweep_negative_jobs_is_usage_error(p1_file, monkeypatch, capsys):
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _SerialPool(made, max_workers))
+    assert main(
+        ["sweep", "--params", p1_file, "--axis", "beta", "--from", "1/4",
+         "--to", "1/2", "--step", "1/8", "--jobs", "-5"]
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --jobs must be nonnegative, got -5\n" and captured.out == ""
+    assert not made
 
 
 def test_usage_error_unknown_axis(p1_file, capsys):

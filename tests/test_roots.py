@@ -7,9 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qheun.roots as roots_mod
-from qheun.errors import MatchingError, PrecisionError
+from qheun.errors import DomainError, MatchingError, PrecisionError
 from qheun.roots import (
-    NumPoly,
     estimate_exponents,
     find_real_roots,
     find_spectral_roots,
@@ -26,14 +25,13 @@ from qheun.ultra import PredictedRoot, classify, predict_roots
 F = Fraction
 
 
-def _poly(coeffs, q=F(1, 10), bits=256):
+def _poly(coeffs, bits=256):
     with mpmath.workprec(bits):
-        vals = tuple(mpmath.mpf(c.numerator) / c.denominator for c in coeffs)
-    return NumPoly(vals, q, F(1), F(1), bits)
+        return tuple(mpmath.mpf(c.numerator) / c.denominator for c in coeffs)
 
 
 def test_quadratic_roots():
-    roots = find_real_roots(_poly([F(-1), F(0), F(1)]))
+    roots = find_real_roots(_poly([F(-1), F(0), F(1)]), 256)
     assert [float(r) for r in roots] == [-1.0, 1.0]
 
 
@@ -41,13 +39,32 @@ def test_constructed_cubic_with_zero_root():
     # E(E-q)(E-q^2) at q = 1/10
     q = F(1, 10)
     coeffs = [F(0), q ** 3, -(q + q * q), F(1)]
-    roots = find_real_roots(_poly(coeffs, q))
+    roots = find_real_roots(_poly(coeffs), 256)
     assert [float(r) for r in roots] == [0.0, 0.01, 0.1]
 
 
 def test_precision_error_on_complex_roots():
     with pytest.raises(PrecisionError):
-        find_real_roots(_poly([F(1), F(0), F(1)]))  # E^2 + 1
+        find_real_roots(_poly([F(1), F(0), F(1)]), 256)  # E^2 + 1
+
+
+def test_degree_below_one_and_a_vanished_leading_coefficient_raise():
+    with pytest.raises(DomainError):
+        find_real_roots([mpmath.mpf(3)], 64)
+    with pytest.raises(PrecisionError, match="leading coefficient vanished"):
+        find_real_roots([mpmath.mpf(-1), mpmath.mpf(1), mpmath.mpf(0)], 64)
+
+
+def test_coefficients_convert_exactly():
+    # a 300-bit mpf and a rational that is no dyadic rational reach the
+    # exact core unrounded: a 64-bit round trip would move the root by 2^-66
+    with mpmath.workprec(300):
+        third = mpmath.mpf(1) / 3
+        image = [-third, mpmath.mpf(1)]
+    for coeffs in (image, [F(-1), 3], ["-1/3", 1]):
+        (root,) = find_real_roots(coeffs, 256)
+        with mpmath.workprec(300):
+            assert abs(root - third) < mpmath.mpf(2) ** -250
 
 
 def test_p3_roots_at_tiny_q(p3):
@@ -59,15 +76,14 @@ def test_p3_roots_at_tiny_q(p3):
 
 
 def test_seeded_isolation_agrees_with_unseeded(p1):
-    ep = spectral_polynomial(p1)
-    poly = NumPoly.from_epoly(ep, F(1, 1000), p1.t1, p1.t2, bits=512)
-    plain = find_real_roots(poly)
-    seeded = find_real_roots(poly, seeds=[-1e9, -3e10, -1e14, -1e18])
+    vals = spectral_polynomial(p1).coefficient_values(F(1, 1000), p1.t1, p1.t2, bits=512)
+    plain = find_real_roots(vals, 512)
+    seeded = find_real_roots(vals, 512, seeds=[-1e9, -3e10, -1e14, -1e18])
     # different isolation brackets may shift the refined midpoint within
     # the 2^-bits relative target, never beyond
     with mpmath.workprec(512):
         for a, b in zip(plain, seeded):
-            assert abs((a - b) / a) < mpmath.mpf(2) ** -(poly.bits - 2)
+            assert abs((a - b) / a) < mpmath.mpf(2) ** -(512 - 2)
 
 
 def test_synthetic_power_law_slope_calibration():
@@ -77,8 +93,7 @@ def test_synthetic_power_law_slope_calibration():
     for q in (q1, q2):
         with mpmath.workprec(256):
             c0 = 3 * mpmath.exp(mpmath.mpf("-2.5") * mpmath.log(mpmath.mpf(1) / q.denominator))
-            poly = NumPoly((c0, mpmath.mpf(1)), q, F(1), F(1), 256)
-        vals.append(find_real_roots(poly)[0])
+        vals.append(find_real_roots((c0, mpmath.mpf(1)), 256)[0])
     with mpmath.workprec(256):
         slope = (mpmath.log(abs(vals[1])) - mpmath.log(abs(vals[0]))) / (
             mpmath.log(mpmath.mpf(1) / 10000) - mpmath.log(mpmath.mpf(1) / 1000)
@@ -293,39 +308,34 @@ def test_refined_roots_equal_the_fraction_oracle(rs, lead, cuts, bits):
     assert (Fraction(0) in rs) == (Fraction(0) in got)
 
 
-def test_roots_on_a_bisection_midpoint_are_returned_exactly(monkeypatch):
-    # isolation gives (-8, 0) and (0, 8); bisecting them probes -1/8 and 9/8,
-    # which are grid points of the final level: the approximation lands on
-    # them and an exact sign of 0 returns them without a fallback
+def _bracket_and_side(coeffs, positive=True):
+    """The bracket (0, R) or (-R, 0) of the Cauchy bound R, as integers
+    (A, B, V), and the side of the polynomial's one root in it against
+    M/W by exact signs: +1 above, -1 below, 0 at."""
+    n = roots_mod._integer_scaled(coeffs)
+    R = roots_mod._cauchy_bound(coeffs)
+    A, B, V = (0, R.numerator, R.denominator) if positive else (-R.numerator, 0, R.denominator)
+    fa = roots_mod._sign_at(n, A, V)
+
+    def side(M, W):
+        s = roots_mod._sign_at(n, M, W)
+        return s and (1 if s == fa else -1)
+
+    return A, B, V, side
+
+
+def test_roots_on_a_bisection_midpoint_are_returned_exactly():
+    # bisecting (-8, 0) and (0, 8) probes -1/8 and 9/8, which are grid points
+    # of the final level: an approximation near them and an exact side of 0
+    # return them, not None
     rs = [Fraction(-1, 8), Fraction(9, 8)]
     coeffs = _from_roots(Fraction(1), rs)
     assert _oracle_roots(coeffs, 64) == rs
-    fallbacks = []
-    monkeypatch.setattr(roots_mod, "_bisect_exact", lambda *a: fallbacks.append(a))
-    assert _real_roots_fractions(coeffs, 64) == rs
-    assert not fallbacks
-
-
-@pytest.mark.parametrize(
-    "wrong",
-    [lambda n, a, b, fa, bits: (mpmath.mpf(a.numerator) / a.denominator, mpmath.mpf(0)),
-     lambda n, a, b, fa, bits: None],
-    ids=["left-endpoint", "none"],
-)
-def test_wrong_approximation_falls_back_to_exact_bisection(monkeypatch, wrong):
-    coeffs = _from_roots(Fraction(5, 3), [Fraction(-7, 3), Fraction(0), Fraction(1, 3), Fraction(11, 2)])
-    want = _oracle_roots(coeffs, 128)
-    fallbacks = []
-    original = roots_mod._bisect_exact
-
-    def counting(*args):
-        fallbacks.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(roots_mod, "_approximate", wrong)
-    monkeypatch.setattr(roots_mod, "_bisect_exact", counting)
-    assert _real_roots_fractions(coeffs, 128) == want
-    assert fallbacks
+    for root in rs:
+        A, B, V, side = _bracket_and_side(coeffs, root > 0)
+        assert roots_mod._bisect_exact(A, B, V, 64, side) == root
+        for r in (root, root + Fraction(1, 2 ** 100)):
+            assert roots_mod._bisection_point(A, B, V, 64, r, Fraction(1, 2 ** 80), side) == root
 
 
 @pytest.mark.parametrize(
@@ -333,17 +343,55 @@ def test_wrong_approximation_falls_back_to_exact_bisection(monkeypatch, wrong):
     [(Fraction(4, 3), -10), (1 + Fraction(1, 2 ** 70), -10), (Fraction(4, 3 * 2 ** 10), 0)],
     ids=["below", "below-grid-point", "above"],
 )
-def test_an_approximation_far_from_the_root_gives_the_bisection_point(monkeypatch, root, guess):
+def test_an_approximation_far_from_the_root_gives_the_bisection_point(root, guess):
     # the approximation 2^guess, with an error bound that covers the root,
     # reads a final level deeper (below) or shallower (above) than the one
     # where bisection to 2^-64 stops; 1 + 2^-70 even lies on the grid of
-    # that deeper level, although bisection stops before it probes it
+    # that deeper level, although bisection stops before it probes it.  The
+    # stop-rule check turns that into None, never into another point.  An
+    # approximation 2^-30 off reads the right level, and signs at the grid
+    # points between place the root
     coeffs = _from_roots(Fraction(1), [root])
-    want = _oracle_roots(coeffs, 64)
-    assert want != [root]
-    far = (mpmath.mpf(2) ** guess, mpmath.mpf(2))
-    monkeypatch.setattr(roots_mod, "_approximate", lambda n, a, b, fa, bits: far)
-    assert _real_roots_fractions(coeffs, 64) == want
+    (want,) = _oracle_roots(coeffs, 64)
+    assert want != root
+    A, B, V, side = _bracket_and_side(coeffs)
+    assert roots_mod._bisect_exact(A, B, V, 64, side) == want
+    far = roots_mod._bisection_point(A, B, V, 64, Fraction(2) ** guess, Fraction(2), side)
+    assert far is None or far == want
+    near = Fraction(round(root * 2 ** 30), 2 ** 30)
+    assert roots_mod._bisection_point(A, B, V, 64, near, Fraction(1, 2 ** 29), side) == want
+
+
+def test_an_approximation_whose_bound_misses_the_root_gives_none():
+    # both grid points next to 2^guess -+ 2^-100 lie below the root
+    coeffs = _from_roots(Fraction(1), [Fraction(4, 3)])
+    A, B, V, side = _bracket_and_side(coeffs)
+    for guess in (-10, 0):
+        assert roots_mod._bisection_point(A, B, V, 64, Fraction(2) ** guess, Fraction(1, 2 ** 100), side) is None
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [lambda ev, lo, hi, prec, start=None: (lo, mpmath.mpf(0)),
+     lambda ev, lo, hi, prec, start=None: None],
+    ids=["left-endpoint", "none"],
+)
+def test_wrong_approximation_falls_back_to_exact_bisection(p1, p4, monkeypatch, wrong):
+    # a Newton approximation at the bracket's left end, or none, leaves
+    # bisection on the certified counts, which returns the same roots
+    want = [find_spectral_roots(p, F(1, 1000), 512)[0] for p in (p1, p4)]
+    fallbacks = []
+    original = roots_mod._bisect_exact
+
+    def counting(*args):
+        fallbacks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(roots_mod, "_newton_in_bracket", wrong)
+    monkeypatch.setattr(roots_mod, "_bisect_exact", counting)
+    got = [find_spectral_roots(p, F(1, 1000), 512)[0] for p in (p1, p4)]
+    assert [[r._mpf_ for r in rs] for rs in got] == [[r._mpf_ for r in rs] for rs in want]
+    assert fallbacks
 
 
 def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4, monkeypatch):
@@ -404,7 +452,7 @@ def _within_width(got, want, bits, k=4):
 def _image_roots(p, q, bits, preds=None):
     """The roots of the mpf image of the exact c_{N+1}, by Sturm isolation."""
     seeds = roots_mod._prediction_seeds(p, preds, q) if preds else None
-    return find_real_roots(NumPoly.from_epoly(spectral_polynomial(p), q, p.t1, p.t2, bits), seeds)
+    return find_real_roots(spectral_polynomial(p).coefficient_values(q, p.t1, p.t2, bits=bits), bits, seeds)
 
 
 @pytest.mark.parametrize("q", [F(1, 10 ** k) for k in (3, 4, 5, 6)])
