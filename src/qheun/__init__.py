@@ -43,6 +43,7 @@ from .spectral import (
     derive,
     recursion_coeff_rows,
     residual_check,
+    sampled_residual,
     series_coefficient_values,
     spectral_polynomial,
 )

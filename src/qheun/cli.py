@@ -48,6 +48,7 @@ from .errors import (
 from .qmono import EVAL_MIN_BITS, to_mpf
 from .spectral import (
     HeunParams,
+    _power_residuals,
     coefficients_numeric,
     derive,
     residual_check,
@@ -302,22 +303,34 @@ def cmd_verify(args) -> int:
         enforce="none",
     )
 
-    ok = all(r.exponent_ok for r in report.rows)
+    # one line per failed gate, printed only when verification fails
+    failures = []
     rows = []
     worst_res = mpmath.mpf(0)
     for k, row in enumerate(report.rows, start=1):
         est, pred = row.estimate, row.prediction
         if est is None or pred is None:
-            ok = False
+            failures.append(
+                f"root {k} unmatched: "
+                + ("no prediction for it" if pred is None else "no root for its prediction")
+            )
             rows.append(
                 [str(k), str(q2)] + [""] * 6 + ["unmatched"]
             )
             continue
+        if not row.exponent_ok:
+            failures.append(
+                f"root {k} exponent: error {_fmt(row.d_error)} > {args.tol_exponent}"
+            )
         sol = coefficients_numeric(p, est.value, q2, args.bits)
         res = residual_check(p, sol)
         worst_res = max(worst_res, res)
         if res > args.tol_residual:
-            ok = False
+            per_m = _power_residuals(p, sol)
+            failures.append(
+                f"root {k} residual: {_fmt(res)} > {args.tol_residual}"
+                f" at power m = {per_m.index(res)}"
+            )
         rows.append(
             [
                 str(k),
@@ -332,24 +345,30 @@ def cmd_verify(args) -> int:
             ]
         )
 
-    # balanced multiple roots: compare |ratio| magnitudes against the
-    # s-polynomial refinement (meaningful once q is small enough that
-    # subleading corrections sit below the tolerance)
-    # builds c_{N+1} only for a balanced multiple pair
+    # balanced multiple roots: compare |root / q^d| = |ratio| * sqrt(t1*t2)
+    # against the s-polynomial refinement, whose roots carry t1, t2
+    # (meaningful once q is small enough that subleading corrections sit
+    # below the tolerance); builds c_{N+1} only for a balanced multiple pair
     refined = multiplicity_prefactors(p, tag, predictions=preds)
     if refined:
         if q2 <= PREFACTOR_GATE_QMAX:
             got = sorted(
-                (abs(r.prefactor_ratio) for r in report.rows
+                (abs(r.prefactor_ratio * r.prediction.prefactor_value(p.t1, p.t2))
+                 for r in report.rows
                  if r.prediction is not None and r.prediction.prefactor == BALANCED),
             )
             want = sorted(abs(v) for v in refined)
             if len(got) != len(want):
-                ok = False
+                failures.append(
+                    f"prefactor: {len(got)} balanced roots for {len(want)} s-roots"
+                )
             else:
                 for g, w in zip(got, want):
                     if abs(g / w - 1) > args.tol_prefactor:
-                        ok = False
+                        failures.append(
+                            f"prefactor: |root / q^d| = {_fmt(g)} against s-root"
+                            f" {_fmt(w)}, off by more than {args.tol_prefactor}"
+                        )
         else:
             print(
                 "note: balanced-pair prefactors reported but not gated "
@@ -382,6 +401,9 @@ def cmd_verify(args) -> int:
             rows,
         )
         print(f"wrote {out / 'roots.csv'}")
+    ok = not failures
+    for line in failures:
+        print("failed: " + line)
     print("verification " + ("PASSED" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

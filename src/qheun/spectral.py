@@ -21,8 +21,11 @@ recursion
 
 With N := -lambda1 - a1 a nonnegative integer, c_{N+1}(E) is the spectral
 polynomial: at each of its roots the series terminates at degree N and the
-truncated series solves the equation exactly, which is what residual_check
-verifies numerically.
+truncated series solves the equation exactly.  Numerically the series at a
+root comes from a twisted solve of the recursion's tridiagonal system
+(coefficients_numeric), which keeps full precision where the forward
+recursion amplifies the root's rounding, and residual_check verifies it
+power by power of x against the operator's own factors.
 
 Division by A_n is not closed in the q-monomial ring, so exact coefficients
 are carried as EPoly: a numerator polynomial over a structured denominator
@@ -72,6 +75,7 @@ __all__ = [
     "coefficients_numeric",
     "series_coefficient_values",
     "residual_check",
+    "sampled_residual",
 ]
 
 _HALF = Fraction(1, 2)
@@ -439,18 +443,111 @@ def series_coefficient_values(p: HeunParams, E0, q, bits: int = 512, up_to: int 
         return [+c for c in cs]
 
 
+def _pivots(a, off):
+    """Pivots of the tridiagonal LDU factorisation run in the order of
+    ``a``: d_0 = a_0, d_i = a_i - off_{i-1} / d_{i-1}, with off_{i-1} the
+    product of the two off-diagonal entries that couple i-1 and i.  A
+    pivot that rounds to zero is replaced by 2^-prec |a_i|, so that the
+    next division stays defined."""
+    out = []
+    for i, ai in enumerate(a):
+        d = ai - off[i - 1] / out[-1] if i else ai
+        out.append(d or mpmath.ldexp(abs(ai) or 1, -mpmath.mp.prec))
+    return out
+
+
 def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolution:
-    """Series coefficients c_0..c_N of the (candidate) terminating solution."""
-    vals = series_coefficient_values(p, E0, q, bits=bits, up_to=p.N)
+    """Series coefficients c_0..c_N of the (candidate) terminating solution,
+    from a twisted solve of the recursion's tridiagonal system at E0.
+
+    Equations n = 1..N+1 with c_{N+1} = 0 read T c = 0, row i = n-1 having
+    diagonal a_i = B_n E0 + C_n, superdiagonal -A_n and subdiagonal -D_n.
+    The forward and backward pivots d+_i, d-_i give the twist
+    gamma_k = d+_k + d-_k - a_k; at k = argmin |gamma_k| the vector with
+    z_k = 1 solves every row but k, runs outward from k through the pivots,
+    and is normalised to c_0 = 1 (Fernando, SIAM J. Matrix Anal. Appl. 18
+    (1997); Dhillon & Parlett, Linear Algebra Appl. 387 (2004)).  Unlike
+    the forward recursion (series_coefficient_values, kept as the
+    reference), it does not amplify the error of a rounded root."""
+    rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
+    N = p.N
+    with mpmath.workprec(bits + EVAL_GUARD_BITS):
+        E0v = to_mpf(E0)
+        a = [Bv * E0v + Cv for _, Bv, Cv, _ in rows]
+        # products of the off-diagonals coupling i and i+1: A_{i+1} D_{i+2}
+        off = [rows[i][0] * rows[i + 1][3] for i in range(N)]
+        fwd = _pivots(a, off)
+        bwd = _pivots(a[::-1], off[::-1])[::-1]
+        k = min(range(N + 1), key=lambda i: abs(fwd[i] + bwd[i] - a[i]))
+        z = [mpmath.mpf(0)] * (N + 1)
+        z[k] = mpmath.mpf(1)
+        for i in range(k - 1, -1, -1):
+            z[i] = rows[i][0] * z[i + 1] / fwd[i]
+        for i in range(k + 1, N + 1):
+            z[i] = rows[i][3] * z[i - 1] / bwd[i]
+        cs = [mpmath.mpf(1)] + [zi / z[0] for zi in z[1:]]
     with mpmath.workprec(bits):
         e0 = +to_mpf(E0)
-    return SeriesSolution(
-        p.lambda1, tuple(vals), e0, as_fraction(q), p.t1, p.t2, bits
-    )
+        vals = tuple(+c for c in cs)
+    return SeriesSolution(p.lambda1, vals, e0, as_fraction(q), p.t1, p.t2, bits)
+
+
+def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:
+    """Relative residual of the x^(lambda1+m) coefficient of the q-Heun
+    operator applied to the series, for m = 0 .. N+2.
+
+    c_n enters the coefficient of x^(lambda1+n+j), j = 0, 1, 2, times
+        j = 0:  a1 a2 q^-(lambda1+n) + P b1 b2 q^(lambda1+n) - K
+        j = 1:  -(a1+a2) q^-(lambda1+n) - P (b1+b2) q^(lambda1+n) - E
+        j = 2:  q^-(lambda1+n) + P q^(lambda1+n) - Q
+    with the operator's own factors a_i = q^(h_i+1/2) t_i,
+    b_i = q^(l_i-1/2) t_i, P = q^(a1+a2), Q = q^a1 + q^a2 and K its
+    constant term, not the recursion rows.  Each coefficient is divided by
+    the sum of the absolute values of its (at most nine) terms.  m = 0 and
+    m = N+2 are the indicial and termination identities, zero for any E."""
+    with mpmath.workprec(sol.bits + EVAL_GUARD_BITS):
+        at = AtQ(sol.q, sol.t1, sol.t2)
+        qp, t1v, t2v = at.qpow, at.t1, at.t2
+        a1, a2 = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
+        b1, b2 = qp(p.l1 - _HALF) * t1v, qp(p.l2 - _HALF) * t2v
+        P = qp(p.alpha1 + p.alpha2)
+        Q = qp(p.alpha1) + qp(p.alpha2)
+        K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
+            qp(p.beta / 2) + qp(-p.beta / 2)
+        ) * t1v * t2v
+        factors = (
+            (a1 * a2, P * b1 * b2, -K),
+            (-(a1 + a2), -P * (b1 + b2), -to_mpf(sol.E0)),
+            (mpmath.mpf(1), P, -Q),
+        )
+        # q^(lambda1+n) and q^-(lambda1+n) by steps of q from one power each
+        up, dn, qinv = qp(p.lambda1), qp(-p.lambda1), 1 / at.q
+        terms = [[] for _ in range(p.N + 3)]
+        for n, c in enumerate(sol.coeffs):
+            for j, (u, v, w) in enumerate(factors):
+                terms[n + j] += (c * u * dn, c * v * up, c * w)
+            up, dn = up * at.q, dn * qinv
+        out = []
+        for ts in terms:
+            scale = mpmath.fsum(ts, absolute=True)
+            out.append(abs(mpmath.fsum(ts)) / scale if scale else mpmath.mpf(0))
+    with mpmath.workprec(sol.bits):
+        return [+r for r in out]
 
 
 def residual_check(p: HeunParams, sol: SeriesSolution):
-    """Largest relative residual of the q-Heun operator applied to the series.
+    """Largest per-power relative residual of the q-Heun operator applied
+    to the series (see _power_residuals): independent of x and of scale,
+    and it sees every power of x, so a non-root cannot hide between
+    sample points."""
+    return max(_power_residuals(p, sol))
+
+
+def sampled_residual(p: HeunParams, sol: SeriesSolution):
+    """Largest relative residual of the q-Heun operator applied to the
+    series at three sample points x.  The reference that residual_check
+    replaced; it can pass a non-root whose equation is violated only at
+    powers of x far from the samples.
 
     Evaluates the operator's three groups at each sample x and divides the
     absolute sum by the largest group magnitude.  The samples

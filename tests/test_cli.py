@@ -387,6 +387,54 @@ def test_verify_passes_on_an_n12_r31_set_at_512_bits(tmp_path, capsys):
     assert "verification PASSED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("qs", [("1/1000", "1/10000"), ("1/100000", "1/1000000")])
+@pytest.mark.parametrize("regime", ["R31", "R32", "R33"])
+def test_verify_passes_on_the_n12_sets_at_512_bits(tmp_path, capsys, regime, qs):
+    # every root is certified by the first 512-bit answer; R32's set has
+    # t1 = 2, t2 = 3 and a balanced pair, gated at the smaller q pair
+    p = sample_params(regime, random.Random(12), N=12)
+    path = _write(tmp_path, "n12.params", "".join(f"{k} = {v}\n" for k, v in p.raw().items()))
+    assert main(["verify", "--params", path, "--q", qs[0], "--q", qs[1], "--bits", "512"]) == 0
+    out = capsys.readouterr().out
+    assert "verification PASSED" in out and "failed:" not in out
+
+
+def test_verify_gates_balanced_prefactors_when_t1_t2_is_not_one(tmp_path, capsys):
+    # |root / q^d| against the s-roots, which carry sqrt(t1*t2) = sqrt(6);
+    # the descriptor ratios alone are 1.618 and 0.618
+    body = P4.replace("t1 = 1", "t1 = 2").replace("t2 = 1", "t2 = 3")
+    path = _write(tmp_path, "p4t.params", body)
+    assert main(["verify", "--params", path, "--q", "1/100000", "--q", "1/1000000"]) == 0
+    assert "verification PASSED" in capsys.readouterr().out
+
+
+def test_verify_names_each_failed_gate(tmp_path, capsys):
+    path = _write(tmp_path, "p4.params", P4)
+    argv = ["verify", "--params", path, "--q", "1/100000", "--q", "1/1000000"]
+    assert main(argv) == 0
+    assert "failed:" not in capsys.readouterr().out
+    assert main(argv + ["--tol-residual", "1e-300", "--tol-exponent", "1e-9",
+                        "--tol-prefactor", "1e-9"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("failed: ")]
+    assert lines[-1] == "verification FAILED" and lines[-1 - len(failed):-1] == failed
+    assert sum("residual:" in line and "> 1e-300 at power m = " in line for line in failed) == 4
+    assert sum("exponent: error" in line and "> 1e-09" in line for line in failed) == 4
+    prefactor = [line for line in failed if line.startswith("failed: prefactor: |root / q^d| = ")]
+    assert len(prefactor) == 4
+    assert all("against s-root 1.618" in line or "against s-root 0.618" in line for line in prefactor)
+
+
+def test_verify_names_an_unmatched_root(tmp_path, monkeypatch, capsys):
+    # with one prediction dropped, one found root has none to match
+    original = cli.predict_roots
+    monkeypatch.setattr(cli, "predict_roots", lambda p, tag: original(p, tag)[1:])
+    path = _write(tmp_path, "p1.params", P1)
+    assert main(["verify", "--params", path]) == 3
+    out = capsys.readouterr().out
+    assert "failed: root 3 unmatched: no prediction for it\n" in out
+
+
 def test_verify_predicts_the_roots_once(tmp_path, monkeypatch, capsys):
     # the prefactor refinement of p4 reuses the predictions verify made
     import qheun.cli as cli
@@ -411,12 +459,13 @@ def test_verify_predicts_the_roots_once(tmp_path, monkeypatch, capsys):
 # were recorded before the root refinement was computed from floating
 # approximations: the roots must not move by a bit.  The verify digests
 # were re-recorded when the refinement target went from 2^-(bits//2) to
-# 2^-bits, which changed only the residual column.
+# 2^-bits, and again when the residual became the per-power residual of
+# the twisted series; each time only the residual column changed.
 GOLDEN_CSV_SHA256 = {
-    ("verify", "P1"): "e662e60ae6002a3fcdec4b0cb3f83563216bfd35957c2afb815fa4fd26e0a06f",
-    ("verify", "P2"): "dae615614340b1ae602965d4ea67e10c7a1c2e5c3a110002faf4de70da7c060c",
-    ("verify", "P3"): "dbf147b745d5469783d34a80746e66e23b6b5ac5d901f686165b7b71d1deedd8",
-    ("verify", "P4"): "90e6fc3e954528923570b60f36aa0df63d9731d8b26efae6f4e3bac8db93bf03",
+    ("verify", "P1"): "24f4848148808f22d8ff6da1105ec9c8585e87cdd2b7de0354e4f9585941bfba",
+    ("verify", "P2"): "761ab95f0a22475c6b35343ec88c83fe55e64240301438cdb1cd37f1c5c497bc",
+    ("verify", "P3"): "4efbce9d334ed8b5756cfba97869814fcbca676ece0cb53658191dc985ef2b7a",
+    ("verify", "P4"): "0be74ddec876613708e9115eeeb59076910853616489de00f080f426063eb484",
     ("roots", "P1"): "6aff24a2e1359f570c023baf92af23a656599935ae3786e03be5a14bbab5388c",
     ("roots", "P2"): "5ceb7884ea4caaed9cfcdae7c5b186346e7dde3b9fae117628f53e9be2f5195d",
     ("roots", "P3"): "afd3bf7f638eceabb51b930525d5bce82178aea40a14ad699ab172d842162b25",

@@ -12,6 +12,7 @@ from qheun.errors import DomainError, ParameterError
 from qheun.qmono import EVAL_GUARD_BITS, EXACT_ZERO, QSum, eval_numeric, qpow, to_mpf, ultradiscretize
 from qheun.sampling import sample_params
 from qheun.spectral import (
+    _power_residuals,
     _scaled,
     coefficients_exact,
     coefficients_numeric,
@@ -19,6 +20,7 @@ from qheun.spectral import (
     recursion_coeff_rows,
     recursion_rows_at,
     residual_check,
+    sampled_residual,
     series_coefficient_values,
     spectral_polynomial,
 )
@@ -476,7 +478,7 @@ def test_series_and_residual_equal_the_uncached_reference(p1, p2, p3, p4, bits):
             got = series_coefficient_values(p, E0, q, bits=bits, up_to=p.N + 1)
             assert [c._mpf_ for c in got] == _uncached_series(p, E0, q, bits, p.N + 1)
             sol = coefficients_numeric(p, E0, q, bits)
-            assert residual_check(p, sol)._mpf_ == _uncached_residual(p, sol)
+            assert sampled_residual(p, sol)._mpf_ == _uncached_residual(p, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +512,74 @@ def test_residual_gate_passes_roots_and_rejects_non_roots(p1, p2, p3, p4, q):
         res = [residual_check(p, coefficients_numeric(p, E, q, 512)) for E in roots + moved + mids]
         assert all(r <= gate for r in res[: len(roots)])
         assert all(r > gate for r in res[len(roots):])
+
+
+def test_residual_gate_passes_roots_and_rejects_non_roots_at_n12():
+    # the R32 N = 12 set at q = 1e-4: c_N spans hundreds of orders of
+    # magnitude, yet every 512-bit root passes and every non-root fails
+    gate = mpmath.mpf(10) ** -30
+    p = sample_params("R32", random.Random(12), N=12)
+    q = F(1, 10 ** 4)
+    roots, _ = find_spectral_roots(p, q, 512)
+    roots = sorted(roots)
+    with mpmath.workprec(512):
+        moved = [r * (1 + mpmath.mpf(2) ** -40) for r in roots]
+        mids = [(a + b) / 2 for a, b in zip(roots, roots[1:])]
+    far = F(-7 * 10 ** 20)
+    res = [residual_check(p, coefficients_numeric(p, E, q, 512)) for E in roots + moved + mids + [far]]
+    assert all(r <= gate for r in res[: len(roots)])
+    assert all(r > gate for r in res[len(roots):])
+    # the three x-samples do not see the powers where E0 = -7e20 fails
+    assert sampled_residual(p, coefficients_numeric(p, far, q, 512)) <= gate
+
+
+@pytest.mark.parametrize("q", [F(1, 1000), F(1, 10 ** 6), F(99, 100)])
+def test_indicial_and_termination_rows_cancel_at_any_e(q):
+    # m = 0 is the indicial equation of lambda1 and m = N+2 the termination
+    # N = -lambda1 - alpha1: both vanish for every E and every series, so
+    # they check derive against the operator's own factors
+    rng = random.Random(8)
+    for regime in ("R31", "R32", "R33"):
+        for N in (1, 4, 12):
+            p = sample_params(regime, rng, N=N)
+            for E0 in (F(0), F(7, 5), F(-10 ** 9), F(3, 10 ** 9)):
+                per_m = _power_residuals(p, coefficients_numeric(p, E0, q, 512))
+                assert len(per_m) == N + 3
+                assert per_m[0] <= mpmath.mpf(2) ** -480
+                assert per_m[-1] <= mpmath.mpf(2) ** -480
+
+
+@pytest.mark.parametrize("q", [F(1, 1000), F(1, 10 ** 6)])
+def test_twisted_vector_is_the_eigenvector_to_working_precision(p1, p2, p3, p4, q):
+    # at a 512-bit root the twisted vector matches, component by component,
+    # the forward recursion run at 2048 bits on the root found at 2048
+    # bits; the forward recursion on the 512-bit root itself amplifies the
+    # root's rounding, by up to 2^500 on these sets
+    rng = random.Random(5)
+    extra = [sample_params(r, rng, N=N) for r, N in (("R31", 6), ("R32", 5), ("R33", 6))]
+    for p in (p1, p2, p3, p4, *extra):
+        roots, _ = find_spectral_roots(p, q, 512)
+        exact, _ = find_spectral_roots(p, q, 2048)
+        for E0, E in zip(sorted(roots), sorted(exact)):
+            got = coefficients_numeric(p, E0, q, 512).coeffs
+            want = series_coefficient_values(p, E, q, bits=2048)
+            assert got[0] == 1
+            with mpmath.workprec(2048):
+                assert all(abs(g - w) <= mpmath.mpf(2) ** -448 * abs(w) for g, w in zip(got, want))
+
+
+def test_twisted_solve_survives_a_zero_pivot(p1):
+    # at E0 = -C_1 / B_1 in the working precision the first forward pivot
+    # B_1 E0 + C_1 rounds to exactly 0; the solve stays finite, and E0 is
+    # no root
+    q = F(1, 1000)
+    _, B, C, _ = recursion_rows_at(p1, q, 512 + EVAL_GUARD_BITS)[0]
+    with mpmath.workprec(512 + EVAL_GUARD_BITS):
+        E0 = -C / B
+        assert B * E0 + C == 0
+    sol = coefficients_numeric(p1, E0, q, 512)
+    assert all(mpmath.isfinite(c) for c in sol.coeffs)
+    assert residual_check(p1, sol) > mpmath.mpf(10) ** -30
 
 
 def test_residual_n_zero_closed_form():
