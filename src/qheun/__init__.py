@@ -43,7 +43,6 @@ from .spectral import (
     derive,
     recursion_coeff_rows,
     residual_check,
-    sampled_residual,
     series_coefficient_values,
     spectral_polynomial,
 )
@@ -56,7 +55,6 @@ from .ultra import (
     multiplicity_prefactors,
     pn_root_pair,
     predict_roots,
-    refined_predictions,
     tilde_cN1,
 )
 from .roots import (

@@ -81,11 +81,9 @@ def criterion_4_switching_regime_exactness() -> None:
         assert equiv_sim(exact.reduced_coefficient(j), til.reduced_coefficient(j))
     preds = predict_roots(P3, tag)
     ests = estimate_exponents(P3, F(1, 10 ** 5), F(1, 10 ** 6), 512)
-    report = match_predictions(
-        ests, preds, tol_exponent=0.05, tol_prefactor=0.01,
-        t1=P3.t1, t2=P3.t2, enforce="sharp",
-    )
+    report = match_predictions(ests, preds, tol_exponent=0.05, t1=P3.t1, t2=P3.t2)
     assert report.ok
+    assert all(abs(r.prefactor_ratio - 1) <= 0.01 for r in report.rows if r.prediction.sharp)
     assert {str(r.prediction.d) for r in report.rows} == {"0", "1/2"}
 
 

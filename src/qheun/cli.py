@@ -205,18 +205,16 @@ def cmd_analyze(args) -> int:
 def _prediction_rows(p: HeunParams, tag) -> tuple[list[list[str]], list]:
     preds = predict_roots(p, tag)
     refined = multiplicity_prefactors(p, tag, predictions=preds)
-    rows = []
-    for e in preds:
-        pf = e.prefactor if isinstance(e.prefactor, str) else _fmt(e.prefactor)
-        rows.append(
-            [
-                "+" if e.sign > 0 else "-",
-                str(e.d),
-                pf,
-                str(e.multiplicity),
-                "yes" if e.sharp else "no",
-            ]
-        )
+    rows = [
+        [
+            "+" if e.sign > 0 else "-",
+            str(e.d),
+            e.prefactor,
+            str(e.multiplicity),
+            "yes" if e.sharp else "no",
+        ]
+        for e in preds
+    ]
     return rows, refined
 
 
@@ -297,10 +295,8 @@ def cmd_verify(args) -> int:
         estimates,
         preds,
         tol_exponent=args.tol_exponent,
-        tol_prefactor=args.tol_prefactor,
         t1=p.t1,
         t2=p.t2,
-        enforce="none",
     )
 
     # one line per failed gate, printed only when verification fails
@@ -439,8 +435,8 @@ def _sweep_point(packed):
     if do_verify:
         try:
             ests = estimate_exponents(p, Fraction(1, 1000), Fraction(1, 10000), bits)
-            rep = match_predictions(ests, preds, t1=p.t1, t2=p.t2, enforce="none")
-            verified = "yes" if all(r.exponent_ok for r in rep.rows) else "no"
+            rep = match_predictions(ests, preds, t1=p.t1, t2=p.t2)
+            verified = "yes" if rep.ok else "no"
         except QHeunError as exc:
             verified = f"error: {exc}"
     return base + [pred_txt, "", verified]

@@ -183,15 +183,11 @@ def _split_brackets(counts: dict, count, split) -> list[tuple]:
     return sorted(out)
 
 
-def _isolate(
-    chain: list[_IPoly], lo: Fraction, hi: Fraction, cuts: Sequence[Fraction]
-) -> list[tuple]:
+def _isolate(chain: list[_IPoly], lo: Fraction, hi: Fraction) -> list[tuple]:
     """Split (lo, hi) into open intervals (a, b, m) holding exactly one
     distinct root of chain[0] each; lo, hi and every split point are
     non-roots, a split at the midpoint nudged off roots."""
     n = chain[0]
-    nudge = (hi - lo) / 2 ** 24
-    points = [lo, hi] + [_nonroot(n, cut, nudge) for cut in set(cuts) if lo < cut < hi]
 
     def variations(x: Fraction) -> int:
         return _variations(chain, x)
@@ -199,7 +195,7 @@ def _isolate(
     def split(a: Fraction, b: Fraction) -> Fraction:
         return _nonroot(n, (a + b) / 2, (b - a) / 2 ** 24)
 
-    return _split_brackets({x: variations(x) for x in points}, variations, split)
+    return _split_brackets({x: variations(x) for x in (lo, hi)}, variations, split)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +384,7 @@ def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
     return _bisect_exact(A, B, V, bits, side)
 
 
-def _real_roots_fractions(
-    coeffs: Sequence[Fraction], bits: int, cuts: Sequence[Fraction] = ()
-) -> list[Fraction]:
+def _real_roots_fractions(coeffs: Sequence[Fraction], bits: int) -> list[Fraction]:
     """The roots of ``coeffs`` (a nonzero leading coefficient, degree >= 1)
     refined to relative width 2^-bits, sorted ascending."""
     deg = len(coeffs) - 1
@@ -402,7 +396,7 @@ def _real_roots_fractions(
             f"Sturm isolation found {total} distinct real roots for degree "
             f"{deg}; precision insufficient (or roots not real/simple)"
         )
-    roots = [_refine(chain[0], a, b, bits) for a, b, _ in _isolate(chain, -R, R, cuts)]
+    roots = [_refine(chain[0], a, b, bits) for a, b, _ in _isolate(chain, -R, R)]
     return sorted(roots)
 
 
@@ -436,32 +430,22 @@ class RootEstimate:
     est_exponent: object
 
 
-def find_real_roots(coeffs: Sequence, bits: int, seeds: Sequence | None = None) -> list:
+def find_real_roots(coeffs: Sequence, bits: int) -> list:
     """All real roots of the polynomial with degree-ascending ``coeffs``,
     refined to relative width 2^-bits and sorted ascending, as mpf.
 
     The coefficients are mpf (an image at fixed q) or rationals, both
-    converted exactly.  ``seeds`` (approximate root values, e.g. predicted
-    magnitudes) pre-cut the isolation interval between consecutive seeds.
-    Raises DomainError below degree 1, and PrecisionError when the leading
-    coefficient is zero or the Sturm count over the Cauchy interval is not
-    the full degree; for an image, the caller should retry with the
-    polynomial evaluated at more bits.
+    converted exactly.  Raises DomainError below degree 1, and
+    PrecisionError when the leading coefficient is zero or the Sturm count
+    over the Cauchy interval is not the full degree; for an image, the
+    caller should retry with the polynomial evaluated at more bits.
     """
     if len(coeffs) < 2:
         raise DomainError("root isolation requires degree >= 1")
     fracs = [_mpf_to_fraction(c) if isinstance(c, mpmath.mpf) else as_fraction(c) for c in coeffs]
     if not fracs[-1]:
         raise PrecisionError("leading coefficient vanished at working precision")
-    cuts: list[Fraction] = []
-    if seeds:
-        svals = sorted(_mpf_to_fraction(to_mpf(s)) for s in seeds)
-        cuts = [
-            (svals[i] + svals[i + 1]) / 2
-            for i in range(len(svals) - 1)
-            if svals[i] != svals[i + 1]
-        ]
-    roots = _real_roots_fractions(fracs, bits, cuts)
+    roots = _real_roots_fractions(fracs, bits)
     with mpmath.workprec(bits):
         return [to_mpf(r) for r in roots]
 
@@ -758,15 +742,12 @@ class MatchRow:
     d_error: Optional[float]
     prefactor_ratio: object
     exponent_ok: bool
-    prefactor_ok: Optional[bool]  # None when the prefactor is advisory only
 
 
 @dataclass
 class MatchReport:
     rows: list[MatchRow]
     ok: bool
-    tol_exponent: float
-    tol_prefactor: float
 
 
 def _expand(predictions: Sequence[PredictedRoot]) -> list[PredictedRoot]:
@@ -778,40 +759,26 @@ def _expand(predictions: Sequence[PredictedRoot]) -> list[PredictedRoot]:
     return out
 
 
-def _pref_mag(e: PredictedRoot) -> float:
-    return 0.0 if isinstance(e.prefactor, str) else float(e.prefactor)
-
-
 def match_predictions(
     estimates: Sequence[RootEstimate],
     predictions: Sequence[PredictedRoot],
     tol_exponent: float = 0.05,
-    tol_prefactor: float = 0.01,
     *,
     t1=1,
     t2=1,
-    enforce: str = "explicit",
 ) -> MatchReport:
     """Assign estimates to predictions by sign and exponent order.
 
     Every row reports the exponent error and the prefactor ratio
-    value / (sign * prefactor * q^d).  The exponent tolerance always gates;
-    the prefactor tolerance gates per ``enforce``: "explicit" (default)
-    checks refined numeric prefactors only, "sharp" additionally checks the
-    t1-backed limit constants (meaningful for small q, where subleading
-    corrections sit below the tolerance), "none" reports ratios without
-    gating.  Unmatched roots on either side produce failing rows, never
-    silence.
+    value / (sign * prefactor * q^d).  Only the exponent tolerance gates:
+    a caller that holds a prefactor to its limit constant checks the ratio
+    itself (criterion 4 the sharp ones, ``verify`` the balanced pairs
+    against the s-roots).  Unmatched roots on either side produce failing
+    rows, never silence.
     """
-    if enforce not in ("explicit", "sharp", "none"):
-        raise DomainError(f"unknown enforce mode {enforce!r}")
     expanded = _expand(predictions)
-    pred_neg = sorted(
-        (e for e in expanded if e.sign < 0), key=lambda e: (e.d, -_pref_mag(e))
-    )
-    pred_pos = sorted(
-        (e for e in expanded if e.sign > 0), key=lambda e: (e.d, -_pref_mag(e))
-    )
+    pred_neg = sorted((e for e in expanded if e.sign < 0), key=lambda e: e.d)
+    pred_pos = sorted((e for e in expanded if e.sign > 0), key=lambda e: e.d)
     est_neg = [e for e in estimates if e.value < 0]
     est_pos = [e for e in estimates if e.value > 0]
     est_neg.sort(key=lambda e: abs(e.value), reverse=True)
@@ -824,7 +791,7 @@ def match_predictions(
             est = ests[i] if i < len(ests) else None
             pred = preds[i] if i < len(preds) else None
             if est is None or pred is None:
-                rows.append(MatchRow(est, pred, None, None, False, None))
+                rows.append(MatchRow(est, pred, None, None, False))
                 ok = False
                 continue
             derr = abs(float(est.est_exponent) - float(pred.d))
@@ -833,11 +800,6 @@ def match_predictions(
                 scale = pred.sign * pred.prefactor_value(t1, t2) * at.qpow(pred.d)
                 ratio = to_mpf(est.value) / scale
             exponent_ok = derr <= tol_exponent
-            gate = (enforce == "sharp" and pred.sharp) or (
-                enforce == "explicit" and not isinstance(pred.prefactor, str)
-            )
-            prefactor_ok = abs(ratio - 1) <= tol_prefactor if gate else None
-            if not exponent_ok or prefactor_ok is False:
-                ok = False
-            rows.append(MatchRow(est, pred, derr, ratio, exponent_ok, prefactor_ok))
-    return MatchReport(rows, ok, tol_exponent, tol_prefactor)
+            ok = ok and exponent_ok
+            rows.append(MatchRow(est, pred, derr, ratio, exponent_ok))
+    return MatchReport(rows, ok)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import ParameterError
 from .spectral import HeunParams, derive
 from .ultra import R31, R32, R33, classify
 
@@ -75,7 +76,7 @@ def sample_params(
             continue
         try:
             p = _finish(rng, n, h2, l1, l2, beta, t1, t2)
-        except Exception:
+        except ParameterError:
             continue
         tag = classify(p)
         if tag.regime == regime and p.N == n:

@@ -75,7 +75,6 @@ __all__ = [
     "coefficients_numeric",
     "series_coefficient_values",
     "residual_check",
-    "sampled_residual",
 ]
 
 _HALF = Fraction(1, 2)
@@ -542,64 +541,3 @@ def residual_check(p: HeunParams, sol: SeriesSolution):
     sample points."""
     return max(_power_residuals(p, sol))
 
-
-def sampled_residual(p: HeunParams, sol: SeriesSolution):
-    """Largest relative residual of the q-Heun operator applied to the
-    series at three sample points x.  The reference that residual_check
-    replaced; it can pass a non-root whose equation is violated only at
-    powers of x far from the samples.
-
-    Evaluates the operator's three groups at each sample x and divides the
-    absolute sum by the largest group magnitude.  The samples
-    {t1 q^{1/2}, t1, t1 q^{-1/2}} spread across the relevant scales.
-    """
-    lam = p.lambda1
-    with mpmath.workprec(sol.bits + EVAL_GUARD_BITS):
-        at = AtQ(sol.q, sol.t1, sol.t2)
-        qv, qp, t1v, t2v = at.q, at.qpow, at.t1, at.t2
-        E0v = to_mpf(sol.E0)
-        coeffs = [to_mpf(c) for c in sol.coeffs]
-        abs_coeffs = [abs(c) for c in coeffs]
-
-        def _horner(cs, x):
-            acc = mpmath.mpf(0)
-            for c in reversed(cs):
-                acc = acc * x + c
-            return acc
-
-        lamv = to_mpf(lam)
-
-        def f(x):
-            """The series and its absolute-coefficient bound at x, both
-            times x^lambda1 (computed once)."""
-            xl = mpmath.exp(lamv * mpmath.log(x))
-            return xl * _horner(coeffs, x), xl * _horner(abs_coeffs, x)
-
-        xs = [t1v * qp(_HALF), t1v, t1v * qp(-_HALF)]
-        const = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
-            qp(p.beta / 2) + qp(-p.beta / 2)
-        ) * t1v * t2v
-        a1f, a2f = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
-        b1f, b2f = qp(p.l1 - _HALF) * t1v, qp(p.l2 - _HALF) * t2v
-        pref2 = qp(p.alpha1 + p.alpha2)
-        quad = qp(p.alpha1) + qp(p.alpha2)
-        worst = mpmath.mpf(0)
-        for x in xs:
-            g_up, m_up = f(x / qv)
-            g_dn, m_dn = f(x * qv)
-            g_0, m_0 = f(x)
-            term1 = (x - a1f) * (x - a2f) * g_up
-            term2 = pref2 * (x - b1f) * (x - b2f) * g_dn
-            term3 = -(quad * x * x + E0v * x + const) * g_0
-            # scale by the pre-cancellation magnitudes: a sample x may sit at
-            # a zero of a factor group or of the series itself, where the
-            # grouped values say nothing about the working magnitude
-            scale = max(
-                (x + a1f) * (x + a2f) * m_up,
-                pref2 * (x + b1f) * (x + b2f) * m_dn,
-                (quad * x * x + abs(E0v) * x + const) * m_0,
-            )
-            rel = abs(term1 + term2 + term3) / scale
-            worst = max(worst, rel)
-    with mpmath.workprec(sol.bits):
-        return +worst

@@ -44,6 +44,7 @@ from .errors import (
     DegenerateSPolyError,
     DomainError,
     ExcludedCaseError,
+    PrecisionError,
     RegimeError,
     SignIndefiniteError,
 )
@@ -73,7 +74,6 @@ __all__ = [
     "pn_root_pair",
     "predict_roots",
     "multiplicity_prefactors",
-    "refined_predictions",
     "collision_check",
 ]
 
@@ -126,16 +126,16 @@ class CaseTag:
 class PredictedRoot:
     """One predicted root family E ~ sign * prefactor * q^d.
 
-    prefactor is "t1", "t2", "sqrt(t1*t2)" or an explicit positive value
-    (after refinement).  The exponent d is exact; the prefactor constant is
-    advisory for matching, except where sharp=True marks a genuine
-    limit-constant claim (the one-scale cases backed by sharp asymptotics,
-    the switching regime, and refined explicit values).
+    prefactor is "t1", "t2" or "sqrt(t1*t2)".  The exponent d is exact;
+    the prefactor constant is advisory for matching, except where
+    sharp=True marks a genuine limit-constant claim (the one-scale cases
+    backed by sharp asymptotics, and the switching regime).  The refined
+    constants of a balanced pair are multiplicity_prefactors'.
     """
 
     sign: int
     d: Fraction
-    prefactor: object
+    prefactor: str
     multiplicity: int = 1
     sharp: bool = False
 
@@ -145,16 +145,11 @@ class PredictedRoot:
             return to_mpf(t1)
         if self.prefactor == "t2":
             return to_mpf(t2)
-        if self.prefactor == BALANCED:
-            return mpmath.sqrt(to_mpf(t1) * to_mpf(t2))
-        return to_mpf(self.prefactor)
+        return mpmath.sqrt(to_mpf(t1) * to_mpf(t2))
 
     def describe(self) -> str:
-        pf = self.prefactor if isinstance(self.prefactor, str) else mpmath.nstr(
-            mpmath.mpf(self.prefactor), 12
-        )
         s = "+" if self.sign > 0 else "-"
-        out = f"{s}{pf}*q^({self.d})"
+        out = f"{s}{self.prefactor}*q^({self.d})"
         if self.multiplicity > 1:
             out += f" (x{self.multiplicity})"
         return out
@@ -553,11 +548,6 @@ def pn_root_pair(p: HeunParams, n: int, tag: CaseTag) -> tuple[PredictedRoot, Pr
     raise RegimeError(f"pn_root_pair applies to R31/R32 only, got {tag.regime}")
 
 
-def _pred_sort_key(e: PredictedRoot):
-    v = 0.0 if isinstance(e.prefactor, str) else float(e.prefactor)
-    return (e.d, -e.sign, -v)
-
-
 def predict_roots(p: HeunParams, tag: CaseTag) -> list[PredictedRoot]:
     """The full multiset of N+1 predicted roots for a classified tag.
 
@@ -606,14 +596,14 @@ def predict_roots(p: HeunParams, tag: CaseTag) -> list[PredictedRoot]:
     counts: dict[tuple, int] = {}
     proto: dict[tuple, PredictedRoot] = {}
     for e in entries:
-        k = (e.sign, e.d, str(e.prefactor), e.sharp)
+        k = (e.sign, e.d, e.prefactor, e.sharp)
         counts[k] = counts.get(k, 0) + 1
         proto[k] = e
     out = [
         PredictedRoot(proto[k].sign, proto[k].d, proto[k].prefactor, c, proto[k].sharp)
         for k, c in counts.items()
     ]
-    out.sort(key=_pred_sort_key)
+    out.sort(key=lambda e: (e.d, -e.sign))
     total = sum(e.multiplicity for e in out)
     assert total == p.N + 1, f"prediction count {total} != N+1 = {p.N + 1}"
     if tag.regime == R33:
@@ -686,41 +676,13 @@ def multiplicity_prefactors(
         raise DegenerateSPolyError("s-polynomial has no nonzero roots")
     try:
         roots = real_roots_of_rational_poly(reduced, S_ROOT_BITS)
-    except Exception as exc:  # count shortfall means non-simple/complex roots
+    except PrecisionError as exc:  # count shortfall means non-simple/complex roots
         raise DegenerateSPolyError(f"s-polynomial root isolation failed: {exc}") from exc
     if len(roots) != len(reduced) - 1:
         raise DegenerateSPolyError(
             f"expected {len(reduced) - 1} simple real s-roots, found {len(roots)}"
         )
     return sorted(roots)
-
-
-def refined_predictions(p: HeunParams, tag: CaseTag) -> list[PredictedRoot]:
-    """Predictions with every multiplicity >= 2 balanced pair replaced by
-    explicit-prefactor entries from the s-polynomial."""
-    preds = predict_roots(p, tag)
-    vals = multiplicity_prefactors(p, tag, predictions=preds)
-    if not vals:
-        return preds
-    pos = sorted((v for v in vals if v > 0), reverse=True)
-    with mpmath.workprec(S_ROOT_BITS):  # unary minus rounds to the working precision
-        neg = sorted((-v for v in vals if v < 0), reverse=True)
-    out: list[PredictedRoot] = []
-    for e in preds:
-        if e.prefactor == BALANCED and e.multiplicity >= 2:
-            mags = pos if e.sign > 0 else neg
-            if len(mags) != e.multiplicity:
-                raise DegenerateSPolyError(
-                    f"s-polynomial produced {len(mags)} prefactors for a "
-                    f"multiplicity-{e.multiplicity} pair"
-                )
-            out.extend(
-                PredictedRoot(e.sign, e.d, mag, 1, sharp=True) for mag in mags
-            )
-        else:
-            out.append(e)
-    out.sort(key=_pred_sort_key)
-    return out
 
 
 # ---------------------------------------------------------------------------

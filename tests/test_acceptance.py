@@ -2,9 +2,13 @@
 a time budget.  `pytest tests/test_acceptance.py -v -s` shows the per-criterion
 pass lines and timings."""
 
+import dataclasses
 import time
 
+import pytest
+
 from qheun import acceptance
+from qheun.ultra import classify
 
 
 def _run(criterion, limit):
@@ -29,6 +33,20 @@ def test_criterion_3_r32_case_i_exponents():
 
 def test_criterion_4_switching_regime_exactness():
     _run(acceptance.criterion_4_switching_regime_exactness, 2.0)
+
+
+
+def test_criterion_4_gates_sharp_prefactors(monkeypatch):
+    # with t1 = 2 and the sharp predictions' prefactor read as t2 = 1, every
+    # exponent still matches but every ratio is about 2
+    p = acceptance.P3.with_value("t1", 2)
+    preds = [dataclasses.replace(e, prefactor="t2") for e in acceptance.predict_roots(p, classify(p))]
+    assert all(e.sharp for e in preds)
+    monkeypatch.setattr(acceptance, "P3", p)
+    monkeypatch.setattr(acceptance, "predict_roots", lambda p, tag: preds)
+    with pytest.raises(AssertionError) as err:
+        acceptance.criterion_4_switching_regime_exactness()
+    assert "prefactor_ratio" in str(err.traceback[-1].statement)
 
 
 def test_criterion_5_theorem_oracle_suite():

@@ -75,17 +75,6 @@ def test_p3_roots_at_tiny_q(p3):
     assert float(small) == pytest.approx(-1e-3, rel=0.01)
 
 
-def test_seeded_isolation_agrees_with_unseeded(p1):
-    vals = spectral_polynomial(p1).coefficient_values(F(1, 1000), p1.t1, p1.t2, bits=512)
-    plain = find_real_roots(vals, 512)
-    seeded = find_real_roots(vals, 512, seeds=[-1e9, -3e10, -1e14, -1e18])
-    # different isolation brackets may shift the refined midpoint within
-    # the 2^-bits relative target, never beyond
-    with mpmath.workprec(512):
-        for a, b in zip(plain, seeded):
-            assert abs((a - b) / a) < mpmath.mpf(2) ** -(512 - 2)
-
-
 def test_synthetic_power_law_slope_calibration():
     # single root E(q) = -3 q^{-5/2}: slope recovered to < 1e-6 absolute
     q1, q2 = F(1, 1000), F(1, 10000)
@@ -213,18 +202,8 @@ def _f_nonroot(c, x, step):
     return x
 
 
-def _f_isolate(chain, c, lo, hi, cuts):
-    nudge = (hi - lo) / 2 ** 24
-    points = [lo]
-    for cut in sorted(set(cuts)):
-        if lo < cut < hi:
-            points.append(_f_nonroot(c, cut, nudge))
-    points.append(hi)
-    var = {pt: _f_variations(chain, pt) for pt in points}
-    stack = [
-        (points[i], points[i + 1], var[points[i]], var[points[i + 1]])
-        for i in range(len(points) - 1)
-    ]
+def _f_isolate(chain, c, lo, hi):
+    stack = [(lo, hi, _f_variations(chain, lo), _f_variations(chain, hi))]
     out = []
     while stack:
         a, b, va, vb = stack.pop()
@@ -263,14 +242,14 @@ def _f_refine(c, a, b, bits):
             b = mid
 
 
-def _oracle_roots(coeffs, bits, cuts=()):
+def _oracle_roots(coeffs, bits):
     """Exact-Fraction Sturm isolation and sign bisection, evaluated by
     Fraction Horner at every probe."""
     c = roots_mod._strip(list(coeffs))
     chain = _f_sturm_chain(c)
     R = roots_mod._cauchy_bound(c)
     assert _f_variations(chain, -R) - _f_variations(chain, R) == len(c) - 1
-    return sorted(_f_refine(c, a, b, bits) for a, b in _f_isolate(chain, c, -R, R, cuts))
+    return sorted(_f_refine(c, a, b, bits) for a, b in _f_isolate(chain, c, -R, R))
 
 
 def _from_roots(lead, rs):
@@ -293,17 +272,16 @@ _roots = st.lists(
     unique=True,
 )
 _leads = st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool)
-_cuts = st.lists(st.fractions(min_value=-300, max_value=300, max_denominator=64), max_size=3)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_roots, _leads, _cuts, st.sampled_from([64, 128, 256]))
-@example([Fraction(0), Fraction(-3, 7), Fraction(1, 2), Fraction(5)], Fraction(3, 7), [], 128)
-@example([Fraction(-1, 8), Fraction(9, 8)], Fraction(1), [Fraction(1, 2)], 64)
-def test_refined_roots_equal_the_fraction_oracle(rs, lead, cuts, bits):
+@given(_roots, _leads, st.sampled_from([64, 128, 256]))
+@example([Fraction(0), Fraction(-3, 7), Fraction(1, 2), Fraction(5)], Fraction(3, 7), 128)
+@example([Fraction(-1, 8), Fraction(9, 8)], Fraction(1), 64)
+def test_refined_roots_equal_the_fraction_oracle(rs, lead, bits):
     coeffs = _from_roots(lead, rs)
-    got = _real_roots_fractions(coeffs, bits, cuts)
-    assert got == _oracle_roots(coeffs, bits, cuts)
+    got = _real_roots_fractions(coeffs, bits)
+    assert got == _oracle_roots(coeffs, bits)
     # the zero probe makes a root at the origin exact
     assert (Fraction(0) in rs) == (Fraction(0) in got)
 
@@ -449,10 +427,9 @@ def _within_width(got, want, bits, k=4):
             assert abs(a - b) <= k * mpmath.mpf(2) ** -bits * abs(b), (a, b)
 
 
-def _image_roots(p, q, bits, preds=None):
+def _image_roots(p, q, bits):
     """The roots of the mpf image of the exact c_{N+1}, by Sturm isolation."""
-    seeds = roots_mod._prediction_seeds(p, preds, q) if preds else None
-    return find_real_roots(spectral_polynomial(p).coefficient_values(q, p.t1, p.t2, bits=bits), bits, seeds)
+    return find_real_roots(spectral_polynomial(p).coefficient_values(q, p.t1, p.t2, bits=bits), bits)
 
 
 @pytest.mark.parametrize("q", [F(1, 10 ** k) for k in (3, 4, 5, 6)])
@@ -461,7 +438,7 @@ def test_roots_agree_with_the_image_pipeline(p1, p2, p3, p4, q):
         preds = predict_roots(p, classify(p))
         found, bits = find_spectral_roots(p, q, 512, predictions=preds)
         assert bits == 512
-        _within_width(found, _image_roots(p, q, 512, preds), 512, k=8)
+        _within_width(found, _image_roots(p, q, 512), 512, k=8)
 
 
 @settings(max_examples=12, deadline=None)
@@ -471,7 +448,7 @@ def test_sampled_roots_agree_with_the_image_pipeline(regime, seed, q, bits):
     p = sample_params(regime, random.Random(seed), n_max=6)
     preds = predict_roots(p, classify(p))
     found, _ = find_spectral_roots(p, q, bits, predictions=preds)
-    _within_width(found, _image_roots(p, q, bits, preds), bits, k=8)
+    _within_width(found, _image_roots(p, q, bits), bits, k=8)
     # the seeds choose the isolation points, not the roots' accuracy
     _within_width(find_spectral_roots(p, q, bits)[0], found, bits)
 

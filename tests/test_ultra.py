@@ -5,7 +5,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qheun.errors import DegenerateSPolyError, ExcludedCaseError, RegimeError
+import qheun.roots as roots_mod
+from qheun.errors import DegenerateSPolyError, ExcludedCaseError, PrecisionError, RegimeError
 from qheun.qmono import QSum, equiv_approx, equiv_sim, qpow
 from qheun.sampling import sample_params
 from qheun.spectral import EPoly, coefficients_exact, derive, spectral_polynomial
@@ -17,7 +18,6 @@ from qheun.ultra import (
     R32,
     R33,
     EXCLUDED,
-    S_ROOT_BITS,
     UNCLASSIFIED,
     balanced_exponent,
     classify,
@@ -26,7 +26,6 @@ from qheun.ultra import (
     multiplicity_prefactors,
     pn_root_pair,
     predict_roots,
-    refined_predictions,
     tilde_cN1,
 )
 
@@ -411,31 +410,8 @@ def test_golden_ratio_prefactors(p4):
             assert abs(v - w) < mpmath.mpf(2) ** -100
 
 
-def test_refined_predictions_split_multiplicity(p4):
-    refined = refined_predictions(p4, classify(p4))
-    assert len(refined) == 4
-    assert all(e.multiplicity == 1 and not isinstance(e.prefactor, str) for e in refined)
-    mags = sorted(float(e.prefactor) for e in refined)
-    assert mags[0] == pytest.approx(0.618033988749895, rel=1e-12)
-    assert mags[-1] == pytest.approx(1.618033988749895, rel=1e-12)
-
-
-def test_refined_prefactors_keep_the_s_root_precision(p4):
-    # both signs of a pair come from the same S_ROOT_BITS s-roots; negating
-    # the negative ones at a lower precision would round them
-    refined = refined_predictions(p4, classify(p4))
-    with mpmath.workprec(S_ROOT_BITS):
-        hi = (mpmath.sqrt(5) + 1) / 2
-        want = sorted([(-1, hi - 1), (-1, hi), (1, hi - 1), (1, hi)])
-        got = sorted((e.sign, e.prefactor) for e in refined)
-        assert [s for s, _ in got] == [s for s, _ in want]
-        for (_, g), (_, w) in zip(got, want):
-            assert abs(g - w) < mpmath.mpf(2) ** -240
-
-
 def test_no_refinement_for_simple_predictions(p1):
     assert multiplicity_prefactors(p1, classify(p1)) == []
-    assert refined_predictions(p1, classify(p1)) == predict_roots(p1, classify(p1))
 
 
 def test_prefactors_scale_with_sqrt_t1_t2(p4):
@@ -504,6 +480,19 @@ def test_s_polynomial_skips_totals_that_cancel(p4):
     for f in (_s_polynomial, _s_polynomial_full_scan):
         with pytest.raises(DegenerateSPolyError):
             f(every, p4, g)
+
+
+@pytest.mark.parametrize("exc", [PrecisionError("2 of 4 roots"), ZeroDivisionError("bug")])
+def test_only_a_sturm_shortfall_reads_as_a_degenerate_s_polynomial(p4, monkeypatch, exc):
+    # a count short of the degree means non-simple or complex s-roots; any
+    # other exception from the solve is a programming error and propagates
+    def solve(coeffs, bits):
+        raise exc
+
+    monkeypatch.setattr(roots_mod, "real_roots_of_rational_poly", solve)
+    expected = DegenerateSPolyError if isinstance(exc, PrecisionError) else ZeroDivisionError
+    with pytest.raises(expected):
+        multiplicity_prefactors(p4, classify(p4))
 
 
 # ---------------------------------------------------------------------------
