@@ -3,14 +3,20 @@
 The roots of the spectral polynomial c_{N+1} at a fixed q come from its
 three-term recursion (``find_spectral_roots``): plain counts of the roots
 above a point isolate them, Newton on the recursion approximates them, and
-counts run in interval arithmetic on the rows of the exact q certify them.
-The polynomial itself is never formed.  Each root is the point sign
-bisection to relative width 2^-bits would return, computed without running
-it (``_bisection_point``): the final level of the bisection is read off the
-Newton approximation, certified counts at the grid points just outside its
-error bound certify that the root lies between them, and counts at the grid
-points between, usually none, place it.  A failed check falls back to
-bisection on the counts.
+certified counts on boxes around the rows of the exact q certify them.
+The polynomial itself is never formed.  The three recursion loops run on
+CPython ints (qheun.dyadic): the plain counts and Newton on Dyadic points
+truncated to the working precision, which only guide the search, and the
+certified counts on Box intervals rounded outward, whose rows
+(spectral.recursion_boxes_at) are built once per parameter set, q and
+precision from integer enclosures of each q-power.
+
+Each root is the point sign bisection to relative width 2^-bits would
+return, computed without running it (``_bisection_point``): the final
+level of the bisection is read off the Newton approximation, certified
+counts at the grid points just outside its error bound certify that the
+root lies between them, and counts at the grid points between, usually
+none, place it.  A failed check falls back to bisection on the counts.
 
 A polynomial given by its coefficients (``find_real_roots``, also bound as
 ``real_roots_of_rational_poly``) is solved exactly by Sturm isolation and
@@ -37,12 +43,13 @@ from typing import Optional, Sequence
 
 import mpmath
 
+from .dyadic import Box, Dyadic
 from .errors import DomainError, MatchingError, PrecisionError
 from .qmono import EVAL_GUARD_BITS, AtQ, as_fraction, to_mpf
 from .spectral import (  # noqa: F401 -- perfbench/tracing.py wraps spectral_polynomial here
     EPoly,
     HeunParams,
-    ctx_workprec,
+    recursion_boxes_at,
     recursion_rows_at,
     spectral_polynomial,
 )
@@ -475,7 +482,7 @@ def _prediction_seeds(p: HeunParams, predictions, q) -> list:
 
 
 def _ratio_rows(rows) -> list:
-    """(B_n, C_n, G_n) of the count, in the precision current."""
+    """(B_n, C_n, G_n) of the count, in the arithmetic of the rows."""
     out, prev_A = [], 0
     for A, B, C, D in rows:
         out.append((B, C, D * prev_A))
@@ -483,43 +490,48 @@ def _ratio_rows(rows) -> list:
     return out
 
 
-def _count(ratio, x) -> int:
-    """The number of roots above x by the ratio recursion in mpf.  A zero
-    s_n is moved off zero by one unit of its terms: the count only guides
-    the search; certified counts decide."""
-    above, s = 0, 1
+def _dyadic_rows(rows, P: int) -> list:
+    """mpf rows as exact Dyadic rows at P bits."""
+    return [tuple(Dyadic.of_mpf(v, P) for v in row) for row in rows]
+
+
+def _count(ratio, x: Dyadic) -> int:
+    """The number of roots above x by the ratio recursion on Dyadic rows,
+    truncating.  A zero s_n is moved off zero by one unit of its terms:
+    the count only guides the search; certified counts decide."""
+    above, s = 0, Dyadic(1, 0, x.P)
     for B, C, G in ratio:
         bx = B * x
         s = bx + C - G / s
-        if s < 0:
+        if s.m < 0:
             above += 1
-        elif not s:
-            s = mpmath.ldexp(abs(bx) + C, -mpmath.mp.prec)
+        elif not s.m:
+            s = (abs(bx) + C).ldexp(-x.P)
     return above
 
 
-def _certified_count(ratio, x) -> int | None:
-    """The count of ``_count`` in interval arithmetic, or None when an s_n
-    interval contains 0."""
+def _certified_count(ratio, x: Box) -> int | None:
+    """The count of ``_count`` on Box rows, or None when an s_n box
+    contains 0."""
     above, s = 0, 1
     for B, C, G in ratio:
         s = B * x + C - G / s
-        if s.b < 0:
+        if s.hi < 0:
             above += 1
-        elif not s.a > 0:
+        elif not s.lo > 0:
             return None
     return above
 
 
 def _newton_rows(rows) -> list:
-    """(B_n/A_n, C_n/A_n, D_n/A_n) of Newton, in the precision current."""
+    """(B_n/A_n, C_n/A_n, D_n/A_n) of Newton, in the arithmetic of the rows."""
     return [(B / A, C / A, D / A) for A, B, C, D in rows]
 
 
-def _newton_eval(newton_rows, x):
+def _newton_eval(newton_rows, x: Dyadic):
     """c_{N+1}(x), its derivative, and a bound on the rounding noise of
-    c_{N+1}(x): the recursion run on absolute values."""
-    zero, one = mpmath.mpf(0), mpmath.mpf(1)
+    c_{N+1}(x): the recursion run on absolute values.  On Dyadic rows."""
+    zero, one = Dyadic(0, 0, x.P), Dyadic(1, 0, x.P)
     c2, c1, d2, d1, m2, m1 = zero, one, zero, zero, zero, one
     for b, g, e in newton_rows:
         bx = b * x
@@ -527,20 +539,22 @@ def _newton_eval(newton_rows, x):
         c1, c2 = f * c1 - e * c2, c1
         d1, d2 = b * c2 + f * d1 - e * d2, d1
         m1, m2 = (abs(bx) + g) * m1 + e * m2, m1
-    return c1, d1, mpmath.ldexp(m1 * len(newton_rows), 4 - mpmath.mp.prec)
+    return c1, d1, Dyadic(m1.m * len(newton_rows), m1.e + 4 - x.P, x.P)
 
 
 def _certified_counter(p: HeunParams, q: Fraction, bits: int):
-    """``count(M, W)``: the certified number of roots above E = M/W, or None
-    when E is a root.
+    """``count(M, W)``: the certified number of roots above E = M/W, W a
+    power of two, or None when E is a root.
 
-    The ratio recursion runs in mpmath.iv on rows enclosing those of the
-    exact q, at bits + EVAL_GUARD_BITS.  A count is certified when every
-    A_n, B_n, D_n interval is positive and no s_n interval contains 0;
-    otherwise that point is redone at doubled bits, up to MAX_BITS.  A point
-    where only s_{N+1} still holds 0 there is a root to within that
-    precision (an exact one when q-powers are rational), and count returns
-    None; any other uncertified point raises PrecisionError."""
+    The ratio recursion runs on recursion_boxes_at's rows, dyadic.Box
+    intervals at P = bits + EVAL_GUARD_BITS that enclose the rows of the
+    exact q, each operation rounded outward on CPython ints (floor and
+    ceiling shifts and divisions), so every s_n box encloses the exact s_n.
+    A count is certified when every A_n, B_n, D_n box is positive and no
+    s_n box contains 0; otherwise that point is redone at doubled bits, up
+    to MAX_BITS.  A point where only s_{N+1} still holds 0 there is a root
+    to within that precision (an exact one when q-powers are rational), and
+    count returns None; any other uncertified point raises PrecisionError."""
     levels = [bits]
     while 2 * levels[-1] <= MAX_BITS:
         levels.append(2 * levels[-1])
@@ -548,10 +562,9 @@ def _certified_counter(p: HeunParams, q: Fraction, bits: int):
 
     def ratio_at(b: int):
         if b not in ratios:
-            rows = recursion_rows_at(p, q, b + EVAL_GUARD_BITS, mpmath.iv)
-            positive = all(A.a > 0 and B.a > 0 and D.a > 0 for A, B, _, D in rows)
-            with ctx_workprec(mpmath.iv, b + EVAL_GUARD_BITS):
-                ratios[b] = _ratio_rows(rows) if positive else None
+            rows = recursion_boxes_at(p, q, b + EVAL_GUARD_BITS)
+            positive = all(A.lo > 0 and B.lo > 0 and D.lo > 0 for A, B, _, D in rows)
+            ratios[b] = _ratio_rows(rows) if positive else None
         return ratios[b]
 
     def count(M: int, W: int) -> int | None:
@@ -559,13 +572,12 @@ def _certified_counter(p: HeunParams, q: Fraction, bits: int):
             ratio = ratio_at(b)
             if ratio is None:
                 continue
-            with ctx_workprec(mpmath.iv, b + EVAL_GUARD_BITS):
-                x = mpmath.iv.mpf(M) / W
-                n = _certified_count(ratio, x)
-                if n is not None:
-                    return n
-                if b == levels[-1] and _certified_count(ratio[:-1], x) is not None:
-                    return None  # only s_{N+1} holds 0: E is the root
+            x = Box.ratio(M, W, b + EVAL_GUARD_BITS)
+            n = _certified_count(ratio, x)
+            if n is not None:
+                return n
+            if b == levels[-1] and _certified_count(ratio[:-1], x) is not None:
+                return None  # only s_{N+1} holds 0: E is the root
         with mpmath.workprec(64):
             where = mpmath.nstr(mpmath.mpf(M) / W, 20)
         raise PrecisionError(
@@ -589,7 +601,8 @@ def _gershgorin_bound(ratio):
 
 def _isolate_by_counts(ratio, seeds) -> list[tuple]:
     """Brackets (a, b, m), a < b of one sign, each holding one root of
-    c_{N+1}, m the number of roots above b, sorted; by plain counts.
+    c_{N+1}, m the number of roots above b, sorted; by plain counts on the
+    mpf ``ratio`` rows taken exactly as Dyadic at the working precision.
 
     The points are +-R (Gershgorin), 0, the largest R 2^(-2^j) of each sign
     with no root between it and 0, and the midpoints between consecutive
@@ -597,8 +610,14 @@ def _isolate_by_counts(ratio, seeds) -> list[tuple]:
     geometric mean until each holds one."""
     n = len(ratio)
     R = _gershgorin_bound(ratio)
+    P = mpmath.mp.prec
+    dyadic = _dyadic_rows(ratio, P)
+
+    def count(x) -> int:
+        return _count(dyadic, Dyadic.of_mpf(x, P))
+
     zero = mpmath.mpf(0)
-    counts = {x: _count(ratio, x) for x in (-R, zero, R)}
+    counts = {x: count(x) for x in (-R, zero, R)}
     if (counts[-R], counts[R]) != (n, 0):
         raise PrecisionError(f"counts {counts[-R]}, {counts[R]} at -R, R for degree {n}")
     c0 = counts[zero]
@@ -607,7 +626,7 @@ def _isolate_by_counts(ratio, seeds) -> list[tuple]:
             continue
         for j in range(_ZERO_SEARCH_STEPS):
             x = sgn * mpmath.ldexp(R, -(2 ** j))
-            counts[x] = _count(ratio, x)
+            counts[x] = count(x)
             if counts[x] == c0:
                 break
         else:
@@ -616,10 +635,10 @@ def _isolate_by_counts(ratio, seeds) -> list[tuple]:
     for a, b in zip(seeds, seeds[1:]):
         x = (a + b) / 2
         if a != b and -R < x < R:
-            counts[x] = _count(ratio, x)
+            counts[x] = count(x)
     out = _split_brackets(
         counts,
-        lambda x: _count(ratio, x),
+        count,
         lambda a, b: mpmath.sqrt(a * b) * (1 if b > 0 else -1),
     )
     if len(out) != n:
@@ -643,8 +662,9 @@ def _spectral_root(newton_rows, count, a, b, m: int, bits: int, start) -> Fracti
 
     def ev(x):
         # below the root, c_{N+1} has the sign (-1)^(m+1) of its m+1 roots above
-        c, dc, err = _newton_eval(newton_rows, x)
-        return c, dc, err, (c < 0) if m % 2 == 0 else (c > 0)
+        c, dc, err = _newton_eval(newton_rows, Dyadic.of_mpf(x, mpmath.mp.prec))
+        below = (c.m < 0) if m % 2 == 0 else (c.m > 0)
+        return c.to_mpf(), dc.to_mpf(), err.to_mpf(), below
 
     if not _stops(A, B, V, bits):
         guess = _newton_in_bracket(ev, a, b, mpmath.mp.prec, start)
@@ -682,7 +702,7 @@ def find_spectral_roots(
     count = _certified_counter(p, q, bits)
     seeds = _prediction_seeds(p, predictions, q) if predictions else ()
     with mpmath.workprec(prec):
-        newton_rows = _newton_rows(rows)
+        newton_rows = _newton_rows(_dyadic_rows(rows, prec))
         roots = []
         for a, b, m in _isolate_by_counts(_ratio_rows(rows), seeds):
             inside = {s for s in seeds if a < s < b}

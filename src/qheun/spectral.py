@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
+from .dyadic import Box
 from .errors import DomainError, ParameterError
 from .qmono import (
     EVAL_GUARD_BITS,
@@ -71,7 +71,9 @@ __all__ = [
     "recursion_coeff_rows",
     "coefficients_exact",
     "spectral_polynomial",
+    "recursion_rows",
     "recursion_rows_at",
+    "recursion_boxes_at",
     "coefficients_numeric",
     "series_coefficient_values",
     "residual_check",
@@ -370,52 +372,56 @@ class SeriesSolution:
     bits: int
 
 
-@contextmanager
-def ctx_workprec(ctx, prec: int):
-    """Working precision ``prec`` in the mpmath context ``ctx`` (mpmath.iv
-    has no workprec of its own)."""
-    old = ctx.prec
-    ctx.prec = prec
-    try:
-        yield
-    finally:
-        ctx.prec = old
+def recursion_rows(p: HeunParams, qv, t1v, t2v, qp) -> tuple:
+    """The rows (A_n, B_n, C_n, D_n) of steps n = 1 .. N+1 from the values
+    qv, t1v, t2v of q, t1, t2 and the q-power map ``qp``: mu -> q^mu.
+
+    The one numeric formula of the rows, evaluated literally:
+    recursion_rows_at runs it in mpf, recursion_boxes_at in boxes around
+    the rows of the exact q."""
+    lam = p.lambda1
+    rows = []
+    for n in range(1, p.N + 2):
+        Av = t1v * t2v * qp(p.h1 + p.h2) * (1 - qp(n)) * (1 - qp(n - p.beta))
+        Bv = qp(n - 1 + lam)
+        ce = 2 * (n + lam) + p.alpha1 + p.alpha2 - Fraction(5, 2)
+        Cv = qp(_HALF) * (qp(p.h1) * t1v + qp(p.h2) * t2v) + (
+            qp(p.l1) * t1v + qp(p.l2) * t2v
+        ) * qp(ce)
+        Dv = qv * (1 - qp(n - 2 + lam + p.alpha1)) * (1 - qp(n - 2 + lam + p.alpha2))
+        rows.append((Av, Bv, Cv, Dv))
+    return tuple(rows)
+
+
+def _check_q(q) -> None:
+    if not 0 < q < 1:
+        raise DomainError(f"q must lie in (0,1), got {q}")
 
 
 @functools.lru_cache(maxsize=64)
-def recursion_rows_at(p: HeunParams, q, prec: int, ctx=mpmath.mp) -> tuple:
-    """The rows (A_n, B_n, C_n, D_n) of steps n = 1 .. N+1 at q, computed at
-    working precision ``prec`` in ``ctx``: mpmath.mp, or mpmath.iv for
-    intervals that enclose the rows of the exact q.
+def recursion_rows_at(p: HeunParams, q, prec: int) -> tuple:
+    """The rows of recursion_rows at q in mpf at working precision ``prec``.
 
-    The one numeric definition of the rows; the series, the root counts and
-    Newton all read it.  Each row is evaluated literally at q, every q-power
-    as exp(mu log q); in mpmath.mp these are the values AtQ gives.
-    Memoised per argument tuple."""
-    if not 0 < q < 1:
-        raise DomainError(f"q must lie in (0,1), got {q}")
-    if ctx is mpmath.mp:
-        conv = to_mpf
-    else:
-        def conv(x):
-            x = as_fraction(x)
-            return ctx.mpf(x.numerator) / x.denominator
-    lam = p.lambda1
-    rows = []
-    with ctx_workprec(ctx, prec):
-        qv, t1v, t2v = conv(q), conv(p.t1), conv(p.t2)
-        lq = ctx.log(qv)
-        qp = functools.cache(lambda mu: ctx.exp(conv(mu) * lq))
-        for n in range(1, p.N + 2):
-            Av = t1v * t2v * qp(p.h1 + p.h2) * (1 - qp(n)) * (1 - qp(n - p.beta))
-            Bv = qp(n - 1 + lam)
-            ce = 2 * (n + lam) + p.alpha1 + p.alpha2 - Fraction(5, 2)
-            Cv = qp(_HALF) * (qp(p.h1) * t1v + qp(p.h2) * t2v) + (
-                qp(p.l1) * t1v + qp(p.l2) * t2v
-            ) * qp(ce)
-            Dv = qv * (1 - qp(n - 2 + lam + p.alpha1)) * (1 - qp(n - 2 + lam + p.alpha2))
-            rows.append((Av, Bv, Cv, Dv))
-    return tuple(rows)
+    The series, the plain root counts and Newton read them.  Every q-power
+    is exp(mu log q), the value AtQ gives.  Memoised per argument tuple."""
+    _check_q(q)
+    with mpmath.workprec(prec):
+        qv = to_mpf(q)
+        lq = mpmath.log(qv)
+        qp = functools.cache(lambda mu: mpmath.exp(to_mpf(mu) * lq))
+        return recursion_rows(p, qv, to_mpf(p.t1), to_mpf(p.t2), qp)
+
+
+@functools.lru_cache(maxsize=64)
+def recursion_boxes_at(p: HeunParams, q: Fraction, prec: int) -> tuple:
+    """The rows of recursion_rows as dyadic.Box intervals at ``prec`` bits
+    that enclose the rows of the exact q: every q-power, q, t1 and t2 is a
+    box around its exact value (Box.qpow), and every operation rounds
+    outward.  The certified root counts read them.  Memoised per argument
+    tuple."""
+    _check_q(q)
+    qp = functools.cache(lambda mu: Box.qpow(q, mu, prec))
+    return recursion_rows(p, qp(1), Box.qpow(p.t1, 1, prec), Box.qpow(p.t2, 1, prec), qp)
 
 
 def series_coefficient_values(p: HeunParams, E0, q, bits: int = 512, up_to: int | None = None):
@@ -455,6 +461,15 @@ def _pivots(a, off):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _off_diagonal_products(p: HeunParams, q, prec: int) -> tuple:
+    """A_{i+1} D_{i+2}, i = 0 .. N-1: the products of the off-diagonals
+    coupling i and i+1 in coefficients_numeric, at ``prec``.  Memoised."""
+    rows = recursion_rows_at(p, q, prec)
+    with mpmath.workprec(prec):
+        return tuple(rows[i][0] * rows[i + 1][3] for i in range(p.N))
+
+
 def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolution:
     """Series coefficients c_0..c_N of the (candidate) terminating solution,
     from a twisted solve of the recursion's tridiagonal system at E0.
@@ -473,8 +488,7 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     with mpmath.workprec(bits + EVAL_GUARD_BITS):
         E0v = to_mpf(E0)
         a = [Bv * E0v + Cv for _, Bv, Cv, _ in rows]
-        # products of the off-diagonals coupling i and i+1: A_{i+1} D_{i+2}
-        off = [rows[i][0] * rows[i + 1][3] for i in range(N)]
+        off = _off_diagonal_products(p, q, bits + EVAL_GUARD_BITS)
         fwd = _pivots(a, off)
         bwd = _pivots(a[::-1], off[::-1])[::-1]
         k = min(range(N + 1), key=lambda i: abs(fwd[i] + bwd[i] - a[i]))
@@ -491,21 +505,14 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     return SeriesSolution(p.lambda1, vals, e0, as_fraction(q), p.t1, p.t2, bits)
 
 
-def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:
-    """Relative residual of the x^(lambda1+m) coefficient of the q-Heun
-    operator applied to the series, for m = 0 .. N+2.
-
-    c_n enters the coefficient of x^(lambda1+n+j), j = 0, 1, 2, times
-        j = 0:  a1 a2 q^-(lambda1+n) + P b1 b2 q^(lambda1+n) - K
-        j = 1:  -(a1+a2) q^-(lambda1+n) - P (b1+b2) q^(lambda1+n) - E
-        j = 2:  q^-(lambda1+n) + P q^(lambda1+n) - Q
-    with the operator's own factors a_i = q^(h_i+1/2) t_i,
-    b_i = q^(l_i-1/2) t_i, P = q^(a1+a2), Q = q^a1 + q^a2 and K its
-    constant term, not the recursion rows.  Each coefficient is divided by
-    the sum of the absolute values of its (at most nine) terms.  m = 0 and
-    m = N+2 are the indicial and termination identities, zero for any E."""
-    with mpmath.workprec(sol.bits + EVAL_GUARD_BITS):
-        at = AtQ(sol.q, sol.t1, sol.t2)
+@functools.lru_cache(maxsize=64)
+def _residual_constants(p: HeunParams, q: Fraction, bits: int) -> tuple:
+    """The E-free factors of _power_residuals, (a1 a2, P b1 b2, -K),
+    (-(a1+a2), -P (b1+b2)) and (1, P, -Q), and the ladder of
+    (q^(lambda1+n), q^-(lambda1+n)), n = 0 .. N, by steps of q from one
+    power each; at bits + EVAL_GUARD_BITS.  Memoised."""
+    with mpmath.workprec(bits + EVAL_GUARD_BITS):
+        at = AtQ(q, p.t1, p.t2)
         qp, t1v, t2v = at.qpow, at.t1, at.t2
         a1, a2 = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
         b1, b2 = qp(p.l1 - _HALF) * t1v, qp(p.l2 - _HALF) * t2v
@@ -516,16 +523,39 @@ def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:
         ) * t1v * t2v
         factors = (
             (a1 * a2, P * b1 * b2, -K),
-            (-(a1 + a2), -P * (b1 + b2), -to_mpf(sol.E0)),
+            (-(a1 + a2), -P * (b1 + b2)),
             (mpmath.mpf(1), P, -Q),
         )
-        # q^(lambda1+n) and q^-(lambda1+n) by steps of q from one power each
         up, dn, qinv = qp(p.lambda1), qp(-p.lambda1), 1 / at.q
+        ladder = []
+        for _ in range(p.N + 1):
+            ladder.append((up, dn))
+            up, dn = up * at.q, dn * qinv
+    return factors, tuple(ladder)
+
+
+def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:
+    """Relative residual of the x^(lambda1+m) coefficient of the q-Heun
+    operator applied to the series, for m = 0 .. N+2.
+
+    c_n enters the coefficient of x^(lambda1+n+j), j = 0, 1, 2, times
+        j = 0:  a1 a2 q^-(lambda1+n) + P b1 b2 q^(lambda1+n) - K
+        j = 1:  -(a1+a2) q^-(lambda1+n) - P (b1+b2) q^(lambda1+n) - E
+        j = 2:  q^-(lambda1+n) + P q^(lambda1+n) - Q
+    with the operator's own factors a_i = q^(h_i+1/2) t_i,
+    b_i = q^(l_i-1/2) t_i, P = q^(a1+a2), Q = q^a1 + q^a2 and K its
+    constant term, not the recursion rows (_residual_constants).  Each
+    coefficient is divided by the sum of the absolute values of its (at
+    most nine) terms.  m = 0 and m = N+2 are the indicial and termination
+    identities, zero for any E."""
+    (f0, (u1, v1), f2), ladder = _residual_constants(p, sol.q, sol.bits)
+    with mpmath.workprec(sol.bits + EVAL_GUARD_BITS):
+        factors = (f0, (u1, v1, -to_mpf(sol.E0)), f2)
         terms = [[] for _ in range(p.N + 3)]
         for n, c in enumerate(sol.coeffs):
+            up, dn = ladder[n]
             for j, (u, v, w) in enumerate(factors):
                 terms[n + j] += (c * u * dn, c * v * up, c * w)
-            up, dn = up * at.q, dn * qinv
         out = []
         for ts in terms:
             scale = mpmath.fsum(ts, absolute=True)

@@ -1,0 +1,80 @@
+"""The int arithmetic of the fixed-q root finder against exact rationals."""
+
+from fractions import Fraction
+import operator
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qheun.dyadic import Box, Dyadic
+
+F = Fraction
+OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def _value(m, e):
+    return F(m) * F(2) ** e
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 12 - 1), st.integers(1, 12), st.sampled_from([1, 2, 3, 6, 12]),
+       st.integers(-400, 400), st.sampled_from([128, 536, 1048]))
+def test_qpow_boxes_enclose_the_exact_power(m, k, D, a, P):
+    # q = m / 10^k < 1 and mu = a/D: with q^|A| = u/v (v/u for A < 0),
+    # lo^D' v <= u 2^(-e D') <= hi^D' v in integers, mu = A/D' in lowest
+    # terms; the box is one unit wide at P bits
+    m = m % 10 ** k or 1
+    mu = F(a, D)
+    A, Dd = mu.numerator, mu.denominator
+    u, v = m ** abs(A), 10 ** (k * abs(A))
+    if A < 0:
+        u, v = v, u
+    box = Box.qpow(F(m, 10 ** k), mu, P)
+    lhs, rhs = (u << -box.e * Dd, v) if box.e <= 0 else (u, v << box.e * Dd)
+    assert box.lo ** Dd * rhs <= lhs <= box.hi ** Dd * rhs
+    assert box.hi - box.lo <= 1 and box.lo.bit_length() >= P - 1
+
+
+_box_parts = st.tuples(st.integers(-2 ** 80, 2 ** 80), st.integers(0, 2 ** 40), st.integers(-90, 90))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_box_parts, _box_parts, st.sampled_from([8, 24, 64]), st.sampled_from(OPS))
+def test_box_operations_round_outward_by_less_than_one_unit(a, b, P, op):
+    # the result holds every value of the operation on the operand boxes,
+    # and each end lies within one unit of its exact value
+    x, y = (Box(lo, lo + w, e, P) for lo, w, e in (a, b))
+    ends = [[_value(z.lo, z.e), _value(z.hi, z.e)] for z in (x, y)]
+    for (lo, w, e), (z_lo, z_hi) in zip((a, b), ends):
+        assert z_lo <= _value(lo, e) <= _value(lo + w, e) <= z_hi
+    if op is operator.truediv and ends[1][0] <= 0 <= ends[1][1]:
+        return
+    exact = [op(s, t) for s in ends[0] for t in ends[1]]
+    got = op(x, y)
+    unit = F(2) ** got.e
+    assert min(exact) - unit < _value(got.lo, got.e) <= min(exact)
+    assert max(exact) <= _value(got.hi, got.e) < max(exact) + unit
+
+
+@settings(max_examples=100, deadline=None)
+@given(_box_parts, st.integers(-3, 3), st.sampled_from([8, 64]))
+def test_box_int_operands_are_exact_points(a, n, P):
+    lo, w, e = a
+    x = Box(lo, lo + w, e, P)
+    ends = [_value(x.lo, x.e), _value(x.hi, x.e)]
+    for got, want in ((n - x, [n - v for v in ends]), (x * n, [v * n for v in ends]),
+                      (x + n, [v + n for v in ends])):
+        assert _value(got.lo, got.e) <= min(want) and max(want) <= _value(got.hi, got.e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2 ** 80, 2 ** 80), st.integers(-90, 90), st.integers(-2 ** 80, 2 ** 80),
+       st.integers(-90, 90), st.sampled_from([8, 24, 64]), st.sampled_from(OPS))
+def test_dyadic_operations_truncate_by_less_than_one_unit(m, e, n, f, P, op):
+    if op is operator.truediv and not n:
+        return
+    x, y = Dyadic(m, e, P), Dyadic(n, f, P)
+    exact = op(_value(x.m, x.e), _value(y.m, y.e))
+    got = op(x, y)
+    assert abs(got.m) <= 2 ** P
+    assert exact - F(2) ** got.e < _value(got.m, got.e) <= exact

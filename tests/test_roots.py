@@ -1,4 +1,6 @@
+import functools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
@@ -19,7 +21,14 @@ from qheun.roots import (
 )
 from qheun.qmono import EVAL_GUARD_BITS, to_mpf
 from qheun.sampling import sample_params
-from qheun.spectral import derive, recursion_coeff_rows, spectral_polynomial
+from qheun.dyadic import Box
+from qheun.spectral import (
+    derive,
+    recursion_boxes_at,
+    recursion_coeff_rows,
+    recursion_rows,
+    spectral_polynomial,
+)
 from qheun.ultra import PredictedRoot, classify, predict_roots
 
 F = Fraction
@@ -384,7 +393,7 @@ def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4
             return _f(*args)
 
         monkeypatch.setattr(roots_mod, name, counting)
-    spectral_root, rows_at = roots_mod._spectral_root, roots_mod.recursion_rows_at
+    spectral_root, boxes_at = roots_mod._spectral_root, roots_mod.recursion_boxes_at
 
     def counting_root(*args):
         before = evaluations[0]
@@ -392,13 +401,13 @@ def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4
         per_root.append(evaluations[0] - before)
         return out
 
-    def rows_seen(p, q, prec, ctx=mpmath.mp):
-        if ctx is mpmath.iv and prec != 512 + EVAL_GUARD_BITS:
+    def boxes_seen(p, q, prec):
+        if prec != 512 + EVAL_GUARD_BITS:
             escalated.append((p, q, prec))
-        return rows_at(p, q, prec, ctx)
+        return boxes_at(p, q, prec)
 
     monkeypatch.setattr(roots_mod, "_spectral_root", counting_root)
-    monkeypatch.setattr(roots_mod, "recursion_rows_at", rows_seen)
+    monkeypatch.setattr(roots_mod, "recursion_boxes_at", boxes_seen)
     monkeypatch.setattr(roots_mod, "_bisect_exact", lambda *a: fallbacks.append(a))
     expected = 0
     for p in (p1, p2, p3, p4):
@@ -477,16 +486,20 @@ def test_scaling_t1_and_t2_scales_every_root(p1, p2, p3, p4, s):
 
 
 def test_an_uncertified_count_is_redone_at_doubled_bits(p1, monkeypatch):
+    # every count at the first precision fails; the redo at 1024 bits
+    # certifies the same roots
     q = F(1, 1000)
     want, _ = find_spectral_roots(p1, q, 512)
-    certified = roots_mod._certified_count
+    certified, seen = roots_mod._certified_count, []
 
     def blurred_at_512(ratio, x):
-        return None if mpmath.iv.prec == 512 + EVAL_GUARD_BITS else certified(ratio, x)
+        seen.append(x.P)
+        return None if x.P == 512 + EVAL_GUARD_BITS else certified(ratio, x)
 
     monkeypatch.setattr(roots_mod, "_certified_count", blurred_at_512)
     got, bits = find_spectral_roots(p1, q, 512)
-    assert bits == 512 and got == want
+    assert bits == 512 and [r._mpf_ for r in got] == [r._mpf_ for r in want]
+    assert set(seen) == {512 + EVAL_GUARD_BITS, 1024 + EVAL_GUARD_BITS}
 
 
 def test_an_exact_root_on_the_bisection_grid_is_returned_exactly():
@@ -508,6 +521,89 @@ def test_an_exact_root_on_the_bisection_grid_is_returned_exactly():
 
 
 def test_a_count_uncertified_at_max_bits_names_its_point(p1, monkeypatch):
-    monkeypatch.setattr(roots_mod, "_certified_count", lambda ratio, x: None)
+    # the count is tried at every doubled precision up to MAX_BITS first
+    seen = []
+    monkeypatch.setattr(roots_mod, "_certified_count", lambda ratio, x: seen.append(x.P))
     with pytest.raises(PrecisionError, match=r"root count at E = -?\d.* is not certified at 4096 bits"):
         find_spectral_roots(p1, F(1, 1000), 512)
+    assert sorted(set(seen)) == [b + EVAL_GUARD_BITS for b in (512, 1024, 2048, 4096)]
+
+
+# ---------------------------------------------------------------------------
+# the certified count against the mpmath.iv count it replaced
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _iv_prec(prec):
+    old = mpmath.iv.prec
+    mpmath.iv.prec = prec
+    try:
+        yield
+    finally:
+        mpmath.iv.prec = old
+
+
+def _iv_ratio(p, q, prec):
+    """The count's rows (B_n, C_n, G_n) in mpmath.iv at prec, each q-power
+    the interval exp(mu log q); None unless every A_n, B_n, D_n is positive."""
+    def conv(x):
+        x = Fraction(x)
+        return mpmath.iv.mpf(x.numerator) / x.denominator
+
+    with _iv_prec(prec):
+        lq = mpmath.iv.log(conv(q))
+        qp = functools.cache(lambda mu: mpmath.iv.exp(conv(mu) * lq))
+        rows = recursion_rows(p, conv(q), conv(p.t1), conv(p.t2), qp)
+        if not all(A.a > 0 and B.a > 0 and D.a > 0 for A, B, _, D in rows):
+            return None
+        return roots_mod._ratio_rows(rows)
+
+
+def _iv_count(ratio, x: Fraction, prec):
+    """The certified count of x in mpmath.iv, or None when an s_n interval
+    contains 0."""
+    with _iv_prec(prec):
+        xv = mpmath.iv.mpf(x.numerator) / x.denominator
+        above, s = 0, 1
+        for B, C, G in ratio:
+            s = B * xv + C - G / s
+            if s.b < 0:
+                above += 1
+            elif not s.a > 0:
+                return None
+    return above
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["R31", "R32", "R33"]), st.integers(0, 10 ** 6), st.integers(1, 12),
+       st.sampled_from([F(1, 1000), F(1, 10 ** 6), F(99, 100)]), st.sampled_from([128, 512]),
+       st.randoms(use_true_random=False))
+def test_certified_counts_certify_wherever_the_iv_reference_does(regime, seed, N, q, bits, rnd):
+    # at the grid points of relative spacing 2^-bits next to each root,
+    # where certification is hardest, and at random points near and between
+    # the roots, the int count certifies wherever the iv count does, with
+    # the same count
+    p = sample_params(regime, random.Random(seed), N=N)
+    prec = bits + EVAL_GUARD_BITS
+    roots = [roots_mod._mpf_to_fraction(r) for r in find_spectral_roots(p, q, bits)[0]]
+    boxes = recursion_boxes_at(p, q, prec)
+    reference = _iv_ratio(p, q, prec)
+    assert reference is None or all(A.lo > 0 and B.lo > 0 and D.lo > 0 for A, B, _, D in boxes)
+    ratio = roots_mod._ratio_rows(boxes)
+    points = []
+    for r in roots:
+        step = F(2) ** (abs(r).numerator.bit_length() - abs(r).denominator.bit_length() - 1 - bits)
+        points += [r - step, r + step]
+    for _ in range(2 * len(roots)):
+        r = rnd.choice(roots)
+        points.append(r * (1 + rnd.choice([-1, 1]) * F(1, 2 ** rnd.randint(1, bits))))
+        points.append((r + rnd.choice(roots)) * F(rnd.randint(1, 2 ** 20), 2 ** 21))
+    certified = 0
+    for x in points:
+        want = _iv_count(reference, x, prec) if reference else None
+        if want is not None:
+            certified += 1
+            got = roots_mod._certified_count(ratio, Box.ratio(x.numerator, x.denominator, prec))
+            assert got == want, x
+    assert certified >= len(points) // 2

@@ -18,6 +18,7 @@ from qheun.spectral import (
     coefficients_numeric,
     derive,
     recursion_coeff_rows,
+    recursion_boxes_at,
     recursion_rows_at,
     residual_check,
     series_coefficient_values,
@@ -287,16 +288,17 @@ def _abs_recursion(rows, x):
        st.integers(1, 10), st.integers(2, 12), st.integers(-60, 60), st.integers(0, 40),
        st.sampled_from([128, 512]))
 def test_numeric_rows_match_the_exact_image(regime, seed, N, m, k, e0, e0_exp, bits):
-    # the shared rows, in mpf and as intervals, against the exact rows
+    # the shared rows, in mpf and as boxes, against the exact rows
     # evaluated at twice the precision; and c_0 .. c_{N+1} run on them
     # against the exact polynomials' image, over N <= 8, q in [1e-12, 1e-1].
     # A q-power exp(mu log q) carries the rounding of log q times |mu log q|
-    # (below 2^11 here), so the rows hold bits + EVAL_GUARD_BITS - 11 bits
+    # (below 2^11 here), so the rows hold bits + EVAL_GUARD_BITS - 11 bits;
+    # a box encloses its exact row and is narrower than 2^-bits of it
     p = sample_params(regime, random.Random(seed), N=N)
     q = F(m, 10 ** k)
     E0 = F(e0, 7) * 10 ** e0_exp
     rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
-    boxes = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS, mpmath.iv)
+    boxes = recursion_boxes_at(p, q, bits + EVAL_GUARD_BITS)
     polys, _ = coefficients_exact(p)
     numeric = series_coefficient_values(p, E0, q, bits=bits, up_to=p.N + 1)
     with mpmath.workprec(2 * bits):
@@ -306,8 +308,9 @@ def test_numeric_rows_match_the_exact_image(regime, seed, N, m, k, e0, e0_exp, b
                 ref = eval_numeric(row, q, p.t1, p.t2, bits=2 * bits)
                 assert abs(v - ref) <= mpmath.mpf(2) ** -bits * abs(ref)
                 slack = mpmath.mpf(2) ** -(2 * bits - 32) * abs(ref)
-                lo, hi = (mpmath.mp.make_mpf(e) for e in box._mpi_)
+                lo, hi = (mpmath.ldexp(m, box.e) for m in (box.lo, box.hi))
                 assert lo - slack <= ref <= hi + slack
+                assert hi - lo <= mpmath.mpf(2) ** -bits * abs(ref)
         scale = _abs_recursion(rows, abs(to_mpf(E0)))
         for n, ep in enumerate(polys):
             image = mpmath.mpf(0)
