@@ -29,9 +29,7 @@ from .qmono import (
     eval_numeric,
     leading_part,
     qpow,
-    qsum_add,
     qsum_merge,
-    qsum_mul,
     ultradiscretize,
 )
 from .spectral import (

@@ -53,9 +53,7 @@ __all__ = [
     "SIGN_CONFLICT",
     "as_fraction",
     "qpow",
-    "qsum_add",
     "qsum_merge",
-    "qsum_mul",
     "TermDict",
     "pack_key",
     "unpack_key",
@@ -315,9 +313,17 @@ class QSum:
     def __sub__(self, other: "QSum") -> "QSum":
         return self + (-other)
 
+    def __rsub__(self, other) -> "QSum":
+        if isinstance(other, (int, Fraction)):  # allows 1 - q^mu
+            return QSum.term(other) - self
+        return NotImplemented
+
     def __mul__(self, other) -> "QSum":
+        """Exact product; see terms_mul."""
         if isinstance(other, QSum):
-            return qsum_mul(self, other)
+            den = math.lcm(self.den, other.den)
+            prod = terms_mul(dict(self.at_scale(den)), dict(other.at_scale(den)))
+            return QSum.from_term_dict(prod, den)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return QSum()
@@ -436,19 +442,6 @@ def qsum_merge(
     den = math.lcm(*(a.den for a in parts))
     merged, events = terms_merge([dict(a.at_scale(den)) for a in parts], site, den)
     return QSum.from_term_dict(merged, den), events
-
-
-def qsum_add(
-    a: QSum, b: QSum, site: str = ""
-) -> tuple[QSum, list[CancellationEvent]]:
-    """Exact sum with diagnostics; see qsum_merge."""
-    return qsum_merge((a, b), site)
-
-
-def qsum_mul(a: QSum, b: QSum) -> QSum:
-    """Exact product; see terms_mul."""
-    den = math.lcm(a.den, b.den)
-    return QSum.from_term_dict(terms_mul(dict(a.at_scale(den)), dict(b.at_scale(den))), den)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,12 @@ def _finish(rng, N, h2, l1, l2, beta, t1, t2) -> HeunParams:
 def sample_params(
     regime: str, rng: random.Random, N: int | None = None, n_max: int = 8
 ) -> HeunParams:
-    """One validated parameter set classified in ``regime`` (R31/R32/R33)."""
+    """One validated parameter set classified in ``regime`` (R31/R32/R33).
+
+    ValueError when no such set has the requested N: N < 0, or N = 0 in
+    R33, which needs a switch step K in 1..N."""
+    if N is not None and N < (1 if regime == R33 else 0):
+        raise ValueError(f"no {regime} parameter set has N = {N}")
     for _ in range(200):
         n = N if N is not None else rng.randint(1 if regime == R33 else 0, n_max)
         h2 = _frac(rng, -2, 2)

@@ -21,7 +21,12 @@ recursion
 
 With N := -lambda1 - a1 a nonnegative integer, c_{N+1}(E) is the spectral
 polynomial: at each of its roots the series terminates at degree N and the
-truncated series solves the equation exactly.  Numerically the series at a
+truncated series solves the equation exactly.
+
+The rows are written once, in recursion_rows, and evaluated on QSums
+(recursion_coeff_rows), in mpf (recursion_rows_at) and in boxes
+(recursion_boxes_at).  The exact recursion and the leading-term recursion
+of ultra share one loop, three_term.  Numerically the series at a
 root comes from a twisted solve of the recursion's tridiagonal system
 (coefficients_numeric), which keeps full precision where the forward
 recursion amplifies the root's rounding, and residual_check verifies it
@@ -58,6 +63,7 @@ from .qmono import (
     eval_terms,
     leading_part,
     pack_key,
+    qpow,
     terms_merge,
     terms_mul,
     to_mpf,
@@ -69,6 +75,7 @@ __all__ = [
     "SeriesSolution",
     "derive",
     "recursion_coeff_rows",
+    "three_term",
     "coefficients_exact",
     "spectral_polynomial",
     "recursion_rows",
@@ -160,50 +167,42 @@ def derive(h1, h2, l1, l2, alpha1, alpha2, beta, t1, t2) -> HeunParams:
 # ---------------------------------------------------------------------------
 
 
-def a_row_structured(p: HeunParams, n: int) -> tuple[QMonomial, tuple[Fraction, Fraction]]:
-    """A_n as monomial t1 t2 q^{h1+h2} times factors (1-q^n)(1-q^{n-beta}).
+def recursion_rows(p: HeunParams, qv, t1v, t2v, qp) -> tuple:
+    """The rows (A_n, B_n, C_n, D_n) of steps n = 1 .. N+1 from the values
+    qv, t1v, t2v of q, t1, t2 and the q-power map ``qp``: mu -> q^mu.
 
-    Both factor exponents are positive under the standing assumptions
-    (n >= 1, beta < 1), so A_n never vanishes for q in (0,1).
-    """
-    if not 1 <= n <= p.N + 1:
-        raise DomainError(f"recursion index n = {n} outside 1..N+1 = 1..{p.N + 1}")
-    return (
-        QMonomial(p.h1 + p.h2, 1, 1, Fraction(1)),
-        (Fraction(n), n - p.beta),
+    The one formula of the rows, evaluated literally: recursion_coeff_rows
+    runs it on QSums, recursion_rows_at in mpf and recursion_boxes_at in
+    boxes around the rows of the exact q."""
+    lam = p.lambda1
+    rows = []
+    for n in range(1, p.N + 2):
+        Av = t1v * t2v * qp(p.h1 + p.h2) * (1 - qp(n)) * (1 - qp(n - p.beta))
+        Bv = qp(n - 1 + lam)
+        ce = 2 * (n + lam) + p.alpha1 + p.alpha2 - Fraction(5, 2)
+        Cv = qp(_HALF) * (qp(p.h1) * t1v + qp(p.h2) * t2v) + (
+            qp(p.l1) * t1v + qp(p.l2) * t2v
+        ) * qp(ce)
+        Dv = qv * (1 - qp(n - 2 + lam + p.alpha1)) * (1 - qp(n - 2 + lam + p.alpha2))
+        rows.append((Av, Bv, Cv, Dv))
+    return tuple(rows)
+
+
+def _exact_rows(p: HeunParams) -> tuple:
+    return recursion_rows(
+        p, qpow(1), QSum.term(1, t1pow=1), QSum.term(1, t2pow=1), functools.cache(qpow)
     )
 
 
 def recursion_coeff_rows(p: HeunParams, n: int) -> tuple[QSum, QSum, QSum, QSum]:
-    """The exact rows (A, B, C, D) of step n, each expanded as a QSum.
+    """The exact rows (A, B, C, D) of step n: recursion_rows over QSums,
+    with q, t1 and t2 the monomials q, t1, t2.
 
-    This is the one exact definition of the rows; coefficients_exact runs
-    on them."""
-    lam = p.lambda1
-    mono, (e1, e2) = a_row_structured(p, n)
-    A = QSum((mono,)) * (
-        QSum.term(1)
-        - QSum.term(1, qexp=e1)
-        - QSum.term(1, qexp=e2)
-        + QSum.term(1, qexp=e1 + e2)
-    )
-    B = QSum.term(1, qexp=n - 1 + lam)
-    ce = 2 * (n + lam) + p.alpha1 + p.alpha2 - Fraction(5, 2)
-    C = (
-        QSum.term(1, t1pow=1, qexp=_HALF + p.h1)
-        + QSum.term(1, t2pow=1, qexp=_HALF + p.h2)
-        + QSum.term(1, t1pow=1, qexp=p.l1 + ce)
-        + QSum.term(1, t2pow=1, qexp=p.l2 + ce)
-    )
-    d1 = n - 2 + lam + p.alpha1
-    d2 = n - 2 + lam + p.alpha2
-    D = (
-        QSum.term(1, qexp=1)
-        - QSum.term(1, qexp=1 + d1)
-        - QSum.term(1, qexp=1 + d2)
-        + QSum.term(1, qexp=1 + d1 + d2)
-    )
-    return A, B, C, D
+    A_n = t1 t2 q^(h1+h2) (1-q^n)(1-q^(n-beta)) never vanishes for q in
+    (0,1): n >= 1 and beta < 1 make both factor exponents positive."""
+    if not 1 <= n <= p.N + 1:
+        raise DomainError(f"recursion index n = {n} outside 1..N+1 = 1..{p.N + 1}")
+    return _exact_rows(p)[n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -293,65 +292,67 @@ def _scaled(a: QSum, D: int) -> TermDict:
     return out
 
 
-def coefficients_exact(
-    p: HeunParams, up_to: int | None = None
-) -> tuple[list[EPoly], list[CancellationEvent]]:
-    """Exact c_0 .. c_up_to with cancellation diagnostics.
+def three_term(p: HeunParams, rows, entry) -> list[list[QSum]]:
+    """The one loop of the exact recursion: the levels c_0 = 1, c_1, ... of
 
-    The rows come from recursion_coeff_rows.  Per step n and E-degree j,
-    the three contributions B*c_{n-1}[j-1], C*c_{n-1}[j] and R*c_{n-2}[j],
-    with R = -(D*A_{n-1}), are merged in a single pass; the recorded events
-    are the right-hand-side cancellation diagnostics the leading-term
-    propositions are about.  The exact result itself is always correct,
-    events or not.
-    """
-    if up_to is None:
-        up_to = p.N + 1
-    if not 0 <= up_to <= p.N + 1:
-        raise DomainError(f"up_to = {up_to} outside 0..N+1 = 0..{p.N + 1}")
+        c_n[E^j] = B c_{n-1}[E^(j-1)] + C c_{n-1}[E^j] + R c_{n-2}[E^j]
+
+    on term dicts at the scale D of ``p``.  ``rows`` yields the QSum rows
+    (B, C, R) of n = 1, 2, ... (R = 0 drops its term), and
+    ``entry(parts, n, site, D)`` turns the nonzero products, in that
+    order, into the term dict of c_n[E^j], site "c{n}[E^{j}]"."""
     D = _scale_den(p)
-    events: list[CancellationEvent] = []
     levels: list[list[TermDict]] = [[{pack_key(0, 0, 0): 1}]]
-    prev_A: QSum | None = None
-    for n in range(1, up_to + 1):
-        A, B, C, Dn = recursion_coeff_rows(p, n)
-        B, C = _scaled(B, D), _scaled(C, D)
-        R = _scaled(-(Dn * prev_A), D) if n >= 2 else None
+    for n, row in enumerate(rows, 1):
+        B, C, R = (_scaled(x, D) for x in row)
         prev = levels[n - 1]
-        prev2 = levels[n - 2] if n >= 2 else None
         new: list[TermDict] = []
         for j in range(n + 1):
-            parts = []
-            if j >= 1:
-                parts.append(terms_mul(B, prev[j - 1]))
-            if j < len(prev):
+            parts = [terms_mul(B, prev[j - 1])] if j else []
+            if j < n:
                 parts.append(terms_mul(C, prev[j]))
-            if prev2 is not None and j < len(prev2):
-                parts.append(terms_mul(R, prev2[j]))
-            merged, found = terms_merge(parts, f"c{n}[E^{j}]", D)
-            events.extend(found)
-            new.append(merged)
-        if not new[n]:
-            raise AssertionError(f"degree invariant failed: c_{n} has degree < {n}")
+            if R and j <= n - 2:
+                parts.append(terms_mul(R, levels[n - 2][j]))
+            new.append(entry(parts, n, f"c{n}[E^{j}]", D))
         levels.append(new)
-        prev_A = A
-    # c_n's denominator is A_1 ... A_n with the factors kept structured
-    polys = []
-    den, factors = QSum.one(), []
-    for n, dicts in enumerate(levels):
+    return [[QSum.from_term_dict(d, D) for d in level] for level in levels]
+
+
+def coefficients_exact(p: HeunParams) -> tuple[list[EPoly], list[CancellationEvent]]:
+    """Exact c_0 .. c_{N+1} with cancellation diagnostics.
+
+    The numerators run three_term on the rows B_n, C_n and
+    R_n = -(D_n A_{n-1}) of recursion_coeff_rows; each entry is one
+    terms_merge, whose events are the right-hand-side cancellation
+    diagnostics the leading-term propositions are about.  The exact result
+    itself is always correct, events or not.  c_n's denominator is
+    A_1 ... A_n with the factors kept structured: the monomial
+    (t1 t2 q^(h1+h2))^n times prod_{k<=n} (1-q^k)(1-q^(k-beta)).
+    """
+    rows = _exact_rows(p)
+    events: list[CancellationEvent] = []
+
+    def entry(parts, n, site, D):
+        merged, found = terms_merge(parts, site, D)
+        events.extend(found)
+        return merged
+
+    levels = three_term(p, (
+        (B, C, -(Dn * rows[n - 2][0]) if n >= 2 else QSum.zero())
+        for n, (_, B, C, Dn) in enumerate(rows, 1)
+    ), entry)
+    polys, factors = [], []
+    for n, coeffs in enumerate(levels):
         if n:
-            mono, row_factors = a_row_structured(p, n)
-            den = den * QSum((mono,))
-            factors.extend(row_factors)
-        coeffs = tuple(QSum.from_term_dict(d, D) for d in dicts)
-        polys.append(EPoly(coeffs, den.terms[0], tuple(sorted(factors))))
+            factors += (Fraction(n), n - p.beta)
+        den = QMonomial(n * (p.h1 + p.h2), n, n, Fraction(1))
+        polys.append(EPoly(tuple(coeffs), den, tuple(sorted(factors))))
     return polys, events
 
 
 def spectral_polynomial(p: HeunParams) -> EPoly:
     """The degree-(N+1) polynomial whose roots admit terminating series."""
-    polys, _ = coefficients_exact(p, p.N + 1)
-    return polys[-1]
+    return coefficients_exact(p)[0][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -372,27 +373,6 @@ class SeriesSolution:
     bits: int
 
 
-def recursion_rows(p: HeunParams, qv, t1v, t2v, qp) -> tuple:
-    """The rows (A_n, B_n, C_n, D_n) of steps n = 1 .. N+1 from the values
-    qv, t1v, t2v of q, t1, t2 and the q-power map ``qp``: mu -> q^mu.
-
-    The one numeric formula of the rows, evaluated literally:
-    recursion_rows_at runs it in mpf, recursion_boxes_at in boxes around
-    the rows of the exact q."""
-    lam = p.lambda1
-    rows = []
-    for n in range(1, p.N + 2):
-        Av = t1v * t2v * qp(p.h1 + p.h2) * (1 - qp(n)) * (1 - qp(n - p.beta))
-        Bv = qp(n - 1 + lam)
-        ce = 2 * (n + lam) + p.alpha1 + p.alpha2 - Fraction(5, 2)
-        Cv = qp(_HALF) * (qp(p.h1) * t1v + qp(p.h2) * t2v) + (
-            qp(p.l1) * t1v + qp(p.l2) * t2v
-        ) * qp(ce)
-        Dv = qv * (1 - qp(n - 2 + lam + p.alpha1)) * (1 - qp(n - 2 + lam + p.alpha2))
-        rows.append((Av, Bv, Cv, Dv))
-    return tuple(rows)
-
-
 def _check_q(q) -> None:
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0,1), got {q}")
@@ -400,16 +380,13 @@ def _check_q(q) -> None:
 
 @functools.lru_cache(maxsize=64)
 def recursion_rows_at(p: HeunParams, q, prec: int) -> tuple:
-    """The rows of recursion_rows at q in mpf at working precision ``prec``.
-
-    The series, the plain root counts and Newton read them.  Every q-power
-    is exp(mu log q), the value AtQ gives.  Memoised per argument tuple."""
+    """The rows of recursion_rows at q in mpf at working precision ``prec``,
+    with q, t1, t2 and every q-power from AtQ.  The series, the plain root
+    counts and Newton read them.  Memoised per argument tuple."""
     _check_q(q)
     with mpmath.workprec(prec):
-        qv = to_mpf(q)
-        lq = mpmath.log(qv)
-        qp = functools.cache(lambda mu: mpmath.exp(to_mpf(mu) * lq))
-        return recursion_rows(p, qv, to_mpf(p.t1), to_mpf(p.t2), qp)
+        at = AtQ(q, p.t1, p.t2)
+        return recursion_rows(p, at.q, at.t1, at.t2, at.qpow)
 
 
 @functools.lru_cache(maxsize=64)

@@ -53,11 +53,12 @@ from .qmono import (
     QSum,
     leading_part,
     qpow,
+    terms_merge,
     to_mpf,
     ultradiscretize,
     unpack_key,
 )
-from .spectral import EPoly, HeunParams, spectral_polynomial
+from .spectral import EPoly, HeunParams, spectral_polynomial, three_term
 
 __all__ = [
     "R31",
@@ -346,10 +347,9 @@ def boundary_proximity(p: HeunParams, tag: CaseTag) -> list[str]:
 
 
 def _leading_rows(p: HeunParams, tag: CaseTag, n: int):
-    """Leading forms (pE, pc, r) of step n in the tagged regime; r is None
-    in R33 where the remainder term is droppable throughout."""
-    lam = p.lambda1
-    u = lam - p.h1 - p.h2
+    """Leading forms (pE, pc, r) of step n in the tagged regime; r is zero
+    in R33, where the remainder term is droppable throughout."""
+    u = p.lambda1 - p.h1 - p.h2
     pE = QSum.term(1, t1pow=-1, t2pow=-1, qexp=n - 1 + u)
     if tag.regime == R31:
         pc_exp = _HALF - p.h2
@@ -361,14 +361,15 @@ def _leading_rows(p: HeunParams, tag: CaseTag, n: int):
         raise RegimeError(f"leading recursion undefined for {tag.regime}")
     pc = QSum.term(1, t2pow=-1, qexp=pc_exp)
     if tag.regime == R33:
-        r = None
+        r = QSum.zero()
     else:
         r = QSum.term(1, t1pow=-1, t2pow=-1, qexp=2 * n - 1 - p.l1 - p.l2 - p.beta)
     return pE, pc, r
 
 
 def leading_recursion(p: HeunParams, tag: CaseTag) -> list[EPoly]:
-    """Run the regime's simplified recursion keeping only leading slices.
+    """Run the regime's simplified recursion keeping only leading slices:
+    three_term on the rows pE, pc and -r of _leading_rows.
 
     Raises CancellationError as soon as a step annihilates a leading slice
     or leaves it sign-indefinite; under the classification's sufficient
@@ -376,37 +377,23 @@ def leading_recursion(p: HeunParams, tag: CaseTag) -> list[EPoly]:
     """
     if not tag.classified():
         raise RegimeError(f"leading recursion needs a classified tag, got {tag.regime}")
-    levels: list[list[QSum]] = [[QSum.one()]]
-    for n in range(1, p.N + 2):
-        pE, pc, r = _leading_rows(p, tag, n)
-        prev = levels[n - 1]
-        prev2 = levels[n - 2] if n >= 2 else None
-        new: list[QSum] = []
-        for j in range(n + 1):
-            parts = []
-            if j >= 1:
-                parts.append(pE * prev[j - 1])
-            if j < len(prev):
-                parts.append(pc * prev[j])
-            if r is not None and prev2 is not None and j < len(prev2):
-                parts.append(-(r * prev2[j]))
-            site = f"c{n}[E^{j}]"
-            expected = min(x.leading_exponent for x in parts)
-            total = QSum()
-            for x in parts:
-                total = total + x
-            if total.is_zero() or total.leading_exponent != expected:
-                raise CancellationError(
-                    n, site, f"leading-slice cancellation at step {n} ({site})"
-                )
-            try:
-                ultradiscretize(total)
-            except SignIndefiniteError as exc:
-                raise CancellationError(
-                    n, site, f"mixed-sign leading slice at step {n} ({site}): {exc}"
-                ) from exc
-            new.append(leading_part(total))
-        levels.append(new)
+
+    def entry(parts, n, site, D):
+        expected = unpack_key(min(map(min, parts)))[0]
+        merged, _ = terms_merge(parts)
+        if not merged or unpack_key(min(merged))[0] != expected:
+            raise CancellationError(n, site, f"leading-slice cancellation at step {n} ({site})")
+        total = QSum.from_term_dict(merged, D)
+        try:
+            ultradiscretize(total)
+        except SignIndefiniteError as exc:
+            raise CancellationError(
+                n, site, f"mixed-sign leading slice at step {n} ({site}): {exc}"
+            ) from exc
+        return dict(leading_part(total).items)
+
+    rows = (_leading_rows(p, tag, n) for n in range(1, p.N + 2))
+    levels = three_term(p, ((pE, pc, -r) for pE, pc, r in rows), entry)
     return [EPoly(tuple(level)) for level in levels]
 
 
@@ -702,37 +689,28 @@ def collision_check(p: HeunParams, M: int, tag: CaseTag) -> list[tuple[int, int,
         raise RegimeError(f"collision_check applies to R31/R32 only, got {tag.regime}")
     if not 1 <= M <= p.N + 1:
         raise DomainError(f"M = {M} outside 1..N+1 = 1..{p.N + 1}")
-    lam = p.lambda1
-
-    def pexp(n: int) -> Fraction:
-        return n - 1 + lam - p.h1 - p.h2
-
-    def rexp(n: int) -> Fraction:
-        return 2 * n - 1 - p.l1 - p.l2 - p.beta
+    # pexp[n], qexp[n], rexp[n]: the exponents of the rows pE, pc, r of step n
+    pexp, qexp, rexp = zip((None,) * 3, *(
+        [x.leading_exponent for x in _leading_rows(p, tag, n)] for n in range(1, M + 1)
+    ))
 
     if tag.regime == R31:
 
-        def qexp(n: int) -> Fraction:
-            return _HALF - p.h2
-
         def d(k: int, l: int) -> Fraction:
             return (
-                sum((rexp(2 * i) for i in range(1, k + 1)), Fraction(0))
-                + sum((pexp(j) for j in range(2 * k + 1, 2 * k + l + 1)), Fraction(0))
-                + sum((qexp(j) for j in range(2 * k + l + 1, M + 1)), Fraction(0))
+                sum((rexp[2 * i] for i in range(1, k + 1)), Fraction(0))
+                + sum((pexp[j] for j in range(2 * k + 1, 2 * k + l + 1)), Fraction(0))
+                + sum((qexp[j] for j in range(2 * k + l + 1, M + 1)), Fraction(0))
             )
 
     else:
 
-        def qexp(n: int) -> Fraction:
-            return 2 * n - _HALF - p.l2 - p.beta
-
         def d(k: int, l: int) -> Fraction:
             a = M - 2 * k - l
             return (
-                sum((qexp(j) for j in range(1, a + 1)), Fraction(0))
-                + sum((pexp(j) for j in range(a + 1, M - 2 * k + 1)), Fraction(0))
-                + sum((rexp(M - 2 * k + 2 * i) for i in range(1, k + 1)), Fraction(0))
+                sum((qexp[j] for j in range(1, a + 1)), Fraction(0))
+                + sum((pexp[j] for j in range(a + 1, M - 2 * k + 1)), Fraction(0))
+                + sum((rexp[M - 2 * k + 2 * i] for i in range(1, k + 1)), Fraction(0))
             )
 
     hits = []

@@ -22,9 +22,7 @@ from qheun.qmono import (
     leading_part,
     pack_key,
     qpow,
-    qsum_add,
     qsum_merge,
-    qsum_mul,
     terms_mul,
     ultradiscretize,
     unpack_key,
@@ -44,13 +42,13 @@ def term(c, t1=0, t2=0, q=0):
 
 
 def test_add_inverse_gives_zero_and_event():
-    s, events = qsum_add(term(1), term(-1))
+    s, events = qsum_merge((term(1), term(-1)))
     assert s.is_zero()
     assert [e.kind for e in events] == [EXACT_ZERO]
 
 
 def test_add_disjoint_keys_no_events():
-    s, events = qsum_add(term(1, t1=1, q=F(1, 2)), term(1, t2=1, q=F(3, 2)))
+    s, events = qsum_merge((term(1, t1=1, q=F(1, 2)), term(1, t2=1, q=F(3, 2))))
     assert len(s) == 2
     assert s.leading_exponent == F(1, 2)
     assert events == []
@@ -61,7 +59,7 @@ def test_add_sign_conflict_at_colliding_exponents():
     # 3-l1-l2-beta coincide at 1 with opposite signs and distinct t powers
     a = term(1, t2=-2, q=1)
     b = term(-1, t1=-1, t2=-1, q=1)
-    s, events = qsum_add(a, b)
+    s, events = qsum_merge((a, b))
     assert len(s) == 2
     assert [e.kind for e in events] == [SIGN_CONFLICT]
     assert events[0].qexp == 1
@@ -73,17 +71,17 @@ def test_add_sign_conflict_at_colliding_exponents():
 
 
 def test_mul_exponents_add():
-    assert qsum_mul(qpow(F(1, 2)), qpow(F(-1, 2))) == term(1)
+    assert qpow(F(1, 2)) * qpow(F(-1, 2)) == term(1)
 
 
 def test_mul_by_zero_annihilates():
     a = term(1, t1=1, q=F(1, 3)) + term(1, t2=1, q=2)
-    assert qsum_mul(a, QSum.zero()).is_zero()
+    assert (a * QSum.zero()).is_zero()
 
 
 def test_mul_hand_expansion():
     one_minus_q = term(1) - qpow(1)
-    assert qsum_mul(one_minus_q, one_minus_q) == term(1) - 2 * qpow(1) + qpow(2)
+    assert one_minus_q * one_minus_q == term(1) - 2 * qpow(1) + qpow(2)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +144,7 @@ def test_eval_symbolic_cancellation_is_exact_zero():
 
 def test_eval_hand_value():
     # (1-q)(1-q^{1/2}) at q = 1/4 is (3/4)*(1/2) = 0.375
-    a = qsum_mul(term(1) - qpow(1), term(1) - qpow(F(1, 2)))
+    a = (term(1) - qpow(1)) * (term(1) - qpow(F(1, 2)))
     v = eval_numeric(a, F(1, 4), 1, 1, bits=128)
     with mpmath.workprec(128):
         assert abs(v - mpmath.mpf(3) / 8) < mpmath.mpf(2) ** -100
@@ -181,9 +179,9 @@ nonzero_qsums = qsums.filter(lambda s: not s.is_zero())
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
-    assert qsum_mul(a, b) == qsum_mul(b, a)
-    assert qsum_mul(qsum_mul(a, b), c) == qsum_mul(a, qsum_mul(b, c))
-    assert qsum_mul(a, b + c) == qsum_mul(a, b) + qsum_mul(a, c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
 
 
 @given(st.lists(monomials, max_size=6), st.randoms(use_true_random=False))
@@ -203,13 +201,13 @@ def test_trusted_constructions_keep_the_normal_form(a, b, m, c):
     # normal form the merging constructor gives
     unit = replace(m, coeff=F(1))
     results = [a.div_monomial(m), a.div_monomial(unit), -a, a * c, c * a, a * 3,
-               qsum_mul(a, b), qsum_merge([a, b, -a])[0]]
+               a * b, qsum_merge([a, b, -a])[0]]
     if a:
         results.append(leading_part(a))
     for r in results:
         assert r.terms == QSum(r.terms).terms
         assert all(type(t.qexp) is Fraction and type(t.coeff) is Fraction for t in r.terms)
-    assert qsum_mul(a.div_monomial(m), QSum((m,))) == a
+    assert a.div_monomial(m) * QSum((m,)) == a
     assert qsum_merge([a, b, -a])[0] == b
 
 
@@ -226,7 +224,7 @@ def test_leading_exponent_additive_and_signs_multiply(a, b):
     ua, ub = _definite(a), _definite(b)
     if ua is None or ub is None:
         return
-    prod = qsum_mul(a, b)
+    prod = a * b
     mu, sign = ultradiscretize(prod)
     assert mu == ua[0] + ub[0]
     assert sign == ua[1] * ub[1]

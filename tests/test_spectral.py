@@ -111,12 +111,12 @@ def test_row_index_range(p1):
 
 def test_c0_is_one(p1, p2, p3, p4):
     for p in (p1, p2, p3, p4):
-        polys, _ = coefficients_exact(p, 0)
+        polys, _ = coefficients_exact(p)
         assert polys[0].coeffs == (QSum.one(),)
 
 
 def test_c1_leading_of_e_coefficient(p2):
-    polys, _ = coefficients_exact(p2, 1)
+    polys, _ = coefficients_exact(p2)
     lead = polys[1].leading_coefficient_slice(1)
     assert lead == QSum.term(1, t1pow=-1, t2pow=-1, qexp=-2)
 

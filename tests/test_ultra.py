@@ -6,7 +6,8 @@ import mpmath
 import pytest
 
 import qheun.roots as roots_mod
-from qheun.errors import DegenerateSPolyError, ExcludedCaseError, PrecisionError, RegimeError
+from qheun.errors import (CancellationError, DegenerateSPolyError, ExcludedCaseError,
+                          PrecisionError, RegimeError)
 from qheun.qmono import QSum, equiv_approx, equiv_sim, qpow
 from qheun.sampling import sample_params
 from qheun.spectral import EPoly, coefficients_exact, derive, spectral_polynomial
@@ -129,6 +130,19 @@ def test_leading_recursion_matches_exact(p1, p2, p3):
 def test_leading_recursion_rejects_unclassified(p1):
     with pytest.raises(RegimeError):
         leading_recursion(p1, CaseTag(EXCLUDED))
+
+
+def test_leading_recursion_names_a_mixed_sign_step():
+    # forced into R32, c2[E^0] = pc_2 pc_1 - r_2 has t2^-2 q^-6 against
+    # -t1^-1 t2^-1 q^-6: the leading slice is sign-indefinite
+    p = derive(-1, -H, F(7, 2), 5, 2, F(-5, 2), H, 1, 1)
+    with pytest.raises(CancellationError) as err:
+        leading_recursion(p, CaseTag(R32, "i"))
+    assert (err.value.step, err.value.site) == (2, "c2[E^0]")
+    assert str(err.value) == (
+        "mixed-sign leading slice at step 2 (c2[E^0]): "
+        "sign-indefinite leading part at q^(-6)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,3 +539,11 @@ def test_collision_check_mirrors_exclusion_sets():
             tag = classify(p)
             for M in range(1, p.N + 2):
                 assert collision_check(p, M, tag) == []
+
+
+@pytest.mark.parametrize("regime,N", [(R31, -1), (R32, -2), (R33, 0), (R33, -1)])
+def test_sample_params_rejects_an_impossible_n_before_drawing(regime, N):
+    rng = random.Random(3)
+    with pytest.raises(ValueError, match=f"no {regime} parameter set has N = {N}$"):
+        sample_params(regime, rng, N=N)
+    assert rng.random() == random.Random(3).random()
