@@ -401,22 +401,18 @@ def recursion_boxes_at(p: HeunParams, q: Fraction, prec: int) -> tuple:
     return recursion_rows(p, qp(1), Box.qpow(p.t1, 1, prec), Box.qpow(p.t2, 1, prec), qp)
 
 
-def series_coefficient_values(p: HeunParams, E0, q, bits: int = 512, up_to: int | None = None):
-    """c_0(E0) .. c_up_to(E0) by running the recursion in fixed precision.
+def series_coefficient_values(p: HeunParams, E0, q, bits: int = 512):
+    """c_0(E0) .. c_{N+1}(E0) by running the recursion in fixed precision.
 
     The rows are recursion_rows_at's; A_n > 0 throughout (q in (0,1),
     n >= 1, beta < 1), so the division is always defined.
     """
-    if up_to is None:
-        up_to = p.N
-    if not 0 <= up_to <= p.N + 1:
-        raise DomainError(f"up_to = {up_to} outside 0..N+1 = 0..{p.N + 1}")
     rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
     with mpmath.workprec(bits + EVAL_GUARD_BITS):
         E0v = to_mpf(E0)
         cs = [mpmath.mpf(1)]
         cm2, cm1 = mpmath.mpf(0), mpmath.mpf(1)
-        for Av, Bv, Cv, Dv in rows[:up_to]:
+        for Av, Bv, Cv, Dv in rows:
             assert Av != 0, "A row vanished; outside the validated domain"
             cn = ((Bv * E0v + Cv) * cm1 - Dv * cm2) / Av
             cs.append(cn)

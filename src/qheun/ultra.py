@@ -10,15 +10,21 @@ Three parameter regimes are handled, split by S1 := 1 + h2 - l2 - beta:
                          out entirely and the limit polynomial factors
                          exactly (a sim statement, constants included).
 
-For R31/R32 the limit is a product of quadratics
+Each regime's leading terms are stated once, as the q-exponents of step
+n's leading forms pE_n, pc_n and r_n (_leading_rows); the leading
+recursion, the limit product, the root predictions and the collision
+oracle all read them.  The limit product is a product of factors: a step k
+alone gives pE_k E + pc_k, and two steps (k-1, k) give the quadratic
 
-    p_n(E) = (E q^{e(n)} + q^{c}) (E q^{e(n-1)} + q^{c'}) - q^{r(n)}
+    p(E) = (pE_k E + pc_k) (pE_{k-1} E + pc_{k-1}) - r_k.
 
-whose root pattern follows a trichotomy (two one-scale roots, a split pair,
-or the balanced pair +-q^{(a1+a2+h1+h2)/2}); the spectral polynomial is
-approx-equivalent to that product coefficient by coefficient, provided the
-non-cancellation exclusion sets are avoided.  Boundary equalities are never
-extrapolated: they classify as Excluded.
+R31/R32 pair the steps (plus one lone step when N is even), R33 keeps each
+step alone.  Each factor's roots are read off the Newton polygon of its
+coefficients' leading exponents: a quadratic gives two one-scale roots, a
+split pair, or the balanced pair +-q^{(a1+a2+h1+h2)/2}.  The spectral
+polynomial is approx-equivalent to the product coefficient by coefficient,
+provided the non-cancellation exclusion sets are avoided.  Boundary
+equalities are never extrapolated: they classify as Excluded.
 
 Balanced pairs of multiplicity m >= 2 are refined by substituting
 E = s q^{(a1+a2+h1+h2)/2} into the exact spectral polynomial, keeping the
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -52,7 +59,6 @@ from .qmono import (
     QMonomial,
     QSum,
     leading_part,
-    qpow,
     terms_merge,
     to_mpf,
     ultradiscretize,
@@ -346,25 +352,24 @@ def boundary_proximity(p: HeunParams, tag: CaseTag) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _leading_rows(p: HeunParams, tag: CaseTag, n: int):
-    """Leading forms (pE, pc, r) of step n in the tagged regime; r is zero
-    in R33, where the remainder term is droppable throughout."""
-    u = p.lambda1 - p.h1 - p.h2
-    pE = QSum.term(1, t1pow=-1, t2pow=-1, qexp=n - 1 + u)
+def _leading_rows(p: HeunParams, tag: CaseTag):
+    """Step n's leading forms in the tagged regime, as a function of n
+    returning the exponents (e, c, r) of pE = t1^-1 t2^-1 q^e,
+    pc = t2^-1 q^c and r = t1^-1 t2^-1 q^r; r is None in R33, where the
+    remainder term is droppable throughout.  The one statement of the
+    regimes' leading terms: the leading recursion, the limit products, the
+    root predictions and collision_check all read it."""
+    e0 = p.lambda1 - p.h1 - p.h2 - 1
+    low = _HALF - p.h2  # the q^{1/2-h2} branch
+    high = -_HALF - p.l2 - p.beta  # the q^{2n-1/2-l2-beta} branch, less 2n
+    r0 = -1 - p.l1 - p.l2 - p.beta
     if tag.regime == R31:
-        pc_exp = _HALF - p.h2
-    elif tag.regime == R32:
-        pc_exp = 2 * n - _HALF - p.l2 - p.beta
-    elif tag.regime == R33:
-        pc_exp = (2 * n - _HALF - p.l2 - p.beta) if n <= tag.K else (_HALF - p.h2)
-    else:
-        raise RegimeError(f"leading recursion undefined for {tag.regime}")
-    pc = QSum.term(1, t2pow=-1, qexp=pc_exp)
+        return lambda n: (n + e0, low, 2 * n + r0)
+    if tag.regime == R32:
+        return lambda n: (n + e0, 2 * n + high, 2 * n + r0)
     if tag.regime == R33:
-        r = QSum.zero()
-    else:
-        r = QSum.term(1, t1pow=-1, t2pow=-1, qexp=2 * n - 1 - p.l1 - p.l2 - p.beta)
-    return pE, pc, r
+        return lambda n: (n + e0, 2 * n + high if n <= tag.K else low, None)
+    raise RegimeError(f"leading recursion undefined for {tag.regime}")
 
 
 def leading_recursion(p: HeunParams, tag: CaseTag) -> list[EPoly]:
@@ -392,14 +397,55 @@ def leading_recursion(p: HeunParams, tag: CaseTag) -> list[EPoly]:
             ) from exc
         return dict(leading_part(total).items)
 
-    rows = (_leading_rows(p, tag, n) for n in range(1, p.N + 2))
-    levels = three_term(p, ((pE, pc, -r) for pE, pc, r in rows), entry)
+    def qsum_rows(e, c, r):
+        minus_r = QSum.zero() if r is None else QSum.term(-1, -1, -1, r)
+        return QSum.term(1, -1, -1, e), QSum.term(1, 0, -1, c), minus_r
+
+    row = _leading_rows(p, tag)
+    levels = three_term(p, (qsum_rows(*row(n)) for n in range(1, p.N + 2)), entry)
     return [EPoly(tuple(level)) for level in levels]
 
 
 # ---------------------------------------------------------------------------
 # limit products
 # ---------------------------------------------------------------------------
+
+
+def _factor_steps(p: HeunParams, tag: CaseTag) -> list[tuple[int, ...]]:
+    """The steps of each factor of a classified tag's limit product, in
+    the order the roots are predicted: the pairs (k-1, k) of the quadratic
+    factors, then the lone linear factor when N is even; in R33 each step
+    alone."""
+    N = p.N
+    if tag.regime == R33:
+        return [(n,) for n in range(1, N + 2)]
+    if tag.regime == R31:
+        steps = [(2 * n - 1, 2 * n) for n in _r31_factor_indices(N)]
+    else:
+        steps = [(nu - 1, nu) for nu in _r32_factor_indices(N)]
+    if N % 2 == 0:
+        steps.append((N + 1,) if tag.regime == R31 else (1,))
+    return steps
+
+
+def _factor(row, steps) -> list[list[tuple[int, Fraction]]]:
+    """One factor of the limit product from the leading rows of its steps,
+    degree-ascending, each coefficient a list of (sign, q-exponent) terms
+    with the t-powers left out: a step k alone gives pE_k E + pc_k, and the
+    steps (k-1, k) give (pE_k E + pc_k)(pE_{k-1} E + pc_{k-1}) - r_k."""
+    if len(steps) == 1:
+        e, c, _ = row(steps[0])
+        return [[(1, c)], [(1, e)]]
+    (e0, c0, _), (e1, c1, r) = map(row, steps)
+    return [[(1, c1 + c0), (-1, r)], [(1, e1 + c0), (1, e0 + c1)], [(1, e1 + e0)]]
+
+
+def _factor_poly(row, steps, t1pow: int = 0) -> list[QSum]:
+    """_factor as QSums, with t1^t1pow on the constant term."""
+    return [
+        QSum(QMonomial(x, t1pow if j == 0 else 0, 0, Fraction(s)) for s, x in terms)
+        for j, terms in enumerate(_factor(row, steps))
+    ]
 
 
 def _poly_mul(A: list[QSum], B: list[QSum]) -> list[QSum]:
@@ -412,62 +458,25 @@ def _poly_mul(A: list[QSum], B: list[QSum]) -> list[QSum]:
     return out
 
 
-def _r31_pn(p: HeunParams, n: int) -> list[QSum]:
-    """p_n(E) of the S1 > 0 regime, degree-ascending coefficients."""
-    u = p.lambda1 - p.h1 - p.h2
-    c = _HALF - p.h2
-    c0 = qpow(2 * c) - qpow(4 * n - 1 - p.l1 - p.l2 - p.beta)
-    c1 = qpow((2 * n - 1 + u) + c) + qpow((2 * n - 2 + u) + c)
-    c2 = qpow(4 * n - 3 + 2 * u)
-    return [c0, c1, c2]
-
-
-def _r32_pn(p: HeunParams, n: int) -> list[QSum]:
-    """p_n(E) of the S1 < -2N regime."""
-    u = p.lambda1 - p.h1 - p.h2
-    ca = 2 * n - _HALF - p.l2 - p.beta
-    cb = 2 * n - 2 - _HALF - p.l2 - p.beta
-    c0 = qpow(ca + cb) - qpow(2 * n - 1 - p.l1 - p.l2 - p.beta)
-    c1 = qpow((n - 1 + u) + cb) + qpow((n - 2 + u) + ca)
-    c2 = qpow((n - 1 + u) + (n - 2 + u))
-    return [c0, c1, c2]
-
-
 def tilde_cN1(p: HeunParams, tag: CaseTag) -> EPoly:
-    """The explicit limit product the spectral polynomial is equivalent to.
+    """The explicit limit product the spectral polynomial is equivalent to:
+    the product of the factors of _factor_steps.
 
     R31/R32 return the t-free product of the approx-level theorems; R33
-    returns the fully factored sim-level product including the
-    (t1 t2)^{-(N+1)} prefactor, carried as an EPoly denominator monomial.
+    returns the fully factored sim-level product, t1 times each constant
+    term, over the (t1 t2)^{N+1} denominator monomial.
     """
-    N = p.N
-    u = p.lambda1 - p.h1 - p.h2
-    if tag.regime == R31:
-        poly = [QSum.one()]
-        for n in _r31_factor_indices(N):
-            poly = _poly_mul(poly, _r31_pn(p, n))
-        if N % 2 == 0:
-            poly = _poly_mul(poly, [qpow(_HALF - p.h2), qpow(N + u)])
-        return EPoly(tuple(poly))
-    if tag.regime == R32:
-        if N % 2 == 1:
-            poly = [QSum.one()]
-        else:
-            poly = [qpow(Fraction(3, 2) - p.l2 - p.beta), qpow(u)]
-        for nu in _r32_factor_indices(N):
-            poly = _poly_mul(poly, _r32_pn(p, nu))
-        return EPoly(tuple(poly))
+    if not tag.classified():
+        raise RegimeError(f"no limit product for regime {tag.regime}")
+    row, t1pow = _leading_rows(p, tag), int(tag.regime == R33)
+    poly = [QSum.one()]
+    # in step order, which multiplies R32's lone linear factor first: less work
+    for steps in sorted(_factor_steps(p, tag)):
+        poly = _poly_mul(poly, _factor_poly(row, steps, t1pow))
     if tag.regime == R33:
-        poly = [QSum.one()]
-        for n in range(1, N + 2):
-            if n <= tag.K:
-                const = QSum.term(1, t1pow=1, qexp=2 * n - _HALF - p.l2 - p.beta)
-            else:
-                const = QSum.term(1, t1pow=1, qexp=_HALF - p.h2)
-            poly = _poly_mul(poly, [const, qpow(n - 1 + u)])
-        mono = QMonomial(Fraction(0), N + 1, N + 1, Fraction(1))
+        mono = QMonomial(Fraction(0), p.N + 1, p.N + 1, Fraction(1))
         return EPoly(tuple(poly), denom_monomial=mono)
-    raise RegimeError(f"no limit product for regime {tag.regime}")
+    return EPoly(tuple(poly))
 
 
 # ---------------------------------------------------------------------------
@@ -475,68 +484,55 @@ def tilde_cN1(p: HeunParams, tag: CaseTag) -> EPoly:
 # ---------------------------------------------------------------------------
 
 
-def pn_root_pair(p: HeunParams, n: int, tag: CaseTag) -> tuple[PredictedRoot, PredictedRoot]:
-    """The q -> +0 roots of the n-th quadratic factor.
+def _factor_roots(p: HeunParams, tag: CaseTag, row, steps) -> list[tuple]:
+    """The q -> +0 roots (sign, d, prefactor) of one factor, read off the
+    Newton polygon of the leading exponents x0, x1, x2 of its coefficients.
 
-    Trichotomy on the factor's balance: two one-scale roots, a split pair
-    (one-scale root plus an opposite-sign partner), or the balanced pair
-    +-q^{(a1+a2+h1+h2)/2} sqrt(t1 t2).  Exact boundary hits raise
-    ExcludedCaseError.
+    With the t-powers put back (pE ~ t1^-1 t2^-1, pc ~ t2^-1, r ~ t1^-1
+    t2^-1): a linear factor has the root -t1 q^{x0-x1}.  A quadratic whose
+    polygon bends at x1 (2 x1 < x0 + x2) has a one-scale root -t1 q^{x1-x2}
+    and a partner -t1 q^{x0-x1} when pc_k pc_{k-1} leads x0, or +t2 q^{x0-x1}
+    when -r_k does (a split pair); one edge (2 x1 > x0 + x2) gives the
+    balanced pair +-sqrt(t1 t2) q^{(x0-x2)/2}.  A tie of x0's two terms, or
+    a straight polygon, raises ExcludedCaseError."""
+    coeffs = _factor(row, steps)
+    x = [min(e for _, e in terms) for terms in coeffs]
+    if len(x) == 2:
+        return [(-1, x[0] - x[1], "t1")]
+    (_, cc), (_, r) = coeffs[0]
+    bend = 2 * x[1] - x[0] - x[2]
+    if cc == r or not bend:
+        k = steps[1]
+        if tag.regime == R31:
+            n = k // 2
+            raise ExcludedCaseError(
+                f"boundary case: 4n+2h2-l1-l2-beta = {4 * n + _s_value(p)} for n = {n}"
+            )
+        raise ExcludedCaseError(f"boundary case: 2n+l1-l2-beta = {2 * k + _t_value(p)} for n = {k}")
+    if bend > 0:
+        g = (x[0] - x[2]) / 2
+        return [(+1, g, BALANCED), (-1, g, BALANCED)]
+    return [(-1, x[1] - x[2], "t1"), (-1, x[0] - x[1], "t1") if cc < r else (+1, x[0] - x[1], "t2")]
+
+
+def pn_root_pair(p: HeunParams, n: int, tag: CaseTag) -> tuple[PredictedRoot, PredictedRoot]:
+    """The q -> +0 roots of the n-th quadratic factor, steps (2n-1, 2n) in
+    R31 and (n-1, n) in R32 (see _factor_roots): two one-scale roots, a
+    split pair, or the balanced pair +-q^{(a1+a2+h1+h2)/2} sqrt(t1 t2).
+    Exact boundary hits raise ExcludedCaseError.
     """
     if n < 1:
         raise DomainError(f"factor index must be >= 1, got {n}")
-    lam = p.lambda1
-    g = balanced_exponent(p)
-    if tag.regime == R31:
-        u4 = 4 * n + _s_value(p)
-        if u4 == 2 or u4 == 1:
-            raise ExcludedCaseError(
-                f"boundary case: 4n+2h2-l1-l2-beta = {u4} for n = {n}"
-            )
-        if u4 > 2:
-            return (
-                PredictedRoot(-1, -2 * n + Fraction(3, 2) - lam + p.h1, "t1"),
-                PredictedRoot(-1, -2 * n + Fraction(5, 2) - lam + p.h1, "t1"),
-            )
-        if u4 > 1:
-            return (
-                PredictedRoot(-1, -2 * n + Fraction(3, 2) - lam + p.h1, "t1"),
-                PredictedRoot(
-                    +1,
-                    2 * n - Fraction(3, 2) + lam + p.alpha1 + p.alpha2 + p.h2,
-                    "t2",
-                ),
-            )
-        return (
-            PredictedRoot(+1, g, BALANCED),
-            PredictedRoot(-1, g, BALANCED),
-        )
-    if tag.regime == R32:
-        v = _t_value(p) + 2 * n
-        if v == 2 or v == 3:
-            raise ExcludedCaseError(f"boundary case: 2n+l1-l2-beta = {v} for n = {n}")
-        base = lam + p.l1 + p.alpha1 + p.alpha2
-        if v < 2:
-            return (
-                PredictedRoot(-1, n - Fraction(5, 2) + base, "t1"),
-                PredictedRoot(-1, n - Fraction(3, 2) + base, "t1"),
-            )
-        if v < 3:
-            return (
-                PredictedRoot(-1, n - Fraction(5, 2) + base, "t1"),
-                PredictedRoot(
-                    +1, -n + Fraction(5, 2) - lam - p.l1 + p.h1 + p.h2, "t2"
-                ),
-            )
-        return (
-            PredictedRoot(+1, g, BALANCED),
-            PredictedRoot(-1, g, BALANCED),
-        )
-    raise RegimeError(f"pn_root_pair applies to R31/R32 only, got {tag.regime}")
+    if tag.regime not in (R31, R32):
+        raise RegimeError(f"pn_root_pair applies to R31/R32 only, got {tag.regime}")
+    k = 2 * n if tag.regime == R31 else n
+    roots = _factor_roots(p, tag, _leading_rows(p, tag), (k - 1, k))
+    return tuple(PredictedRoot(*r) for r in roots)
 
 
 def predict_roots(p: HeunParams, tag: CaseTag) -> list[PredictedRoot]:
-    """The full multiset of N+1 predicted roots for a classified tag.
+    """The full multiset of N+1 predicted roots for a classified tag: the
+    roots of each factor of tilde_cN1.
 
     Balanced pairs are aggregated into multiplicity entries; sharp marks
     predictions whose t1 prefactor is a genuine limit constant (the
@@ -544,52 +540,12 @@ def predict_roots(p: HeunParams, tag: CaseTag) -> list[PredictedRoot]:
     """
     if not tag.classified():
         raise RegimeError(f"cannot predict roots for regime {tag.regime}")
-    lam = p.lambda1
-    entries: list[PredictedRoot] = []
-    if tag.regime == R31:
-        for n in _r31_factor_indices(p.N):
-            entries.extend(pn_root_pair(p, n, tag))
-        if p.N % 2 == 0:
-            entries.append(
-                PredictedRoot(-1, -p.N + _HALF - lam + p.h1, "t1")
-            )
-    elif tag.regime == R32:
-        for nu in _r32_factor_indices(p.N):
-            entries.extend(pn_root_pair(p, nu, tag))
-        if p.N % 2 == 0:
-            entries.append(
-                PredictedRoot(-1, -_HALF + lam + p.l1 + p.alpha1 + p.alpha2, "t1")
-            )
-    else:  # R33
-        for j in range(1, tag.K + 1):
-            entries.append(
-                PredictedRoot(
-                    -1,
-                    j - Fraction(3, 2) + lam + p.l1 + p.alpha1 + p.alpha2,
-                    "t1",
-                    sharp=True,
-                )
-            )
-        for j in range(tag.K + 1, p.N + 2):
-            entries.append(
-                PredictedRoot(-1, -j + Fraction(3, 2) + p.h1 - lam, "t1", sharp=True)
-            )
-    if tag.regime in (R31, R32) and tag.subcase == "i":
-        entries = [
-            PredictedRoot(e.sign, e.d, e.prefactor, e.multiplicity, sharp=True)
-            for e in entries
-        ]
-    # aggregate repeated (sign, d, prefactor) into multiplicities
-    counts: dict[tuple, int] = {}
-    proto: dict[tuple, PredictedRoot] = {}
-    for e in entries:
-        k = (e.sign, e.d, e.prefactor, e.sharp)
-        counts[k] = counts.get(k, 0) + 1
-        proto[k] = e
-    out = [
-        PredictedRoot(proto[k].sign, proto[k].d, proto[k].prefactor, c, proto[k].sharp)
-        for k, c in counts.items()
-    ]
+    row = _leading_rows(p, tag)
+    counts = Counter(
+        root for steps in _factor_steps(p, tag) for root in _factor_roots(p, tag, row, steps)
+    )
+    sharp = tag.regime == R33 or tag.subcase == "i"
+    out = [PredictedRoot(s, d, pf, m, sharp) for (s, d, pf), m in counts.items()]
     out.sort(key=lambda e: (e.d, -e.sign))
     total = sum(e.multiplicity for e in out)
     assert total == p.N + 1, f"prediction count {total} != N+1 = {p.N + 1}"
@@ -690,9 +646,7 @@ def collision_check(p: HeunParams, M: int, tag: CaseTag) -> list[tuple[int, int,
     if not 1 <= M <= p.N + 1:
         raise DomainError(f"M = {M} outside 1..N+1 = 1..{p.N + 1}")
     # pexp[n], qexp[n], rexp[n]: the exponents of the rows pE, pc, r of step n
-    pexp, qexp, rexp = zip((None,) * 3, *(
-        [x.leading_exponent for x in _leading_rows(p, tag, n)] for n in range(1, M + 1)
-    ))
+    pexp, qexp, rexp = zip((None,) * 3, *map(_leading_rows(p, tag), range(1, M + 1)))
 
     if tag.regime == R31:
 

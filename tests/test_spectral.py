@@ -262,7 +262,7 @@ def test_exact_matches_numeric_recursion(p1, p2, p3, bits):
         q = F(1, 100)
         E0 = F(7, 5)
         polys, _ = coefficients_exact(p)
-        numeric = series_coefficient_values(p, E0, q, bits=bits, up_to=p.N + 1)
+        numeric = series_coefficient_values(p, E0, q, bits=bits)
         for n, ep in enumerate(polys):
             vals = ep.coefficient_values(q, p.t1, p.t2, bits=bits)
             with mpmath.workprec(bits):
@@ -300,7 +300,7 @@ def test_numeric_rows_match_the_exact_image(regime, seed, N, m, k, e0, e0_exp, b
     rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
     boxes = recursion_boxes_at(p, q, bits + EVAL_GUARD_BITS)
     polys, _ = coefficients_exact(p)
-    numeric = series_coefficient_values(p, E0, q, bits=bits, up_to=p.N + 1)
+    numeric = series_coefficient_values(p, E0, q, bits=bits)
     with mpmath.workprec(2 * bits):
         for n in range(1, p.N + 2):
             exact = recursion_coeff_rows(p, n)
@@ -398,8 +398,8 @@ def test_image_pinned(p1, p2, p3, p4):
                 assert digest == _IMAGE_DIGESTS[(name, qden, bits)], (name, qden, bits)
 
 
-def _uncached_series(p, E0, q, bits, up_to):
-    """The numeric recursion with one exp call per q-power use."""
+def _uncached_series(p, E0, q, bits):
+    """c_0 .. c_{N+1} by the numeric recursion with one exp call per q-power use."""
     lam = p.lambda1
     with mpmath.workprec(bits + EVAL_GUARD_BITS):
         qv, t1v, t2v, E0v = to_mpf(q), to_mpf(p.t1), to_mpf(p.t2), to_mpf(E0)
@@ -410,7 +410,7 @@ def _uncached_series(p, E0, q, bits, up_to):
 
         cs = [mpmath.mpf(1)]
         cm2, cm1 = mpmath.mpf(0), mpmath.mpf(1)
-        for n in range(1, up_to + 1):
+        for n in range(1, p.N + 2):
             Av = t1v * t2v * qp(p.h1 + p.h2) * (1 - qp(n)) * (1 - qp(n - p.beta))
             Bv = qp(n - 1 + lam)
             ce = 2 * (n + lam) + p.alpha1 + p.alpha2 - F(5, 2)
@@ -437,8 +437,8 @@ def test_series_and_residual_equal_the_uncached_reference(p1, p2, p3, p4, bits):
     for p in (p1, p2, p3, p4, r32_n6, odd):
         roots, _ = find_spectral_roots(p, q, bits)
         for E0 in roots + [F(7, 5)]:
-            got = series_coefficient_values(p, E0, q, bits=bits, up_to=p.N + 1)
-            assert [c._mpf_ for c in got] == _uncached_series(p, E0, q, bits, p.N + 1)
+            got = series_coefficient_values(p, E0, q, bits=bits)
+            assert [c._mpf_ for c in got] == _uncached_series(p, E0, q, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -225,11 +226,58 @@ def test_pn_root_pair_split_r32():
     assert (small.sign, small.d, small.prefactor) == (1, F(-1, 2), "t2")
 
 
-def test_pn_root_pair_boundary_raises(p1):
-    # 4n + S = 2 exactly at n = (2 - S)/4; craft S = -2 via l1 and probe n=1
-    p = derive(-6, 1, 3, 4, 0, -3, -3, 1, 1)
-    with pytest.raises(ExcludedCaseError):
-        pn_root_pair(p, 1, CaseTag(R31, "i"))
+def test_pn_root_pair_boundary_raises():
+    for args, regime, n, message in (
+        # 4n + S = 2: the two constant terms of p_n tie (S = -2 via l1)
+        ((-6, 1, 3, 4, 0, -3, -3, 1, 1), R31, 1, "4n+2h2-l1-l2-beta = 2 for n = 1"),
+        # 4n + S = 1: the Newton polygon of p_n is a straight line
+        ((-H, 0, 3, 4, -1, -H, 0, 1, 1), R31, 2, "4n+2h2-l1-l2-beta = 1 for n = 2"),
+        # 2n + T = 2 and 2n + T = 3: the same two boundaries of the mirrored factor
+        ((F(-5, 2), -1, -1, H, -1, -H, H, 1, 1), R32, 2, "2n+l1-l2-beta = 2 for n = 2"),
+        ((F(-5, 2), -2, F(5, 2), 4, 0, -H, -H, 1, 1), R32, 2, "2n+l1-l2-beta = 3 for n = 2"),
+    ):
+        with pytest.raises(ExcludedCaseError) as err:
+            pn_root_pair(derive(*args), n, CaseTag(regime, "i"))
+        assert str(err.value) == "boundary case: " + message
+
+
+def _outcome(f, *args):
+    """A printable record of f(*args): its value, or its error's type and message."""
+    try:
+        out = f(*args)
+    except (ExcludedCaseError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, EPoly):
+        return [c.terms for c in out.coeffs], out.denom_monomial, out.denom_factors
+    return [(e.sign, e.d, e.prefactor, e.multiplicity, e.sharp) for e in out]
+
+
+# sha256 over the outcomes of predict_roots, tilde_cN1 and pn_root_pair
+# (n = 1..N+2) on sample_params(r, random.Random(s), N=N), r in R31/R32/R33,
+# N = 0..12 (R33 from 1), s = 0..2, under the classify tag and under the
+# forced tags R31 "i", R32 "i" and R33 with K = 1..N+1 (tilde_cN1 under the
+# forced tags for N <= 6 only, where its products stay cheap); recorded
+# before the predictions were read off the leading rows, so they must not
+# move
+_PREDICTION_DIGEST = "21f0a0d29dd629b69f6f0c69ea9127105fa695f21dd7330997e82d8f0833ed9a"
+
+
+def test_predictions_and_limit_products_match_the_recorded_digest():
+    record = []
+    for regime in (R31, R32, R33):
+        for N in range(1 if regime == R33 else 0, 13):
+            for seed in range(3):
+                p = sample_params(regime, random.Random(seed), N=N)
+                tags = [classify(p), CaseTag(R31, "i"), CaseTag(R32, "i")]
+                tags += [CaseTag(R33, K=K) for K in range(1, N + 2)]
+                for tag in tags:
+                    record.append(_outcome(predict_roots, p, tag))
+                    if N <= 6 or tag is tags[0]:
+                        record.append(_outcome(tilde_cN1, p, tag))
+                    if tag.regime != R33:
+                        record.append([_outcome(pn_root_pair, p, n, tag) for n in range(1, N + 3)])
+    digest = hashlib.sha256(repr(record).encode()).hexdigest()
+    assert digest == _PREDICTION_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +423,18 @@ def _approx_poly(prod, target, degree):
 def test_two_step_recursion_r31():
     # c_{2n} is approx c_{2n-2} times the quadratic factor, and c_{2n+1}
     # approx c_{2n} times the linear factor
-    from qheun.ultra import _poly_mul, _r31_pn
+    from qheun.ultra import _factor_poly, _leading_rows, _poly_mul
 
     rng = random.Random(41)
     for _ in range(5):
         p = sample_params(R31, rng, n_max=6)
         exact, _ = coefficients_exact(p)
         u = p.lambda1 - p.h1 - p.h2
+        row = _leading_rows(p, CaseTag(R31))
         for n in range(1, (p.N + 1) // 2 + 1):
             if 2 * n < p.N + 1:
                 base = [exact[2 * n - 2].reduced_coefficient(j) for j in range(2 * n - 1)]
-                prod = _poly_mul(base, _r31_pn(p, n))
+                prod = _poly_mul(base, _factor_poly(row, (2 * n - 1, 2 * n)))
                 _approx_poly(prod, exact[2 * n], 2 * n)
             if 2 * n < p.N:
                 base = [exact[2 * n].reduced_coefficient(j) for j in range(2 * n + 1)]
@@ -395,15 +444,16 @@ def test_two_step_recursion_r31():
 
 def test_two_step_recursion_r32():
     # c_n is approx c_{n-2} times the mirrored quadratic, n = 2..N+1
-    from qheun.ultra import _poly_mul, _r32_pn
+    from qheun.ultra import _factor_poly, _leading_rows, _poly_mul
 
     rng = random.Random(43)
     for _ in range(5):
         p = sample_params(R32, rng, n_max=6)
         exact, _ = coefficients_exact(p)
+        row = _leading_rows(p, CaseTag(R32))
         for n in range(2, p.N + 2):
             base = [exact[n - 2].reduced_coefficient(j) for j in range(n - 1)]
-            prod = _poly_mul(base, _r32_pn(p, n))
+            prod = _poly_mul(base, _factor_poly(row, (n - 1, n)))
             _approx_poly(prod, exact[n], n)
 
 
