@@ -340,9 +340,9 @@ def cmd_verify(args) -> int:
         )
 
     # balanced multiple roots: compare |root / q^d| = |ratio| * sqrt(t1*t2)
-    # against the s-polynomial refinement, whose roots carry t1, t2
-    # (meaningful once q is small enough that subleading corrections sit
-    # below the tolerance); builds c_{N+1} only for a balanced multiple pair
+    # with the s-roots, which carry t1, t2 and come from a truncated run of
+    # the recursion (meaningful once q is small enough that subleading
+    # corrections sit below the tolerance)
     refined = multiplicity_prefactors(p, tag, predictions=preds)
     if refined:
         if q2 <= PREFACTOR_GATE_QMAX:

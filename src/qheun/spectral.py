@@ -25,8 +25,8 @@ truncated series solves the equation exactly.
 
 The rows are written once, in recursion_rows, and evaluated on QSums
 (recursion_coeff_rows), in mpf (recursion_rows_at) and in boxes
-(recursion_boxes_at).  The exact recursion and the leading-term recursion
-of ultra share one loop, three_term.  Numerically the series at a
+(recursion_boxes_at).  The exact recursion and ultra's leading-term and
+s-polynomial runs share one loop, three_term.  Numerically the series at a
 root comes from a twisted solve of the recursion's tridiagonal system
 (coefficients_numeric), which keeps full precision where the forward
 recursion amplifies the root's rounding, and residual_check verifies it
@@ -318,18 +318,23 @@ def three_term(p: HeunParams, rows, entry) -> list[list[QSum]]:
     return [[QSum.from_term_dict(d, D) for d in level] for level in levels]
 
 
+def _three_term_rows(p: HeunParams) -> list[tuple[QSum, QSum, QSum]]:
+    """three_term's rows (B_n, C_n, R_n = -(D_n A_{n-1})), n = 1 .. N+1."""
+    rows = _exact_rows(p)
+    return [(B, C, -(Dn * rows[n - 2][0]) if n >= 2 else QSum.zero())
+            for n, (_, B, C, Dn) in enumerate(rows, 1)]
+
+
 def coefficients_exact(p: HeunParams) -> tuple[list[EPoly], list[CancellationEvent]]:
     """Exact c_0 .. c_{N+1} with cancellation diagnostics.
 
-    The numerators run three_term on the rows B_n, C_n and
-    R_n = -(D_n A_{n-1}) of recursion_coeff_rows; each entry is one
+    The numerators run three_term on _three_term_rows; each entry is one
     terms_merge, whose events are the right-hand-side cancellation
     diagnostics the leading-term propositions are about.  The exact result
     itself is always correct, events or not.  c_n's denominator is
     A_1 ... A_n with the factors kept structured: the monomial
     (t1 t2 q^(h1+h2))^n times prod_{k<=n} (1-q^k)(1-q^(k-beta)).
     """
-    rows = _exact_rows(p)
     events: list[CancellationEvent] = []
 
     def entry(parts, n, site, D):
@@ -337,10 +342,7 @@ def coefficients_exact(p: HeunParams) -> tuple[list[EPoly], list[CancellationEve
         events.extend(found)
         return merged
 
-    levels = three_term(p, (
-        (B, C, -(Dn * rows[n - 2][0]) if n >= 2 else QSum.zero())
-        for n, (_, B, C, Dn) in enumerate(rows, 1)
-    ), entry)
+    levels = three_term(p, _three_term_rows(p), entry)
     polys, factors = [], []
     for n, coeffs in enumerate(levels):
         if n:
@@ -450,21 +452,25 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     Equations n = 1..N+1 with c_{N+1} = 0 read T c = 0, row i = n-1 having
     diagonal a_i = B_n E0 + C_n, superdiagonal -A_n and subdiagonal -D_n.
     The forward and backward pivots d+_i, d-_i give the twist
-    gamma_k = d+_k + d-_k - a_k; at k = argmin |gamma_k| the vector with
-    z_k = 1 solves every row but k, runs outward from k through the pivots,
-    and is normalised to c_0 = 1 (Fernando, SIAM J. Matrix Anal. Appl. 18
-    (1997); Dhillon & Parlett, Linear Algebra Appl. 387 (2004)).  Unlike
+    gamma_k = d+_k + d-_k - a_k.  The rows differ in scale by thousands of
+    orders, so k minimises |gamma_k| / (|B_{k+1} E0| + C_{k+1}), relative
+    to the diagonal's terms in its own row (C > 0); the vector with z_k = 1
+    solves every row but k, runs outward from k through the pivots, and is
+    normalised to c_0 = 1 (Fernando, SIAM J. Matrix Anal. Appl. 18 (1997);
+    Dhillon & Parlett, Linear Algebra Appl. 387 (2004)).  Unlike
     the forward recursion (series_coefficient_values, kept as the
     reference), it does not amplify the error of a rounded root."""
     rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
     N = p.N
     with mpmath.workprec(bits + EVAL_GUARD_BITS):
         E0v = to_mpf(E0)
-        a = [Bv * E0v + Cv for _, Bv, Cv, _ in rows]
+        be = [Bv * E0v for _, Bv, _, _ in rows]
+        a = [x + Cv for x, (_, _, Cv, _) in zip(be, rows)]
         off = _off_diagonal_products(p, q, bits + EVAL_GUARD_BITS)
         fwd = _pivots(a, off)
         bwd = _pivots(a[::-1], off[::-1])[::-1]
-        k = min(range(N + 1), key=lambda i: abs(fwd[i] + bwd[i] - a[i]))
+        k = min(range(N + 1), key=lambda i: abs(fwd[i] + bwd[i] - a[i])
+                / (abs(be[i]) + rows[i][2]))
         z = [mpmath.mpf(0)] * (N + 1)
         z[k] = mpmath.mpf(1)
         for i in range(k - 1, -1, -1):

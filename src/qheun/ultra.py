@@ -26,22 +26,19 @@ polynomial is approx-equivalent to the product coefficient by coefficient,
 provided the non-cancellation exclusion sets are avoided.  Boundary
 equalities are never extrapolated: they classify as Excluded.
 
-Balanced pairs of multiplicity m >= 2 are refined by substituting
-E = s q^{(a1+a2+h1+h2)/2} into the exact spectral polynomial, keeping the
-globally minimal q-power, and solving the resulting polynomial in s; its
+Balanced pairs of multiplicity m >= 2 are refined by the s-polynomial: the
+least nonzero q-slice of c_{N+1}(s q^{(a1+a2+h1+h2)/2}), one Newton-Puiseux
+step, read from a run of the exact recursion truncated at that slice.  Its
 nonzero real roots are the distinct prefactors that replace the multiple
 root (degree 4 yields the golden-ratio pair (sqrt(5)+-1)/2 when t1 t2 = 1).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import mpmath
@@ -64,7 +61,8 @@ from .qmono import (
     ultradiscretize,
     unpack_key,
 )
-from .spectral import EPoly, HeunParams, spectral_polynomial, three_term
+from .spectral import EPoly, HeunParams, _three_term_rows, three_term
+from .spectral import spectral_polynomial  # noqa: F401 -- perfbench/tracing.py wraps it here
 
 __all__ = [
     "R31",
@@ -561,60 +559,56 @@ def predict_roots(p: HeunParams, tag: CaseTag) -> list[PredictedRoot]:
 # ---------------------------------------------------------------------------
 
 
-def _s_polynomial(ep: EPoly, p: HeunParams, g: Fraction) -> list[Fraction]:
-    """Coefficients (degree-ascending) of the minimal-q-power slice of
-    c_{N+1}(s q^g) with t1, t2 substituted at their rational values.
+def _s_polynomial(p: HeunParams, g: Fraction) -> list[Fraction]:
+    """The s-polynomial: the coefficients, degree-ascending from the lowest
+    nonzero one, of the least nonzero q-slice of c_{N+1}(s q^g)'s numerator
+    with t1, t2 substituted (the denominator cannot change the slice).
 
-    The structured denominator scales all terms by one positive factor and
-    shifts the exponents uniformly, so it cannot change the slice.  The runs
-    of one total qexp + j*g are merged in increasing order of the total from
-    the sorted integer forms, up to the first total that does not cancel."""
-    den = math.lcm(g.denominator, *(c.den for c in ep.coeffs))
+    three_term runs on the exact rows with q^g folded into B, so that every
+    s^j term carries its total exponent.  gain[n], the least exponent steps
+    n+1 .. N+1 can still add, is one B/C step plus gain[n+1] or one R step
+    plus gain[n+2]; a term whose exponent plus gain[n] lies above the cut
+    gain[0] never reaches a total at or below it and is dropped.  When the
+    slice at the cut cancels, the run is repeated once without the cut."""
+    rows = [(B * QSum.term(1, qexp=g), C, R) for B, C, R in _three_term_rows(p)]
+    gain = [Fraction(0)] * (len(rows) + 1)
+    for n in range(len(rows) - 1, -1, -1):
+        gain[n] = min([x.leading_exponent + gain[n + 1] for x in rows[n][:2] if x]
+                      + [R.leading_exponent + gain[n + 2] for _, _, R in rows[n + 1:n + 2] if R])
 
-    def runs(j: int, c: QSum):
-        scale, shift = den // c.den, int(j * g * den)
-        terms = ((unpack_key(k), v) for k, v in c.items)
-        for e, run in groupby(terms, key=lambda t: t[0][0]):
-            yield e * scale + shift, j, [(a, b, v) for (_, a, b), v in run]
+    def entry(parts, n, site, D):
+        merged, _ = terms_merge(parts)
+        top = math.inf if cut is None else math.floor((cut - gain[n]) * D)
+        return {k: c for k, c in merged.items() if unpack_key(k)[0] <= top}
 
-    t1, t2 = p.t1, p.t2
-    merged = heapq.merge(*(runs(j, c) for j, c in enumerate(ep.coeffs)))
-    for _, group in groupby(merged, key=itemgetter(0)):
-        bucket = {}
-        for _, j, run in group:
-            v = sum(c * t1 ** a * t2 ** b for a, b, c in run)
-            if v:
-                bucket[j] = v
-        if bucket:
-            return [bucket.get(j, Fraction(0)) for j in range(max(bucket) + 1)]
+    for cut in (gain[0], None):
+        slices = defaultdict(Counter)
+        for j, c in enumerate(three_term(p, rows, entry)[-1]):
+            for t in c.terms:
+                slices[t.qexp][j] += t.coeff * p.t1 ** t.t1pow * p.t2 ** t.t2pow
+        for coeffs in ({j: v for j, v in slices[x].items() if v} for x in sorted(slices)):
+            if coeffs:
+                return [coeffs.get(j, Fraction(0)) for j in range(min(coeffs), max(coeffs) + 1)]
     raise DegenerateSPolyError("all s-polynomial coefficients cancelled")
 
 
 def multiplicity_prefactors(
-    p: HeunParams,
-    tag: CaseTag,
-    *,
-    predictions: Sequence[PredictedRoot] | None = None,
+    p: HeunParams, tag: CaseTag, *, predictions: Sequence[PredictedRoot] | None = None
 ) -> list:
     """Distinct signed prefactors refining a multiplicity >= 2 balanced pair.
 
     Empty when the prediction multiset has no such pair; otherwise
-    non-empty, or DegenerateSPolyError.  Solves the s-polynomial exactly
-    (its coefficients are rational once t1, t2 are substituted) and returns
-    the nonzero real roots, sorted ascending.  c_{N+1} is built only when
-    there is such a pair.  ``predictions`` is ``predict_roots(p, tag)``,
-    when the caller has it already.
+    non-empty, or DegenerateSPolyError.  Solves the s-polynomial (rational
+    once t1, t2 are substituted, and read from a truncated run of the
+    recursion: c_{N+1} is never built) exactly and returns its nonzero real
+    roots, sorted ascending.  ``predictions`` is predict_roots(p, tag) or None.
     """
     from .roots import real_roots_of_rational_poly
 
     preds = predictions if predictions is not None else predict_roots(p, tag)
     if not any(e.prefactor == BALANCED and e.multiplicity >= 2 for e in preds):
         return []
-    coeffs = _s_polynomial(spectral_polynomial(p), p, balanced_exponent(p))
-    low = 0
-    while low < len(coeffs) and not coeffs[low]:
-        low += 1
-    reduced = coeffs[low:]
+    reduced = _s_polynomial(p, balanced_exponent(p))
     if len(reduced) <= 1:
         raise DegenerateSPolyError("s-polynomial has no nonzero roots")
     try:

@@ -491,6 +491,18 @@ def test_residual_gate_passes_roots_and_rejects_non_roots_at_n12():
     assert all(r > gate for r in res[len(roots):])
 
 
+def test_twist_row_is_chosen_relative_to_its_scale_at_n40():
+    # the rows of the R33 N = 40 set span thousands of orders of magnitude;
+    # the least absolute |gamma_k| picks rows whose twisted vectors grow
+    # instead of decaying, and 11 of the 41 roots then have residual near 1
+    p = sample_params("R33", random.Random(12), N=40)
+    q = F(1, 10 ** 6)
+    roots, _ = find_spectral_roots(p, q, 512)
+    assert len(roots) == 41
+    gate = mpmath.mpf(10) ** -30
+    assert all(residual_check(p, coefficients_numeric(p, E, q, 512)) <= gate for E in roots)
+
+
 @pytest.mark.parametrize("q", [F(1, 1000), F(1, 10 ** 6), F(99, 100)])
 def test_indicial_and_termination_rows_cancel_at_any_e(q):
     # m = 0 is the indicial equation of lambda1 and m = N+2 the termination

@@ -7,11 +7,13 @@ import mpmath
 import pytest
 
 import qheun.roots as roots_mod
+import qheun.spectral as spectral_mod
+import qheun.ultra as ultra_mod
 from qheun.errors import (CancellationError, DegenerateSPolyError, ExcludedCaseError,
                           PrecisionError, RegimeError)
 from qheun.qmono import QSum, equiv_approx, equiv_sim, qpow
 from qheun.sampling import sample_params
-from qheun.spectral import EPoly, coefficients_exact, derive, spectral_polynomial
+from qheun.spectral import EPoly, coefficients_exact, derive, spectral_polynomial, three_term
 from qheun.ultra import (
     BALANCED,
     _s_polynomial,
@@ -491,7 +493,8 @@ def test_prefactors_scale_with_sqrt_t1_t2(p4):
 
 def _s_polynomial_full_scan(ep, p, g):
     """The s-polynomial from every Fraction term of every coefficient: the
-    slice at the least total exponent qexp + j*g that does not cancel."""
+    slice at the least total exponent qexp + j*g that does not cancel, from
+    its lowest nonzero coefficient."""
     per_total = {}
     for j, c in enumerate(ep.coeffs):
         for t in c.terms:
@@ -502,7 +505,7 @@ def _s_polynomial_full_scan(ep, p, g):
     if not cleaned:
         raise DegenerateSPolyError("all s-polynomial coefficients cancelled")
     bucket = cleaned[min(cleaned)]
-    return [bucket.get(j, F(0)) for j in range(max(bucket) + 1)]
+    return [bucket.get(j, F(0)) for j in range(min(bucket), max(bucket) + 1)]
 
 
 def _balanced_pair_sets():
@@ -517,33 +520,70 @@ def _balanced_pair_sets():
     return out
 
 
-def test_s_polynomial_reads_the_prefix_the_full_scan_finds(p4):
-    sets = [p4, *_balanced_pair_sets()]
-    assert len(sets) >= 6
+def _counting_runs(monkeypatch, last_level=None):
+    """Count the three_term runs of _s_polynomial; ``last_level`` replaces
+    the last level of the first run."""
+    runs = []
+
+    def run(p, rows, entry):
+        levels = three_term(p, rows, entry)
+        runs.append(levels)
+        if last_level is not None and len(runs) == 1:
+            return levels[:-1] + [last_level(levels[-1])]
+        return levels
+
+    monkeypatch.setattr(ultra_mod, "three_term", run)
+    return runs
+
+
+def test_s_polynomial_equals_the_full_scan_of_the_exact_build(p4, monkeypatch):
+    runs = _counting_runs(monkeypatch)
+    sets = [p4, p4.with_value("t1", 2).with_value("t2", 3), *_balanced_pair_sets()]
+    assert len(sets) >= 7
     for p in sets:
-        ep, g = spectral_polynomial(p), balanced_exponent(p)
-        got = _s_polynomial(ep, p, g)
-        assert got == _s_polynomial_full_scan(ep, p, g)
+        g = balanced_exponent(p)
+        got = _s_polynomial(p, g)
+        assert got == _s_polynomial_full_scan(spectral_polynomial(p), p, g)
         assert all(type(c) is Fraction for c in got)
+    assert len(runs) == len(sets)  # each slice lay at the cut
 
 
-def test_s_polynomial_skips_totals_that_cancel(p4):
-    # with t1 = t2 the least total, 0, cancels in E^0 and in E^1; the slice
-    # is then the next total, 1; with t1 != t2 it is total 0
-    g = H
-    ep = EPoly((
-        QSum.term(1) - QSum.term(1, t1pow=1, t2pow=-1) + QSum.term(2, qexp=1),
-        QSum.term(5, t1pow=1, qexp=-H) - QSum.term(5, t2pow=1, qexp=-H) + QSum.term(3, qexp=H),
-        QSum.term(7, qexp=1),
-    ))
-    assert p4.t1 == p4.t2
-    assert _s_polynomial(ep, p4, g) == _s_polynomial_full_scan(ep, p4, g) == [2, 3]
+def _patch_rows(monkeypatch, rows):
+    for module in (spectral_mod, ultra_mod):
+        monkeypatch.setattr(module, "_three_term_rows", lambda p: rows)
+
+
+def test_s_polynomial_skips_totals_that_cancel(p4, monkeypatch):
+    # c_1 = q^-1/2 E + 1 and c_2 = (B E + C) c_1 + R at E = s q^1/2 have the
+    # slices (1 - t1/t2) + 5 (t1 - t2) s at total 0, the cut, and 2 + 3 s at
+    # total 1: with t1 = t2 the cut slice cancels only once t1 and t2 are
+    # substituted, and the uncut rerun reads total 1
+    T = QSum.term
+    C = T(5, t1pow=1) - T(5, t2pow=1) + T(3, qexp=1) - T(7, qexp=2)
+    R = T(1) - T(1, t1pow=1, t2pow=-1) + T(2, qexp=1) - C
+    _patch_rows(monkeypatch, [(T(1, qexp=-H), T(1), QSum.zero()), (T(7, qexp=3 * H), C, R)])
+    runs = _counting_runs(monkeypatch)
     p = p4.with_value("t1", 2)
-    assert _s_polynomial(ep, p, g) == _s_polynomial_full_scan(ep, p, g) == [-1, 5]
-    every = EPoly((QSum.term(1) - QSum.term(1, t1pow=1, t2pow=-1),))
-    for f in (_s_polynomial, _s_polynomial_full_scan):
-        with pytest.raises(DegenerateSPolyError):
-            f(every, p4, g)
+    assert p4.t1 == p4.t2
+    for params, want, n_runs in ((p4, [2, 3], 2), (p, [-1, 5], 3)):
+        assert _s_polynomial(params, H) == want
+        assert _s_polynomial_full_scan(spectral_polynomial(params), params, H) == want
+        assert len(runs) == n_runs
+    _patch_rows(monkeypatch, [(QSum.zero(), T(1) - T(1, t1pow=1, t2pow=-1), QSum.zero())])
+    with pytest.raises(DegenerateSPolyError, match="all s-polynomial coefficients cancelled"):
+        _s_polynomial(p4, H)
+    assert len(runs) == 5
+
+
+def test_s_polynomial_reruns_without_the_cut_when_the_cut_slice_is_empty(p4, monkeypatch):
+    runs = _counting_runs(monkeypatch, last_level=lambda level: [QSum.zero()] * len(level))
+    for p in (p4, *_balanced_pair_sets()[:2]):
+        runs.clear()
+        g = balanced_exponent(p)
+        assert _s_polynomial(p, g) == _s_polynomial_full_scan(spectral_polynomial(p), p, g)
+        assert len(runs) == 2
+        # the first run was cut: it kept fewer terms than the rerun
+        assert sum(map(len, runs[0][-1])) < sum(map(len, runs[1][-1]))
 
 
 @pytest.mark.parametrize("exc", [PrecisionError("2 of 4 roots"), ZeroDivisionError("bug")])
