@@ -1,14 +1,17 @@
-"""Dyadic arithmetic on CPython ints for the fixed-q root finder.
+"""Dyadic arithmetic on CPython ints for the fixed-q numerics.
 
 A value m 2^e is an int mantissa m and an int exponent e, and every
 operation cuts |m| back to at most 2^P, P the precision its operands
-carry.  The recursion loops of ``roots.find_spectral_roots`` run on these
-types instead of mpmath objects, whose per-operation overhead dominates
-loops of N + 1 steps.
+carry.  The recursion loops of ``roots.find_spectral_roots`` and the
+per-root series and residual of ``spectral`` run on these types instead
+of mpmath objects, whose per-operation overhead dominates loops of N + 1
+steps.
 
 * ``Dyadic`` is a point, cut by truncation (a floor shift, a floor
-  division).  The plain counts and Newton run on it: they only guide the
-  search, so their rounding need only be small.
+  division), and compared exactly.  The plain counts and Newton run on
+  it, since they only guide the search, and so do the twisted solve and
+  the residual of the series at a root, whose rounding need only be
+  small against their 2^-P.
 * ``Box`` is an interval [lo 2^e, hi 2^e], cut outward: lo by floor
   shifts and floor division, hi by ceiling ones.  Every operation returns
   a box around every value it takes on its operand boxes, so an
@@ -22,6 +25,7 @@ loops of N + 1 steps.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import from_man_exp
@@ -50,6 +54,10 @@ class Dyadic:
         """The value as an mpf, exactly."""
         return mpmath.mp.make_mpf(from_man_exp(self.m, self.e))
 
+    def to_fraction(self) -> Fraction:
+        """The value as a Fraction, exactly."""
+        return Fraction(self.m << self.e) if self.e >= 0 else Fraction(self.m, 1 << -self.e)
+
     def ldexp(self, k: int) -> "Dyadic":
         return Dyadic(self.m, self.e + k, self.P)
 
@@ -75,6 +83,11 @@ class Dyadic:
 
     def __abs__(self) -> "Dyadic":
         return Dyadic(abs(self.m), self.e, self.P)
+
+    def __lt__(self, o: "Dyadic") -> bool:
+        """Exact, at the common exponent."""
+        d = o.e - self.e
+        return self.m < o.m << d if d >= 0 else self.m << -d < o.m
 
 
 class Box:

@@ -5,11 +5,11 @@ three-term recursion (``find_spectral_roots``): plain counts of the roots
 above a point isolate them, Newton on the recursion approximates them, and
 certified counts on boxes around the rows of the exact q certify them.
 The polynomial itself is never formed.  The three recursion loops run on
-CPython ints (qheun.dyadic): the plain counts and Newton on Dyadic points
-truncated to the working precision, which only guide the search, and the
-certified counts on Box intervals rounded outward, whose rows
-(spectral.recursion_boxes_at) are built once per parameter set, q and
-precision from integer enclosures of each q-power.
+CPython ints (qheun.dyadic): the plain counts and Newton, its bracket loop
+included, on Dyadic points truncated to the working precision, which only
+guide the search, and the certified counts on Box intervals rounded
+outward, whose rows (spectral.recursion_boxes_at) are built once per
+parameter set, q and precision from integer enclosures of each q-power.
 
 Each root is the point sign bisection to relative width 2^-bits would
 return, computed without running it (``_bisection_point``): the final
@@ -319,11 +319,22 @@ def _bisection_point(
     return None
 
 
-def _newton_in_bracket(ev, lo, hi, prec: int, start=None):
+def _geometric_mean(lo: Dyadic, hi: Dyadic) -> Dyadic:
+    """sqrt(lo hi) truncated to P bits, with the sign that lo and hi
+    share: the integer square root of their product, shifted to 2P - 1 or
+    2P bits at an even exponent."""
+    m, e, P = lo.m * hi.m, lo.e + hi.e, lo.P
+    s = 2 * P - m.bit_length()
+    s -= (e - s) & 1
+    r = math.isqrt(m << s if s >= 0 else m >> -s)
+    return Dyadic(-r if hi.m < 0 else r, (e - s) // 2, P)
+
+
+def _newton_in_bracket(ev, lo: Dyadic, hi: Dyadic, P: int, start=None):
     """A floating approximation of the one root in the one-signed bracket
-    (lo, hi), lo and hi nonzero mpf, as mpf ``(root, tol)`` with tol an
-    estimate of its error, or None: the input of ``_bisection_point`` for
-    a root of c_{N+1} (``_spectral_root``).
+    (lo, hi), lo and hi nonzero Dyadic at P bits, as Dyadic ``(root, tol)``
+    with tol an estimate of its error, or None: the input of
+    ``_bisection_point`` for a root of c_{N+1} (``_spectral_root``).
 
     ``ev(x)`` gives f(x), f'(x), the rounding noise of f(x) and whether x
     lies below the root.  Newton kept inside the bracket, from ``start``
@@ -332,40 +343,40 @@ def _newton_in_bracket(ev, lo, hi, prec: int, start=None):
     noise.  A step that leaves the bracket is replaced by its geometric
     mean while it spans more than 2x, else by its midpoint.
     """
-    sgn = 1 if hi > 0 else -1
+    neg = hi.m < 0
 
-    def wide(lo, hi):
-        return max(abs(lo), abs(hi)) > 2 * min(abs(lo), abs(hi))
+    def wide(lo, hi):  # max(|lo|, |hi|) > 2 min(|lo|, |hi|)
+        return lo < hi.ldexp(1) if neg else lo.ldexp(1) < hi
 
     if start is not None and lo < start < hi:
         x = start
     else:
         while wide(lo, hi):
-            x = sgn * mpmath.sqrt(lo * hi)
+            x = _geometric_mean(lo, hi)
             if ev(x)[3]:
                 lo = x
             else:
                 hi = x
-        x = (lo + hi) / 2
-    for _ in range(4 * prec):  # bisection alone would need about prec
+        x = (lo + hi).ldexp(-1)
+    for _ in range(4 * P):  # bisection alone would need about P
         p, dp, err, below = ev(x)
-        if abs(p) <= err:
+        if not err < abs(p):
             break  # x is a root within the rounding noise of p
         if below:
             lo = x
         else:
             hi = x
-        nx = x - p / dp if dp else hi
+        nx = x - p / dp if dp.m else hi
         if not lo < nx < hi:
-            nx = sgn * mpmath.sqrt(lo * hi) if wide(lo, hi) else (lo + hi) / 2
-        if nx == x:
+            nx = _geometric_mean(lo, hi) if wide(lo, hi) else (lo + hi).ldexp(-1)
+        if not (nx - x).m:
             break
         x = nx
     else:
         p, dp, err, _ = ev(x)
-    if not dp:
+    if not dp.m:
         return None
-    return x, 4 * (abs(p) + err) / abs(dp)
+    return x, (abs(p) + err).ldexp(2) / abs(dp)
 
 
 def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
@@ -660,16 +671,16 @@ def _spectral_root(newton_rows, count, a, b, m: int, bits: int, start) -> Fracti
         n = count(M, W)
         return 0 if n is None else 1 if n > m else -1
 
-    def ev(x):
+    def ev(x: Dyadic):
         # below the root, c_{N+1} has the sign (-1)^(m+1) of its m+1 roots above
-        c, dc, err = _newton_eval(newton_rows, Dyadic.of_mpf(x, mpmath.mp.prec))
-        below = (c.m < 0) if m % 2 == 0 else (c.m > 0)
-        return c.to_mpf(), dc.to_mpf(), err.to_mpf(), below
+        c, dc, err = _newton_eval(newton_rows, x)
+        return c, dc, err, (c.m < 0) if m % 2 == 0 else (c.m > 0)
 
     if not _stops(A, B, V, bits):
-        guess = _newton_in_bracket(ev, a, b, mpmath.mp.prec, start)
+        P = mpmath.mp.prec
+        guess = _newton_in_bracket(ev, Dyadic.of_mpf(a, P), Dyadic.of_mpf(b, P), P, start)
         if guess is not None:
-            r, t = (_mpf_to_fraction(v) for v in guess)
+            r, t = (v.to_fraction() for v in guess)
             x = _bisection_point(A, B, V, bits, r, t, side)
             if x is not None:
                 return x
@@ -706,7 +717,7 @@ def find_spectral_roots(
         roots = []
         for a, b, m in _isolate_by_counts(_ratio_rows(rows), seeds):
             inside = {s for s in seeds if a < s < b}
-            start = inside.pop() if len(inside) == 1 else None
+            start = Dyadic.of_mpf(inside.pop(), prec) if len(inside) == 1 else None
             roots.append(_spectral_root(newton_rows, count, a, b, m, bits, start))
     with mpmath.workprec(bits):
         return [to_mpf(r) for r in roots], bits

@@ -30,7 +30,8 @@ s-polynomial runs share one loop, three_term.  Numerically the series at a
 root comes from a twisted solve of the recursion's tridiagonal system
 (coefficients_numeric), which keeps full precision where the forward
 recursion amplifies the root's rounding, and residual_check verifies it
-power by power of x against the operator's own factors.
+power by power of x against the operator's own factors; both run on
+dyadic.Dyadic ints and return mpf.
 
 Division by A_n is not closed in the q-monomial ring, so exact coefficients
 are carried as EPoly: a numerator polynomial over a structured denominator
@@ -49,7 +50,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .dyadic import Box
+from .dyadic import Box, Dyadic
 from .errors import DomainError, ParameterError
 from .qmono import (
     EVAL_GUARD_BITS,
@@ -423,26 +424,26 @@ def series_coefficient_values(p: HeunParams, E0, q, bits: int = 512):
         return [+c for c in cs]
 
 
-def _pivots(a, off):
+def _pivots(a, off, P: int):
     """Pivots of the tridiagonal LDU factorisation run in the order of
     ``a``: d_0 = a_0, d_i = a_i - off_{i-1} / d_{i-1}, with off_{i-1} the
     product of the two off-diagonal entries that couple i-1 and i.  A
-    pivot that rounds to zero is replaced by 2^-prec |a_i|, so that the
+    pivot that truncates to zero is replaced by 2^-P |a_i|, so that the
     next division stays defined."""
     out = []
     for i, ai in enumerate(a):
         d = ai - off[i - 1] / out[-1] if i else ai
-        out.append(d or mpmath.ldexp(abs(ai) or 1, -mpmath.mp.prec))
+        out.append(d if d.m else abs(ai).ldexp(-P) if ai.m else Dyadic(1, -P, P))
     return out
 
 
 @functools.lru_cache(maxsize=64)
-def _off_diagonal_products(p: HeunParams, q, prec: int) -> tuple:
-    """A_{i+1} D_{i+2}, i = 0 .. N-1: the products of the off-diagonals
-    coupling i and i+1 in coefficients_numeric, at ``prec``.  Memoised."""
-    rows = recursion_rows_at(p, q, prec)
-    with mpmath.workprec(prec):
-        return tuple(rows[i][0] * rows[i + 1][3] for i in range(p.N))
+def _dyadic_table(p: HeunParams, q, P: int) -> tuple:
+    """The rows of recursion_rows_at at P bits as exact Dyadic rows, and
+    A_{i+1} D_{i+2}, i = 0 .. N-1: the products of the off-diagonals
+    coupling i and i+1 in coefficients_numeric.  Memoised."""
+    rows = tuple(tuple(Dyadic.of_mpf(v, P) for v in row) for row in recursion_rows_at(p, q, P))
+    return rows, tuple(rows[i][0] * rows[i + 1][3] for i in range(p.N))
 
 
 def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolution:
@@ -459,38 +460,40 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     normalised to c_0 = 1 (Fernando, SIAM J. Matrix Anal. Appl. 18 (1997);
     Dhillon & Parlett, Linear Algebra Appl. 387 (2004)).  Unlike
     the forward recursion (series_coefficient_values, kept as the
-    reference), it does not amplify the error of a rounded root."""
-    rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
+    reference), it does not amplify the error of a rounded root.  The
+    solve runs on Dyadic at bits + EVAL_GUARD_BITS (_dyadic_table)."""
+    P = bits + EVAL_GUARD_BITS
+    rows, off = _dyadic_table(p, q, P)
     N = p.N
-    with mpmath.workprec(bits + EVAL_GUARD_BITS):
-        E0v = to_mpf(E0)
-        be = [Bv * E0v for _, Bv, _, _ in rows]
-        a = [x + Cv for x, (_, _, Cv, _) in zip(be, rows)]
-        off = _off_diagonal_products(p, q, bits + EVAL_GUARD_BITS)
-        fwd = _pivots(a, off)
-        bwd = _pivots(a[::-1], off[::-1])[::-1]
-        k = min(range(N + 1), key=lambda i: abs(fwd[i] + bwd[i] - a[i])
-                / (abs(be[i]) + rows[i][2]))
-        z = [mpmath.mpf(0)] * (N + 1)
-        z[k] = mpmath.mpf(1)
-        for i in range(k - 1, -1, -1):
-            z[i] = rows[i][0] * z[i + 1] / fwd[i]
-        for i in range(k + 1, N + 1):
-            z[i] = rows[i][3] * z[i - 1] / bwd[i]
-        cs = [mpmath.mpf(1)] + [zi / z[0] for zi in z[1:]]
+    with mpmath.workprec(P):
+        E = Dyadic.of_mpf(to_mpf(E0), P)
+    be = [B * E for _, B, _, _ in rows]
+    a = [x + C for x, (_, _, C, _) in zip(be, rows)]
+    fwd = _pivots(a, off, P)
+    bwd = _pivots(a[::-1], off[::-1], P)[::-1]
+    k = min(range(N + 1), key=lambda i: abs(fwd[i] + bwd[i] - a[i]) / (abs(be[i]) + rows[i][2]))
+    z = [Dyadic(1, 0, P)] * (N + 1)
+    for i in range(k - 1, -1, -1):
+        z[i] = rows[i][0] * z[i + 1] / fwd[i]
+    for i in range(k + 1, N + 1):
+        z[i] = rows[i][3] * z[i - 1] / bwd[i]
     with mpmath.workprec(bits):
         e0 = +to_mpf(E0)
-        vals = tuple(+c for c in cs)
+        vals = (mpmath.mpf(1),) + tuple(+(zi / z[0]).to_mpf() for zi in z[1:])
     return SeriesSolution(p.lambda1, vals, e0, as_fraction(q), p.t1, p.t2, bits)
 
 
 @functools.lru_cache(maxsize=64)
 def _residual_constants(p: HeunParams, q: Fraction, bits: int) -> tuple:
-    """The E-free factors of _power_residuals, (a1 a2, P b1 b2, -K),
-    (-(a1+a2), -P (b1+b2)) and (1, P, -Q), and the ladder of
-    (q^(lambda1+n), q^-(lambda1+n)), n = 0 .. N, by steps of q from one
-    power each; at bits + EVAL_GUARD_BITS.  Memoised."""
-    with mpmath.workprec(bits + EVAL_GUARD_BITS):
+    """Per n = 0 .. N, the E-free factors of c_n in the powers n, n+1 and
+    n+2 of _power_residuals:
+        (a1 a2 q^-(lambda1+n), P b1 b2 q^(lambda1+n), -K),
+        (-(a1+a2) q^-(lambda1+n), -P (b1+b2) q^(lambda1+n)),
+        (q^-(lambda1+n), P q^(lambda1+n), -Q),
+    with q^(+-(lambda1+n)) by steps of q from one power each; formed at
+    bits + EVAL_GUARD_BITS and held as Dyadic.  Memoised."""
+    prec = bits + EVAL_GUARD_BITS
+    with mpmath.workprec(prec):
         at = AtQ(q, p.t1, p.t2)
         qp, t1v, t2v = at.qpow, at.t1, at.t2
         a1, a2 = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
@@ -500,17 +503,16 @@ def _residual_constants(p: HeunParams, q: Fraction, bits: int) -> tuple:
         K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
             qp(p.beta / 2) + qp(-p.beta / 2)
         ) * t1v * t2v
-        factors = (
-            (a1 * a2, P * b1 * b2, -K),
-            (-(a1 + a2), -P * (b1 + b2)),
-            (mpmath.mpf(1), P, -Q),
-        )
         up, dn, qinv = qp(p.lambda1), qp(-p.lambda1), 1 / at.q
-        ladder = []
+        table = []
         for _ in range(p.N + 1):
-            ladder.append((up, dn))
+            table.append(tuple(tuple(Dyadic.of_mpf(v, prec) for v in f) for f in (
+                (a1 * a2 * dn, P * b1 * b2 * up, -K),
+                (-(a1 + a2) * dn, -P * (b1 + b2) * up),
+                (dn, P * up, -Q),
+            )))
             up, dn = up * at.q, dn * qinv
-    return factors, tuple(ladder)
+    return tuple(table)
 
 
 def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:
@@ -524,23 +526,26 @@ def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:
     with the operator's own factors a_i = q^(h_i+1/2) t_i,
     b_i = q^(l_i-1/2) t_i, P = q^(a1+a2), Q = q^a1 + q^a2 and K its
     constant term, not the recursion rows (_residual_constants).  Each
-    coefficient is divided by the sum of the absolute values of its (at
-    most nine) terms.  m = 0 and m = N+2 are the indicial and termination
-    identities, zero for any E."""
-    (f0, (u1, v1), f2), ladder = _residual_constants(p, sol.q, sol.bits)
-    with mpmath.workprec(sol.bits + EVAL_GUARD_BITS):
-        factors = (f0, (u1, v1, -to_mpf(sol.E0)), f2)
-        terms = [[] for _ in range(p.N + 3)]
-        for n, c in enumerate(sol.coeffs):
-            up, dn = ladder[n]
-            for j, (u, v, w) in enumerate(factors):
-                terms[n + j] += (c * u * dn, c * v * up, c * w)
-        out = []
-        for ts in terms:
-            scale = mpmath.fsum(ts, absolute=True)
-            out.append(abs(mpmath.fsum(ts)) / scale if scale else mpmath.mpf(0))
+    coefficient, the sum of its (at most nine) exact products, is divided
+    by the sum of their absolute values; both sums are exact, on ints at
+    the least exponent.  m = 0 and m = N+2 are the indicial and
+    termination identities, zero for any E."""
+    prec = sol.bits + EVAL_GUARD_BITS
+    with mpmath.workprec(prec):
+        mE = Dyadic.of_mpf(-to_mpf(sol.E0), prec)
+    terms = [[] for _ in range(p.N + 3)]
+    for n, (c, (f0, f1, f2)) in enumerate(zip(sol.coeffs, _residual_constants(p, sol.q, sol.bits))):
+        c = Dyadic.of_mpf(c, prec)
+        for j, f in enumerate((f0, f1 + (mE,), f2)):
+            terms[n + j] += [(c.m * u.m, c.e + u.e) for u in f]
+    out = []
+    for ts in terms:
+        e = min(x for _, x in ts)
+        s = sum(m << x - e for m, x in ts)
+        a = sum(abs(m) << x - e for m, x in ts)
+        out.append(Dyadic(abs(s), 0, prec) / Dyadic(a, 0, prec) if a else Dyadic(0, 0, prec))
     with mpmath.workprec(sol.bits):
-        return [+r for r in out]
+        return [+r.to_mpf() for r in out]
 
 
 def residual_check(p: HeunParams, sol: SeriesSolution):

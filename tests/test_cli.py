@@ -417,6 +417,13 @@ def test_verify_passes_on_the_n24_sets_at_512_bits(tmp_path, capsys, regime, qs)
     _verify_passes_at_512_bits(tmp_path, capsys, sample_params(regime, random.Random(12), N=24), qs)
 
 
+@pytest.mark.parametrize("regime", ["R31", "R33"])
+def test_verify_passes_on_the_n48_sets_at_512_bits(tmp_path, capsys, regime):
+    # the rows span thousands of orders of magnitude, so each power's
+    # residual sums exact products whose exponents lie far apart
+    _verify_passes_at_512_bits(tmp_path, capsys, sample_params(regime, random.Random(12), N=48), _Q_PAIRS[0])
+
+
 def test_verify_gates_balanced_prefactors_when_t1_t2_is_not_one(tmp_path, capsys):
     # |root / q^d| against the s-roots, which carry sqrt(t1*t2) = sqrt(6);
     # the descriptor ratios alone are 1.618 and 0.618
@@ -478,13 +485,15 @@ def test_verify_predicts_the_roots_once(tmp_path, monkeypatch, capsys):
 # approximations: the roots must not move by a bit.  The verify digests
 # were re-recorded when the refinement target went from 2^-(bits//2) to
 # 2^-bits, again when the residual became the per-power residual of the
-# twisted series, and again when the twist row was chosen relative to its
-# row's scale; each time only the residual column changed.
+# twisted series, again when the twist row was chosen relative to its
+# row's scale, and again when the twisted solve and the residual moved
+# from mpf onto Dyadic ints with exact per-power sums; each time only the
+# residual column changed.
 GOLDEN_CSV_SHA256 = {
-    ("verify", "P1"): "24f4848148808f22d8ff6da1105ec9c8585e87cdd2b7de0354e4f9585941bfba",
-    ("verify", "P2"): "761ab95f0a22475c6b35343ec88c83fe55e64240301438cdb1cd37f1c5c497bc",
-    ("verify", "P3"): "4efbce9d334ed8b5756cfba97869814fcbca676ece0cb53658191dc985ef2b7a",
-    ("verify", "P4"): "111a707b75a0a5cb25d6ba3c2820df7e94ec380243b5d942ec67a32e489a5b78",
+    ("verify", "P1"): "2b4cf8c1ba13166e43a8b5184e07e0b7e3dd93c42e6ab416d9970175dd90931e",
+    ("verify", "P2"): "0b25f65103495d16297d0589d49a4ce4aa7684cadb53abadfe72aa2ec695c78b",
+    ("verify", "P3"): "baca25c2ce2baa7f0e1a068e9708ca02e393d9a0bde680b315711204e9cbb234",
+    ("verify", "P4"): "6f36ccfe19b3e671df3f04289c36eca7872e415ceec01885088a6e92985f6881",
     ("roots", "P1"): "6aff24a2e1359f570c023baf92af23a656599935ae3786e03be5a14bbab5388c",
     ("roots", "P2"): "5ceb7884ea4caaed9cfcdae7c5b186346e7dde3b9fae117628f53e9be2f5195d",
     ("roots", "P3"): "afd3bf7f638eceabb51b930525d5bce82178aea40a14ad699ab172d842162b25",

@@ -78,3 +78,28 @@ def test_dyadic_operations_truncate_by_less_than_one_unit(m, e, n, f, P, op):
     got = op(x, y)
     assert abs(got.m) <= 2 ** P
     assert exact - F(2) ** got.e < _value(got.m, got.e) <= exact
+
+
+_dyadic_parts = st.tuples(st.integers(-2 ** 80, 2 ** 80), st.integers(-3000, 3000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dyadic_parts, _dyadic_parts, st.sampled_from([8, 64, 536]))
+def test_dyadic_comparison_and_fraction_are_exact(a, b, P):
+    # exponents thousands of bits apart, as between the rows of a large N,
+    # and values tied in differing representations
+    x, y = Dyadic(*a, P), Dyadic(*b, P)
+    fx, fy = _value(x.m, x.e), _value(y.m, y.e)
+    assert x.to_fraction() == fx
+    assert (x < y, y < x, x < x) == (fx < fy, fy < fx, False)
+    twin = Dyadic(x.m << 5, x.e - 5, P + 5)
+    assert not (twin < x or x < twin)
+
+
+def test_dyadic_comparison_orders_neighbours_and_far_exponents():
+    # the least unit apart at 536 bits, and values 10^4 bits apart, sort as
+    # their Fractions do
+    P = 536
+    xs = [Dyadic(2 ** P - 1, -10 ** 4, P), Dyadic(2 ** P, -10 ** 4, P + 1), Dyadic(1, -2 * 10 ** 4, P),
+          Dyadic(-1, 10 ** 4, P), Dyadic(0, 7, P), Dyadic(-(2 ** P) + 1, -10 ** 4, P)]
+    assert sorted(xs, key=Dyadic.to_fraction) == sorted(xs)

@@ -21,7 +21,7 @@ from qheun.roots import (
 )
 from qheun.qmono import EVAL_GUARD_BITS, to_mpf
 from qheun.sampling import sample_params
-from qheun.dyadic import Box
+from qheun.dyadic import Box, Dyadic
 from qheun.spectral import (
     derive,
     recursion_boxes_at,
@@ -349,6 +349,19 @@ def test_an_approximation_far_from_the_root_gives_the_bisection_point(root, gues
     assert roots_mod._bisection_point(A, B, V, 64, near, Fraction(1, 2 ** 29), side) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2 ** 80), st.integers(-2000, 2000), st.integers(1, 2 ** 80),
+       st.integers(-2000, 2000), st.sampled_from([8, 64, 536]), st.booleans())
+def test_geometric_mean_is_the_truncated_square_root(m, e, n, f, P, negative):
+    # |g| <= sqrt(lo hi) < |g| + 2^g.e, with the sign of the bracket
+    sign = -1 if negative else 1
+    lo, hi = Dyadic(sign * m, e, P), Dyadic(sign * n, f, P)
+    g = roots_mod._geometric_mean(lo, hi)
+    prod, r = lo.to_fraction() * hi.to_fraction(), abs(g.to_fraction())
+    assert (g.m < 0) == negative and g.m.bit_length() == P
+    assert r * r <= prod < (r + Fraction(2) ** g.e) ** 2
+
+
 def test_an_approximation_whose_bound_misses_the_root_gives_none():
     # both grid points next to 2^guess -+ 2^-100 lie below the root
     coeffs = _from_roots(Fraction(1), [Fraction(4, 3)])
@@ -359,7 +372,7 @@ def test_an_approximation_whose_bound_misses_the_root_gives_none():
 
 @pytest.mark.parametrize(
     "wrong",
-    [lambda ev, lo, hi, prec, start=None: (lo, mpmath.mpf(0)),
+    [lambda ev, lo, hi, prec, start=None: (lo, Dyadic(0, 0, prec)),
      lambda ev, lo, hi, prec, start=None: None],
     ids=["left-endpoint", "none"],
 )

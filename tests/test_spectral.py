@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qheun.dyadic import Dyadic
 from qheun.errors import DomainError, ParameterError
-from qheun.qmono import EVAL_GUARD_BITS, EXACT_ZERO, QSum, eval_numeric, qpow, to_mpf, ultradiscretize
+from qheun.qmono import EVAL_GUARD_BITS, EXACT_ZERO, AtQ, QSum, eval_numeric, qpow, to_mpf, ultradiscretize
 from qheun.sampling import sample_params
 from qheun.spectral import (
     _power_residuals,
@@ -539,17 +540,112 @@ def test_twisted_vector_is_the_eigenvector_to_working_precision(p1, p2, p3, p4, 
 
 
 def test_twisted_solve_survives_a_zero_pivot(p1):
-    # at E0 = -C_1 / B_1 in the working precision the first forward pivot
-    # B_1 E0 + C_1 rounds to exactly 0; the solve stays finite, and E0 is
-    # no root
-    q = F(1, 1000)
-    _, B, C, _ = recursion_rows_at(p1, q, 512 + EVAL_GUARD_BITS)[0]
-    with mpmath.workprec(512 + EVAL_GUARD_BITS):
-        E0 = -C / B
-        assert B * E0 + C == 0
-    sol = coefficients_numeric(p1, E0, q, 512)
+    # at the E0 next to -C_1 / B_1 where the first forward pivot
+    # B_1 E0 + C_1 truncates to exactly 0 at the working precision, the
+    # solve stays finite, and E0 is no root
+    q, P = F(1, 1000), 512 + EVAL_GUARD_BITS
+    _, B, C, _ = (Dyadic.of_mpf(v, P) for v in recursion_rows_at(p1, q, P)[0])
+    E = Dyadic(-C.m, C.e, P) / B
+    E0 = next(x for x in (Dyadic(E.m + k, E.e, P) for k in range(-4, 5)) if not (B * x + C).m)
+    sol = coefficients_numeric(p1, E0.to_fraction(), q, 512)
     assert all(mpmath.isfinite(c) for c in sol.coeffs)
     assert residual_check(p1, sol) > mpmath.mpf(10) ** -30
+
+
+# ---------------------------------------------------------------------------
+# the twisted solve and the residual in mpf: differential oracles of the
+# Dyadic ones in spectral, written as they ran before on mpmath numbers
+# ---------------------------------------------------------------------------
+
+
+def _mpf_pivots(a, off):
+    out = []
+    for i, ai in enumerate(a):
+        d = ai - off[i - 1] / out[-1] if i else ai
+        out.append(d or mpmath.ldexp(abs(ai) or 1, -mpmath.mp.prec))
+    return out
+
+
+def _mpf_coefficients_numeric(p, E0, q, bits):
+    rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
+    N = p.N
+    with mpmath.workprec(bits + EVAL_GUARD_BITS):
+        E0v = to_mpf(E0)
+        be = [Bv * E0v for _, Bv, _, _ in rows]
+        a = [x + Cv for x, (_, _, Cv, _) in zip(be, rows)]
+        off = [rows[i][0] * rows[i + 1][3] for i in range(N)]
+        fwd = _mpf_pivots(a, off)
+        bwd = _mpf_pivots(a[::-1], off[::-1])[::-1]
+        k = min(range(N + 1), key=lambda i: abs(fwd[i] + bwd[i] - a[i]) / (abs(be[i]) + rows[i][2]))
+        z = [mpmath.mpf(0)] * (N + 1)
+        z[k] = mpmath.mpf(1)
+        for i in range(k - 1, -1, -1):
+            z[i] = rows[i][0] * z[i + 1] / fwd[i]
+        for i in range(k + 1, N + 1):
+            z[i] = rows[i][3] * z[i - 1] / bwd[i]
+        cs = [mpmath.mpf(1)] + [zi / z[0] for zi in z[1:]]
+    with mpmath.workprec(bits):
+        return [+c for c in cs]
+
+
+def _mpf_power_residuals(p, coeffs, E0, q, bits):
+    with mpmath.workprec(bits + EVAL_GUARD_BITS):
+        at = AtQ(q, p.t1, p.t2)
+        qp, t1v, t2v = at.qpow, at.t1, at.t2
+        a1, a2 = qp(p.h1 + H) * t1v, qp(p.h2 + H) * t2v
+        b1, b2 = qp(p.l1 - H) * t1v, qp(p.l2 - H) * t2v
+        P = qp(p.alpha1 + p.alpha2)
+        Q = qp(p.alpha1) + qp(p.alpha2)
+        K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
+            qp(p.beta / 2) + qp(-p.beta / 2)) * t1v * t2v
+        factors = ((a1 * a2, P * b1 * b2, -K), (-(a1 + a2), -P * (b1 + b2), -to_mpf(E0)),
+                   (mpmath.mpf(1), P, -Q))
+        up, dn, qinv = qp(p.lambda1), qp(-p.lambda1), 1 / at.q
+        terms = [[] for _ in range(p.N + 3)]
+        for n, c in enumerate(coeffs):
+            for j, (u, v, w) in enumerate(factors):
+                terms[n + j] += (c * u * dn, c * v * up, c * w)
+            up, dn = up * at.q, dn * qinv
+        out = []
+        for ts in terms:
+            scale = mpmath.fsum(ts, absolute=True)
+            out.append(abs(mpmath.fsum(ts)) / scale if scale else mpmath.mpf(0))
+    with mpmath.workprec(bits):
+        return [+r for r in out]
+
+
+_N12_SETS = [sample_params(r, random.Random(12), N=12) for r in ("R31", "R32", "R33")]
+
+
+@pytest.mark.parametrize("q", [F(1, 1000), F(1, 10 ** 6)])
+def test_series_and_residual_match_the_mpf_oracle_at_roots(p1, p2, p3, p4, q):
+    # the same twisted solve and per-power sums on mpf: every coefficient
+    # agrees to 2^-(bits-16) of itself, and both residuals certify each root
+    bits = 512
+    for p in (p1, p2, p3, p4, *_N12_SETS):
+        for E0 in find_spectral_roots(p, q, bits)[0]:
+            sol = coefficients_numeric(p, E0, q, bits)
+            want = _mpf_coefficients_numeric(p, E0, q, bits)
+            with mpmath.workprec(bits):
+                assert all(abs(g - w) <= mpmath.ldexp(abs(w), 16 - bits) for g, w in zip(sol.coeffs, want))
+            oracle = max(_mpf_power_residuals(p, want, E0, q, bits))
+            assert residual_check(p, sol) < mpmath.mpf(10) ** -140
+            assert oracle < mpmath.mpf(10) ** -140
+
+
+def test_residual_matches_the_mpf_oracle_at_non_roots():
+    # the non-roots of the n12 gate test: both residuals agree to 10
+    # significant digits, and both fail the 1e-30 gate
+    p, q, bits = _N12_SETS[1], F(1, 10 ** 4), 512
+    roots = sorted(find_spectral_roots(p, q, bits)[0])
+    with mpmath.workprec(bits):
+        moved = [r * (1 + mpmath.mpf(2) ** -40) for r in roots]
+        mids = [(a + b) / 2 for a, b in zip(roots, roots[1:])]
+    for E0 in moved + mids + [F(-7 * 10 ** 20)]:
+        got = residual_check(p, coefficients_numeric(p, E0, q, bits))
+        want = max(_mpf_power_residuals(p, _mpf_coefficients_numeric(p, E0, q, bits), E0, q, bits))
+        assert min(got, want) > mpmath.mpf(10) ** -30
+        assert abs(got - want) <= mpmath.mpf(10) ** -10 * want
 
 
 def test_residual_n_zero_closed_form():
