@@ -41,7 +41,6 @@ from .spectral import (
     derive,
     recursion_coeff_rows,
     residual_check,
-    series_coefficient_values,
     spectral_polynomial,
 )
 from .ultra import (

@@ -2,21 +2,26 @@
 
 A value m 2^e is an int mantissa m and an int exponent e, and every
 operation cuts |m| back to at most 2^P, P the precision its operands
-carry.  The recursion loops of ``roots.find_spectral_roots`` and the
-per-root series and residual of ``spectral`` run on these types instead
-of mpmath objects, whose per-operation overhead dominates loops of N + 1
-steps.
+carry.  The per-root series and residual of ``spectral`` and Newton's
+bracket loop in ``roots`` run on these classes instead of mpmath objects,
+whose per-operation overhead dominates loops of N + 1 steps.  The three
+recursion loops of ``roots.find_spectral_roots`` (the plain counts,
+Newton's evaluations and the certified counts) are inline kernels on int
+locals that repeat these operations step by step, so they return the
+values the classes would, bit for bit, without an object per operation;
+a change to an operation here must be made there too.
 
 * ``Dyadic`` is a point, cut by truncation (a floor shift, a floor
-  division), and compared exactly.  The plain counts and Newton run on
-  it, since they only guide the search, and so do the twisted solve and
-  the residual of the series at a root, whose rounding need only be
-  small against their 2^-P.
+  division), and compared exactly.  The plain counts and Newton use it,
+  since they only guide the search, and so do the twisted solve and the
+  residual of the series at a root, whose rounding need only be small
+  against their 2^-P.
 * ``Box`` is an interval [lo 2^e, hi 2^e], cut outward: lo by floor
   shifts and floor division, hi by ceiling ones.  Every operation returns
   a box around every value it takes on its operand boxes, so an
   expression evaluated on boxes around its exact inputs encloses its
-  exact value.  The certified counts run on it.
+  exact value.  The certified counts use it, and their rows are Box
+  values (``spectral.recursion_boxes_at``).
 * ``Box.qpow(x, mu, P)`` is a box around x^mu for rational x > 0 from an
   integer D-th root, so the recursion rows evaluated on it enclose the
   rows of the exact q.

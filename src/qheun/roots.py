@@ -4,12 +4,16 @@ The roots of the spectral polynomial c_{N+1} at a fixed q come from its
 three-term recursion (``find_spectral_roots``): plain counts of the roots
 above a point isolate them, Newton on the recursion approximates them, and
 certified counts on boxes around the rows of the exact q certify them.
-The polynomial itself is never formed.  The three recursion loops run on
-CPython ints (qheun.dyadic): the plain counts and Newton, its bracket loop
-included, on Dyadic points truncated to the working precision, which only
-guide the search, and the certified counts on Box intervals rounded
-outward, whose rows (spectral.recursion_boxes_at) are built once per
-parameter set, q and precision from integer enclosures of each q-power.
+The polynomial itself is never formed.  The three recursion loops
+(``_count``, ``_newton_eval``, ``_certified_count``) are inline kernels on
+CPython int locals, on rows flattened once per solve to int tuples
+(``_ints``), and each step repeats the qheun.dyadic operation it stands
+for: the plain counts and Newton that of Dyadic points truncated to the
+working precision, which only guide the search, and the certified counts
+that of Box intervals rounded outward, whose rows
+(spectral.recursion_boxes_at) are built once per parameter set, q and
+precision from integer enclosures of each q-power.  Newton's bracket loop
+runs on Dyadic objects.
 
 Each root is the point sign bisection to relative width 2^-bits would
 return, computed without running it (``_bisection_point``): the final
@@ -506,30 +510,102 @@ def _dyadic_rows(rows, P: int) -> list:
     return [tuple(Dyadic.of_mpf(v, P) for v in row) for row in rows]
 
 
-def _count(ratio, x: Dyadic) -> int:
-    """The number of roots above x by the ratio recursion on Dyadic rows,
-    truncating.  A zero s_n is moved off zero by one unit of its terms:
-    the count only guides the search; certified counts decide."""
-    above, s = 0, Dyadic(1, 0, x.P)
-    for B, C, G in ratio:
-        bx = B * x
-        s = bx + C - G / s
-        if s.m < 0:
+def _ints(rows) -> list:
+    """Dyadic or Box rows as the flat int tuples the kernels read: m, e
+    for each Dyadic, lo, hi, e for each Box."""
+    return [
+        tuple(i for v in row for i in ((v.m, v.e) if isinstance(v, Dyadic) else (v.lo, v.hi, v.e)))
+        for row in rows
+    ]
+
+
+# The three recursion loops below are inline kernels: a Dyadic is a pair
+# of int locals (m, e), a Box a triple (lo, hi, e), and each step repeats
+# the alignment, operation and cut of the dyadic operation it stands for,
+# so they return what the loops on those objects return, bit for bit,
+# with no object built and no function called per operation.  Every
+# Dyadic cut reads
+#     k = m.bit_length() - P
+#     if k > 0: m, e = m >> k, e + k
+# and every Box cut the same with an outward (floor, ceiling) shift.
+
+
+def _count(rows, x: Dyadic) -> int:
+    """The number of roots above x by the ratio recursion on the Dyadic
+    rows (B_n, C_n, G_n), flat (``_ints``), truncating.  A zero s_n is
+    moved off zero by one unit of its terms: the count only guides the
+    search; certified counts decide."""
+    P, xm, xe = x.P, x.m, x.e
+    above, sm, se = 0, 1, 0
+    for Bm, Be, Cm, Ce, Gm, Ge in rows:
+        um, ue = Bm * xm, Be + xe  # u = B x
+        k = um.bit_length() - P
+        if k > 0: um, ue = um >> k, ue + k
+        k = Ce - ue  # t = u + C
+        if k >= 0: tm, te = um + (Cm << k), ue
+        else: tm, te = (um << -k) + Cm, Ce
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        k = P + 1 + sm.bit_length() - Gm.bit_length()  # g = G / s
+        gm, ge = (Gm << k) // sm, Ge - se - k
+        k = gm.bit_length() - P
+        if k > 0: gm, ge = gm >> k, ge + k
+        k = ge - te  # s = t - g
+        if k >= 0: sm, se = tm - (gm << k), te
+        else: sm, se = (tm << -k) - gm, ge
+        k = sm.bit_length() - P
+        if k > 0: sm, se = sm >> k, se + k
+        if sm < 0:
             above += 1
-        elif not s.m:
-            s = (abs(bx) + C).ldexp(-x.P)
+        elif not sm:  # s = (|u| + C) 2^-P
+            um = -um if um < 0 else um
+            k = Ce - ue
+            if k >= 0: sm, se = um + (Cm << k), ue
+            else: sm, se = (um << -k) + Cm, Ce
+            k = sm.bit_length() - P
+            if k > 0: sm, se = sm >> k, se + k
+            se -= P
     return above
 
 
-def _certified_count(ratio, x: Box) -> int | None:
-    """The count of ``_count`` on Box rows, or None when an s_n box
-    contains 0."""
-    above, s = 0, 1
-    for B, C, G in ratio:
-        s = B * x + C - G / s
-        if s.hi < 0:
+def _certified_count(rows, x: Box) -> int | None:
+    """The count of ``_count`` on the Box rows, flat (``_ints``), or None
+    when an s_n box contains 0."""
+    P, xlo, xhi, xe = x.P, x.lo, x.hi, x.e
+    above, slo, shi, se = 0, 1, 1, 0
+    for Blo, Bhi, Be, Clo, Chi, Ce, Glo, Ghi, Ge in rows:
+        if Blo >= 0 and xlo >= 0:  # t = B x
+            lo, hi = Blo * xlo, Bhi * xhi
+        else:
+            ps = (Blo * xlo, Blo * xhi, Bhi * xlo, Bhi * xhi)
+            lo, hi = min(ps), max(ps)
+        e = Be + xe
+        k = ((hi if hi > -lo else -lo) - 1).bit_length() - P
+        if k > 0: lo, hi, e = lo >> k, -(-hi >> k), e + k
+        k = Ce - e  # t = t + C
+        if k >= 0: lo, hi = lo + (Clo << k), hi + (Chi << k)
+        else: lo, hi, e = (lo << -k) + Clo, (hi << -k) + Chi, Ce
+        k = ((hi if hi > -lo else -lo) - 1).bit_length() - P
+        if k > 0: lo, hi, e = lo >> k, -(-hi >> k), e + k
+        # g = G / s; s < 0 divides -G by -s, a negation that needs no cut
+        if shi < 0: nlo, nhi, dlo, dhi = -Ghi, -Glo, -shi, -slo
+        else: nlo, nhi, dlo, dhi = Glo, Ghi, slo, shi
+        a, b = nlo.bit_length(), nhi.bit_length()
+        k = P + 1 + dhi.bit_length() - (a if a < b else b)
+        if k < 0: k = 0
+        glo = (nlo << k) // (dhi if nlo >= 0 else dlo)
+        ghi = -(-(nhi << k) // (dlo if nhi >= 0 else dhi))
+        ge = Ge - se - k
+        k = ((ghi if ghi > -glo else -glo) - 1).bit_length() - P
+        if k > 0: glo, ghi, ge = glo >> k, -(-ghi >> k), ge + k
+        k = ge - e  # s = t - g
+        if k >= 0: slo, shi, se = lo - (ghi << k), hi - (glo << k), e
+        else: slo, shi, se = (lo << -k) - ghi, (hi << -k) - glo, ge
+        k = ((shi if shi > -slo else -slo) - 1).bit_length() - P
+        if k > 0: slo, shi, se = slo >> k, -(-shi >> k), se + k
+        if shi < 0:
             above += 1
-        elif not s.lo > 0:
+        elif not slo > 0:
             return None
     return above
 
@@ -539,18 +615,78 @@ def _newton_rows(rows) -> list:
     return [(B / A, C / A, D / A) for A, B, C, D in rows]
 
 
-def _newton_eval(newton_rows, x: Dyadic):
+def _newton_eval(rows, x: Dyadic):
     """c_{N+1}(x), its derivative, and a bound on the rounding noise of
-    c_{N+1}(x): the recursion run on absolute values.  On Dyadic rows."""
-    zero, one = Dyadic(0, 0, x.P), Dyadic(1, 0, x.P)
-    c2, c1, d2, d1, m2, m1 = zero, one, zero, zero, zero, one
-    for b, g, e in newton_rows:
-        bx = b * x
-        f = bx + g
-        c1, c2 = f * c1 - e * c2, c1
-        d1, d2 = b * c2 + f * d1 - e * d2, d1
-        m1, m2 = (abs(bx) + g) * m1 + e * m2, m1
-    return c1, d1, Dyadic(m1.m * len(newton_rows), m1.e + 4 - x.P, x.P)
+    c_{N+1}(x), as Dyadic: the recursion c_n = (b x + g) c_{n-1} - e c_{n-2}
+    on the Dyadic rows (b, g, e), flat (``_ints``), differentiated, and run
+    on absolute values for the noise."""
+    P, xm, xe = x.P, x.m, x.e
+    cm, ce, pm, pe = 1, 0, 0, 0  # c_{n-1}, c_{n-2}
+    dm, de, qm, qe = 0, 0, 0, 0  # their derivatives
+    am, ae, wm, we = 1, 0, 0, 0  # their noise
+    for bm, be, gm, ge, em, ee in rows:
+        um, ue = bm * xm, be + xe  # u = b x
+        k = um.bit_length() - P
+        if k > 0: um, ue = um >> k, ue + k
+        k = ge - ue  # f = u + g
+        if k >= 0: fm, fe = um + (gm << k), ue
+        else: fm, fe = (um << -k) + gm, ge
+        k = fm.bit_length() - P
+        if k > 0: fm, fe = fm >> k, fe + k
+        # c_n = f c_{n-1} - e c_{n-2}
+        tm, te = fm * cm, fe + ce
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        vm, ve = em * pm, ee + pe
+        k = vm.bit_length() - P
+        if k > 0: vm, ve = vm >> k, ve + k
+        k = ve - te
+        if k >= 0: tm -= vm << k
+        else: tm, te = (tm << -k) - vm, ve
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        pm, pe, cm, ce = cm, ce, tm, te
+        # d_n = b c_{n-1} + f d_{n-1} - e d_{n-2}
+        tm, te = bm * pm, be + pe
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        vm, ve = fm * dm, fe + de
+        k = vm.bit_length() - P
+        if k > 0: vm, ve = vm >> k, ve + k
+        k = ve - te
+        if k >= 0: tm += vm << k
+        else: tm, te = (tm << -k) + vm, ve
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        vm, ve = em * qm, ee + qe
+        k = vm.bit_length() - P
+        if k > 0: vm, ve = vm >> k, ve + k
+        k = ve - te
+        if k >= 0: tm -= vm << k
+        else: tm, te = (tm << -k) - vm, ve
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        qm, qe, dm, de = dm, de, tm, te
+        # a_n = (|u| + g) a_{n-1} + e a_{n-2}; |u| needs no cut
+        um = -um if um < 0 else um
+        k = ge - ue
+        if k >= 0: tm, te = um + (gm << k), ue
+        else: tm, te = (um << -k) + gm, ge
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        tm, te = tm * am, te + ae
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        vm, ve = em * wm, ee + we
+        k = vm.bit_length() - P
+        if k > 0: vm, ve = vm >> k, ve + k
+        k = ve - te
+        if k >= 0: tm += vm << k
+        else: tm, te = (tm << -k) + vm, ve
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        wm, we, am, ae = am, ae, tm, te
+    return Dyadic(cm, ce, P), Dyadic(dm, de, P), Dyadic(am * len(rows), ae + 4 - P, P)
 
 
 def _certified_counter(p: HeunParams, q: Fraction, bits: int):
@@ -575,7 +711,7 @@ def _certified_counter(p: HeunParams, q: Fraction, bits: int):
         if b not in ratios:
             rows = recursion_boxes_at(p, q, b + EVAL_GUARD_BITS)
             positive = all(A.lo > 0 and B.lo > 0 and D.lo > 0 for A, B, _, D in rows)
-            ratios[b] = _ratio_rows(rows) if positive else None
+            ratios[b] = _ints(_ratio_rows(rows)) if positive else None
         return ratios[b]
 
     def count(M: int, W: int) -> int | None:
@@ -622,10 +758,10 @@ def _isolate_by_counts(ratio, seeds) -> list[tuple]:
     n = len(ratio)
     R = _gershgorin_bound(ratio)
     P = mpmath.mp.prec
-    dyadic = _dyadic_rows(ratio, P)
+    flat = _ints(_dyadic_rows(ratio, P))
 
     def count(x) -> int:
-        return _count(dyadic, Dyadic.of_mpf(x, P))
+        return _count(flat, Dyadic.of_mpf(x, P))
 
     zero = mpmath.mpf(0)
     counts = {x: count(x) for x in (-R, zero, R)}
@@ -713,7 +849,7 @@ def find_spectral_roots(
     count = _certified_counter(p, q, bits)
     seeds = _prediction_seeds(p, predictions, q) if predictions else ()
     with mpmath.workprec(prec):
-        newton_rows = _newton_rows(_dyadic_rows(rows, prec))
+        newton_rows = _ints(_newton_rows(_dyadic_rows(rows, prec)))
         roots = []
         for a, b, m in _isolate_by_counts(_ratio_rows(rows), seeds):
             inside = {s for s in seeds if a < s < b}

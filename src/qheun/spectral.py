@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import mpmath
@@ -83,7 +83,6 @@ __all__ = [
     "recursion_rows_at",
     "recursion_boxes_at",
     "coefficients_numeric",
-    "series_coefficient_values",
     "residual_check",
 ]
 
@@ -124,6 +123,16 @@ class HeunParams:
             raise ParameterError([f"unknown parameter '{name}'"])
         raw[name] = as_fraction(value)
         return derive(**raw)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The dataclass's hash of the fields, computed once per instance:
+        every memoised function keyed by a parameter set hashes it, and its
+        ten Fraction fields take about 10 us to hash."""
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
 
 def derive(h1, h2, l1, l2, alpha1, alpha2, beta, t1, t2) -> HeunParams:
@@ -404,26 +413,6 @@ def recursion_boxes_at(p: HeunParams, q: Fraction, prec: int) -> tuple:
     return recursion_rows(p, qp(1), Box.qpow(p.t1, 1, prec), Box.qpow(p.t2, 1, prec), qp)
 
 
-def series_coefficient_values(p: HeunParams, E0, q, bits: int = 512):
-    """c_0(E0) .. c_{N+1}(E0) by running the recursion in fixed precision.
-
-    The rows are recursion_rows_at's; A_n > 0 throughout (q in (0,1),
-    n >= 1, beta < 1), so the division is always defined.
-    """
-    rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
-    with mpmath.workprec(bits + EVAL_GUARD_BITS):
-        E0v = to_mpf(E0)
-        cs = [mpmath.mpf(1)]
-        cm2, cm1 = mpmath.mpf(0), mpmath.mpf(1)
-        for Av, Bv, Cv, Dv in rows:
-            assert Av != 0, "A row vanished; outside the validated domain"
-            cn = ((Bv * E0v + Cv) * cm1 - Dv * cm2) / Av
-            cs.append(cn)
-            cm2, cm1 = cm1, cn
-    with mpmath.workprec(bits):
-        return [+c for c in cs]
-
-
 def _pivots(a, off, P: int):
     """Pivots of the tridiagonal LDU factorisation run in the order of
     ``a``: d_0 = a_0, d_i = a_i - off_{i-1} / d_{i-1}, with off_{i-1} the
@@ -459,9 +448,9 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     solves every row but k, runs outward from k through the pivots, and is
     normalised to c_0 = 1 (Fernando, SIAM J. Matrix Anal. Appl. 18 (1997);
     Dhillon & Parlett, Linear Algebra Appl. 387 (2004)).  Unlike
-    the forward recursion (series_coefficient_values, kept as the
-    reference), it does not amplify the error of a rounded root.  The
-    solve runs on Dyadic at bits + EVAL_GUARD_BITS (_dyadic_table)."""
+    the forward recursion, the tests' reference, it does not amplify the
+    error of a rounded root.  The solve runs on Dyadic at
+    bits + EVAL_GUARD_BITS (_dyadic_table)."""
     P = bits + EVAL_GUARD_BITS
     rows, off = _dyadic_table(p, q, P)
     N = p.N

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qheun.roots as roots_mod
+from qheun import acceptance
 from qheun.errors import DomainError, MatchingError, PrecisionError
 from qheun.roots import (
     estimate_exponents,
@@ -434,6 +435,60 @@ def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4
     assert max(per_root) <= 20
 
 
+# Calls per find_spectral_roots solve at 512 bits, recorded with the
+# recursion loops on Dyadic and Box objects: (plain counts, Newton
+# evaluations per root), with the predictions as seeds and then without,
+# keyed by fixture and -log10 q.  Every root takes two certified counts.
+_SEARCH_CALLS = {
+    ("P1", 3): ((11, (5, 6, 7)), (9, (10, 12, 11))),
+    ("P1", 4): ((11, (5, 5, 6)), (9, (10, 11, 11))),
+    ("P1", 5): ((12, (4, 5, 6)), (10, (10, 14, 11))),
+    ("P1", 6): ((12, (4, 5, 6)), (10, (9, 13, 11))),
+    ("P2", 3): ((9, (6, 7)), (8, (10, 10))),
+    ("P2", 4): ((9, (6, 6)), (8, (9, 10))),
+    ("P2", 5): ((10, (5, 6)), (9, (8, 10))),
+    ("P2", 6): ((10, (5, 6)), (9, (10, 10))),
+    ("P3", 3): ((8, (10, 7)), (7, (10, 10))),
+    ("P3", 4): ((9, (10, 7)), (8, (10, 10))),
+    ("P3", 5): ((9, (10, 7)), (8, (10, 10))),
+    ("P3", 6): ((9, (10, 6)), (8, (10, 10))),
+    ("P4", 3): ((10, (10, 9, 9, 9)), (9, (10, 9, 9, 9))),
+    ("P4", 4): ((10, (10, 9, 9, 9)), (9, (10, 9, 9, 9))),
+    ("P4", 5): ((10, (10, 9, 8, 10)), (9, (10, 9, 8, 10))),
+    ("P4", 6): ((10, (10, 8, 8, 10)), (9, (10, 8, 8, 10))),
+}
+
+
+def test_the_search_makes_the_recorded_calls(monkeypatch):
+    # the same counts and Newton steps as the object loops made: the
+    # kernels moved no point of the search, not only no root
+    calls = {name: 0 for name in ("_count", "_certified_count", "_newton_eval")}
+    for name in calls:
+        def counting(*args, _f=getattr(roots_mod, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(roots_mod, name, counting)
+    spectral_root, per_root = roots_mod._spectral_root, []
+
+    def counting_root(*args):
+        before = dict(calls)
+        out = spectral_root(*args)
+        per_root.append((calls["_certified_count"] - before["_certified_count"],
+                         calls["_newton_eval"] - before["_newton_eval"]))
+        return out
+
+    monkeypatch.setattr(roots_mod, "_spectral_root", counting_root)
+    for (name, k), recorded in _SEARCH_CALLS.items():
+        p = getattr(acceptance, name)
+        preds = predict_roots(p, classify(p))
+        for seeds, (plain, newton) in zip((preds, None), recorded):
+            calls.update(dict.fromkeys(calls, 0))
+            per_root.clear()
+            find_spectral_roots(p, F(1, 10 ** k), 512, predictions=seeds)
+            assert (calls["_count"], per_root) == (plain, [(2, n) for n in newton]), (name, k, seeds)
+
+
 # ---------------------------------------------------------------------------
 # the roots from the recursion against independent oracles
 # ---------------------------------------------------------------------------
@@ -603,7 +658,7 @@ def test_certified_counts_certify_wherever_the_iv_reference_does(regime, seed, N
     boxes = recursion_boxes_at(p, q, prec)
     reference = _iv_ratio(p, q, prec)
     assert reference is None or all(A.lo > 0 and B.lo > 0 and D.lo > 0 for A, B, _, D in boxes)
-    ratio = roots_mod._ratio_rows(boxes)
+    ratio = roots_mod._ints(roots_mod._ratio_rows(boxes))
     points = []
     for r in roots:
         step = F(2) ** (abs(r).numerator.bit_length() - abs(r).denominator.bit_length() - 1 - bits)
@@ -620,3 +675,117 @@ def test_certified_counts_certify_wherever_the_iv_reference_does(regime, seed, N
             got = roots_mod._certified_count(ratio, Box.ratio(x.numerator, x.denominator, prec))
             assert got == want, x
     assert certified >= len(points) // 2
+
+
+# ---------------------------------------------------------------------------
+# the int kernels against the loops on Dyadic and Box objects they replaced
+# ---------------------------------------------------------------------------
+
+
+def _object_count(ratio, x: Dyadic) -> int:
+    above, s = 0, Dyadic(1, 0, x.P)
+    for B, C, G in ratio:
+        bx = B * x
+        s = bx + C - G / s
+        if s.m < 0:
+            above += 1
+        elif not s.m:
+            s = (abs(bx) + C).ldexp(-x.P)
+    return above
+
+
+def _object_certified_count(ratio, x: Box):
+    above, s = 0, 1
+    for B, C, G in ratio:
+        s = B * x + C - G / s
+        if s.hi < 0:
+            above += 1
+        elif not s.lo > 0:
+            return None
+    return above
+
+
+def _object_newton_eval(newton_rows, x: Dyadic):
+    zero, one = Dyadic(0, 0, x.P), Dyadic(1, 0, x.P)
+    c2, c1, d2, d1, m2, m1 = zero, one, zero, zero, zero, one
+    for b, g, e in newton_rows:
+        bx = b * x
+        f = bx + g
+        c1, c2 = f * c1 - e * c2, c1
+        d1, d2 = b * c2 + f * d1 - e * d2, d1
+        m1, m2 = (abs(bx) + g) * m1 + e * m2, m1
+    return c1, d1, Dyadic(m1.m * len(newton_rows), m1.e + 4 - x.P, x.P)
+
+
+def _object_rows(p, q, bits):
+    """The rows find_spectral_roots gives the plain counts, Newton and the
+    certified counts at ``bits``, as Dyadic and Box objects."""
+    prec = bits + EVAL_GUARD_BITS
+    with mpmath.workprec(prec):
+        rows = roots_mod.recursion_rows_at(p, q, prec)
+        plain = roots_mod._dyadic_rows(roots_mod._ratio_rows(rows), prec)
+        newton = roots_mod._newton_rows(roots_mod._dyadic_rows(rows, prec))
+    return plain, newton, roots_mod._ratio_rows(recursion_boxes_at(p, q, prec))
+
+
+def _assert_kernels_equal_the_object_loops(p, q, bits, points):
+    """At each Fraction point, as Dyadic and as Box, the three kernels on
+    the flat rows return what the object loops return on the objects."""
+    prec = bits + EVAL_GUARD_BITS
+    plain, newton, boxes = _object_rows(p, q, bits)
+    flat_plain, flat_newton, flat_boxes = map(roots_mod._ints, (plain, newton, boxes))
+    for x in points:
+        box = Box.ratio(x.numerator, x.denominator, prec)
+        d = Dyadic(box.lo, box.e, prec)
+        assert roots_mod._count(flat_plain, d) == _object_count(plain, d), x
+        assert roots_mod._certified_count(flat_boxes, box) == _object_certified_count(boxes, box), x
+        got, want = roots_mod._newton_eval(flat_newton, d), _object_newton_eval(newton, d)
+        assert [(v.m, v.e, v.P) for v in got] == [(v.m, v.e, v.P) for v in want], x
+    # a box that holds 0 takes the mixed-sign branch of the product
+    for box in (Box(-1, 1, -prec, prec), Box(-3, 2 ** 20, -prec, prec)):
+        assert roots_mod._certified_count(flat_boxes, box) == _object_certified_count(boxes, box)
+
+
+@functools.cache
+def _kernel_case(name, q):
+    p = getattr(acceptance, name) if name.startswith("P") else sample_params(
+        name[:3], random.Random(12), N=int(name[4:]))
+    roots = [roots_mod._mpf_to_fraction(r) for r in find_spectral_roots(p, q, 512)[0]]
+    return p, roots
+
+
+@pytest.mark.parametrize("bits", [512, 4096])
+@pytest.mark.parametrize("q", [F(1, 1000), F(1, 10 ** 6)], ids=["q1e-3", "q1e-6"])
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4"] + [
+    f"{r}-{N}" for N in (12, 24, 48) for r in ("R31", "R32", "R33")])
+def test_the_kernels_equal_the_object_loops(name, q, bits):
+    # one grid step of 2^-bits either side of up to six roots spread over
+    # all of them, random points near and between the roots, their
+    # negatives and 0
+    p, roots = _kernel_case(name, q)
+    rnd = random.Random(bits)
+    points = [F(0)]
+    for r in roots[:: -(-len(roots) // 6)]:
+        step = F(2) ** (abs(r).numerator.bit_length() - abs(r).denominator.bit_length() - 1 - bits)
+        points += [r - step, r + step]
+    for _ in range(4):
+        r = rnd.choice(roots)
+        near = r * (1 + rnd.choice([-1, 1]) * F(1, 2 ** rnd.randint(1, bits)))
+        between = (r + rnd.choice(roots)) * F(rnd.randint(1, 2 ** 20), 2 ** 21)
+        points += [near, between, -near, -between]
+    _assert_kernels_equal_the_object_loops(p, q, bits, points)
+
+
+def test_the_kernels_equal_the_object_loops_where_s_1_is_zero():
+    # the N = 0 set of test_an_exact_root_on_the_bisection_grid_is_returned_exactly:
+    # at the Dyadic next to -C_1/B_1 where B_1 x + C_1 truncates to exactly
+    # 0, the plain count moves s_1 off zero; at the exact root the
+    # certified count is None
+    p = derive(-4, -1, F(7, 6), 2, 0, F(-17, 3), F(-1, 2), F(1, 2), 2)
+    q, prec = F(1, 10 ** 6), 512 + EVAL_GUARD_BITS
+    (root,) = (roots_mod._mpf_to_fraction(r) for r in find_spectral_roots(p, q, 512)[0])
+    ((B, C, _),), _, boxes = _object_rows(p, q, 512)
+    E = Dyadic(-C.m, C.e, prec) / B
+    zero = next(x for x in (Dyadic(E.m + k, E.e, prec) for k in range(-4, 5)) if not (B * x + C).m)
+    _assert_kernels_equal_the_object_loops(p, q, 512, [zero.to_fraction(), root])
+    assert _object_certified_count(boxes, Box.ratio(root.numerator, root.denominator, prec)) is None

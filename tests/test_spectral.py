@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
@@ -22,7 +23,6 @@ from qheun.spectral import (
     recursion_boxes_at,
     recursion_rows_at,
     residual_check,
-    series_coefficient_values,
     spectral_polynomial,
 )
 from qheun.roots import find_spectral_roots
@@ -44,6 +44,20 @@ def test_derive_p1(p1):
 def test_derive_p2(p2):
     assert p2.lambda1 == -1
     assert p2.N == 1
+
+
+def test_equal_parameter_sets_hash_equal(p1, p4):
+    # the hash, computed once per instance, is the hash of the fields, so
+    # a set re-derived through with_value is equal, hashes equal and hits
+    # the memoised rows of the original
+    q, prec = F(1, 1000), 512 + EVAL_GUARD_BITS
+    for p in (p1, p4, sample_params("R32", random.Random(12), N=12)):
+        moved = p.with_value("t1", 2 * p.t1)
+        back = moved.with_value("t1", p.t1)
+        assert back == p and back is not p and moved != p
+        assert hash(back) == hash(p) == hash(tuple(getattr(p, f.name) for f in fields(p)))
+        assert hash(moved) == hash(tuple(getattr(moved, f.name) for f in fields(moved)))
+        assert recursion_rows_at(back, q, prec) is recursion_rows_at(p, q, prec)
 
 
 def test_derive_rejects_noninteger_n():
@@ -253,6 +267,25 @@ def test_exact_build_pinned(n8_sets):
 # ---------------------------------------------------------------------------
 # exact/numeric consistency
 # ---------------------------------------------------------------------------
+
+
+def series_coefficient_values(p, E0, q, bits=512):
+    """c_0(E0) .. c_{N+1}(E0) by the forward recursion on recursion_rows_at's
+    rows in fixed precision: the reference of the rows and of the twisted
+    solve.  A_n > 0 throughout (q in (0,1), n >= 1, beta < 1), so the
+    division is always defined."""
+    rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
+    with mpmath.workprec(bits + EVAL_GUARD_BITS):
+        E0v = to_mpf(E0)
+        cs = [mpmath.mpf(1)]
+        cm2, cm1 = mpmath.mpf(0), mpmath.mpf(1)
+        for Av, Bv, Cv, Dv in rows:
+            assert Av != 0, "A row vanished; outside the validated domain"
+            cn = ((Bv * E0v + Cv) * cm1 - Dv * cm2) / Av
+            cs.append(cn)
+            cm2, cm1 = cm1, cn
+    with mpmath.workprec(bits):
+        return [+c for c in cs]
 
 
 @pytest.mark.parametrize("bits", [192, 512])
