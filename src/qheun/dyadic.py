@@ -17,14 +17,16 @@ a change to an operation here must be made there too.
   residual of the series at a root, whose rounding need only be small
   against their 2^-P.
 * ``Box`` is an interval [lo 2^e, hi 2^e], cut outward: lo by floor
-  shifts and floor division, hi by ceiling ones.  Every operation returns
-  a box around every value it takes on its operand boxes, so an
-  expression evaluated on boxes around its exact inputs encloses its
-  exact value.  The certified counts use it, and their rows are Box
-  values (``spectral.recursion_boxes_at``).
+  shifts, hi by ceiling ones.  Every operation returns a box around every
+  value it takes on its operand boxes, so an expression evaluated on boxes
+  around its exact inputs encloses its exact value.  The fixed-q rows are
+  Box values (``spectral.recursion_boxes_at``), and so are the residual's
+  factors: the certified counts read the boxes, and every Dyadic use reads
+  their lower ends.  No src path divides boxes; the certified count's
+  kernel inlines its one division.
 * ``Box.qpow(x, mu, P)`` is a box around x^mu for rational x > 0 from an
   integer D-th root, so the recursion rows evaluated on it enclose the
-  rows of the exact q.
+  rows of the exact q, with no exp or log.
 """
 
 from __future__ import annotations
@@ -167,19 +169,6 @@ class Box:
             ps = [a * b for a in (self.lo, self.hi) for b in (o.lo, o.hi)]
             lo, hi = min(ps), max(ps)
         return Box(lo, hi, self.e + o.e, self.P)
-
-    def __truediv__(self, o) -> "Box":
-        o = self._box(o)
-        if o.hi < 0:
-            return -self / -o
-        if not o.lo > 0:
-            raise ZeroDivisionError("division by a box that holds 0")
-        # for a divisor above 0, the least quotient has the numerator's lo
-        # over hi if lo >= 0, else over lo; the greatest likewise
-        k = max(self.P + 1 + o.hi.bit_length() - min(self.lo.bit_length(), self.hi.bit_length()), 0)
-        lo = (self.lo << k) // (o.hi if self.lo >= 0 else o.lo)
-        hi = -(-(self.hi << k) // (o.lo if self.hi >= 0 else o.hi))
-        return Box(lo, hi, self.e - o.e - k, self.P)
 
 
 def _iroot(X: int, D: int) -> int:

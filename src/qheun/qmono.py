@@ -23,12 +23,13 @@ is built only when it is read.  ``terms_mul`` and ``terms_merge`` are the
 one product and the one merge; they work on term dicts keyed by packed
 keys, which the sums and the exact recursion share.
 
-All symbolic operations are exact; floating point enters only through
-``AtQ``, the one evaluator at fixed q, t1, t2.  It validates them once, and
-every q-power of the numeric layers comes from it: the image of the
-spectral polynomial, the numeric recursion, the residual, the root seeds
-and the matching ratios.  ``eval_terms`` evaluates one sum with it, and
-``eval_numeric`` is the extended-precision value of one sum.
+All symbolic operations are exact; floating point enters through ``AtQ``,
+the mpf evaluator at fixed q, t1, t2.  It validates them once, and the
+image of the spectral polynomial, the root seeds and the matching ratios
+take their q-powers from it; the recursion rows and the residual's factors
+take theirs from integer roots instead (``dyadic.Box.qpow``).
+``eval_terms`` evaluates one sum with it, and ``eval_numeric`` is the
+extended-precision value of one sum.
 """
 
 from __future__ import annotations

@@ -4,16 +4,18 @@ The roots of the spectral polynomial c_{N+1} at a fixed q come from its
 three-term recursion (``find_spectral_roots``): plain counts of the roots
 above a point isolate them, Newton on the recursion approximates them, and
 certified counts on boxes around the rows of the exact q certify them.
-The polynomial itself is never formed.  The three recursion loops
-(``_count``, ``_newton_eval``, ``_certified_count``) are inline kernels on
-CPython int locals, on rows flattened once per solve to int tuples
-(``_ints``), and each step repeats the qheun.dyadic operation it stands
-for: the plain counts and Newton that of Dyadic points truncated to the
-working precision, which only guide the search, and the certified counts
-that of Box intervals rounded outward, whose rows
-(spectral.recursion_boxes_at) are built once per parameter set, q and
-precision from integer enclosures of each q-power.  Newton's bracket loop
-runs on Dyadic objects.
+The polynomial itself is never formed.  One row table serves all three:
+the Box rows of spectral.recursion_boxes_at, built once per parameter set,
+q and precision from integer enclosures of each q-power; the plain counts
+and Newton read their lower ends as Dyadic points, the rows of the twisted
+solve (spectral._dyadic_table).  The three recursion loops (``_count``,
+``_newton_eval``, ``_certified_count``) are inline kernels on CPython int
+locals, on rows flattened once per solve to int tuples (``_ints``), and
+each step repeats the qheun.dyadic operation it stands for: the plain
+counts and Newton that of Dyadic points truncated to the working
+precision, which only guide the search, and the certified counts that of
+Box intervals rounded outward.  Newton's bracket loop runs on Dyadic
+objects.
 
 Each root is the point sign bisection to relative width 2^-bits would
 return, computed without running it (``_bisection_point``): the final
@@ -53,8 +55,8 @@ from .qmono import EVAL_GUARD_BITS, AtQ, as_fraction, to_mpf
 from .spectral import (  # noqa: F401 -- perfbench/tracing.py wraps spectral_polynomial here
     EPoly,
     HeunParams,
+    _dyadic_table,
     recursion_boxes_at,
-    recursion_rows_at,
     spectral_polynomial,
 )
 from .ultra import PredictedRoot
@@ -505,9 +507,10 @@ def _ratio_rows(rows) -> list:
     return out
 
 
-def _dyadic_rows(rows, P: int) -> list:
-    """mpf rows as exact Dyadic rows at P bits."""
-    return [tuple(Dyadic.of_mpf(v, P) for v in row) for row in rows]
+def _point_ratio_rows(rows, off) -> list:
+    """_ratio_rows of the point rows of spectral._dyadic_table, whose
+    off-diagonal products are G_2 .. G_{N+1}; G_1 = 0."""
+    return [(B, C, G) for (_, B, C, _), G in zip(rows, (Dyadic(0, 0, rows[0][1].P),) + off)]
 
 
 def _ints(rows) -> list:
@@ -737,7 +740,9 @@ def _certified_counter(p: HeunParams, q: Fraction, bits: int):
 
 def _gershgorin_bound(ratio):
     """A power of two above twice the Gershgorin bound of the symmetrised
-    Jacobi matrix: diagonal -C_n/B_n, off-diagonal sqrt(G_{n+1}/(B_n B_{n+1}))."""
+    Jacobi matrix: diagonal -C_n/B_n, off-diagonal sqrt(G_{n+1}/(B_n B_{n+1})),
+    in mpf from the Dyadic rows taken exactly."""
+    ratio = [tuple(v.to_mpf() for v in row) for row in ratio]
     off = [mpmath.mpf(0)]
     for (B0, _, _), (B1, _, G) in zip(ratio, ratio[1:]):
         off.append(mpmath.sqrt(G / (B0 * B1)))
@@ -749,7 +754,7 @@ def _gershgorin_bound(ratio):
 def _isolate_by_counts(ratio, seeds) -> list[tuple]:
     """Brackets (a, b, m), a < b of one sign, each holding one root of
     c_{N+1}, m the number of roots above b, sorted; by plain counts on the
-    mpf ``ratio`` rows taken exactly as Dyadic at the working precision.
+    Dyadic ``ratio`` rows at the working precision.
 
     The points are +-R (Gershgorin), 0, the largest R 2^(-2^j) of each sign
     with no root between it and 0, and the midpoints between consecutive
@@ -758,7 +763,7 @@ def _isolate_by_counts(ratio, seeds) -> list[tuple]:
     n = len(ratio)
     R = _gershgorin_bound(ratio)
     P = mpmath.mp.prec
-    flat = _ints(_dyadic_rows(ratio, P))
+    flat = _ints(ratio)
 
     def count(x) -> int:
         return _count(flat, Dyadic.of_mpf(x, P))
@@ -845,13 +850,13 @@ def find_spectral_roots(
     """
     q = as_fraction(q)
     prec = bits + EVAL_GUARD_BITS
-    rows = recursion_rows_at(p, q, prec)
+    rows, off = _dyadic_table(p, q, prec)
     count = _certified_counter(p, q, bits)
     seeds = _prediction_seeds(p, predictions, q) if predictions else ()
     with mpmath.workprec(prec):
-        newton_rows = _ints(_newton_rows(_dyadic_rows(rows, prec)))
+        newton_rows = _ints(_newton_rows(rows))
         roots = []
-        for a, b, m in _isolate_by_counts(_ratio_rows(rows), seeds):
+        for a, b, m in _isolate_by_counts(_point_ratio_rows(rows, off), seeds):
             inside = {s for s in seeds if a < s < b}
             start = Dyadic.of_mpf(inside.pop(), prec) if len(inside) == 1 else None
             roots.append(_spectral_root(newton_rows, count, a, b, m, bits, start))

@@ -24,14 +24,16 @@ polynomial: at each of its roots the series terminates at degree N and the
 truncated series solves the equation exactly.
 
 The rows are written once, in recursion_rows, and evaluated on QSums
-(recursion_coeff_rows), in mpf (recursion_rows_at) and in boxes
-(recursion_boxes_at).  The exact recursion and ultra's leading-term and
-s-polynomial runs share one loop, three_term.  Numerically the series at a
-root comes from a twisted solve of the recursion's tridiagonal system
-(coefficients_numeric), which keeps full precision where the forward
-recursion amplifies the root's rounding, and residual_check verifies it
-power by power of x against the operator's own factors; both run on
-dyadic.Dyadic ints and return mpf.
+(recursion_coeff_rows) and on boxes around the rows of the exact q
+(recursion_boxes_at), the one fixed-q row table; the point rows of the
+numerics are the boxes' lower ends (_dyadic_table).  The exact
+recursion and ultra's leading-term and s-polynomial runs share one loop,
+three_term.  Numerically the series at a root comes from a twisted solve of
+the recursion's tridiagonal system (coefficients_numeric), which keeps full
+precision where the forward recursion amplifies the root's rounding, and
+residual_check verifies it power by power of x against the operator's own
+factors, formed on boxes as well; both run on dyadic.Dyadic ints and return
+mpf.
 
 Division by A_n is not closed in the q-monomial ring, so exact coefficients
 are carried as EPoly: a numerator polynomial over a structured denominator
@@ -80,7 +82,6 @@ __all__ = [
     "coefficients_exact",
     "spectral_polynomial",
     "recursion_rows",
-    "recursion_rows_at",
     "recursion_boxes_at",
     "coefficients_numeric",
     "residual_check",
@@ -182,8 +183,8 @@ def recursion_rows(p: HeunParams, qv, t1v, t2v, qp) -> tuple:
     qv, t1v, t2v of q, t1, t2 and the q-power map ``qp``: mu -> q^mu.
 
     The one formula of the rows, evaluated literally: recursion_coeff_rows
-    runs it on QSums, recursion_rows_at in mpf and recursion_boxes_at in
-    boxes around the rows of the exact q."""
+    runs it on QSums and recursion_boxes_at in boxes around the rows of the
+    exact q."""
     lam = p.lambda1
     rows = []
     for n in range(1, p.N + 2):
@@ -390,27 +391,29 @@ def _check_q(q) -> None:
         raise DomainError(f"q must lie in (0,1), got {q}")
 
 
-@functools.lru_cache(maxsize=64)
-def recursion_rows_at(p: HeunParams, q, prec: int) -> tuple:
-    """The rows of recursion_rows at q in mpf at working precision ``prec``,
-    with q, t1, t2 and every q-power from AtQ.  The series, the plain root
-    counts and Newton read them.  Memoised per argument tuple."""
-    _check_q(q)
-    with mpmath.workprec(prec):
-        at = AtQ(q, p.t1, p.t2)
-        return recursion_rows(p, at.q, at.t1, at.t2, at.qpow)
+def _fixed_q_boxes(p: HeunParams, q: Fraction, prec: int) -> tuple:
+    """(qp, q, t1, t2): boxes at ``prec`` bits around q, t1, t2 and, by
+    qp: mu -> Box.qpow(q, mu, prec) memoised per table, every q-power."""
+    qp = functools.cache(lambda mu: Box.qpow(q, mu, prec))
+    return qp, qp(1), Box.qpow(p.t1, 1, prec), Box.qpow(p.t2, 1, prec)
 
 
 @functools.lru_cache(maxsize=64)
 def recursion_boxes_at(p: HeunParams, q: Fraction, prec: int) -> tuple:
     """The rows of recursion_rows as dyadic.Box intervals at ``prec`` bits
     that enclose the rows of the exact q: every q-power, q, t1 and t2 is a
-    box around its exact value (Box.qpow), and every operation rounds
-    outward.  The certified root counts read them.  Memoised per argument
+    box around its exact value (_fixed_q_boxes), and every operation rounds
+    outward.  The certified root counts read them, and their lower ends are
+    the point rows of the numerics (_dyadic_table).  Memoised per argument
     tuple."""
     _check_q(q)
-    qp = functools.cache(lambda mu: Box.qpow(q, mu, prec))
-    return recursion_rows(p, qp(1), Box.qpow(p.t1, 1, prec), Box.qpow(p.t2, 1, prec), qp)
+    qp, qv, t1v, t2v = _fixed_q_boxes(p, q, prec)
+    return recursion_rows(p, qv, t1v, t2v, qp)
+
+
+def _lower_ends(rows) -> tuple:
+    """Rows of boxes as the rows of their lower ends, Dyadic points."""
+    return tuple(tuple(Dyadic(b.lo, b.e, b.P) for b in row) for row in rows)
 
 
 def _pivots(a, off, P: int):
@@ -427,11 +430,12 @@ def _pivots(a, off, P: int):
 
 
 @functools.lru_cache(maxsize=64)
-def _dyadic_table(p: HeunParams, q, P: int) -> tuple:
-    """The rows of recursion_rows_at at P bits as exact Dyadic rows, and
-    A_{i+1} D_{i+2}, i = 0 .. N-1: the products of the off-diagonals
-    coupling i and i+1 in coefficients_numeric.  Memoised."""
-    rows = tuple(tuple(Dyadic.of_mpf(v, P) for v in row) for row in recursion_rows_at(p, q, P))
+def _dyadic_table(p: HeunParams, q: Fraction, P: int) -> tuple:
+    """The point rows at P bits, the lower ends of recursion_boxes_at's
+    rows as Dyadic, and A_{i+1} D_{i+2}, i = 0 .. N-1: the products of the
+    off-diagonals coupling i and i+1 in coefficients_numeric.  The plain
+    root counts and Newton read them too.  Memoised."""
+    rows = _lower_ends(recursion_boxes_at(p, q, P))
     return rows, tuple(rows[i][0] * rows[i + 1][3] for i in range(p.N))
 
 
@@ -452,6 +456,7 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     error of a rounded root.  The solve runs on Dyadic at
     bits + EVAL_GUARD_BITS (_dyadic_table)."""
     P = bits + EVAL_GUARD_BITS
+    q = as_fraction(q)
     rows, off = _dyadic_table(p, q, P)
     N = p.N
     with mpmath.workprec(P):
@@ -469,7 +474,7 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     with mpmath.workprec(bits):
         e0 = +to_mpf(E0)
         vals = (mpmath.mpf(1),) + tuple(+(zi / z[0]).to_mpf() for zi in z[1:])
-    return SeriesSolution(p.lambda1, vals, e0, as_fraction(q), p.t1, p.t2, bits)
+    return SeriesSolution(p.lambda1, vals, e0, q, p.t1, p.t2, bits)
 
 
 @functools.lru_cache(maxsize=64)
@@ -479,28 +484,26 @@ def _residual_constants(p: HeunParams, q: Fraction, bits: int) -> tuple:
         (a1 a2 q^-(lambda1+n), P b1 b2 q^(lambda1+n), -K),
         (-(a1+a2) q^-(lambda1+n), -P (b1+b2) q^(lambda1+n)),
         (q^-(lambda1+n), P q^(lambda1+n), -Q),
-    with q^(+-(lambda1+n)) by steps of q from one power each; formed at
-    bits + EVAL_GUARD_BITS and held as Dyadic.  Memoised."""
-    prec = bits + EVAL_GUARD_BITS
-    with mpmath.workprec(prec):
-        at = AtQ(q, p.t1, p.t2)
-        qp, t1v, t2v = at.qpow, at.t1, at.t2
-        a1, a2 = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
-        b1, b2 = qp(p.l1 - _HALF) * t1v, qp(p.l2 - _HALF) * t2v
-        P = qp(p.alpha1 + p.alpha2)
-        Q = qp(p.alpha1) + qp(p.alpha2)
-        K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
-            qp(p.beta / 2) + qp(-p.beta / 2)
-        ) * t1v * t2v
-        up, dn, qinv = qp(p.lambda1), qp(-p.lambda1), 1 / at.q
-        table = []
-        for _ in range(p.N + 1):
-            table.append(tuple(tuple(Dyadic.of_mpf(v, prec) for v in f) for f in (
-                (a1 * a2 * dn, P * b1 * b2 * up, -K),
-                (-(a1 + a2) * dn, -P * (b1 + b2) * up),
-                (dn, P * up, -Q),
-            )))
-            up, dn = up * at.q, dn * qinv
+    with q^(+-(lambda1+n)) by steps of q from one power each; formed on
+    boxes at bits + EVAL_GUARD_BITS from _fixed_q_boxes, like the rows, and
+    held as their lower ends.  Memoised."""
+    qp, qv, t1v, t2v = _fixed_q_boxes(p, q, bits + EVAL_GUARD_BITS)
+    a1, a2 = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
+    b1, b2 = qp(p.l1 - _HALF) * t1v, qp(p.l2 - _HALF) * t2v
+    P = qp(p.alpha1 + p.alpha2)
+    Q = qp(p.alpha1) + qp(p.alpha2)
+    K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
+        qp(p.beta / 2) + qp(-p.beta / 2)
+    ) * t1v * t2v
+    up, dn, qinv = qp(p.lambda1), qp(-p.lambda1), qp(-1)
+    table = []
+    for _ in range(p.N + 1):
+        table.append(_lower_ends((
+            (a1 * a2 * dn, P * b1 * b2 * up, -K),
+            (-(a1 + a2) * dn, -P * (b1 + b2) * up),
+            (dn, P * up, -Q),
+        )))
+        up, dn = up * qv, dn * qinv
     return tuple(table)
 
 

@@ -486,14 +486,17 @@ def test_verify_predicts_the_roots_once(tmp_path, monkeypatch, capsys):
 # were re-recorded when the refinement target went from 2^-(bits//2) to
 # 2^-bits, again when the residual became the per-power residual of the
 # twisted series, again when the twist row was chosen relative to its
-# row's scale, and again when the twisted solve and the residual moved
-# from mpf onto Dyadic ints with exact per-power sums; each time only the
-# residual column changed.
+# row's scale, again when the twisted solve and the residual moved
+# from mpf onto Dyadic ints with exact per-power sums, and again when the
+# series' rows and the residual's factors became the lower ends of boxes
+# built from Box.qpow instead of mpf exp/log values (before that: P1
+# 2b4cf8c1...931e, P2 0b25f651...c78b, P3 baca25c2...b234, P4
+# 6f36ccfe...6881); each time only the residual column changed.
 GOLDEN_CSV_SHA256 = {
-    ("verify", "P1"): "2b4cf8c1ba13166e43a8b5184e07e0b7e3dd93c42e6ab416d9970175dd90931e",
-    ("verify", "P2"): "0b25f65103495d16297d0589d49a4ce4aa7684cadb53abadfe72aa2ec695c78b",
-    ("verify", "P3"): "baca25c2ce2baa7f0e1a068e9708ca02e393d9a0bde680b315711204e9cbb234",
-    ("verify", "P4"): "6f36ccfe19b3e671df3f04289c36eca7872e415ceec01885088a6e92985f6881",
+    ("verify", "P1"): "61c901bf6695fe9a967e1aa0e70ae69475d2b09ef570ceec3eb006513f539f07",
+    ("verify", "P2"): "9e3fac9aa8933583a916594b3ac48aeaaa9da7df25f8600d6dc21000a09ad168",
+    ("verify", "P3"): "78a6ab9f22df6025467aeb5481435da6b23b55aecbee043da22acd7e809ca2f1",
+    ("verify", "P4"): "e5c79b0fe3e3e46a8006b2f18515ff750a6dea402fb0dc1cda0218e2de656514",
     ("roots", "P1"): "6aff24a2e1359f570c023baf92af23a656599935ae3786e03be5a14bbab5388c",
     ("roots", "P2"): "5ceb7884ea4caaed9cfcdae7c5b186346e7dde3b9fae117628f53e9be2f5195d",
     ("roots", "P3"): "afd3bf7f638eceabb51b930525d5bce82178aea40a14ad699ab172d842162b25",

@@ -694,10 +694,27 @@ def _object_count(ratio, x: Dyadic) -> int:
     return above
 
 
+def _box_div(x: Box, o) -> Box:
+    """x / o on boxes, rounded outward: the division step of the certified
+    count, which its kernel inlines; an int o is an exact point."""
+    if not isinstance(o, Box):
+        o = Box(o, o, 0, x.P)
+    if o.hi < 0:
+        return _box_div(-x, -o)
+    if not o.lo > 0:
+        raise ZeroDivisionError("division by a box that holds 0")
+    # for a divisor above 0, the least quotient has the numerator's lo
+    # over hi if lo >= 0, else over lo; the greatest likewise
+    k = max(x.P + 1 + o.hi.bit_length() - min(x.lo.bit_length(), x.hi.bit_length()), 0)
+    lo = (x.lo << k) // (o.hi if x.lo >= 0 else o.lo)
+    hi = -(-(x.hi << k) // (o.lo if x.hi >= 0 else o.hi))
+    return Box(lo, hi, x.e - o.e - k, x.P)
+
+
 def _object_certified_count(ratio, x: Box):
     above, s = 0, 1
     for B, C, G in ratio:
-        s = B * x + C - G / s
+        s = B * x + C - _box_div(G, s)
         if s.hi < 0:
             above += 1
         elif not s.lo > 0:
@@ -721,10 +738,9 @@ def _object_rows(p, q, bits):
     """The rows find_spectral_roots gives the plain counts, Newton and the
     certified counts at ``bits``, as Dyadic and Box objects."""
     prec = bits + EVAL_GUARD_BITS
-    with mpmath.workprec(prec):
-        rows = roots_mod.recursion_rows_at(p, q, prec)
-        plain = roots_mod._dyadic_rows(roots_mod._ratio_rows(rows), prec)
-        newton = roots_mod._newton_rows(roots_mod._dyadic_rows(rows, prec))
+    rows, off = roots_mod._dyadic_table(p, q, prec)
+    plain = roots_mod._point_ratio_rows(rows, off)
+    newton = roots_mod._newton_rows(rows)
     return plain, newton, roots_mod._ratio_rows(recursion_boxes_at(p, q, prec))
 
 
@@ -746,18 +762,27 @@ def _assert_kernels_equal_the_object_loops(p, q, bits, points):
         assert roots_mod._certified_count(flat_boxes, box) == _object_certified_count(boxes, box)
 
 
+#: P1-P4 and the seed-12 sets of each regime at N = 12, 24, 48
+NAMED_SETS = ["P1", "P2", "P3", "P4"] + [f"{r}-{N}" for N in (12, 24, 48) for r in ("R31", "R32", "R33")]
+
+
+def named_set(name):
+    """P1-P4 by name, or the seed-12 set of a regime and N named "R31-12"."""
+    if name.startswith("P"):
+        return getattr(acceptance, name)
+    return sample_params(name[:3], random.Random(12), N=int(name[4:]))
+
+
 @functools.cache
 def _kernel_case(name, q):
-    p = getattr(acceptance, name) if name.startswith("P") else sample_params(
-        name[:3], random.Random(12), N=int(name[4:]))
+    p = named_set(name)
     roots = [roots_mod._mpf_to_fraction(r) for r in find_spectral_roots(p, q, 512)[0]]
     return p, roots
 
 
 @pytest.mark.parametrize("bits", [512, 4096])
 @pytest.mark.parametrize("q", [F(1, 1000), F(1, 10 ** 6)], ids=["q1e-3", "q1e-6"])
-@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4"] + [
-    f"{r}-{N}" for N in (12, 24, 48) for r in ("R31", "R32", "R33")])
+@pytest.mark.parametrize("name", NAMED_SETS)
 def test_the_kernels_equal_the_object_loops(name, q, bits):
     # one grid step of 2^-bits either side of up to six roots spread over
     # all of them, random points near and between the roots, their

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from collections import Counter
@@ -9,23 +10,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qheun.spectral as spectral_mod
 from qheun.dyadic import Dyadic
 from qheun.errors import DomainError, ParameterError
 from qheun.qmono import EVAL_GUARD_BITS, EXACT_ZERO, AtQ, QSum, eval_numeric, qpow, to_mpf, ultradiscretize
 from qheun.sampling import sample_params
 from qheun.spectral import (
+    _dyadic_table,
     _power_residuals,
+    _residual_constants,
     _scaled,
     coefficients_exact,
     coefficients_numeric,
     derive,
     recursion_coeff_rows,
     recursion_boxes_at,
-    recursion_rows_at,
+    recursion_rows,
     residual_check,
     spectral_polynomial,
 )
 from qheun.roots import find_spectral_roots
+from test_roots import NAMED_SETS, named_set
 
 F = Fraction
 H = F(1, 2)
@@ -49,7 +54,7 @@ def test_derive_p2(p2):
 def test_equal_parameter_sets_hash_equal(p1, p4):
     # the hash, computed once per instance, is the hash of the fields, so
     # a set re-derived through with_value is equal, hashes equal and hits
-    # the memoised rows of the original
+    # the memoised row table of the original
     q, prec = F(1, 1000), 512 + EVAL_GUARD_BITS
     for p in (p1, p4, sample_params("R32", random.Random(12), N=12)):
         moved = p.with_value("t1", 2 * p.t1)
@@ -57,7 +62,7 @@ def test_equal_parameter_sets_hash_equal(p1, p4):
         assert back == p and back is not p and moved != p
         assert hash(back) == hash(p) == hash(tuple(getattr(p, f.name) for f in fields(p)))
         assert hash(moved) == hash(tuple(getattr(moved, f.name) for f in fields(moved)))
-        assert recursion_rows_at(back, q, prec) is recursion_rows_at(p, q, prec)
+        assert recursion_boxes_at(back, q, prec) is recursion_boxes_at(p, q, prec)
 
 
 def test_derive_rejects_noninteger_n():
@@ -269,6 +274,86 @@ def test_exact_build_pinned(n8_sets):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def recursion_rows_at(p, q, prec):
+    """The rows of recursion_rows at q in mpf at working precision ``prec``,
+    with q, t1, t2 and every q-power exp(mu log q) from AtQ: the oracle of
+    the Box-built row table, independent of Box.qpow.  Memoised."""
+    with mpmath.workprec(prec):
+        at = AtQ(q, p.t1, p.t2)
+        return recursion_rows(p, at.q, at.t1, at.t2, at.qpow)
+
+
+def _mpf_residual_constants(p, q, bits):
+    """The factors of _residual_constants in mpf at bits + EVAL_GUARD_BITS,
+    every q-power from AtQ and q^(+-(lambda1+n)) by steps of q and 1/q: its
+    oracle, independent of Box.qpow."""
+    with mpmath.workprec(bits + EVAL_GUARD_BITS):
+        at = AtQ(q, p.t1, p.t2)
+        qp, t1v, t2v = at.qpow, at.t1, at.t2
+        a1, a2 = qp(p.h1 + H) * t1v, qp(p.h2 + H) * t2v
+        b1, b2 = qp(p.l1 - H) * t1v, qp(p.l2 - H) * t2v
+        P = qp(p.alpha1 + p.alpha2)
+        Q = qp(p.alpha1) + qp(p.alpha2)
+        K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
+            qp(p.beta / 2) + qp(-p.beta / 2)
+        ) * t1v * t2v
+        up, dn, qinv = qp(p.lambda1), qp(-p.lambda1), 1 / at.q
+        table = []
+        for _ in range(p.N + 1):
+            table.append((
+                (a1 * a2 * dn, P * b1 * b2 * up, -K),
+                (-(a1 + a2) * dn, -P * (b1 + b2) * up),
+                (dn, P * up, -Q),
+            ))
+            up, dn = up * at.q, dn * qinv
+    return table
+
+
+@pytest.mark.parametrize("prec", [512 + EVAL_GUARD_BITS, 1024 + EVAL_GUARD_BITS])
+@pytest.mark.parametrize("q", [F(1, 1000), F(1, 10 ** 6)], ids=["q1e-3", "q1e-6"])
+@pytest.mark.parametrize("name", NAMED_SETS)
+def test_point_rows_and_residual_constants_match_the_mpf_oracles(name, q, prec):
+    # every point row and every residual factor, the lower end of a box
+    # built from Box.qpow, lies within 2^-(prec-8) of itself of its
+    # exp/log-built oracle.  exp(mu log q) carries the rounding of log q
+    # times |mu log q|, up to 2^11 units here, so the oracles run with
+    # EVAL_GUARD_BITS more bits; the boxes' steps by q and 1/q in the
+    # residual factors drift by up to 2^7 units at N = 48
+    p = named_set(name)
+    bits = prec - EVAL_GUARD_BITS
+    pairs = [(got, want) for got_row, want_row in zip(
+        _dyadic_table(p, q, prec)[0], recursion_rows_at(p, q, prec + EVAL_GUARD_BITS))
+        for got, want in zip(got_row, want_row)]
+    for got_n, want_n in zip(_residual_constants(p, q, bits), _mpf_residual_constants(p, q, prec)):
+        for got_f, want_f in zip(got_n, want_n):
+            pairs += zip(got_f, want_f)
+    assert len(pairs) == 4 * (p.N + 1) + 8 * (p.N + 1)
+    with mpmath.workprec(2 * prec):
+        for got, want in pairs:
+            assert got.P == prec
+            assert abs(got.to_mpf() - want) <= mpmath.ldexp(abs(want), 8 - prec), (got, want)
+
+
+def test_p4_roots_series_and_residual_take_no_exp_or_log(p4, monkeypatch):
+    # the fixed-q tables come from Box.qpow's integer roots: finding the
+    # roots without predictions and checking each by its series and
+    # residual builds no AtQ and calls neither exp nor log, at a q no other
+    # test uses, so that no table is memoised already
+    def refused(*args, **kwargs):
+        raise AssertionError("an exp/log evaluation at fixed q")
+
+    gate = mpmath.mpf(10) ** -30
+    monkeypatch.setattr(AtQ, "__init__", refused)
+    monkeypatch.setattr(mpmath, "exp", refused)
+    monkeypatch.setattr(mpmath, "log", refused)
+    q = F(1, 7919)
+    roots, _ = find_spectral_roots(p4, q, 512)
+    assert len(roots) == p4.N + 1
+    for E0 in roots:
+        assert residual_check(p4, coefficients_numeric(p4, E0, q, 512)) <= gate
+
+
 def series_coefficient_values(p, E0, q, bits=512):
     """c_0(E0) .. c_{N+1}(E0) by the forward recursion on recursion_rows_at's
     rows in fixed precision: the reference of the rows and of the twisted
@@ -322,25 +407,29 @@ def _abs_recursion(rows, x):
        st.integers(1, 10), st.integers(2, 12), st.integers(-60, 60), st.integers(0, 40),
        st.sampled_from([128, 512]))
 def test_numeric_rows_match_the_exact_image(regime, seed, N, m, k, e0, e0_exp, bits):
-    # the shared rows, in mpf and as boxes, against the exact rows
-    # evaluated at twice the precision; and c_0 .. c_{N+1} run on them
-    # against the exact polynomials' image, over N <= 8, q in [1e-12, 1e-1].
-    # A q-power exp(mu log q) carries the rounding of log q times |mu log q|
-    # (below 2^11 here), so the rows hold bits + EVAL_GUARD_BITS - 11 bits;
-    # a box encloses its exact row and is narrower than 2^-bits of it
+    # src's rows, as boxes and as the points the numerics read (the boxes'
+    # lower ends), and the tests' mpf oracle rows, against the exact rows
+    # evaluated at twice the precision; and c_0 .. c_{N+1} run on the
+    # oracle rows against the exact polynomials' image, over N <= 8, q in
+    # [1e-12, 1e-1].  A q-power exp(mu log q) carries the rounding of log q
+    # times |mu log q| (below 2^11 here), so the oracle rows hold
+    # bits + EVAL_GUARD_BITS - 11 bits; a box encloses its exact row and is
+    # narrower than 2^-bits of it
     p = sample_params(regime, random.Random(seed), N=N)
     q = F(m, 10 ** k)
     E0 = F(e0, 7) * 10 ** e0_exp
     rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
     boxes = recursion_boxes_at(p, q, bits + EVAL_GUARD_BITS)
+    points, _ = _dyadic_table(p, q, bits + EVAL_GUARD_BITS)
     polys, _ = coefficients_exact(p)
     numeric = series_coefficient_values(p, E0, q, bits=bits)
     with mpmath.workprec(2 * bits):
         for n in range(1, p.N + 2):
             exact = recursion_coeff_rows(p, n)
-            for v, box, row in zip(rows[n - 1], boxes[n - 1], exact):
+            for v, point, box, row in zip(rows[n - 1], points[n - 1], boxes[n - 1], exact):
                 ref = eval_numeric(row, q, p.t1, p.t2, bits=2 * bits)
                 assert abs(v - ref) <= mpmath.mpf(2) ** -bits * abs(ref)
+                assert abs(point.to_mpf() - ref) <= mpmath.mpf(2) ** -bits * abs(ref)
                 slack = mpmath.mpf(2) ** -(2 * bits - 32) * abs(ref)
                 lo, hi = (mpmath.ldexp(m, box.e) for m in (box.lo, box.hi))
                 assert lo - slack <= ref <= hi + slack
@@ -572,15 +661,24 @@ def test_twisted_vector_is_the_eigenvector_to_working_precision(p1, p2, p3, p4, 
                 assert all(abs(g - w) <= mpmath.mpf(2) ** -448 * abs(w) for g, w in zip(got, want))
 
 
-def test_twisted_solve_survives_a_zero_pivot(p1):
+def test_twisted_solve_survives_a_zero_pivot(p1, monkeypatch):
     # at the E0 next to -C_1 / B_1 where the first forward pivot
-    # B_1 E0 + C_1 truncates to exactly 0 at the working precision, the
+    # B_1 E0 + C_1 truncates to exactly 0 on the rows the solve reads, the
     # solve stays finite, and E0 is no root
     q, P = F(1, 1000), 512 + EVAL_GUARD_BITS
-    _, B, C, _ = (Dyadic.of_mpf(v, P) for v in recursion_rows_at(p1, q, P)[0])
+    _, B, C, _ = _dyadic_table(p1, q, P)[0][0]
     E = Dyadic(-C.m, C.e, P) / B
     E0 = next(x for x in (Dyadic(E.m + k, E.e, P) for k in range(-4, 5)) if not (B * x + C).m)
+    seen = []
+
+    def pivots(a, off, P):
+        seen.append(a[0])
+        return real_pivots(a, off, P)
+
+    real_pivots = spectral_mod._pivots
+    monkeypatch.setattr(spectral_mod, "_pivots", pivots)
     sol = coefficients_numeric(p1, E0.to_fraction(), q, 512)
+    assert seen and not seen[0].m  # the forward run's first pivot is that zero
     assert all(mpmath.isfinite(c) for c in sol.coeffs)
     assert residual_check(p1, sol) > mpmath.mpf(10) ** -30
 
@@ -622,23 +720,13 @@ def _mpf_coefficients_numeric(p, E0, q, bits):
 
 
 def _mpf_power_residuals(p, coeffs, E0, q, bits):
+    table = _mpf_residual_constants(p, q, bits)
     with mpmath.workprec(bits + EVAL_GUARD_BITS):
-        at = AtQ(q, p.t1, p.t2)
-        qp, t1v, t2v = at.qpow, at.t1, at.t2
-        a1, a2 = qp(p.h1 + H) * t1v, qp(p.h2 + H) * t2v
-        b1, b2 = qp(p.l1 - H) * t1v, qp(p.l2 - H) * t2v
-        P = qp(p.alpha1 + p.alpha2)
-        Q = qp(p.alpha1) + qp(p.alpha2)
-        K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
-            qp(p.beta / 2) + qp(-p.beta / 2)) * t1v * t2v
-        factors = ((a1 * a2, P * b1 * b2, -K), (-(a1 + a2), -P * (b1 + b2), -to_mpf(E0)),
-                   (mpmath.mpf(1), P, -Q))
-        up, dn, qinv = qp(p.lambda1), qp(-p.lambda1), 1 / at.q
+        mE = -to_mpf(E0)
         terms = [[] for _ in range(p.N + 3)]
-        for n, c in enumerate(coeffs):
-            for j, (u, v, w) in enumerate(factors):
-                terms[n + j] += (c * u * dn, c * v * up, c * w)
-            up, dn = up * at.q, dn * qinv
+        for n, (c, (f0, f1, f2)) in enumerate(zip(coeffs, table)):
+            for j, f in enumerate((f0, f1 + (mE,), f2)):
+                terms[n + j] += [c * u for u in f]
         out = []
         for ts in terms:
             scale = mpmath.fsum(ts, absolute=True)
