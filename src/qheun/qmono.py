@@ -20,8 +20,11 @@ Every sum is kept in integer form: one scale ``D`` (exponents are
 multiples of 1/D) and the terms as (packed key, coefficient) pairs, sorted
 by key; see ``pack_key``.  The Fraction ``QMonomial`` tuple ``QSum.terms``
 is built only when it is read.  ``terms_mul`` and ``terms_merge`` are the
-one product and the one merge; they work on term dicts keyed by packed
-keys, which the sums and the exact recursion share.
+product and the merge of the sums, on term dicts keyed by packed keys.
+The exact recursion runs on ``Packed``, Kronecker substitution on CPython
+ints: each t-monomial's polynomial in q^(1/D) is one int with a w-bit digit
+per exponent, a row product is a sum of shifted copies, and a merge gives
+terms_merge's events; its results are decoded to the sums' items.
 
 All symbolic operations are exact; floating point enters through ``AtQ``,
 the mpf evaluator at fixed q, t1, t2.  It validates them once, and the
@@ -37,9 +40,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import Iterable, Sequence, Union
 
 import mpmath
@@ -60,6 +65,7 @@ __all__ = [
     "unpack_key",
     "terms_merge",
     "terms_mul",
+    "Packed",
     "leading_part",
     "equiv_sim",
     "equiv_approx",
@@ -138,12 +144,13 @@ def _check_t_range(keys) -> None:
         raise AssertionError(f"a t-power outside the packed range [-{T_LIMIT}, {T_LIMIT})")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class QMonomial:
     """A single term coeff * t1^t1pow * t2^t2pow * q^qexp.
 
     Field order makes the natural sort key (qexp, t1pow, t2pow).  A
-    normalized monomial has coeff != 0; QSum enforces this.
+    normalized monomial has coeff != 0; QSum enforces this.  Slotted: a
+    QSum's terms hold one per term.
     """
 
     qexp: Fraction
@@ -154,6 +161,11 @@ class QMonomial:
 
 #: Multiplicative unit monomial, also the default EPoly denominator.
 UNIT_MONOMIAL = QMonomial(Fraction(0), 0, 0, Fraction(1))
+
+#: e, den -> Fraction(e, den), shared by QSum.terms across sums.
+_exponent = functools.lru_cache(maxsize=4096)(Fraction)
+#: The slot setters of QMonomial's fields, which QSum.terms calls directly.
+_MONOMIAL_SETTERS = tuple(getattr(QMonomial, f).__set__ for f in QMonomial.__slots__)
 
 
 @dataclass(frozen=True)
@@ -234,17 +246,24 @@ class QSum:
 
     @property
     def terms(self) -> tuple[QMonomial, ...]:
-        """The sorted QMonomials, with Fraction exponents and coefficients."""
+        """The sorted QMonomials, with Fraction exponents and coefficients.
+        Each is built by its slot setters, without the dataclass __init__."""
         terms = self._terms
         if terms is None:
-            den, out, last, fractions = self.den, [], None, {}
+            den, out, last, fractions, new = self.den, [], None, {}, object.__new__
+            set_mu, set_a, set_b, set_c = _MONOMIAL_SETTERS
             for k, c in self.items:
-                e, a, b = unpack_key(k)
-                if e != last:
-                    last, mu = e, Fraction(e, den)
+                z = k + _BIAS
+                if (e := z >> _W2) != last:
+                    last, mu = e, _exponent(e, den)
                 if type(c) is not Fraction:
                     c = fractions.get(c) or fractions.setdefault(c, Fraction(c))
-                out.append(QMonomial(mu, a, b, c))
+                m = new(QMonomial)
+                set_mu(m, mu)
+                set_a(m, ((z >> _W) & _MASK) - T_LIMIT)
+                set_b(m, (z & _MASK) - T_LIMIT)
+                set_c(m, c)
+                out.append(m)
             terms = self._terms = tuple(out)
         return terms
 
@@ -339,9 +358,12 @@ class QSum:
         den = math.lcm(self.den, m.qexp.denominator)
         items = self.at_scale(den)
         shift = -pack_key(m.qexp.numerator * (den // m.qexp.denominator), m.t1pow, m.t2pow)
-        _check_t_range(k + shift for k, _ in items)
-        c = m.coeff
-        return QSum._packed(den, tuple((k + shift, v if c == 1 else v / c) for k, v in items))
+        keys = list(map(shift.__add__, map(operator.itemgetter(0), items)))
+        _check_t_range(keys)
+        vals = map(operator.itemgetter(1), items)
+        if m.coeff != 1:
+            vals = map(operator.truediv, vals, repeat(m.coeff))
+        return QSum._packed(den, tuple(zip(keys, vals)))
 
     def __repr__(self) -> str:
         if not self.items:
@@ -443,6 +465,165 @@ def qsum_merge(
     den = math.lcm(*(a.den for a in parts))
     merged, events = terms_merge([dict(a.at_scale(den)) for a in parts], site, den)
     return QSum.from_term_dict(merged, den), events
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-packed polynomials
+#
+# The exact recursion holds a sum at scale D as an entry dict: t-key
+# pack_key(0, a, b) -> (e0, V), the terms t1^a t2^b q^(e/D), e >= e0, as one
+# int V = sum c_e 2^(w (e - e0)) whose signed w-bit digits are the
+# coefficients of consecutive exponents (q^(1/D) -> 2^w).  Every digit the
+# recursion forms has |c| < 2^(w-1), so with H = 2^(w-1) in each digit,
+# V + H has the digits c + 2^(w-1) in [1, 2^w): none borrows from the next.
+# An entry is normal: its digit at e0 is nonzero.
+# ---------------------------------------------------------------------------
+
+
+class Packed:
+    """Entry dicts at one digit width ``w``: row products, merges with
+    terms_merge's events, cuts and the decode to QSum items."""
+
+    def __init__(self, bound: int, den: int):
+        """w is the least multiple of 32 with 2^(w-2) > bound, the greatest
+        |digit|; events take their exponents at scale den."""
+        self.w = w = -(-(bound.bit_length() + 2) // 32) * 32
+        self.den, self.half, self.low = den, 1 << (w - 1), (1 << w) - 1
+        self.fmt = {32: "i", 64: "q"}.get(w) if sys.byteorder == "little" else None
+        self._H, self._steps = 0, []
+
+    def _h(self, nd: int) -> int:
+        """H over nd digits, cut from one grown by doubling."""
+        if nd * self.w > self._H.bit_length():
+            self._H = ((1 << 2 * nd * self.w) - 1) // self.low * self.half
+        return self._H & ((1 << nd * self.w) - 1)
+
+    def _digits(self, V: int, nd: int) -> tuple[int, int]:
+        """(z, m) for V over nd digits: z has each digit c as w-bit two's
+        complement, m the top bit of each nonzero one (SWAR: as |c| <
+        2^(w-1), c != 0 iff its low w-1 bits in z are not all 0)."""
+        H = self._h(nd)
+        z = (V + H) ^ H
+        lo = H - (H >> (self.w - 1))
+        return z, ((z & lo) + lo) & H
+
+    def digit(self, V: int) -> int:
+        """The lowest digit of V."""
+        return ((V + self.half) & self.low) - self.half
+
+    def _sum(self, vals: list):
+        """The normal (e0, V) of the sum of (e0, V) values; None for 0."""
+        e = min(e0 for e0, _ in vals)
+        S = sum(V << self.w * (e0 - e) for e0, V in vals)
+        if S & self.low:
+            return e, S
+        if not S:
+            return None
+        z = ((S & -S).bit_length() - 1) // self.w  # the zero low digits
+        return e + z, S >> self.w * z
+
+    def row(self, d: TermDict) -> list:
+        """A term dict as (t-key, e0, [(bit shift, coefficient)]) per t-key."""
+        groups: dict = {}
+        for k, c in d.items():
+            e = (k + _BIAS) >> _W2
+            groups.setdefault(k - (e << _W2), []).append((e, c))
+        return [(t, min(ts)[0], [(self.w * (e - min(ts)[0]), c) for e, c in ts]) for t, ts in groups.items()]
+
+    def mul(self, row: list, entry: dict) -> dict:
+        """row * entry: per pair of t-keys, a sum of shifted copies of V.
+        Like terms_mul, a slot that cancels inside the product is dropped."""
+        out: dict = {}
+        for tr, er, terms in row:
+            for tv, (ev, V) in entry.items():
+                P = 0
+                for s, c in terms:
+                    if c == 1:
+                        P += V << s
+                    elif c == -1:
+                        P -= V << s
+                    else:
+                        P += (V << s) * c
+                k, item = tr + tv, (er + ev, P)
+                if k in out and (item := self._sum([out[k], item])) is None:
+                    del out[k]
+                else:
+                    out[k] = item
+        _check_t_range(out)
+        return out
+
+    def merge(self, parts: Sequence[dict], site: str | None = None) -> tuple[dict, list]:
+        """Sum of entry dicts.  With a ``site``, terms_merge's events:
+        EXACT_ZERO per slot nonzero in some part and zero in the sum, in key
+        order, then SIGN_CONFLICT for a mixed-sign leading slice, read from
+        each t-key's digit at e0."""
+        out, shared, lost, w = dict(parts[0]), {}, [], self.w
+        for part in parts[1:]:
+            for k, v in part.items():
+                if k in out:
+                    shared.setdefault(k, [out[k]]).append(v)
+                else:
+                    out[k] = v
+        for k, vals in shared.items():
+            if site is not None:
+                e = min(e0 for e0, _ in vals)
+                at_e = [V << w * (e0 - e) for e0, V in vals]
+                nd = max(abs(x).bit_length() for x in at_e) // w + 1
+                gone = functools.reduce(operator.or_, (self._digits(x, nd)[1] for x in at_e))
+                gone &= ~self._digits(sum(at_e), nd)[1]
+                while gone:
+                    bit = gone & -gone
+                    lost.append((e + bit.bit_length() // w - 1, k))
+                    gone ^= bit
+            if (total := self._sum(vals)) is None:
+                del out[k]
+            else:
+                out[k] = total
+        if site is None:
+            return out, []
+        events = [CancellationEvent(site, Fraction(e, self.den), EXACT_ZERO) for e, _ in sorted(lost)]
+        if out:
+            lead = min(e0 for e0, _ in out.values())
+            if len({self.digit(V) > 0 for e0, V in out.values() if e0 == lead}) == 2:
+                events.append(CancellationEvent(site, Fraction(lead, self.den), SIGN_CONFLICT))
+        return out, events
+
+    def leading(self, d: dict) -> dict:
+        """The leading slice of a nonzero entry dict: each t-key's digit at
+        the least e0."""
+        lead = min(e0 for e0, _ in d.values())
+        return {k: (e0, self.digit(V)) for k, (e0, V) in d.items() if e0 == lead}
+
+    def cut(self, d: dict, top: int) -> dict:
+        """The terms of an entry dict at exponents e <= top."""
+        out = {}
+        for k, (e0, V) in d.items():
+            keep = top - e0 + 1
+            if keep > abs(V).bit_length() // self.w:
+                out[k] = e0, V
+            elif keep > 0:
+                H = self._h(keep)
+                out[k] = e0, ((V + H) & ((1 << self.w * keep) - 1)) - H
+        return out
+
+    def items(self, d: dict) -> tuple:
+        """The sorted (packed key, coefficient) items of an entry dict.  The
+        mask picks the nonzero digits: no Python loop visits a zero one."""
+        w, wb, out, steps = self.w, self.w // 8, [], self._steps
+        for t, (e0, V) in d.items():
+            nd = abs(V).bit_length() // w + 1
+            if nd > len(steps):  # the key steps i << _W2
+                steps = self._steps = [i << _W2 for i in range(2 * nd)]
+            z, m = self._digits(V, nd)
+            idx = compress(range(nd), (m >> (w - 1)).to_bytes(nd * wb, "little")[::wb])
+            z, base = z.to_bytes(nd * wb, "little"), (e0 << _W2) + t
+            if self.fmt:
+                z = memoryview(z).cast(self.fmt)
+                out += [(base + steps[i], z[i]) for i in idx]
+            else:
+                out += [(base + steps[i], int.from_bytes(z[i * wb:(i + 1) * wb], "little", signed=True)) for i in idx]
+        out.sort()
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .qmono import (
     EVAL_GUARD_BITS,
     AtQ,
     CancellationEvent,
+    Packed,
     QMonomial,
     QSum,
     TermDict,
@@ -67,8 +68,6 @@ from .qmono import (
     leading_part,
     pack_key,
     qpow,
-    terms_merge,
-    terms_mul,
     to_mpf,
 )
 
@@ -275,10 +274,12 @@ class EPoly:
 # ---------------------------------------------------------------------------
 # exact coefficient pipeline
 #
-# The recursion runs on term dicts keyed by packed integer keys at one scale
-# D = 2*lcm(parameter denominators), which clears every exponent the rows
-# can produce, with integer coefficients; see qmono.pack_key.  Its QSums
-# keep that integer form: no Fraction term is built unless .terms is read.
+# The recursion runs at one scale D = 2*lcm(parameter denominators), which
+# clears every exponent the rows can produce, with integer coefficients, on
+# qmono.Packed entry dicts: per t-monomial, the polynomial in q^(1/D) as
+# one int of w-bit digits.  Each level is decoded once to QSums, which keep
+# that integer form (qmono.pack_key): no Fraction term is built unless
+# .terms is read.
 # ---------------------------------------------------------------------------
 
 
@@ -308,25 +309,33 @@ def three_term(p: HeunParams, rows, entry) -> list[list[QSum]]:
 
         c_n[E^j] = B c_{n-1}[E^(j-1)] + C c_{n-1}[E^j] + R c_{n-2}[E^j]
 
-    on term dicts at the scale D of ``p``.  ``rows`` yields the QSum rows
-    (B, C, R) of n = 1, 2, ... (R = 0 drops its term), and
-    ``entry(parts, n, site, D)`` turns the nonzero products, in that
-    order, into the term dict of c_n[E^j], site "c{n}[E^{j}]"."""
+    on qmono.Packed entry dicts at the scale D of ``p``.  ``rows`` yields
+    the QSum rows (B, C, R) of n = 1, 2, ... (R = 0 drops its term), and
+    ``entry(parts, n, site, packed)`` turns the nonzero products, in that
+    order, into the entry dict of c_n[E^j], site "c{n}[E^{j}]".  The digit
+    width comes from M_n = (|B_n| + |C_n|) M_{n-1} + |R_n| M_{n-2}, |x| the
+    sum of x's absolute coefficients: M_n bounds every coefficient of every
+    product and partial sum of level n."""
     D = _scale_den(p)
-    levels: list[list[TermDict]] = [[{pack_key(0, 0, 0): 1}]]
+    rows = [[_scaled(x, D) for x in row] for row in rows]
+    M = [0, 1]
+    for B, C, R in rows:
+        M.append(sum(map(abs, [*B.values(), *C.values()])) * M[-1] + sum(map(abs, R.values())) * M[-2])
+    pk = Packed(max(M), D)
+    levels: list[list[dict]] = [[{pack_key(0, 0, 0): (0, 1)}]]
     for n, row in enumerate(rows, 1):
-        B, C, R = (_scaled(x, D) for x in row)
+        B, C, R = map(pk.row, row)
         prev = levels[n - 1]
-        new: list[TermDict] = []
+        new: list[dict] = []
         for j in range(n + 1):
-            parts = [terms_mul(B, prev[j - 1])] if j else []
+            parts = [pk.mul(B, prev[j - 1])] if j else []
             if j < n:
-                parts.append(terms_mul(C, prev[j]))
+                parts.append(pk.mul(C, prev[j]))
             if R and j <= n - 2:
-                parts.append(terms_mul(R, levels[n - 2][j]))
-            new.append(entry(parts, n, f"c{n}[E^{j}]", D))
+                parts.append(pk.mul(R, levels[n - 2][j]))
+            new.append(entry(parts, n, f"c{n}[E^{j}]", pk))
         levels.append(new)
-    return [[QSum.from_term_dict(d, D) for d in level] for level in levels]
+    return [[QSum._packed(D, pk.items(d)) for d in level] for level in levels]
 
 
 def _three_term_rows(p: HeunParams) -> list[tuple[QSum, QSum, QSum]]:
@@ -348,8 +357,8 @@ def coefficients_exact(p: HeunParams) -> tuple[list[EPoly], list[CancellationEve
     """
     events: list[CancellationEvent] = []
 
-    def entry(parts, n, site, D):
-        merged, found = terms_merge(parts, site, D)
+    def entry(parts, n, site, pk):
+        merged, found = pk.merge(parts, site)
         events.extend(found)
         return merged
 

@@ -55,11 +55,8 @@ from .errors import (
 from .qmono import (
     QMonomial,
     QSum,
-    leading_part,
-    terms_merge,
     to_mpf,
     ultradiscretize,
-    unpack_key,
 )
 from .spectral import EPoly, HeunParams, _three_term_rows, three_term
 from .spectral import spectral_polynomial  # noqa: F401 -- perfbench/tracing.py wraps it here
@@ -381,19 +378,19 @@ def leading_recursion(p: HeunParams, tag: CaseTag) -> list[EPoly]:
     if not tag.classified():
         raise RegimeError(f"leading recursion needs a classified tag, got {tag.regime}")
 
-    def entry(parts, n, site, D):
-        expected = unpack_key(min(map(min, parts)))[0]
-        merged, _ = terms_merge(parts)
-        if not merged or unpack_key(min(merged))[0] != expected:
+    def entry(parts, n, site, pk):
+        expected = min(e0 for part in parts for e0, _ in part.values())
+        merged, _ = pk.merge(parts)
+        lead = pk.leading(merged) if merged else {}
+        if not lead or next(iter(lead.values()))[0] != expected:
             raise CancellationError(n, site, f"leading-slice cancellation at step {n} ({site})")
-        total = QSum.from_term_dict(merged, D)
         try:
-            ultradiscretize(total)
+            ultradiscretize(QSum._packed(pk.den, pk.items(lead)))
         except SignIndefiniteError as exc:
             raise CancellationError(
                 n, site, f"mixed-sign leading slice at step {n} ({site}): {exc}"
             ) from exc
-        return dict(leading_part(total).items)
+        return lead
 
     def qsum_rows(e, c, r):
         minus_r = QSum.zero() if r is None else QSum.term(-1, -1, -1, r)
@@ -568,22 +565,34 @@ def _s_polynomial(p: HeunParams, g: Fraction) -> list[Fraction]:
     s^j term carries its total exponent.  gain[n], the least exponent steps
     n+1 .. N+1 can still add, is one B/C step plus gain[n+1] or one R step
     plus gain[n+2]; a term whose exponent plus gain[n] lies above the cut
-    gain[0] never reaches a total at or below it and is dropped.  When the
-    slice at the cut cancels, the run is repeated once without the cut."""
+    gain[0] never reaches a total at or below it and is dropped.  So is a
+    row term of step n whose exponent plus least[n-1] (least[n-2] for R),
+    the least exponent of c_{n-1}, plus gain[n] lies above the cut: the cut
+    would drop all its products.  When the slice at the cut cancels, the
+    run is repeated once on the full rows without the cut."""
     rows = [(B * QSum.term(1, qexp=g), C, R) for B, C, R in _three_term_rows(p)]
     gain = [Fraction(0)] * (len(rows) + 1)
     for n in range(len(rows) - 1, -1, -1):
         gain[n] = min([x.leading_exponent + gain[n + 1] for x in rows[n][:2] if x]
                       + [R.leading_exponent + gain[n + 2] for _, _, R in rows[n + 1:n + 2] if R])
+    least = [Fraction(0)] * (len(rows) + 1)
+    for n, (B, C, R) in enumerate(rows, 1):
+        least[n] = min([x.leading_exponent + least[n - 1] for x in (B, C) if x]
+                       + ([R.leading_exponent + least[n - 2]] if R else []))
 
-    def entry(parts, n, site, D):
-        merged, _ = terms_merge(parts)
-        top = math.inf if cut is None else math.floor((cut - gain[n]) * D)
-        return {k: c for k, c in merged.items() if unpack_key(k)[0] <= top}
+    def upto(x, top):
+        return QSum(t for t in x.terms if t.qexp <= top)
 
-    for cut in (gain[0], None):
+    cut_rows = [(upto(B, gain[0] - gain[n] - least[n - 1]), upto(C, gain[0] - gain[n] - least[n - 1]),
+                 upto(R, gain[0] - gain[n] - least[n - 2])) for n, (B, C, R) in enumerate(rows, 1)]
+
+    def entry(parts, n, site, pk):
+        merged, _ = pk.merge(parts)
+        return merged if cut is None else pk.cut(merged, math.floor((cut - gain[n]) * pk.den))
+
+    for cut, run in ((gain[0], cut_rows), (None, rows)):
         slices = defaultdict(Counter)
-        for j, c in enumerate(three_term(p, rows, entry)[-1]):
+        for j, c in enumerate(three_term(p, run, entry)[-1]):
             for t in c.terms:
                 slices[t.qexp][j] += t.coeff * p.t1 ** t.t1pow * p.t2 ** t.t2pow
         for coeffs in ({j: v for j, v in slices[x].items() if v} for x in sorted(slices)):

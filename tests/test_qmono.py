@@ -13,6 +13,8 @@ from qheun.qmono import (
     EVAL_MARGIN_BITS,
     T_LIMIT,
     AtQ,
+    CancellationEvent,
+    Packed,
     QMonomial,
     QSum,
     equiv_approx,
@@ -23,6 +25,7 @@ from qheun.qmono import (
     pack_key,
     qpow,
     qsum_merge,
+    terms_merge,
     terms_mul,
     ultradiscretize,
     unpack_key,
@@ -313,6 +316,13 @@ def test_products_and_divisions_never_wrap_a_t_field(field):
         terms_mul({key(3, L - 1): 1}, up)
     with pytest.raises(AssertionError, match="outside the packed range"):
         terms_mul({key(-3, -L): 1}, down)
+    # and so does the packed product
+    pk = Packed(1, 1)
+    for edge, step in (({key(3, L - 2): 1}, up), ({key(-3, -L + 1): 1}, down)):
+        got = pk.mul(pk.row(step), encode(pk, edge))
+        assert pk.items(got) == tuple(terms_mul(edge, step).items())
+        with pytest.raises(AssertionError, match="outside the packed range"):
+            pk.mul(pk.row(step), got)
     # division by a positive power gives negative t-powers down to -L
     s = QSum.term(3, qexp=F(1, 3)).div_monomial(mono(L - 1))
     assert keys(s) == [fields(1, -L + 1)]
@@ -385,3 +395,123 @@ def test_exact_coefficients_agree_with_their_terms(p1, p2, p3, p4):
                 if x:
                     assert leading_part(x).terms == leading_part(y).terms
                     assert x.div_monomial(ep.denom_monomial).terms == y.div_monomial(ep.denom_monomial).terms
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker-packed kernel against the term-dict kernel
+# ---------------------------------------------------------------------------
+
+
+def encode(pk, d):
+    """The entry dict of a term dict with int coefficients."""
+    groups = {}
+    for k, c in d.items():
+        e, a, b = unpack_key(k)
+        groups.setdefault(pack_key(0, a, b), {})[e] = c
+    return {t: (min(g), sum(c << pk.w * (e - min(g)) for e, c in g.items())) for t, g in groups.items()}
+
+
+def l1(*dicts):
+    return sum(abs(c) for d in dicts for c in d.values())
+
+
+def scaled(d, k):
+    """d with its coefficients times 2^k + 1: k = 0, 29, 61 and 100 put the
+    digits at 32, 64 and more than 64 bits."""
+    return {key: c * ((1 << k) + 1) for key, c in d.items()}
+
+
+def sorted_items(d):
+    return tuple(sorted(d.items()))
+
+
+# keys with negative t-fields; dense enough for collisions, and few enough
+# values for cancellations, inside a product and across parts
+packed_dicts = st.dictionaries(
+    st.builds(pack_key, st.integers(-5, 5), st.integers(-1, 1), st.integers(-1, 1)),
+    st.integers(-2, 2).filter(bool),
+    max_size=10,
+)
+scales = st.sampled_from([0, 29, 61, 100])
+
+
+@given(packed_dicts, scales)
+@settings(max_examples=200, deadline=None)
+def test_packed_decode_inverts_encode(d, k):
+    d = scaled(d, k)
+    pk = Packed(l1(d), 1)
+    assert pk.items(encode(pk, d)) == sorted_items(d)
+
+
+@given(packed_dicts, packed_dicts, scales)
+@settings(max_examples=300, deadline=None)
+def test_packed_product_equals_terms_mul(r, d, k):
+    d = scaled(d, k)
+    pk = Packed(l1(r) * l1(d), 1)
+    got = pk.mul(pk.row(r), encode(pk, d))
+    assert pk.items(got) == sorted_items(terms_mul(r, d))
+    assert all(V & pk.low for _, V in got.values())  # normal: a nonzero digit at e0
+
+
+@given(st.lists(packed_dicts, max_size=3), scales, st.sampled_from([1, 2, 6]))
+@settings(max_examples=300, deadline=None)
+def test_packed_merge_equals_terms_merge(parts, k, den):
+    # an empty part first, and last one that cancels every other term of
+    # the part before it, but for the other parts
+    cancel = {key: -c for key, c in list(parts[-1].items())[::2]} if parts else {}
+    parts = [scaled(d, k) for d in [{}, *parts, cancel]]
+    pk = Packed(l1(*parts), den)
+    merged, events = pk.merge([encode(pk, d) for d in parts], "site")
+    want, want_events = terms_merge(parts, "site", den)
+    assert pk.items(merged) == sorted_items(want)
+    assert events == want_events  # in order: EXACT_ZERO by key, then SIGN_CONFLICT
+    assert pk.merge([encode(pk, d) for d in parts])[0] == merged
+
+
+@given(packed_dicts, scales, st.integers(-10, 10))
+@settings(max_examples=200, deadline=None)
+def test_packed_cut_and_leading_slice_equal_the_dict_filters(d, k, top):
+    d = scaled(d, k)
+    pk = Packed(l1(d), 1)
+    enc = encode(pk, d)
+    assert pk.items(pk.cut(enc, top)) == tuple((key, c) for key, c in sorted_items(d) if unpack_key(key)[0] <= top)
+    if d:
+        assert pk.items(pk.leading(enc)) == leading_part(QSum.from_term_dict(d, 1)).items
+
+
+@pytest.mark.parametrize("w", [32, 64, 96, 128])
+def test_packed_digits_at_the_edge_of_the_width(w):
+    # the width leaves two bits over the bound; the decode, the mask, the
+    # cut and the leading slice are exact up to |c| = 2^(w-1) - 1
+    assert Packed((1 << (w - 2)) - 1, 1).w == w and Packed(1 << (w - 2), 1).w == w + 32
+    pk = Packed((1 << (w - 2)) - 1, 1)
+    edge = (1 << (w - 1)) - 1
+    d = {pack_key(e, a, -2): c for e, a, c in
+         [(-3, 1, edge), (-2, 1, -edge), (0, 1, 1), (4, 1, -edge), (0, -2, -edge), (1, -2, edge), (2, -2, -1)]}
+    enc = encode(pk, d)
+    assert pk.items(enc) == sorted_items(d)
+    for top in (-3, 0, 1, 3):
+        assert pk.items(pk.cut(enc, top)) == tuple((k, c) for k, c in sorted_items(d) if unpack_key(k)[0] <= top)
+    assert pk.items(pk.leading(enc)) == ((pack_key(-3, 1, -2), edge),)
+    assert [pk.digit(V) for _, V in enc.values()] == [edge, -edge]
+
+
+def test_a_cancellation_inside_one_product_is_no_event():
+    # (t1 + (q + q^2) t2)(q t2 - t1) has the t1 t2 terms q - q - q^2: the
+    # slot q^1 cancels inside the product.  The other part shares the t-key
+    # t1 t2, so the merge compares that t-key's slots, and q^1 is zero in
+    # every part: no event
+    r = {pack_key(0, 1, 0): 1, pack_key(1, 0, 1): 1, pack_key(2, 0, 1): 1}
+    d = {pack_key(1, 0, 1): 1, pack_key(0, 1, 0): -1}
+    pk = Packed(l1(r) * l1(d), 1)
+    prod = pk.mul(pk.row(r), encode(pk, d))
+    assert pk.items(prod) == sorted_items(terms_mul(r, d))
+    assert prod[pack_key(0, 1, 1)] == (2, -1)  # normal again, from e0 = 1
+    other = {pack_key(3, 1, 1): 1}
+    events = pk.merge([prod, encode(pk, other)], "site")[1]
+    assert events == terms_merge([terms_mul(r, d), other], "site")[1] == []
+    # across parts, a slot cancelling is an event
+    other = {pack_key(2, 1, 1): 1}
+    events = pk.merge([prod, encode(pk, other)], "site")[1]
+    assert events == terms_merge([terms_mul(r, d), other], "site")[1]
+    assert events == [CancellationEvent("site", F(2), EXACT_ZERO)]

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 import qheun.spectral as spectral_mod
 from qheun.dyadic import Dyadic
 from qheun.errors import DomainError, ParameterError
-from qheun.qmono import EVAL_GUARD_BITS, EXACT_ZERO, AtQ, QSum, eval_numeric, qpow, to_mpf, ultradiscretize
+from qheun.qmono import (EVAL_GUARD_BITS, EXACT_ZERO, AtQ, Packed, QSum, eval_numeric, pack_key, qpow,
+                         terms_merge, terms_mul, to_mpf, ultradiscretize)
 from qheun.sampling import sample_params
 from qheun.spectral import (
     _dyadic_table,
     _power_residuals,
     _residual_constants,
+    _scale_den,
     _scaled,
+    _three_term_rows,
     coefficients_exact,
     coefficients_numeric,
     derive,
@@ -267,6 +270,96 @@ def test_exact_build_pinned(n8_sets):
         )
         digest = hashlib.sha256(repr((levels, events)).encode()).hexdigest()
         assert digest == _EXACT_DIGESTS[regime], regime
+
+
+def dict_three_term(p, rows, entry):
+    """The oracle of three_term: its loop on term dicts, products by
+    terms_mul, as it ran before the packed kernel.  ``entry(parts, n, site,
+    D)`` gets the products as term dicts."""
+    D = _scale_den(p)
+    levels = [[{pack_key(0, 0, 0): 1}]]
+    for n, row in enumerate(rows, 1):
+        B, C, R = (_scaled(x, D) for x in row)
+        prev = levels[n - 1]
+        new = []
+        for j in range(n + 1):
+            parts = [terms_mul(B, prev[j - 1])] if j else []
+            if j < n:
+                parts.append(terms_mul(C, prev[j]))
+            if R and j <= n - 2:
+                parts.append(terms_mul(R, levels[n - 2][j]))
+            new.append(entry(parts, n, f"c{n}[E^{j}]", D))
+        levels.append(new)
+    return [[QSum.from_term_dict(d, D) for d in level] for level in levels]
+
+
+def dict_coefficients_exact(p):
+    """coefficients_exact's levels and events from dict_three_term."""
+    events = []
+
+    def entry(parts, n, site, D):
+        merged, found = terms_merge(parts, site, D)
+        events.extend(found)
+        return merged
+
+    return dict_three_term(p, _three_term_rows(p), entry), events
+
+
+def build_state(polys, events):
+    """Every level's (den, items) and the events, the exact build's whole
+    output in the integer form."""
+    return [[(c.den, c.items) for c in ep.coeffs] for ep in polys], [(e.site, e.qexp, e.kind) for e in events]
+
+
+def test_three_term_equals_the_dict_recursion(p1, p2, p3, p4):
+    rng = random.Random(20)
+    sampled = [sample_params(r, rng, N=n) for r in ("R31", "R32", "R33") for n in (2, 4, 6, 8)]
+    for p in [p1, p2, p3, p4, *sampled]:
+        levels, events = dict_coefficients_exact(p)
+        polys, got_events = coefficients_exact(p)
+        assert [[(c.den, c.items) for c in ep.coeffs] for ep in polys] == [
+            [(c.den, c.items) for c in level] for level in levels], p
+        assert got_events == events, p
+
+
+# sha256 over repr of build_state of coefficients_exact on the seed-12
+# N = 12 sets, whose digits are 64 bits wide, recorded with the term-dict
+# recursion (dict_three_term)
+_N12_DIGESTS = {
+    "R31": "00e60e57a468b9e4e15db96deb896ff3cd62a5a91a7a4237a938f68134b60f46",
+    "R32": "a0c9ef523bef1fd46eaa92159fe0c20fd32100ffd5d306f8b8ed8b559786288b",
+    "R33": "b8e1fac7129b5a5618b59aeb1cd4cfeebe7bc84c99d87c94249d5362ff25dde6",
+}
+
+
+def test_exact_build_pinned_at_n12(monkeypatch):
+    widths = []
+
+    class Spy(Packed):
+        def __init__(self, bound, den):
+            super().__init__(bound, den)
+            widths.append(self.w)
+
+    monkeypatch.setattr(spectral_mod, "Packed", Spy)
+    for regime, want in _N12_DIGESTS.items():
+        polys, events = coefficients_exact(sample_params(regime, random.Random(12), N=12))
+        assert hashlib.sha256(repr(build_state(polys, events)).encode()).hexdigest() == want, regime
+    assert widths == [64, 64, 64]
+
+
+def test_exact_build_is_the_same_at_any_digit_width(p1, p2, p3, p4, n8_sets, monkeypatch):
+    # the width only has to exceed the bound: at 100 more bits (w = 128 or
+    # more, the decode without a memoryview format) every output is the same
+    class Wide(Packed):
+        def __init__(self, bound, den):
+            super().__init__(bound << 100, den)
+            assert self.w > 64 and not self.fmt
+
+    for p in [p1, p2, p3, p4, n8_sets["R32"]]:
+        want = build_state(*coefficients_exact(p))
+        monkeypatch.setattr(spectral_mod, "Packed", Wide)
+        assert build_state(*coefficients_exact(p)) == want, p
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

@@ -575,6 +575,49 @@ def test_s_polynomial_skips_totals_that_cancel(p4, monkeypatch):
     assert len(runs) == 5
 
 
+# sha256 over repr of _s_polynomial on the seed-12 R32 sets at the balanced
+# exponent, recorded with the term-dict recursion and uncut rows
+_S_POLY_DIGESTS = {
+    12: "3520192d074a3d57d252d0691058fc51a38beed6b2e5974f9c51e56e7b6d7768",
+    24: "93987ea039eadfa9c9f8a3e5c0cbb7dcd83a0cdbd2a4e35fb495c4294d4d1ffa",
+    48: "c5cb350920f129e2922b786b1ee6cd9a2a8066e0cfdbfb22e8ba8a8c9641aaf7",
+}
+
+
+@pytest.mark.parametrize("N", sorted(_S_POLY_DIGESTS))
+def test_s_polynomial_pinned_past_n8(N, monkeypatch):
+    runs = _counting_runs(monkeypatch)
+    p = sample_params("R32", random.Random(12), N=N)
+    got = _s_polynomial(p, balanced_exponent(p))
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == _S_POLY_DIGESTS[N]
+    assert len(runs) == 1  # the slice lay at the cut
+
+
+def test_s_polynomial_cut_rows_give_the_cut_run_of_the_full_rows(p4, monkeypatch):
+    # the cut run's rows drop the terms all of whose products the cut
+    # drops: rerun on the full rows with the same entry, every level is the
+    # same
+    runs = []
+
+    def run(p, rows, entry):
+        levels = three_term(p, rows, entry)
+        g = balanced_exponent(p)
+        full = [(B * QSum.term(1, qexp=g), C, R) for B, C, R in spectral_mod._three_term_rows(p)]
+        size = sum(len(x) for row in rows for x in row), sum(len(x) for row in full for x in row)
+        runs.append((levels, three_term(p, full, entry), size))
+        return levels
+
+    monkeypatch.setattr(ultra_mod, "three_term", run)
+    dropped = []
+    for p in (p4, *_balanced_pair_sets(), sample_params("R32", random.Random(12), N=12)):
+        runs.clear()
+        _s_polynomial(p, balanced_exponent(p))
+        cut, full, (kept, total) = runs[0]
+        assert cut == full, p
+        dropped.append(total - kept)
+    assert all(dropped) and len(dropped) >= 7
+
+
 def test_s_polynomial_reruns_without_the_cut_when_the_cut_slice_is_empty(p4, monkeypatch):
     runs = _counting_runs(monkeypatch, last_level=lambda level: [QSum.zero()] * len(level))
     for p in (p4, *_balanced_pair_sets()[:2]):
