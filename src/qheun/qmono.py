@@ -320,7 +320,11 @@ class QSum:
             return self
         if not self.items:
             return other
-        return qsum_merge((self, other))[0]
+        den = math.lcm(self.den, other.den)
+        acc = dict(self.at_scale(den))
+        for k, c in other.at_scale(den):
+            acc[k] = acc.get(k, 0) + c
+        return QSum.from_term_dict({k: c for k, c in acc.items() if c}, den)
 
     def __radd__(self, other):
         if other == 0:  # allows sum(...)

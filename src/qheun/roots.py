@@ -17,20 +17,21 @@ precision, which only guide the search, and the certified counts that of
 Box intervals rounded outward.  Newton's bracket loop runs on Dyadic
 objects.
 
-Each root is the point sign bisection to relative width 2^-bits would
-return, computed without running it (``_bisection_point``): the final
-level of the bisection is read off the Newton approximation, certified
-counts at the grid points just outside its error bound certify that the
-root lies between them, and counts at the grid points between, usually
-none, place it.  A failed check falls back to bisection on the counts.
+Each returned root is the true root rounded to nearest at ``bits`` bits,
+ties to even, whatever the isolation points and seeds.  One routine,
+``_rounded_root``, serves both solvers: sides narrow the isolating
+bracket, at probes and then by halving, until one rounding cell holds it.
+Here the sides are certified counts and the probes r -+ t of a Newton
+approximation r with error estimate t: usually two counts per root.
 
 A polynomial given by its coefficients (``find_real_roots``, also bound as
 ``real_roots_of_rational_poly``) is solved exactly by Sturm isolation and
-sign bisection: its coefficients (mpf, which are dyadic rationals, or
-rationals) become Fractions, each member of its Sturm chain is scaled once
-to integer coefficients, and the one exact evaluator (``_sign_at``) gives
-the sign at x = u/v as the sign of sum n_i u^i v^(d-i).  A Sturm count
-short of the degree raises PrecisionError.
+the same rounding, every side an exact sign: its coefficients (mpf, which
+are dyadic rationals, or rationals) become Fractions, each member of its
+Sturm chain is scaled once to integer coefficients, and the one exact
+evaluator (``_sign_at``) gives the sign at x = u/v as the sign of
+sum n_i u^i v^(d-i).  A Sturm count short of the degree raises
+PrecisionError.
 
 Both isolators split brackets in one loop (``_split_brackets``): at the
 midpoint, nudged off roots, for Sturm variations, and at the geometric mean
@@ -212,117 +213,85 @@ def _isolate(chain: list[_IPoly], lo: Fraction, hi: Fraction) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# refinement: the point exact bisection returns, by bisection or computed
-# from a floating approximation and certified by exact sides
+# refinement: the root rounded to nearest at ``bits`` bits, by sides that
+# narrow its bracket until one rounding cell holds it
 # ---------------------------------------------------------------------------
 
 
-def _stops(A: int, B: int, V: int, bits: int) -> bool:
-    """The stop rule of bisection on (A/V, B/V): relative width 2^-bits,
-    absolute floor 2^-(2*bits) near zero."""
-    w = B - A
-    return w << bits <= max(abs(A), abs(B)) or w << (2 * bits) <= V
+def _cell(y: Fraction, bits: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(g, down, up): g is y rounded to nearest at ``bits`` bits, ties to
+    even, and down <= g <= up are the ends of the cell that rounds to g,
+    ties that round to g when its mantissa is even.  An end sits half a
+    spacing from g; at the bottom of a binade, where the spacing below
+    halves, the end below |g| sits a quarter spacing away.  0's cell is 0."""
+    n, d = abs(y.numerator), y.denominator
+    if not n:
+        return y, y, y
+    e = n.bit_length() - d.bit_length()
+    e -= (n << max(-e, 0)) < (d << max(e, 0))  # 2^e <= n/d < 2^(e+1)
+    s = e + 1 - bits  # the spacing 2^s of the binade [2^e, 2^(e+1))
+    num, den = (n << -s, d) if s < 0 else (n, d << s)
+    m, r = divmod(num, den)
+    m += 2 * r > den or 2 * r == den and m & 1  # to nearest, ties to even
+    if m >> bits:  # rounded up to 2^(e+1), the bottom of the next binade
+        m, s = m >> 1, s + 1
+    k, G = s - 2, m << 2  # g, up and down in units of 2^k
+    g, up, down = (Fraction(X << k) if k >= 0 else Fraction(X, 1 << -k)
+                   for X in (G, G + 2, G - (1 if m == 1 << (bits - 1) else 2)))
+    return (g, down, up) if y > 0 else (-g, -up, -down)
 
 
-def _bisect_exact(A: int, B: int, V: int, bits: int, side) -> Fraction:
-    """Bisect the one-signed bracket (A/V, B/V) until it stops, and return
-    the midpoint of the final bracket, or the midpoint hit that ended the
-    bisection.  ``side(M, W)`` says where the root lies against M/W: +1
-    above, -1 below, 0 exactly at it."""
-    while not _stops(A, B, V, bits):
-        M = A + B
-        if M & 1:
-            A, B, V = A << 1, B << 1, V << 1
+def _rounded_root(A: int, B: int, V: int, bits: int, side, probes=()) -> Fraction | None:
+    """The one root x in (A/V, B/V) rounded to nearest at ``bits`` bits,
+    ties to even (what ``+x`` gives at workprec(bits)), or None when an
+    end of the bracket that no side replaced fails its check at the end.
+
+    ``side(M, W)`` says where x lies against M/W: +1 above, -1 below, 0 at
+    it.  Each side narrows the bracket: at the ``probes`` (M, W) inside
+    it; once at 0 if the bracket reaches it, which keeps a root at 0 exact
+    and stops halving towards an end at 0 that does not hold x; at its
+    midpoint while it is wider than a rounding cell; then at the end of
+    its midpoint's cell (``_cell``) inside it, until one cell holds it.
+    A poor probe costs sides, never another path."""
+    A0, B0, V0 = A, B, V
+    moved = 0  # bit 1: a side replaced A, bit 2: B
+    todo = list(probes)[::-1]
+    zero = True
+    while True:
+        if todo:
+            M, W = todo.pop()
+            if not A * W < M * V < B * W:
+                continue
+        elif zero and A <= 0 <= B:
+            M, W, zero = 0, V, False
+        elif (B - A) << (bits - 1) > (A if A >= 0 else -B):
+            M = A + B
+            if M & 1:
+                A, B, V = A << 1, B << 1, V << 1
+            else:
+                M >>= 1
+            W = V
         else:
-            M >>= 1
-        s = side(M, V)
-        if s == 0:
-            return Fraction(M, V)
+            x, down, up = _cell(Fraction(A + B, V << 1), bits)
+            lo_in = down.numerator * V <= A * down.denominator
+            if lo_in and B * up.denominator <= up.numerator * V:
+                break
+            y = up if lo_in else down
+            M, W = y.numerator, y.denominator
+        s = side(M, W)
+        if not s:
+            x = _cell(Fraction(M, W), bits)[0]
+            break
+        if W != V:
+            L = math.lcm(V, W)
+            A, B, M, V = A * (L // V), B * (L // V), M * (L // W), L
         if s > 0:
-            A = M
+            A, moved = M, moved | 1
         else:
-            B = M
-    return Fraction(A + B, 2 * V)
-
-
-def _bisection_point(
-    A: int, B: int, V: int, bits: int, r: Fraction, t: Fraction, side
-) -> Fraction | None:
-    """The point ``_bisect_exact`` returns, computed directly from an
-    approximation r of the root with error estimate t; None when a check
-    fails.
-
-    Bisecting the one-signed bracket (a, b) = (A/V, B/V) k times leaves the
-    level-k bracket i, between the grid points (A 2^k + i W) / (V 2^k) and
-    the next, W = B - A.  Along a chain of nested brackets the stop rule,
-    once met, stays met (the width halves, max(|a|, |b|) at most halves),
-    so bisection stops at the first level K whose bracket holding the root
-    x meets it and returns its midpoint, or returns x itself if x is a grid
-    point of a level up to K.  K is read off r; exact signs at the level-K
-    grid points next to r - t and r + t certify that x lies between them,
-    and exact signs at the grid points between, if any, place x.
-    """
-    if _stops(A, B, V, bits):
-        return Fraction(A + B, 2 * V)
-    W = B - A
-
-    def stops(k: int, i: int) -> bool:
-        lo = (A << k) + i * W
-        return _stops(lo, lo + W, V << k, bits)
-
-    D = max(r.denominator, t.denominator)  # both are powers of two
-    R, T = r.numerator * (D // r.denominator), t.numerator * (D // t.denominator)
-    den = D * W
-
-    def offset(X: int) -> int:  # (X/D - a) / (b - a), times den
-        return X * V - A * D
-
-    # K: the first level at which the bracket holding r stops; the absolute
-    # floor holds for every bracket at level hi
-    lo, hi = 1, max(1, (W << 2 * bits).bit_length() - V.bit_length() + 1)
-    while lo < hi:
-        k = (lo + hi) // 2
-        i = min(max((offset(R) << k) // den, 0), (1 << k) - 1)
-        if stops(k, i):
-            hi = k
-        else:
-            lo = k + 1
-    K = lo
-
-    def at(i: int) -> int:  # side of x against level-K grid point i
-        return side((A << K) + i * W, V << K)
-
-    def hit(i: int) -> Fraction | None:
-        # x is grid point i: bisection probes it if a level-(K-1) bracket
-        # next to it has not stopped
-        if all(stops(K - 1, m >> 1) for m in (i - 1, i)):
-            return None
-        return Fraction((A << K) + i * W, V << K)
-
-    # the last grid point below r - t and the first above r + t hold x
-    # between them if the approximation holds; their exact signs certify
-    # that, and exact bisection between them places x
-    lo = min(max(-(-(offset(R - T) << K) // den) - 1, 0), (1 << K) - 1)
-    hi = max(min((offset(R + T) << K) // den + 1, 1 << K), lo + 1)
-    s_lo, s_hi = at(lo), at(hi)
-    if s_lo == 0:
-        return hit(lo)
-    if s_hi == 0:
-        return hit(hi)
-    if not s_lo > 0 > s_hi:
+            B, moved = M, moved | 2
+    if not moved & 1 and side(A0, V0) <= 0 or not moved & 2 and side(B0, V0) >= 0:
         return None
-    while hi - lo > 1:
-        m = (lo + hi) // 2
-        s = at(m)
-        if s == 0:
-            return hit(m)
-        if s > 0:
-            lo = m
-        else:
-            hi = m
-    if stops(K, lo) and not stops(K - 1, lo >> 1):
-        return Fraction(2 * ((A << K) + lo * W) + W, V << (K + 1))
-    return None
+    return x
 
 
 def _geometric_mean(lo: Dyadic, hi: Dyadic) -> Dyadic:
@@ -339,8 +308,8 @@ def _geometric_mean(lo: Dyadic, hi: Dyadic) -> Dyadic:
 def _newton_in_bracket(ev, lo: Dyadic, hi: Dyadic, P: int, start=None):
     """A floating approximation of the one root in the one-signed bracket
     (lo, hi), lo and hi nonzero Dyadic at P bits, as Dyadic ``(root, tol)``
-    with tol an estimate of its error, or None: the input of
-    ``_bisection_point`` for a root of c_{N+1} (``_spectral_root``).
+    with tol an estimate of its error, or None: r -+ tol are the probes of
+    ``_rounded_root`` for a root of c_{N+1} (``_spectral_root``).
 
     ``ev(x)`` gives f(x), f'(x), the rounding noise of f(x) and whether x
     lies below the root.  Newton kept inside the bracket, from ``start``
@@ -386,9 +355,9 @@ def _newton_in_bracket(ev, lo: Dyadic, hi: Dyadic, P: int, start=None):
 
 
 def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
-    """The point where exact bisection of the single simple root inside
-    (a, b) stops: relative width 2^-bits, absolute floor 2^-(2*bits).  A
-    bracket straddling zero is first split there by one exact sign."""
+    """The single simple root of n inside (a, b), a Sturm bracket, rounded
+    to nearest at ``bits`` bits (``_rounded_root``), every side an exact
+    sign."""
     V = math.lcm(a.denominator, b.denominator)
     A, B = a.numerator * (V // a.denominator), b.numerator * (V // b.denominator)
     fa = _sign_at(n, A, V)
@@ -398,19 +367,14 @@ def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
         s = _sign_at(n, M, W)
         return s and (1 if s == fa else -1)
 
-    if A < 0 < B and not _stops(A, B, V, bits):
-        # probing zero first makes a root at the origin exact in the output
-        # and splits a sign-straddling bracket well regardless
-        s = side(0, V)
-        if s == 0:
-            return Fraction(0)
-        A, B = (0, B) if s > 0 else (A, 0)
-    return _bisect_exact(A, B, V, bits, side)
+    x = _rounded_root(A, B, V, bits, side)
+    assert x is not None, "a Sturm bracket holds its root"
+    return x
 
 
 def _real_roots_fractions(coeffs: Sequence[Fraction], bits: int) -> list[Fraction]:
     """The roots of ``coeffs`` (a nonzero leading coefficient, degree >= 1)
-    refined to relative width 2^-bits, sorted ascending."""
+    rounded to nearest at ``bits`` bits, sorted ascending."""
     deg = len(coeffs) - 1
     chain = _sturm_chain(list(coeffs))
     R = _cauchy_bound(coeffs)
@@ -420,8 +384,7 @@ def _real_roots_fractions(coeffs: Sequence[Fraction], bits: int) -> list[Fractio
             f"Sturm isolation found {total} distinct real roots for degree "
             f"{deg}; precision insufficient (or roots not real/simple)"
         )
-    roots = [_refine(chain[0], a, b, bits) for a, b, _ in _isolate(chain, -R, R)]
-    return sorted(roots)
+    return [_refine(chain[0], a, b, bits) for a, b, _ in _isolate(chain, -R, R)]
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +419,8 @@ class RootEstimate:
 
 def find_real_roots(coeffs: Sequence, bits: int) -> list:
     """All real roots of the polynomial with degree-ascending ``coeffs``,
-    refined to relative width 2^-bits and sorted ascending, as mpf.
+    each the true root rounded to nearest at ``bits`` bits, ties to even,
+    sorted ascending, as mpf.
 
     The coefficients are mpf (an image at fixed q) or rationals, both
     converted exactly.  Raises DomainError below degree 1, and
@@ -799,14 +763,11 @@ def _isolate_by_counts(ratio, seeds) -> list[tuple]:
 
 
 def _spectral_root(newton_rows, count, a, b, m: int, bits: int, start) -> Fraction:
-    """The point where bisection of (a, b) for the root with m roots above
-    it stops at relative width 2^-bits, every side decided by a certified
-    count.  Computed by ``_bisection_point`` from a Newton approximation
-    (from ``start``, if given); exact bisection on the counts if a check
-    fails."""
-    fa, fb = _mpf_to_fraction(a), _mpf_to_fraction(b)
-    V = math.lcm(fa.denominator, fb.denominator)
-    A, B = fa.numerator * (V // fa.denominator), fb.numerator * (V // fb.denominator)
+    """The root of c_{N+1} with m roots above it, isolated in (a, b),
+    rounded to nearest at ``bits`` bits by ``_rounded_root``, every side
+    decided by a certified count.  The probes are r -+ t of a Newton
+    approximation r with error estimate t (from ``start``, if given);
+    PrecisionError when an end of (a, b) fails its certification."""
 
     def side(M: int, W: int) -> int:
         n = count(M, W)
@@ -817,17 +778,17 @@ def _spectral_root(newton_rows, count, a, b, m: int, bits: int, start) -> Fracti
         c, dc, err = _newton_eval(newton_rows, x)
         return c, dc, err, (c.m < 0) if m % 2 == 0 else (c.m > 0)
 
-    if not _stops(A, B, V, bits):
-        P = mpmath.mp.prec
-        guess = _newton_in_bracket(ev, Dyadic.of_mpf(a, P), Dyadic.of_mpf(b, P), P, start)
-        if guess is not None:
-            r, t = (v.to_fraction() for v in guess)
-            x = _bisection_point(A, B, V, bits, r, t, side)
-            if x is not None:
-                return x
-    if side(A, V) <= 0 or side(B, V) >= 0:
+    P = mpmath.mp.prec
+    lo, hi = Dyadic.of_mpf(a, P), Dyadic.of_mpf(b, P)
+    # with no approximation both probes sit at lo, outside (lo, hi)
+    r, t = _newton_in_bracket(ev, lo, hi, P, start) or (lo, Dyadic(0, 0, P))
+    e = min(lo.e, hi.e, r.e, t.e, 0)
+    A, B, R, T = (x.m << (x.e - e) for x in (lo, hi, r, t))
+    V = 1 << -e
+    x = _rounded_root(A, B, V, bits, side, ((R - T, V), (R + T, V)))
+    if x is None:
         raise PrecisionError(f"the isolating bracket of root {m + 1} is not certified")
-    return _bisect_exact(A, B, V, bits, side)
+    return x
 
 
 def find_spectral_roots(
@@ -841,12 +802,12 @@ def find_spectral_roots(
     """Roots of c_{N+1} at fixed q, sorted ascending, from the three-term
     recursion.  Returns (roots, bits).
 
-    Each root is the point where bisection of its isolating bracket to
-    relative width 2^-bits stops, with every side certified by an
-    interval count of the true c_{N+1} at q; a count that stays
-    uncertified at MAX_BITS raises PrecisionError.  ``predictions``, when
-    given, seed the isolation.  ``epoly`` is not read: the polynomial
-    itself is not needed.
+    Each root is the true root rounded to nearest at ``bits`` bits, ties
+    to even, with every side that decides it certified by an interval
+    count of the true c_{N+1} at q; a count that stays uncertified at
+    MAX_BITS raises PrecisionError.  ``predictions``, when given, seed the
+    isolation and Newton; the roots do not depend on them.  ``epoly`` is
+    not read: the polynomial itself is not needed.
     """
     q = as_fraction(q)
     prec = bits + EVAL_GUARD_BITS
@@ -958,6 +919,7 @@ def match_predictions(
 
     rows: list[MatchRow] = []
     ok = True
+    ats: dict = {}  # one AtQ per q; its memoised values equal fresh ones
     for ests, preds in ((est_neg, pred_neg), (est_pos, pred_pos)):
         for i in range(max(len(ests), len(preds))):
             est = ests[i] if i < len(ests) else None
@@ -968,7 +930,7 @@ def match_predictions(
                 continue
             derr = abs(float(est.est_exponent) - float(pred.d))
             with mpmath.workprec(192):
-                at = AtQ(est.q, t1, t2)
+                at = ats.get(est.q) or ats.setdefault(est.q, AtQ(est.q, t1, t2))
                 scale = pred.sign * pred.prefactor_value(t1, t2) * at.qpow(pred.d)
                 ratio = to_mpf(est.value) / scale
             exponent_ok = derr <= tol_exponent

@@ -176,90 +176,14 @@ def test_rational_poly_roots_exact():
 
 
 # ---------------------------------------------------------------------------
-# refinement and isolation against the exact-Fraction pipeline they replaced
+# refinement: each root is the true root rounded to nearest at ``bits`` bits
 # ---------------------------------------------------------------------------
 
 
-def _f_eval(c, x):
-    acc = Fraction(0)
-    for a in reversed(c):
-        acc = acc * x + a
-    return acc
-
-
-def _f_sign(x):
-    return (x > 0) - (x < 0)
-
-
-def _f_variations(chain, x):
-    signs = [s for s in (_f_sign(_f_eval(c, x)) for c in chain) if s]
-    return sum(1 for i in range(1, len(signs)) if signs[i] != signs[i - 1])
-
-
-def _f_sturm_chain(c):
-    chain = [c, roots_mod._strip(roots_mod._deriv(c))]
-    while len(chain[-1]) > 1:
-        r = roots_mod._rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(roots_mod._rescale([-a for a in r]))
-    return chain
-
-
-def _f_nonroot(c, x, step):
-    while _f_eval(c, x) == 0:
-        x += step
-    return x
-
-
-def _f_isolate(chain, c, lo, hi):
-    stack = [(lo, hi, _f_variations(chain, lo), _f_variations(chain, hi))]
-    out = []
-    while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb
-        if n <= 0:
-            continue
-        if n == 1:
-            out.append((a, b))
-            continue
-        mid = _f_nonroot(c, (a + b) / 2, (b - a) / 2 ** 24)
-        vm = _f_variations(chain, mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
-    out.sort()
-    return out
-
-
-def _f_refine(c, a, b, bits):
-    fa = _f_sign(_f_eval(c, a))
-    fb = _f_sign(_f_eval(c, b))
-    assert fa and fb and fa != fb
-    rel = Fraction(1, 2 ** bits)
-    floor_w = Fraction(1, 2 ** (2 * bits))
-    while True:
-        w = b - a
-        scale = max(abs(a), abs(b))
-        if w <= scale * rel or w <= floor_w:
-            return (a + b) / 2
-        mid = Fraction(0) if a < 0 < b else (a + b) / 2
-        s = _f_sign(_f_eval(c, mid))
-        if s == 0:
-            return mid
-        if s == fa:
-            a = mid
-        else:
-            b = mid
-
-
-def _oracle_roots(coeffs, bits):
-    """Exact-Fraction Sturm isolation and sign bisection, evaluated by
-    Fraction Horner at every probe."""
-    c = roots_mod._strip(list(coeffs))
-    chain = _f_sturm_chain(c)
-    R = roots_mod._cauchy_bound(c)
-    assert _f_variations(chain, -R) - _f_variations(chain, R) == len(c) - 1
-    return sorted(_f_refine(c, a, b, bits) for a, b in _f_isolate(chain, c, -R, R))
+def _rounded(x: Fraction, bits: int) -> Fraction:
+    """x rounded to nearest at ``bits`` bits, ties to even, by mpmath."""
+    libmp = mpmath.libmp
+    return Fraction(*libmp.to_rational(libmp.from_rational(x.numerator, x.denominator, bits, "n")))
 
 
 def _from_roots(lead, rs):
@@ -282,6 +206,8 @@ _roots = st.lists(
     unique=True,
 )
 _leads = st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool)
+# ties at 64 bits: half a spacing above 1, above 1 + 2^-63 and below 2
+_TIES_64 = [1 + Fraction(1, 2 ** 64), -(1 + Fraction(3, 2 ** 64)), 2 - Fraction(1, 2 ** 64)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,11 +215,57 @@ _leads = st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(boo
 @example([Fraction(0), Fraction(-3, 7), Fraction(1, 2), Fraction(5)], Fraction(3, 7), 128)
 @example([Fraction(-1, 8), Fraction(9, 8)], Fraction(1), 64)
 def test_refined_roots_equal_the_fraction_oracle(rs, lead, bits):
+    # the oracle is the exact rational roots, each rounded by mpmath
     coeffs = _from_roots(lead, rs)
-    got = _real_roots_fractions(coeffs, bits)
-    assert got == _oracle_roots(coeffs, bits)
-    # the zero probe makes a root at the origin exact
-    assert (Fraction(0) in rs) == (Fraction(0) in got)
+    assert _real_roots_fractions(coeffs, bits) == sorted(_rounded(r, bits) for r in rs)
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_find_real_roots_returns_known_rational_roots_rounded(bits):
+    # 0, a grid point, rationals off the grid, and the ties half a spacing
+    # above 1, above 1 + 2^(1-bits) and below 2, which round to the even
+    # neighbour: 1, -(1 + 2^(2-bits)) and 2
+    u = Fraction(1, 2 ** bits)
+    rs = [Fraction(0), Fraction(5, 2 ** 10), Fraction(-1, 3), Fraction(3, 7), 1 + u, -(1 + 3 * u), 2 - u]
+    found = find_real_roots(_from_roots(Fraction(-3, 5), rs), bits)
+    got = [roots_mod._mpf_to_fraction(r) for r in found]
+    assert got == sorted(_rounded(r, bits) for r in rs)
+    assert {Fraction(0), Fraction(5, 2 ** 10), Fraction(1), Fraction(2), -(1 + 4 * u)} <= set(got)
+
+
+_EDGES = st.builds(
+    lambda bits, w, j, e, neg: (bits, (-1 if neg else 1) * Fraction((1 << (bits + w)) + j) * Fraction(2) ** e),
+    st.integers(2, 600), st.integers(0, 3), st.integers(-3, 3), st.integers(-900, 300), st.booleans(),
+)
+_ANY = st.tuples(st.integers(2, 600), st.fractions(max_denominator=10 ** 9).filter(bool))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_EDGES, _ANY))
+@example((64, Fraction(1)))
+@example((64, 1 - Fraction(1, 2 ** 65)))
+@example((64, -(1 + Fraction(3, 2 ** 64))))
+@example((2, Fraction(7, 8)))
+def test_cell_is_mpmath_rounding_and_its_cell(case):
+    # g is mpmath's rounding of y; points just inside (down, up) round to
+    # g and points just outside do not; the ends are ties, which round to
+    # g exactly when g's mantissa is even.  Binade edges and ties come from
+    # the mantissas 2^(bits + w) + j
+    bits, y = case
+    g, down, up = roots_mod._cell(y, bits)
+    assert g == _rounded(y, bits)
+    assert down <= y <= up and down < g < up
+    eps = (up - down) / 2 ** 10
+    for inside, outside in ((down + eps, down - eps), (up - eps, up + eps)):
+        assert _rounded(inside, bits) == g and _rounded(outside, bits) != g
+    # mpmath strips a mantissa's trailing zeros: g's is even iff fewer than bits remain
+    even = mpmath.libmp.from_rational(g.numerator, g.denominator, bits, "n")[3] < bits
+    assert (_rounded(down, bits) == g) == even == (_rounded(up, bits) == g)
+
+
+def _pairs(probes):
+    """Fraction probes as the (M, W) pairs ``_rounded_root`` reads."""
+    return [(y.numerator, y.denominator) for y in probes]
 
 
 def _bracket_and_side(coeffs, positive=True):
@@ -313,17 +285,17 @@ def _bracket_and_side(coeffs, positive=True):
 
 
 def test_roots_on_a_bisection_midpoint_are_returned_exactly():
-    # bisecting (-8, 0) and (0, 8) probes -1/8 and 9/8, which are grid points
-    # of the final level: an approximation near them and an exact side of 0
-    # return them, not None
-    rs = [Fraction(-1, 8), Fraction(9, 8)]
-    coeffs = _from_roots(Fraction(1), rs)
-    assert _oracle_roots(coeffs, 64) == rs
-    for root in rs:
-        A, B, V, side = _bracket_and_side(coeffs, root > 0)
-        assert roots_mod._bisect_exact(A, B, V, 64, side) == root
-        for r in (root, root + Fraction(1, 2 ** 100)):
-            assert roots_mod._bisection_point(A, B, V, 64, r, Fraction(1, 2 ** 80), side) == root
+    # grid points of the 64-bit rounding come back exactly (bisecting
+    # (-8, 0) and (0, 8) probes -1/8 and 9/8), and ties between grid
+    # points round to the even neighbour, with no probes, the root itself,
+    # probes around it or probes on one side of it
+    eps = Fraction(1, 2 ** 100)
+    for root in [Fraction(-1, 8), Fraction(9, 8)] + _TIES_64:
+        want = _rounded(root, 64)
+        assert (want == root) == (root not in _TIES_64)
+        A, B, V, side = _bracket_and_side(_from_roots(Fraction(1), [root]), root > 0)
+        for probes in ((), (root,), (root - eps, root + eps), (root + eps,), (root - 2 * eps, root - eps)):
+            assert roots_mod._rounded_root(A, B, V, 64, side, _pairs(probes)) == want, (root, probes)
 
 
 @pytest.mark.parametrize(
@@ -332,22 +304,16 @@ def test_roots_on_a_bisection_midpoint_are_returned_exactly():
     ids=["below", "below-grid-point", "above"],
 )
 def test_an_approximation_far_from_the_root_gives_the_bisection_point(root, guess):
-    # the approximation 2^guess, with an error bound that covers the root,
-    # reads a final level deeper (below) or shallower (above) than the one
-    # where bisection to 2^-64 stops; 1 + 2^-70 even lies on the grid of
-    # that deeper level, although bisection stops before it probes it.  The
-    # stop-rule check turns that into None, never into another point.  An
-    # approximation 2^-30 off reads the right level, and signs at the grid
-    # points between place the root
-    coeffs = _from_roots(Fraction(1), [root])
-    (want,) = _oracle_roots(coeffs, 64)
+    # the bisection on the sides returns the root rounded to 64 bits
+    # (1 + 2^-70 rounds to 1) whatever the probes: 2^guess -+ 2, far from
+    # the root but around it, probes 2^-29 around a point 2^-30 off, or none
+    want = _rounded(root, 64)
     assert want != root
-    A, B, V, side = _bracket_and_side(coeffs)
-    assert roots_mod._bisect_exact(A, B, V, 64, side) == want
-    far = roots_mod._bisection_point(A, B, V, 64, Fraction(2) ** guess, Fraction(2), side)
-    assert far is None or far == want
+    A, B, V, side = _bracket_and_side(_from_roots(Fraction(1), [root]))
     near = Fraction(round(root * 2 ** 30), 2 ** 30)
-    assert roots_mod._bisection_point(A, B, V, 64, near, Fraction(1, 2 ** 29), side) == want
+    for probes in ((), (2 ** Fraction(guess) - 2, 2 ** Fraction(guess) + 2),
+                   (near - Fraction(1, 2 ** 29), near + Fraction(1, 2 ** 29))):
+        assert roots_mod._rounded_root(A, B, V, 64, side, _pairs(probes)) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -363,12 +329,23 @@ def test_geometric_mean_is_the_truncated_square_root(m, e, n, f, P, negative):
     assert r * r <= prod < (r + Fraction(2) ** g.e) ** 2
 
 
-def test_an_approximation_whose_bound_misses_the_root_gives_none():
-    # both grid points next to 2^guess -+ 2^-100 lie below the root
-    coeffs = _from_roots(Fraction(1), [Fraction(4, 3)])
-    A, B, V, side = _bracket_and_side(coeffs)
+def test_an_approximation_whose_bound_misses_the_root_still_gives_the_rounded_root():
+    # both probes 2^guess -+ 2^-100 lie below the root 4/3: they narrow the
+    # bracket from below, and bisection goes on from there.  A bracket that
+    # does not hold the root fails its end check and gives None, also one
+    # with an end at 0, which the zero probe keeps from halving towards 0
+    root = Fraction(4, 3)
+    A, B, V, side = _bracket_and_side(_from_roots(Fraction(1), [root]))
     for guess in (-10, 0):
-        assert roots_mod._bisection_point(A, B, V, 64, Fraction(2) ** guess, Fraction(1, 2 ** 100), side) is None
+        probes = (2 ** Fraction(guess) - Fraction(1, 2 ** 100), 2 ** Fraction(guess) + Fraction(1, 2 ** 100))
+        assert roots_mod._rounded_root(A, B, V, 64, side, _pairs(probes)) == _rounded(root, 64)
+    for A, B, probes in ((3, 4, ()), (3, 4, (Fraction(7, 4),)), (0, 2, (Fraction(3, 2),))):
+        assert roots_mod._rounded_root(A, B, 2, 64, side, _pairs(probes)) is None
+    for root in (Fraction(0), Fraction(-1, 3)):
+        def side(M, W, root=root):
+            return (Fraction(M, W) < root) - (Fraction(M, W) > root)
+
+        assert roots_mod._rounded_root(0, 1, 1, 64, side) is None
 
 
 @pytest.mark.parametrize(
@@ -378,29 +355,21 @@ def test_an_approximation_whose_bound_misses_the_root_gives_none():
     ids=["left-endpoint", "none"],
 )
 def test_wrong_approximation_falls_back_to_exact_bisection(p1, p4, monkeypatch, wrong):
-    # a Newton approximation at the bracket's left end, or none, leaves
-    # bisection on the certified counts, which returns the same roots
+    # a Newton approximation at the bracket's left end, or none, gives no
+    # probe inside the bracket: bisection on the certified counts returns
+    # the same roots
     want = [find_spectral_roots(p, F(1, 1000), 512)[0] for p in (p1, p4)]
-    fallbacks = []
-    original = roots_mod._bisect_exact
-
-    def counting(*args):
-        fallbacks.append(args)
-        return original(*args)
-
     monkeypatch.setattr(roots_mod, "_newton_in_bracket", wrong)
-    monkeypatch.setattr(roots_mod, "_bisect_exact", counting)
     got = [find_spectral_roots(p, F(1, 1000), 512)[0] for p in (p1, p4)]
     assert [[r._mpf_ for r in rs] for rs in got] == [[r._mpf_ for r in rs] for rs in want]
-    assert fallbacks
 
 
 def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4, monkeypatch):
     # a root costs a bounded number of recursion evaluations (plain counts,
-    # Newton steps and certified counts; the exact bisection spent about
-    # 425 exact evaluations per root), with no fallback to bisection on the
-    # counts and no count escalated past the first precision
-    evaluations, per_root, fallbacks, escalated = [0], [], [], []
+    # Newton steps and certified counts; bisection on the counts alone
+    # spends about 425 per root), and no count is escalated past the first
+    # precision
+    evaluations, per_root, escalated = [0], [], []
     for name in ("_count", "_certified_count", "_newton_eval"):
         def counting(*args, _f=getattr(roots_mod, name)):
             evaluations[0] += 1
@@ -422,7 +391,6 @@ def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4
 
     monkeypatch.setattr(roots_mod, "_spectral_root", counting_root)
     monkeypatch.setattr(roots_mod, "recursion_boxes_at", boxes_seen)
-    monkeypatch.setattr(roots_mod, "_bisect_exact", lambda *a: fallbacks.append(a))
     expected = 0
     for p in (p1, p2, p3, p4):
         preds = predict_roots(p, classify(p))
@@ -430,7 +398,7 @@ def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4
             found, _ = find_spectral_roots(p, q, 512, predictions=preds)
             assert len(found) == p.N + 1
             expected += p.N + 1
-    assert not fallbacks and not escalated
+    assert not escalated
     assert len(per_root) == expected
     assert max(per_root) <= 20
 
@@ -528,6 +496,43 @@ def test_sampled_roots_agree_with_the_image_pipeline(regime, seed, q, bits):
     _within_width(found, _image_roots(p, q, bits), bits, k=8)
     # the seeds choose the isolation points, not the roots' accuracy
     _within_width(find_spectral_roots(p, q, bits)[0], found, bits)
+
+
+def _solve_sets(name):
+    """P1-P4 by name; a regime's seeds 0-5 at N <= 6; "R32-48" the seed-12
+    R32 set at N = 48, whose balanced roots form a cluster."""
+    if name.startswith("P"):
+        return [getattr(acceptance, name)]
+    if name == "R32-48":
+        return [sample_params("R32", random.Random(12), N=48)]
+    return [sample_params(name, random.Random(seed), n_max=6) for seed in range(6)]
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "R31", "R32", "R33"])
+def test_seeded_and_unseeded_roots_are_bit_identical(name):
+    # the seeds move the isolation points and Newton's start, not the roots
+    qs = [F(1, 10 ** k) for k in ((3, 4, 5, 6) if name.startswith("P") else (3, 6))]
+    for p in _solve_sets(name):
+        preds = predict_roots(p, classify(p))
+        for q in qs:
+            seeded, _ = find_spectral_roots(p, q, 512, predictions=preds)
+            unseeded, _ = find_spectral_roots(p, q, 512)
+            assert [r._mpf_ for r in seeded] == [r._mpf_ for r in unseeded], (p, q)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "R31", "R32", "R33", "R32-48"])
+def test_roots_are_the_2048_bit_roots_rounded_to_512_bits(name):
+    # each root is the true root rounded to nearest: the roots at 512 bits
+    # are the roots at 2048 bits rounded, also on the N = 48 cluster, where
+    # Newton's error bound spans many rounding cells
+    qs = [F(1, 1000)] if name == "R32-48" else [F(1, 1000), F(1, 10 ** 6)]
+    for p in _solve_sets(name):
+        preds = predict_roots(p, classify(p))
+        for q in qs:
+            found, _ = find_spectral_roots(p, q, 512, predictions=preds)
+            fine, _ = find_spectral_roots(p, q, 2048, predictions=preds)
+            with mpmath.workprec(512):
+                assert [r._mpf_ for r in found] == [(+r)._mpf_ for r in fine], (p, q)
 
 
 def test_roots_near_q_one_hold_their_width_against_more_bits():
