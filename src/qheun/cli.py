@@ -502,11 +502,19 @@ def cmd_selftest(args) -> int:
 
 
 def _build_parser() -> _Parser:
+    """The parser for the current QHEUN_BITS, built once per value."""
+    return _parser_for(os.environ.get("QHEUN_BITS", "512"))
+
+
+@functools.lru_cache(maxsize=8)
+def _parser_for(env_bits: str) -> _Parser:
+    """The argparse tree with --bits defaulting to ``env_bits``.  A bad value
+    raises UsageError, which lru_cache does not keep: every call raises."""
     parser = _Parser(prog="qheun", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_bits = _parse_bits(os.environ.get("QHEUN_BITS", "512"), "QHEUN_BITS")
+    default_bits = _parse_bits(env_bits, "QHEUN_BITS")
 
     def add_options(sp, names):
         if "params" in names:

@@ -24,7 +24,9 @@ product and the merge of the sums, on term dicts keyed by packed keys.
 The exact recursion runs on ``Packed``, Kronecker substitution on CPython
 ints: each t-monomial's polynomial in q^(1/D) is one int with a w-bit digit
 per exponent, a row product is a sum of shifted copies, and a merge gives
-terms_merge's events; its results are decoded to the sums' items.
+terms_merge's events.  Its results become sums that keep the packed entry
+until their items are first read; the zero test, the leading exponent, the
+leading slice and a shift by a unit monomial answer from the entry.
 
 All symbolic operations are exact; floating point enters through ``AtQ``,
 the mpf evaluator at fixed q, t1, t2.  It validates them once, and the
@@ -191,11 +193,20 @@ class QSum:
     coefficients dropped, so two QSums compare equal iff they are the same
     element of the ring, whatever their scales.  ``terms``, the QMonomial
     tuple with Fraction exponents and coefficients, is built on its first
-    read.  Instances are immutable and hashable; every operation returns a
-    fresh value, which makes them safe to share across threads.
+    read.  A sum made by ``from_entry`` holds a ``Packed`` entry dict
+    instead of ``items``: its first read of ``items`` decodes the entry
+    through ``Packed.items`` and drops it.  ``is_zero``, ``bool``,
+    ``leading_exponent``, ``leading_part`` and ``div_monomial`` by a unit
+    monomial on the scale answer from the entry without the decode; every
+    other operation reads ``items``.  Instances are immutable and hashable;
+    every operation returns a fresh value, which makes them safe to share
+    across threads (a race on ``items`` or ``terms`` only computes the same
+    value twice).
     """
 
-    __slots__ = ("den", "items", "_terms")
+    # ``items`` is left unset until a sum from from_entry is decoded, so that
+    # its first read falls through to __getattr__
+    __slots__ = ("den", "items", "_terms", "_entry")
 
     def __init__(self, terms: Iterable[QMonomial] = ()):
         terms = tuple(terms)
@@ -205,6 +216,7 @@ class QSum:
             k = pack_key(t.qexp.numerator * (den // t.qexp.denominator), t.t1pow, t.t2pow)
             acc[k] = acc.get(k, 0) + t.coeff
         self.den, self.items, self._terms = den, tuple(sorted((k, c) for k, c in acc.items() if c)), None
+        self._entry = None
 
     # -- constructors ------------------------------------------------------
 
@@ -212,8 +224,27 @@ class QSum:
     def _packed(cls, den: int, items: tuple) -> "QSum":
         """Trusted constructor: ``items`` are stored as given, the normal form at scale ``den``."""
         self = object.__new__(cls)
-        self.den, self.items, self._terms = den, items, None
+        self.den, self.items, self._terms, self._entry = den, items, None, None
         return self
+
+    @classmethod
+    def from_entry(cls, pk: "Packed", entry: dict) -> "QSum":
+        """The QSum of a normal entry dict of ``pk``, at scale ``pk.den``;
+        decoded on the first read of ``items``.  ``_entry`` holds the pair
+        (pk, entry) until then."""
+        self = object.__new__(cls)
+        self.den, self._terms, self._entry = pk.den, None, (pk, entry)
+        return self
+
+    def __getattr__(self, name):
+        """Decodes ``items`` of a sum from from_entry on its first read."""
+        if name != "items":
+            raise AttributeError(name)
+        packed = self._entry
+        if packed is not None:
+            self.items = packed[0].items(packed[1])
+            self._entry = None
+        return self.items
 
     @classmethod
     def from_term_dict(cls, d: TermDict, den: int) -> "QSum":
@@ -282,10 +313,11 @@ class QSum:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return not self.items
+        return not self
 
     def __bool__(self) -> bool:
-        return bool(self.items)
+        packed = self._entry
+        return bool(self.items if packed is None else packed[1])
 
     def __len__(self) -> int:
         return len(self.items)
@@ -296,9 +328,12 @@ class QSum:
     @property
     def leading_exponent(self) -> Fraction:
         """Minimal q-exponent; undefined for zero."""
-        if not self.items:
+        if not self:
             raise ZeroQSumError("zero has no leading exponent")
-        return Fraction((self.items[0][0] + _BIAS) >> _W2, self.den)
+        packed = self._entry
+        if packed is None:
+            return Fraction((self.items[0][0] + _BIAS) >> _W2, self.den)
+        return Fraction(min(e0 for e0, _ in packed[1].values()), self.den)
 
     # -- ring structure ------------------------------------------------------
 
@@ -358,7 +393,16 @@ class QSum:
 
     def div_monomial(self, m: QMonomial) -> "QSum":
         """Exact division by a single monomial: a uniform shift of the keys,
-        so the order of the terms is kept."""
+        so the order of the terms is kept.  On an undecoded sum, a unit
+        monomial whose exponent lies on the scale shifts the entry's t-keys
+        and e0s instead."""
+        packed = self._entry
+        if packed is not None and m.coeff == 1 and not self.den % m.qexp.denominator:
+            (pk, entry), de = packed, m.qexp.numerator * (self.den // m.qexp.denominator)
+            dt = pack_key(0, m.t1pow, m.t2pow)
+            keys = [t - dt for t in entry]
+            _check_t_range(keys)
+            return QSum.from_entry(pk, dict(zip(keys, [(e0 - de, V) for e0, V in entry.values()])))
         den = math.lcm(self.den, m.qexp.denominator)
         items = self.at_scale(den)
         shift = -pack_key(m.qexp.numerator * (den // m.qexp.denominator), m.t1pow, m.t2pow)
@@ -486,7 +530,8 @@ def qsum_merge(
 
 class Packed:
     """Entry dicts at one digit width ``w``: row products, merges with
-    terms_merge's events, cuts and the decode to QSum items."""
+    terms_merge's events, cuts and the decode to QSum items.  QSum.from_entry
+    wraps an entry dict as a sum."""
 
     def __init__(self, bound: int, den: int):
         """w is the least multiple of 32 with 2^(w-2) > bound, the greatest
@@ -497,10 +542,13 @@ class Packed:
         self._H, self._steps = 0, []
 
     def _h(self, nd: int) -> int:
-        """H over nd digits, cut from one grown by doubling."""
-        if nd * self.w > self._H.bit_length():
-            self._H = ((1 << 2 * nd * self.w) - 1) // self.low * self.half
-        return self._H & ((1 << nd * self.w) - 1)
+        """H over nd digits, cut from one grown by doubling.  self._H is read
+        once: the sums of one run share this Packed and may decode in
+        several threads."""
+        H = self._H
+        if nd * self.w > H.bit_length():
+            H = self._H = ((1 << 2 * nd * self.w) - 1) // self.low * self.half
+        return H & ((1 << nd * self.w) - 1)
 
     def _digits(self, V: int, nd: int) -> tuple[int, int]:
         """(z, m) for V over nd digits: z has each digit c as w-bit two's
@@ -636,9 +684,15 @@ class Packed:
 
 
 def leading_part(a: QSum) -> QSum:
-    """All terms of ``a`` at the minimal q-exponent; they dominate as q -> +0."""
-    if not a.items:
+    """All terms of ``a`` at the minimal q-exponent; they dominate as q -> +0.
+    Read from Packed.leading on an undecoded sum, whose digits there are the
+    coefficients."""
+    if not a:
         raise ZeroQSumError("zero has no leading part")
+    packed = a._entry
+    if packed is not None:
+        lead = packed[0].leading(packed[1])
+        return QSum._packed(a.den, tuple(sorted(((e0 << _W2) + t, c) for t, (e0, c) in lead.items())))
     end = ((((a.items[0][0] + _BIAS) >> _W2) + 1) << _W2) - _BIAS
     return QSum._packed(a.den, a.items[:bisect_left(a.items, end, key=operator.itemgetter(0))])
 

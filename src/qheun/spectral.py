@@ -277,8 +277,10 @@ class EPoly:
 # The recursion runs at one scale D = 2*lcm(parameter denominators), which
 # clears every exponent the rows can produce, with integer coefficients, on
 # qmono.Packed entry dicts: per t-monomial, the polynomial in q^(1/D) as
-# one int of w-bit digits.  Each level is decoded once to QSums, which keep
-# that integer form (qmono.pack_key): no Fraction term is built unless
+# one int of w-bit digits.  The levels come back as QSums that keep their
+# entry dicts until their items are read; most levels are only reduced,
+# compared and ultradiscretized, which read the entry.  A decoded QSum
+# keeps the integer form (qmono.pack_key): no Fraction term is built unless
 # .terms is read.
 # ---------------------------------------------------------------------------
 
@@ -312,7 +314,8 @@ def three_term(p: HeunParams, rows, entry) -> list[list[QSum]]:
     on qmono.Packed entry dicts at the scale D of ``p``.  ``rows`` yields
     the QSum rows (B, C, R) of n = 1, 2, ... (R = 0 drops its term), and
     ``entry(parts, n, site, packed)`` turns the nonzero products, in that
-    order, into the entry dict of c_n[E^j], site "c{n}[E^{j}]".  The digit
+    order, into the entry dict of c_n[E^j], site "c{n}[E^{j}]".  The levels
+    are returned undecoded, as QSum.from_entry.  The digit
     width comes from M_n = (|B_n| + |C_n|) M_{n-1} + |R_n| M_{n-2}, |x| the
     sum of x's absolute coefficients: M_n bounds every coefficient of every
     product and partial sum of level n."""
@@ -335,7 +338,7 @@ def three_term(p: HeunParams, rows, entry) -> list[list[QSum]]:
                 parts.append(pk.mul(R, levels[n - 2][j]))
             new.append(entry(parts, n, f"c{n}[E^{j}]", pk))
         levels.append(new)
-    return [[QSum._packed(D, pk.items(d)) for d in level] for level in levels]
+    return [[QSum.from_entry(pk, d) for d in level] for level in levels]
 
 
 def _three_term_rows(p: HeunParams) -> list[tuple[QSum, QSum, QSum]]:

@@ -385,7 +385,7 @@ def leading_recursion(p: HeunParams, tag: CaseTag) -> list[EPoly]:
         if not lead or next(iter(lead.values()))[0] != expected:
             raise CancellationError(n, site, f"leading-slice cancellation at step {n} ({site})")
         try:
-            ultradiscretize(QSum._packed(pk.den, pk.items(lead)))
+            ultradiscretize(QSum.from_entry(pk, lead))
         except SignIndefiniteError as exc:
             raise CancellationError(
                 n, site, f"mixed-sign leading slice at step {n} ({site}): {exc}"

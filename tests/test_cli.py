@@ -530,6 +530,15 @@ def test_qheun_bits_env_overrides_default(monkeypatch):
     assert args.bits == 192
 
 
+def test_each_qheun_bits_value_gets_its_own_default(p1_file, monkeypatch, capsys):
+    # the parser is built once per QHEUN_BITS value; a later call under
+    # another value must not see the first one's default
+    for bits in ("192", "256", "192"):
+        monkeypatch.setenv("QHEUN_BITS", bits)
+        assert main(["roots", "--params", p1_file]) == 0
+        assert f"(bits={bits}):" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "value,message",
     [("abc", "QHEUN_BITS must be an integer, got 'abc'"),

@@ -515,3 +515,68 @@ def test_a_cancellation_inside_one_product_is_no_event():
     events = pk.merge([prod, encode(pk, other)], "site")[1]
     assert events == terms_merge([terms_mul(r, d), other], "site")[1]
     assert events == [CancellationEvent("site", F(2), EXACT_ZERO)]
+
+
+# ---------------------------------------------------------------------------
+# sums that keep their packed entry until their items are read
+# ---------------------------------------------------------------------------
+
+
+class CountingPacked(Packed):
+    """A Packed that counts its decodes."""
+
+    decodes = 0
+
+    def items(self, d):
+        self.decodes += 1
+        return super().items(d)
+
+
+# unit t-powers keep every shift in the packed range; -T_LIMIT moves a
+# t-power of 0 or 1 out of it
+shift_monomials = st.builds(
+    QMonomial,
+    qexp=fracs,
+    t1pow=st.sampled_from([-1, 0, 1, -T_LIMIT]),
+    t2pow=st.sampled_from([-1, 0, 1, -T_LIMIT]),
+    coeff=st.sampled_from([F(1), F(1), F(-1), F(2, 3)]),
+)
+
+
+@given(packed_dicts, scales, st.sampled_from([1, 2, 6]), shift_monomials)
+@settings(max_examples=300, deadline=None)
+def test_an_undecoded_sum_agrees_with_its_decoded_twin(d, k, den, m):
+    d = scaled(d, k)
+    pk = CountingPacked(l1(d), den)
+    twin = QSum.from_term_dict(d, den)
+
+    def fresh():
+        return QSum.from_entry(pk, encode(pk, d))
+
+    # the zero test and the leading exponent and slice answer from the entry
+    assert fresh().is_zero() == twin.is_zero() and bool(fresh()) == bool(twin)
+    _agree(lambda s: s.leading_exponent, fresh(), twin)
+    _agree(lambda s: leading_part(s).items, fresh(), twin)
+    _agree(ultradiscretize, fresh(), twin)
+    assert pk.decodes == 0
+    # so does a unit shift on the scale, guarded against leaving the packed
+    # t-range; any other monomial decodes
+    on_entry = m.coeff == 1 and den % m.qexp.denominator == 0
+    try:
+        want = twin.div_monomial(m)
+    except AssertionError:
+        with pytest.raises(AssertionError, match="outside the packed range"):
+            fresh().div_monomial(m)
+        assert pk.decodes == (0 if on_entry else 1)
+    else:
+        got = fresh().div_monomial(m)
+        _agree(lambda s: s.leading_exponent, got, want)
+        _agree(lambda s: leading_part(s).items, got, want)
+        _agree(ultradiscretize, got, want)
+        assert pk.decodes == (0 if on_entry else 1)
+        assert got == want and got.terms == want.terms
+    # everything else reads the items, decoded once per sum
+    pk.decodes = 0
+    x = fresh()
+    assert len(x) == len(twin) and x == twin and hash(x) == hash(twin) and x.terms == twin.terms
+    assert x.items == twin.items and pk.decodes == 1

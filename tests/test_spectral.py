@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qheun.spectral as spectral_mod
+import qheun.ultra as ultra_mod
 from qheun.dyadic import Dyadic
-from qheun.errors import DomainError, ParameterError
+from qheun.errors import DomainError, ParameterError, SignIndefiniteError, ZeroQSumError
 from qheun.qmono import (EVAL_GUARD_BITS, EXACT_ZERO, AtQ, Packed, QSum, eval_numeric, pack_key, qpow,
                          terms_merge, terms_mul, to_mpf, ultradiscretize)
 from qheun.sampling import sample_params
@@ -33,6 +34,7 @@ from qheun.spectral import (
     spectral_polynomial,
 )
 from qheun.roots import find_spectral_roots
+from qheun.ultra import _s_polynomial, balanced_exponent
 from test_roots import NAMED_SETS, named_set
 
 F = Fraction
@@ -360,6 +362,36 @@ def test_exact_build_is_the_same_at_any_digit_width(p1, p2, p3, p4, n8_sets, mon
         monkeypatch.setattr(spectral_mod, "Packed", Wide)
         assert build_state(*coefficients_exact(p)) == want, p
         monkeypatch.undo()
+
+
+def test_levels_decode_only_when_their_items_are_read(p1, p2, p3, p4, n8_sets, monkeypatch):
+    # the exact build returns its levels undecoded; the reduction, the
+    # leading slices and the ultradiscrete images read the packed entries
+    decoded, items = [], Packed.items
+    monkeypatch.setattr(Packed, "items", lambda pk, d: decoded.append(d) or items(pk, d))
+    for p in [p1, p2, p3, p4, *n8_sets.values()]:
+        polys, _ = coefficients_exact(p)
+        assert decoded == [], p
+        for ep in polys:
+            for j in range(len(ep.coeffs)):
+                try:
+                    ep.leading_coefficient_slice(j)
+                    ultradiscretize(ep.reduced_coefficient(j))
+                except (SignIndefiniteError, ZeroQSumError):
+                    pass
+        assert decoded == [], p
+    # the s-polynomial reads the terms of its last level only, once each
+    runs = []
+
+    def run(p, rows, entry):
+        levels = spectral_mod.three_term(p, rows, entry)
+        runs.append([c._entry[1] for c in levels[-1]])
+        return levels
+
+    monkeypatch.setattr(ultra_mod, "three_term", run)
+    _s_polynomial(p4, balanced_exponent(p4))
+    assert len(runs) == 1 and len(decoded) == len(runs[0]) == p4.N + 2
+    assert all(a is b for a, b in zip(decoded, runs[0]))
 
 
 # ---------------------------------------------------------------------------
