@@ -433,7 +433,7 @@ def _sweep_point(packed):
     verified = ""
     if do_verify:
         try:
-            ests = estimate_exponents(p, Fraction(1, 1000), Fraction(1, 10000), bits)
+            ests = estimate_exponents(p, Fraction(1, 1000), Fraction(1, 10000), bits, predictions=preds)
             rep = match_predictions(ests, preds, t1=p.t1, t2=p.t2)
             verified = "yes" if rep.ok else "no"
         except QHeunError as exc:

@@ -2,9 +2,9 @@
 
 A value m 2^e is an int mantissa m and an int exponent e, and every
 operation cuts |m| back to at most 2^P, P the precision its operands
-carry.  The per-root series and residual of ``spectral`` and Newton's
-bracket loop in ``roots`` run on these classes instead of mpmath objects,
-whose per-operation overhead dominates loops of N + 1 steps.  The three
+carry.  The per-root series and residual of ``spectral`` and the root
+search of ``roots`` run on these classes instead of mpmath objects, whose
+per-operation overhead dominates loops of N + 1 steps.  The three
 recursion loops of ``roots.find_spectral_roots`` (the plain counts,
 Newton's evaluations and the certified counts) are inline kernels on int
 locals that repeat these operations step by step, so they return the
@@ -12,10 +12,11 @@ values the classes would, bit for bit, without an object per operation;
 a change to an operation here must be made there too.
 
 * ``Dyadic`` is a point, cut by truncation (a floor shift, a floor
-  division), and compared exactly.  The plain counts and Newton use it,
-  since they only guide the search, and so do the twisted solve and the
-  residual of the series at a root, whose rounding need only be small
-  against their 2^-P.
+  division), and compared exactly.  The root search uses it from the row
+  table to the rounded root (the Gershgorin bound, the isolation points,
+  the seeds, the plain counts and Newton), since it only guides the
+  search, and so do the twisted solve and the residual of the series at a
+  root, whose rounding need only be small against their 2^-P.
 * ``Box`` is an interval [lo 2^e, hi 2^e], cut outward: lo by floor
   shifts, hi by ceiling ones.  Every operation returns a box around every
   value it takes on its operand boxes, so an expression evaluated on boxes

@@ -29,12 +29,13 @@ until their items are first read; the zero test, the leading exponent, the
 leading slice and a shift by a unit monomial answer from the entry.
 
 All symbolic operations are exact; floating point enters through ``AtQ``,
-the mpf evaluator at fixed q, t1, t2.  It validates them once, and the
-image of the spectral polynomial, the root seeds and the matching ratios
-take their q-powers from it; the recursion rows and the residual's factors
-take theirs from integer roots instead (``dyadic.Box.qpow``).
-``eval_terms`` evaluates one sum with it, and ``eval_numeric`` is the
-extended-precision value of one sum.
+the mpf evaluator at fixed q, t1, t2.  It validates them and takes log q
+once, and computes every power when it is asked for; the image of the
+spectral polynomial (the one plain oracle of the roots), the root seeds
+and the matching ratios take their q-powers from it, while the recursion
+rows and the residual's factors take theirs from integer roots instead
+(``dyadic.Box.qpow``).  ``eval_terms`` evaluates one sum with it, term by
+term, and ``eval_numeric`` is the extended-precision value of one sum.
 """
 
 from __future__ import annotations
@@ -763,11 +764,10 @@ def to_mpf(x):
 class AtQ:
     """Evaluation at a fixed q in (0,1) and positive t1, t2.
 
-    Build and use it inside one mpmath precision: each distinct q^mu, t1^a,
-    t2^b and coefficient is computed once, at the precision current when it
-    is first asked for, and a memoised value is the very value a fresh
-    computation returns.  ``qpow(mu)`` is q^mu, computed as exp(mu * log q),
-    which keeps the accuracy uniform in |mu|.
+    Build and use it inside one mpmath precision: q, t1, t2 and log q are
+    taken at the precision current when it is built, and every power is
+    computed when it is asked for.  ``qpow(mu)`` is q^mu, computed as
+    exp(mu * log q), which keeps the accuracy uniform in |mu|.
     """
 
     def __init__(self, q, t1, t2):
@@ -777,48 +777,27 @@ class AtQ:
         self.t1, self.t2 = to_mpf(t1), to_mpf(t2)
         if not (self.t1 > 0 and self.t2 > 0):
             raise DomainError("t1 and t2 must be positive")
-        self.lq = lq = mpmath.log(self.q)
-        self.qpow = functools.cache(lambda mu: mpmath.exp(to_mpf(mu) * lq))
-        self._t1pow = functools.cache(self.t1.__pow__)
-        self._t2pow = functools.cache(self.t2.__pow__)
-        self._coeff = functools.cache(to_mpf)
-        self._qpow_scaled: dict = {}
+        self.lq = mpmath.log(self.q)
 
-    def qpow_scaled(self, den: int):
-        """e -> q^(e/den), memoised by the int e; the values are qpow's."""
-        if den not in self._qpow_scaled:
-            qpow = self.qpow
-            self._qpow_scaled[den] = functools.cache(lambda e: qpow(Fraction(e, den)))
-        return self._qpow_scaled[den]
+    def qpow(self, mu):
+        return mpmath.exp(to_mpf(mu) * self.lq)
 
     def term(self, t: QMonomial):
         """coeff * q^qexp * t1^t1pow * t2^t2pow, multiplied in that order."""
-        v = self._coeff(t.coeff)
+        v = to_mpf(t.coeff)
         if t.qexp:
             v *= self.qpow(t.qexp)
         if t.t1pow:
-            v *= self._t1pow(t.t1pow)
+            v *= self.t1 ** t.t1pow
         if t.t2pow:
-            v *= self._t2pow(t.t2pow)
+            v *= self.t2 ** t.t2pow
         return v
 
 
 def eval_terms(a: QSum, at: AtQ):
-    """Value of ``a`` at ``at``, in the precision ``at`` is used in.  Reads
-    the integer form; each term is AtQ.term of its monomial."""
-    qk, coeff, t1p, t2p = at.qpow_scaled(a.den), at._coeff, at._t1pow, at._t2pow
-    vals = []
-    for k, c in a.items:
-        e, t1, t2 = unpack_key(k)
-        v = coeff(c)
-        if e:
-            v *= qk(e)
-        if t1:
-            v *= t1p(t1)
-        if t2:
-            v *= t2p(t2)
-        vals.append(v)
-    return mpmath.fsum(vals)
+    """Value of ``a`` at ``at``, in the precision ``at`` is used in: the
+    sum of AtQ.term over its monomials."""
+    return mpmath.fsum(at.term(t) for t in a.terms)
 
 
 def eval_numeric(a: QSum, q, t1, t2, bits: int = 512):

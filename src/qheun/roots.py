@@ -14,8 +14,10 @@ locals, on rows flattened once per solve to int tuples (``_ints``), and
 each step repeats the qheun.dyadic operation it stands for: the plain
 counts and Newton that of Dyadic points truncated to the working
 precision, which only guide the search, and the certified counts that of
-Box intervals rounded outward.  Newton's bracket loop runs on Dyadic
-objects.
+Box intervals rounded outward.  The rest of the search (the Gershgorin
+bound, the isolation's points and splits, the seeds, Newton's bracket
+loop) runs on Dyadic objects at the rows' precision; mpf enters only as
+the 128-bit predicted roots the seeds come from and the returned roots.
 
 Each returned root is the true root rounded to nearest at ``bits`` bits,
 ties to even, whatever the isolation points and seeds.  One routine,
@@ -35,7 +37,7 @@ PrecisionError.
 
 Both isolators split brackets in one loop (``_split_brackets``): at the
 midpoint, nudged off roots, for Sturm variations, and at the geometric mean
-for the counts.
+(``_geometric_mean``, an integer square root) for the counts.
 
 On top of that sit the two-q exponent estimator (log-log slope per matched
 root) and the prediction matcher used by the verification pipeline.
@@ -443,10 +445,12 @@ def find_real_roots(coeffs: Sequence, bits: int) -> list:
 real_roots_of_rational_poly = find_real_roots
 
 
-def _prediction_seeds(p: HeunParams, predictions, q) -> list:
+def _prediction_seeds(p: HeunParams, predictions, q, P: int) -> list[Dyadic]:
+    """The distinct predicted roots at q, from 128-bit q-powers, sorted."""
     with mpmath.workprec(128):
         at = AtQ(q, p.t1, p.t2)
-        return [e.sign * e.prefactor_value(p.t1, p.t2) * at.qpow(e.d) for e in predictions]
+        seeds = {e.sign * e.prefactor_value(p.t1, p.t2) * at.qpow(e.d) for e in predictions}
+    return [Dyadic.of_mpf(s, P) for s in sorted(seeds)]
 
 
 # ---------------------------------------------------------------------------
@@ -702,72 +706,63 @@ def _certified_counter(p: HeunParams, q: Fraction, bits: int):
     return count
 
 
-def _gershgorin_bound(ratio):
+def _gershgorin_bound(ratio) -> Dyadic:
     """A power of two above twice the Gershgorin bound of the symmetrised
     Jacobi matrix: diagonal -C_n/B_n, off-diagonal sqrt(G_{n+1}/(B_n B_{n+1})),
-    in mpf from the Dyadic rows taken exactly."""
-    ratio = [tuple(v.to_mpf() for v in row) for row in ratio]
-    off = [mpmath.mpf(0)]
-    for (B0, _, _), (B1, _, G) in zip(ratio, ratio[1:]):
-        off.append(mpmath.sqrt(G / (B0 * B1)))
-    off.append(mpmath.mpf(0))
+    on the Dyadic rows, each square root a geometric mean with 1."""
+    P = ratio[0][0].P
+    one, zero = Dyadic(1, 0, P), Dyadic(0, 0, P)
+    off = [zero] + [_geometric_mean(G / (B0 * B1), one)
+                    for (B0, _, _), (B1, _, G) in zip(ratio, ratio[1:])] + [zero]
     bound = max(C / B + off[i] + off[i + 1] for i, (B, C, _) in enumerate(ratio))
-    return mpmath.ldexp(1, mpmath.mag(bound) + 1)
+    return Dyadic(1, bound.m.bit_length() + bound.e + 1, P)
 
 
 def _isolate_by_counts(ratio, seeds) -> list[tuple]:
-    """Brackets (a, b, m), a < b of one sign, each holding one root of
-    c_{N+1}, m the number of roots above b, sorted; by plain counts on the
-    Dyadic ``ratio`` rows at the working precision.
+    """Brackets (a, b, m), a < b Dyadic of one sign, each holding one root
+    of c_{N+1}, m the number of roots above b, sorted; by plain counts on
+    the Dyadic ``ratio`` rows, at their precision.
 
     The points are +-R (Gershgorin), 0, the largest R 2^(-2^j) of each sign
     with no root between it and 0, and the midpoints between consecutive
-    distinct seeds; a bracket holding more than one root is split at its
-    geometric mean until each holds one."""
+    seeds (distinct, sorted Dyadic points); a bracket holding more than one
+    root is split at its geometric mean until each holds one."""
     n = len(ratio)
     R = _gershgorin_bound(ratio)
-    P = mpmath.mp.prec
+    P = R.P
     flat = _ints(ratio)
-
-    def count(x) -> int:
-        return _count(flat, Dyadic.of_mpf(x, P))
-
-    zero = mpmath.mpf(0)
-    counts = {x: count(x) for x in (-R, zero, R)}
-    if (counts[-R], counts[R]) != (n, 0):
-        raise PrecisionError(f"counts {counts[-R]}, {counts[R]} at -R, R for degree {n}")
+    lo, zero = Dyadic(-1, R.e, P), Dyadic(0, 0, P)
+    counts = {x: _count(flat, x) for x in (lo, zero, R)}
+    if (counts[lo], counts[R]) != (n, 0):
+        raise PrecisionError(f"counts {counts[lo]}, {counts[R]} at -R, R for degree {n}")
     c0 = counts[zero]
     for sgn, none_of_sign in ((1, c0 == 0), (-1, c0 == n)):
         if none_of_sign:
             continue
         for j in range(_ZERO_SEARCH_STEPS):
-            x = sgn * mpmath.ldexp(R, -(2 ** j))
-            counts[x] = count(x)
+            x = Dyadic(sgn, R.e - 2 ** j, P)
+            counts[x] = _count(flat, x)
             if counts[x] == c0:
                 break
         else:
             raise PrecisionError(f"a root of sign {sgn} is not separated from 0")
-    seeds = sorted(seeds)
     for a, b in zip(seeds, seeds[1:]):
-        x = (a + b) / 2
-        if a != b and -R < x < R:
-            counts[x] = count(x)
-    out = _split_brackets(
-        counts,
-        count,
-        lambda a, b: mpmath.sqrt(a * b) * (1 if b > 0 else -1),
-    )
+        x = (a + b).ldexp(-1)
+        if lo < x < R:
+            counts[x] = _count(flat, x)
+    out = _split_brackets(counts, lambda x: _count(flat, x), _geometric_mean)
     if len(out) != n:
         raise PrecisionError(f"count isolation found {len(out)} roots for degree {n}")
     return out
 
 
-def _spectral_root(newton_rows, count, a, b, m: int, bits: int, start) -> Fraction:
-    """The root of c_{N+1} with m roots above it, isolated in (a, b),
-    rounded to nearest at ``bits`` bits by ``_rounded_root``, every side
-    decided by a certified count.  The probes are r -+ t of a Newton
-    approximation r with error estimate t (from ``start``, if given);
-    PrecisionError when an end of (a, b) fails its certification."""
+def _spectral_root(newton_rows, count, lo: Dyadic, hi: Dyadic, m: int, bits: int, start) -> Fraction:
+    """The root of c_{N+1} with m roots above it, isolated in (lo, hi),
+    Dyadic points at the rows' precision, rounded to nearest at ``bits``
+    bits by ``_rounded_root``, every side decided by a certified count.
+    The probes are r -+ t of a Newton approximation r with error estimate
+    t (from the Dyadic ``start``, if given); PrecisionError when an end of
+    (lo, hi) fails its certification."""
 
     def side(M: int, W: int) -> int:
         n = count(M, W)
@@ -778,8 +773,7 @@ def _spectral_root(newton_rows, count, a, b, m: int, bits: int, start) -> Fracti
         c, dc, err = _newton_eval(newton_rows, x)
         return c, dc, err, (c.m < 0) if m % 2 == 0 else (c.m > 0)
 
-    P = mpmath.mp.prec
-    lo, hi = Dyadic.of_mpf(a, P), Dyadic.of_mpf(b, P)
+    P = lo.P
     # with no approximation both probes sit at lo, outside (lo, hi)
     r, t = _newton_in_bracket(ev, lo, hi, P, start) or (lo, Dyadic(0, 0, P))
     e = min(lo.e, hi.e, r.e, t.e, 0)
@@ -813,14 +807,13 @@ def find_spectral_roots(
     prec = bits + EVAL_GUARD_BITS
     rows, off = _dyadic_table(p, q, prec)
     count = _certified_counter(p, q, bits)
-    seeds = _prediction_seeds(p, predictions, q) if predictions else ()
-    with mpmath.workprec(prec):
-        newton_rows = _ints(_newton_rows(rows))
-        roots = []
-        for a, b, m in _isolate_by_counts(_point_ratio_rows(rows, off), seeds):
-            inside = {s for s in seeds if a < s < b}
-            start = Dyadic.of_mpf(inside.pop(), prec) if len(inside) == 1 else None
-            roots.append(_spectral_root(newton_rows, count, a, b, m, bits, start))
+    seeds = _prediction_seeds(p, predictions, q, prec) if predictions else []
+    newton_rows = _ints(_newton_rows(rows))
+    roots = []
+    for a, b, m in _isolate_by_counts(_point_ratio_rows(rows, off), seeds):
+        inside = [s for s in seeds if a < s < b]
+        start = inside[0] if len(inside) == 1 else None
+        roots.append(_spectral_root(newton_rows, count, a, b, m, bits, start))
     with mpmath.workprec(bits):
         return [to_mpf(r) for r in roots], bits
 
@@ -861,7 +854,7 @@ def estimate_exponents(
         )
     out = []
     with mpmath.workprec(bits):
-        dlq = AtQ(q2, p.t1, p.t2).lq - AtQ(q1, p.t1, p.t2).lq
+        dlq = mpmath.log(to_mpf(q2)) - mpmath.log(to_mpf(q1))
         for v1, v2 in zip(n1 + p1, n2 + p2):
             slope = (mpmath.log(abs(v2)) - mpmath.log(abs(v1))) / dlq
             out.append(RootEstimate(value=v2, q=q2, est_exponent=slope))
@@ -919,7 +912,7 @@ def match_predictions(
 
     rows: list[MatchRow] = []
     ok = True
-    ats: dict = {}  # one AtQ per q; its memoised values equal fresh ones
+    ats: dict = {}  # one AtQ, so one log q, per q
     for ests, preds in ((est_neg, pred_neg), (est_pos, pred_pos)):
         for i in range(max(len(ests), len(preds))):
             est = ests[i] if i < len(ests) else None

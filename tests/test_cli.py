@@ -231,6 +231,23 @@ def test_sweep_parallel_csv_equals_serial(p1_file, tmp_path):
     assert csvs[0].count(b",yes") == 3
 
 
+def test_sweep_verify_seeds_its_solves(p1_file, monkeypatch, capsys):
+    # every verified grid point passes its predictions to the solves
+    seen, estimate = [], cli.estimate_exponents
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("predictions"))
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_exponents", recording)
+    assert main(
+        ["sweep", "--params", p1_file, "--axis", "t1", "--from", "1",
+         "--to", "2", "--step", "1/2", "--verify", "--jobs", "1"]
+    ) == 0
+    assert capsys.readouterr().out.count(",yes") == 3
+    assert len(seen) == 3 and all(seen)
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
 

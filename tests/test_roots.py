@@ -24,6 +24,7 @@ from qheun.qmono import EVAL_GUARD_BITS, to_mpf
 from qheun.sampling import sample_params
 from qheun.dyadic import Box, Dyadic
 from qheun.spectral import (
+    _dyadic_table,
     derive,
     recursion_boxes_at,
     recursion_coeff_rows,
@@ -600,6 +601,30 @@ def test_a_count_uncertified_at_max_bits_names_its_point(p1, monkeypatch):
     with pytest.raises(PrecisionError, match=r"root count at E = -?\d.* is not certified at 4096 bits"):
         find_spectral_roots(p1, F(1, 1000), 512)
     assert sorted(set(seen)) == [b + EVAL_GUARD_BITS for b in (512, 1024, 2048, 4096)]
+
+
+def _assert_bound_above_roots(p, q):
+    prec = 512 + EVAL_GUARD_BITS
+    R = roots_mod._gershgorin_bound(roots_mod._point_ratio_rows(*_dyadic_table(p, q, prec)))
+    assert (R.m, R.P) == (1, prec)  # 2^R.e
+    bound = R.to_fraction()
+    roots = find_spectral_roots(p, q, 512)[0]
+    assert all(abs(roots_mod._mpf_to_fraction(r)) < bound for r in roots), (p, q, bound)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["R31", "R32", "R33"]), st.integers(0, 10 ** 6), st.integers(1, 12),
+       st.sampled_from([F(1, 1000), F(1, 10 ** 6), F(99, 100)]))
+def test_the_gershgorin_bound_is_a_power_of_two_above_every_root(regime, seed, N, q):
+    # the bound comes from Dyadic rows cut by truncation, not from rounded
+    # mpf arithmetic; it still lies above every root the counts find
+    _assert_bound_above_roots(sample_params(regime, random.Random(seed), N=N), q)
+
+
+@pytest.mark.parametrize("name", [f"{r}-{N}" for N in (24, 48) for r in ("R31", "R32", "R33")])
+def test_the_gershgorin_bound_is_above_every_root_of_the_large_sets(name):
+    for q in (F(1, 1000), F(1, 10 ** 6)):
+        _assert_bound_above_roots(named_set(name), q)
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,23 @@ def test_p4_roots_series_and_residual_take_no_exp_or_log(p4, monkeypatch):
         assert residual_check(p4, coefficients_numeric(p4, E0, q, 512)) <= gate
 
 
+def test_the_search_takes_no_mpf_sqrt_ldexp_or_mag(monkeypatch):
+    # the Gershgorin bound, the zero search and the splits run on Dyadic
+    # points: the unseeded search calls none of these, and finds the roots
+    # it finds with them in place
+    names = ["P1", "P2", "P3", "P4", "R31-12", "R32-12", "R33-12"]
+    qs = (F(1, 1000), F(1, 10 ** 6))
+    want = [find_spectral_roots(named_set(n), q, 512)[0] for n in names for q in qs]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("mpf arithmetic in the root search")
+
+    for name in ("sqrt", "ldexp", "mag"):
+        monkeypatch.setattr(mpmath, name, refused)
+    got = [find_spectral_roots(named_set(n), q, 512)[0] for n in names for q in qs]
+    assert [[r._mpf_ for r in rs] for rs in got] == [[r._mpf_ for r in rs] for rs in want]
+
+
 def series_coefficient_values(p, E0, q, bits=512):
     """c_0(E0) .. c_{N+1}(E0) by the forward recursion on recursion_rows_at's
     rows in fixed precision: the reference of the rows and of the twisted
