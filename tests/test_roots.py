@@ -404,10 +404,12 @@ def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4
     assert max(per_root) <= 20
 
 
-# Calls per find_spectral_roots solve at 512 bits, recorded with the
-# recursion loops on Dyadic and Box objects: (plain counts, Newton
+# Calls per find_spectral_roots solve at 512 bits: (plain counts, Newton
 # evaluations per root), with the predictions as seeds and then without,
-# keyed by fixture and -log10 q.  Every root takes two certified counts.
+# keyed by named_set and -log10 q.  Every root takes two certified counts.
+# P1-P4 were recorded with the recursion loops on Dyadic and Box objects,
+# the seed-12 N = 12 sets with the ratio-recursion kernel of the plain
+# counts and Newton on the rows divided by A_n.
 _SEARCH_CALLS = {
     ("P1", 3): ((11, (5, 6, 7)), (9, (10, 12, 11))),
     ("P1", 4): ((11, (5, 5, 6)), (9, (10, 11, 11))),
@@ -425,6 +427,24 @@ _SEARCH_CALLS = {
     ("P4", 4): ((10, (10, 9, 9, 9)), (9, (10, 9, 9, 9))),
     ("P4", 5): ((10, (10, 9, 8, 10)), (9, (10, 9, 8, 10))),
     ("P4", 6): ((10, (10, 8, 8, 10)), (9, (10, 8, 8, 10))),
+    ("R31-12", 3): (
+        (23, (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 6)),
+        (19, (11, 12, 14, 15, 14, 14, 15, 17, 15, 14, 13, 13, 11))),
+    ("R31-12", 6): (
+        (24, (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5)),
+        (20, (10, 13, 17, 15, 14, 15, 15, 18, 16, 15, 14, 13, 11))),
+    ("R32-12", 3): (
+        (33, (4, 4, 4, 5, 6, 7, 13, 10, 8, 8, 9, 11, 12)),
+        (28, (11, 13, 12, 11, 13, 13, 13, 9, 10, 9, 10, 11, 13))),
+    ("R32-12", 6): (
+        (37, (4, 4, 4, 4, 5, 6, 12, 10, 8, 7, 8, 11, 12)),
+        (32, (12, 19, 18, 17, 17, 16, 13, 9, 10, 9, 10, 9, 13))),
+    ("R33-12", 3): (
+        (22, (4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 7)),
+        (18, (9, 13, 13, 12, 14, 11, 14, 11, 13, 11, 13, 10, 11))),
+    ("R33-12", 6): (
+        (23, (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 6)),
+        (21, (10, 15, 16, 18, 13, 15, 14, 16, 13, 13, 14, 12, 11))),
 }
 
 
@@ -449,7 +469,7 @@ def test_the_search_makes_the_recorded_calls(monkeypatch):
 
     monkeypatch.setattr(roots_mod, "_spectral_root", counting_root)
     for (name, k), recorded in _SEARCH_CALLS.items():
-        p = getattr(acceptance, name)
+        p = named_set(name)
         preds = predict_roots(p, classify(p))
         for seeds, (plain, newton) in zip((preds, None), recorded):
             calls.update(dict.fromkeys(calls, 0))
