@@ -4,12 +4,12 @@ A value m 2^e is an int mantissa m and an int exponent e, and every
 operation cuts |m| back to at most 2^P, P the precision its operands
 carry.  The per-root series and residual of ``spectral`` and the root
 search of ``roots`` run on these classes instead of mpmath objects, whose
-per-operation overhead dominates loops of N + 1 steps.  The three
-recursion loops of ``roots.find_spectral_roots`` (the plain counts,
-Newton's evaluations and the certified counts) are inline kernels on int
-locals that repeat these operations step by step, so they return the
-values the classes would, bit for bit, without an object per operation;
-a change to an operation here must be made there too.
+per-operation overhead dominates loops of N + 1 steps.  The two
+recursion loops of ``roots.find_spectral_roots`` (the point recursion of
+the plain counts and Newton, and the certified counts) are inline kernels
+on int locals that repeat these operations step by step, so they return
+the values the classes would, bit for bit, without an object per
+operation; a change to an operation here must be made there too.
 
 * ``Dyadic`` is a point, cut by truncation (a floor shift, a floor
   division), and compared exactly.  The root search uses it from the row

@@ -8,16 +8,17 @@ The polynomial itself is never formed.  One row table serves all three:
 the Box rows of spectral.recursion_boxes_at, built once per parameter set,
 q and precision from integer enclosures of each q-power; the plain counts
 and Newton read their lower ends as Dyadic points, the rows of the twisted
-solve (spectral._dyadic_table).  The three recursion loops (``_count``,
-``_newton_eval``, ``_certified_count``) are inline kernels on CPython int
-locals, on rows flattened once per solve to int tuples (``_ints``), and
-each step repeats the qheun.dyadic operation it stands for: the plain
-counts and Newton that of Dyadic points truncated to the working
-precision, which only guide the search, and the certified counts that of
-Box intervals rounded outward.  The rest of the search (the Gershgorin
-bound, the isolation's points and splits, the seeds, Newton's bracket
-loop) runs on Dyadic objects at the rows' precision; mpf enters only as
-the 128-bit predicted roots the seeds come from and the returned roots.
+solve (spectral._dyadic_table), and run one point recursion on them
+(``_point_recursion``), the certified counts its ratio on the boxes.  Both
+loops are inline kernels on CPython int locals, on rows flattened once per
+solve to int tuples (``_ints``), and each step repeats the qheun.dyadic
+operation it stands for: the point recursion that of Dyadic points
+truncated to the working precision, which only guide the search, and the
+certified counts that of Box intervals rounded outward.  The rest of the
+search (the Gershgorin bound, the isolation's points and splits, the
+seeds, Newton's bracket loop) runs on Dyadic objects at the rows'
+precision; mpf enters only as the 128-bit predicted roots the seeds come
+from and the returned roots.
 
 Each returned root is the true root rounded to nearest at ``bits`` bits,
 ties to even, whatever the isolation points and seeds.  One routine,
@@ -459,15 +460,17 @@ def _prediction_seeds(p: HeunParams, predictions, q, P: int) -> list[Dyadic]:
 # derive enforces t1, t2 > 0, beta < 1 and alpha2 - alpha1 < 1, so A_n, B_n
 # and D_n are positive for every q in (0, 1) and the recursion
 # A_n c_n = (B_n E + C_n) c_{n-1} - D_n c_{n-2} is a Favard recurrence:
-# c_{N+1} has N+1 simple real roots, and the number of negative ratios
-# c_n / c_{n-1} is the number of roots above E (Barth, Martin & Wilkinson,
-# Numer. Math. 9 (1967)).  With s_n = A_n c_n / c_{n-1} that count runs
-#     s_n = B_n E + C_n - G_n / s_{n-1},   G_n = D_n A_{n-1},  G_1 = 0.
+# c_{N+1} has N+1 simple real roots.  Its multiple w_n = A_1 ... A_n c_n runs
+#     w_n = (B_n E + C_n) w_{n-1} - G_n w_{n-2},   G_n = D_n A_{n-1},  G_1 = 0,
+# and the roots above E are the sign changes of w_0 .. w_{N+1}, the negative
+# s_n = w_n / w_{n-1} = B_n E + C_n - G_n / s_{n-1} (Barth, Martin &
+# Wilkinson, Numer. Math. 9 (1967)).  As A_1 ... A_{N+1} > 0 does not depend
+# on E, Newton on w_{N+1} is Newton on c_{N+1}.
 # ---------------------------------------------------------------------------
 
 
 def _ratio_rows(rows) -> list:
-    """(B_n, C_n, G_n) of the count, in the arithmetic of the rows."""
+    """(B_n, C_n, G_n) of the Favard recursion, in the rows' arithmetic."""
     out, prev_A = [], 0
     for A, B, C, D in rows:
         out.append((B, C, D * prev_A))
@@ -490,58 +493,103 @@ def _ints(rows) -> list:
     ]
 
 
-# The three recursion loops below are inline kernels: a Dyadic is a pair
-# of int locals (m, e), a Box a triple (lo, hi, e), and each step repeats
-# the alignment, operation and cut of the dyadic operation it stands for,
-# so they return what the loops on those objects return, bit for bit,
-# with no object built and no function called per operation.  Every
-# Dyadic cut reads
+# The two recursion loops below are inline kernels: a Dyadic is a pair of
+# int locals (m, e), a Box a triple (lo, hi, e), and each step repeats the
+# alignment, operation and cut of the dyadic operation it stands for, so
+# they return what the loops on those objects return, bit for bit, with no
+# object built and no function called per operation.  Every Dyadic cut reads
 #     k = m.bit_length() - P
 #     if k > 0: m, e = m >> k, e + k
 # and every Box cut the same with an outward (floor, ceiling) shift.
 
 
-def _count(rows, x: Dyadic) -> int:
-    """The number of roots above x by the ratio recursion on the Dyadic
-    rows (B_n, C_n, G_n), flat (``_ints``), truncating.  A zero s_n is
-    moved off zero by one unit of its terms: the count only guides the
-    search; certified counts decide."""
-    P, xm, xe = x.P, x.m, x.e
-    above, sm, se = 0, 1, 0
+def _point_recursion(rows, x: Dyadic, newton: bool):
+    """The Favard recursion at x on the flat Dyadic rows (B_n, C_n, G_n),
+    truncating: the number of sign changes of w_0 .. w_{N+1}, a w_n that
+    truncates to 0 counting as positive; with ``newton`` instead w_{N+1},
+    its derivative and its rounding noise, run on absolute values."""
+    P, xm, xe, changes = x.P, x.m, x.e, 0
+    cm, ce, pm, pe = 1, 0, 0, 0  # w_{n-1}, w_{n-2}
+    dm, de, qm, qe = 0, 0, 0, 0  # their derivatives
+    am, ae, wm, we = 1, 0, 0, 0  # their noise
     for Bm, Be, Cm, Ce, Gm, Ge in rows:
         um, ue = Bm * xm, Be + xe  # u = B x
         k = um.bit_length() - P
         if k > 0: um, ue = um >> k, ue + k
-        k = Ce - ue  # t = u + C
+        k = Ce - ue  # f = u + C
+        if k >= 0: fm, fe = um + (Cm << k), ue
+        else: fm, fe = (um << -k) + Cm, Ce
+        k = fm.bit_length() - P
+        if k > 0: fm, fe = fm >> k, fe + k
+        # w_n = f w_{n-1} - G w_{n-2}
+        tm, te = fm * cm, fe + ce
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        vm, ve = Gm * pm, Ge + pe
+        k = vm.bit_length() - P
+        if k > 0: vm, ve = vm >> k, ve + k
+        k = ve - te
+        if k >= 0: tm -= vm << k
+        else: tm, te = (tm << -k) - vm, ve
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        changes += (tm < 0) != (cm < 0)
+        pm, pe, cm, ce = cm, ce, tm, te
+        if not newton: continue
+        # w'_n = B w_{n-1} + f w'_{n-1} - G w'_{n-2}
+        tm, te = Bm * pm, Be + pe
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        vm, ve = fm * dm, fe + de
+        k = vm.bit_length() - P
+        if k > 0: vm, ve = vm >> k, ve + k
+        k = ve - te
+        if k >= 0: tm += vm << k
+        else: tm, te = (tm << -k) + vm, ve
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        vm, ve = Gm * qm, Ge + qe
+        k = vm.bit_length() - P
+        if k > 0: vm, ve = vm >> k, ve + k
+        k = ve - te
+        if k >= 0: tm -= vm << k
+        else: tm, te = (tm << -k) - vm, ve
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        qm, qe, dm, de = dm, de, tm, te
+        # a_n = (|u| + C) a_{n-1} + G a_{n-2}; |u| needs no cut
+        um = -um if um < 0 else um
+        k = Ce - ue
         if k >= 0: tm, te = um + (Cm << k), ue
         else: tm, te = (um << -k) + Cm, Ce
         k = tm.bit_length() - P
         if k > 0: tm, te = tm >> k, te + k
-        k = P + 1 + sm.bit_length() - Gm.bit_length()  # g = G / s
-        gm, ge = (Gm << k) // sm, Ge - se - k
-        k = gm.bit_length() - P
-        if k > 0: gm, ge = gm >> k, ge + k
-        k = ge - te  # s = t - g
-        if k >= 0: sm, se = tm - (gm << k), te
-        else: sm, se = (tm << -k) - gm, ge
-        k = sm.bit_length() - P
-        if k > 0: sm, se = sm >> k, se + k
-        if sm < 0:
-            above += 1
-        elif not sm:  # s = (|u| + C) 2^-P
-            um = -um if um < 0 else um
-            k = Ce - ue
-            if k >= 0: sm, se = um + (Cm << k), ue
-            else: sm, se = (um << -k) + Cm, Ce
-            k = sm.bit_length() - P
-            if k > 0: sm, se = sm >> k, se + k
-            se -= P
-    return above
+        tm, te = tm * am, te + ae
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        vm, ve = Gm * wm, Ge + we
+        k = vm.bit_length() - P
+        if k > 0: vm, ve = vm >> k, ve + k
+        k = ve - te
+        if k >= 0: tm += vm << k
+        else: tm, te = (tm << -k) + vm, ve
+        k = tm.bit_length() - P
+        if k > 0: tm, te = tm >> k, te + k
+        wm, we, am, ae = am, ae, tm, te
+    if not newton:
+        return changes
+    return Dyadic(cm, ce, P), Dyadic(dm, de, P), Dyadic(am * len(rows), ae + 4 - P, P)
+
+
+def _count(rows, x: Dyadic) -> int:
+    """The number of roots above x by ``_point_recursion``, which only
+    guides the search: certified counts decide."""
+    return _point_recursion(rows, x, False)
 
 
 def _certified_count(rows, x: Box) -> int | None:
-    """The count of ``_count`` on the Box rows, flat (``_ints``), or None
-    when an s_n box contains 0."""
+    """The number of roots above x by the ratio recursion on the flat Box
+    rows (B_n, C_n, G_n), or None when an s_n box contains 0."""
     P, xlo, xhi, xe = x.P, x.lo, x.hi, x.e
     above, slo, shi, se = 0, 1, 1, 0
     for Blo, Bhi, Be, Clo, Chi, Ce, Glo, Ghi, Ge in rows:
@@ -581,83 +629,10 @@ def _certified_count(rows, x: Box) -> int | None:
     return above
 
 
-def _newton_rows(rows) -> list:
-    """(B_n/A_n, C_n/A_n, D_n/A_n) of Newton, in the arithmetic of the rows."""
-    return [(B / A, C / A, D / A) for A, B, C, D in rows]
-
-
 def _newton_eval(rows, x: Dyadic):
-    """c_{N+1}(x), its derivative, and a bound on the rounding noise of
-    c_{N+1}(x), as Dyadic: the recursion c_n = (b x + g) c_{n-1} - e c_{n-2}
-    on the Dyadic rows (b, g, e), flat (``_ints``), differentiated, and run
-    on absolute values for the noise."""
-    P, xm, xe = x.P, x.m, x.e
-    cm, ce, pm, pe = 1, 0, 0, 0  # c_{n-1}, c_{n-2}
-    dm, de, qm, qe = 0, 0, 0, 0  # their derivatives
-    am, ae, wm, we = 1, 0, 0, 0  # their noise
-    for bm, be, gm, ge, em, ee in rows:
-        um, ue = bm * xm, be + xe  # u = b x
-        k = um.bit_length() - P
-        if k > 0: um, ue = um >> k, ue + k
-        k = ge - ue  # f = u + g
-        if k >= 0: fm, fe = um + (gm << k), ue
-        else: fm, fe = (um << -k) + gm, ge
-        k = fm.bit_length() - P
-        if k > 0: fm, fe = fm >> k, fe + k
-        # c_n = f c_{n-1} - e c_{n-2}
-        tm, te = fm * cm, fe + ce
-        k = tm.bit_length() - P
-        if k > 0: tm, te = tm >> k, te + k
-        vm, ve = em * pm, ee + pe
-        k = vm.bit_length() - P
-        if k > 0: vm, ve = vm >> k, ve + k
-        k = ve - te
-        if k >= 0: tm -= vm << k
-        else: tm, te = (tm << -k) - vm, ve
-        k = tm.bit_length() - P
-        if k > 0: tm, te = tm >> k, te + k
-        pm, pe, cm, ce = cm, ce, tm, te
-        # d_n = b c_{n-1} + f d_{n-1} - e d_{n-2}
-        tm, te = bm * pm, be + pe
-        k = tm.bit_length() - P
-        if k > 0: tm, te = tm >> k, te + k
-        vm, ve = fm * dm, fe + de
-        k = vm.bit_length() - P
-        if k > 0: vm, ve = vm >> k, ve + k
-        k = ve - te
-        if k >= 0: tm += vm << k
-        else: tm, te = (tm << -k) + vm, ve
-        k = tm.bit_length() - P
-        if k > 0: tm, te = tm >> k, te + k
-        vm, ve = em * qm, ee + qe
-        k = vm.bit_length() - P
-        if k > 0: vm, ve = vm >> k, ve + k
-        k = ve - te
-        if k >= 0: tm -= vm << k
-        else: tm, te = (tm << -k) - vm, ve
-        k = tm.bit_length() - P
-        if k > 0: tm, te = tm >> k, te + k
-        qm, qe, dm, de = dm, de, tm, te
-        # a_n = (|u| + g) a_{n-1} + e a_{n-2}; |u| needs no cut
-        um = -um if um < 0 else um
-        k = ge - ue
-        if k >= 0: tm, te = um + (gm << k), ue
-        else: tm, te = (um << -k) + gm, ge
-        k = tm.bit_length() - P
-        if k > 0: tm, te = tm >> k, te + k
-        tm, te = tm * am, te + ae
-        k = tm.bit_length() - P
-        if k > 0: tm, te = tm >> k, te + k
-        vm, ve = em * wm, ee + we
-        k = vm.bit_length() - P
-        if k > 0: vm, ve = vm >> k, ve + k
-        k = ve - te
-        if k >= 0: tm += vm << k
-        else: tm, te = (tm << -k) + vm, ve
-        k = tm.bit_length() - P
-        if k > 0: tm, te = tm >> k, te + k
-        wm, we, am, ae = am, ae, tm, te
-    return Dyadic(cm, ce, P), Dyadic(dm, de, P), Dyadic(am * len(rows), ae + 4 - P, P)
+    """w_{N+1}(x), its derivative, and a bound on the rounding noise of
+    w_{N+1}(x), as Dyadic, by ``_point_recursion``."""
+    return _point_recursion(rows, x, True)
 
 
 def _certified_counter(p: HeunParams, q: Fraction, bits: int):
@@ -718,10 +693,10 @@ def _gershgorin_bound(ratio) -> Dyadic:
     return Dyadic(1, bound.m.bit_length() + bound.e + 1, P)
 
 
-def _isolate_by_counts(ratio, seeds) -> list[tuple]:
+def _isolate_by_counts(ratio, flat, seeds) -> list[tuple]:
     """Brackets (a, b, m), a < b Dyadic of one sign, each holding one root
     of c_{N+1}, m the number of roots above b, sorted; by plain counts on
-    the Dyadic ``ratio`` rows, at their precision.
+    ``flat``, the Dyadic ``ratio`` rows flattened, at their precision.
 
     The points are +-R (Gershgorin), 0, the largest R 2^(-2^j) of each sign
     with no root between it and 0, and the midpoints between consecutive
@@ -730,7 +705,6 @@ def _isolate_by_counts(ratio, seeds) -> list[tuple]:
     n = len(ratio)
     R = _gershgorin_bound(ratio)
     P = R.P
-    flat = _ints(ratio)
     lo, zero = Dyadic(-1, R.e, P), Dyadic(0, 0, P)
     counts = {x: _count(flat, x) for x in (lo, zero, R)}
     if (counts[lo], counts[R]) != (n, 0):
@@ -756,21 +730,21 @@ def _isolate_by_counts(ratio, seeds) -> list[tuple]:
     return out
 
 
-def _spectral_root(newton_rows, count, lo: Dyadic, hi: Dyadic, m: int, bits: int, start) -> Fraction:
+def _spectral_root(flat, count, lo: Dyadic, hi: Dyadic, m: int, bits: int, start) -> Fraction:
     """The root of c_{N+1} with m roots above it, isolated in (lo, hi),
     Dyadic points at the rows' precision, rounded to nearest at ``bits``
     bits by ``_rounded_root``, every side decided by a certified count.
     The probes are r -+ t of a Newton approximation r with error estimate
-    t (from the Dyadic ``start``, if given); PrecisionError when an end of
-    (lo, hi) fails its certification."""
+    t (from the Dyadic ``start``, if given) on the flat point rows;
+    PrecisionError when an end of (lo, hi) fails its certification."""
 
     def side(M: int, W: int) -> int:
         n = count(M, W)
         return 0 if n is None else 1 if n > m else -1
 
     def ev(x: Dyadic):
-        # below the root, c_{N+1} has the sign (-1)^(m+1) of its m+1 roots above
-        c, dc, err = _newton_eval(newton_rows, x)
+        # below the root, w_{N+1} has the sign (-1)^(m+1) of its m+1 roots above
+        c, dc, err = _newton_eval(flat, x)
         return c, dc, err, (c.m < 0) if m % 2 == 0 else (c.m > 0)
 
     P = lo.P
@@ -808,12 +782,13 @@ def find_spectral_roots(
     rows, off = _dyadic_table(p, q, prec)
     count = _certified_counter(p, q, bits)
     seeds = _prediction_seeds(p, predictions, q, prec) if predictions else []
-    newton_rows = _ints(_newton_rows(rows))
+    ratio = _point_ratio_rows(rows, off)
+    flat = _ints(ratio)
     roots = []
-    for a, b, m in _isolate_by_counts(_point_ratio_rows(rows, off), seeds):
+    for a, b, m in _isolate_by_counts(ratio, flat, seeds):
         inside = [s for s in seeds if a < s < b]
         start = inside[0] if len(inside) == 1 else None
-        roots.append(_spectral_root(newton_rows, count, a, b, m, bits, start))
+        roots.append(_spectral_root(flat, count, a, b, m, bits, start))
     with mpmath.workprec(bits):
         return [to_mpf(r) for r in roots], bits
 

@@ -445,8 +445,8 @@ def _pivots(a, off, P: int):
 def _dyadic_table(p: HeunParams, q: Fraction, P: int) -> tuple:
     """The point rows at P bits, the lower ends of recursion_boxes_at's
     rows as Dyadic, and A_{i+1} D_{i+2}, i = 0 .. N-1: the products of the
-    off-diagonals coupling i and i+1 in coefficients_numeric.  The plain
-    root counts and Newton read them too.  Memoised."""
+    off-diagonals coupling i and i+1 in coefficients_numeric, also the
+    G_2 .. G_{N+1} of the plain counts' and Newton's recursion.  Memoised."""
     rows = _lower_ends(recursion_boxes_at(p, q, P))
     return rows, tuple(rows[i][0] * rows[i + 1][3] for i in range(p.N))
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import random
@@ -7,6 +8,14 @@ import pytest
 
 from qheun import acceptance, cli
 from qheun.cli import _build_parser, main
+from qheun.errors import (
+    CancellationError,
+    DegenerateSPolyError,
+    ExcludedCaseError,
+    MatchingError,
+    PrecisionError,
+    RegimeError,
+)
 from qheun.sampling import sample_params
 
 P1 = """
@@ -122,6 +131,46 @@ def test_analyze_boundary_params_exit_2(tmp_path, capsys):
     assert "boundary case" in capsys.readouterr().out
 
 
+# one set per regime within 1/4 (ultra.BOUNDARY_WARNING_DISTANCE) of a
+# boundary, each of another check of ultra.boundary_proximity: R31 of
+# 1+h2-l2-beta against 0, R32 of l1-l2-beta against its set, and R33 of
+# 1+h2-l2-beta against an odd integer, where its two root families collide
+_NEAR_BOUNDARY = [
+    ("R31", P1.replace("alpha2 = 1/2", "alpha2 = 1/8").replace("beta = 1/2", "beta = 7/8"),
+     "1+h2-l2-beta = 1/8 is within 1/4 of boundary 0"),
+    ("R32", P2.replace("l1 = 1", "l1 = 9/4").replace("alpha2 = -1/2", "alpha2 = -7/4"),
+     "l1-l2-beta = -9/4 is within 1/4 of boundary -2"),
+    ("R33", P3.replace("alpha2 = 1/2", "alpha2 = 3/4").replace("beta = 1/2", "beta = 1/4"),
+     "1+h2-l2-beta = -5/4 is within 1/4 of boundary -1"),
+]
+
+
+@pytest.mark.parametrize("regime,body,warning", _NEAR_BOUNDARY, ids=[r for r, _, _ in _NEAR_BOUNDARY])
+def test_analyze_warns_near_a_boundary(tmp_path, capsys, regime, body, warning):
+    path = _write(tmp_path, "near.params", body)
+    assert main(["analyze", "--params", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"regime={regime}" in out[0]
+    assert [line for line in out if line.startswith("warning")] == [f"warning: {warning}"]
+
+
+@pytest.mark.parametrize("body", [P1, P2, P3, P4], ids=["P1", "P2", "P3", "P4"])
+def test_analyze_warns_of_no_boundary_on_the_fixtures(tmp_path, capsys, body):
+    path = _write(tmp_path, "p.params", body)
+    assert main(["analyze", "--params", path]) == 0
+    assert "warning" not in capsys.readouterr().out
+
+
+def test_predict_on_an_excluded_set_prints_the_detail_and_exits_2(tmp_path, capsys):
+    body = P1.replace("h1 = -5", "h1 = -6").replace("l1 = 0", "l1 = 3").replace("l2 = 1", "l2 = 4")
+    path = _write(tmp_path, "excl.params", body.replace("alpha2 = 1/2", "alpha2 = -3").replace("beta = 1/2", "beta = -3"))
+    assert main(["predict", "--params", path]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "lambda1=-2 N=2 regime=Excluded",
+        "detail: boundary case: 2h2-l1-l2-beta = -2 lies in the exclusion set {-2,...,-2N}",
+    ]
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     path = _write(tmp_path, "broken.params", P1.replace("l1 = 0", "l1 = zero"))
     assert main(["analyze", "--params", path]) == 1
@@ -159,6 +208,13 @@ def test_verify_p1_passes_and_is_byte_stable(p1_file, tmp_path, capsys):
     lines = data1.decode().splitlines()
     assert lines[0].startswith("index,q,root_value,est_exponent,pred_exponent")
     assert len(lines) == 4  # header + 3 roots
+
+
+def test_verify_with_a_lone_q_pairs_it_with_q_over_10(p1_file, tmp_path, capsys):
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert main(["verify", "--params", p1_file, "--q", "1/1000", "--out", str(one)]) == 0
+    assert main(["verify", "--params", p1_file, "--q", "1/1000", "--q", "1/10000", "--out", str(two)]) == 0
+    assert (one / "roots.csv").read_bytes() == (two / "roots.csv").read_bytes()
 
 
 def test_verify_certifies_the_roots_at_the_bits_they_were_found_with(tmp_path, capsys):
@@ -246,6 +302,22 @@ def test_sweep_verify_seeds_its_solves(p1_file, monkeypatch, capsys):
     ) == 0
     assert capsys.readouterr().out.count(",yes") == 3
     assert len(seen) == 3 and all(seen)
+
+
+def test_sweep_verify_records_a_solve_error_in_its_row(p1_file, tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise PrecisionError("the root count is not certified")
+
+    monkeypatch.setattr(cli, "estimate_exponents", failing)
+    out = tmp_path / "sweepout"
+    assert main(
+        ["sweep", "--params", p1_file, "--axis", "t1", "--from", "1",
+         "--to", "2", "--step", "1/2", "--verify", "--jobs", "1",
+         "--out", str(out)]
+    ) == 0
+    with (out / "sweep.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["verified"] for row in rows] == ["error: the root count is not certified"] * 3
 
 
 class _SerialPool:
@@ -350,6 +422,28 @@ def test_verify_excluded_params_exit_2(tmp_path, capsys):
     """
     path = _write(tmp_path, "excl.params", body)
     assert main(["verify", "--params", path]) == 2
+
+
+_ERROR_EXITS = [
+    (ExcludedCaseError("no claim here"), 2),
+    (RegimeError("not this regime"), 2),
+    (MatchingError("the roots do not pair"), 3),
+    (PrecisionError("not certified"), 3),
+    (CancellationError(2, "B", "step 2 cancelled"), 3),
+    (DegenerateSPolyError("the s-polynomial degenerated"), 3),
+]
+
+
+@pytest.mark.parametrize("error,code", _ERROR_EXITS, ids=[type(e).__name__ for e, _ in _ERROR_EXITS])
+def test_main_maps_each_error_to_its_exit_code(p1_file, monkeypatch, capsys, error, code):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "estimate_exponents", failing)
+    assert main(["verify", "--params", p1_file]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_verify_p4_ratio_column_shows_refined_magnitudes(tmp_path, capsys):

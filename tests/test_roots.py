@@ -728,7 +728,9 @@ def test_certified_counts_certify_wherever_the_iv_reference_does(regime, seed, N
 
 
 # ---------------------------------------------------------------------------
-# the int kernels against the loops on Dyadic and Box objects they replaced
+# the int kernels against loops on Dyadic and Box objects: the loops they
+# replaced, and for the plain count the ratio recursion, which moves a zero
+# s_n off zero where the kernel counts a zero w_n as positive
 # ---------------------------------------------------------------------------
 
 
@@ -790,8 +792,7 @@ def _object_rows(p, q, bits):
     prec = bits + EVAL_GUARD_BITS
     rows, off = roots_mod._dyadic_table(p, q, prec)
     plain = roots_mod._point_ratio_rows(rows, off)
-    newton = roots_mod._newton_rows(rows)
-    return plain, newton, roots_mod._ratio_rows(recursion_boxes_at(p, q, prec))
+    return plain, plain, roots_mod._ratio_rows(recursion_boxes_at(p, q, prec))
 
 
 def _assert_kernels_equal_the_object_loops(p, q, bits, points):
@@ -854,8 +855,8 @@ def test_the_kernels_equal_the_object_loops(name, q, bits):
 def test_the_kernels_equal_the_object_loops_where_s_1_is_zero():
     # the N = 0 set of test_an_exact_root_on_the_bisection_grid_is_returned_exactly:
     # at the Dyadic next to -C_1/B_1 where B_1 x + C_1 truncates to exactly
-    # 0, the plain count moves s_1 off zero; at the exact root the
-    # certified count is None
+    # 0, the plain count takes w_1 as positive and the ratio recursion moves
+    # s_1 off zero; at the exact root the certified count is None
     p = derive(-4, -1, F(7, 6), 2, 0, F(-17, 3), F(-1, 2), F(1, 2), 2)
     q, prec = F(1, 10 ** 6), 512 + EVAL_GUARD_BITS
     (root,) = (roots_mod._mpf_to_fraction(r) for r in find_spectral_roots(p, q, 512)[0])
