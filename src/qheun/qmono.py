@@ -18,8 +18,10 @@ The q -> +0 comparison machinery lives here as well:
 
 Every sum is kept in integer form: one scale ``D`` (exponents are
 multiples of 1/D) and the terms as (packed key, coefficient) pairs, sorted
-by key; see ``pack_key``.  The Fraction ``QMonomial`` tuple ``QSum.terms``
-is built only when it is read.  ``terms_mul`` and ``terms_merge`` are the
+by key; see ``pack_key``.  A coefficient is an int whenever it is an
+integer and a Fraction only otherwise, so the ring's products and sums
+run on ints.  The Fraction ``QMonomial`` tuple ``QSum.terms`` is built
+only when it is read.  ``terms_mul`` and ``terms_merge`` are the
 product and the merge of the sums, on term dicts keyed by packed keys.
 The exact recursion runs on ``Packed``, Kronecker substitution on CPython
 ints: each t-monomial's polynomial in q^(1/D) is one int with a w-bit digit
@@ -126,6 +128,19 @@ def as_fraction(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _integral(c):
+    """c, with an integral Fraction as an int."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _int_form(items: list) -> tuple:
+    """(key, coefficient) pairs with every integral coefficient an int: the
+    normal form.  Only pairs that hold a Fraction need the pass."""
+    if Fraction in set(map(type, map(operator.itemgetter(1), items))):
+        return tuple((k, _integral(c)) for k, c in items)
+    return tuple(items)
+
+
 def pack_key(e: int, a: int, b: int) -> int:
     """The packed key of q^(e/D) t1^a t2^b at scale D."""
     if not (-T_LIMIT <= a < T_LIMIT and -T_LIMIT <= b < T_LIMIT):
@@ -165,8 +180,10 @@ class QMonomial:
 #: Multiplicative unit monomial, also the default EPoly denominator.
 UNIT_MONOMIAL = QMonomial(Fraction(0), 0, 0, Fraction(1))
 
-#: e, den -> Fraction(e, den), shared by QSum.terms across sums.
+#: e, den -> Fraction(e, den) and c -> Fraction(c), shared across sums by
+#: QSum.terms (and the exponents of Packed.merge's events).
 _exponent = functools.lru_cache(maxsize=4096)(Fraction)
+_coefficient = functools.lru_cache(maxsize=4096)(Fraction)
 #: The slot setters of QMonomial's fields, which QSum.terms calls directly.
 _MONOMIAL_SETTERS = tuple(getattr(QMonomial, f).__set__ for f in QMonomial.__slots__)
 
@@ -189,8 +206,9 @@ class QSum:
     """A normalized finite sum of q-monomials; the empty sum is zero.
 
     Held in integer form: ``den`` is the scale D, and ``items`` the
-    (packed key, nonzero int or Fraction coefficient) pairs at that scale,
-    with distinct keys, sorted.  Equal keys are merged and zero
+    (packed key, nonzero coefficient) pairs at that scale, with distinct
+    keys, sorted; a coefficient is an int when it is integral and a
+    Fraction only when it is not.  Equal keys are merged and zero
     coefficients dropped, so two QSums compare equal iff they are the same
     element of the ring, whatever their scales.  ``terms``, the QMonomial
     tuple with Fraction exponents and coefficients, is built on its first
@@ -216,7 +234,7 @@ class QSum:
         for t in terms:
             k = pack_key(t.qexp.numerator * (den // t.qexp.denominator), t.t1pow, t.t2pow)
             acc[k] = acc.get(k, 0) + t.coeff
-        self.den, self.items, self._terms = den, tuple(sorted((k, c) for k, c in acc.items() if c)), None
+        self.den, self.items, self._terms = den, tuple(sorted((k, _integral(c)) for k, c in acc.items() if c)), None
         self._entry = None
 
     # -- constructors ------------------------------------------------------
@@ -250,8 +268,9 @@ class QSum:
     @classmethod
     def from_term_dict(cls, d: TermDict, den: int) -> "QSum":
         """The QSum of a term dict at scale ``den`` with nonzero coefficients,
-        as terms_mul and terms_merge return them: sorting suffices."""
-        return cls._packed(den, tuple(sorted(d.items())))
+        as terms_mul and terms_merge return them: sorting suffices, and an
+        integral Fraction becomes an int."""
+        return cls._packed(den, _int_form(sorted(d.items())))
 
     @classmethod
     def zero(cls) -> "QSum":
@@ -269,10 +288,11 @@ class QSum:
         t2pow: int = 0,
         qexp: RationalLike = 0,
     ) -> "QSum":
-        c = as_fraction(coeff)
+        c = coeff if type(coeff) is int else _integral(as_fraction(coeff))
         if not c:
             return cls()
-        return cls((QMonomial(as_fraction(qexp), t1pow, t2pow, c),))
+        e = as_fraction(qexp)
+        return cls._packed(e.denominator, ((pack_key(e.numerator, t1pow, t2pow), c),))
 
     # -- predicates and views ----------------------------------------------
 
@@ -282,14 +302,14 @@ class QSum:
         Each is built by its slot setters, without the dataclass __init__."""
         terms = self._terms
         if terms is None:
-            den, out, last, fractions, new = self.den, [], None, {}, object.__new__
+            den, out, last, new = self.den, [], None, object.__new__
             set_mu, set_a, set_b, set_c = _MONOMIAL_SETTERS
             for k, c in self.items:
                 z = k + _BIAS
                 if (e := z >> _W2) != last:
                     last, mu = e, _exponent(e, den)
                 if type(c) is not Fraction:
-                    c = fractions.get(c) or fractions.setdefault(c, Fraction(c))
+                    c = _coefficient(c)
                 m = new(QMonomial)
                 set_mu(m, mu)
                 set_a(m, ((z >> _W) & _MASK) - T_LIMIT)
@@ -387,7 +407,7 @@ class QSum:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return QSum()
-            return QSum._packed(self.den, tuple((k, c * other) for k, c in self.items))
+            return QSum._packed(self.den, _int_form([(k, c * other) for k, c in self.items]))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -410,8 +430,9 @@ class QSum:
         keys = list(map(shift.__add__, map(operator.itemgetter(0), items)))
         _check_t_range(keys)
         vals = map(operator.itemgetter(1), items)
-        if m.coeff != 1:
-            vals = map(operator.truediv, vals, repeat(m.coeff))
+        if m.coeff != 1:  # a Fraction divisor: int / int would be a float
+            vals = map(operator.truediv, vals, repeat(as_fraction(m.coeff)))
+            return QSum._packed(den, _int_form(list(zip(keys, vals))))
         return QSum._packed(den, tuple(zip(keys, vals)))
 
     def __repr__(self) -> str:
@@ -567,7 +588,10 @@ class Packed:
     def _sum(self, vals: list):
         """The normal (e0, V) of the sum of (e0, V) values; None for 0."""
         e = min(e0 for e0, _ in vals)
-        S = sum(V << self.w * (e0 - e) for e0, V in vals)
+        return self._normal(e, sum(V << self.w * (e0 - e) for e0, V in vals))
+
+    def _normal(self, e: int, S: int):
+        """The normal (e0, V) of the digits S from exponent e; None for 0."""
         if S & self.low:
             return e, S
         if not S:
@@ -618,23 +642,24 @@ class Packed:
                 else:
                     out[k] = v
         for k, vals in shared.items():
+            e = min(e0 for e0, _ in vals)
+            at_e = [V << w * (e0 - e) for e0, V in vals]
+            S = sum(at_e)
             if site is not None:
-                e = min(e0 for e0, _ in vals)
-                at_e = [V << w * (e0 - e) for e0, V in vals]
                 nd = max(abs(x).bit_length() for x in at_e) // w + 1
                 gone = functools.reduce(operator.or_, (self._digits(x, nd)[1] for x in at_e))
-                gone &= ~self._digits(sum(at_e), nd)[1]
+                gone &= ~self._digits(S, nd)[1]
                 while gone:
                     bit = gone & -gone
                     lost.append((e + bit.bit_length() // w - 1, k))
                     gone ^= bit
-            if (total := self._sum(vals)) is None:
+            if (total := self._normal(e, S)) is None:
                 del out[k]
             else:
                 out[k] = total
         if site is None:
             return out, []
-        events = [CancellationEvent(site, Fraction(e, self.den), EXACT_ZERO) for e, _ in sorted(lost)]
+        events = [CancellationEvent(site, _exponent(e, self.den), EXACT_ZERO) for e, _ in sorted(lost)]
         if out:
             lead = min(e0 for e0, _ in out.values())
             if len({self.digit(V) > 0 for e0, V in out.values() if e0 == lead}) == 2:

@@ -324,7 +324,10 @@ def boundary_proximity(p: HeunParams, tag: CaseTag) -> list[str]:
                     f"{name} = {value} is within {BOUNDARY_WARNING_DISTANCE} of boundary {b}"
                 )
 
-    _near(S1, {Fraction(0), Fraction(-2 * N)}, "1+h2-l2-beta")
+    # in R33 every integer inside [-2N, 0] is a boundary: even ones separate
+    # the K intervals, odd ones collide the two root families
+    ends = range(-2 * N, 1) if tag.regime == R33 else (0, -2 * N)
+    _near(S1, {Fraction(b) for b in ends}, "1+h2-l2-beta")
     if tag.regime == R31:
         S = _s_value(p)
         bset = _exclusion_set(N) | {Fraction(1 - 4 * n) for n in _r31_factor_indices(N)}
@@ -334,11 +337,6 @@ def boundary_proximity(p: HeunParams, tag: CaseTag) -> list[str]:
         T = _t_value(p)
         bset = _exclusion_set(N) | {Fraction(3 - 2 * nu) for nu in _r32_factor_indices(N)}
         _near(T, bset, "l1-l2-beta")
-    elif tag.regime == R33:
-        # every integer inside [-2N, 0] is a boundary: even ones separate
-        # the K intervals, odd ones collide the two root families
-        ints = {Fraction(-k) for k in range(0, 2 * N + 1)}
-        _near(S1, ints, "1+h2-l2-beta")
     return warnings
 
 

@@ -142,10 +142,14 @@ _NEAR_BOUNDARY = [
      "l1-l2-beta = -9/4 is within 1/4 of boundary -2"),
     ("R33", P3.replace("alpha2 = 1/2", "alpha2 = 3/4").replace("beta = 1/2", "beta = 1/4"),
      "1+h2-l2-beta = -5/4 is within 1/4 of boundary -1"),
+    # -2 = -2N is both an end of R33's range and an integer inside it: one warning
+    ("R33", P3.replace("alpha2 = 1/2", "alpha2 = 1/4").replace("beta = 1/2", "beta = 3/4"),
+     "1+h2-l2-beta = -7/4 is within 1/4 of boundary -2"),
 ]
+_NEAR_BOUNDARY_IDS = ["R31", "R32", "R33", "R33-at-minus-2N"]
 
 
-@pytest.mark.parametrize("regime,body,warning", _NEAR_BOUNDARY, ids=[r for r, _, _ in _NEAR_BOUNDARY])
+@pytest.mark.parametrize("regime,body,warning", _NEAR_BOUNDARY, ids=_NEAR_BOUNDARY_IDS)
 def test_analyze_warns_near_a_boundary(tmp_path, capsys, regime, body, warning):
     path = _write(tmp_path, "near.params", body)
     assert main(["analyze", "--params", path]) == 0

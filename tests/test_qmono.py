@@ -30,7 +30,8 @@ from qheun.qmono import (
     ultradiscretize,
     unpack_key,
 )
-from qheun.spectral import coefficients_exact
+from qheun.spectral import _three_term_rows, coefficients_exact
+from qheun.ultra import classify, leading_recursion, tilde_cN1
 
 F = Fraction
 
@@ -398,6 +399,94 @@ def test_exact_coefficients_agree_with_their_terms(p1, p2, p3, p4):
 
 
 # ---------------------------------------------------------------------------
+# the normal form: an int for every integral coefficient
+# ---------------------------------------------------------------------------
+
+
+def assert_int_form(s):
+    """s holds an int for every integral coefficient and a Fraction for the
+    others; its terms hold Fractions only."""
+    assert [type(c) for _, c in s.items] == [int if c.denominator == 1 else Fraction for _, c in s.items]
+    assert all(type(t.coeff) is Fraction and type(t.qexp) is Fraction for t in s.terms)
+
+
+@given(qsums, qsums, monomials, st.one_of(fracs, st.integers(-3, 3)))
+@settings(max_examples=150)
+def test_ring_built_sums_hold_ints_where_integral(a, b, m, c):
+    unit = replace(m, coeff=F(1))
+    for r in [a, a + b, a - b, -a, a * b, a * c, c * a, a.div_monomial(m), a.div_monomial(unit),
+              qsum_merge([a, b])[0], 1 - a, sum([a, b])]:
+        assert_int_form(r)
+    if a:
+        assert_int_form(leading_part(a))
+
+
+def test_exact_results_hold_int_coefficients(p1, p3):
+    for p in (p1, p3):
+        tag = classify(p)
+        sums = [x for row in _three_term_rows(p) for x in row]
+        sums += tilde_cN1(p, tag).coeffs + coefficients_exact(p)[0][-1].coeffs
+        sums += [c for ep in leading_recursion(p, tag) for c in ep.coeffs]
+        assert all(type(c) is int for x in sums for _, c in x.items)
+        for x in sums:
+            assert_int_form(x)
+
+
+@given(nonzero_fracs, st.integers(-3, 3), st.integers(-3, 3), fracs)
+@settings(max_examples=150)
+def test_term_is_the_one_monomial_sum(c, a, b, mu):
+    want = QSum([QMonomial(mu, a, b, c)])
+    for coeff in [c, int(c)] if c.denominator == 1 else [c]:
+        got = QSum.term(coeff, a, b, mu)
+        assert got.den == want.den and got.items == want.items
+        assert [type(x) for _, x in got.items] == [type(x) for _, x in want.items]
+        assert_int_form(got)
+    assert qpow(mu) == QSum.term(1, qexp=mu) and qpow(mu).den == mu.denominator
+
+
+# every exponent of these sums, their sums and their differences lies in (1/12)Z
+ORACLE_DEN = 12
+small_qsums = st.lists(monomials, max_size=3).map(QSum)
+divisors = st.builds(QMonomial, qexp=fracs, t1pow=st.integers(-1, 1), t2pow=st.integers(-1, 1),
+                     coeff=st.one_of(nonzero_fracs, st.sampled_from([2, -3, F(2), F(2, 3)])))
+ops = st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*"]), small_qsums),
+    st.tuples(st.just("scalar"), st.one_of(fracs, st.integers(-3, 3))),
+    st.tuples(st.just("div"), divisors),
+)
+
+
+def oracle_dict(s):
+    """The term dict of s at scale ORACLE_DEN with Fraction coefficients,
+    merged from its terms one by one."""
+    parts = [{pack_key(int(t.qexp * ORACLE_DEN), t.t1pow, t.t2pow): F(t.coeff)} for t in s.terms]
+    return terms_merge(parts, den=ORACLE_DEN)[0]
+
+
+@given(small_qsums, st.lists(ops, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_ring_operations_agree_with_a_fraction_oracle(x, steps):
+    want = oracle_dict(x)
+    for op, y in steps:
+        if op == "+":
+            x, want = x + y, terms_merge([want, oracle_dict(y)])[0]
+        elif op == "-":
+            x, want = x - y, terms_merge([want, {k: -c for k, c in oracle_dict(y).items()}])[0]
+        elif op == "*":
+            x, want = x * y, terms_mul(want, oracle_dict(y))
+        elif op == "scalar":
+            x, want = x * y, {k: c * y for k, c in want.items() if y}
+        else:
+            shift = pack_key(int(y.qexp * ORACLE_DEN), y.t1pow, y.t2pow)
+            x, want = x.div_monomial(y), {k - shift: c / F(y.coeff) for k, c in want.items()}
+        assert all(type(c) is Fraction for c in want.values())
+        assert x.at_scale(ORACLE_DEN) == tuple(sorted(want.items()))
+        assert_int_form(x)
+        assert x.terms == tuple(QMonomial(F(e, ORACLE_DEN), a, b, c)
+                                for (e, a, b), c in sorted((unpack_key(k), c) for k, c in want.items()))
+
+
+# ---------------------------------------------------------------------------
 # the Kronecker-packed kernel against the term-dict kernel
 # ---------------------------------------------------------------------------
 
@@ -515,6 +604,26 @@ def test_a_cancellation_inside_one_product_is_no_event():
     events = pk.merge([prod, encode(pk, other)], "site")[1]
     assert events == terms_merge([terms_mul(r, d), other], "site")[1]
     assert events == [CancellationEvent("site", F(2), EXACT_ZERO)]
+
+
+@pytest.mark.parametrize("k", [0, 29, 61, 100])
+def test_packed_merge_events_of_three_parts_that_share_keys(k):
+    # t1: the slots q^0 .. q^3 cancel, q^1 across all three parts, so the
+    # t-key is gone; t2: q^0 cancels and q^1 is left; t2^2 is in one part.
+    # The leading slice q^1 then holds t2 (+5) and t2^2 (-2)
+    parts = [scaled({pack_key(e, a, b): c for e, a, b, c in d}, k) for d in [
+        [(0, 1, 0, 1), (1, 1, 0, 2), (2, 1, 0, -1), (0, 0, 1, 3)],
+        [(0, 1, 0, -1), (1, 1, 0, -1), (3, 1, 0, 1), (0, 0, 1, -3)],
+        [(1, 1, 0, -1), (2, 1, 0, 1), (3, 1, 0, -1), (1, 0, 1, 5), (1, 0, 2, -2)],
+    ]]
+    pk = Packed(l1(*parts), 2)
+    merged, events = pk.merge([encode(pk, d) for d in parts], "site")
+    want, want_events = terms_merge(parts, "site", 2)
+    assert pk.items(merged) == sorted_items(want) == sorted_items(scaled({pack_key(1, 0, 1): 5, pack_key(1, 0, 2): -2}, k))
+    assert events == want_events == [
+        *(CancellationEvent("site", x, EXACT_ZERO) for x in (F(0), F(0), F(1, 2), F(1), F(3, 2))),
+        CancellationEvent("site", F(1, 2), SIGN_CONFLICT),
+    ]
 
 
 # ---------------------------------------------------------------------------
