@@ -347,8 +347,9 @@ def cmd_verify(args) -> int:
     refined = multiplicity_prefactors(p, tag, predictions=preds)
     if refined:
         if q2 <= PREFACTOR_GATE_QMAX:
+            balanced = mpmath.sqrt(to_mpf(p.t1) * to_mpf(p.t2))
             got = sorted(
-                (abs(r.prefactor_ratio * r.prediction.prefactor_value(p.t1, p.t2))
+                (abs(r.prefactor_ratio * balanced)
                  for r in report.rows
                  if r.prediction is not None and r.prediction.prefactor == BALANCED),
             )

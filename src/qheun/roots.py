@@ -46,16 +46,17 @@ root) and the prediction matcher used by the verification pipeline.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import mpmath
 
 from .dyadic import Box, Dyadic
 from .errors import DomainError, MatchingError, PrecisionError
-from .qmono import EVAL_GUARD_BITS, AtQ, as_fraction, to_mpf
+from .qmono import EVAL_GUARD_BITS, as_fraction, to_mpf
 from .spectral import (  # noqa: F401 -- perfbench/tracing.py wraps spectral_polynomial here
     EPoly,
     HeunParams,
@@ -63,7 +64,9 @@ from .spectral import (  # noqa: F401 -- perfbench/tracing.py wraps spectral_pol
     recursion_boxes_at,
     spectral_polynomial,
 )
-from .ultra import PredictedRoot
+
+if TYPE_CHECKING:  # ultra imports this module
+    from .ultra import PredictedRoot
 
 __all__ = [
     "RootEstimate",
@@ -446,12 +449,18 @@ def find_real_roots(coeffs: Sequence, bits: int) -> list:
 real_roots_of_rational_poly = find_real_roots
 
 
-def _prediction_seeds(p: HeunParams, predictions, q, P: int) -> list[Dyadic]:
-    """The distinct predicted roots at q, from 128-bit q-powers, sorted."""
-    with mpmath.workprec(128):
-        at = AtQ(q, p.t1, p.t2)
-        seeds = {e.sign * e.prefactor_value(p.t1, p.t2) * at.qpow(e.d) for e in predictions}
-    return [Dyadic.of_mpf(s, P) for s in sorted(seeds)]
+def _predicted_root(e: PredictedRoot, q: Fraction, t1, t2, P: int) -> Dyadic:
+    """The predicted root sign * prefactor * q^d at q, at P bits: the lower
+    end of the product of the dyadic.Box.qpow boxes around the prefactor
+    and q^d, signed."""
+    b = Box.qpow(*e.prefactor_power(t1, t2), P) * Box.qpow(q, e.d, P)
+    return Dyadic(e.sign * b.lo, b.e, P)
+
+
+def _prediction_seeds(p: HeunParams, predictions, q: Fraction, P: int) -> list[Dyadic]:
+    """The distinct predicted roots at q (``_predicted_root``), sorted."""
+    seeds = sorted(_predicted_root(e, q, p.t1, p.t2, P) for e in predictions)
+    return seeds[:1] + [b for a, b in zip(seeds, seeds[1:]) if a < b]
 
 
 # ---------------------------------------------------------------------------
@@ -852,12 +861,7 @@ class MatchReport:
 
 
 def _expand(predictions: Sequence[PredictedRoot]) -> list[PredictedRoot]:
-    out = []
-    for e in predictions:
-        out.extend(
-            [PredictedRoot(e.sign, e.d, e.prefactor, 1, e.sharp)] * e.multiplicity
-        )
-    return out
+    return [dataclasses.replace(e, multiplicity=1) for e in predictions for _ in range(e.multiplicity)]
 
 
 def match_predictions(
@@ -887,7 +891,6 @@ def match_predictions(
 
     rows: list[MatchRow] = []
     ok = True
-    ats: dict = {}  # one AtQ, so one log q, per q
     for ests, preds in ((est_neg, pred_neg), (est_pos, pred_pos)):
         for i in range(max(len(ests), len(preds))):
             est = ests[i] if i < len(ests) else None
@@ -898,9 +901,7 @@ def match_predictions(
                 continue
             derr = abs(float(est.est_exponent) - float(pred.d))
             with mpmath.workprec(192):
-                at = ats.get(est.q) or ats.setdefault(est.q, AtQ(est.q, t1, t2))
-                scale = pred.sign * pred.prefactor_value(t1, t2) * at.qpow(pred.d)
-                ratio = to_mpf(est.value) / scale
+                ratio = to_mpf(est.value) / _predicted_root(pred, est.q, t1, t2, 192).to_mpf()
             exponent_ok = derr <= tol_exponent
             ok = ok and exponent_ok
             rows.append(MatchRow(est, pred, derr, ratio, exponent_ok))

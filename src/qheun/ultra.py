@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
-
 from .errors import (
     CancellationError,
     DegenerateSPolyError,
@@ -55,9 +53,9 @@ from .errors import (
 from .qmono import (
     QMonomial,
     QSum,
-    to_mpf,
     ultradiscretize,
 )
+from . import roots as root_search  # its real_roots_of_rational_poly, looked up per call
 from .spectral import EPoly, HeunParams, _three_term_rows, three_term
 from .spectral import spectral_polynomial  # noqa: F401 -- perfbench/tracing.py wraps it here
 
@@ -141,13 +139,14 @@ class PredictedRoot:
     multiplicity: int = 1
     sharp: bool = False
 
-    def prefactor_value(self, t1, t2):
-        """Numeric prefactor magnitude in the current mpmath context."""
+    def prefactor_power(self, t1, t2) -> tuple:
+        """The prefactor magnitude as (x, mu), x^mu with rational x > 0:
+        (t1, 1), (t2, 1) or (t1 t2, 1/2), as dyadic.Box.qpow takes it."""
         if self.prefactor == "t1":
-            return to_mpf(t1)
+            return t1, 1
         if self.prefactor == "t2":
-            return to_mpf(t2)
-        return mpmath.sqrt(to_mpf(t1) * to_mpf(t2))
+            return t2, 1
+        return t1 * t2, _HALF
 
     def describe(self) -> str:
         s = "+" if self.sign > 0 else "-"
@@ -610,8 +609,6 @@ def multiplicity_prefactors(
     recursion: c_{N+1} is never built) exactly and returns its nonzero real
     roots, sorted ascending.  ``predictions`` is predict_roots(p, tag) or None.
     """
-    from .roots import real_roots_of_rational_poly
-
     preds = predictions if predictions is not None else predict_roots(p, tag)
     if not any(e.prefactor == BALANCED and e.multiplicity >= 2 for e in preds):
         return []
@@ -619,13 +616,9 @@ def multiplicity_prefactors(
     if len(reduced) <= 1:
         raise DegenerateSPolyError("s-polynomial has no nonzero roots")
     try:
-        roots = real_roots_of_rational_poly(reduced, S_ROOT_BITS)
+        roots = root_search.real_roots_of_rational_poly(reduced, S_ROOT_BITS)
     except PrecisionError as exc:  # count shortfall means non-simple/complex roots
         raise DegenerateSPolyError(f"s-polynomial root isolation failed: {exc}") from exc
-    if len(roots) != len(reduced) - 1:
-        raise DegenerateSPolyError(
-            f"expected {len(reduced) - 1} simple real s-roots, found {len(roots)}"
-        )
     return sorted(roots)
 
 
