@@ -428,22 +428,22 @@ _SEARCH_CALLS = {
     ("P4", 5): ((10, (10, 9, 8, 10)), (9, (10, 9, 8, 10))),
     ("P4", 6): ((10, (10, 8, 8, 10)), (9, (10, 8, 8, 10))),
     ("R31-12", 3): (
-        (23, (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 6)),
+        (23, (3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 5, 5, 6)),
         (19, (11, 12, 14, 15, 14, 14, 15, 17, 15, 14, 13, 13, 11))),
     ("R31-12", 6): (
-        (24, (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5)),
+        (24, (2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 4, 4, 5)),
         (20, (10, 13, 17, 15, 14, 15, 15, 18, 16, 15, 14, 13, 11))),
     ("R32-12", 3): (
         (33, (4, 4, 4, 5, 6, 7, 13, 10, 8, 8, 9, 11, 12)),
         (28, (11, 13, 12, 11, 13, 13, 13, 9, 10, 9, 10, 11, 13))),
     ("R32-12", 6): (
-        (37, (4, 4, 4, 4, 5, 6, 12, 10, 8, 7, 8, 11, 12)),
+        (37, (3, 3, 3, 4, 5, 6, 12, 10, 8, 7, 8, 11, 12)),
         (32, (12, 19, 18, 17, 17, 16, 13, 9, 10, 9, 10, 9, 13))),
     ("R33-12", 3): (
         (22, (4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 7)),
         (18, (9, 13, 13, 12, 14, 11, 14, 11, 13, 11, 13, 10, 11))),
     ("R33-12", 6): (
-        (23, (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 6)),
+        (23, (3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6)),
         (21, (10, 15, 16, 18, 13, 15, 14, 16, 13, 13, 14, 12, 11))),
 }
 
