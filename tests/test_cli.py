@@ -532,6 +532,23 @@ def test_verify_passes_on_the_n24_sets_at_512_bits(tmp_path, capsys, regime, qs)
     _verify_passes_at_512_bits(tmp_path, capsys, sample_params(regime, random.Random(12), N=24), qs)
 
 
+def test_verify_fails_the_n24_r32_set_at_the_smaller_q_pair_on_its_prefactors_only(tmp_path, capsys):
+    # the one known failing run: every residual passes and every exponent
+    # matches, but the balanced |root / q^d| sit 1-8% off the s-roots at
+    # q = 1e-6, since the correction shrinks only as q^(1/6) there and
+    # PREFACTOR_GATE_QMAX is a fixed threshold.  ROADMAP item 4 replaces the
+    # threshold and must turn this into a passing case
+    p = sample_params("R32", random.Random(12), N=24)
+    path = _write(tmp_path, "r32.params", "".join(f"{k} = {v}\n" for k, v in p.raw().items()))
+    argv = ["verify", "--params", path, "--q", _Q_PAIRS[1][0], "--q", _Q_PAIRS[1][1], "--bits", "512"]
+    assert main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("failed: ")]
+    assert failed and all(line.startswith("failed: prefactor: ") for line in failed)
+    worst = next(line for line in lines if line.startswith("worst residual: "))
+    assert float(worst.split()[2]) <= float(worst.split()[-1].rstrip(")"))
+
+
 @pytest.mark.parametrize("regime", ["R31", "R33"])
 def test_verify_passes_on_the_n48_sets_at_512_bits(tmp_path, capsys, regime):
     # the rows span thousands of orders of magnitude, so each power's

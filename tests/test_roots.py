@@ -20,7 +20,7 @@ from qheun.roots import (
     _real_roots_fractions,
     _sign_groups,
 )
-from qheun.qmono import EVAL_GUARD_BITS, to_mpf
+from qheun.qmono import EVAL_GUARD_BITS, AtQ, to_mpf
 from qheun.sampling import sample_params
 from qheun.dyadic import Box, Dyadic
 from qheun.spectral import (
@@ -144,6 +144,43 @@ def test_match_predictions_reports_unmatched(p4):
     report = match_predictions(ests, preds, t1=p4.t1, t2=p4.t2)
     assert not report.ok
     assert any(r.prediction is None for r in report.rows)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "R31-12", "R32-12", "R33-12"])
+@pytest.mark.parametrize("P", [192, 536])
+def test_predicted_roots_match_exp_log_at_twice_the_bits(name, P):
+    # sign * prefactor * q^d from Box.qpow's integer roots, against the same
+    # value from mpf exp and log at 2P bits: within a few units of 2^-P
+    p = named_set(name)
+    for q in (F(1, 1000), F(1, 10 ** 6)):
+        for e in predict_roots(p, classify(p)):
+            got = roots_mod._predicted_root(e, q, p.t1, p.t2, P)
+            assert got.P == P
+            with mpmath.workprec(2 * P):
+                x, mu = e.prefactor_power(p.t1, p.t2)
+                want = e.sign * mpmath.exp(to_mpf(mu) * mpmath.log(to_mpf(x))
+                                           + to_mpf(e.d) * mpmath.log(to_mpf(q)))
+                assert abs(got.to_mpf() - want) <= mpmath.ldexp(abs(want), 3 - P), (name, q, e)
+
+
+@pytest.mark.parametrize("name", ["P4", "R32-12"])
+def test_the_seeds_and_the_matching_ratios_take_no_exp(name, monkeypatch):
+    # the predicted roots at q come from Box.qpow's integer roots, as the
+    # rows do: a seeded search and the matching of its roots build no AtQ
+    # and call no exp, on a balanced pair (P4) and on t1 = 2, t2 = 3 (R32)
+    def refused(*args, **kwargs):
+        raise AssertionError("an exp evaluation at fixed q")
+
+    monkeypatch.setattr(AtQ, "__init__", refused)
+    monkeypatch.setattr(mpmath, "exp", refused)
+    p = named_set(name)
+    preds = predict_roots(p, classify(p))
+    found, _ = find_spectral_roots(p, F(1, 7907), 512, predictions=preds)
+    assert len(found) == p.N + 1
+    ests = estimate_exponents(p, F(1, 1000), F(1, 10000), 512, predictions=preds)
+    report = match_predictions(ests, preds, t1=p.t1, t2=p.t2)
+    assert report.ok and len(report.rows) == p.N + 1
+    assert all(r.prefactor_ratio > 0 for r in report.rows)
 
 
 def test_sign_groups_reject_zero_root():
@@ -409,7 +446,10 @@ def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4
 # keyed by named_set and -log10 q.  Every root takes two certified counts.
 # P1-P4 were recorded with the recursion loops on Dyadic and Box objects,
 # the seed-12 N = 12 sets with the ratio-recursion kernel of the plain
-# counts and Newton on the rows divided by A_n.
+# counts and Newton on the rows divided by A_n.  The seeded Newton counts of
+# the N = 12 sets were re-recorded, and the N = 48 R31 and R33 sets
+# recorded, when the seeds became the predicted roots at the search's
+# precision from Box.qpow instead of 128-bit mpf values (_predicted_root).
 _SEARCH_CALLS = {
     ("P1", 3): ((11, (5, 6, 7)), (9, (10, 12, 11))),
     ("P1", 4): ((11, (5, 5, 6)), (9, (10, 11, 11))),
@@ -445,6 +485,16 @@ _SEARCH_CALLS = {
     ("R33-12", 6): (
         (23, (3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6)),
         (21, (10, 15, 16, 18, 13, 15, 14, 16, 13, 13, 14, 12, 11))),
+    ("R31-48", 6): (
+        (62, (1,) * 36 + (2,) * 6 + (3, 3, 3, 3, 4, 5, 5)),
+        (57, (15, 15, 23, 20, 18, 15, 16, 17, 32, 30, 27, 25, 24, 21, 19, 17, 13,
+              20, 18, 15, 21, 15, 17, 25, 24, 23, 20, 19, 19, 16, 14, 13, 17, 17,
+              13, 17, 17, 20, 19, 18, 17, 17, 15, 14, 14, 12, 13, 13, 10))),
+    ("R33-48", 6): (
+        (61, (1,) * 22 + (2,) * 14 + (3,) * 6 + (4, 4, 4, 4, 5, 5, 6)),
+        (63, (27, 16, 27, 12, 25, 20, 21, 18, 19, 14, 16, 17, 14, 15, 19, 18, 16,
+              26, 15, 24, 15, 21, 14, 21, 15, 17, 23, 17, 20, 14, 21, 14, 17, 11,
+              16, 15, 14, 13, 15, 13, 12, 13, 11, 14, 11, 13, 13, 14, 12))),
 }
 
 
