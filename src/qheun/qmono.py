@@ -30,14 +30,15 @@ terms_merge's events.  Its results become sums that keep the packed entry
 until their items are first read; the zero test, the leading exponent, the
 leading slice and a shift by a unit monomial answer from the entry.
 
-All symbolic operations are exact; floating point enters through ``AtQ``,
-the mpf evaluator at fixed q, t1, t2.  It validates them and takes log q
-once, and computes every power when it is asked for; the image of the
-spectral polynomial (the one plain oracle of the roots), the root seeds
-and the matching ratios take their q-powers from it, while the recursion
-rows and the residual's factors take theirs from integer roots instead
-(``dyadic.Box.qpow``).  ``eval_terms`` evaluates one sum with it, term by
-term, and ``eval_numeric`` is the extended-precision value of one sum.
+All symbolic operations are exact.  Every fixed-q number of the pipeline
+(the recursion rows, the residual's factors, the root seeds and the
+matching ratios) takes its q-powers from integer roots
+(``dyadic.Box.qpow``).  ``AtQ``, the mpf evaluator at fixed q, t1, t2,
+serves only the image of the spectral polynomial, the one plain oracle of
+the roots: it validates them and takes log q once, and computes every
+power when it is asked for.  ``eval_terms`` evaluates one sum with it,
+term by term, and ``eval_numeric`` is the extended-precision value of one
+sum.
 """
 
 from __future__ import annotations

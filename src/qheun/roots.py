@@ -17,8 +17,10 @@ truncated to the working precision, which only guide the search, and the
 certified counts that of Box intervals rounded outward.  The rest of the
 search (the Gershgorin bound, the isolation's points and splits, the
 seeds, Newton's bracket loop) runs on Dyadic objects at the rows'
-precision; mpf enters only as the 128-bit predicted roots the seeds come
-from and the returned roots.
+precision.  The seeds are the predicted roots sign * prefactor * q^d at
+that precision, from Box.qpow boxes like the rows (``_predicted_root``,
+which also gives the matching its ratios at 192 bits); mpf enters only as
+the returned roots.
 
 Each returned root is the true root rounded to nearest at ``bits`` bits,
 ties to even, whatever the isolation points and seeds.  One routine,

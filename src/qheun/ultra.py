@@ -55,7 +55,7 @@ from .qmono import (
     QSum,
     ultradiscretize,
 )
-from . import roots as root_search  # its real_roots_of_rational_poly, looked up per call
+from . import roots as root_search  # the module: a rebound real_roots_of_rational_poly is the one called
 from .spectral import EPoly, HeunParams, _three_term_rows, three_term
 from .spectral import spectral_polynomial  # noqa: F401 -- perfbench/tracing.py wraps it here
 
