@@ -51,7 +51,6 @@ from .spectral import (
     _power_residuals,
     coefficients_numeric,
     derive,
-    residual_check,
     spectral_polynomial,  # noqa: F401 -- perfbench/tracing.py wraps it here
 )
 from .ultra import (
@@ -318,13 +317,13 @@ def cmd_verify(args) -> int:
             failures.append(
                 f"root {k} exponent: error {_fmt(row.d_error)} > {args.tol_exponent}"
             )
-        sol = coefficients_numeric(p, est.value, q2, args.bits)
-        res = residual_check(p, sol)
+        per_power = _power_residuals(p, coefficients_numeric(p, est.value, q2, args.bits))
+        res = max(per_power)
         worst_res = max(worst_res, res)
         if res > args.tol_residual:
             failures.append(
                 f"root {k} residual: {_fmt(res)} > {args.tol_residual}"
-                f" at power m = {_power_residuals(p, sol).index(res)}"
+                f" at power m = {per_power.index(res)}"
             )
         rows.append(
             [
@@ -347,24 +346,25 @@ def cmd_verify(args) -> int:
     refined = multiplicity_prefactors(p, tag, predictions=preds)
     if refined:
         if q2 <= PREFACTOR_GATE_QMAX:
-            balanced = mpmath.sqrt(to_mpf(p.t1) * to_mpf(p.t2))
-            got = sorted(
-                (abs(r.prefactor_ratio * balanced)
-                 for r in report.rows
-                 if r.prediction is not None and r.prediction.prefactor == BALANCED),
-            )
-            want = sorted(abs(v) for v in refined)
-            if len(got) != len(want):
-                failures.append(
-                    f"prefactor: {len(got)} balanced roots for {len(want)} s-roots"
+            with mpmath.workprec(args.bits):
+                balanced = mpmath.sqrt(to_mpf(p.t1) * to_mpf(p.t2))
+                got = sorted(
+                    (abs(r.prefactor_ratio * balanced)
+                     for r in report.rows
+                     if r.prediction is not None and r.prediction.prefactor == BALANCED),
                 )
-            else:
-                for g, w in zip(got, want):
-                    if abs(g / w - 1) > args.tol_prefactor:
-                        failures.append(
-                            f"prefactor: |root / q^d| = {_fmt(g)} against s-root"
-                            f" {_fmt(w)}, off by more than {args.tol_prefactor}"
-                        )
+                want = sorted(abs(v) for v in refined)
+                if len(got) != len(want):
+                    failures.append(
+                        f"prefactor: {len(got)} balanced roots for {len(want)} s-roots"
+                    )
+                else:
+                    for g, w in zip(got, want):
+                        if abs(g / w - 1) > args.tol_prefactor:
+                            failures.append(
+                                f"prefactor: |root / q^d| = {_fmt(g)} against s-root"
+                                f" {_fmt(w)}, off by more than {args.tol_prefactor}"
+                            )
         else:
             print(
                 "note: balanced-pair prefactors reported but not gated "

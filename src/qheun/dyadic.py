@@ -3,20 +3,24 @@
 A value m 2^e is an int mantissa m and an int exponent e, and every
 operation cuts |m| back to at most 2^P, P the precision its operands
 carry.  The per-root series and residual of ``spectral`` and the root
-search of ``roots`` run on these classes instead of mpmath objects, whose
-per-operation overhead dominates loops of N + 1 steps.  The two
-recursion loops of ``roots.find_spectral_roots`` (the point recursion of
-the plain counts and Newton, and the certified counts) are inline kernels
-on int locals that repeat these operations step by step, so they return
-the values the classes would, bit for bit, without an object per
-operation; a change to an operation here must be made there too.
+search of ``roots`` run on this arithmetic instead of mpmath objects,
+whose per-operation overhead dominates loops of N + 1 steps.  Four loops
+are inline kernels on int locals that repeat these operations step by
+step, so they return the values the classes would, bit for bit, without
+an object per operation: in ``roots``, the point recursion of the plain
+counts and Newton (``_point_recursion``) and the certified counts
+(``_certified_count``); in ``spectral``, the twisted solve
+(``coefficients_numeric`` with ``_pivot_run``) and the per-power residual
+(``_power_residuals``).  A change to an operation here must be made
+there too.
 
 * ``Dyadic`` is a point, cut by truncation (a floor shift, a floor
   division), and compared exactly.  The root search uses it from the row
   table to the rounded root (the Gershgorin bound, the isolation points,
   the seeds, the plain counts and Newton), since it only guides the
   search, and so do the twisted solve and the residual of the series at a
-  root, whose rounding need only be small against their 2^-P.
+  root, whose rounding need only be small against their 2^-P; both run
+  as kernels on spectral's Dyadic tables flattened to ints.
 * ``Box`` is an interval [lo 2^e, hi 2^e], cut outward: lo by floor
   shifts, hi by ceiling ones.  Every operation returns a box around every
   value it takes on its operand boxes, so an expression evaluated on boxes

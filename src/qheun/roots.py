@@ -63,6 +63,7 @@ from .spectral import (  # noqa: F401 -- perfbench/tracing.py wraps spectral_pol
     EPoly,
     HeunParams,
     _dyadic_table,
+    _ints,
     recursion_boxes_at,
     spectral_polynomial,
 )
@@ -493,15 +494,6 @@ def _point_ratio_rows(rows, off) -> list:
     """_ratio_rows of the point rows of spectral._dyadic_table, whose
     off-diagonal products are G_2 .. G_{N+1}; G_1 = 0."""
     return [(B, C, G) for (_, B, C, _), G in zip(rows, (Dyadic(0, 0, rows[0][1].P),) + off)]
-
-
-def _ints(rows) -> list:
-    """Dyadic or Box rows as the flat int tuples the kernels read: m, e
-    for each Dyadic, lo, hi, e for each Box."""
-    return [
-        tuple(i for v in row for i in ((v.m, v.e) if isinstance(v, Dyadic) else (v.lo, v.hi, v.e)))
-        for row in rows
-    ]
 
 
 # The two recursion loops below are inline kernels: a Dyadic is a pair of

@@ -32,8 +32,11 @@ three_term.  Numerically the series at a root comes from a twisted solve of
 the recursion's tridiagonal system (coefficients_numeric), which keeps full
 precision where the forward recursion amplifies the root's rounding, and
 residual_check verifies it power by power of x against the operator's own
-factors, formed on boxes as well; both run on dyadic.Dyadic ints and return
-mpf.
+factors, formed on boxes as well.  Both are the certificate of a root, and
+both are inline kernels on int locals (coefficients_numeric,
+_power_residuals) that repeat the dyadic.Dyadic operations bit for bit on
+the flat int forms of the memoised tables (_flat_tables); mpf enters as E0
+and leaves as the coefficients and residuals.
 
 Division by A_n is not closed in the q-monomial ring, so exact coefficients
 are carried as EPoly: a numerator polynomial over a structured denominator
@@ -51,6 +54,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import normalize, round_nearest
 
 from .dyadic import Box, Dyadic
 from .errors import DomainError, ParameterError
@@ -428,17 +432,13 @@ def _lower_ends(rows) -> tuple:
     return tuple(tuple(Dyadic(b.lo, b.e, b.P) for b in row) for row in rows)
 
 
-def _pivots(a, off, P: int):
-    """Pivots of the tridiagonal LDU factorisation run in the order of
-    ``a``: d_0 = a_0, d_i = a_i - off_{i-1} / d_{i-1}, with off_{i-1} the
-    product of the two off-diagonal entries that couple i-1 and i.  A
-    pivot that truncates to zero is replaced by 2^-P |a_i|, so that the
-    next division stays defined."""
-    out = []
-    for i, ai in enumerate(a):
-        d = ai - off[i - 1] / out[-1] if i else ai
-        out.append(d if d.m else abs(ai).ldexp(-P) if ai.m else Dyadic(1, -P, P))
-    return out
+def _ints(rows) -> list:
+    """Dyadic or Box rows as the flat int tuples the kernels read: m, e
+    for each Dyadic, lo, hi, e for each Box."""
+    return [
+        tuple(i for v in row for i in ((v.m, v.e) if isinstance(v, Dyadic) else (v.lo, v.hi, v.e)))
+        for row in rows
+    ]
 
 
 @functools.lru_cache(maxsize=64)
@@ -449,6 +449,68 @@ def _dyadic_table(p: HeunParams, q: Fraction, P: int) -> tuple:
     G_2 .. G_{N+1} of the plain counts' and Newton's recursion.  Memoised."""
     rows = _lower_ends(recursion_boxes_at(p, q, P))
     return rows, tuple(rows[i][0] * rows[i + 1][3] for i in range(p.N))
+
+
+@functools.lru_cache(maxsize=64)
+def _flat_tables(p: HeunParams, q: Fraction, bits: int) -> tuple:
+    """The certificate's tables as the ints its kernels read: the point
+    rows of _dyadic_table at bits + EVAL_GUARD_BITS as flat (A, B, C, D)
+    tuples (_ints), its off-diagonal products as (m, e) pairs, and per n
+    the factors of _residual_constants as one tuple, the mantissas and
+    then the exponents of each of its three tuples.  Memoised."""
+    rows, off = _dyadic_table(p, q, bits + EVAL_GUARD_BITS)
+    table = tuple(tuple(i for f in fs for i in (*(d.m for d in f), *(d.e for d in f)))
+                  for fs in _residual_constants(p, q, bits))
+    return tuple(_ints(rows)), tuple((d.m, d.e) for d in off), table
+
+
+def _mpf(m: int, e: int, bits: int):
+    """m 2^e rounded to nearest at ``bits`` bits, as +Dyadic.to_mpf() at
+    that working precision."""
+    sign = 1 if m < 0 else 0
+    if sign: m = -m
+    return mpmath.mp.make_mpf(normalize(sign, m, e, m.bit_length(), bits, round_nearest))
+
+
+# The twisted solve and the per-power residual below are inline kernels, as
+# the recursion loops of roots: a Dyadic is a pair of int locals (m, e), and
+# each step repeats the alignment, operation and cut of the dyadic operation
+# it stands for, so they return what the solve and the sums on Dyadic
+# objects return, bit for bit, with no object built and no function called
+# per operation.  Every cut reads
+#     k = m.bit_length() - P
+#     if k > 0: m, e = m >> k, e + k
+# and every quotient n / d of Dyadic.__truediv__
+#     k = P + 1 + d.bit_length() - n.bit_length()
+#     m, e = (n << k) // d, n_e - d_e - k
+# before its cut.
+
+
+def _pivot_run(a, off, P: int) -> list:
+    """Pivots of the tridiagonal LDU factorisation run in the order of
+    ``a``, (m, e) pairs: d_0 = a_0, d_i = a_i - off_{i-1} / d_{i-1}, with
+    off_{i-1} the product of the two off-diagonal entries that couple i-1
+    and i.  A pivot that truncates to zero is replaced by 2^-P |a_i|, so
+    that the next division stays defined."""
+    out, dm, de = [], 0, 0
+    for i, (am, ae) in enumerate(a):
+        if i:
+            om, oe = off[i - 1]  # t = off_{i-1} / d_{i-1}
+            k = P + 1 + dm.bit_length() - om.bit_length()
+            tm, te = (om << k) // dm, oe - de - k
+            k = tm.bit_length() - P
+            if k > 0: tm, te = tm >> k, te + k
+            k = te - ae  # d = a_i - t
+            if k >= 0: dm, de = am - (tm << k), ae
+            else: dm, de = (am << -k) - tm, te
+            k = dm.bit_length() - P
+            if k > 0: dm, de = dm >> k, de + k
+        else:
+            dm, de = am, ae
+        if not dm:  # |a_i| needs no cut
+            dm, de = (-am if am < 0 else am, ae - P) if am else (1, -P)
+        out.append((dm, de))
+    return out
 
 
 def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolution:
@@ -465,28 +527,84 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     normalised to c_0 = 1 (Fernando, SIAM J. Matrix Anal. Appl. 18 (1997);
     Dhillon & Parlett, Linear Algebra Appl. 387 (2004)).  Unlike
     the forward recursion, the tests' reference, it does not amplify the
-    error of a rounded root.  The solve runs on Dyadic at
-    bits + EVAL_GUARD_BITS (_dyadic_table)."""
+    error of a rounded root.  The solve is an inline kernel on int locals
+    that repeats each Dyadic operation at P = bits + EVAL_GUARD_BITS, on
+    the flat point rows of _flat_tables; mpf enters only as E0, at P bits
+    and cut as Dyadic.of_mpf cuts, and leaves as E0 and the coefficients
+    rounded to ``bits``."""
     P = bits + EVAL_GUARD_BITS
     q = as_fraction(q)
-    rows, off = _dyadic_table(p, q, P)
+    rows, off, _ = _flat_tables(p, q, bits)
     N = p.N
     with mpmath.workprec(P):
         E = Dyadic.of_mpf(to_mpf(E0), P)
-    be = [B * E for _, B, _, _ in rows]
-    a = [x + C for x, (_, _, C, _) in zip(be, rows)]
-    fwd = _pivots(a, off, P)
-    bwd = _pivots(a[::-1], off[::-1], P)[::-1]
-    k = min(range(N + 1), key=lambda i: abs(fwd[i] + bwd[i] - a[i]) / (abs(be[i]) + rows[i][2]))
-    z = [Dyadic(1, 0, P)] * (N + 1)
-    for i in range(k - 1, -1, -1):
-        z[i] = rows[i][0] * z[i + 1] / fwd[i]
-    for i in range(k + 1, N + 1):
-        z[i] = rows[i][3] * z[i - 1] / bwd[i]
+    Em, Ee = E.m, E.e
+    u, a = [], []  # u_i = B E, a_i = u_i + C
+    for _, _, Bm, Be, Cm, Ce, _, _ in rows:
+        um, ue = Bm * Em, Be + Ee
+        k = um.bit_length() - P
+        if k > 0: um, ue = um >> k, ue + k
+        u.append((um, ue))
+        k = Ce - ue
+        if k >= 0: am, ae = um + (Cm << k), ue
+        else: am, ae = (um << -k) + Cm, Ce
+        k = am.bit_length() - P
+        if k > 0: am, ae = am >> k, ae + k
+        a.append((am, ae))
+    fwd = _pivot_run(a, off, P)
+    bwd = _pivot_run(a[::-1], off[::-1], P)[::-1]
+    # the twist: the first i of least |fwd_i + bwd_i - a_i| / (|u_i| + C_i)
+    twist, rm, re = 0, 0, 0
+    for i, ((fm, fe), (gm, ge), (am, ae), (um, ue), row) in enumerate(zip(fwd, bwd, a, u, rows)):
+        k = ge - fe  # g = fwd_i + bwd_i
+        if k >= 0: gm, ge = fm + (gm << k), fe
+        else: gm, ge = (fm << -k) + gm, ge
+        k = gm.bit_length() - P
+        if k > 0: gm, ge = gm >> k, ge + k
+        k = ae - ge  # g = g - a_i
+        if k >= 0: gm -= am << k
+        else: gm, ge = (gm << -k) - am, ae
+        k = gm.bit_length() - P
+        if k > 0: gm, ge = gm >> k, ge + k
+        if gm < 0: gm = -gm  # |g| and |u| need no cut
+        if um < 0: um = -um
+        Cm, Ce = row[4], row[5]  # s = |u| + C
+        k = Ce - ue
+        if k >= 0: sm, se = um + (Cm << k), ue
+        else: sm, se = (um << -k) + Cm, Ce
+        k = sm.bit_length() - P
+        if k > 0: sm, se = sm >> k, se + k
+        k = P + 1 + sm.bit_length() - gm.bit_length()  # g / s
+        gm, ge = (gm << k) // sm, ge - se - k
+        k = gm.bit_length() - P
+        if k > 0: gm, ge = gm >> k, ge + k
+        k = re - ge  # exactly g / s < the least so far
+        if not i or (gm < rm << k if k >= 0 else gm << -k < rm):
+            twist, rm, re = i, gm, ge
+    # z_i = A_i z_{i+1} / fwd_i below the twist, D_i z_{i-1} / bwd_i above
+    steps = [(i, i + 1, fwd[i], row[0], row[1]) for i, row in enumerate(rows[:twist])][::-1]
+    steps += [(i, i - 1, bwd[i], row[6], row[7]) for i, row in enumerate(rows) if i > twist]
+    z = [(1, 0)] * (N + 1)
+    for i, j, (dm, de), xm, xe in steps:
+        zm, ze = z[j]
+        zm, ze = xm * zm, xe + ze
+        k = zm.bit_length() - P
+        if k > 0: zm, ze = zm >> k, ze + k
+        k = P + 1 + dm.bit_length() - zm.bit_length()
+        zm, ze = (zm << k) // dm, ze - de - k
+        k = zm.bit_length() - P
+        if k > 0: zm, ze = zm >> k, ze + k
+        z[i] = (zm, ze)
+    (dm, de), vals = z[0], [mpmath.mpf(1)]
+    for zm, ze in z[1:]:  # z_i / z_0
+        k = P + 1 + dm.bit_length() - zm.bit_length()
+        zm, ze = (zm << k) // dm, ze - de - k
+        k = zm.bit_length() - P
+        if k > 0: zm, ze = zm >> k, ze + k
+        vals.append(_mpf(zm, ze, bits))
     with mpmath.workprec(bits):
         e0 = +to_mpf(E0)
-        vals = (mpmath.mpf(1),) + tuple(+(zi / z[0]).to_mpf() for zi in z[1:])
-    return SeriesSolution(p.lambda1, vals, e0, q, p.t1, p.t2, bits)
+    return SeriesSolution(p.lambda1, tuple(vals), e0, q, p.t1, p.t2, bits)
 
 
 @functools.lru_cache(maxsize=64)
@@ -532,30 +650,54 @@ def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:
     constant term, not the recursion rows (_residual_constants).  Each
     coefficient, the sum of its (at most nine) exact products, is divided
     by the sum of their absolute values; both sums are exact, on ints at
-    the least exponent.  m = 0 and m = N+2 are the indicial and
-    termination identities, zero for any E."""
-    prec = sol.bits + EVAL_GUARD_BITS
-    with mpmath.workprec(prec):
-        mE = Dyadic.of_mpf(-to_mpf(sol.E0), prec)
-    terms = [[] for _ in range(p.N + 3)]
-    for n, (c, (f0, f1, f2)) in enumerate(zip(sol.coeffs, _residual_constants(p, sol.q, sol.bits))):
-        c = Dyadic.of_mpf(c, prec)
-        for j, f in enumerate((f0, f1 + (mE,), f2)):
-            terms[n + j] += [(c.m * u.m, c.e + u.e) for u in f]
+    the least exponent, and the quotient is Dyadic's, truncated at
+    bits + EVAL_GUARD_BITS.  An inline kernel on the flat factors of
+    _flat_tables; E and the coefficients enter as their mpf, cut to that
+    precision, and the residuals leave rounded to ``bits``.  m = 0 and
+    m = N+2 are the indicial and termination identities, zero for any E."""
+    P = sol.bits + EVAL_GUARD_BITS
+    with mpmath.workprec(P):
+        E = Dyadic.of_mpf(-to_mpf(sol.E0), P)
+    Em, Ee = E.m, E.e
+    ms = [[] for _ in range(p.N + 3)]  # the products' mantissas and
+    xs = [[] for _ in range(p.N + 3)]  # exponents, per power
+    for n, (c, f) in enumerate(zip(sol.coeffs, _flat_tables(p, sol.q, sol.bits)[2])):
+        u0, u1, u2, x0, x1, x2, v0, v1, y0, y1, w0, w1, w2, z0, z1, z2 = f
+        c = Dyadic.of_mpf(c, P)
+        cm, ce = c.m, c.e
+        ms[n] += (cm * u0, cm * u1, cm * u2)
+        xs[n] += (ce + x0, ce + x1, ce + x2)
+        ms[n + 1] += (cm * v0, cm * v1, cm * Em)
+        xs[n + 1] += (ce + y0, ce + y1, ce + Ee)
+        ms[n + 2] += (cm * w0, cm * w1, cm * w2)
+        xs[n + 2] += (ce + z0, ce + z1, ce + z2)
     out = []
-    for ts in terms:
-        e = min(x for _, x in ts)
-        s = sum(m << x - e for m, x in ts)
-        a = sum(abs(m) << x - e for m, x in ts)
-        out.append(Dyadic(abs(s), 0, prec) / Dyadic(a, 0, prec) if a else Dyadic(0, 0, prec))
-    with mpmath.workprec(sol.bits):
-        return [+r.to_mpf() for r in out]
+    for mj, xj in zip(ms, xs):
+        e, pos, neg = min(xj), 0, 0  # s = pos - neg, a = pos + neg
+        for m, x in zip(mj, xj):
+            if m > 0: pos += m << x - e
+            else: neg -= m << x - e
+        s, a = pos - neg, pos + neg
+        if not a:
+            out.append(mpmath.mp.zero)
+            continue
+        sm, se, am, ae = abs(s), 0, a, 0  # |s| / a
+        k = sm.bit_length() - P
+        if k > 0: sm, se = sm >> k, se + k
+        k = am.bit_length() - P
+        if k > 0: am, ae = am >> k, ae + k
+        k = P + 1 + am.bit_length() - sm.bit_length()
+        sm, se = (sm << k) // am, se - ae - k
+        k = sm.bit_length() - P
+        if k > 0: sm, se = sm >> k, se + k
+        out.append(_mpf(sm, se, sol.bits))
+    return out
 
 
 def residual_check(p: HeunParams, sol: SeriesSolution):
     """Largest per-power relative residual of the q-Heun operator applied
-    to the series (see _power_residuals): independent of x and of scale,
-    and it sees every power of x, so a non-root cannot hide between
-    sample points."""
+    to the series (see _power_residuals, an inline kernel on ints that
+    returns mpf at sol.bits): independent of x and of scale, and it sees
+    every power of x, so a non-root cannot hide between sample points."""
     return max(_power_residuals(p, sol))
 

@@ -547,6 +547,13 @@ def test_verify_fails_the_n24_r32_set_at_the_smaller_q_pair_on_its_prefactors_on
     assert failed and all(line.startswith("failed: prefactor: ") for line in failed)
     worst = next(line for line in lines if line.startswith("worst residual: "))
     assert float(worst.split()[2]) <= float(worst.split()[-1].rstrip(")"))
+    # the gate runs at --bits, so each s-root it prints carries all 40
+    # digits of the refined s-root it stands for
+    refined = next(line for line in lines if line.startswith("refined balanced prefactors: "))
+    s_roots = {v.lstrip("-") for v in refined.split(": ", 1)[1].split(", ")}
+    assert "2.449489742783178098197284074705891391966" in s_roots
+    for line in failed:
+        assert line.split(" against s-root ")[1].split(",")[0] in s_roots, line
 
 
 @pytest.mark.parametrize("regime", ["R31", "R33"])

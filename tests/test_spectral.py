@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import random
@@ -18,6 +19,7 @@ from qheun.qmono import (EVAL_GUARD_BITS, EXACT_ZERO, AtQ, Packed, QSum, eval_nu
                          terms_merge, terms_mul, to_mpf, ultradiscretize)
 from qheun.sampling import sample_params
 from qheun.spectral import (
+    SeriesSolution,
     _dyadic_table,
     _power_residuals,
     _residual_constants,
@@ -803,10 +805,106 @@ def test_twisted_vector_is_the_eigenvector_to_working_precision(p1, p2, p3, p4, 
                 assert all(abs(g - w) <= mpmath.mpf(2) ** -448 * abs(w) for g, w in zip(got, want))
 
 
-def test_twisted_solve_survives_a_zero_pivot(p1, monkeypatch):
+# ---------------------------------------------------------------------------
+# the twisted solve and the residual on Dyadic objects: the bit-for-bit
+# reference of spectral's kernels, written as they ran before on
+# qheun.dyadic.Dyadic, one object per operation
+# ---------------------------------------------------------------------------
+
+
+def _object_pivots(a, off, P):
+    """Pivots of the tridiagonal LDU factorisation run in the order of
+    ``a``: d_0 = a_0, d_i = a_i - off_{i-1} / d_{i-1}.  A pivot that
+    truncates to zero is replaced by 2^-P |a_i|."""
+    out = []
+    for i, ai in enumerate(a):
+        d = ai - off[i - 1] / out[-1] if i else ai
+        out.append(d if d.m else abs(ai).ldexp(-P) if ai.m else Dyadic(1, -P, P))
+    return out
+
+
+def _object_coefficients_numeric(p, E0, q, bits, pivots=_object_pivots):
+    P = bits + EVAL_GUARD_BITS
+    q = F(q)
+    rows, off = _dyadic_table(p, q, P)
+    N = p.N
+    with mpmath.workprec(P):
+        E = Dyadic.of_mpf(to_mpf(E0), P)
+    be = [B * E for _, B, _, _ in rows]
+    a = [x + C for x, (_, _, C, _) in zip(be, rows)]
+    fwd = pivots(a, off, P)
+    bwd = pivots(a[::-1], off[::-1], P)[::-1]
+    k = min(range(N + 1), key=lambda i: abs(fwd[i] + bwd[i] - a[i]) / (abs(be[i]) + rows[i][2]))
+    z = [Dyadic(1, 0, P)] * (N + 1)
+    for i in range(k - 1, -1, -1):
+        z[i] = rows[i][0] * z[i + 1] / fwd[i]
+    for i in range(k + 1, N + 1):
+        z[i] = rows[i][3] * z[i - 1] / bwd[i]
+    with mpmath.workprec(bits):
+        e0 = +to_mpf(E0)
+        vals = (mpmath.mpf(1),) + tuple(+(zi / z[0]).to_mpf() for zi in z[1:])
+    return SeriesSolution(p.lambda1, vals, e0, q, p.t1, p.t2, bits)
+
+
+def _object_power_residuals(p, sol):
+    prec = sol.bits + EVAL_GUARD_BITS
+    with mpmath.workprec(prec):
+        mE = Dyadic.of_mpf(-to_mpf(sol.E0), prec)
+    terms = [[] for _ in range(p.N + 3)]
+    for n, (c, (f0, f1, f2)) in enumerate(zip(sol.coeffs, _residual_constants(p, sol.q, sol.bits))):
+        c = Dyadic.of_mpf(c, prec)
+        for j, f in enumerate((f0, f1 + (mE,), f2)):
+            terms[n + j] += [(c.m * u.m, c.e + u.e) for u in f]
+    out = []
+    for ts in terms:
+        e = min(x for _, x in ts)
+        s = sum(m << x - e for m, x in ts)
+        a = sum(abs(m) << x - e for m, x in ts)
+        out.append(Dyadic(abs(s), 0, prec) / Dyadic(a, 0, prec) if a else Dyadic(0, 0, prec))
+    with mpmath.workprec(sol.bits):
+        return [+r.to_mpf() for r in out]
+
+
+_KERNEL_SETS = ["P1", "P2", "P3", "P4"] + [
+    f"{r}-{N}" for r in ("R31", "R32", "R33") for N in (0, 1, 4, 6, 12, 24) if (r, N) != ("R33", 0)]
+
+
+@pytest.mark.parametrize("q", [F(1, 1000), F(1, 10 ** 6), F(99, 100)], ids=["q1e-3", "q1e-6", "q99/100"])
+def test_the_kernels_equal_the_object_solve_and_residual(q):
+    # the inline kernels of coefficients_numeric and _power_residuals return
+    # what the Dyadic-object solve and sums return, bit for bit: E0, every
+    # coefficient and every per-power residual, at roots, roots moved by
+    # 2^-40 of themselves, midpoints of neighbouring roots, a far point,
+    # Fraction and int points, and mpf points wider than the working
+    # precision, which both cut by a floor shift; on P1-P4 and the seed-12
+    # sets of each regime.  A series solved at twice the bits and read at
+    # bits brings coefficients wider than the residual's precision too
+    for name in _KERNEL_SETS:
+        p = named_set(name)
+        for bits in (256, 512):
+            roots, _ = find_spectral_roots(p, q, bits)
+            with mpmath.workprec(bits):
+                moved = [r * (1 + mpmath.mpf(2) ** -40) for r in roots]
+                mids = [(a + b) / 2 for a, b in zip(roots, roots[1:])]
+            with mpmath.workprec(2 * bits + 64):
+                wide = [mpmath.mpf(-10) ** 9 / 7, mpmath.mpf(3) / 7]
+            for E0 in roots + moved + mids + wide + [F(-7 * 10 ** 20), F(7, 5), F(3, 10 ** 9), 0, -3]:
+                got = coefficients_numeric(p, E0, q, bits)
+                want = _object_coefficients_numeric(p, E0, q, bits)
+                assert got.E0._mpf_ == want.E0._mpf_, (name, bits, E0)
+                assert [c._mpf_ for c in got.coeffs] == [c._mpf_ for c in want.coeffs], (name, bits, E0)
+                assert ([r._mpf_ for r in _power_residuals(p, got)]
+                        == [r._mpf_ for r in _object_power_residuals(p, want)]), (name, bits, E0)
+            sol = dataclasses.replace(coefficients_numeric(p, wide[0], q, 2 * bits), bits=bits)
+            assert ([r._mpf_ for r in _power_residuals(p, sol)]
+                    == [r._mpf_ for r in _object_power_residuals(p, sol)]), (name, bits)
+
+
+def test_twisted_solve_survives_a_zero_pivot(p1):
     # at the E0 next to -C_1 / B_1 where the first forward pivot
     # B_1 E0 + C_1 truncates to exactly 0 on the rows the solve reads, the
-    # solve stays finite, and E0 is no root
+    # solve stays finite, and E0 is no root.  The zero is seen by the
+    # Dyadic reference's pivots, which the kernel equals bit for bit there
     q, P = F(1, 1000), 512 + EVAL_GUARD_BITS
     _, B, C, _ = _dyadic_table(p1, q, P)[0][0]
     E = Dyadic(-C.m, C.e, P) / B
@@ -815,19 +913,19 @@ def test_twisted_solve_survives_a_zero_pivot(p1, monkeypatch):
 
     def pivots(a, off, P):
         seen.append(a[0])
-        return real_pivots(a, off, P)
+        return _object_pivots(a, off, P)
 
-    real_pivots = spectral_mod._pivots
-    monkeypatch.setattr(spectral_mod, "_pivots", pivots)
-    sol = coefficients_numeric(p1, E0.to_fraction(), q, 512)
+    want = _object_coefficients_numeric(p1, E0.to_fraction(), q, 512, pivots)
     assert seen and not seen[0].m  # the forward run's first pivot is that zero
+    sol = coefficients_numeric(p1, E0.to_fraction(), q, 512)
+    assert [c._mpf_ for c in sol.coeffs] == [c._mpf_ for c in want.coeffs]
     assert all(mpmath.isfinite(c) for c in sol.coeffs)
     assert residual_check(p1, sol) > mpmath.mpf(10) ** -30
 
 
 # ---------------------------------------------------------------------------
 # the twisted solve and the residual in mpf: differential oracles of the
-# Dyadic ones in spectral, written as they ran before on mpmath numbers
+# kernels in spectral, written as they ran before on mpmath numbers
 # ---------------------------------------------------------------------------
 
 
