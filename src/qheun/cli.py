@@ -51,6 +51,7 @@ from .spectral import (
     _power_residuals,
     coefficients_numeric,
     derive,
+    residual_check,
     spectral_polynomial,  # noqa: F401 -- perfbench/tracing.py wraps it here
 )
 from .ultra import (
@@ -317,13 +318,13 @@ def cmd_verify(args) -> int:
             failures.append(
                 f"root {k} exponent: error {_fmt(row.d_error)} > {args.tol_exponent}"
             )
-        per_power = _power_residuals(p, coefficients_numeric(p, est.value, q2, args.bits))
-        res = max(per_power)
+        sol = coefficients_numeric(p, est.value, q2, args.bits)
+        res = residual_check(p, sol)
         worst_res = max(worst_res, res)
         if res > args.tol_residual:
             failures.append(
                 f"root {k} residual: {_fmt(res)} > {args.tol_residual}"
-                f" at power m = {per_power.index(res)}"
+                f" at power m = {_power_residuals(p, sol).index(res)}"
             )
         rows.append(
             [

@@ -20,15 +20,15 @@ there too.
   the seeds, the plain counts and Newton), since it only guides the
   search, and so do the twisted solve and the residual of the series at a
   root, whose rounding need only be small against their 2^-P; both run
-  as kernels on spectral's Dyadic tables flattened to ints.
+  as kernels on the flat ints of spectral's fixed-q table.
 * ``Box`` is an interval [lo 2^e, hi 2^e], cut outward: lo by floor
   shifts, hi by ceiling ones.  Every operation returns a box around every
   value it takes on its operand boxes, so an expression evaluated on boxes
   around its exact inputs encloses its exact value.  The fixed-q rows are
-  Box values (``spectral.recursion_boxes_at``), and so are the residual's
-  factors: the certified counts read the boxes, and every Dyadic use reads
-  their lower ends.  No src path divides boxes; the certified count's
-  kernel inlines its one division.
+  Box values (``spectral.fixed_q``'s ``boxes``), and so are the
+  residual's factors: the certified counts read the boxes, and every
+  Dyadic use reads their lower ends.  No src path divides boxes; the
+  certified count's kernel inlines its one division.
 * ``Box.qpow(x, mu, P)`` is a box around x^mu for rational x > 0 from an
   integer D-th root, so the recursion rows evaluated on it enclose the
   rows of the exact q, with no exp or log.

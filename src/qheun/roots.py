@@ -4,23 +4,24 @@ The roots of the spectral polynomial c_{N+1} at a fixed q come from its
 three-term recursion (``find_spectral_roots``): plain counts of the roots
 above a point isolate them, Newton on the recursion approximates them, and
 certified counts on boxes around the rows of the exact q certify them.
-The polynomial itself is never formed.  One row table serves all three:
-the Box rows of spectral.recursion_boxes_at, built once per parameter set,
-q and precision from integer enclosures of each q-power; the plain counts
-and Newton read their lower ends as Dyadic points, the rows of the twisted
-solve (spectral._dyadic_table), and run one point recursion on them
-(``_point_recursion``), the certified counts its ratio on the boxes.  Both
-loops are inline kernels on CPython int locals, on rows flattened once per
-solve to int tuples (``_ints``), and each step repeats the qheun.dyadic
-operation it stands for: the point recursion that of Dyadic points
-truncated to the working precision, which only guide the search, and the
-certified counts that of Box intervals rounded outward.  The rest of the
-search (the Gershgorin bound, the isolation's points and splits, the
-seeds, Newton's bracket loop) runs on Dyadic objects at the rows'
-precision.  The seeds are the predicted roots sign * prefactor * q^d at
-that precision, from Box.qpow boxes like the rows (``_predicted_root``,
-which also gives the matching its ratios at 192 bits); mpf enters only as
-the returned roots.
+The polynomial itself is never formed.  One table serves all three, the
+memoised spectral.fixed_q(p, q, P) of each parameter set, q and precision,
+built from integer enclosures of each q-power: its Favard rows on the
+recursion's boxes (``favard_boxes``) for the certified counts' ratio
+recursion, and on their lower ends (``search``, the Dyadic points the
+twisted solve reads too) for the plain counts and Newton, which run one
+point recursion (``_point_recursion``).  Both loops are inline kernels on
+CPython int locals, on the table's flat int rows, and each step repeats the
+qheun.dyadic operation it stands for: the point recursion that of Dyadic
+points truncated to the working precision, which only guide the search,
+and the certified counts that of Box intervals rounded outward.  The rest
+of the search (the Gershgorin bound on the table's ``favard`` rows, the
+isolation's points and splits, the seeds, Newton's bracket loop) runs on
+Dyadic objects at the rows' precision.  The seeds are the predicted roots
+sign * prefactor * q^d at that precision, from the table's memoised
+Box.qpow boxes (``_predicted_root``, which also gives the matching its
+ratios at 192 bits from boxes of its own); mpf enters only as the returned
+roots.
 
 Each returned root is the true root rounded to nearest at ``bits`` bits,
 ties to even, whatever the isolation points and seeds.  One routine,
@@ -61,10 +62,9 @@ from .errors import DomainError, MatchingError, PrecisionError
 from .qmono import EVAL_GUARD_BITS, as_fraction, to_mpf
 from .spectral import (  # noqa: F401 -- perfbench/tracing.py wraps spectral_polynomial here
     EPoly,
+    FixedQ,
     HeunParams,
-    _dyadic_table,
-    _ints,
-    recursion_boxes_at,
+    fixed_q,
     spectral_polynomial,
 )
 
@@ -452,17 +452,19 @@ def find_real_roots(coeffs: Sequence, bits: int) -> list:
 real_roots_of_rational_poly = find_real_roots
 
 
-def _predicted_root(e: PredictedRoot, q: Fraction, t1, t2, P: int) -> Dyadic:
-    """The predicted root sign * prefactor * q^d at q, at P bits: the lower
-    end of the product of the dyadic.Box.qpow boxes around the prefactor
-    and q^d, signed."""
-    b = Box.qpow(*e.prefactor_power(t1, t2), P) * Box.qpow(q, e.d, P)
-    return Dyadic(e.sign * b.lo, b.e, P)
+def _predicted_root(e: PredictedRoot, prefactor: Box, qd: Box) -> Dyadic:
+    """The predicted root sign * prefactor * q^d from Box.qpow boxes around
+    the prefactor and q^d: the lower end of their product, signed."""
+    b = prefactor * qd
+    return Dyadic(e.sign * b.lo, b.e, b.P)
 
 
-def _prediction_seeds(p: HeunParams, predictions, q: Fraction, P: int) -> list[Dyadic]:
-    """The distinct predicted roots at q (``_predicted_root``), sorted."""
-    seeds = sorted(_predicted_root(e, q, p.t1, p.t2, P) for e in predictions)
+def _prediction_seeds(fq: FixedQ, predictions) -> list[Dyadic]:
+    """The distinct predicted roots at fq's q and precision, sorted: each
+    ``_predicted_root`` of the boxes that fq's memos hold."""
+    t1, t2 = fq.p.t1, fq.p.t2
+    seeds = sorted(_predicted_root(e, fq.tp(*e.prefactor_power(t1, t2)), fq.qp(e.d))
+                   for e in predictions)
     return seeds[:1] + [b for a, b in zip(seeds, seeds[1:]) if a < b]
 
 
@@ -479,21 +481,6 @@ def _prediction_seeds(p: HeunParams, predictions, q: Fraction, P: int) -> list[D
 # Wilkinson, Numer. Math. 9 (1967)).  As A_1 ... A_{N+1} > 0 does not depend
 # on E, Newton on w_{N+1} is Newton on c_{N+1}.
 # ---------------------------------------------------------------------------
-
-
-def _ratio_rows(rows) -> list:
-    """(B_n, C_n, G_n) of the Favard recursion, in the rows' arithmetic."""
-    out, prev_A = [], 0
-    for A, B, C, D in rows:
-        out.append((B, C, D * prev_A))
-        prev_A = A
-    return out
-
-
-def _point_ratio_rows(rows, off) -> list:
-    """_ratio_rows of the point rows of spectral._dyadic_table, whose
-    off-diagonal products are G_2 .. G_{N+1}; G_1 = 0."""
-    return [(B, C, G) for (_, B, C, _), G in zip(rows, (Dyadic(0, 0, rows[0][1].P),) + off)]
 
 
 # The two recursion loops below are inline kernels: a Dyadic is a pair of
@@ -638,34 +625,28 @@ def _newton_eval(rows, x: Dyadic):
     return _point_recursion(rows, x, True)
 
 
-def _certified_counter(p: HeunParams, q: Fraction, bits: int):
+def _certified_counter(base: FixedQ):
     """``count(M, W)``: the certified number of roots above E = M/W, W a
     power of two, or None when E is a root.
 
-    The ratio recursion runs on recursion_boxes_at's rows, dyadic.Box
-    intervals at P = bits + EVAL_GUARD_BITS that enclose the rows of the
-    exact q, each operation rounded outward on CPython ints (floor and
-    ceiling shifts and divisions), so every s_n box encloses the exact s_n.
-    A count is certified when every A_n, B_n, D_n box is positive and no
-    s_n box contains 0; otherwise that point is redone at doubled bits, up
-    to MAX_BITS.  A point where only s_{N+1} still holds 0 there is a root
-    to within that precision (an exact one when q-powers are rational), and
-    count returns None; any other uncertified point raises PrecisionError."""
+    The ratio recursion runs on the fixed-q table's ``favard_boxes``,
+    dyadic.Box intervals at base's P = bits + EVAL_GUARD_BITS around the
+    rows of the exact q, each operation rounded outward on CPython ints
+    (floor and ceiling shifts and divisions), so every s_n box encloses the
+    exact s_n.  A count is certified when every A_n, B_n, D_n box is
+    positive and no s_n box contains 0; otherwise that point is redone at
+    doubled bits, up to MAX_BITS, the base level's table looked up once.  A
+    point where only s_{N+1} still holds 0 there is a root to within that
+    precision (an exact one when q-powers are rational), and count returns
+    None; any other uncertified point raises PrecisionError."""
+    p, q, bits = base.p, base.q, base.P - EVAL_GUARD_BITS
     levels = [bits]
     while 2 * levels[-1] <= MAX_BITS:
         levels.append(2 * levels[-1])
-    ratios: dict = {}
-
-    def ratio_at(b: int):
-        if b not in ratios:
-            rows = recursion_boxes_at(p, q, b + EVAL_GUARD_BITS)
-            positive = all(A.lo > 0 and B.lo > 0 and D.lo > 0 for A, B, _, D in rows)
-            ratios[b] = _ints(_ratio_rows(rows)) if positive else None
-        return ratios[b]
 
     def count(M: int, W: int) -> int | None:
         for b in levels:
-            ratio = ratio_at(b)
+            ratio = (base if b == bits else fixed_q(p, q, b + EVAL_GUARD_BITS)).favard_boxes
             if ratio is None:
                 continue
             x = Box.ratio(M, W, b + EVAL_GUARD_BITS)
@@ -780,18 +761,14 @@ def find_spectral_roots(
     isolation and Newton; the roots do not depend on them.  ``epoly`` is
     not read: the polynomial itself is not needed.
     """
-    q = as_fraction(q)
-    prec = bits + EVAL_GUARD_BITS
-    rows, off = _dyadic_table(p, q, prec)
-    count = _certified_counter(p, q, bits)
-    seeds = _prediction_seeds(p, predictions, q, prec) if predictions else []
-    ratio = _point_ratio_rows(rows, off)
-    flat = _ints(ratio)
+    fq = fixed_q(p, as_fraction(q), bits + EVAL_GUARD_BITS)
+    count = _certified_counter(fq)
+    seeds = _prediction_seeds(fq, predictions) if predictions else []
     roots = []
-    for a, b, m in _isolate_by_counts(ratio, flat, seeds):
+    for a, b, m in _isolate_by_counts(fq.favard, fq.search, seeds):
         inside = [s for s in seeds if a < s < b]
         start = inside[0] if len(inside) == 1 else None
-        roots.append(_spectral_root(flat, count, a, b, m, bits, start))
+        roots.append(_spectral_root(fq.search, count, a, b, m, bits, start))
     with mpmath.workprec(bits):
         return [to_mpf(r) for r in roots], bits
 
@@ -895,7 +872,9 @@ def match_predictions(
                 continue
             derr = abs(float(est.est_exponent) - float(pred.d))
             with mpmath.workprec(192):
-                ratio = to_mpf(est.value) / _predicted_root(pred, est.q, t1, t2, 192).to_mpf()
+                at_q = _predicted_root(pred, Box.qpow(*pred.prefactor_power(t1, t2), 192),
+                                       Box.qpow(est.q, pred.d, 192))
+                ratio = to_mpf(est.value) / at_q.to_mpf()
             exponent_ok = derr <= tol_exponent
             ok = ok and exponent_ok
             rows.append(MatchRow(est, pred, derr, ratio, exponent_ok))

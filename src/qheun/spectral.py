@@ -24,9 +24,10 @@ polynomial: at each of its roots the series terminates at degree N and the
 truncated series solves the equation exactly.
 
 The rows are written once, in recursion_rows, and evaluated on QSums
-(recursion_coeff_rows) and on boxes around the rows of the exact q
-(recursion_boxes_at), the one fixed-q row table; the point rows of the
-numerics are the boxes' lower ends (_dyadic_table).  The exact
+(recursion_coeff_rows) and on boxes around the rows of the exact q, in
+the one fixed-q table (fixed_q, memoised), which also holds every other
+row the numerics at q read: the root search's, the twisted solve's and
+the residual's, on the boxes and on their lower ends.  The exact
 recursion and ultra's leading-term and s-polynomial runs share one loop,
 three_term.  Numerically the series at a root comes from a twisted solve of
 the recursion's tridiagonal system (coefficients_numeric), which keeps full
@@ -35,8 +36,8 @@ residual_check verifies it power by power of x against the operator's own
 factors, formed on boxes as well.  Both are the certificate of a root, and
 both are inline kernels on int locals (coefficients_numeric,
 _power_residuals) that repeat the dyadic.Dyadic operations bit for bit on
-the flat int forms of the memoised tables (_flat_tables); mpf enters as E0
-and leaves as the coefficients and residuals.
+fixed_q's flat rows; mpf enters as E0 and leaves as the coefficients and
+residuals.
 
 Division by A_n is not closed in the q-monomial ring, so exact coefficients
 are carried as EPoly: a numerator polynomial over a structured denominator
@@ -85,7 +86,7 @@ __all__ = [
     "coefficients_exact",
     "spectral_polynomial",
     "recursion_rows",
-    "recursion_boxes_at",
+    "fixed_q",
     "coefficients_numeric",
     "residual_check",
 ]
@@ -186,7 +187,7 @@ def recursion_rows(p: HeunParams, qv, t1v, t2v, qp) -> tuple:
     qv, t1v, t2v of q, t1, t2 and the q-power map ``qp``: mu -> q^mu.
 
     The one formula of the rows, evaluated literally: recursion_coeff_rows
-    runs it on QSums and recursion_boxes_at in boxes around the rows of the
+    runs it on QSums and FixedQ.boxes in boxes around the rows of the
     exact q."""
     lam = p.lambda1
     rows = []
@@ -402,66 +403,113 @@ class SeriesSolution:
     bits: int
 
 
-def _check_q(q) -> None:
+def _flat(row) -> tuple:
+    """Dyadic points as the flat (m, e, m, e, ...) ints the kernels read."""
+    return tuple(i for d in row for i in (d.m, d.e))
+
+
+class FixedQ:
+    """The fixed-q table of one parameter set, q and precision P.  Each
+    part is built on its first read from the boxes ``t1``, ``t2`` and the
+    q-powers ``qp(mu)``, Box.qpow(q, mu, P) memoised in one dict (an int mu
+    and the equal Fraction share an entry); ``tp`` memoises Box.qpow of
+    t1, t2 and the predicted roots' prefactors.  Every operation rounds
+    outward, so each box encloses its value at the exact q, and each point
+    is a box's lower end as a Dyadic.
+
+    ``boxes``: recursion_rows' (A, B, C, D) as boxes.  ``favard_boxes``:
+    the Favard rows (B_n, C_n, G_n = D_n A_{n-1}) on them as flat
+    (lo, hi, e) ints, the certified counts' rows, or None unless every A_n,
+    B_n, D_n box is positive.  ``favard``: the Favard rows on the point
+    rows as Dyadic (G_1 = 0), the Gershgorin bound's rows, and ``search``
+    the same flat, the plain counts' and Newton's.  ``solve``: the point
+    rows flat and the products A_{i+1} D_{i+2}, i = 0 .. N-1, that couple
+    i and i+1 in the twisted solve, as (m, e) pairs; they are also
+    G_2 .. G_{N+1} of ``favard``.  ``residual``: _power_residuals' factors.
+    """
+
+    def __init__(self, p: HeunParams, q: Fraction, P: int):
+        self.p, self.q, self.P, self._qp = p, q, P, {}
+        self.tp = functools.cache(lambda x, mu: Box.qpow(x, mu, P))
+        self.t1, self.t2 = self.tp(p.t1, 1), self.tp(p.t2, 1)
+
+    def qp(self, mu) -> Box:
+        b = self._qp.get(mu)
+        if b is None:
+            b = self._qp[mu] = Box.qpow(self.q, mu, self.P)
+        return b
+
+    @functools.cached_property
+    def boxes(self) -> tuple:
+        return recursion_rows(self.p, self.qp(1), self.t1, self.t2, self.qp)
+
+    @functools.cached_property
+    def favard_boxes(self) -> tuple | None:
+        if not all(A.lo > 0 and B.lo > 0 and D.lo > 0 for A, B, _, D in self.boxes):
+            return None
+        out, prev_A = [], 0
+        for A, B, C, D in self.boxes:
+            out.append(tuple(i for b in (B, C, D * prev_A) for i in (b.lo, b.hi, b.e)))
+            prev_A = A
+        return tuple(out)
+
+    @functools.cached_property
+    def _points(self) -> tuple:
+        """The point rows and the products A_{i+1} D_{i+2}, Dyadic."""
+        rows = tuple(tuple(Dyadic(b.lo, b.e, b.P) for b in row) for row in self.boxes)
+        return rows, tuple(rows[i][0] * rows[i + 1][3] for i in range(self.p.N))
+
+    @functools.cached_property
+    def favard(self) -> tuple:
+        rows, off = self._points
+        return tuple((B, C, G) for (_, B, C, _), G in zip(rows, (Dyadic(0, 0, self.P),) + off))
+
+    @functools.cached_property
+    def search(self) -> tuple:
+        return tuple(map(_flat, self.favard))
+
+    @functools.cached_property
+    def solve(self) -> tuple:
+        rows, off = self._points
+        return tuple(map(_flat, rows)), tuple((d.m, d.e) for d in off)
+
+    @functools.cached_property
+    def residual(self) -> tuple:
+        """Per n = 0 .. N, the E-free factors of c_n in the powers n, n+1
+        and n+2 of _power_residuals:
+            (a1 a2 q^-(lambda1+n), P b1 b2 q^(lambda1+n), -K),
+            (-(a1+a2) q^-(lambda1+n), -P (b1+b2) q^(lambda1+n)),
+            (q^-(lambda1+n), P q^(lambda1+n), -Q),
+        with q^(+-(lambda1+n)) by steps of q from one power each, formed on
+        boxes like the rows, as one tuple of their lower ends: the
+        mantissas and then the exponents of each of the three tuples."""
+        p, qp, t1v, t2v = self.p, self.qp, self.t1, self.t2
+        a1, a2 = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
+        b1, b2 = qp(p.l1 - _HALF) * t1v, qp(p.l2 - _HALF) * t2v
+        P = qp(p.alpha1 + p.alpha2)
+        Q = qp(p.alpha1) + qp(p.alpha2)
+        K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
+            qp(p.beta / 2) + qp(-p.beta / 2)
+        ) * t1v * t2v
+        up, dn, qv, qinv = qp(p.lambda1), qp(-p.lambda1), qp(1), qp(-1)
+        table = []
+        for _ in range(p.N + 1):
+            fs = [[Dyadic(b.lo, b.e, b.P) for b in f] for f in (
+                (a1 * a2 * dn, P * b1 * b2 * up, -K),
+                (-(a1 + a2) * dn, -P * (b1 + b2) * up),
+                (dn, P * up, -Q),
+            )]
+            table.append(tuple(i for f in fs for i in (*(d.m for d in f), *(d.e for d in f))))
+            up, dn = up * qv, dn * qinv
+        return tuple(table)
+
+
+@functools.lru_cache(maxsize=64)
+def fixed_q(p: HeunParams, q: Fraction, P: int) -> FixedQ:
+    """The FixedQ table of ``p`` at q and P bits, memoised."""
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0,1), got {q}")
-
-
-def _fixed_q_boxes(p: HeunParams, q: Fraction, prec: int) -> tuple:
-    """(qp, q, t1, t2): boxes at ``prec`` bits around q, t1, t2 and, by
-    qp: mu -> Box.qpow(q, mu, prec) memoised per table, every q-power."""
-    qp = functools.cache(lambda mu: Box.qpow(q, mu, prec))
-    return qp, qp(1), Box.qpow(p.t1, 1, prec), Box.qpow(p.t2, 1, prec)
-
-
-@functools.lru_cache(maxsize=64)
-def recursion_boxes_at(p: HeunParams, q: Fraction, prec: int) -> tuple:
-    """The rows of recursion_rows as dyadic.Box intervals at ``prec`` bits
-    that enclose the rows of the exact q: every q-power, q, t1 and t2 is a
-    box around its exact value (_fixed_q_boxes), and every operation rounds
-    outward.  The certified root counts read them, and their lower ends are
-    the point rows of the numerics (_dyadic_table).  Memoised per argument
-    tuple."""
-    _check_q(q)
-    qp, qv, t1v, t2v = _fixed_q_boxes(p, q, prec)
-    return recursion_rows(p, qv, t1v, t2v, qp)
-
-
-def _lower_ends(rows) -> tuple:
-    """Rows of boxes as the rows of their lower ends, Dyadic points."""
-    return tuple(tuple(Dyadic(b.lo, b.e, b.P) for b in row) for row in rows)
-
-
-def _ints(rows) -> list:
-    """Dyadic or Box rows as the flat int tuples the kernels read: m, e
-    for each Dyadic, lo, hi, e for each Box."""
-    return [
-        tuple(i for v in row for i in ((v.m, v.e) if isinstance(v, Dyadic) else (v.lo, v.hi, v.e)))
-        for row in rows
-    ]
-
-
-@functools.lru_cache(maxsize=64)
-def _dyadic_table(p: HeunParams, q: Fraction, P: int) -> tuple:
-    """The point rows at P bits, the lower ends of recursion_boxes_at's
-    rows as Dyadic, and A_{i+1} D_{i+2}, i = 0 .. N-1: the products of the
-    off-diagonals coupling i and i+1 in coefficients_numeric, also the
-    G_2 .. G_{N+1} of the plain counts' and Newton's recursion.  Memoised."""
-    rows = _lower_ends(recursion_boxes_at(p, q, P))
-    return rows, tuple(rows[i][0] * rows[i + 1][3] for i in range(p.N))
-
-
-@functools.lru_cache(maxsize=64)
-def _flat_tables(p: HeunParams, q: Fraction, bits: int) -> tuple:
-    """The certificate's tables as the ints its kernels read: the point
-    rows of _dyadic_table at bits + EVAL_GUARD_BITS as flat (A, B, C, D)
-    tuples (_ints), its off-diagonal products as (m, e) pairs, and per n
-    the factors of _residual_constants as one tuple, the mantissas and
-    then the exponents of each of its three tuples.  Memoised."""
-    rows, off = _dyadic_table(p, q, bits + EVAL_GUARD_BITS)
-    table = tuple(tuple(i for f in fs for i in (*(d.m for d in f), *(d.e for d in f)))
-                  for fs in _residual_constants(p, q, bits))
-    return tuple(_ints(rows)), tuple((d.m, d.e) for d in off), table
+    return FixedQ(p, q, P)
 
 
 def _mpf(m: int, e: int, bits: int):
@@ -529,12 +577,12 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     the forward recursion, the tests' reference, it does not amplify the
     error of a rounded root.  The solve is an inline kernel on int locals
     that repeats each Dyadic operation at P = bits + EVAL_GUARD_BITS, on
-    the flat point rows of _flat_tables; mpf enters only as E0, at P bits
+    fixed_q's flat ``solve`` rows; mpf enters only as E0, at P bits
     and cut as Dyadic.of_mpf cuts, and leaves as E0 and the coefficients
     rounded to ``bits``."""
     P = bits + EVAL_GUARD_BITS
     q = as_fraction(q)
-    rows, off, _ = _flat_tables(p, q, bits)
+    rows, off = fixed_q(p, q, P).solve
     N = p.N
     with mpmath.workprec(P):
         E = Dyadic.of_mpf(to_mpf(E0), P)
@@ -607,36 +655,6 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     return SeriesSolution(p.lambda1, tuple(vals), e0, q, p.t1, p.t2, bits)
 
 
-@functools.lru_cache(maxsize=64)
-def _residual_constants(p: HeunParams, q: Fraction, bits: int) -> tuple:
-    """Per n = 0 .. N, the E-free factors of c_n in the powers n, n+1 and
-    n+2 of _power_residuals:
-        (a1 a2 q^-(lambda1+n), P b1 b2 q^(lambda1+n), -K),
-        (-(a1+a2) q^-(lambda1+n), -P (b1+b2) q^(lambda1+n)),
-        (q^-(lambda1+n), P q^(lambda1+n), -Q),
-    with q^(+-(lambda1+n)) by steps of q from one power each; formed on
-    boxes at bits + EVAL_GUARD_BITS from _fixed_q_boxes, like the rows, and
-    held as their lower ends.  Memoised."""
-    qp, qv, t1v, t2v = _fixed_q_boxes(p, q, bits + EVAL_GUARD_BITS)
-    a1, a2 = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
-    b1, b2 = qp(p.l1 - _HALF) * t1v, qp(p.l2 - _HALF) * t2v
-    P = qp(p.alpha1 + p.alpha2)
-    Q = qp(p.alpha1) + qp(p.alpha2)
-    K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
-        qp(p.beta / 2) + qp(-p.beta / 2)
-    ) * t1v * t2v
-    up, dn, qinv = qp(p.lambda1), qp(-p.lambda1), qp(-1)
-    table = []
-    for _ in range(p.N + 1):
-        table.append(_lower_ends((
-            (a1 * a2 * dn, P * b1 * b2 * up, -K),
-            (-(a1 + a2) * dn, -P * (b1 + b2) * up),
-            (dn, P * up, -Q),
-        )))
-        up, dn = up * qv, dn * qinv
-    return tuple(table)
-
-
 def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:
     """Relative residual of the x^(lambda1+m) coefficient of the q-Heun
     operator applied to the series, for m = 0 .. N+2.
@@ -647,12 +665,12 @@ def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:
         j = 2:  q^-(lambda1+n) + P q^(lambda1+n) - Q
     with the operator's own factors a_i = q^(h_i+1/2) t_i,
     b_i = q^(l_i-1/2) t_i, P = q^(a1+a2), Q = q^a1 + q^a2 and K its
-    constant term, not the recursion rows (_residual_constants).  Each
+    constant term, not the recursion rows (FixedQ.residual).  Each
     coefficient, the sum of its (at most nine) exact products, is divided
     by the sum of their absolute values; both sums are exact, on ints at
     the least exponent, and the quotient is Dyadic's, truncated at
-    bits + EVAL_GUARD_BITS.  An inline kernel on the flat factors of
-    _flat_tables; E and the coefficients enter as their mpf, cut to that
+    bits + EVAL_GUARD_BITS.  An inline kernel on fixed_q's flat
+    ``residual`` factors; E and the coefficients enter as their mpf, cut to that
     precision, and the residuals leave rounded to ``bits``.  m = 0 and
     m = N+2 are the indicial and termination identities, zero for any E."""
     P = sol.bits + EVAL_GUARD_BITS
@@ -661,7 +679,7 @@ def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:
     Em, Ee = E.m, E.e
     ms = [[] for _ in range(p.N + 3)]  # the products' mantissas and
     xs = [[] for _ in range(p.N + 3)]  # exponents, per power
-    for n, (c, f) in enumerate(zip(sol.coeffs, _flat_tables(p, sol.q, sol.bits)[2])):
+    for n, (c, f) in enumerate(zip(sol.coeffs, fixed_q(p, sol.q, P).residual)):
         u0, u1, u2, x0, x1, x2, v0, v1, y0, y1, w0, w1, w2, z0, z1, z2 = f
         c = Dyadic.of_mpf(c, P)
         cm, ce = c.m, c.e

@@ -24,9 +24,8 @@ from qheun.qmono import EVAL_GUARD_BITS, AtQ, to_mpf
 from qheun.sampling import sample_params
 from qheun.dyadic import Box, Dyadic
 from qheun.spectral import (
-    _dyadic_table,
     derive,
-    recursion_boxes_at,
+    fixed_q,
     recursion_coeff_rows,
     recursion_rows,
     spectral_polynomial,
@@ -150,14 +149,18 @@ def test_match_predictions_reports_unmatched(p4):
 @pytest.mark.parametrize("P", [192, 536])
 def test_predicted_roots_match_exp_log_at_twice_the_bits(name, P):
     # sign * prefactor * q^d from Box.qpow's integer roots, against the same
-    # value from mpf exp and log at 2P bits: within a few units of 2^-P
+    # value from mpf exp and log at 2P bits: within a few units of 2^-P.
+    # The seeds read the boxes of the fixed-q table's memos, the matching
+    # its own Box.qpow boxes; both give the same point
     p = named_set(name)
     for q in (F(1, 1000), F(1, 10 ** 6)):
+        fq = fixed_q(p, q, P)
         for e in predict_roots(p, classify(p)):
-            got = roots_mod._predicted_root(e, q, p.t1, p.t2, P)
-            assert got.P == P
+            x, mu = e.prefactor_power(p.t1, p.t2)
+            got = roots_mod._predicted_root(e, Box.qpow(x, mu, P), Box.qpow(q, e.d, P))
+            seed = roots_mod._predicted_root(e, fq.tp(x, mu), fq.qp(e.d))
+            assert (got.m, got.e, got.P) == (seed.m, seed.e, P)
             with mpmath.workprec(2 * P):
-                x, mu = e.prefactor_power(p.t1, p.t2)
                 want = e.sign * mpmath.exp(to_mpf(mu) * mpmath.log(to_mpf(x))
                                            + to_mpf(e.d) * mpmath.log(to_mpf(q)))
                 assert abs(got.to_mpf() - want) <= mpmath.ldexp(abs(want), 3 - P), (name, q, e)
@@ -414,7 +417,7 @@ def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4
             return _f(*args)
 
         monkeypatch.setattr(roots_mod, name, counting)
-    spectral_root, boxes_at = roots_mod._spectral_root, roots_mod.recursion_boxes_at
+    spectral_root, table = roots_mod._spectral_root, roots_mod.fixed_q
 
     def counting_root(*args):
         before = evaluations[0]
@@ -422,13 +425,13 @@ def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4
         per_root.append(evaluations[0] - before)
         return out
 
-    def boxes_seen(p, q, prec):
+    def table_seen(p, q, prec):
         if prec != 512 + EVAL_GUARD_BITS:
             escalated.append((p, q, prec))
-        return boxes_at(p, q, prec)
+        return table(p, q, prec)
 
     monkeypatch.setattr(roots_mod, "_spectral_root", counting_root)
-    monkeypatch.setattr(roots_mod, "recursion_boxes_at", boxes_seen)
+    monkeypatch.setattr(roots_mod, "fixed_q", table_seen)
     expected = 0
     for p in (p1, p2, p3, p4):
         preds = predict_roots(p, classify(p))
@@ -675,7 +678,7 @@ def test_a_count_uncertified_at_max_bits_names_its_point(p1, monkeypatch):
 
 def _assert_bound_above_roots(p, q):
     prec = 512 + EVAL_GUARD_BITS
-    R = roots_mod._gershgorin_bound(roots_mod._point_ratio_rows(*_dyadic_table(p, q, prec)))
+    R = roots_mod._gershgorin_bound(fixed_q(p, q, prec).favard)
     assert (R.m, R.P) == (1, prec)  # 2^R.e
     bound = R.to_fraction()
     roots = find_spectral_roots(p, q, 512)[0]
@@ -712,6 +715,12 @@ def _iv_prec(prec):
         mpmath.iv.prec = old
 
 
+def _favard_rows(rows):
+    """The Favard rows (B_n, C_n, G_n = D_n A_{n-1}) of rows (A, B, C, D)
+    in their own arithmetic, G_1 = D_1 * 0."""
+    return [(B, C, D * A) for (A, _, _, _), (_, B, C, D) in zip([(0,) * 4, *rows], rows)]
+
+
 def _iv_ratio(p, q, prec):
     """The count's rows (B_n, C_n, G_n) in mpmath.iv at prec, each q-power
     the interval exp(mu log q); None unless every A_n, B_n, D_n is positive."""
@@ -725,7 +734,7 @@ def _iv_ratio(p, q, prec):
         rows = recursion_rows(p, conv(q), conv(p.t1), conv(p.t2), qp)
         if not all(A.a > 0 and B.a > 0 and D.a > 0 for A, B, _, D in rows):
             return None
-        return roots_mod._ratio_rows(rows)
+        return _favard_rows(rows)
 
 
 def _iv_count(ratio, x: Fraction, prec):
@@ -755,10 +764,9 @@ def test_certified_counts_certify_wherever_the_iv_reference_does(regime, seed, N
     p = sample_params(regime, random.Random(seed), N=N)
     prec = bits + EVAL_GUARD_BITS
     roots = [roots_mod._mpf_to_fraction(r) for r in find_spectral_roots(p, q, bits)[0]]
-    boxes = recursion_boxes_at(p, q, prec)
     reference = _iv_ratio(p, q, prec)
-    assert reference is None or all(A.lo > 0 and B.lo > 0 and D.lo > 0 for A, B, _, D in boxes)
-    ratio = roots_mod._ints(roots_mod._ratio_rows(boxes))
+    ratio = fixed_q(p, q, prec).favard_boxes
+    assert reference is None or ratio is not None
     points = []
     for r in roots:
         step = F(2) ** (abs(r).numerator.bit_length() - abs(r).denominator.bit_length() - 1 - bits)
@@ -839,18 +847,18 @@ def _object_newton_eval(newton_rows, x: Dyadic):
 def _object_rows(p, q, bits):
     """The rows find_spectral_roots gives the plain counts, Newton and the
     certified counts at ``bits``, as Dyadic and Box objects."""
-    prec = bits + EVAL_GUARD_BITS
-    rows, off = roots_mod._dyadic_table(p, q, prec)
-    plain = roots_mod._point_ratio_rows(rows, off)
-    return plain, plain, roots_mod._ratio_rows(recursion_boxes_at(p, q, prec))
+    fq = fixed_q(p, q, bits + EVAL_GUARD_BITS)
+    return fq.favard, fq.favard, _favard_rows(fq.boxes)
 
 
 def _assert_kernels_equal_the_object_loops(p, q, bits, points):
     """At each Fraction point, as Dyadic and as Box, the three kernels on
-    the flat rows return what the object loops return on the objects."""
+    the fixed-q table's flat rows return what the object loops return on
+    the objects."""
     prec = bits + EVAL_GUARD_BITS
     plain, newton, boxes = _object_rows(p, q, bits)
-    flat_plain, flat_newton, flat_boxes = map(roots_mod._ints, (plain, newton, boxes))
+    fq = fixed_q(p, q, prec)
+    flat_plain, flat_newton, flat_boxes = fq.search, fq.search, fq.favard_boxes
     for x in points:
         box = Box.ratio(x.numerator, x.denominator, prec)
         d = Dyadic(box.lo, box.e, prec)

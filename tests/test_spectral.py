@@ -13,24 +13,23 @@ from hypothesis import strategies as st
 
 import qheun.spectral as spectral_mod
 import qheun.ultra as ultra_mod
-from qheun.dyadic import Dyadic
+from qheun.dyadic import Box, Dyadic
 from qheun.errors import DomainError, ParameterError, SignIndefiniteError, ZeroQSumError
 from qheun.qmono import (EVAL_GUARD_BITS, EXACT_ZERO, AtQ, Packed, QSum, eval_numeric, pack_key, qpow,
                          terms_merge, terms_mul, to_mpf, ultradiscretize)
 from qheun.sampling import sample_params
 from qheun.spectral import (
     SeriesSolution,
-    _dyadic_table,
+    _pivot_run,
     _power_residuals,
-    _residual_constants,
     _scale_den,
     _scaled,
     _three_term_rows,
     coefficients_exact,
     coefficients_numeric,
     derive,
+    fixed_q,
     recursion_coeff_rows,
-    recursion_boxes_at,
     recursion_rows,
     residual_check,
     spectral_polynomial,
@@ -61,7 +60,7 @@ def test_derive_p2(p2):
 def test_equal_parameter_sets_hash_equal(p1, p4):
     # the hash, computed once per instance, is the hash of the fields, so
     # a set re-derived through with_value is equal, hashes equal and hits
-    # the memoised row table of the original
+    # the memoised fixed-q table of the original
     q, prec = F(1, 1000), 512 + EVAL_GUARD_BITS
     for p in (p1, p4, sample_params("R32", random.Random(12), N=12)):
         moved = p.with_value("t1", 2 * p.t1)
@@ -69,7 +68,7 @@ def test_equal_parameter_sets_hash_equal(p1, p4):
         assert back == p and back is not p and moved != p
         assert hash(back) == hash(p) == hash(tuple(getattr(p, f.name) for f in fields(p)))
         assert hash(moved) == hash(tuple(getattr(moved, f.name) for f in fields(moved)))
-        assert recursion_boxes_at(back, q, prec) is recursion_boxes_at(p, q, prec)
+        assert fixed_q(back, q, prec) is fixed_q(p, q, prec)
 
 
 def test_derive_rejects_noninteger_n():
@@ -411,8 +410,30 @@ def recursion_rows_at(p, q, prec):
         return recursion_rows(p, at.q, at.t1, at.t2, at.qpow)
 
 
-def _mpf_residual_constants(p, q, bits):
-    """The factors of _residual_constants in mpf at bits + EVAL_GUARD_BITS,
+def _dyadic(flat, P):
+    """Flat (m, e, m, e, ...) ints, the rows fixed_q's kernels read, as
+    Dyadic points at P bits."""
+    return tuple(Dyadic(m, e, P) for m, e in zip(flat[::2], flat[1::2]))
+
+
+def _solve_rows(p, q, P):
+    """fixed_q's ``solve`` rows and off-diagonal products as Dyadic."""
+    rows, off = fixed_q(p, q, P).solve
+    return [_dyadic(r, P) for r in rows], [Dyadic(m, e, P) for m, e in off]
+
+
+def _residual_factors(p, q, bits):
+    """fixed_q's ``residual`` as Dyadic: per n the three tuples of factors,
+    each stored as its mantissas and then its exponents."""
+    P, out = bits + EVAL_GUARD_BITS, []
+    for f in fixed_q(p, q, P).residual:
+        out.append(tuple(tuple(Dyadic(m, e, P) for m, e in zip(t[:len(t) // 2], t[len(t) // 2:]))
+                         for t in (f[:6], f[6:10], f[10:])))
+    return out
+
+
+def _mpf_residual_factors(p, q, bits):
+    """The factors of FixedQ.residual in mpf at bits + EVAL_GUARD_BITS,
     every q-power from AtQ and q^(+-(lambda1+n)) by steps of q and 1/q: its
     oracle, independent of Box.qpow."""
     with mpmath.workprec(bits + EVAL_GUARD_BITS):
@@ -450,15 +471,15 @@ def test_point_rows_and_residual_constants_match_the_mpf_oracles(name, q, prec):
     p = named_set(name)
     bits = prec - EVAL_GUARD_BITS
     pairs = [(got, want) for got_row, want_row in zip(
-        _dyadic_table(p, q, prec)[0], recursion_rows_at(p, q, prec + EVAL_GUARD_BITS))
+        _solve_rows(p, q, prec)[0], recursion_rows_at(p, q, prec + EVAL_GUARD_BITS))
         for got, want in zip(got_row, want_row)]
-    for got_n, want_n in zip(_residual_constants(p, q, bits), _mpf_residual_constants(p, q, prec)):
+    for got_n, want_n in zip(_residual_factors(p, q, bits), _mpf_residual_factors(p, q, prec)):
         for got_f, want_f in zip(got_n, want_n):
             pairs += zip(got_f, want_f)
     assert len(pairs) == 4 * (p.N + 1) + 8 * (p.N + 1)
     with mpmath.workprec(2 * prec):
         for got, want in pairs:
-            assert got.P == prec
+            assert got.m.bit_length() <= prec
             assert abs(got.to_mpf() - want) <= mpmath.ldexp(abs(want), 8 - prec), (got, want)
 
 
@@ -496,6 +517,53 @@ def test_the_search_takes_no_mpf_sqrt_ldexp_or_mag(monkeypatch):
         monkeypatch.setattr(mpmath, name, refused)
     got = [find_spectral_roots(named_set(n), q, 512)[0] for n in names for q in qs]
     assert [[r._mpf_ for r in rs] for rs in got] == [[r._mpf_ for r in rs] for rs in want]
+
+
+@pytest.mark.parametrize("name", ["P4", "R32-12"])
+def test_a_warm_solve_builds_nothing(name, monkeypatch):
+    # a second seeded search, series and per-power residual on the same
+    # (p, q, bits) read the memoised fixed-q table: no Box.qpow call, the
+    # seeds' q^d and prefactors among them (a balanced pair on P4, t1 = 2,
+    # t2 = 3 on R32), no row built and no table added, and the same results
+    p, q = named_set(name), F(1, 7901)
+    preds = ultra_mod.predict_roots(p, ultra_mod.classify(p))
+
+    def solve():
+        roots, _ = find_spectral_roots(p, q, 512, predictions=preds)
+        out = [[r._mpf_ for r in roots]]
+        for E0 in roots:
+            sol = coefficients_numeric(p, E0, q, 512)
+            out += [[c._mpf_ for c in sol.coeffs], [r._mpf_ for r in _power_residuals(p, sol)]]
+        return out
+
+    want = solve()
+    built, qpow, rows = [], Box.qpow, spectral_mod.recursion_rows
+    monkeypatch.setattr(Box, "qpow", staticmethod(lambda *a: built.append(a) or qpow(*a)))
+    monkeypatch.setattr(spectral_mod, "recursion_rows", lambda *a: built.append(a) or rows(*a))
+    tables = fixed_q.cache_info().misses
+    assert solve() == want
+    assert built == [] and fixed_q.cache_info().misses == tables
+
+
+def test_the_rows_and_the_residual_factors_share_one_q_power_memo(p4, monkeypatch):
+    # reading every part of one table calls Box.qpow once per distinct
+    # power, an int exponent and the equal Fraction alike: the residual
+    # factors take their q-powers from the memo the rows filled, q itself
+    # among them, and build only the q-powers they add
+    calls, qpow = [], Box.qpow
+    monkeypatch.setattr(Box, "qpow", staticmethod(lambda x, mu, P: calls.append((x, mu)) or qpow(x, mu, P)))
+    for p in (p4, named_set("R32-12")):
+        calls.clear()
+        q = F(1, 1000)
+        fq = spectral_mod.FixedQ(p, q, 512 + EVAL_GUARD_BITS)
+        fq.boxes
+        n, size = len(calls), len(fq._qp)
+        assert 1 in fq._qp
+        fq.residual
+        assert all(x == q for x, _ in calls[n:]) and len(calls) - n == len(fq._qp) - size
+        for part in ("favard_boxes", "favard", "search", "solve"):
+            getattr(fq, part)
+        assert len(calls) == len(set(calls)) == len(fq._qp) + 2 - (p.t1 == p.t2)
 
 
 def series_coefficient_values(p, E0, q, bits=512):
@@ -563,8 +631,8 @@ def test_numeric_rows_match_the_exact_image(regime, seed, N, m, k, e0, e0_exp, b
     q = F(m, 10 ** k)
     E0 = F(e0, 7) * 10 ** e0_exp
     rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
-    boxes = recursion_boxes_at(p, q, bits + EVAL_GUARD_BITS)
-    points, _ = _dyadic_table(p, q, bits + EVAL_GUARD_BITS)
+    boxes = fixed_q(p, q, bits + EVAL_GUARD_BITS).boxes
+    points, _ = _solve_rows(p, q, bits + EVAL_GUARD_BITS)
     polys, _ = coefficients_exact(p)
     numeric = series_coefficient_values(p, E0, q, bits=bits)
     with mpmath.workprec(2 * bits):
@@ -826,7 +894,7 @@ def _object_pivots(a, off, P):
 def _object_coefficients_numeric(p, E0, q, bits, pivots=_object_pivots):
     P = bits + EVAL_GUARD_BITS
     q = F(q)
-    rows, off = _dyadic_table(p, q, P)
+    rows, off = _solve_rows(p, q, P)
     N = p.N
     with mpmath.workprec(P):
         E = Dyadic.of_mpf(to_mpf(E0), P)
@@ -851,7 +919,7 @@ def _object_power_residuals(p, sol):
     with mpmath.workprec(prec):
         mE = Dyadic.of_mpf(-to_mpf(sol.E0), prec)
     terms = [[] for _ in range(p.N + 3)]
-    for n, (c, (f0, f1, f2)) in enumerate(zip(sol.coeffs, _residual_constants(p, sol.q, sol.bits))):
+    for n, (c, (f0, f1, f2)) in enumerate(zip(sol.coeffs, _residual_factors(p, sol.q, sol.bits))):
         c = Dyadic.of_mpf(c, prec)
         for j, f in enumerate((f0, f1 + (mE,), f2)):
             terms[n + j] += [(c.m * u.m, c.e + u.e) for u in f]
@@ -906,7 +974,7 @@ def test_twisted_solve_survives_a_zero_pivot(p1):
     # solve stays finite, and E0 is no root.  The zero is seen by the
     # Dyadic reference's pivots, which the kernel equals bit for bit there
     q, P = F(1, 1000), 512 + EVAL_GUARD_BITS
-    _, B, C, _ = _dyadic_table(p1, q, P)[0][0]
+    _, B, C, _ = _solve_rows(p1, q, P)[0][0]
     E = Dyadic(-C.m, C.e, P) / B
     E0 = next(x for x in (Dyadic(E.m + k, E.e, P) for k in range(-4, 5)) if not (B * x + C).m)
     seen = []
@@ -921,6 +989,20 @@ def test_twisted_solve_survives_a_zero_pivot(p1):
     assert [c._mpf_ for c in sol.coeffs] == [c._mpf_ for c in want.coeffs]
     assert all(mpmath.isfinite(c) for c in sol.coeffs)
     assert residual_check(p1, sol) > mpmath.mpf(10) ** -30
+
+
+def test_a_zero_pivot_is_replaced_by_2_to_the_minus_p_times_its_diagonal():
+    # d_1 = a_1 - off_0 / d_0 is exactly 0 in each run: the kernel replaces
+    # it by 2^-P |a_1|, or by 2^-P where a_1 = 0, as the Dyadic reference does
+    P = 64
+    for a, off, want in (
+        ([(1, 0), (1, 0)], [(1, 0)], [(1, 0), (1, -P)]),
+        ([(-3, 5), (-3, 5)], [(9, 10)], [(-3, 5), (3, 5 - P)]),
+        ([(1, 0), (0, 0)], [(0, 0)], [(1, 0), (1, -P)]),
+    ):
+        assert _pivot_run(a, off, P) == want
+        ref = _object_pivots([Dyadic(m, e, P) for m, e in a], [Dyadic(m, e, P) for m, e in off], P)
+        assert [(d.m, d.e) for d in ref] == want
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +1042,7 @@ def _mpf_coefficients_numeric(p, E0, q, bits):
 
 
 def _mpf_power_residuals(p, coeffs, E0, q, bits):
-    table = _mpf_residual_constants(p, q, bits)
+    table = _mpf_residual_factors(p, q, bits)
     with mpmath.workprec(bits + EVAL_GUARD_BITS):
         mE = -to_mpf(E0)
         terms = [[] for _ in range(p.N + 3)]
