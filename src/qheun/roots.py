@@ -461,7 +461,7 @@ def _predicted_root(e: PredictedRoot, prefactor: Box, qd: Box) -> Dyadic:
 
 def _prediction_seeds(fq: FixedQ, predictions) -> list[Dyadic]:
     """The distinct predicted roots at fq's q and precision, sorted: each
-    ``_predicted_root`` of the boxes that fq's memos hold."""
+    ``_predicted_root`` of the boxes that fq's memo holds."""
     t1, t2 = fq.p.t1, fq.p.t2
     seeds = sorted(_predicted_root(e, fq.tp(*e.prefactor_power(t1, t2)), fq.qp(e.d))
                    for e in predictions)

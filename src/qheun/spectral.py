@@ -411,11 +411,12 @@ def _flat(row) -> tuple:
 class FixedQ:
     """The fixed-q table of one parameter set, q and precision P.  Each
     part is built on its first read from the boxes ``t1``, ``t2`` and the
-    q-powers ``qp(mu)``, Box.qpow(q, mu, P) memoised in one dict (an int mu
-    and the equal Fraction share an entry); ``tp`` memoises Box.qpow of
-    t1, t2 and the predicted roots' prefactors.  Every operation rounds
-    outward, so each box encloses its value at the exact q, and each point
-    is a box's lower end as a Dyadic.
+    q-powers ``qp(mu)`` = ``tp(q, mu)``: ``tp`` is Box.qpow(x, mu, P) in one
+    memo, keyed by (x, mu) for t1, t2 and the predicted roots' prefactors
+    and by mu for x = q, since hashing the Fraction q at each lookup made
+    a cold table 15% slower; an int and the equal Fraction share an entry.
+    Every operation rounds outward, so each box encloses its value at the
+    exact q, and each point is a box's lower end as a Dyadic.
 
     ``boxes``: recursion_rows' (A, B, C, D) as boxes.  ``favard_boxes``:
     the Favard rows (B_n, C_n, G_n = D_n A_{n-1}) on them as flat
@@ -429,14 +430,14 @@ class FixedQ:
     """
 
     def __init__(self, p: HeunParams, q: Fraction, P: int):
-        self.p, self.q, self.P, self._qp = p, q, P, {}
-        self.tp = functools.cache(lambda x, mu: Box.qpow(x, mu, P))
+        self.p, self.q, self.P, self._pows = p, q, P, {}
+        self.qp = lambda mu: self.tp(q, mu)
         self.t1, self.t2 = self.tp(p.t1, 1), self.tp(p.t2, 1)
 
-    def qp(self, mu) -> Box:
-        b = self._qp.get(mu)
-        if b is None:
-            b = self._qp[mu] = Box.qpow(self.q, mu, self.P)
+    def tp(self, x, mu) -> Box:
+        key = mu if x is self.q else (x, mu)
+        if (b := self._pows.get(key)) is None:
+            b = self._pows[key] = Box.qpow(x, mu, self.P)
         return b
 
     @functools.cached_property

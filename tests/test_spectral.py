@@ -410,16 +410,24 @@ def recursion_rows_at(p, q, prec):
         return recursion_rows(p, at.q, at.t1, at.t2, at.qpow)
 
 
+def _point(m, e, P):
+    """The int pair (m, e) of a fixed_q table at P bits as a Dyadic point.
+    Dyadic cuts m to P bits, so the table's own ints are checked first: a
+    table wider than P bits fails here rather than passing cut."""
+    assert m.bit_length() <= P, (m.bit_length(), P)
+    return Dyadic(m, e, P)
+
+
 def _dyadic(flat, P):
     """Flat (m, e, m, e, ...) ints, the rows fixed_q's kernels read, as
     Dyadic points at P bits."""
-    return tuple(Dyadic(m, e, P) for m, e in zip(flat[::2], flat[1::2]))
+    return tuple(_point(m, e, P) for m, e in zip(flat[::2], flat[1::2]))
 
 
 def _solve_rows(p, q, P):
     """fixed_q's ``solve`` rows and off-diagonal products as Dyadic."""
     rows, off = fixed_q(p, q, P).solve
-    return [_dyadic(r, P) for r in rows], [Dyadic(m, e, P) for m, e in off]
+    return [_dyadic(r, P) for r in rows], [_point(m, e, P) for m, e in off]
 
 
 def _residual_factors(p, q, bits):
@@ -427,7 +435,7 @@ def _residual_factors(p, q, bits):
     each stored as its mantissas and then its exponents."""
     P, out = bits + EVAL_GUARD_BITS, []
     for f in fixed_q(p, q, P).residual:
-        out.append(tuple(tuple(Dyadic(m, e, P) for m, e in zip(t[:len(t) // 2], t[len(t) // 2:]))
+        out.append(tuple(tuple(_point(m, e, P) for m, e in zip(t[:len(t) // 2], t[len(t) // 2:]))
                          for t in (f[:6], f[6:10], f[10:])))
     return out
 
@@ -462,8 +470,10 @@ def _mpf_residual_factors(p, q, bits):
 @pytest.mark.parametrize("q", [F(1, 1000), F(1, 10 ** 6)], ids=["q1e-3", "q1e-6"])
 @pytest.mark.parametrize("name", NAMED_SETS)
 def test_point_rows_and_residual_constants_match_the_mpf_oracles(name, q, prec):
-    # every point row and every residual factor, the lower end of a box
-    # built from Box.qpow, lies within 2^-(prec-8) of itself of its
+    # every point row, off-diagonal product and residual factor holds at
+    # most prec bits (_point checks the table's ints before any Dyadic is
+    # built), and each row and factor, the lower end of a box built from
+    # Box.qpow, lies within 2^-(prec-8) of itself of its
     # exp/log-built oracle.  exp(mu log q) carries the rounding of log q
     # times |mu log q|, up to 2^11 units here, so the oracles run with
     # EVAL_GUARD_BITS more bits; the boxes' steps by q and 1/q in the
@@ -479,7 +489,6 @@ def test_point_rows_and_residual_constants_match_the_mpf_oracles(name, q, prec):
     assert len(pairs) == 4 * (p.N + 1) + 8 * (p.N + 1)
     with mpmath.workprec(2 * prec):
         for got, want in pairs:
-            assert got.m.bit_length() <= prec
             assert abs(got.to_mpf() - want) <= mpmath.ldexp(abs(want), 8 - prec), (got, want)
 
 
@@ -557,13 +566,13 @@ def test_the_rows_and_the_residual_factors_share_one_q_power_memo(p4, monkeypatc
         q = F(1, 1000)
         fq = spectral_mod.FixedQ(p, q, 512 + EVAL_GUARD_BITS)
         fq.boxes
-        n, size = len(calls), len(fq._qp)
-        assert 1 in fq._qp
+        n, size = len(calls), len(fq._pows)
+        assert 1 in fq._pows
         fq.residual
-        assert all(x == q for x, _ in calls[n:]) and len(calls) - n == len(fq._qp) - size
+        assert all(x == q for x, _ in calls[n:]) and len(calls) - n == len(fq._pows) - size
         for part in ("favard_boxes", "favard", "search", "solve"):
             getattr(fq, part)
-        assert len(calls) == len(set(calls)) == len(fq._qp) + 2 - (p.t1 == p.t2)
+        assert len(calls) == len(set(calls)) == len(fq._pows)
 
 
 def series_coefficient_values(p, E0, q, bits=512):
