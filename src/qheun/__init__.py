@@ -29,7 +29,6 @@ from .qmono import (
     eval_numeric,
     leading_part,
     qpow,
-    qsum_merge,
     ultradiscretize,
 )
 from .spectral import (
@@ -39,7 +38,6 @@ from .spectral import (
     coefficients_exact,
     coefficients_numeric,
     derive,
-    recursion_coeff_rows,
     residual_check,
     spectral_polynomial,
 )

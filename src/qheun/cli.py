@@ -52,7 +52,7 @@ from .spectral import (
     coefficients_numeric,
     derive,
     residual_check,
-    spectral_polynomial,  # noqa: F401 -- perfbench/tracing.py wraps it here
+    spectral_polynomial,  # noqa: F401 -- perfbench/tracing.py wraps it here; selftest.py checks it
 )
 from .ultra import (
     BALANCED,
@@ -116,7 +116,7 @@ def load_params(path: str) -> HeunParams:
         try:
             values[key] = Fraction(val)
         except (ValueError, ZeroDivisionError) as exc:
-            col = raw.index(val) + 1 if val and val in raw else 1
+            col = raw.index(val, raw.index("=") + 1) + 1  # an empty value: just past the =
             raise UsageError(
                 f"{path}:{lineno}:{col}: invalid rational {val!r}"
             ) from exc
@@ -176,11 +176,14 @@ def _outdir(args) -> Path | None:
     return path
 
 
+def _write_rows(fh, rows: list[list[str]]) -> None:
+    """CSV rows to a file or stdout, quoted as the CSV files quote them."""
+    csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_rows(fh, [header, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +375,7 @@ def cmd_verify(args) -> int:
                 f"(smallest q = {q2} > {PREFACTOR_GATE_QMAX})"
             )
 
-    for row in rows:
-        print(",".join(row))
+    _write_rows(sys.stdout, rows)
     if refined:
         print(
             "refined balanced prefactors: "
@@ -471,14 +473,12 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(j) for j in jobs]
-    header = ["value", "alpha2_compensated", "regime", "subcase", "K", "m",
+    header = [args.axis, "alpha2_compensated", "regime", "subcase", "K", "m",
               "predicted", "reason", "verified"]
-    print(",".join([args.axis] + header[1:]))
-    for row in rows:
-        print(",".join(row))
+    _write_rows(sys.stdout, [header, *rows])
     out = _outdir(args)
     if out:
-        _write_csv(out / "sweep.csv", [args.axis] + header[1:], rows)
+        _write_csv(out / "sweep.csv", header, rows)
         print(f"wrote {out / 'sweep.csv'}")
     return EXIT_OK
 

@@ -37,7 +37,6 @@ there too.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import from_man_exp
@@ -65,10 +64,6 @@ class Dyadic:
     def to_mpf(self):
         """The value as an mpf, exactly."""
         return mpmath.mp.make_mpf(from_man_exp(self.m, self.e))
-
-    def to_fraction(self) -> Fraction:
-        """The value as a Fraction, exactly."""
-        return Fraction(self.m << self.e) if self.e >= 0 else Fraction(self.m, 1 << -self.e)
 
     def ldexp(self, k: int) -> "Dyadic":
         return Dyadic(self.m, self.e + k, self.P)

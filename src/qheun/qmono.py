@@ -65,7 +65,6 @@ __all__ = [
     "SIGN_CONFLICT",
     "as_fraction",
     "qpow",
-    "qsum_merge",
     "TermDict",
     "pack_key",
     "unpack_key",
@@ -528,16 +527,6 @@ def terms_merge(
     return cleaned, events
 
 
-def qsum_merge(
-    parts: Sequence[QSum], site: str = ""
-) -> tuple[QSum, list[CancellationEvent]]:
-    """Sum several QSums, recording cancellation diagnostics; see
-    terms_merge."""
-    den = math.lcm(*(a.den for a in parts))
-    merged, events = terms_merge([dict(a.at_scale(den)) for a in parts], site, den)
-    return QSum.from_term_dict(merged, den), events
-
-
 # ---------------------------------------------------------------------------
 # Kronecker-packed polynomials
 #
@@ -822,7 +811,8 @@ class AtQ:
 
 def eval_terms(a: QSum, at: AtQ):
     """Value of ``a`` at ``at``, in the precision ``at`` is used in: the
-    sum of AtQ.term over its monomials."""
+    sum of AtQ.term over its monomials.  The term sum of the polynomial image
+    (EPoly.coefficient_values); API for perfbench's ``qmono.eval_terms`` span."""
     return mpmath.fsum(at.term(t) for t in a.terms)
 
 

@@ -60,7 +60,8 @@ import mpmath
 from .dyadic import Box, Dyadic
 from .errors import DomainError, MatchingError, PrecisionError
 from .qmono import EVAL_GUARD_BITS, as_fraction, to_mpf
-from .spectral import (  # noqa: F401 -- perfbench/tracing.py wraps spectral_polynomial here
+# perfbench/tracing.py wraps spectral_polynomial here; perfbench/selftest.py checks it
+from .spectral import (  # noqa: F401
     EPoly,
     FixedQ,
     HeunParams,
@@ -840,8 +841,8 @@ def match_predictions(
     predictions: Sequence[PredictedRoot],
     tol_exponent: float = 0.05,
     *,
-    t1=1,
-    t2=1,
+    t1,
+    t2,
 ) -> MatchReport:
     """Assign estimates to predictions by sign and exponent order.
 
@@ -850,7 +851,8 @@ def match_predictions(
     a caller that holds a prefactor to its limit constant checks the ratio
     itself (criterion 4 the sharp ones, ``verify`` the balanced pairs
     against the s-roots).  Unmatched roots on either side produce failing
-    rows, never silence.
+    rows, never silence.  t1 and t2 are the parameter set's; they have no
+    default, since every prefactor ratio scales with them.
     """
     expanded = _expand(predictions)
     pred_neg = sorted((e for e in expanded if e.sign < 0), key=lambda e: e.d)

@@ -24,8 +24,8 @@ polynomial: at each of its roots the series terminates at degree N and the
 truncated series solves the equation exactly.
 
 The rows are written once, in recursion_rows, and evaluated on QSums
-(recursion_coeff_rows) and on boxes around the rows of the exact q, in
-the one fixed-q table (fixed_q, memoised), which also holds every other
+(_exact_rows) and on boxes around the rows of the exact q, in the one
+fixed-q table (fixed_q, memoised), which also holds every other
 row the numerics at q read: the root search's, the twisted solve's and
 the residual's, on the boxes and on their lower ends.  The exact
 recursion and ultra's leading-term and s-polynomial runs share one loop,
@@ -70,7 +70,6 @@ from .qmono import (
     UNIT_MONOMIAL,
     as_fraction,
     eval_terms,
-    leading_part,
     pack_key,
     qpow,
     to_mpf,
@@ -81,7 +80,6 @@ __all__ = [
     "EPoly",
     "SeriesSolution",
     "derive",
-    "recursion_coeff_rows",
     "three_term",
     "coefficients_exact",
     "spectral_polynomial",
@@ -120,14 +118,6 @@ class HeunParams:
     def raw(self) -> dict[str, Fraction]:
         """The nine defining fields, keyed by name."""
         return {k: getattr(self, k) for k in self._FIELD_NAMES}
-
-    def with_value(self, name: str, value) -> "HeunParams":
-        """Re-derive with one field replaced (re-runs all validation)."""
-        raw = self.raw()
-        if name not in raw:
-            raise ParameterError([f"unknown parameter '{name}'"])
-        raw[name] = as_fraction(value)
-        return derive(**raw)
 
     def __hash__(self) -> int:
         return self._hash
@@ -186,9 +176,8 @@ def recursion_rows(p: HeunParams, qv, t1v, t2v, qp) -> tuple:
     """The rows (A_n, B_n, C_n, D_n) of steps n = 1 .. N+1 from the values
     qv, t1v, t2v of q, t1, t2 and the q-power map ``qp``: mu -> q^mu.
 
-    The one formula of the rows, evaluated literally: recursion_coeff_rows
-    runs it on QSums and FixedQ.boxes in boxes around the rows of the
-    exact q."""
+    The one formula of the rows, evaluated literally: _exact_rows runs it
+    on QSums and FixedQ.boxes in boxes around the rows of the exact q."""
     lam = p.lambda1
     rows = []
     for n in range(1, p.N + 2):
@@ -204,20 +193,14 @@ def recursion_rows(p: HeunParams, qv, t1v, t2v, qp) -> tuple:
 
 
 def _exact_rows(p: HeunParams) -> tuple:
-    return recursion_rows(
-        p, qpow(1), QSum.term(1, t1pow=1), QSum.term(1, t2pow=1), functools.cache(qpow)
-    )
-
-
-def recursion_coeff_rows(p: HeunParams, n: int) -> tuple[QSum, QSum, QSum, QSum]:
-    """The exact rows (A, B, C, D) of step n: recursion_rows over QSums,
-    with q, t1 and t2 the monomials q, t1, t2.
+    """The exact rows (A, B, C, D) of steps 1 .. N+1: recursion_rows over
+    QSums, with q, t1 and t2 the monomials q, t1, t2.
 
     A_n = t1 t2 q^(h1+h2) (1-q^n)(1-q^(n-beta)) never vanishes for q in
     (0,1): n >= 1 and beta < 1 make both factor exponents positive."""
-    if not 1 <= n <= p.N + 1:
-        raise DomainError(f"recursion index n = {n} outside 1..N+1 = 1..{p.N + 1}")
-    return _exact_rows(p)[n - 1]
+    return recursion_rows(
+        p, qpow(1), QSum.term(1, t1pow=1), QSum.term(1, t2pow=1), functools.cache(qpow)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +243,11 @@ class EPoly:
         """
         return self.coeffs[j].div_monomial(self.denom_monomial)
 
-    def leading_coefficient_slice(self, j: int) -> QSum:
-        """Leading slice of the true E^j coefficient (exact, with t powers)."""
-        return leading_part(self.coeffs[j]).div_monomial(self.denom_monomial)
-
     def coefficient_values(self, q, t1, t2, bits: int = 512) -> list:
-        """True numeric E^j coefficient values at fixed q in (0,1)."""
+        """True numeric E^j coefficient values at fixed q in (0,1): the
+        polynomial image, the roots' plain oracle in the tests until an exact
+        one at rational q (ROADMAP item 5).  API for perfbench: its
+        ``spectral.image`` span wraps it and selftest.py calls it."""
         with mpmath.workprec(bits + EVAL_GUARD_BITS):
             at = AtQ(q, t1, t2)
             den = at.term(self.denom_monomial)

@@ -57,7 +57,7 @@ from .qmono import (
 )
 from . import roots as root_search  # the module: a rebound real_roots_of_rational_poly is the one called
 from .spectral import EPoly, HeunParams, _three_term_rows, three_term
-from .spectral import spectral_polynomial  # noqa: F401 -- perfbench/tracing.py wraps it here
+from .spectral import spectral_polynomial  # noqa: F401 -- perfbench/tracing.py wraps it here; selftest.py checks it
 
 __all__ = [
     "R31",
@@ -161,14 +161,6 @@ class PredictedRoot:
 # ---------------------------------------------------------------------------
 
 
-def _s_value(p: HeunParams) -> Fraction:
-    return 2 * p.h2 - p.l1 - p.l2 - p.beta
-
-
-def _t_value(p: HeunParams) -> Fraction:
-    return p.l1 - p.l2 - p.beta
-
-
 def _s1_value(p: HeunParams) -> Fraction:
     return 1 + p.h2 - p.l2 - p.beta
 
@@ -226,6 +218,23 @@ def _r32_subcase(T: Fraction, N: int) -> tuple[str, Optional[int]]:
     raise AssertionError(f"R32 subcase resolution failed for T={T}, N={N}")
 
 
+def _one_scale(p: HeunParams, regime: str) -> tuple:
+    """R31 (S1 > 0) or R32 (S1 < -2N), stated once for classify,
+    boundary_proximity and _factor_roots: the name and value of the
+    regime's second quantity, the quadratic factors' trichotomy set of that
+    value and the set's label, the subcase function, the detail, and the
+    further values analyze warns near (R31's subcase-i end -2, which the
+    exclusion set {-2, ..., -2N} holds unless N = 0)."""
+    N, S1 = p.N, _s1_value(p)
+    if regime == R31:
+        return ("2h2-l1-l2-beta", 2 * p.h2 - p.l1 - p.l2 - p.beta,
+                {Fraction(1 - 4 * n) for n in _r31_factor_indices(N)}, "odd value 1-4n",
+                _r31_subcase, f"1+h2-l2-beta = {S1} > 0", {Fraction(-2)})
+    return ("l1-l2-beta", p.l1 - p.l2 - p.beta,
+            {Fraction(3 - 2 * nu) for nu in _r32_factor_indices(N)}, "value 3-2n",
+            _r32_subcase, f"2N+1+h2-l2-beta = {2 * N + S1} < 0", set())
+
+
 def classify(p: HeunParams) -> CaseTag:
     """Assign the parameter set to a regime, or Excluded/Unclassified.
 
@@ -240,48 +249,21 @@ def classify(p: HeunParams) -> CaseTag:
     if S1 == -2 * N:
         return CaseTag(EXCLUDED, detail=f"boundary case: 1+h2-l2-beta = -2N = {-2 * N}")
 
-    if S1 > 0:
-        S = _s_value(p)
-        if S in _exclusion_set(N):
+    if S1 > 0 or S1 < -2 * N:
+        regime = R31 if S1 > 0 else R32
+        name, X, tri, label, subcase, detail, _ = _one_scale(p, regime)
+        if X in _exclusion_set(N):
+            return CaseTag(
+                EXCLUDED, detail=f"boundary case: {name} = {X} lies in the exclusion set {{-2,...,-2N}}"
+            )
+        if X in tri:
             return CaseTag(
                 EXCLUDED,
-                detail=f"boundary case: 2h2-l1-l2-beta = {S} lies in the "
-                f"exclusion set {{-2,...,-2N}}",
+                detail=f"boundary case: {name} = {X} sits on a quadratic-factor trichotomy "
+                f"boundary ({label})",
             )
-        tri = {Fraction(1 - 4 * n) for n in _r31_factor_indices(N)}
-        if S in tri:
-            return CaseTag(
-                EXCLUDED,
-                detail=f"boundary case: 2h2-l1-l2-beta = {S} sits on a "
-                f"quadratic-factor trichotomy boundary (odd value 1-4n)",
-            )
-        subcase, m = _r31_subcase(S, N)
-        return CaseTag(
-            R31, subcase, m=m, detail=f"1+h2-l2-beta = {S1} > 0; 2h2-l1-l2-beta = {S}"
-        )
-
-    if S1 < -2 * N:
-        T = _t_value(p)
-        if T in _exclusion_set(N):
-            return CaseTag(
-                EXCLUDED,
-                detail=f"boundary case: l1-l2-beta = {T} lies in the "
-                f"exclusion set {{-2,...,-2N}}",
-            )
-        tri = {Fraction(3 - 2 * nu) for nu in _r32_factor_indices(N)}
-        if T in tri:
-            return CaseTag(
-                EXCLUDED,
-                detail=f"boundary case: l1-l2-beta = {T} sits on a "
-                f"quadratic-factor trichotomy boundary (value 3-2n)",
-            )
-        subcase, m = _r32_subcase(T, N)
-        return CaseTag(
-            R32,
-            subcase,
-            m=m,
-            detail=f"2N+1+h2-l2-beta = {2 * N + S1} < 0; l1-l2-beta = {T}",
-        )
+        sub, m = subcase(X, N)
+        return CaseTag(regime, sub, m=m, detail=f"{detail}; {name} = {X}")
 
     # intermediate: -2N < S1 < 0
     if S1.denominator == 1 and S1.numerator % 2 == 0:
@@ -327,15 +309,9 @@ def boundary_proximity(p: HeunParams, tag: CaseTag) -> list[str]:
     # the K intervals, odd ones collide the two root families
     ends = range(-2 * N, 1) if tag.regime == R33 else (0, -2 * N)
     _near(S1, {Fraction(b) for b in ends}, "1+h2-l2-beta")
-    if tag.regime == R31:
-        S = _s_value(p)
-        bset = _exclusion_set(N) | {Fraction(1 - 4 * n) for n in _r31_factor_indices(N)}
-        bset.add(Fraction(-2))
-        _near(S, bset, "2h2-l1-l2-beta")
-    elif tag.regime == R32:
-        T = _t_value(p)
-        bset = _exclusion_set(N) | {Fraction(3 - 2 * nu) for nu in _r32_factor_indices(N)}
-        _near(T, bset, "l1-l2-beta")
+    if tag.regime in (R31, R32):
+        name, X, tri, _, _, _, near = _one_scale(p, tag.regime)
+        _near(X, _exclusion_set(N) | tri | near, name)
     return warnings
 
 
@@ -494,13 +470,9 @@ def _factor_roots(p: HeunParams, tag: CaseTag, row, steps) -> list[tuple]:
     (_, cc), (_, r) = coeffs[0]
     bend = 2 * x[1] - x[0] - x[2]
     if cc == r or not bend:
-        k = steps[1]
-        if tag.regime == R31:
-            n = k // 2
-            raise ExcludedCaseError(
-                f"boundary case: 4n+2h2-l1-l2-beta = {4 * n + _s_value(p)} for n = {n}"
-            )
-        raise ExcludedCaseError(f"boundary case: 2n+l1-l2-beta = {2 * k + _t_value(p)} for n = {k}")
+        name, X, *_ = _one_scale(p, tag.regime)
+        c, n = (4, steps[1] // 2) if tag.regime == R31 else (2, steps[1])
+        raise ExcludedCaseError(f"boundary case: {c}n+{name} = {c * n + X} for n = {n}")
     if bend > 0:
         g = (x[0] - x[2]) / 2
         return [(+1, g, BALANCED), (-1, g, BALANCED)]

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from qheun import acceptance
+from qheun.spectral import derive
 from qheun.ultra import classify
 
 
@@ -39,7 +40,7 @@ def test_criterion_4_switching_regime_exactness():
 def test_criterion_4_gates_sharp_prefactors(monkeypatch):
     # with t1 = 2 and the sharp predictions' prefactor read as t2 = 1, every
     # exponent still matches but every ratio is about 2
-    p = acceptance.P3.with_value("t1", 2)
+    p = derive(**{**acceptance.P3.raw(), "t1": 2})
     preds = [dataclasses.replace(e, prefactor="t2") for e in acceptance.predict_roots(p, classify(p))]
     assert all(e.sharp for e in preds)
     monkeypatch.setattr(acceptance, "P3", p)

@@ -182,6 +182,15 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "broken.params:3" in err
 
 
+@pytest.mark.parametrize("line,col,val", [("beta = e", 8, "e"), ("beta =", 7, "")], ids=["e", "empty"])
+def test_parse_error_points_at_the_value(tmp_path, capsys, line, col, val):
+    # the column after the "=": of "e", not of the "e" inside "beta"; of
+    # the missing value, not of "beta"
+    path = _write(tmp_path, "broken.params", P1.replace("beta = 1/2", line))
+    assert main(["analyze", "--params", path]) == 1
+    assert capsys.readouterr().err == f"error: {path}:7:{col}: invalid rational {val!r}\n"
+
+
 def test_missing_key_reported(tmp_path, capsys):
     path = _write(tmp_path, "short.params", "h1 = 0")
     assert main(["analyze", "--params", path]) == 1
@@ -275,6 +284,21 @@ def test_sweep_records_invalid_rows(p1_file, capsys):
     out = capsys.readouterr().out.splitlines()
     regimes = [line.split(",")[2] for line in out[1:]]
     assert regimes == ["Invalid", "Invalid", "R31"]
+
+
+def test_sweep_stdout_equals_its_csv(p1_file, tmp_path, capsys):
+    # the h1 = 1 row's reason holds a comma: stdout quotes it as sweep.csv does
+    out = tmp_path / "sweepout"
+    assert main(
+        ["sweep", "--params", p1_file, "--axis", "h1", "--from", "0", "--to", "1",
+         "--step", "1", "--compensate", "alpha2", "--jobs", "1", "--out", str(out)]
+    ) == 0
+    printed = capsys.readouterr().out
+    wrote = f"wrote {out / 'sweep.csv'}\n"
+    assert printed.endswith(wrote)
+    assert printed[: -len(wrote)] == (out / "sweep.csv").read_text()
+    with (out / "sweep.csv").open(newline="") as fh:
+        assert [len(row) for row in csv.reader(fh)] == [9, 9, 9]
 
 
 def test_sweep_parallel_csv_equals_serial(p1_file, tmp_path):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,7 +25,6 @@ from qheun.qmono import (
     leading_part,
     pack_key,
     qpow,
-    qsum_merge,
     terms_merge,
     terms_mul,
     ultradiscretize,
@@ -40,19 +40,27 @@ def term(c, t1=0, t2=0, q=0):
     return QSum.term(F(c), t1, t2, F(q))
 
 
+def merge(parts):
+    """The sum of the QSums ``parts`` and terms_merge's events: terms_merge
+    on their term dicts at a common scale."""
+    den = math.lcm(*(a.den for a in parts))
+    merged, events = terms_merge([dict(a.at_scale(den)) for a in parts], "", den)
+    return QSum.from_term_dict(merged, den), events
+
+
 # ---------------------------------------------------------------------------
 # addition and diagnostics
 # ---------------------------------------------------------------------------
 
 
 def test_add_inverse_gives_zero_and_event():
-    s, events = qsum_merge((term(1), term(-1)))
+    s, events = merge((term(1), term(-1)))
     assert s.is_zero()
     assert [e.kind for e in events] == [EXACT_ZERO]
 
 
 def test_add_disjoint_keys_no_events():
-    s, events = qsum_merge((term(1, t1=1, q=F(1, 2)), term(1, t2=1, q=F(3, 2))))
+    s, events = merge((term(1, t1=1, q=F(1, 2)), term(1, t2=1, q=F(3, 2))))
     assert len(s) == 2
     assert s.leading_exponent == F(1, 2)
     assert events == []
@@ -63,7 +71,7 @@ def test_add_sign_conflict_at_colliding_exponents():
     # 3-l1-l2-beta coincide at 1 with opposite signs and distinct t powers
     a = term(1, t2=-2, q=1)
     b = term(-1, t1=-1, t2=-1, q=1)
-    s, events = qsum_merge((a, b))
+    s, events = merge((a, b))
     assert len(s) == 2
     assert [e.kind for e in events] == [SIGN_CONFLICT]
     assert events[0].qexp == 1
@@ -205,14 +213,14 @@ def test_trusted_constructions_keep_the_normal_form(a, b, m, c):
     # normal form the merging constructor gives
     unit = replace(m, coeff=F(1))
     results = [a.div_monomial(m), a.div_monomial(unit), -a, a * c, c * a, a * 3,
-               a * b, qsum_merge([a, b, -a])[0]]
+               a * b, merge([a, b, -a])[0]]
     if a:
         results.append(leading_part(a))
     for r in results:
         assert r.terms == QSum(r.terms).terms
         assert all(type(t.qexp) is Fraction and type(t.coeff) is Fraction for t in r.terms)
     assert a.div_monomial(m) * QSum((m,)) == a
-    assert qsum_merge([a, b, -a])[0] == b
+    assert merge([a, b, -a])[0] == b
 
 
 def _definite(s):
@@ -415,7 +423,7 @@ def assert_int_form(s):
 def test_ring_built_sums_hold_ints_where_integral(a, b, m, c):
     unit = replace(m, coeff=F(1))
     for r in [a, a + b, a - b, -a, a * b, a * c, c * a, a.div_monomial(m), a.div_monomial(unit),
-              qsum_merge([a, b])[0], 1 - a, sum([a, b])]:
+              merge([a, b])[0], 1 - a, sum([a, b])]:
         assert_int_form(r)
     if a:
         assert_int_form(leading_part(a))

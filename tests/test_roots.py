@@ -24,15 +24,20 @@ from qheun.qmono import EVAL_GUARD_BITS, AtQ, to_mpf
 from qheun.sampling import sample_params
 from qheun.dyadic import Box, Dyadic
 from qheun.spectral import (
+    _exact_rows,
     derive,
     fixed_q,
-    recursion_coeff_rows,
     recursion_rows,
     spectral_polynomial,
 )
 from qheun.ultra import PredictedRoot, classify, predict_roots
 
 F = Fraction
+
+
+def _fraction(x: Dyadic) -> Fraction:
+    """The value of the Dyadic x as a Fraction, exactly."""
+    return F(x.m) * F(2) ** x.e
 
 
 def _poly(coeffs, bits=256):
@@ -365,7 +370,7 @@ def test_geometric_mean_is_the_truncated_square_root(m, e, n, f, P, negative):
     sign = -1 if negative else 1
     lo, hi = Dyadic(sign * m, e, P), Dyadic(sign * n, f, P)
     g = roots_mod._geometric_mean(lo, hi)
-    prod, r = lo.to_fraction() * hi.to_fraction(), abs(g.to_fraction())
+    prod, r = _fraction(lo) * _fraction(hi), abs(_fraction(g))
     assert (g.m < 0) == negative and g.m.bit_length() == P
     assert r * r <= prod < (r + Fraction(2) ** g.e) ** 2
 
@@ -624,7 +629,7 @@ def test_scaling_t1_and_t2_scales_every_root(p1, p2, p3, p4, s):
     # homogeneity: E -> s E, t1 -> s t1, t2 -> s t2 leaves c_{N+1} = 0
     sampled = sample_params("R32", random.Random(5), N=5)
     for p in (p1, p2, p3, p4, sampled):
-        scaled = p.with_value("t1", s * p.t1).with_value("t2", s * p.t2)
+        scaled = derive(**{**p.raw(), "t1": s * p.t1, "t2": s * p.t2})
         for q in (F(1, 1000), F(1, 10 ** 6)):
             roots, _ = find_spectral_roots(p, q, 512)
             moved, _ = find_spectral_roots(scaled, q, 512)
@@ -660,7 +665,7 @@ def test_an_exact_root_on_the_bisection_grid_is_returned_exactly():
         return sum(t.coeff * F(10) ** int(-6 * t.qexp) * p.t1 ** t.t1pow * p.t2 ** t.t2pow
                    for t in a.terms)
 
-    _, B, C, _ = recursion_coeff_rows(p, 1)
+    _, B, C, _ = _exact_rows(p)[0]
     root = -exact(C) / exact(B)
     assert root.denominator == 1
     found, _ = find_spectral_roots(p, q, 512)
@@ -680,7 +685,7 @@ def _assert_bound_above_roots(p, q):
     prec = 512 + EVAL_GUARD_BITS
     R = roots_mod._gershgorin_bound(fixed_q(p, q, prec).favard)
     assert (R.m, R.P) == (1, prec)  # 2^R.e
-    bound = R.to_fraction()
+    bound = _fraction(R)
     roots = find_spectral_roots(p, q, 512)[0]
     assert all(abs(roots_mod._mpf_to_fraction(r)) < bound for r in roots), (p, q, bound)
 
@@ -921,5 +926,5 @@ def test_the_kernels_equal_the_object_loops_where_s_1_is_zero():
     ((B, C, _),), _, boxes = _object_rows(p, q, 512)
     E = Dyadic(-C.m, C.e, prec) / B
     zero = next(x for x in (Dyadic(E.m + k, E.e, prec) for k in range(-4, 5)) if not (B * x + C).m)
-    _assert_kernels_equal_the_object_loops(p, q, 512, [zero.to_fraction(), root])
+    _assert_kernels_equal_the_object_loops(p, q, 512, [_fraction(zero), root])
     assert _object_certified_count(boxes, Box.ratio(root.numerator, root.denominator, prec)) is None

@@ -11,7 +11,7 @@ import qheun.spectral as spectral_mod
 import qheun.ultra as ultra_mod
 from qheun.errors import (CancellationError, DegenerateSPolyError, ExcludedCaseError,
                           PrecisionError, RegimeError)
-from qheun.qmono import QSum, equiv_approx, equiv_sim, qpow
+from qheun.qmono import QSum, equiv_approx, equiv_sim, leading_part, qpow
 from qheun.sampling import sample_params
 from qheun.spectral import EPoly, coefficients_exact, derive, spectral_polynomial, three_term
 from qheun.ultra import (
@@ -24,6 +24,7 @@ from qheun.ultra import (
     EXCLUDED,
     UNCLASSIFIED,
     balanced_exponent,
+    boundary_proximity,
     classify,
     collision_check,
     leading_recursion,
@@ -68,6 +69,42 @@ def test_classify_exclusion_set_boundary():
     tag = classify(p)
     assert tag.regime == EXCLUDED
     assert "-2" in tag.detail
+
+
+def _classify_grid():
+    # N = 0..3, S1 = 1+h2-l2-beta and u = h2-l1 in steps of 1/4, so that
+    # 2h2-l1-l2-beta = S1-1+u and l1-l2-beta = S1-1-u cross every boundary
+    # and come within 1/4 of it; beta, l2 and alpha2 keep the set valid
+    for N in range(4):
+        for i in range(8 * N + 33):
+            S1 = -2 * N - 4 + F(i, 4)
+            for k in range(16 * N + 49):
+                u = -2 * N - 6 + F(k, 4)
+                b = min(1, 1 + u - S1) - H
+                l2 = 1 + u - b - S1
+                d = min(0, S1 + u + 2 * N + 1) - 1
+                yield derive(l2 + d + b - 2 - u - 2 * N, u, 0, l2, 0, d, b, 1, 1)
+
+
+# sha256 over repr of (classify(p), boundary_proximity(p, tag)) on
+# _classify_grid's 13,780 sets, recorded before classify stated the R31 and
+# R32 boundaries once
+_CLASSIFY_DIGEST = "c7400a070b1661696db4b37fc115db5f4084ca308d6028fe5b33977d4f856413"
+
+
+def test_classify_and_boundary_warnings_pinned():
+    out = [(tag, boundary_proximity(p, tag)) for p in _classify_grid() for tag in [classify(p)]]
+    assert len(out) == 13780
+    details = {
+        (name, kind)
+        for tag, _ in out
+        for name in ("2h2-l1-l2-beta", "l1-l2-beta")
+        for kind in ("exclusion set", "trichotomy")
+        if tag.detail.startswith(f"boundary case: {name} =") and kind in tag.detail
+    }
+    assert len(details) == 4, details  # R31's and R32's exclusion-set and trichotomy details
+    assert sum(bool(w) for _, w in out) > 0
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == _CLASSIFY_DIGEST
 
 
 def test_classify_unclassified_needs_switch_condition():
@@ -180,9 +217,8 @@ def test_tilde_p1_structure(p1):
 def test_tilde_p3_exact_slices(p3):
     # hand-computed sim-level slices for the switching product at K=1
     til = tilde_cN1(p3, classify(p3))
-    assert til.leading_coefficient_slice(2) == QSum.term(1, -2, -2, -3)
-    assert til.leading_coefficient_slice(1) == QSum.term(1, -1, -2, -3)
-    assert til.leading_coefficient_slice(0) == QSum.term(1, 0, -2, F(-5, 2))
+    lead = [leading_part(c).div_monomial(til.denom_monomial) for c in til.coeffs]
+    assert lead == [QSum.term(1, 0, -2, F(-5, 2)), QSum.term(1, -1, -2, -3), QSum.term(1, -2, -2, -3)]
 
 
 def test_theorem_equivalence_p1_to_p4(p1, p2, p3, p4):
@@ -483,7 +519,7 @@ def test_no_refinement_for_simple_predictions(p1):
 def test_prefactors_scale_with_sqrt_t1_t2(p4):
     # the quartic prefactor equation carries t1 t2: with t1 = t2 = 2 the
     # refined magnitudes become 2*(sqrt(5)+-1)/2 = sqrt(5)+-1
-    p = p4.with_value("t1", 2).with_value("t2", 2)
+    p = derive(**{**p4.raw(), "t1": 2, "t2": 2})
     vals = multiplicity_prefactors(p, classify(p))
     with mpmath.workprec(128):
         mags = sorted({abs(v) for v in vals})
@@ -538,7 +574,7 @@ def _counting_runs(monkeypatch, last_level=None):
 
 def test_s_polynomial_equals_the_full_scan_of_the_exact_build(p4, monkeypatch):
     runs = _counting_runs(monkeypatch)
-    sets = [p4, p4.with_value("t1", 2).with_value("t2", 3), *_balanced_pair_sets()]
+    sets = [p4, derive(**{**p4.raw(), "t1": 2, "t2": 3}), *_balanced_pair_sets()]
     assert len(sets) >= 7
     for p in sets:
         g = balanced_exponent(p)
@@ -563,7 +599,7 @@ def test_s_polynomial_skips_totals_that_cancel(p4, monkeypatch):
     R = T(1) - T(1, t1pow=1, t2pow=-1) + T(2, qexp=1) - C
     _patch_rows(monkeypatch, [(T(1, qexp=-H), T(1), QSum.zero()), (T(7, qexp=3 * H), C, R)])
     runs = _counting_runs(monkeypatch)
-    p = p4.with_value("t1", 2)
+    p = derive(**{**p4.raw(), "t1": 2})
     assert p4.t1 == p4.t2
     for params, want, n_runs in ((p4, [2, 3], 2), (p, [-1, 5], 3)):
         assert _s_polynomial(params, H) == want
