@@ -18,8 +18,10 @@ alone gives pE_k E + pc_k, and two steps (k-1, k) give the quadratic
 
     p(E) = (pE_k E + pc_k) (pE_{k-1} E + pc_{k-1}) - r_k.
 
-R31/R32 pair the steps (plus one lone step when N is even), R33 keeps each
-step alone.  Each factor's roots are read off the Newton polygon of its
+R32 is R31 read from its last step (R32's step k is R31's step N+2-k):
+R31 pairs the steps from step 1 up, R32 from step N+1 down, and R32
+classifies as R31 at S = 2h2-l1-l2-beta = -2N-2-(l1-l2-beta).  R33 keeps
+each step alone.  Each factor's roots are read off the Newton polygon of its
 coefficients' leading exponents: a quadratic gives two one-scale roots, a
 split pair, or the balanced pair +-q^{(a1+a2+h1+h2)/2}.  The spectral
 polynomial is approx-equivalent to the product coefficient by coefficient,
@@ -170,23 +172,19 @@ def balanced_exponent(p: HeunParams) -> Fraction:
     return (p.alpha1 + p.alpha2 + p.h1 + p.h2) / 2
 
 
-def _r31_factor_indices(N: int) -> list[int]:
-    return list(range(1, (N + 1) // 2 + 1))
-
-
-def _r32_factor_indices(N: int) -> list[int]:
-    if N % 2 == 1:
-        return list(range(2, N + 2, 2))
-    return list(range(3, N + 2, 2))
-
-
 def _exclusion_set(N: int) -> set[Fraction]:
     """Even values {-2, -4, ..., -2N} ruled out by the non-cancellation
     propositions (empty for N = 0)."""
     return {Fraction(-2 * k) for k in range(1, N + 1)}
 
 
-def _r31_subcase(S: Fraction, N: int) -> tuple[str, Optional[int]]:
+def _trichotomy_set(N: int) -> set[Fraction]:
+    """R31's quadratic-factor trichotomy values 1-4n of S, n = 1 .. (N+1)//2."""
+    return {Fraction(1 - 4 * n) for n in range(1, (N + 1) // 2 + 1)}
+
+
+def _subcase(S: Fraction, N: int) -> tuple[str, Optional[int]]:
+    """R31's subcase at S = 2h2-l1-l2-beta, and R32's at its mirror."""
     if S > -2:
         return "i", None
     if N % 2 == 1 and S < -2 * N - 1:
@@ -202,37 +200,19 @@ def _r31_subcase(S: Fraction, N: int) -> tuple[str, Optional[int]]:
     raise AssertionError(f"R31 subcase resolution failed for S={S}, N={N}")
 
 
-def _r32_subcase(T: Fraction, N: int) -> tuple[str, Optional[int]]:
-    if T < -2 * N:
-        return "i", None
-    if N % 2 == 1 and T > -1:
-        return "ii-1", None
-    if N % 2 == 0 and T > -3:
-        return "ii-2", None
-    for m in range(0, (N - 1) // 2 + 1):
-        if -2 * N + 4 * m < T < -2 * N + 4 * m + 1:
-            return "iii-1", m
-    for m in range(1, (N - 1) // 2 + 1):
-        if -2 * N + 4 * m - 3 < T < -2 * N + 4 * m:
-            return "iii-2", m
-    raise AssertionError(f"R32 subcase resolution failed for T={T}, N={N}")
-
-
 def _one_scale(p: HeunParams, regime: str) -> tuple:
     """R31 (S1 > 0) or R32 (S1 < -2N), stated once for classify,
-    boundary_proximity and _factor_roots: the name and value of the
-    regime's second quantity, the quadratic factors' trichotomy set of that
-    value and the set's label, the subcase function, the detail, and the
-    further values analyze warns near (R31's subcase-i end -2, which the
-    exclusion set {-2, ..., -2N} holds unless N = 0)."""
+    boundary_proximity and _factor_roots: the name and value X of the
+    regime's second quantity, X's map to R31's S (the mirror S = -2N-2-X
+    in R32, its own inverse), the label of the trichotomy values in X's
+    terms, the detail, and the further values of S analyze warns near
+    (R31's subcase-i end -2, which the exclusion set holds unless N = 0)."""
     N, S1 = p.N, _s1_value(p)
     if regime == R31:
-        return ("2h2-l1-l2-beta", 2 * p.h2 - p.l1 - p.l2 - p.beta,
-                {Fraction(1 - 4 * n) for n in _r31_factor_indices(N)}, "odd value 1-4n",
-                _r31_subcase, f"1+h2-l2-beta = {S1} > 0", {Fraction(-2)})
-    return ("l1-l2-beta", p.l1 - p.l2 - p.beta,
-            {Fraction(3 - 2 * nu) for nu in _r32_factor_indices(N)}, "value 3-2n",
-            _r32_subcase, f"2N+1+h2-l2-beta = {2 * N + S1} < 0", set())
+        return ("2h2-l1-l2-beta", 2 * p.h2 - p.l1 - p.l2 - p.beta, lambda X: X,
+                "odd value 1-4n", f"1+h2-l2-beta = {S1} > 0", {Fraction(-2)})
+    return ("l1-l2-beta", p.l1 - p.l2 - p.beta, lambda X: -2 * N - 2 - X,
+            "value 3-2n", f"2N+1+h2-l2-beta = {2 * N + S1} < 0", set())
 
 
 def classify(p: HeunParams) -> CaseTag:
@@ -251,18 +231,21 @@ def classify(p: HeunParams) -> CaseTag:
 
     if S1 > 0 or S1 < -2 * N:
         regime = R31 if S1 > 0 else R32
-        name, X, tri, label, subcase, detail, _ = _one_scale(p, regime)
-        if X in _exclusion_set(N):
+        name, X, to_s, label, detail, _ = _one_scale(p, regime)
+        S = to_s(X)
+        if S in _exclusion_set(N):
             return CaseTag(
                 EXCLUDED, detail=f"boundary case: {name} = {X} lies in the exclusion set {{-2,...,-2N}}"
             )
-        if X in tri:
+        if S in _trichotomy_set(N):
             return CaseTag(
                 EXCLUDED,
                 detail=f"boundary case: {name} = {X} sits on a quadratic-factor trichotomy "
                 f"boundary ({label})",
             )
-        sub, m = subcase(X, N)
+        sub, m = _subcase(S, N)
+        if regime == R32 and sub == "iii-1":
+            m -= 1  # R32 numbers its iii-1 factors from m = 0
         return CaseTag(regime, sub, m=m, detail=f"{detail}; {name} = {X}")
 
     # intermediate: -2N < S1 < 0
@@ -310,8 +293,8 @@ def boundary_proximity(p: HeunParams, tag: CaseTag) -> list[str]:
     ends = range(-2 * N, 1) if tag.regime == R33 else (0, -2 * N)
     _near(S1, {Fraction(b) for b in ends}, "1+h2-l2-beta")
     if tag.regime in (R31, R32):
-        name, X, tri, _, _, _, near = _one_scale(p, tag.regime)
-        _near(X, _exclusion_set(N) | tri | near, name)
+        name, X, to_s, _, _, near = _one_scale(p, tag.regime)
+        _near(X, {to_s(S) for S in _exclusion_set(N) | _trichotomy_set(N) | near}, name)
     return warnings
 
 
@@ -381,18 +364,18 @@ def leading_recursion(p: HeunParams, tag: CaseTag) -> list[EPoly]:
 
 def _factor_steps(p: HeunParams, tag: CaseTag) -> list[tuple[int, ...]]:
     """The steps of each factor of a classified tag's limit product, in
-    the order the roots are predicted: the pairs (k-1, k) of the quadratic
-    factors, then the lone linear factor when N is even; in R33 each step
+    the order the roots are predicted: the pairs (k, k+1) of the quadratic
+    factors, ascending, then the lone linear factor when N is even; in R33
+    each step alone.  R31 pairs from step 1 and leaves step N+1 alone; R32,
+    R31 read from its last step, pairs down from step N+1 and leaves step 1
     alone."""
     N = p.N
     if tag.regime == R33:
         return [(n,) for n in range(1, N + 2)]
-    if tag.regime == R31:
-        steps = [(2 * n - 1, 2 * n) for n in _r31_factor_indices(N)]
-    else:
-        steps = [(nu - 1, nu) for nu in _r32_factor_indices(N)]
+    first = 2 if tag.regime == R32 and N % 2 == 0 else 1
+    steps = [(k, k + 1) for k in range(first, N + 1, 2)]
     if N % 2 == 0:
-        steps.append((N + 1,) if tag.regime == R31 else (1,))
+        steps.append((N + 1,) if first == 1 else (1,))
     return steps
 
 

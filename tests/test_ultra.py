@@ -107,6 +107,64 @@ def test_classify_and_boundary_warnings_pinned():
     assert hashlib.sha256(repr(out).encode()).hexdigest() == _CLASSIFY_DIGEST
 
 
+# the paper's R32 inequalities and both regimes' factor pairings, written
+# out as stated: classify reads R32 as R31 from its last step, and these
+# check that mirror past the digest grid's N = 3, where iii-2 has only m = 1
+def _r31_factor_indices(N):
+    return list(range(1, (N + 1) // 2 + 1))
+
+
+def _r32_factor_indices(N):
+    if N % 2 == 1:
+        return list(range(2, N + 2, 2))
+    return list(range(3, N + 2, 2))
+
+
+def _r32_subcase(T, N):
+    if T < -2 * N:
+        return "i", None
+    if N % 2 == 1 and T > -1:
+        return "ii-1", None
+    if N % 2 == 0 and T > -3:
+        return "ii-2", None
+    for m in range(0, (N - 1) // 2 + 1):
+        if -2 * N + 4 * m < T < -2 * N + 4 * m + 1:
+            return "iii-1", m
+    for m in range(1, (N - 1) // 2 + 1):
+        if -2 * N + 4 * m - 3 < T < -2 * N + 4 * m:
+            return "iii-2", m
+    raise AssertionError(f"R32 subcase resolution failed for T={T}, N={N}")
+
+
+def _r32_set(N, T):
+    """An R32 set with N, 1+h2-l2-beta = -2N-1/2 and l1-l2-beta = T < 1/2."""
+    h2, beta = F(0), -H
+    l2 = 1 + h2 - beta + 2 * N + H
+    l1 = T + l2 + beta
+    h1 = min(-2 * N - 1 - h2 + l1 + l2 + beta, h2) - 1
+    return derive(h1, h2, l1, l2, 0, 2 * N + 2 + h1 + h2 - l1 - l2 - beta, beta, 1, 1)
+
+
+def test_r32_subcases_and_both_pairings_match_the_literal_statements():
+    seen = set()
+    for N in range(1, 13):
+        # T in steps of 1/4 offset by 1/12 from -2N-3 to 1/3: inside every
+        # subcase interval, never on a boundary
+        for j in range(8 * N + 14):
+            T = -2 * N - 3 + F(j, 4) + F(1, 12)
+            p = _r32_set(N, T)
+            tag = classify(p)
+            assert (tag.regime, tag.subcase, tag.m) == (R32, *_r32_subcase(T, N)), (N, T)
+            seen.add((tag.subcase, tag.m))
+        lone = [(N + 1,)] if N % 2 == 0 else []
+        assert ultra_mod._factor_steps(p, CaseTag(R31)) == (
+            [(2 * n - 1, 2 * n) for n in _r31_factor_indices(N)] + lone)
+        assert ultra_mod._factor_steps(p, CaseTag(R32)) == (
+            [(nu - 1, nu) for nu in _r32_factor_indices(N)] + [(1,)] * bool(lone))
+    assert {"i", "ii-1", "ii-2", "iii-1", "iii-2"} == {sub for sub, _ in seen}
+    assert ("iii-1", 0) in seen and ("iii-2", 5) in seen
+
+
 def test_classify_unclassified_needs_switch_condition():
     # -2N < 1+h2-l2-beta < 0 but h2-l1+1 <= 0
     p = derive(0, 3, F(9, 2), F(14, 3), 0, F(-13, 6), 0, 1, 1)
