@@ -63,8 +63,6 @@ from .ultra import (
 )
 from .roots import estimate_exponents, find_spectral_roots, match_predictions
 
-PARAM_KEYS = ("h1", "h2", "l1", "l2", "alpha1", "alpha2", "beta", "t1", "t2")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNCLASSIFIED = 2
@@ -106,10 +104,10 @@ def load_params(path: str) -> HeunParams:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in PARAM_KEYS:
+        if key not in HeunParams._FIELD_NAMES:
             raise UsageError(
                 f"{path}:{lineno}: unknown key {key!r} (expected one of "
-                f"{', '.join(PARAM_KEYS)})"
+                f"{', '.join(HeunParams._FIELD_NAMES)})"
             )
         if key in values:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -120,7 +118,7 @@ def load_params(path: str) -> HeunParams:
             raise UsageError(
                 f"{path}:{lineno}:{col}: invalid rational {val!r}"
             ) from exc
-    missing = [k for k in PARAM_KEYS if k not in values]
+    missing = [k for k in HeunParams._FIELD_NAMES if k not in values]
     if missing:
         raise UsageError(f"{path}: missing keys: {', '.join(missing)}")
     return derive(**values)
@@ -168,22 +166,21 @@ def _q_pair(args) -> tuple[Fraction, Fraction]:
     return qs[-1], qs[0]
 
 
-def _outdir(args) -> Path | None:
-    if not args.out:
-        return None
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_rows(fh, rows: list[list[str]]) -> None:
     """CSV rows to a file or stdout, quoted as the CSV files quote them."""
     csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_out(args, name: str, header: list[str], rows: list[list[str]]) -> None:
+    """With --out, the CSV file ``name`` in that directory (made if absent),
+    and a line saying so; without it, nothing."""
+    if not args.out:
+        return
+    path = Path(args.out) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         _write_rows(fh, [header, *rows])
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +234,8 @@ def cmd_predict(args) -> int:
             "refined balanced prefactors: "
             + ", ".join(_fmt(v) for v in refined)
         )
-    out = _outdir(args)
-    if out:
-        _write_csv(
-            out / "predictions.csv",
-            ["sign", "q_exponent", "prefactor", "multiplicity", "sharp"],
-            rows,
-        )
-        print(f"wrote {out / 'predictions.csv'}")
+    _write_out(args, "predictions.csv",
+               ["sign", "q_exponent", "prefactor", "multiplicity", "sharp"], rows)
     return EXIT_OK
 
 
@@ -273,14 +264,8 @@ def cmd_roots(args) -> int:
                     _fmt(r),
                 ]
             )
-    out = _outdir(args)
-    if out:
-        _write_csv(
-            out / "rootcurves.csv",
-            ["log10_q", "index", "sign", "log10_abs_root", "root_value"],
-            rows,
-        )
-        print(f"wrote {out / 'rootcurves.csv'}")
+    _write_out(args, "rootcurves.csv",
+               ["log10_q", "index", "sign", "log10_abs_root", "root_value"], rows)
     return EXIT_OK
 
 
@@ -382,24 +367,9 @@ def cmd_verify(args) -> int:
             + ", ".join(_fmt(v) for v in refined)
         )
     print(f"worst residual: {_fmt(worst_res)} (threshold {args.tol_residual})")
-    out = _outdir(args)
-    if out:
-        _write_csv(
-            out / "roots.csv",
-            [
-                "index",
-                "q",
-                "root_value",
-                "est_exponent",
-                "pred_exponent",
-                "pred_sign",
-                "prefactor_ratio",
-                "abs_exponent_err",
-                "residual",
-            ],
-            rows,
-        )
-        print(f"wrote {out / 'roots.csv'}")
+    _write_out(args, "roots.csv",
+               ["index", "q", "root_value", "est_exponent", "pred_exponent", "pred_sign",
+                "prefactor_ratio", "abs_exponent_err", "residual"], rows)
     ok = not failures
     for line in failures:
         print("failed: " + line)
@@ -447,8 +417,8 @@ def _sweep_point(packed):
 
 def cmd_sweep(args) -> int:
     p = load_params(args.params)
-    if args.axis not in PARAM_KEYS:
-        raise UsageError(f"--axis must be one of {', '.join(PARAM_KEYS)}")
+    if args.axis not in HeunParams._FIELD_NAMES:
+        raise UsageError(f"--axis must be one of {', '.join(HeunParams._FIELD_NAMES)}")
     lo = _parse_rational(getattr(args, "from"), "--from")
     hi = _parse_rational(args.to, "--to")
     step = _parse_rational(args.step, "--step")
@@ -476,10 +446,7 @@ def cmd_sweep(args) -> int:
     header = [args.axis, "alpha2_compensated", "regime", "subcase", "K", "m",
               "predicted", "reason", "verified"]
     _write_rows(sys.stdout, [header, *rows])
-    out = _outdir(args)
-    if out:
-        _write_csv(out / "sweep.csv", header, rows)
-        print(f"wrote {out / 'sweep.csv'}")
+    _write_out(args, "sweep.csv", header, rows)
     return EXIT_OK
 
 
