@@ -374,14 +374,11 @@ def spectral_polynomial(p: HeunParams) -> EPoly:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Truncated series data x^lambda1 * sum_{n=0}^{N} coeffs[n] x^n at E0."""
+    """Truncated series data x^lambda1 * sum_{n=0}^{N} coeffs[n] x^n at E0 (lambda1 is p's)."""
 
-    lambda1: Fraction
     coeffs: tuple
     E0: object
     q: Fraction
-    t1: Fraction
-    t2: Fraction
     bits: int
 
 
@@ -635,7 +632,7 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
         vals.append(_mpf(zm, ze, bits))
     with mpmath.workprec(bits):
         e0 = +to_mpf(E0)
-    return SeriesSolution(p.lambda1, tuple(vals), e0, q, p.t1, p.t2, bits)
+    return SeriesSolution(tuple(vals), e0, q, bits)
 
 
 def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:

@@ -913,7 +913,7 @@ def _object_coefficients_numeric(p, E0, q, bits, pivots=_object_pivots):
     with mpmath.workprec(bits):
         e0 = +to_mpf(E0)
         vals = (mpmath.mpf(1),) + tuple(+(zi / z[0]).to_mpf() for zi in z[1:])
-    return SeriesSolution(p.lambda1, vals, e0, q, p.t1, p.t2, bits)
+    return SeriesSolution(vals, e0, q, bits)
 
 
 def _object_power_residuals(p, sol):
