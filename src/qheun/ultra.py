@@ -184,8 +184,9 @@ def _trichotomy_set(N: int) -> set[Fraction]:
 
 
 def _subcase(S: Fraction, N: int) -> tuple[str, Optional[int]]:
-    """R31's subcase at S = 2h2-l1-l2-beta, and R32's at its mirror."""
-    if S > -2:
+    """R31's subcase at S = 2h2-l1-l2-beta, and R32's at its mirror.  At
+    N = 0 it is i: c_1's one root -C_1/B_1 leads with a single t1 term."""
+    if S > -2 or N == 0:
         return "i", None
     if N % 2 == 1 and S < -2 * N - 1:
         return "ii-1", None
@@ -205,14 +206,13 @@ def _one_scale(p: HeunParams, regime: str) -> tuple:
     boundary_proximity and _factor_roots: the name and value X of the
     regime's second quantity, X's map to R31's S (the mirror S = -2N-2-X
     in R32, its own inverse), the label of the trichotomy values in X's
-    terms, the detail, and the further values of S analyze warns near
-    (R31's subcase-i end -2, which the exclusion set holds unless N = 0)."""
+    terms, and the detail."""
     N, S1 = p.N, _s1_value(p)
     if regime == R31:
         return ("2h2-l1-l2-beta", 2 * p.h2 - p.l1 - p.l2 - p.beta, lambda X: X,
-                "odd value 1-4n", f"1+h2-l2-beta = {S1} > 0", {Fraction(-2)})
+                "odd value 1-4n", f"1+h2-l2-beta = {S1} > 0")
     return ("l1-l2-beta", p.l1 - p.l2 - p.beta, lambda X: -2 * N - 2 - X,
-            "value 3-2n", f"2N+1+h2-l2-beta = {2 * N + S1} < 0", set())
+            "value 3-2n", f"2N+1+h2-l2-beta = {2 * N + S1} < 0")
 
 
 def classify(p: HeunParams) -> CaseTag:
@@ -231,7 +231,7 @@ def classify(p: HeunParams) -> CaseTag:
 
     if S1 > 0 or S1 < -2 * N:
         regime = R31 if S1 > 0 else R32
-        name, X, to_s, label, detail, _ = _one_scale(p, regime)
+        name, X, to_s, label, detail = _one_scale(p, regime)
         S = to_s(X)
         if S in _exclusion_set(N):
             return CaseTag(
@@ -293,8 +293,8 @@ def boundary_proximity(p: HeunParams, tag: CaseTag) -> list[str]:
     ends = range(-2 * N, 1) if tag.regime == R33 else (0, -2 * N)
     _near(S1, {Fraction(b) for b in ends}, "1+h2-l2-beta")
     if tag.regime in (R31, R32):
-        name, X, to_s, _, _, near = _one_scale(p, tag.regime)
-        _near(X, {to_s(S) for S in _exclusion_set(N) | _trichotomy_set(N) | near}, name)
+        name, X, to_s, *_ = _one_scale(p, tag.regime)
+        _near(X, {to_s(S) for S in _exclusion_set(N) | _trichotomy_set(N)}, name)
     return warnings
 
 

@@ -165,6 +165,27 @@ def test_analyze_warns_of_no_boundary_on_the_fixtures(tmp_path, capsys, body):
     assert "warning" not in capsys.readouterr().out
 
 
+# N = 0 sets: c_1 has the one root -C_1/B_1, led by a single t1 term (the
+# h1 term in R31, the l1 term in R32), so every classified one is subcase i
+# and sharp.  R31 at 2h2-l1-l2-beta = -9/4, R32 at l1-l2-beta = 1
+_N0 = [
+    ("R31", "h1 = -13/4\nh2 = -9/4\nl1 = 0\nl2 = 1/2\nalpha1 = 0\nalpha2 = -5/4\nbeta = -11/4\nt1 = 2\nt2 = 3"),
+    ("R32", "h1 = -4\nh2 = -3\nl1 = 0\nl2 = 1/2\nalpha1 = 0\nalpha2 = -4\nbeta = -3/2\nt1 = 2\nt2 = 3"),
+]
+
+
+@pytest.mark.parametrize("regime,body", _N0, ids=["R31", "R32"])
+def test_an_n0_set_is_subcase_i_sharp_and_near_no_boundary(tmp_path, capsys, regime, body):
+    path = _write(tmp_path, "n0.params", body)
+    assert main(["analyze", "--params", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"lambda1=0 N=0 regime={regime} subcase=i"
+    assert not [line for line in out if line.startswith("warning")]
+    assert main(["predict", "--params", path]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 1 and rows[0].split("  ")[2:] == ["t1", "1", "yes"]
+
+
 def test_predict_on_an_excluded_set_prints_the_detail_and_exits_2(tmp_path, capsys):
     body = P1.replace("h1 = -5", "h1 = -6").replace("l1 = 0", "l1 = 3").replace("l2 = 1", "l2 = 4")
     path = _write(tmp_path, "excl.params", body.replace("alpha2 = 1/2", "alpha2 = -3").replace("beta = 1/2", "beta = -3"))

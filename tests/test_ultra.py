@@ -88,8 +88,9 @@ def _classify_grid():
 
 # sha256 over repr of (classify(p), boundary_proximity(p, tag)) on
 # _classify_grid's 13,780 sets, recorded before classify stated the R31 and
-# R32 boundaries once
-_CLASSIFY_DIGEST = "c7400a070b1661696db4b37fc115db5f4084ca308d6028fe5b33977d4f856413"
+# R32 boundaries once, and re-recorded when N = 0 became subcase i with no
+# warning at R31's -2: 400 N = 0 sets changed subcase, 32 their warnings
+_CLASSIFY_DIGEST = "9a34e07c1ea7be5bbd15bd06cd111a2dad7ed0418629f77749fc5633afd948f2"
 
 
 def test_classify_and_boundary_warnings_pinned():
