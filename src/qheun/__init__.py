@@ -26,7 +26,6 @@ from .qmono import (
     QSum,
     equiv_approx,
     equiv_sim,
-    eval_numeric,
     leading_part,
     qpow,
     ultradiscretize,

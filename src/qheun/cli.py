@@ -131,13 +131,13 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise UsageError(f"invalid rational {what} value {text!r}") from exc
 
 
-def _parse_bits(text: str, source: str = "--bits") -> int:
+def _parse_bits(text: str) -> int:
     try:
         bits = int(text)
     except ValueError as exc:
-        raise UsageError(f"{source} must be an integer, got {text!r}") from exc
+        raise UsageError(f"--bits must be an integer, got {text!r}") from exc
     if bits < EVAL_MIN_BITS:
-        raise UsageError(f"{source} must be at least {EVAL_MIN_BITS}, got {bits}")
+        raise UsageError(f"--bits must be at least {EVAL_MIN_BITS}, got {bits}")
     return bits
 
 
@@ -470,20 +470,12 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    """The parser for the current QHEUN_BITS, built once per value."""
-    return _parser_for(os.environ.get("QHEUN_BITS", "512"))
-
-
-@functools.lru_cache(maxsize=8)
-def _parser_for(env_bits: str) -> _Parser:
-    """The argparse tree with --bits defaulting to ``env_bits``.  A bad value
-    raises UsageError, which lru_cache does not keep: every call raises."""
+    """The argparse tree, built once."""
     parser = _Parser(prog="qheun", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    default_bits = _parse_bits(env_bits, "QHEUN_BITS")
 
     def add_options(sp, names):
         if "params" in names:
@@ -492,9 +484,8 @@ def _parser_for(env_bits: str) -> _Parser:
             sp.add_argument("--q", action="append", metavar="RATIONAL",
                             help="q value in (0,1), e.g. 1/1000 (repeatable)")
         if "bits" in names:
-            sp.add_argument("--bits", type=_parse_bits, default=default_bits,
-                            help=f"working precision in bits (default {default_bits}; "
-                                 "env QHEUN_BITS overrides)")
+            sp.add_argument("--bits", type=_parse_bits, default=512,
+                            help=f"working precision in bits, at least {EVAL_MIN_BITS} (default 512)")
         if "tol" in names:
             for name, default in (("exponent", 0.05), ("prefactor", 0.01), ("residual", 1e-30)):
                 option = f"--tol-{name}"

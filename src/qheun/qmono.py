@@ -21,9 +21,10 @@ multiples of 1/D) and the terms as (packed key, coefficient) pairs, sorted
 by key; see ``pack_key``.  A coefficient is an int whenever it is an
 integer and a Fraction only otherwise, so the ring's products and sums
 run on ints.  The Fraction ``QMonomial`` tuple ``QSum.terms`` is built
-only when it is read.  ``terms_mul`` and ``terms_merge`` are the
-product and the merge of the sums, on term dicts keyed by packed keys.
-The exact recursion runs on ``Packed``, Kronecker substitution on CPython
+only when it is read.  ``terms_mul`` is the product of the sums, on term
+dicts keyed by packed keys; ``terms_merge``, their merge with
+cancellation events, is the tests' oracle of Packed.merge.  The exact
+recursion runs on ``Packed``, Kronecker substitution on CPython
 ints: each t-monomial's polynomial in q^(1/D) is one int with a w-bit digit
 per exponent, a row product is a sum of shifted copies, and a merge gives
 terms_merge's events.  Its results become sums that keep the packed entry
@@ -34,11 +35,10 @@ All symbolic operations are exact.  Every fixed-q number of the pipeline
 (the recursion rows, the residual's factors, the root seeds and the
 matching ratios) takes its q-powers from integer roots
 (``dyadic.Box.qpow``).  ``AtQ``, the mpf evaluator at fixed q, t1, t2,
-serves only the image of the spectral polynomial, the one plain oracle of
-the roots: it validates them and takes log q once, and computes every
-power when it is asked for.  ``eval_terms`` evaluates one sum with it,
-term by term, and ``eval_numeric`` is the extended-precision value of one
-sum.
+serves only the image of the spectral polynomial
+(``spectral.EPoly.coefficient_values``): it validates them and takes log
+q once, and computes every power when it is asked for.  ``eval_terms``
+evaluates one sum with it, term by term.
 """
 
 from __future__ import annotations
@@ -77,21 +77,17 @@ __all__ = [
     "ultradiscretize",
     "AtQ",
     "eval_terms",
-    "eval_numeric",
     "EVAL_GUARD_BITS",
-    "EVAL_MARGIN_BITS",
     "EVAL_MIN_BITS",
 ]
 
 RationalLike = Union[Fraction, int, str]
 
-#: Extra working bits used internally by eval_numeric.  With them, the
-#: documented round-off envelope of the evaluation homomorphism is
-#: ``2**(-bits + EVAL_MARGIN_BITS) * scale`` where ``scale`` is the sum of
-#: the absolute values of the evaluated terms.
+#: The bits a fixed-q computation at ``bits`` works with beyond them: the
+#: image (EPoly.coefficient_values), the fixed-q table and the root search
+#: run at bits + EVAL_GUARD_BITS.
 EVAL_GUARD_BITS = 24
-EVAL_MARGIN_BITS = 16
-#: The least precision eval_numeric and the command line accept.
+#: The least precision the command line accepts.
 EVAL_MIN_BITS = 64
 
 #: CancellationEvent kinds.
@@ -542,8 +538,8 @@ def terms_merge(
 
 class Packed:
     """Entry dicts at one digit width ``w``: row products, merges with
-    terms_merge's events, cuts and the decode to QSum items.  QSum.from_entry
-    wraps an entry dict as a sum."""
+    terms_merge's events, leading slices and the decode to QSum items.
+    QSum.from_entry wraps an entry dict as a sum."""
 
     def __init__(self, bound: int, den: int):
         """w is the least multiple of 32 with 2^(w-2) > bound, the greatest
@@ -662,18 +658,6 @@ class Packed:
         lead = min(e0 for e0, _ in d.values())
         return {k: (e0, self.digit(V)) for k, (e0, V) in d.items() if e0 == lead}
 
-    def cut(self, d: dict, top: int) -> dict:
-        """The terms of an entry dict at exponents e <= top."""
-        out = {}
-        for k, (e0, V) in d.items():
-            keep = top - e0 + 1
-            if keep > abs(V).bit_length() // self.w:
-                out[k] = e0, V
-            elif keep > 0:
-                H = self._h(keep)
-                out[k] = e0, ((V + H) & ((1 << self.w * keep) - 1)) - H
-        return out
-
     def items(self, d: dict) -> tuple:
         """The sorted (packed key, coefficient) items of an entry dict.  The
         mask picks the nonzero digits: no Python loop visits a zero one."""
@@ -757,22 +741,16 @@ def ultradiscretize(a: QSum) -> tuple[Fraction, int]:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_to_mpf(x: Fraction):
-    return mpmath.mpf(x.numerator) / x.denominator
-
-
 def to_mpf(x):
-    """Convert Fractions, ints, strings and floats to mpf in the current
-    working precision.  mpf inputs pass through unrounded (re-creating an
-    mpf would silently truncate it to the caller's precision)."""
+    """Convert Fractions, ints and floats to mpf in the current working
+    precision.  mpf inputs pass through unrounded (re-creating an mpf would
+    silently truncate it to the caller's precision)."""
     if isinstance(x, mpmath.mpf):
         return x
     if isinstance(x, Fraction):
-        return _fraction_to_mpf(x)
+        return mpmath.mpf(x.numerator) / x.denominator
     if isinstance(x, (int, float)):
         return mpmath.mpf(x)
-    if isinstance(x, str):
-        return _fraction_to_mpf(Fraction(x))
     raise TypeError(f"cannot convert {type(x).__name__} to mpf")
 
 
@@ -815,17 +793,3 @@ def eval_terms(a: QSum, at: AtQ):
     (EPoly.coefficient_values); API for perfbench's ``qmono.eval_terms`` span."""
     return mpmath.fsum(at.term(t) for t in a.terms)
 
-
-def eval_numeric(a: QSum, q, t1, t2, bits: int = 512):
-    """Value of ``a`` at numeric q in (0,1) and positive rational t1, t2.
-
-    Computed at bits + EVAL_GUARD_BITS working precision and rounded back to
-    ``bits``; the result is exact to within 2**(-bits + EVAL_MARGIN_BITS)
-    relative to the sum of the term magnitudes.
-    """
-    if bits < EVAL_MIN_BITS:
-        raise DomainError(f"bits must be at least {EVAL_MIN_BITS}, got {bits}")
-    with mpmath.workprec(bits + EVAL_GUARD_BITS):
-        total = eval_terms(a, AtQ(q, t1, t2))
-    with mpmath.workprec(bits):
-        return +total

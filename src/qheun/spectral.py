@@ -245,8 +245,8 @@ class EPoly:
 
     def coefficient_values(self, q, t1, t2, bits: int = 512) -> list:
         """True numeric E^j coefficient values at fixed q in (0,1): the
-        polynomial image, the roots' plain oracle in the tests until an exact
-        one at rational q (ROADMAP item 5).  API for perfbench: its
+        polynomial image, a plain oracle of the roots in the tests beside
+        the exact counts at q = r^D (ROADMAP item 7).  API for perfbench: its
         ``spectral.image`` span wraps it and selftest.py calls it."""
         with mpmath.workprec(bits + EVAL_GUARD_BITS):
             at = AtQ(q, t1, t2)
@@ -339,7 +339,7 @@ def coefficients_exact(p: HeunParams) -> tuple[list[EPoly], list[CancellationEve
     """Exact c_0 .. c_{N+1} with cancellation diagnostics.
 
     The numerators run three_term on _three_term_rows; each entry is one
-    terms_merge, whose events are the right-hand-side cancellation
+    Packed.merge, whose events are the right-hand-side cancellation
     diagnostics the leading-term propositions are about.  The exact result
     itself is always correct, events or not.  c_n's denominator is
     A_1 ... A_n with the factors kept structured: the monomial

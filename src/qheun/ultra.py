@@ -516,12 +516,12 @@ def _s_polynomial(p: HeunParams, g: Fraction) -> list[Fraction]:
     three_term runs on the exact rows with q^g folded into B, so that every
     s^j term carries its total exponent.  gain[n], the least exponent steps
     n+1 .. N+1 can still add, is one B/C step plus gain[n+1] or one R step
-    plus gain[n+2]; a term whose exponent plus gain[n] lies above the cut
-    gain[0] never reaches a total at or below it and is dropped.  So is a
-    row term of step n whose exponent plus least[n-1] (least[n-2] for R),
-    the least exponent of c_{n-1}, plus gain[n] lies above the cut: the cut
-    would drop all its products.  When the slice at the cut cancels, the
-    run is repeated once on the full rows without the cut."""
+    plus gain[n+2], and the cut is gain[0].  The cut run drops each row term
+    of step n whose exponent plus least[n-1] (least[n-2] for R), the least
+    exponent of c_{n-1}, plus gain[n] lies above the cut: all its products
+    land above it.  So the slices at or below the cut are exact, and only
+    they are read; a slice above it would miss the dropped products.  When
+    they all cancel, the run is repeated once on the full rows."""
     rows = [(B * QSum.term(1, qexp=g), C, R) for B, C, R in _three_term_rows(p)]
     gain = [Fraction(0)] * (len(rows) + 1)
     for n in range(len(rows) - 1, -1, -1):
@@ -538,17 +538,13 @@ def _s_polynomial(p: HeunParams, g: Fraction) -> list[Fraction]:
     cut_rows = [(upto(B, gain[0] - gain[n] - least[n - 1]), upto(C, gain[0] - gain[n] - least[n - 1]),
                  upto(R, gain[0] - gain[n] - least[n - 2])) for n, (B, C, R) in enumerate(rows, 1)]
 
-    def entry(parts, n, site, pk):
-        merged, _ = pk.merge(parts)
-        return merged if cut is None else pk.cut(merged, math.floor((cut - gain[n]) * pk.den))
-
     for cut, run in ((gain[0], cut_rows), (None, rows)):
         slices = defaultdict(Counter)
-        for j, c in enumerate(three_term(p, run, entry)[-1]):
+        for j, c in enumerate(three_term(p, run, lambda parts, n, site, pk: pk.merge(parts)[0])[-1]):
             for t in c.terms:
                 slices[t.qexp][j] += t.coeff * p.t1 ** t.t1pow * p.t2 ** t.t2pow
-        for coeffs in ({j: v for j, v in slices[x].items() if v} for x in sorted(slices)):
-            if coeffs:
+        for x in sorted(x for x in slices if cut is None or x <= cut):
+            if coeffs := {j: v for j, v in slices[x].items() if v}:
                 return [coeffs.get(j, Fraction(0)) for j in range(min(coeffs), max(coeffs) + 1)]
     raise DegenerateSPolyError("all s-polynomial coefficients cancelled")
 

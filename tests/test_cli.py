@@ -698,8 +698,7 @@ GOLDEN_RUNS = {
 
 
 @pytest.mark.parametrize("command,name", sorted(GOLDEN_CSV_SHA256))
-def test_csv_matches_golden_digest(command, name, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("QHEUN_BITS", raising=False)
+def test_csv_matches_golden_digest(command, name, tmp_path, capsys):
     path = _write(tmp_path, f"{name}.params", globals()[name])
     flags, csv_name = GOLDEN_RUNS[command]
     out = tmp_path / "out"
@@ -708,34 +707,13 @@ def test_csv_matches_golden_digest(command, name, tmp_path, monkeypatch, capsys)
     assert digest == GOLDEN_CSV_SHA256[command, name]
 
 
-def test_qheun_bits_env_overrides_default(monkeypatch):
+def test_bits_default_to_512_whatever_the_environment(monkeypatch):
+    # QHEUN_BITS is no longer read: --bits is the one way to set the precision
     monkeypatch.setenv("QHEUN_BITS", "192")
-    args = _build_parser().parse_args(["roots", "--params", "unread.params"])
-    assert args.bits == 192
+    assert _build_parser().parse_args(["roots", "--params", "unread.params"]).bits == 512
 
 
-def test_each_qheun_bits_value_gets_its_own_default(p1_file, monkeypatch, capsys):
-    # the parser is built once per QHEUN_BITS value; a later call under
-    # another value must not see the first one's default
-    for bits in ("192", "256", "192"):
-        monkeypatch.setenv("QHEUN_BITS", bits)
-        assert main(["roots", "--params", p1_file]) == 0
-        assert f"(bits={bits}):" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize(
-    "value,message",
-    [("abc", "QHEUN_BITS must be an integer, got 'abc'"),
-     ("32", "QHEUN_BITS must be at least 64, got 32")],
-)
-def test_invalid_qheun_bits_env_is_usage_error(p1_file, monkeypatch, capsys, value, message):
-    monkeypatch.setenv("QHEUN_BITS", value)
-    assert main(["analyze", "--params", p1_file]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_bits_at_the_floor_is_accepted(p1_file, monkeypatch, capsys):
-    monkeypatch.setenv("QHEUN_BITS", "64")
+def test_bits_at_the_floor_is_accepted(p1_file, capsys):
     assert main(["roots", "--params", p1_file, "--bits", "64"]) == 0
 
 

@@ -25,6 +25,7 @@ from qheun.sampling import sample_params
 from qheun.dyadic import Box, Dyadic
 from qheun.spectral import (
     _exact_rows,
+    _scale_den,
     derive,
     fixed_q,
     recursion_rows,
@@ -928,3 +929,106 @@ def test_the_kernels_equal_the_object_loops_where_s_1_is_zero():
     zero = next(x for x in (Dyadic(E.m + k, E.e, prec) for k in range(-4, 5)) if not (B * x + C).m)
     _assert_kernels_equal_the_object_loops(p, q, 512, [_fraction(zero), root])
     assert _object_certified_count(boxes, Box.ratio(root.numerator, root.denominator, prec)) is None
+
+
+# ---------------------------------------------------------------------------
+# exact counts at q = r^D
+#
+# At q = r^D, D = _scale_den(p), every q-power of recursion_rows is the
+# Fraction r^(mu D), so the Favard rows (B_n, C_n, G_n = D_n A_{n-1}) are
+# exact.  At E = M/W, u_n = (B_n M + C_n W) u_{n-1} - G_n W^2 u_{n-2} is W^n
+# times the numerator of c_n(E), and with B_n > 0 and G_n > 0 the sign
+# changes of u_0 .. u_{N+1} count the roots of c_{N+1} above E; a zero takes
+# no sign, so at a root they count the roots above it.  The check shares
+# only recursion_rows with the search: no Box, rounding, certified count or
+# Newton step.
+# ---------------------------------------------------------------------------
+
+
+def _exact_favard_rows(p, r: Fraction) -> list:
+    D = _scale_den(p)
+
+    def qp(mu):
+        k = F(mu) * D
+        assert k.denominator == 1, mu
+        return r ** k.numerator
+
+    rows, prev_A = [], 0
+    for A, B, C, Dn in recursion_rows(p, qp(1), p.t1, p.t2, qp):
+        assert A > 0 and B > 0 and Dn > 0
+        rows.append((B, C, Dn * prev_A))
+        prev_A = A
+    return rows
+
+
+def _exact_count(rows, E: Fraction) -> tuple[int, bool]:
+    """The number of roots of c_{N+1} above E, and whether E is one."""
+    M, W = E.numerator, E.denominator
+    u0, u1, positive, changes = 0, 1, True, 0
+    for B, C, G in rows:
+        u0, u1 = u1, (B * M + C * W) * u1 - G * W * W * u0
+        if u1:
+            changes += (u1 > 0) != positive
+            positive = u1 > 0
+    return changes, not u1
+
+
+def _exact_roots(p, r: Fraction, bits: int) -> list[Fraction]:
+    """find_spectral_roots at q = r^D, each root as its exact Fraction."""
+    roots, _ = find_spectral_roots(p, r ** _scale_den(p), bits)
+    return [F((-1) ** s * m) * F(2) ** e for s, m, e, _ in (x._mpf_ for x in roots)]
+
+
+def _assert_exact_counts(p, r: Fraction, roots, bits: int) -> None:
+    """Each root x of the ascending ``roots``, k of them above it, is a root
+    of c_{N+1} at q = r^D rounded to nearest at ``bits`` bits: the exact
+    count is k + 1 at the lower end of x's cell and k at the upper end.  A
+    cell end that is itself a root is a tie, which rounds to the end's
+    _cell, the neighbour with the even mantissa."""
+    rows = _exact_favard_rows(p, r)
+    for k, x in enumerate(reversed(roots)):
+        g, down, up = roots_mod._cell(x, bits)
+        assert g == x, x
+        (at_down, root_down), (above_up, root_up) = _exact_count(rows, down), _exact_count(rows, up)
+        at_down += root_down and roots_mod._cell(down, bits)[0] == x
+        above_up += root_up and roots_mod._cell(up, bits)[0] != x
+        assert (at_down, above_up) == (k + 1, k), (x, k, at_down, above_up)
+
+
+@pytest.mark.parametrize("r", [F(1, 2), F(1, 10)], ids=["r1/2", "r1/10"])
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "R31", "R32", "R33"]
+                         + [f"{r}-{N}" for N in (12, 24) for r in ("R31", "R32", "R33")])
+def test_exact_counts_at_q_r_to_the_d_check_every_root(name, r):
+    # P1-P4, each regime's seeds 0-5 at N <= 6 and the seed-12 sets at
+    # N = 12 and 24
+    for p in _solve_sets(name) if "-" not in name else [named_set(name)]:
+        _assert_exact_counts(p, r, _exact_roots(p, r, 512), 512)
+
+
+def test_exact_counts_catch_each_root_moved_one_unit_up():
+    p, r = named_set("R32-12"), F(1, 2)
+    roots = _exact_roots(p, r, 512)
+    assert len(roots) == 13
+    for i, x in enumerate(roots):
+        up = roots_mod._cell(x, 512)[2]
+        with pytest.raises(AssertionError):
+            _assert_exact_counts(p, r, roots[:i] + [2 * up - x] + roots[i + 1:], 512)
+
+
+@pytest.mark.parametrize("t2,end", [(1, "down"), (3, "up")])
+def test_exact_counts_give_a_tie_at_a_cell_end_to_the_even_mantissa(t2, end):
+    # N = 0 and q = 1/4: c_1's root -C_1/B_1 is -85/2 (t2 = 1) or -95/2
+    # (t2 = 3), halfway between two 6-bit numbers, so it is an end of both
+    # their cells and u_1 = 0 there.  It rounds to -42 = -21 * 2 (its cell's
+    # lower end) or to -48 = -3 * 2^4 (its upper end), not to the odd
+    # neighbour -43 or -47
+    p, r, bits = derive(-2, -1, -2, 1, 0, 0, 0, 1, t2), F(1, 2), 6
+    rows = _exact_favard_rows(p, r)
+    ((B, C, _),) = rows
+    root = -C / B
+    (x,) = _exact_roots(p, r, bits)
+    _assert_exact_counts(p, r, [x], bits)
+    _, down, up = roots_mod._cell(x, bits)
+    assert root == {"down": down, "up": up}[end] and _exact_count(rows, root)[1]
+    with pytest.raises(AssertionError):
+        _assert_exact_counts(p, r, [2 * root - x], bits)

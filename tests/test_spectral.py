@@ -15,7 +15,7 @@ import qheun.spectral as spectral_mod
 import qheun.ultra as ultra_mod
 from qheun.dyadic import Box, Dyadic
 from qheun.errors import ParameterError, SignIndefiniteError, ZeroQSumError
-from qheun.qmono import (EVAL_GUARD_BITS, EXACT_ZERO, AtQ, Packed, QSum, eval_numeric, leading_part, pack_key,
+from qheun.qmono import (EVAL_GUARD_BITS, EXACT_ZERO, AtQ, Packed, QSum, eval_terms, leading_part, pack_key,
                          qpow, terms_merge, terms_mul, to_mpf, ultradiscretize)
 from qheun.sampling import sample_params
 from qheun.spectral import (
@@ -638,10 +638,11 @@ def test_numeric_rows_match_the_exact_image(regime, seed, N, m, k, e0, e0_exp, b
     polys, _ = coefficients_exact(p)
     numeric = series_coefficient_values(p, E0, q, bits=bits)
     with mpmath.workprec(2 * bits):
+        at = AtQ(q, p.t1, p.t2)
         for n in range(1, p.N + 2):
             exact = _exact_rows(p)[n - 1]
             for v, point, box, row in zip(rows[n - 1], points[n - 1], boxes[n - 1], exact):
-                ref = eval_numeric(row, q, p.t1, p.t2, bits=2 * bits)
+                ref = eval_terms(row, at)
                 assert abs(v - ref) <= mpmath.mpf(2) ** -bits * abs(ref)
                 assert abs(point.to_mpf() - ref) <= mpmath.mpf(2) ** -bits * abs(ref)
                 slack = mpmath.mpf(2) ** -(2 * bits - 32) * abs(ref)
@@ -1109,12 +1110,10 @@ def test_eval_of_exact_epoly_consistent_with_eval_numeric(p2):
     # the reduced coefficient times the denominator must evaluate back to
     # the raw numerator (sanity for the structured-denominator bookkeeping)
     ep = spectral_polynomial(p2)
-    q = F(1, 50)
-    for j in range(ep.degree + 1):
-        raw = eval_numeric(ep.coeffs[j], q, p2.t1, p2.t2, bits=128)
-        red = eval_numeric(ep.reduced_coefficient(j), q, p2.t1, p2.t2, bits=128)
-        mono = eval_numeric(
-            QSum((ep.denom_monomial,)), q, p2.t1, p2.t2, bits=128
-        )
-        with mpmath.workprec(128):
+    with mpmath.workprec(128):
+        at = AtQ(F(1, 50), p2.t1, p2.t2)
+        mono = eval_terms(QSum((ep.denom_monomial,)), at)
+        for j in range(ep.degree + 1):
+            raw = eval_terms(ep.coeffs[j], at)
+            red = eval_terms(ep.reduced_coefficient(j), at)
             assert abs(raw - red * mono) <= mpmath.mpf(2) ** -96 * (abs(raw) + 1)

@@ -689,9 +689,11 @@ def test_s_polynomial_pinned_past_n8(N, monkeypatch):
 
 
 def test_s_polynomial_cut_rows_give_the_cut_run_of_the_full_rows(p4, monkeypatch):
-    # the cut run's rows drop the terms all of whose products the cut
-    # drops: rerun on the full rows with the same entry, every level is the
-    # same
+    # the cut run's rows drop the terms all of whose products land above the
+    # cut, on every set.  Level n of the cut run then holds terms at the one
+    # exponent cut - gain[n] only: its row terms reach no higher from c_{n-1}
+    # at least[n-1], and no path reaches lower.  So its last level is the
+    # slice at the cut alone
     runs = []
 
     def run(p, rows, entry):
@@ -699,7 +701,7 @@ def test_s_polynomial_cut_rows_give_the_cut_run_of_the_full_rows(p4, monkeypatch
         g = balanced_exponent(p)
         full = [(B * QSum.term(1, qexp=g), C, R) for B, C, R in spectral_mod._three_term_rows(p)]
         size = sum(len(x) for row in rows for x in row), sum(len(x) for row in full for x in row)
-        runs.append((levels, three_term(p, full, entry), size))
+        runs.append((levels, size))
         return levels
 
     monkeypatch.setattr(ultra_mod, "three_term", run)
@@ -707,10 +709,26 @@ def test_s_polynomial_cut_rows_give_the_cut_run_of_the_full_rows(p4, monkeypatch
     for p in (p4, *_balanced_pair_sets(), sample_params("R32", random.Random(12), N=12)):
         runs.clear()
         _s_polynomial(p, balanced_exponent(p))
-        cut, full, (kept, total) = runs[0]
-        assert cut == full, p
+        levels, (kept, total) = runs[0]
+        assert len({t.qexp for c in levels[-1] for t in c.terms}) == 1, p
         dropped.append(total - kept)
     assert all(dropped) and len(dropped) >= 7
+
+
+def test_s_polynomial_reads_no_slice_above_the_cut(p4, monkeypatch):
+    # the rows of test_s_polynomial_skips_totals_that_cancel: at t1 = t2 the
+    # slice at the cut, total 0, cancels, and the full rows' least slice is
+    # 2 + 3 s at total 1.  A slice above the cut may miss the products of
+    # the row terms the cut run drops, so only the rerun may read one.  The
+    # row cut leaves no term above the cut (the test above), so the cut
+    # run's last level is given one: 2 at total 1, without its 3 s
+    T = QSum.term
+    C = T(5, t1pow=1) - T(5, t2pow=1) + T(3, qexp=1) - T(7, qexp=2)
+    R = T(1) - T(1, t1pow=1, t2pow=-1) + T(2, qexp=1) - C
+    _patch_rows(monkeypatch, [(T(1, qexp=-H), T(1), QSum.zero()), (T(7, qexp=3 * H), C, R)])
+    runs = _counting_runs(monkeypatch, last_level=lambda level: [level[0] + T(2, qexp=1), *level[1:]])
+    assert _s_polynomial(p4, H) == _s_polynomial_full_scan(spectral_polynomial(p4), p4, H) == [2, 3]
+    assert len(runs) == 2
 
 
 def test_s_polynomial_reruns_without_the_cut_when_the_cut_slice_is_empty(p4, monkeypatch):
