@@ -340,7 +340,8 @@ def cmd_verify(args) -> int:
                 got = sorted(
                     (abs(r.prefactor_ratio * balanced)
                      for r in report.rows
-                     if r.prediction is not None and r.prediction.prefactor == BALANCED),
+                     if r.estimate is not None and r.prediction is not None
+                     and r.prediction.prefactor == BALANCED),
                 )
                 want = sorted(abs(v) for v in refined)
                 if len(got) != len(want):

@@ -19,8 +19,9 @@ there too.
   table to the rounded root (the Gershgorin bound, the isolation points,
   the seeds, the plain counts and Newton), since it only guides the
   search, and so do the twisted solve and the residual of the series at a
-  root, whose rounding need only be small against their 2^-P; both run
-  as kernels on the flat ints of spectral's fixed-q table.
+  root, whose rounding need only be small against their 2^-P; all run
+  as kernels on the flat ints of spectral's fixed-q table, one point
+  table (``points``) for the search and the solve.
 * ``Box`` is an interval [lo 2^e, hi 2^e], cut outward: lo by floor
   shifts, hi by ceiling ones.  Every operation returns a box around every
   value it takes on its operand boxes, so an expression evaluated on boxes

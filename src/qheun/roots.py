@@ -8,16 +8,16 @@ The polynomial itself is never formed.  One table serves all three, the
 memoised spectral.fixed_q(p, q, P) of each parameter set, q and precision,
 built from integer enclosures of each q-power: its Favard rows on the
 recursion's boxes (``favard_boxes``) for the certified counts' ratio
-recursion, and on their lower ends (``search``, the Dyadic points the
-twisted solve reads too) for the plain counts and Newton, which run one
-point recursion (``_point_recursion``).  Both loops are inline kernels on
-CPython int locals, on the table's flat int rows, and each step repeats the
-qheun.dyadic operation it stands for: the point recursion that of Dyadic
-points truncated to the working precision, which only guide the search,
-and the certified counts that of Box intervals rounded outward.  The rest
-of the search (the Gershgorin bound on the table's ``favard`` rows, the
-isolation's points and splits, the seeds, Newton's bracket loop) runs on
-Dyadic objects at the rows' precision.  The seeds are the predicted roots
+recursion, and on their lower ends (``points``, the one point table, which
+the twisted solve reads too) for the plain counts and Newton, which run
+one point recursion (``_point_recursion``).  Both loops are inline kernels
+on CPython int locals, on the table's flat int rows, and each step repeats
+the qheun.dyadic operation it stands for: the point recursion that of
+Dyadic points truncated to the working precision, which only guide the
+search, and the certified counts that of Box intervals rounded outward.
+The rest of the search (the Gershgorin bound on ``points``' Favard rows,
+the isolation's points and splits, the seeds, Newton's bracket loop) runs
+on Dyadic objects at the rows' precision.  The seeds are the predicted roots
 sign * prefactor * q^d at that precision, from the table's memoised
 Box.qpow boxes (``_predicted_root``, which also gives the matching its
 ratios at 192 bits from boxes of its own); mpf enters only as the returned
@@ -495,15 +495,16 @@ def _prediction_seeds(fq: FixedQ, predictions) -> list[Dyadic]:
 
 
 def _point_recursion(rows, x: Dyadic, newton: bool):
-    """The Favard recursion at x on the flat Dyadic rows (B_n, C_n, G_n),
-    truncating: the number of sign changes of w_0 .. w_{N+1}, a w_n that
-    truncates to 0 counting as positive; with ``newton`` instead w_{N+1},
-    its derivative and its rounding noise, run on absolute values."""
+    """The Favard recursion at x on the flat Dyadic rows (B_n, C_n, G_n)
+    that begin FixedQ.points' rows, truncating: the number of sign changes
+    of w_0 .. w_{N+1}, a w_n that truncates to 0 counting as positive; with
+    ``newton`` instead w_{N+1}, its derivative and its rounding noise, run
+    on absolute values."""
     P, xm, xe, changes = x.P, x.m, x.e, 0
     cm, ce, pm, pe = 1, 0, 0, 0  # w_{n-1}, w_{n-2}
     dm, de, qm, qe = 0, 0, 0, 0  # their derivatives
     am, ae, wm, we = 1, 0, 0, 0  # their noise
-    for Bm, Be, Cm, Ce, Gm, Ge in rows:
+    for Bm, Be, Cm, Ce, Gm, Ge, _, _, _, _ in rows:
         um, ue = Bm * xm, Be + xe  # u = B x
         k = um.bit_length() - P
         if k > 0: um, ue = um >> k, ue + k
@@ -666,11 +667,13 @@ def _certified_counter(base: FixedQ):
     return count
 
 
-def _gershgorin_bound(ratio) -> Dyadic:
+def _gershgorin_bound(rows, P: int) -> Dyadic:
     """A power of two above twice the Gershgorin bound of the symmetrised
     Jacobi matrix: diagonal -C_n/B_n, off-diagonal sqrt(G_{n+1}/(B_n B_{n+1})),
-    on the Dyadic rows, each square root a geometric mean with 1."""
-    P = ratio[0][0].P
+    on the Favard rows of the flat ``rows`` of FixedQ.points as Dyadic at P
+    bits, each square root a geometric mean with 1."""
+    ratio = [(Dyadic(Bm, Be, P), Dyadic(Cm, Ce, P), Dyadic(Gm, Ge, P))
+             for Bm, Be, Cm, Ce, Gm, Ge, _, _, _, _ in rows]
     one, zero = Dyadic(1, 0, P), Dyadic(0, 0, P)
     off = [zero] + [_geometric_mean(G / (B0 * B1), one)
                     for (B0, _, _), (B1, _, G) in zip(ratio, ratio[1:])] + [zero]
@@ -678,18 +681,17 @@ def _gershgorin_bound(ratio) -> Dyadic:
     return Dyadic(1, bound.m.bit_length() + bound.e + 1, P)
 
 
-def _isolate_by_counts(ratio, flat, seeds) -> list[tuple]:
+def _isolate_by_counts(flat, P: int, seeds) -> list[tuple]:
     """Brackets (a, b, m), a < b Dyadic of one sign, each holding one root
     of c_{N+1}, m the number of roots above b, sorted; by plain counts on
-    ``flat``, the Dyadic ``ratio`` rows flattened, at their precision.
+    ``flat``, the rows of FixedQ.points at P bits.
 
     The points are +-R (Gershgorin), 0, the largest R 2^(-2^j) of each sign
     with no root between it and 0, and the midpoints between consecutive
     seeds (distinct, sorted Dyadic points); a bracket holding more than one
     root is split at its geometric mean until each holds one."""
-    n = len(ratio)
-    R = _gershgorin_bound(ratio)
-    P = R.P
+    n = len(flat)
+    R = _gershgorin_bound(flat, P)
     lo, zero = Dyadic(-1, R.e, P), Dyadic(0, 0, P)
     counts = {x: _count(flat, x) for x in (lo, zero, R)}
     if (counts[lo], counts[R]) != (n, 0):
@@ -766,10 +768,10 @@ def find_spectral_roots(
     count = _certified_counter(fq)
     seeds = _prediction_seeds(fq, predictions) if predictions else []
     roots = []
-    for a, b, m in _isolate_by_counts(fq.favard, fq.search, seeds):
+    for a, b, m in _isolate_by_counts(fq.points, fq.P, seeds):
         inside = [s for s in seeds if a < s < b]
         start = inside[0] if len(inside) == 1 else None
-        roots.append(_spectral_root(fq.search, count, a, b, m, bits, start))
+        roots.append(_spectral_root(fq.points, count, a, b, m, bits, start))
     with mpmath.workprec(bits):
         return [to_mpf(r) for r in roots], bits
 

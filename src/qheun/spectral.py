@@ -26,8 +26,9 @@ truncated series solves the equation exactly.
 The rows are written once, in recursion_rows, and evaluated on QSums
 (_exact_rows) and on boxes around the rows of the exact q, in the one
 fixed-q table (fixed_q, memoised), which also holds every other
-row the numerics at q read: the root search's, the twisted solve's and
-the residual's, on the boxes and on their lower ends.  The exact
+row the numerics at q read: the certified counts' on the boxes, one flat
+point table of their lower ends (points) that the root search and the
+twisted solve share, and the residual's factors.  The exact
 recursion and ultra's leading-term and s-polynomial runs share one loop,
 three_term.  Numerically the series at a root comes from a twisted solve of
 the recursion's tridiagonal system (coefficients_numeric), which keeps full
@@ -400,12 +401,12 @@ class FixedQ:
     ``boxes``: recursion_rows' (A, B, C, D) as boxes.  ``favard_boxes``:
     the Favard rows (B_n, C_n, G_n = D_n A_{n-1}) on them as flat
     (lo, hi, e) ints, the certified counts' rows, or None unless every A_n,
-    B_n, D_n box is positive.  ``favard``: the Favard rows on the point
-    rows as Dyadic (G_1 = 0), the Gershgorin bound's rows, and ``search``
-    the same flat, the plain counts' and Newton's.  ``solve``: the point
-    rows flat and the products A_{i+1} D_{i+2}, i = 0 .. N-1, that couple
-    i and i+1 in the twisted solve, as (m, e) pairs; they are also
-    G_2 .. G_{N+1} of ``favard``.  ``residual``: _power_residuals' factors.
+    B_n, D_n box is positive.  ``points``: per step n, the row
+    (B_n, C_n, G_n, A_n, D_n) on the boxes' lower ends, G_1 = 0, as
+    _flat's (m, e) pairs.  Its first six ints are the Favard rows of the
+    plain counts, Newton and the Gershgorin bound; the twisted solve reads
+    all ten, its off-diagonal products A_{n-1} D_n being G_2 .. G_{N+1}.
+    ``residual``: _power_residuals' factors, flat as well.
     """
 
     def __init__(self, p: HeunParams, q: Fraction, P: int):
@@ -434,24 +435,10 @@ class FixedQ:
         return tuple(out)
 
     @functools.cached_property
-    def _points(self) -> tuple:
-        """The point rows and the products A_{i+1} D_{i+2}, Dyadic."""
-        rows = tuple(tuple(Dyadic(b.lo, b.e, b.P) for b in row) for row in self.boxes)
-        return rows, tuple(rows[i][0] * rows[i + 1][3] for i in range(self.p.N))
-
-    @functools.cached_property
-    def favard(self) -> tuple:
-        rows, off = self._points
-        return tuple((B, C, G) for (_, B, C, _), G in zip(rows, (Dyadic(0, 0, self.P),) + off))
-
-    @functools.cached_property
-    def search(self) -> tuple:
-        return tuple(map(_flat, self.favard))
-
-    @functools.cached_property
-    def solve(self) -> tuple:
-        rows, off = self._points
-        return tuple(map(_flat, rows)), tuple((d.m, d.e) for d in off)
+    def points(self) -> tuple:
+        rows = [tuple(Dyadic(b.lo, b.e, b.P) for b in row) for row in self.boxes]
+        G = [Dyadic(0, 0, self.P)] + [A * D for (A, *_), (*_, D) in zip(rows, rows[1:])]
+        return tuple(_flat((B, C, g, A, D)) for (A, B, C, D), g in zip(rows, G))
 
     @functools.cached_property
     def residual(self) -> tuple:
@@ -461,8 +448,8 @@ class FixedQ:
             (-(a1+a2) q^-(lambda1+n), -P (b1+b2) q^(lambda1+n)),
             (q^-(lambda1+n), P q^(lambda1+n), -Q),
         with q^(+-(lambda1+n)) by steps of q from one power each, formed on
-        boxes like the rows, as one tuple of their lower ends: the
-        mantissas and then the exponents of each of the three tuples."""
+        boxes like the rows, as _flat's (m, e) pairs of their lower ends,
+        in that order."""
         p, qp, t1v, t2v = self.p, self.qp, self.t1, self.t2
         a1, a2 = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
         b1, b2 = qp(p.l1 - _HALF) * t1v, qp(p.l2 - _HALF) * t2v
@@ -474,12 +461,11 @@ class FixedQ:
         up, dn, qv, qinv = qp(p.lambda1), qp(-p.lambda1), qp(1), qp(-1)
         table = []
         for _ in range(p.N + 1):
-            fs = [[Dyadic(b.lo, b.e, b.P) for b in f] for f in (
-                (a1 * a2 * dn, P * b1 * b2 * up, -K),
-                (-(a1 + a2) * dn, -P * (b1 + b2) * up),
-                (dn, P * up, -Q),
-            )]
-            table.append(tuple(i for f in fs for i in (*(d.m for d in f), *(d.e for d in f))))
+            table.append(_flat(Dyadic(b.lo, b.e, b.P) for b in (
+                a1 * a2 * dn, P * b1 * b2 * up, -K,
+                -(a1 + a2) * dn, -P * (b1 + b2) * up,
+                dn, P * up, -Q,
+            )))
             up, dn = up * qv, dn * qinv
         return tuple(table)
 
@@ -557,18 +543,19 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
     the forward recursion, the tests' reference, it does not amplify the
     error of a rounded root.  The solve is an inline kernel on int locals
     that repeats each Dyadic operation at P = bits + EVAL_GUARD_BITS, on
-    fixed_q's flat ``solve`` rows; mpf enters only as E0, at P bits
+    fixed_q's flat ``points`` rows; mpf enters only as E0, at P bits
     and cut as Dyadic.of_mpf cuts, and leaves as E0 and the coefficients
     rounded to ``bits``."""
     P = bits + EVAL_GUARD_BITS
     q = as_fraction(q)
-    rows, off = fixed_q(p, q, P).solve
+    rows = fixed_q(p, q, P).points
+    off = [(row[4], row[5]) for row in rows[1:]]  # G_2 .. G_{N+1}
     N = p.N
     with mpmath.workprec(P):
         E = Dyadic.of_mpf(to_mpf(E0), P)
     Em, Ee = E.m, E.e
     u, a = [], []  # u_i = B E, a_i = u_i + C
-    for _, _, Bm, Be, Cm, Ce, _, _ in rows:
+    for Bm, Be, Cm, Ce, _, _, _, _, _, _ in rows:
         um, ue = Bm * Em, Be + Ee
         k = um.bit_length() - P
         if k > 0: um, ue = um >> k, ue + k
@@ -596,7 +583,7 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
         if k > 0: gm, ge = gm >> k, ge + k
         if gm < 0: gm = -gm  # |g| and |u| need no cut
         if um < 0: um = -um
-        Cm, Ce = row[4], row[5]  # s = |u| + C
+        Cm, Ce = row[2], row[3]  # s = |u| + C
         k = Ce - ue
         if k >= 0: sm, se = um + (Cm << k), ue
         else: sm, se = (um << -k) + Cm, Ce
@@ -610,8 +597,8 @@ def coefficients_numeric(p: HeunParams, E0, q, bits: int = 512) -> SeriesSolutio
         if not i or (gm < rm << k if k >= 0 else gm << -k < rm):
             twist, rm, re = i, gm, ge
     # z_i = A_i z_{i+1} / fwd_i below the twist, D_i z_{i-1} / bwd_i above
-    steps = [(i, i + 1, fwd[i], row[0], row[1]) for i, row in enumerate(rows[:twist])][::-1]
-    steps += [(i, i - 1, bwd[i], row[6], row[7]) for i, row in enumerate(rows) if i > twist]
+    steps = [(i, i + 1, fwd[i], row[6], row[7]) for i, row in enumerate(rows[:twist])][::-1]
+    steps += [(i, i - 1, bwd[i], row[8], row[9]) for i, row in enumerate(rows) if i > twist]
     z = [(1, 0)] * (N + 1)
     for i, j, (dm, de), xm, xe in steps:
         zm, ze = z[j]
@@ -660,7 +647,7 @@ def _power_residuals(p: HeunParams, sol: SeriesSolution) -> list:
     ms = [[] for _ in range(p.N + 3)]  # the products' mantissas and
     xs = [[] for _ in range(p.N + 3)]  # exponents, per power
     for n, (c, f) in enumerate(zip(sol.coeffs, fixed_q(p, sol.q, P).residual)):
-        u0, u1, u2, x0, x1, x2, v0, v1, y0, y1, w0, w1, w2, z0, z1, z2 = f
+        u0, x0, u1, x1, u2, x2, v0, y0, v1, y1, w0, z0, w1, z1, w2, z2 = f
         c = Dyadic.of_mpf(c, P)
         cm, ce = c.m, c.e
         ms[n] += (cm * u0, cm * u1, cm * u2)

@@ -516,27 +516,26 @@ def _s_polynomial(p: HeunParams, g: Fraction) -> list[Fraction]:
     three_term runs on the exact rows with q^g folded into B, so that every
     s^j term carries its total exponent.  gain[n], the least exponent steps
     n+1 .. N+1 can still add, is one B/C step plus gain[n+1] or one R step
-    plus gain[n+2], and the cut is gain[0].  The cut run drops each row term
-    of step n whose exponent plus least[n-1] (least[n-2] for R), the least
-    exponent of c_{n-1}, plus gain[n] lies above the cut: all its products
-    land above it.  So the slices at or below the cut are exact, and only
-    they are read; a slice above it would miss the dropped products.  When
-    they all cancel, the run is repeated once on the full rows."""
+    plus gain[n+2], and the cut is gain[0].  The cut run keeps the B and C
+    terms of step n up to gain[n-1] - gain[n], and its R terms up to
+    gain[n-2] - gain[n] (R_1 = 0).  By induction level n then holds only
+    the exponent cut - gain[n], and holds all of it: a dropped B or C term
+    times any term of c_{n-1}, which sits at cut - gain[n-1] or above,
+    lands above cut - gain[n], and so does a dropped R term times c_{n-2}.
+    So the slices at or below the cut are exact, and only they are read; a
+    slice above it would miss the dropped products.  When they all cancel,
+    the run is repeated once on the full rows."""
     rows = [(B * QSum.term(1, qexp=g), C, R) for B, C, R in _three_term_rows(p)]
     gain = [Fraction(0)] * (len(rows) + 1)
     for n in range(len(rows) - 1, -1, -1):
         gain[n] = min([x.leading_exponent + gain[n + 1] for x in rows[n][:2] if x]
                       + [R.leading_exponent + gain[n + 2] for _, _, R in rows[n + 1:n + 2] if R])
-    least = [Fraction(0)] * (len(rows) + 1)
-    for n, (B, C, R) in enumerate(rows, 1):
-        least[n] = min([x.leading_exponent + least[n - 1] for x in (B, C) if x]
-                       + ([R.leading_exponent + least[n - 2]] if R else []))
 
     def upto(x, top):
         return QSum(t for t in x.terms if t.qexp <= top)
 
-    cut_rows = [(upto(B, gain[0] - gain[n] - least[n - 1]), upto(C, gain[0] - gain[n] - least[n - 1]),
-                 upto(R, gain[0] - gain[n] - least[n - 2])) for n, (B, C, R) in enumerate(rows, 1)]
+    cut_rows = [(upto(B, gain[n - 1] - gain[n]), upto(C, gain[n - 1] - gain[n]),
+                 upto(R, gain[n - 2] - gain[n]) if n >= 2 else R) for n, (B, C, R) in enumerate(rows, 1)]
 
     for cut, run in ((gain[0], cut_rows), (None, rows)):
         slices = defaultdict(Counter)

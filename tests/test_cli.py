@@ -644,6 +644,24 @@ def test_verify_names_an_unmatched_root(tmp_path, monkeypatch, capsys):
     assert "failed: root 3 unmatched: no prediction for it\n" in out
 
 
+def test_verify_gates_prefactors_past_a_balanced_prediction_with_no_root(tmp_path, monkeypatch, capsys):
+    # with one positive root dropped at a gated q, its balanced prediction
+    # is unmatched: the gate skips that row and counts 3 balanced roots
+    original = cli.estimate_exponents
+
+    def dropped(*args, **kwargs):
+        out = original(*args, **kwargs)
+        i = next(i for i, e in enumerate(out) if e.value > 0)
+        return out[:i] + out[i + 1:]
+
+    monkeypatch.setattr(cli, "estimate_exponents", dropped)
+    path = _write(tmp_path, "p4.params", P4)
+    assert main(["verify", "--params", path, "--q", "1/100000", "--q", "1/1000000"]) == 3
+    out = capsys.readouterr().out
+    assert "failed: root 4 unmatched: no root for its prediction\n" in out
+    assert "failed: prefactor: 3 balanced roots for 4 s-roots\n" in out
+
+
 def test_verify_predicts_the_roots_once(tmp_path, monkeypatch, capsys):
     # the prefactor refinement of p4 reuses the predictions verify made
     import qheun.cli as cli

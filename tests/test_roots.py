@@ -684,7 +684,7 @@ def test_a_count_uncertified_at_max_bits_names_its_point(p1, monkeypatch):
 
 def _assert_bound_above_roots(p, q):
     prec = 512 + EVAL_GUARD_BITS
-    R = roots_mod._gershgorin_bound(fixed_q(p, q, prec).favard)
+    R = roots_mod._gershgorin_bound(fixed_q(p, q, prec).points, prec)
     assert (R.m, R.P) == (1, prec)  # 2^R.e
     bound = _fraction(R)
     roots = find_spectral_roots(p, q, 512)[0]
@@ -850,11 +850,22 @@ def _object_newton_eval(newton_rows, x: Dyadic):
     return c1, d1, Dyadic(m1.m * len(newton_rows), m1.e + 4 - x.P, x.P)
 
 
+def _point_rows(fq):
+    """The lower ends of fq.boxes as Dyadic rows (A, B, C, D), and the
+    products G_n = A_{n-1} D_n, G_1 = 0: the reference of fq.points, built
+    beside it from the boxes, so that a column of the flat table that holds
+    the wrong row fails the kernels' differential tests."""
+    rows = [tuple(Dyadic(b.lo, b.e, b.P) for b in row) for row in fq.boxes]
+    return rows, [Dyadic(0, 0, fq.P)] + [A * D for (A, _, _, _), (_, _, _, D) in zip(rows, rows[1:])]
+
+
 def _object_rows(p, q, bits):
     """The rows find_spectral_roots gives the plain counts, Newton and the
     certified counts at ``bits``, as Dyadic and Box objects."""
     fq = fixed_q(p, q, bits + EVAL_GUARD_BITS)
-    return fq.favard, fq.favard, _favard_rows(fq.boxes)
+    rows, G = _point_rows(fq)
+    favard = [(B, C, g) for (_, B, C, _), g in zip(rows, G)]
+    return favard, favard, _favard_rows(fq.boxes)
 
 
 def _assert_kernels_equal_the_object_loops(p, q, bits, points):
@@ -864,7 +875,7 @@ def _assert_kernels_equal_the_object_loops(p, q, bits, points):
     prec = bits + EVAL_GUARD_BITS
     plain, newton, boxes = _object_rows(p, q, bits)
     fq = fixed_q(p, q, prec)
-    flat_plain, flat_newton, flat_boxes = fq.search, fq.search, fq.favard_boxes
+    flat_plain, flat_newton, flat_boxes = fq.points, fq.points, fq.favard_boxes
     for x in points:
         box = Box.ratio(x.numerator, x.denominator, prec)
         d = Dyadic(box.lo, box.e, prec)

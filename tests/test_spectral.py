@@ -36,7 +36,7 @@ from qheun.spectral import (
 )
 from qheun.roots import find_spectral_roots
 from qheun.ultra import _s_polynomial, balanced_exponent
-from test_roots import NAMED_SETS, _fraction, named_set
+from test_roots import NAMED_SETS, _fraction, _point_rows, named_set
 
 F = Fraction
 H = F(1, 2)
@@ -417,20 +417,51 @@ def _dyadic(flat, P):
     return tuple(_point(m, e, P) for m, e in zip(flat[::2], flat[1::2]))
 
 
-def _solve_rows(p, q, P):
-    """fixed_q's ``solve`` rows and off-diagonal products as Dyadic."""
-    rows, off = fixed_q(p, q, P).solve
-    return [_dyadic(r, P) for r in rows], [_point(m, e, P) for m, e in off]
+def _table_rows(p, q, P):
+    """fixed_q's ``points`` as Dyadic rows (A, B, C, D); each G_n is
+    checked by _point and dropped."""
+    return [(A, B, C, D) for B, C, _, A, D in (_dyadic(r, P) for r in fixed_q(p, q, P).points)]
+
+
+def _residual_table(p, q, bits):
+    """fixed_q's ``residual`` as Dyadic: per n the three tuples of factors,
+    stored as _flat's (m, e) pairs."""
+    P, out = bits + EVAL_GUARD_BITS, []
+    for f in fixed_q(p, q, P).residual:
+        d = _dyadic(f, P)
+        out.append((d[:3], d[3:5], d[5:]))
+    return out
+
+
+def _factor_rows(p, qp, t1v, t2v, qv, qinv):
+    """Per n = 0 .. N, the three tuples of FixedQ.residual's factors in the
+    arithmetic of the q-power map qp and of t1v, t2v, with q^(+-(lambda1+n))
+    by steps of qv and qinv."""
+    a1, a2 = qp(p.h1 + H) * t1v, qp(p.h2 + H) * t2v
+    b1, b2 = qp(p.l1 - H) * t1v, qp(p.l2 - H) * t2v
+    P = qp(p.alpha1 + p.alpha2)
+    Q = qp(p.alpha1) + qp(p.alpha2)
+    K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
+        qp(p.beta / 2) + qp(-p.beta / 2)
+    ) * t1v * t2v
+    up, dn = qp(p.lambda1), qp(-p.lambda1)
+    table = []
+    for _ in range(p.N + 1):
+        table.append((
+            (a1 * a2 * dn, P * b1 * b2 * up, -K),
+            (-(a1 + a2) * dn, -P * (b1 + b2) * up),
+            (dn, P * up, -Q),
+        ))
+        up, dn = up * qv, dn * qinv
+    return table
 
 
 def _residual_factors(p, q, bits):
-    """fixed_q's ``residual`` as Dyadic: per n the three tuples of factors,
-    each stored as its mantissas and then its exponents."""
-    P, out = bits + EVAL_GUARD_BITS, []
-    for f in fixed_q(p, q, P).residual:
-        out.append(tuple(tuple(_point(m, e, P) for m, e in zip(t[:len(t) // 2], t[len(t) // 2:]))
-                         for t in (f[:6], f[6:10], f[10:])))
-    return out
+    """The residual's factors as Dyadic, the lower ends of boxes formed
+    from fixed_q's q-power memo: the reference of its ``residual``."""
+    fq = fixed_q(p, q, bits + EVAL_GUARD_BITS)
+    return [tuple(tuple(Dyadic(b.lo, b.e, b.P) for b in f) for f in n)
+            for n in _factor_rows(p, fq.qp, fq.t1, fq.t2, fq.qp(1), fq.qp(-1))]
 
 
 def _mpf_residual_factors(p, q, bits):
@@ -439,24 +470,7 @@ def _mpf_residual_factors(p, q, bits):
     oracle, independent of Box.qpow."""
     with mpmath.workprec(bits + EVAL_GUARD_BITS):
         at = AtQ(q, p.t1, p.t2)
-        qp, t1v, t2v = at.qpow, at.t1, at.t2
-        a1, a2 = qp(p.h1 + H) * t1v, qp(p.h2 + H) * t2v
-        b1, b2 = qp(p.l1 - H) * t1v, qp(p.l2 - H) * t2v
-        P = qp(p.alpha1 + p.alpha2)
-        Q = qp(p.alpha1) + qp(p.alpha2)
-        K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
-            qp(p.beta / 2) + qp(-p.beta / 2)
-        ) * t1v * t2v
-        up, dn, qinv = qp(p.lambda1), qp(-p.lambda1), 1 / at.q
-        table = []
-        for _ in range(p.N + 1):
-            table.append((
-                (a1 * a2 * dn, P * b1 * b2 * up, -K),
-                (-(a1 + a2) * dn, -P * (b1 + b2) * up),
-                (dn, P * up, -Q),
-            ))
-            up, dn = up * at.q, dn * qinv
-    return table
+        return _factor_rows(p, at.qpow, at.t1, at.t2, at.q, 1 / at.q)
 
 
 @pytest.mark.parametrize("prec", [512 + EVAL_GUARD_BITS, 1024 + EVAL_GUARD_BITS])
@@ -474,9 +488,9 @@ def test_point_rows_and_residual_constants_match_the_mpf_oracles(name, q, prec):
     p = named_set(name)
     bits = prec - EVAL_GUARD_BITS
     pairs = [(got, want) for got_row, want_row in zip(
-        _solve_rows(p, q, prec)[0], recursion_rows_at(p, q, prec + EVAL_GUARD_BITS))
+        _table_rows(p, q, prec), recursion_rows_at(p, q, prec + EVAL_GUARD_BITS))
         for got, want in zip(got_row, want_row)]
-    for got_n, want_n in zip(_residual_factors(p, q, bits), _mpf_residual_factors(p, q, prec)):
+    for got_n, want_n in zip(_residual_table(p, q, bits), _mpf_residual_factors(p, q, prec)):
         for got_f, want_f in zip(got_n, want_n):
             pairs += zip(got_f, want_f)
     assert len(pairs) == 4 * (p.N + 1) + 8 * (p.N + 1)
@@ -563,7 +577,7 @@ def test_the_rows_and_the_residual_factors_share_one_q_power_memo(p4, monkeypatc
         assert 1 in fq._pows
         fq.residual
         assert all(x == q for x, _ in calls[n:]) and len(calls) - n == len(fq._pows) - size
-        for part in ("favard_boxes", "favard", "search", "solve"):
+        for part in ("favard_boxes", "points"):
             getattr(fq, part)
         assert len(calls) == len(set(calls)) == len(fq._pows)
 
@@ -634,7 +648,7 @@ def test_numeric_rows_match_the_exact_image(regime, seed, N, m, k, e0, e0_exp, b
     E0 = F(e0, 7) * 10 ** e0_exp
     rows = recursion_rows_at(p, q, bits + EVAL_GUARD_BITS)
     boxes = fixed_q(p, q, bits + EVAL_GUARD_BITS).boxes
-    points, _ = _solve_rows(p, q, bits + EVAL_GUARD_BITS)
+    points = _table_rows(p, q, bits + EVAL_GUARD_BITS)
     polys, _ = coefficients_exact(p)
     numeric = series_coefficient_values(p, E0, q, bits=bits)
     with mpmath.workprec(2 * bits):
@@ -897,8 +911,8 @@ def _object_pivots(a, off, P):
 def _object_coefficients_numeric(p, E0, q, bits, pivots=_object_pivots):
     P = bits + EVAL_GUARD_BITS
     q = F(q)
-    rows, off = _solve_rows(p, q, P)
-    N = p.N
+    rows, G = _point_rows(fixed_q(p, q, P))
+    off, N = G[1:], p.N
     with mpmath.workprec(P):
         E = Dyadic.of_mpf(to_mpf(E0), P)
     be = [B * E for _, B, _, _ in rows]
@@ -977,7 +991,7 @@ def test_twisted_solve_survives_a_zero_pivot(p1):
     # solve stays finite, and E0 is no root.  The zero is seen by the
     # Dyadic reference's pivots, which the kernel equals bit for bit there
     q, P = F(1, 1000), 512 + EVAL_GUARD_BITS
-    _, B, C, _ = _solve_rows(p1, q, P)[0][0]
+    _, B, C, _ = _point_rows(fixed_q(p1, q, P))[0][0]
     E = Dyadic(-C.m, C.e, P) / B
     E0 = next(x for x in (Dyadic(E.m + k, E.e, P) for k in range(-4, 5)) if not (B * x + C).m)
     seen = []

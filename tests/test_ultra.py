@@ -692,7 +692,7 @@ def test_s_polynomial_cut_rows_give_the_cut_run_of_the_full_rows(p4, monkeypatch
     # the cut run's rows drop the terms all of whose products land above the
     # cut, on every set.  Level n of the cut run then holds terms at the one
     # exponent cut - gain[n] only: its row terms reach no higher from c_{n-1}
-    # at least[n-1], and no path reaches lower.  So its last level is the
+    # at cut - gain[n-1], and no path reaches lower.  So its last level is the
     # slice at the cut alone
     runs = []
 
