@@ -15,10 +15,11 @@ Each subcommand accepts only the options it reads; `qheun <subcommand>
 Exit codes: 0 success, 1 usage/parse/validation, 2 unclassifiable/excluded
 parameters, 3 verification failure.
 
-Parameter files are flat key=value lines (keys h1 h2 l1 l2 alpha1 alpha2
-beta t1 t2, each once, values rational strings like -5, 1/2, 2.5); '#'
-starts a comment.  All numeric CSV cells are printed with 40 significant
-digits, so identical configurations produce byte-identical files.
+Parameter files are flat UTF-8 key=value lines (keys h1 h2 l1 l2 alpha1
+alpha2 beta t1 t2, each once, values rational strings like -5, 1/2, 2.5);
+'#' starts a comment.  All numeric CSV cells are printed with 40
+significant digits, so identical configurations produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def load_params(path: str) -> HeunParams:
     """Parse a key=value parameter file; report errors with line numbers."""
     values: dict[str, Fraction] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -177,9 +178,12 @@ def _write_out(args, name: str, header: list[str], rows: list[list[str]]) -> Non
     if not args.out:
         return
     path = Path(args.out) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        _write_rows(fh, [header, *rows])
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            _write_rows(fh, [header, *rows])
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
 
 

@@ -33,10 +33,10 @@ approximation r with error estimate t: usually two counts per root.
 A polynomial given by its coefficients (``find_real_roots``, also bound as
 ``real_roots_of_rational_poly``) is solved exactly by Sturm isolation and
 the same rounding, every side an exact sign: its coefficients (mpf, which
-are dyadic rationals, or rationals) become Fractions, each member of its
-Sturm chain is scaled once to integer coefficients, and the one exact
-evaluator (``_sign_at``) gives the sign at x = u/v as the sign of
-sum n_i u^i v^(d-i).  A Sturm count short of the degree raises
+are dyadic rationals, or rationals) are scaled once to integers, its Sturm
+chain is their primitive remainder sequence (``_sturm_chain``), and the
+one exact evaluator (``_sign_at``) gives the sign at x = u/v as the sign
+of sum n_i u^i v^(d-i).  A Sturm count short of the degree raises
 PrecisionError.
 
 Both isolators split brackets in one loop (``_split_brackets``): at the
@@ -97,13 +97,6 @@ _ZERO_SEARCH_STEPS = 32
 # ---------------------------------------------------------------------------
 
 
-def _strip(c: _FPoly) -> _FPoly:
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
 def _integer_scaled(c: _FPoly) -> _IPoly:
     """c times the lcm of its denominators: a positive multiple, so its sign
     at every point is the sign of c."""
@@ -122,39 +115,28 @@ def _sign_at(n: _IPoly, u: int, v: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _deriv(c: _FPoly) -> _FPoly:
-    return [i * a for i, a in enumerate(c)][1:]
-
-
-def _rem(a: _FPoly, b: _FPoly) -> _FPoly:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db:
-        la = a[-1]
-        if la:
-            f = la / lb
-            shift = len(a) - 1 - db
-            for i in range(db):
-                a[shift + i] -= f * b[i]
-        a.pop()
-    return _strip(a)
-
-
-def _rescale(c: _FPoly) -> _FPoly:
-    # positive rescaling keeps every sign; it only tames coefficient growth
-    m = max(abs(a) for a in c)
-    return [a / m for a in c]
-
-
-def _sturm_chain(c: _FPoly) -> list[_IPoly]:
-    """The Sturm chain of c, each member scaled to integer coefficients."""
-    chain = [c, _strip(_deriv(c))]
-    while len(chain[-1]) > 1:
-        r = _rem(chain[-2], chain[-1])
-        if not r:
-            break  # chain ends at a gcd; variation counts stay valid
-        chain.append(_rescale([-a for a in r]))
-    return [_integer_scaled(m) for m in chain]
+def _sturm_chain(n: _IPoly) -> list[_IPoly]:
+    """The Sturm chain of n on integers, the primitive remainder sequence:
+    each member after n is Euclid's times a positive factor, so it has the
+    same signs.  Pseudo-division scales the dividend by |lc| of the divisor
+    before each step; the derivative and each negated remainder are divided
+    by their content.  The chain ends at a constant, or at the gcd of a
+    repeated root, where variation counts stay valid."""
+    chain, r, sign = [n], [i * a for i, a in enumerate(n)][1:], 1
+    while r:
+        g = sign * math.gcd(*r)
+        chain.append([a // g for a in r])
+        r, b, sign = chain[-2][:], chain[-1], -1
+        db, lb = len(b) - 1, b[-1]
+        m, s = abs(lb), (lb > 0) - (lb < 0)
+        while r and (len(r) > db or not r[-1]):  # below b's degree, stripped
+            f = r.pop() * s
+            if f:
+                shift = len(r) - db
+                r = [m * a for a in r]
+                for i in range(db):
+                    r[shift + i] -= f * b[i]
+    return chain
 
 
 def _variations(chain: list[_IPoly], x: Fraction) -> int:
@@ -386,7 +368,7 @@ def _real_roots_fractions(coeffs: Sequence[Fraction], bits: int) -> list[Fractio
     """The roots of ``coeffs`` (a nonzero leading coefficient, degree >= 1)
     rounded to nearest at ``bits`` bits, sorted ascending."""
     deg = len(coeffs) - 1
-    chain = _sturm_chain(list(coeffs))
+    chain = _sturm_chain(_integer_scaled(coeffs))
     R = _cauchy_bound(coeffs)
     total = _variations(chain, -R) - _variations(chain, R)
     if total != deg:

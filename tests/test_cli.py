@@ -224,6 +224,56 @@ def test_duplicate_key_reported(tmp_path, capsys):
     assert "dup.params:2: duplicate key 'h1'" in capsys.readouterr().err
 
 
+def test_comments_and_blank_lines_are_skipped(p1_file, tmp_path, capsys):
+    path = tmp_path / "commented.params"
+    path.write_text("# the P1 set\n\n" + P1.replace("h2 = 1", "h2 = 1  # a comment\n  \n# a line"))
+    assert main(["analyze", "--params", p1_file]) == 0
+    plain = capsys.readouterr().out
+    assert main(["analyze", "--params", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [(b"h1 -5\n", "{path}:1: expected key=value, got 'h1 -5'"),
+     (b"h1 = -5\ngamma = 1\n", "{path}:2: unknown key 'gamma' (expected one of h1, "),
+     (None, "cannot read {path}: [Errno 2] No such file or directory"),
+     (b"h1 = -5 # \xff\n", "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 10")],
+    ids=["no-equals", "unknown-key", "missing", "not-utf8"],
+)
+def test_a_bad_parameter_file_is_usage_error(tmp_path, capsys, body, message):
+    # a file that is not UTF-8 is reported as unreadable, with no traceback
+    path = tmp_path / "bad.params"
+    if body is not None:
+        path.write_bytes(body)
+    assert main(["analyze", "--params", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + message.format(path=path)) and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["roots", "--q", "1"], "q must lie in (0,1), got 1"),
+     (["roots", "--q", "0"], "q must lie in (0,1), got 0"),
+     (["sweep", "--axis", "h1", "--from", "0", "--to", "1", "--step", "0"], "--step must be positive")],
+    ids=["q-1", "q-0", "step-0"],
+)
+def test_an_out_of_range_option_is_usage_error(p1_file, capsys, argv, message):
+    assert main([argv[0], "--params", p1_file, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_out_naming_a_file_is_an_error(p1_file, tmp_path, capsys):
+    # the CSV cannot be written below a regular file; the file is left as it was
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert main(["predict", "--params", p1_file, "--out", str(afile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {afile / 'predictions.csv'}: ") and err.count("\n") == 1
+    assert afile.read_text() == "kept\n"
+
+
 def test_predict_writes_csv(p1_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["predict", "--params", p1_file, "--out", str(out)]) == 0

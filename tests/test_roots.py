@@ -64,6 +64,13 @@ def test_precision_error_on_complex_roots():
         find_real_roots(_poly([F(1), F(0), F(1)]), 256)  # E^2 + 1
 
 
+def test_a_double_root_ends_the_chain_at_the_gcd():
+    # (E - 1)^2 (E + 2): the remainders stop at the gcd E - 1, so the
+    # count finds the two distinct roots, short of the degree
+    with pytest.raises(PrecisionError, match="found 2 distinct real roots for degree 3"):
+        find_real_roots([F(2), F(-3), F(0), F(1)], 256)
+
+
 def test_degree_below_one_and_a_vanished_leading_coefficient_raise():
     with pytest.raises(DomainError):
         find_real_roots([mpmath.mpf(3)], 64)
@@ -261,6 +268,9 @@ _TIES_64 = [1 + Fraction(1, 2 ** 64), -(1 + Fraction(3, 2 ** 64)), 2 - Fraction(
 @given(_roots, _leads, st.sampled_from([64, 128, 256]))
 @example([Fraction(0), Fraction(-3, 7), Fraction(1, 2), Fraction(5)], Fraction(3, 7), 128)
 @example([Fraction(-1, 8), Fraction(9, 8)], Fraction(1), 64)
+# -E^3 + 4E: its first remainder takes one pseudo-division step by a
+# negative leading coefficient, which scales by |lc| to keep the sign
+@example([Fraction(-2), Fraction(0), Fraction(2)], Fraction(-1), 64)
 def test_refined_roots_equal_the_fraction_oracle(rs, lead, bits):
     # the oracle is the exact rational roots, each rounded by mpmath
     coeffs = _from_roots(lead, rs)
