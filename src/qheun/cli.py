@@ -17,9 +17,10 @@ parameters, 3 verification failure.
 
 Parameter files are flat UTF-8 key=value lines (keys h1 h2 l1 l2 alpha1
 alpha2 beta t1 t2, each once, values rational strings like -5, 1/2, 2.5);
-'#' starts a comment.  All numeric CSV cells are printed with 40
-significant digits, so identical configurations produce byte-identical
-files.
+'#' starts a comment, and a leading byte-order mark is skipped.  sweep's
+--from, --to and --step take negative rationals such as -11/2 as their
+own arguments.  All numeric CSV cells are printed with 40 significant
+digits, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import csv
 import functools
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -93,7 +95,8 @@ def load_params(path: str) -> HeunParams:
     """Parse a key=value parameter file; report errors with line numbers."""
     values: dict[str, Fraction] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, as some editors write one
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -429,6 +432,8 @@ def cmd_sweep(args) -> int:
     step = _parse_rational(args.step, "--step")
     if step <= 0:
         raise UsageError("--step must be positive")
+    if lo > hi:
+        raise UsageError(f"--from {lo} lies above --to {hi}")
     if args.jobs < 0:
         raise UsageError(f"--jobs must be nonnegative, got {args.jobs}")
     grid = []
@@ -532,9 +537,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: sweep's options whose value may be a negative rational
+_RATIONAL_OPTIONS = ("--from", "--to", "--step")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with ``--from -11/2`` as ``--from=-11/2``: argparse takes a
+    value that starts with '-' for an option unless it is a plain integer
+    or decimal, so a negative fraction given as its own argument would
+    leave the option without one."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_attach_negative_values(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,8 +31,10 @@ there too.
   Dyadic use reads their lower ends.  No src path divides boxes; the
   certified count's kernel inlines its one division.
 * ``Box.qpow(x, mu, P)`` is a box around x^mu for rational x > 0 from an
-  integer D-th root, so the recursion rows evaluated on it enclose the
-  rows of the exact q, with no exp or log.
+  integer D-th root, D the denominator of mu in lowest terms, so the
+  recursion rows evaluated on it enclose the rows of the exact q, with no
+  exp or log.  ``_iroot`` takes the factors 2 of D by ``math.isqrt`` and
+  only the odd part by Newton.
 """
 
 from __future__ import annotations
@@ -173,12 +175,14 @@ class Box:
 
 
 def _iroot(X: int, D: int) -> int:
-    """floor(X^(1/D)) for X >= 0: integer Newton from a float estimate
-    above the root, which decreases to it."""
+    """floor(X^(1/D)) for X >= 0.  Each factor 2 of D is one math.isqrt,
+    as floor(floor(X^(1/2))^(2/D)) = floor(X^(1/D)); the odd part of D is
+    integer Newton from a float estimate above the root, which decreases
+    to it."""
+    while not D & 1 and X > 1:
+        X, D = math.isqrt(X), D >> 1
     if D == 1 or X < 2:
         return X
-    if D == 2:
-        return math.isqrt(X)
     s = max(X.bit_length() - 64, 0) // D * D
     y = (int(float(X >> s) ** (1 / D) * (1 + 2.0 ** -30)) + 2) << s // D
     while True:

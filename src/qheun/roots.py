@@ -442,11 +442,18 @@ def _predicted_root(e: PredictedRoot, prefactor: Box, qd: Box) -> Dyadic:
     return Dyadic(e.sign * b.lo, b.e, b.P)
 
 
+def _q_power(fq: FixedQ, d: Fraction) -> Box:
+    """q^d from fq's memo: under the int key d D of the rows' powers when
+    d D is an int, else under the pair (q, d)."""
+    a = d * fq.D
+    return fq.qp(a.numerator) if a.denominator == 1 else fq.tp(fq.q, d)
+
+
 def _prediction_seeds(fq: FixedQ, predictions) -> list[Dyadic]:
     """The distinct predicted roots at fq's q and precision, sorted: each
     ``_predicted_root`` of the boxes that fq's memo holds."""
     t1, t2 = fq.p.t1, fq.p.t2
-    seeds = sorted(_predicted_root(e, fq.tp(*e.prefactor_power(t1, t2)), fq.qp(e.d))
+    seeds = sorted(_predicted_root(e, fq.tp(*e.prefactor_power(t1, t2)), _q_power(fq, e.d))
                    for e in predictions)
     return seeds[:1] + [b for a, b in zip(seeds, seeds[1:]) if a < b]
 

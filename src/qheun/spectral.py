@@ -90,8 +90,6 @@ __all__ = [
     "residual_check",
 ]
 
-_HALF = Fraction(1, 2)
-
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -129,6 +127,16 @@ class HeunParams:
         every memoised function keyed by a parameter set hashes it, and its
         ten Fraction fields take about 10 us to hash."""
         return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    @functools.cached_property
+    def scaled(self) -> tuple[int, ...]:
+        """(D, D h1, D h2, D l1, D l2, D alpha1, D alpha2, D beta, D lambda1)
+        at the scale D = _scale_den(self), computed once per instance: every
+        product is an even int, so every exponent of the rows and of the
+        residual's factors is an int numerator over D."""
+        D = _scale_den(self)
+        return (D, *(int(x * D) for x in (
+            self.h1, self.h2, self.l1, self.l2, self.alpha1, self.alpha2, self.beta, self.lambda1)))
 
 
 def derive(h1, h2, l1, l2, alpha1, alpha2, beta, t1, t2) -> HeunParams:
@@ -175,33 +183,38 @@ def derive(h1, h2, l1, l2, alpha1, alpha2, beta, t1, t2) -> HeunParams:
 
 def recursion_rows(p: HeunParams, qv, t1v, t2v, qp) -> tuple:
     """The rows (A_n, B_n, C_n, D_n) of steps n = 1 .. N+1 from the values
-    qv, t1v, t2v of q, t1, t2 and the q-power map ``qp``: mu -> q^mu.
+    qv, t1v, t2v of q, t1, t2 and the q-power map ``qp``: a -> q^(a/D),
+    the int numerator a over D = _scale_den(p) (HeunParams.scaled).
 
     The one formula of the rows, evaluated literally: _exact_rows runs it
-    on QSums and FixedQ.boxes in boxes around the rows of the exact q."""
-    lam = p.lambda1
+    on QSums and FixedQ.boxes in boxes around the rows of the exact q.  The
+    factors that do not depend on n, t1 t2 q^(h1+h2), q^(1/2)(q^h1 t1 +
+    q^h2 t2) and q^l1 t1 + q^l2 t2, are formed once."""
+    D, h1, h2, l1, l2, a1, a2, beta, lam = p.scaled
+    half = D // 2
+    At = t1v * t2v * qp(h1 + h2)
+    Ch = qp(half) * (qp(h1) * t1v + qp(h2) * t2v)
+    Cl = qp(l1) * t1v + qp(l2) * t2v
     rows = []
-    for n in range(1, p.N + 2):
-        Av = t1v * t2v * qp(p.h1 + p.h2) * (1 - qp(n)) * (1 - qp(n - p.beta))
-        Bv = qp(n - 1 + lam)
-        ce = 2 * (n + lam) + p.alpha1 + p.alpha2 - Fraction(5, 2)
-        Cv = qp(_HALF) * (qp(p.h1) * t1v + qp(p.h2) * t2v) + (
-            qp(p.l1) * t1v + qp(p.l2) * t2v
-        ) * qp(ce)
-        Dv = qv * (1 - qp(n - 2 + lam + p.alpha1)) * (1 - qp(n - 2 + lam + p.alpha2))
+    for n in range(D, (p.N + 2) * D, D):  # n D
+        Av = At * (1 - qp(n)) * (1 - qp(n - beta))
+        Bv = qp(n - D + lam)
+        Cv = Ch + Cl * qp(2 * (n + lam) + a1 + a2 - 5 * half)
+        Dv = qv * (1 - qp(n - 2 * D + lam + a1)) * (1 - qp(n - 2 * D + lam + a2))
         rows.append((Av, Bv, Cv, Dv))
     return tuple(rows)
 
 
 def _exact_rows(p: HeunParams) -> tuple:
     """The exact rows (A, B, C, D) of steps 1 .. N+1: recursion_rows over
-    QSums, with q, t1 and t2 the monomials q, t1, t2.
+    QSums, with q, t1 and t2 the monomials q, t1, t2 and qp(a) the
+    monomial qpow(a/D), memoised.
 
     A_n = t1 t2 q^(h1+h2) (1-q^n)(1-q^(n-beta)) never vanishes for q in
     (0,1): n >= 1 and beta < 1 make both factor exponents positive."""
-    return recursion_rows(
-        p, qpow(1), QSum.term(1, t1pow=1), QSum.term(1, t2pow=1), functools.cache(qpow)
-    )
+    D = p.scaled[0]
+    qp = functools.cache(lambda a: qpow(Fraction(a, D)))
+    return recursion_rows(p, qp(D), QSum.term(1, t1pow=1), QSum.term(1, t2pow=1), qp)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +404,16 @@ def _flat(row) -> tuple:
 class FixedQ:
     """The fixed-q table of one parameter set, q and precision P.  Each
     part is built on its first read from the boxes ``t1``, ``t2`` and the
-    q-powers ``qp(mu)`` = ``tp(q, mu)``: ``tp`` is Box.qpow(x, mu, P) in one
-    memo, keyed by (x, mu) for t1, t2 and the predicted roots' prefactors
-    and by mu for x = q, since hashing the Fraction q at each lookup made
-    a cold table 15% slower; an int and the equal Fraction share an entry.
-    Every operation rounds outward, so each box encloses its value at the
-    exact q, and each point is a box's lower end as a Dyadic.
+    q-powers ``qp(a)`` = q^(a/D), a an int numerator over D =
+    _scale_den(p), as recursion_rows takes them.  Both are Box.qpow boxes in
+    one memo: q's powers keyed by the int a, so no Fraction is hashed or
+    built at a lookup and one is formed only on a miss, to hand Box.qpow
+    a/D in lowest terms, whose integer root then has the least degree;
+    every other power, by ``tp(x, mu)``, keyed by the pair (x, mu): t1, t2
+    and the predicted roots' prefactors, and a q^d whose d D is not an
+    int.  The key spaces are apart, since no tuple equals an int.  Every
+    operation rounds outward, so each box encloses its value at the exact
+    q, and each point is a box's lower end as a Dyadic.
 
     ``boxes``: recursion_rows' (A, B, C, D) as boxes.  ``favard_boxes``:
     the Favard rows (B_n, C_n, G_n = D_n A_{n-1}) on them as flat
@@ -410,19 +427,22 @@ class FixedQ:
     """
 
     def __init__(self, p: HeunParams, q: Fraction, P: int):
-        self.p, self.q, self.P, self._pows = p, q, P, {}
-        self.qp = lambda mu: self.tp(q, mu)
+        self.p, self.q, self.P, self.D, self._pows = p, q, P, p.scaled[0], {}
         self.t1, self.t2 = self.tp(p.t1, 1), self.tp(p.t2, 1)
 
+    def qp(self, a: int) -> Box:
+        if (b := self._pows.get(a)) is None:
+            b = self._pows[a] = Box.qpow(self.q, Fraction(a, self.D), self.P)
+        return b
+
     def tp(self, x, mu) -> Box:
-        key = mu if x is self.q else (x, mu)
-        if (b := self._pows.get(key)) is None:
+        if (b := self._pows.get(key := (x, mu))) is None:
             b = self._pows[key] = Box.qpow(x, mu, self.P)
         return b
 
     @functools.cached_property
     def boxes(self) -> tuple:
-        return recursion_rows(self.p, self.qp(1), self.t1, self.t2, self.qp)
+        return recursion_rows(self.p, self.qp(self.D), self.t1, self.t2, self.qp)
 
     @functools.cached_property
     def favard_boxes(self) -> tuple | None:
@@ -449,22 +469,24 @@ class FixedQ:
             (q^-(lambda1+n), P q^(lambda1+n), -Q),
         with q^(+-(lambda1+n)) by steps of q from one power each, formed on
         boxes like the rows, as _flat's (m, e) pairs of their lower ends,
-        in that order."""
-        p, qp, t1v, t2v = self.p, self.qp, self.t1, self.t2
-        a1, a2 = qp(p.h1 + _HALF) * t1v, qp(p.h2 + _HALF) * t2v
-        b1, b2 = qp(p.l1 - _HALF) * t1v, qp(p.l2 - _HALF) * t2v
-        P = qp(p.alpha1 + p.alpha2)
-        Q = qp(p.alpha1) + qp(p.alpha2)
-        K = qp((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2) * (
-            qp(p.beta / 2) + qp(-p.beta / 2)
+        in that order.  The factors that do not depend on n, a1 a2,
+        P b1 b2, -(a1+a2), -P (b1+b2), -K and -Q, are formed once."""
+        qp, t1v, t2v = self.qp, self.t1, self.t2
+        D, h1, h2, l1, l2, al1, al2, beta, lam = self.p.scaled
+        half = D // 2
+        a1, a2 = qp(h1 + half) * t1v, qp(h2 + half) * t2v
+        b1, b2 = qp(l1 - half) * t1v, qp(l2 - half) * t2v
+        P = qp(al1 + al2)
+        Q = qp(al1) + qp(al2)
+        K = qp((h1 + h2 + l1 + l2 + al1 + al2) // 2) * (
+            qp(beta // 2) + qp(-(beta // 2))
         ) * t1v * t2v
-        up, dn, qv, qinv = qp(p.lambda1), qp(-p.lambda1), qp(1), qp(-1)
+        aa, Pbb, ma, mPb, mK, mQ = a1 * a2, P * b1 * b2, -(a1 + a2), -P * (b1 + b2), -K, -Q
+        up, dn, qv, qinv = qp(lam), qp(-lam), qp(D), qp(-D)
         table = []
-        for _ in range(p.N + 1):
+        for _ in range(self.p.N + 1):
             table.append(_flat(Dyadic(b.lo, b.e, b.P) for b in (
-                a1 * a2 * dn, P * b1 * b2 * up, -K,
-                -(a1 + a2) * dn, -P * (b1 + b2) * up,
-                dn, P * up, -Q,
+                aa * dn, Pbb * up, mK, ma * dn, mPb * up, dn, P * up, mQ,
             )))
             up, dn = up * qv, dn * qinv
         return tuple(table)

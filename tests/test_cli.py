@@ -224,6 +224,16 @@ def test_duplicate_key_reported(tmp_path, capsys):
     assert "dup.params:2: duplicate key 'h1'" in capsys.readouterr().err
 
 
+def test_a_byte_order_mark_is_skipped(p1_file, tmp_path, capsys):
+    # some editors save UTF-8 with a leading byte-order mark
+    path = tmp_path / "bom.params"
+    path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "p1.params").read_bytes())
+    assert main(["analyze", "--params", p1_file]) == 0
+    plain = capsys.readouterr()
+    assert main(["analyze", "--params", str(path)]) == 0
+    assert capsys.readouterr() == plain
+
+
 def test_comments_and_blank_lines_are_skipped(p1_file, tmp_path, capsys):
     path = tmp_path / "commented.params"
     path.write_text("# the P1 set\n\n" + P1.replace("h2 = 1", "h2 = 1  # a comment\n  \n# a line"))
@@ -255,8 +265,11 @@ def test_a_bad_parameter_file_is_usage_error(tmp_path, capsys, body, message):
     "argv,message",
     [(["roots", "--q", "1"], "q must lie in (0,1), got 1"),
      (["roots", "--q", "0"], "q must lie in (0,1), got 0"),
-     (["sweep", "--axis", "h1", "--from", "0", "--to", "1", "--step", "0"], "--step must be positive")],
-    ids=["q-1", "q-0", "step-0"],
+     (["sweep", "--axis", "h1", "--from", "0", "--to", "1", "--step", "0"], "--step must be positive"),
+     (["sweep", "--axis", "beta", "--from", "1/2", "--to", "0", "--step", "1/8"], "--from 1/2 lies above --to 0"),
+     (["sweep", "--axis", "h1", "--from", "-4", "--to", "-11/2", "--step", "1/2"],
+      "--from -4 lies above --to -11/2")],
+    ids=["q-1", "q-0", "step-0", "from-above-to", "from-above-negative-to"],
 )
 def test_an_out_of_range_option_is_usage_error(p1_file, capsys, argv, message):
     assert main([argv[0], "--params", p1_file, *argv[1:]]) == 1
@@ -324,14 +337,21 @@ def test_roots_plot_data(p3_file, tmp_path, capsys):
     assert len(lines) == 5  # two qs x two roots
 
 
-def test_sweep_empty_range_header_only(p1_file, tmp_path):
-    out = tmp_path / "sweepout"
-    assert main(
-        ["sweep", "--params", p1_file, "--axis", "beta", "--from", "1/2",
-         "--to", "0", "--step", "1/8", "--jobs", "1", "--out", str(out)]
-    ) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 1
+def test_sweep_takes_negative_rationals_as_their_own_arguments(p1_file, capsys):
+    # argparse takes -11/2 for an option unless it is attached to its own;
+    # as its own argument it sweeps as --from=-11/2 does, and as the decimal
+    # -5.5, which argparse always took for a value
+    tail = ["--step", "1/2", "--jobs", "1"]
+    outs = []
+    for bounds in (["--from", "-11/2", "--to", "-4"], ["--from=-11/2", "--to=-4"],
+                   ["--from", "-5.5", "--to", "-4"]):
+        assert main(["sweep", "--params", p1_file, "--axis", "h1", *bounds, *tail]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert [line.split(",")[0] for line in outs[0].splitlines()[1:]] == ["-11/2", "-5", "-9/2", "-4"]
+    assert main(["sweep", "--params", p1_file, "--axis", "h1", "--from", "-11/2", "--to", "-4",
+                 "--step", "-1/2"]) == 1
+    assert capsys.readouterr().err == "error: --step must be positive\n"
 
 
 def test_sweep_l2_crosses_regimes(p1_file, tmp_path, capsys):

@@ -6,7 +6,7 @@ import operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qheun.dyadic import Box, Dyadic
+from qheun.dyadic import Box, Dyadic, _iroot
 from test_roots import _box_div, _fraction
 
 F = Fraction
@@ -34,6 +34,28 @@ def test_qpow_boxes_enclose_the_exact_power(m, k, D, a, P):
     lhs, rhs = (u << -box.e * Dd, v) if box.e <= 0 else (u, v << box.e * Dd)
     assert box.lo ** Dd * rhs <= lhs <= box.hi ** Dd * rhs
     assert box.hi - box.lo <= 1 and box.lo.bit_length() >= P - 1
+
+
+def _assert_floor_root(X, D):
+    y = _iroot(X, D)
+    assert y >= 0 and y ** D <= X < (y + 1) ** D, (X, D, y)
+
+
+def test_iroot_is_the_floor_root_below_2_and_around_perfect_powers():
+    # every D = 1..12, the even ones through math.isqrt first: X = 0, 1,
+    # and y^D - 1, y^D, y^D + 1 from one bit to past a float's range
+    for D in range(1, 13):
+        for X in (0, 1):
+            assert _iroot(X, D) == X
+        for y in (2, 3, 5, 2 ** 20 - 1, 2 ** 53 + 1, 3 ** 200, 2 ** 600 + 7):
+            for X in (y ** D - 1, y ** D, y ** D + 1):
+                _assert_floor_root(X, D)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 6000), st.integers(1, 12))
+def test_iroot_is_the_floor_root(X, D):
+    _assert_floor_root(X, D)
 
 
 _box_parts = st.tuples(st.integers(-2 ** 80, 2 ** 80), st.integers(0, 2 ** 40), st.integers(-90, 90))

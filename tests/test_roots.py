@@ -41,6 +41,13 @@ def _fraction(x: Dyadic) -> Fraction:
     return F(x.m) * F(2) ** x.e
 
 
+def from_numerator(p, qp):
+    """recursion_rows' q-power map a -> q^(a/D), a an int numerator over
+    D = _scale_den(p), from a map ``qp`` of the exponent mu -> q^mu."""
+    D = _scale_den(p)
+    return lambda a: qp(F(a, D))
+
+
 def _poly(coeffs, bits=256):
     with mpmath.workprec(bits):
         return tuple(mpmath.mpf(c.numerator) / c.denominator for c in coeffs)
@@ -171,7 +178,7 @@ def test_predicted_roots_match_exp_log_at_twice_the_bits(name, P):
         for e in predict_roots(p, classify(p)):
             x, mu = e.prefactor_power(p.t1, p.t2)
             got = roots_mod._predicted_root(e, Box.qpow(x, mu, P), Box.qpow(q, e.d, P))
-            seed = roots_mod._predicted_root(e, fq.tp(x, mu), fq.qp(e.d))
+            seed = roots_mod._predicted_root(e, fq.tp(x, mu), roots_mod._q_power(fq, e.d))
             assert (got.m, got.e, got.P) == (seed.m, seed.e, P)
             with mpmath.workprec(2 * P):
                 want = e.sign * mpmath.exp(to_mpf(mu) * mpmath.log(to_mpf(x))
@@ -747,7 +754,7 @@ def _iv_ratio(p, q, prec):
     with _iv_prec(prec):
         lq = mpmath.iv.log(conv(q))
         qp = functools.cache(lambda mu: mpmath.iv.exp(conv(mu) * lq))
-        rows = recursion_rows(p, conv(q), conv(p.t1), conv(p.t2), qp)
+        rows = recursion_rows(p, conv(q), conv(p.t1), conv(p.t2), from_numerator(p, qp))
         if not all(A.a > 0 and B.a > 0 and D.a > 0 for A, B, _, D in rows):
             return None
         return _favard_rows(rows)
@@ -975,7 +982,7 @@ def _exact_favard_rows(p, r: Fraction) -> list:
         return r ** k.numerator
 
     rows, prev_A = [], 0
-    for A, B, C, Dn in recursion_rows(p, qp(1), p.t1, p.t2, qp):
+    for A, B, C, Dn in recursion_rows(p, qp(1), p.t1, p.t2, from_numerator(p, qp)):
         assert A > 0 and B > 0 and Dn > 0
         rows.append((B, C, Dn * prev_A))
         prev_A = A

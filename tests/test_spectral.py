@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qheun.roots as roots_mod
 import qheun.spectral as spectral_mod
 import qheun.ultra as ultra_mod
 from qheun.dyadic import Box, Dyadic
@@ -36,7 +37,7 @@ from qheun.spectral import (
 )
 from qheun.roots import find_spectral_roots
 from qheun.ultra import _s_polynomial, balanced_exponent
-from test_roots import NAMED_SETS, _fraction, _point_rows, named_set
+from test_roots import NAMED_SETS, _fraction, _point_rows, from_numerator, named_set
 
 F = Fraction
 H = F(1, 2)
@@ -400,7 +401,7 @@ def recursion_rows_at(p, q, prec):
     the Box-built row table, independent of Box.qpow.  Memoised."""
     with mpmath.workprec(prec):
         at = AtQ(q, p.t1, p.t2)
-        return recursion_rows(p, at.q, at.t1, at.t2, at.qpow)
+        return recursion_rows(p, at.q, at.t1, at.t2, from_numerator(p, at.qpow))
 
 
 def _point(m, e, P):
@@ -460,8 +461,9 @@ def _residual_factors(p, q, bits):
     """The residual's factors as Dyadic, the lower ends of boxes formed
     from fixed_q's q-power memo: the reference of its ``residual``."""
     fq = fixed_q(p, q, bits + EVAL_GUARD_BITS)
+    qp = functools.partial(roots_mod._q_power, fq)
     return [tuple(tuple(Dyadic(b.lo, b.e, b.P) for b in f) for f in n)
-            for n in _factor_rows(p, fq.qp, fq.t1, fq.t2, fq.qp(1), fq.qp(-1))]
+            for n in _factor_rows(p, qp, fq.t1, fq.t2, qp(1), qp(-1))]
 
 
 def _mpf_residual_factors(p, q, bits):
@@ -563,7 +565,7 @@ def test_a_warm_solve_builds_nothing(name, monkeypatch):
 
 def test_the_rows_and_the_residual_factors_share_one_q_power_memo(p4, monkeypatch):
     # reading every part of one table calls Box.qpow once per distinct
-    # power, an int exponent and the equal Fraction alike: the residual
+    # power, q's keyed by their int numerators: the residual
     # factors take their q-powers from the memo the rows filled, q itself
     # among them, and build only the q-powers they add
     calls, qpow = [], Box.qpow
@@ -574,12 +576,101 @@ def test_the_rows_and_the_residual_factors_share_one_q_power_memo(p4, monkeypatc
         fq = spectral_mod.FixedQ(p, q, 512 + EVAL_GUARD_BITS)
         fq.boxes
         n, size = len(calls), len(fq._pows)
-        assert 1 in fq._pows
+        exponent = from_numerator(p, F)  # q's powers are keyed by their int numerators
+        assert 1 in {exponent(a) for a in fq._pows if type(a) is int}
         fq.residual
         assert all(x == q for x, _ in calls[n:]) and len(calls) - n == len(fq._pows) - size
         for part in ("favard_boxes", "points"):
             getattr(fq, part)
         assert len(calls) == len(set(calls)) == len(fq._pows)
+
+
+# ---------------------------------------------------------------------------
+# the rows and the residual's factors on int exponents: the literal
+# Fraction-exponent formulas they replaced, and a digest of the tables
+# ---------------------------------------------------------------------------
+
+
+def fraction_rows(p, qv, t1v, t2v, qp):
+    """recursion_rows as it was written on Fraction exponents, with the
+    q-power map ``qp``: mu -> q^mu and every factor formed on every row:
+    the reference that the int-exponent rows equal."""
+    lam = p.lambda1
+    rows = []
+    for n in range(1, p.N + 2):
+        Av = t1v * t2v * qp(p.h1 + p.h2) * (1 - qp(n)) * (1 - qp(n - p.beta))
+        Bv = qp(n - 1 + lam)
+        ce = 2 * (n + lam) + p.alpha1 + p.alpha2 - F(5, 2)
+        Cv = qp(H) * (qp(p.h1) * t1v + qp(p.h2) * t2v) + (
+            qp(p.l1) * t1v + qp(p.l2) * t2v
+        ) * qp(ce)
+        Dv = qv * (1 - qp(n - 2 + lam + p.alpha1)) * (1 - qp(n - 2 + lam + p.alpha2))
+        rows.append((Av, Bv, Cv, Dv))
+    return tuple(rows)
+
+
+ROW_SETS = ["P1", "P2", "P3", "P4"] + [f"{r}-{N}" for N in (4, 12, 24) for r in ("R31", "R32", "R33")]
+ROW_QS = (F(1, 1000), F(1, 10 ** 6), F(99, 100))
+
+
+def _box_parts(x):
+    return (x.lo, x.hi, x.e, x.P)
+
+
+@pytest.mark.parametrize("name", ROW_SETS)
+def test_int_exponent_rows_equal_the_fraction_formula(name):
+    # on QSums, item for item at the same scale, and on boxes, end for end,
+    # with each Fraction-exponent q-power a Box.qpow of its own; and the
+    # residual's factors, formed once per table, equal _factor_rows' on
+    # those boxes, which forms them on every row
+    p = named_set(name)
+    want = fraction_rows(p, qpow(1), QSum.term(1, t1pow=1), QSum.term(1, t2pow=1), functools.cache(qpow))
+    got = _exact_rows(p)
+    assert [[(x.den, x.items) for x in row] for row in got] == [[(x.den, x.items) for x in row] for row in want]
+    P = 512 + EVAL_GUARD_BITS
+    for q in ROW_QS:
+        fq = spectral_mod.FixedQ(p, q, P)
+        qp = functools.cache(lambda mu: Box.qpow(q, mu, P))
+        t1, t2 = Box.qpow(p.t1, 1, P), Box.qpow(p.t2, 1, P)
+        want = fraction_rows(p, qp(1), t1, t2, qp)
+        assert [list(map(_box_parts, row)) for row in fq.boxes] == [list(map(_box_parts, row)) for row in want]
+        factors = [spectral_mod._flat(Dyadic(b.lo, b.e, P) for f in n for b in f)
+                   for n in _factor_rows(p, qp, t1, t2, qp(1), qp(-1))]
+        assert list(fq.residual) == factors
+
+
+def _table_digest(names, qs):
+    """sha256 over repr of _three_term_rows' items (scale and items of each
+    QSum) and of the points, favard_boxes and residual of a fresh FixedQ
+    at each q and 512 + EVAL_GUARD_BITS bits, per named set."""
+    h = hashlib.sha256()
+    for name in names:
+        p = named_set(name)
+        h.update(repr([(x.den, x.items) for row in _three_term_rows(p) for x in row]).encode())
+        for q in qs:
+            fq = spectral_mod.FixedQ(p, q, 512 + EVAL_GUARD_BITS)
+            h.update(repr((fq.points, fq.favard_boxes, fq.residual)).encode())
+    return h.hexdigest()
+
+
+def test_fixed_q_tables_and_exact_rows_pinned():
+    # recorded while the rows and the residual's factors took Fraction
+    # exponents, q's memo was keyed by them and every factor was formed
+    # on every row
+    assert _table_digest(ROW_SETS, ROW_QS) == "c5bf492e4cdcbb787af46d23bf8d4d1f1d9a775dd828ff55a8c33724e02ae245"
+
+
+def test_a_seed_power_off_the_scale_takes_a_key_of_its_own(p4):
+    # q^d with d D an int reads the rows' int key; with d D not an int it
+    # is memoised under (q, d), beside the int keys, and both are the
+    # Box.qpow box of q^d
+    P = 512 + EVAL_GUARD_BITS
+    q = F(1, 1000)
+    fq = spectral_mod.FixedQ(p4, q, P)
+    on, off = F(3, 2), F(1, 7 * fq.D)
+    for d, key in ((on, 3 * fq.D // 2), (off, (q, off))):
+        box = roots_mod._q_power(fq, d)
+        assert fq._pows[key] is box and _box_parts(box) == _box_parts(Box.qpow(q, d, P))
 
 
 def series_coefficient_values(p, E0, q, bits=512):
