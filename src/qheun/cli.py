@@ -17,9 +17,9 @@ parameters, 3 verification failure.
 
 Parameter files are flat UTF-8 key=value lines (keys h1 h2 l1 l2 alpha1
 alpha2 beta t1 t2, each once, values rational strings like -5, 1/2, 2.5);
-'#' starts a comment, and a leading byte-order mark is skipped.  sweep's
---from, --to and --step take negative rationals such as -11/2 as their
-own arguments.  All numeric CSV cells are printed with 40 significant
+'#' starts a comment, and a leading byte-order mark is skipped.  --q and
+sweep's --from, --to and --step take negative rationals such as -11/2 as
+their own arguments.  All numeric CSV cells are printed with 40 significant
 digits, so identical configurations produce byte-identical files.
 """
 
@@ -32,7 +32,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -449,6 +448,8 @@ def cmd_sweep(args) -> int:
     # a pool starts all its workers at once: no more of them than points
     workers = min(args.jobs or min(8, os.cpu_count() or 1), len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
@@ -537,8 +538,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-#: sweep's options whose value may be a negative rational
-_RATIONAL_OPTIONS = ("--from", "--to", "--step")
+#: the options whose value may be a negative rational
+_RATIONAL_OPTIONS = ("--q", "--from", "--to", "--step")
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import os
 import random
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +280,23 @@ def test_an_out_of_range_option_is_usage_error(p1_file, capsys, argv, message):
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command,qs",
+    [("roots", ["-1/1000"]), ("verify", ["1/1000", "-1/10000"])],
+    ids=["roots", "verify"],
+)
+def test_a_negative_q_as_its_own_argument_is_out_of_range(p1_file, capsys, command, qs):
+    # argparse takes -1/1000 for an option unless it is attached to --q;
+    # as its own argument it is rejected as --q=-1/1000 is
+    results = []
+    for options in ([arg for q in qs for arg in ("--q", q)], [f"--q={q}" for q in qs]):
+        code = main([command, "--params", p1_file, *options])
+        results.append((code, capsys.readouterr()))
+    assert results[0] == results[1]
+    code, captured = results[0]
+    assert code == 1 and captured.err == f"error: q must lie in (0,1), got {qs[-1]}\n"
+
+
 def test_out_naming_a_file_is_an_error(p1_file, tmp_path, capsys):
     # the CSV cannot be written below a regular file; the file is left as it was
     afile = tmp_path / "afile"
@@ -462,7 +482,8 @@ class _SerialPool:
 )
 def test_sweep_starts_at_most_one_worker_per_point(p1_file, monkeypatch, capsys, jobs, workers):
     made = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _SerialPool(made, max_workers))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: _SerialPool(made, max_workers))
     assert main(
         ["sweep", "--params", p1_file, "--axis", "beta", "--from", "1/4",
          "--to", "1/2", "--step", "1/8", "--jobs", jobs]
@@ -474,7 +495,8 @@ def test_sweep_starts_at_most_one_worker_per_point(p1_file, monkeypatch, capsys,
 
 def test_sweep_negative_jobs_is_usage_error(p1_file, monkeypatch, capsys):
     made = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _SerialPool(made, max_workers))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: _SerialPool(made, max_workers))
     assert main(
         ["sweep", "--params", p1_file, "--axis", "beta", "--from", "1/4",
          "--to", "1/2", "--step", "1/8", "--jobs", "-5"]
@@ -482,6 +504,25 @@ def test_sweep_negative_jobs_is_usage_error(p1_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --jobs must be nonnegative, got -5\n" and captured.out == ""
     assert not made
+
+
+def test_only_a_multi_worker_sweep_loads_the_process_pool(p1_file):
+    # a fresh interpreter: the test process may hold concurrent.futures already
+    script = textwrap.dedent("""
+        import sys
+        from qheun import cli
+        params = sys.argv[1]
+        for argv in (["analyze"], ["predict"], ["roots"], ["verify"],
+                     ["sweep", "--axis", "beta", "--from", "1/4", "--to", "1/2",
+                      "--step", "1/8", "--verify", "--jobs", "1"]):
+            assert cli.main([*argv[:1], "--params", params, *argv[1:]]) == 0, argv
+        print(sorted(name for name in sys.modules
+                     if name.startswith("multiprocessing") or name == "concurrent.futures.process"))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, p1_file], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_usage_error_unknown_axis(p1_file, capsys):
