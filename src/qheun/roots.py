@@ -21,13 +21,23 @@ on Dyadic objects at the rows' precision.  The seeds are the predicted roots
 sign * prefactor * q^d at that precision, from the table's memoised
 Box.qpow boxes (``_predicted_root``, which also gives the matching its
 ratios at 192 bits from boxes of its own); mpf enters only as the returned
-roots.
+roots, each built from its (m, e) by from_man_exp.
+
+A seeded root pays only for what decides it: one Newton run and two
+certified counts.  The isolation looks for each sign's point near 0 at a
+quarter of its smallest seed first and counts each distinct point once
+(``_isolate_by_counts``); Newton computes its rounding noise only where
+its stop test can pass (``_newton_eval``); and where Newton's error
+estimate is wider than the 2^-bits grid, as in R32's balanced clusters
+and at every root near q = 1, Newton runs once more at the precision the
+root needs (``_spectral_root``).
 
 Each returned root is the true root rounded to nearest at ``bits`` bits,
 ties to even, whatever the isolation points and seeds.  One routine,
 ``_rounded_root``, serves both solvers: sides narrow the isolating
-bracket, at probes and then by halving, until one rounding cell holds it.
-Here the sides are certified counts and the probes r -+ t of a Newton
+bracket, at probes and then by halving, until one rounding cell holds it,
+all on ints, each cell (``_cell``) ints times one power of two.  Here the
+sides are certified counts and the probes r -+ t of a Newton
 approximation r with error estimate t: usually two counts per root.
 
 A polynomial given by its coefficients (``find_real_roots``, also bound as
@@ -56,6 +66,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import mpmath
+from mpmath.libmp import from_man_exp
 
 from .dyadic import Box, Dyadic
 from .errors import DomainError, MatchingError, PrecisionError
@@ -210,33 +221,35 @@ def _isolate(chain: list[_IPoly], lo: Fraction, hi: Fraction) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _cell(y: Fraction, bits: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(g, down, up): g is y rounded to nearest at ``bits`` bits, ties to
-    even, and down <= g <= up are the ends of the cell that rounds to g,
-    ties that round to g when its mantissa is even.  An end sits half a
-    spacing from g; at the bottom of a binade, where the spacing below
-    halves, the end below |g| sits a quarter spacing away.  0's cell is 0."""
-    n, d = abs(y.numerator), y.denominator
-    if not n:
-        return y, y, y
-    e = n.bit_length() - d.bit_length()
-    e -= (n << max(-e, 0)) < (d << max(e, 0))  # 2^e <= n/d < 2^(e+1)
+def _cell(n: int, d: int, bits: int) -> tuple[int, int, int, int]:
+    """(G, L, U, k) for y = n/d, d > 0: y rounded to nearest at ``bits``
+    bits, ties to even, is G 2^k, and L 2^k <= G 2^k <= U 2^k are the ends
+    of the cell that rounds to it, ties that round to it when its mantissa
+    is even.  An end sits half a spacing from the rounded y; at the bottom
+    of a binade, where the spacing below halves, the end below it sits a
+    quarter spacing away.  The ends are dyadic whatever y is, so the cell
+    is ints times one power of two.  0's cell is 0."""
+    a = abs(n)
+    if not a:
+        return 0, 0, 0, 0
+    e = a.bit_length() - d.bit_length()
+    e -= (a << max(-e, 0)) < (d << max(e, 0))  # 2^e <= a/d < 2^(e+1)
     s = e + 1 - bits  # the spacing 2^s of the binade [2^e, 2^(e+1))
-    num, den = (n << -s, d) if s < 0 else (n, d << s)
+    num, den = (a << -s, d) if s < 0 else (a, d << s)
     m, r = divmod(num, den)
     m += 2 * r > den or 2 * r == den and m & 1  # to nearest, ties to even
     if m >> bits:  # rounded up to 2^(e+1), the bottom of the next binade
         m, s = m >> 1, s + 1
-    k, G = s - 2, m << 2  # g, up and down in units of 2^k
-    g, up, down = (Fraction(X << k) if k >= 0 else Fraction(X, 1 << -k)
-                   for X in (G, G + 2, G - (1 if m == 1 << (bits - 1) else 2)))
-    return (g, down, up) if y > 0 else (-g, -up, -down)
+    G = m << 2  # in units of 2^(s-2)
+    L = G - (1 if m == 1 << (bits - 1) else 2)
+    return (G, L, G + 2, s - 2) if n > 0 else (-G, -G - 2, -L, s - 2)
 
 
-def _rounded_root(A: int, B: int, V: int, bits: int, side, probes=()) -> Fraction | None:
+def _rounded_root(A: int, B: int, V: int, bits: int, side, probes=()) -> tuple[int, int] | None:
     """The one root x in (A/V, B/V) rounded to nearest at ``bits`` bits,
-    ties to even (what ``+x`` gives at workprec(bits)), or None when an
-    end of the bracket that no side replaced fails its check at the end.
+    ties to even (what ``+x`` gives at workprec(bits)), as (m, e) for
+    m 2^e, or None when an end of the bracket that no side replaced fails
+    its check at the end.
 
     ``side(M, W)`` says where x lies against M/W: +1 above, -1 below, 0 at
     it.  Each side narrows the bracket: at the ``probes`` (M, W) inside
@@ -244,7 +257,8 @@ def _rounded_root(A: int, B: int, V: int, bits: int, side, probes=()) -> Fractio
     and stops halving towards an end at 0 that does not hold x; at its
     midpoint while it is wider than a rounding cell; then at the end of
     its midpoint's cell (``_cell``) inside it, until one cell holds it.
-    A poor probe costs sides, never another path."""
+    The loop runs on ints alone.  A poor probe costs sides, never another
+    path."""
     A0, B0, V0 = A, B, V
     moved = 0  # bit 1: a side replaced A, bit 2: B
     todo = list(probes)[::-1]
@@ -264,15 +278,17 @@ def _rounded_root(A: int, B: int, V: int, bits: int, side, probes=()) -> Fractio
                 M >>= 1
             W = V
         else:
-            x, down, up = _cell(Fraction(A + B, V << 1), bits)
-            lo_in = down.numerator * V <= A * down.denominator
-            if lo_in and B * up.denominator <= up.numerator * V:
+            G, lo, up, k = _cell(A + B, V << 1, bits)
+            u, w = max(k, 0), max(-k, 0)  # is (lo 2^u, up 2^u) / 2^w around (A, B) / V?
+            lo_in = (lo * V) << u <= A << w
+            if lo_in and B << w <= (up * V) << u:
+                x = G, k
                 break
-            y = up if lo_in else down
-            M, W = y.numerator, y.denominator
+            M, W = (up if lo_in else lo) << u, 1 << w
         s = side(M, W)
         if not s:
-            x = _cell(Fraction(M, W), bits)[0]
+            G, _, _, k = _cell(M, W, bits)
+            x = G, k
             break
         if W != V:
             L = math.lcm(V, W)
@@ -301,14 +317,19 @@ def _newton_in_bracket(ev, lo: Dyadic, hi: Dyadic, P: int, start=None):
     """A floating approximation of the one root in the one-signed bracket
     (lo, hi), lo and hi nonzero Dyadic at P bits, as Dyadic ``(root, tol)``
     with tol an estimate of its error, or None: r -+ tol are the probes of
-    ``_rounded_root`` for a root of c_{N+1} (``_spectral_root``).
+    ``_rounded_root`` for a root of c_{N+1} (``_spectral_root``, which
+    reruns it at more bits where tol is wider than the rounding grid).
 
-    ``ev(x)`` gives f(x), f'(x), the rounding noise of f(x) and whether x
+    ``ev(x, last)`` gives f(x), f'(x), the rounding noise of f(x) as
+    ``_newton_eval`` asks for it with ``last`` (else None) and whether x
     lies below the root.  Newton kept inside the bracket, from ``start``
-    if it lies inside, else from the midpoint once geometric bisection has
-    narrowed the bracket to within 2x, until f(x) is within its rounding
-    noise.  A step that leaves the bracket is replaced by its geometric
-    mean while it spans more than 2x, else by its midpoint.
+    if it lies inside, else from the midpoint once geometric bisection,
+    which reads no noise, has narrowed the bracket to within 2x, until
+    f(x) is within its rounding noise.  The noise is asked for at the
+    first step and then by the last noise computed, wherever it can stop
+    the loop, so the loop stops where noise at every step would stop it.
+    A step that leaves the bracket is replaced by its geometric mean while
+    it spans more than 2x, else by its midpoint.
     """
     neg = hi.m < 0
 
@@ -320,15 +341,18 @@ def _newton_in_bracket(ev, lo: Dyadic, hi: Dyadic, P: int, start=None):
     else:
         while wide(lo, hi):
             x = _geometric_mean(lo, hi)
-            if ev(x)[3]:
+            if ev(x, False)[3]:
                 lo = x
             else:
                 hi = x
         x = (lo + hi).ldexp(-1)
+    last = None
     for _ in range(4 * P):  # bisection alone would need about P
-        p, dp, err, below = ev(x)
-        if not err < abs(p):
-            break  # x is a root within the rounding noise of p
+        p, dp, err, below = ev(x, last)
+        if err is not None:
+            if not err < abs(p):
+                break  # x is a root within the rounding noise of p
+            last = err, x
         if below:
             lo = x
         else:
@@ -338,9 +362,9 @@ def _newton_in_bracket(ev, lo: Dyadic, hi: Dyadic, P: int, start=None):
             nx = _geometric_mean(lo, hi) if wide(lo, hi) else (lo + hi).ldexp(-1)
         if not (nx - x).m:
             break
-        x = nx
-    else:
-        p, dp, err, _ = ev(x)
+        x, err = nx, None
+    if err is None:  # a new x after 4P steps, or a null step where no noise was asked
+        p, dp, err, _ = ev(x, None)
     if not dp.m:
         return None
     return x, (abs(p) + err).ldexp(2) / abs(dp)
@@ -361,7 +385,8 @@ def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
 
     x = _rounded_root(A, B, V, bits, side)
     assert x is not None, "a Sturm bracket holds its root"
-    return x
+    m, e = x
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def _real_roots_fractions(coeffs: Sequence[Fraction], bits: int) -> list[Fraction]:
@@ -425,9 +450,9 @@ def find_real_roots(coeffs: Sequence, bits: int) -> list:
     fracs = [_mpf_to_fraction(c) if isinstance(c, mpmath.mpf) else as_fraction(c) for c in coeffs]
     if not fracs[-1]:
         raise PrecisionError("leading coefficient vanished at working precision")
-    roots = _real_roots_fractions(fracs, bits)
-    with mpmath.workprec(bits):
-        return [to_mpf(r) for r in roots]
+    # each root is a dyadic of at most ``bits`` bits, exact as an mpf
+    return [mpmath.mp.make_mpf(from_man_exp(r.numerator, 1 - r.denominator.bit_length()))
+            for r in _real_roots_fractions(fracs, bits)]
 
 
 # multiplicity_prefactors solves its s-polynomial by this name, so that
@@ -483,20 +508,43 @@ def _prediction_seeds(fq: FixedQ, predictions) -> list[Dyadic]:
 # and every Box cut the same with an outward (floor, ceiling) shift.
 
 
-def _point_recursion(rows, x: Dyadic, newton: bool):
+def _point_recursion(rows, x: Dyadic, mode: int):
     """The Favard recursion at x on the flat Dyadic rows (B_n, C_n, G_n)
-    that begin FixedQ.points' rows, truncating: the number of sign changes
-    of w_0 .. w_{N+1}, a w_n that truncates to 0 counting as positive; with
-    ``newton`` instead w_{N+1}, its derivative and its rounding noise, run
-    on absolute values."""
+    that begin FixedQ.points' rows, truncating.  Mode 0 gives the number
+    of sign changes of w_0 .. w_{N+1}, a w_n that truncates to 0 counting
+    as positive; mode 1 w_{N+1} and its derivative; mode 2 the rounding
+    noise of w_{N+1}, a_{N+1} (N+1) 2^(4-P) of the recursion on absolute
+    values a_n = (|B x| + C) a_{n-1} + G a_{n-2}.  As B, C, G >= 0, a_{N+1}
+    is a polynomial in |x| with nonnegative coefficients, so a_{N+1}(x) <=
+    a_{N+1}(y) max(1, |x/y|)^(N+1), to within the cuts' relative 2^(1-P)
+    a step."""
     P, xm, xe, changes = x.P, x.m, x.e, 0
-    cm, ce, pm, pe = 1, 0, 0, 0  # w_{n-1}, w_{n-2}
+    cm, ce, pm, pe = 1, 0, 0, 0  # w_{n-1}, w_{n-2}; a_{n-1}, a_{n-2} in mode 2
     dm, de, qm, qe = 0, 0, 0, 0  # their derivatives
-    am, ae, wm, we = 1, 0, 0, 0  # their noise
     for Bm, Be, Cm, Ce, Gm, Ge, _, _, _, _ in rows:
         um, ue = Bm * xm, Be + xe  # u = B x
         k = um.bit_length() - P
         if k > 0: um, ue = um >> k, ue + k
+        if mode == 2:  # a_n = (|u| + C) a_{n-1} + G a_{n-2}; |u| needs no cut
+            um = -um if um < 0 else um
+            k = Ce - ue
+            if k >= 0: tm, te = um + (Cm << k), ue
+            else: tm, te = (um << -k) + Cm, Ce
+            k = tm.bit_length() - P
+            if k > 0: tm, te = tm >> k, te + k
+            tm, te = tm * cm, te + ce
+            k = tm.bit_length() - P
+            if k > 0: tm, te = tm >> k, te + k
+            vm, ve = Gm * pm, Ge + pe
+            k = vm.bit_length() - P
+            if k > 0: vm, ve = vm >> k, ve + k
+            k = ve - te
+            if k >= 0: tm += vm << k
+            else: tm, te = (tm << -k) + vm, ve
+            k = tm.bit_length() - P
+            if k > 0: tm, te = tm >> k, te + k
+            pm, pe, cm, ce = cm, ce, tm, te
+            continue
         k = Ce - ue  # f = u + C
         if k >= 0: fm, fe = um + (Cm << k), ue
         else: fm, fe = (um << -k) + Cm, Ce
@@ -516,7 +564,7 @@ def _point_recursion(rows, x: Dyadic, newton: bool):
         if k > 0: tm, te = tm >> k, te + k
         changes += (tm < 0) != (cm < 0)
         pm, pe, cm, ce = cm, ce, tm, te
-        if not newton: continue
+        if not mode: continue
         # w'_n = B w_{n-1} + f w'_{n-1} - G w'_{n-2}
         tm, te = Bm * pm, Be + pe
         k = tm.bit_length() - P
@@ -538,34 +586,15 @@ def _point_recursion(rows, x: Dyadic, newton: bool):
         k = tm.bit_length() - P
         if k > 0: tm, te = tm >> k, te + k
         qm, qe, dm, de = dm, de, tm, te
-        # a_n = (|u| + C) a_{n-1} + G a_{n-2}; |u| needs no cut
-        um = -um if um < 0 else um
-        k = Ce - ue
-        if k >= 0: tm, te = um + (Cm << k), ue
-        else: tm, te = (um << -k) + Cm, Ce
-        k = tm.bit_length() - P
-        if k > 0: tm, te = tm >> k, te + k
-        tm, te = tm * am, te + ae
-        k = tm.bit_length() - P
-        if k > 0: tm, te = tm >> k, te + k
-        vm, ve = Gm * wm, Ge + we
-        k = vm.bit_length() - P
-        if k > 0: vm, ve = vm >> k, ve + k
-        k = ve - te
-        if k >= 0: tm += vm << k
-        else: tm, te = (tm << -k) + vm, ve
-        k = tm.bit_length() - P
-        if k > 0: tm, te = tm >> k, te + k
-        wm, we, am, ae = am, ae, tm, te
-    if not newton:
-        return changes
-    return Dyadic(cm, ce, P), Dyadic(dm, de, P), Dyadic(am * len(rows), ae + 4 - P, P)
+    if mode == 1:
+        return Dyadic(cm, ce, P), Dyadic(dm, de, P)
+    return changes if not mode else Dyadic(cm * len(rows), ce + 4 - P, P)
 
 
 def _count(rows, x: Dyadic) -> int:
     """The number of roots above x by ``_point_recursion``, which only
     guides the search: certified counts decide."""
-    return _point_recursion(rows, x, False)
+    return _point_recursion(rows, x, 0)
 
 
 def _certified_count(rows, x: Box) -> int | None:
@@ -610,10 +639,22 @@ def _certified_count(rows, x: Box) -> int | None:
     return above
 
 
-def _newton_eval(rows, x: Dyadic):
-    """w_{N+1}(x), its derivative, and a bound on the rounding noise of
-    w_{N+1}(x), as Dyadic, by ``_point_recursion``."""
-    return _point_recursion(rows, x, True)
+def _log2(x: Dyadic) -> float:
+    return math.log2(abs(x.m)) + x.e if x.m else -math.inf
+
+
+def _newton_eval(rows, x: Dyadic, last=None):
+    """w_{N+1}(x), its derivative and the rounding noise of w_{N+1}(x), as
+    Dyadic, by ``_point_recursion``; the noise is None where it is not
+    asked for.  ``last`` False asks never, None always, and the noise
+    ``(err, y)`` computed at a point y asks where |w_{N+1}(x)| is within
+    twice err max(1, |x/y|)^(N+1), the noise's bound at x, so wherever the
+    noise can reach |w_{N+1}(x)|."""
+    c, dc = _point_recursion(rows, x, 1)
+    if last is False or last and _log2(c) > (
+            _log2(last[0]) + len(rows) * max(_log2(x) - _log2(last[1]), 0.0) + 1):
+        return c, dc, None
+    return c, dc, _point_recursion(rows, x, 2)
 
 
 def _certified_counter(base: FixedQ):
@@ -675,63 +716,95 @@ def _isolate_by_counts(flat, P: int, seeds) -> list[tuple]:
     of c_{N+1}, m the number of roots above b, sorted; by plain counts on
     ``flat``, the rows of FixedQ.points at P bits.
 
-    The points are +-R (Gershgorin), 0, the largest R 2^(-2^j) of each sign
-    with no root between it and 0, and the midpoints between consecutive
-    seeds (distinct, sorted Dyadic points); a bracket holding more than one
-    root is split at its geometric mean until each holds one."""
+    The points are +-R (Gershgorin), 0, a point of each sign with no root
+    between it and 0, and the midpoints between consecutive seeds
+    (distinct, sorted Dyadic points), each distinct value counted once; a
+    bracket holding more than one root is split at its geometric mean
+    until each holds one.  A sign's point near 0 is a quarter of its
+    smallest seed if no root lies below that, else the largest
+    R 2^(-2^j) under it with no root below."""
     n = len(flat)
     R = _gershgorin_bound(flat, P)
-    lo, zero = Dyadic(-1, R.e, P), Dyadic(0, 0, P)
-    counts = {x: _count(flat, x) for x in (lo, zero, R)}
-    if (counts[lo], counts[R]) != (n, 0):
-        raise PrecisionError(f"counts {counts[lo]}, {counts[R]} at -R, R for degree {n}")
-    c0 = counts[zero]
+    lo = Dyadic(-1, R.e, P)
+    seen = {}  # (odd mantissa, exponent) of each point's value -> (point, count)
+
+    def at(x: Dyadic) -> int:
+        m = x.m
+        t = (m & -m).bit_length() - 1
+        key = (m >> t, x.e + t) if m else 0
+        if key not in seen:
+            seen[key] = x, _count(flat, x)
+        return seen[key][1]
+
+    c0, top, bottom = at(Dyadic(0, 0, P)), at(R), at(lo)
+    if (bottom, top) != (n, 0):
+        raise PrecisionError(f"counts {bottom}, {top} at -R, R for degree {n}")
     for sgn, none_of_sign in ((1, c0 == 0), (-1, c0 == n)):
         if none_of_sign:
             continue
+        near = [s for s in seeds if s.m * sgn > 0]
+        if near:
+            quarter = (near[0] if sgn > 0 else near[-1]).ldexp(-2)
+            if at(quarter) == c0:
+                continue
         for j in range(_ZERO_SEARCH_STEPS):
             x = Dyadic(sgn, R.e - 2 ** j, P)
-            counts[x] = _count(flat, x)
-            if counts[x] == c0:
+            if near and not (x < quarter if sgn > 0 else quarter < x):
+                continue
+            if at(x) == c0:
                 break
         else:
             raise PrecisionError(f"a root of sign {sgn} is not separated from 0")
     for a, b in zip(seeds, seeds[1:]):
         x = (a + b).ldexp(-1)
         if lo < x < R:
-            counts[x] = _count(flat, x)
-    out = _split_brackets(counts, lambda x: _count(flat, x), _geometric_mean)
+            at(x)
+    out = _split_brackets(dict(seen.values()), lambda x: _count(flat, x), _geometric_mean)
     if len(out) != n:
         raise PrecisionError(f"count isolation found {len(out)} roots for degree {n}")
     return out
 
 
-def _spectral_root(flat, count, lo: Dyadic, hi: Dyadic, m: int, bits: int, start) -> Fraction:
+def _spectral_root(fq: FixedQ, count, lo: Dyadic, hi: Dyadic, m: int, bits: int, start) -> tuple[int, int]:
     """The root of c_{N+1} with m roots above it, isolated in (lo, hi),
-    Dyadic points at the rows' precision, rounded to nearest at ``bits``
-    bits by ``_rounded_root``, every side decided by a certified count.
-    The probes are r -+ t of a Newton approximation r with error estimate
-    t (from the Dyadic ``start``, if given) on the flat point rows;
-    PrecisionError when an end of (lo, hi) fails its certification."""
+    Dyadic points at fq's precision P, rounded to nearest at ``bits`` bits
+    by ``_rounded_root``, as (m, e) for m 2^e, every side decided by a
+    certified count.  The probes are r -+ t of a Newton approximation r
+    with error estimate t (from the Dyadic ``start``, if given) on
+    fq.points.  Where t is wider than the 2^-bits grid, by the shortfall
+    k = log2(t 2^bits / |r|) > 0, Newton runs once more from r on the
+    points of fixed_q at P' = P + k + 32 rounded up to a multiple of 128,
+    which roots share, and its r -+ t are the probes.  PrecisionError when
+    an end of (lo, hi) fails its certification, or a count at the
+    precision ceiling, naming the root."""
+    rows = fq.points
 
     def side(M: int, W: int) -> int:
-        n = count(M, W)
-        return 0 if n is None else 1 if n > m else -1
+        c = count(M, W)
+        return 0 if c is None else 1 if c > m else -1
 
-    def ev(x: Dyadic):
+    def ev(x: Dyadic, last):
         # below the root, w_{N+1} has the sign (-1)^(m+1) of its m+1 roots above
-        c, dc, err = _newton_eval(flat, x)
+        c, dc, err = _newton_eval(rows, x, last)
         return c, dc, err, (c.m < 0) if m % 2 == 0 else (c.m > 0)
 
-    P = lo.P
     # with no approximation both probes sit at lo, outside (lo, hi)
-    r, t = _newton_in_bracket(ev, lo, hi, P, start) or (lo, Dyadic(0, 0, P))
+    r, t = _newton_in_bracket(ev, lo, hi, lo.P, start) or (lo, Dyadic(0, 0, lo.P))
+    k = t.m.bit_length() + t.e + bits - r.m.bit_length() - r.e  # log2(t 2^bits / |r|), to 1
+    if t.m and k > 0:
+        P = -(-(lo.P + k + 32) // 128) * 128
+        rows, (lo, hi, start) = fixed_q(fq.p, fq.q, P).points, (Dyadic(x.m, x.e, P) for x in (lo, hi, r))
+        r, t = _newton_in_bracket(ev, lo, hi, P, start) or (r, t)
     e = min(lo.e, hi.e, r.e, t.e, 0)
     A, B, R, T = (x.m << (x.e - e) for x in (lo, hi, r, t))
     V = 1 << -e
-    x = _rounded_root(A, B, V, bits, side, ((R - T, V), (R + T, V)))
+    where = f"root {m + 1} of {len(rows)}, counted from the largest"
+    try:
+        x = _rounded_root(A, B, V, bits, side, ((R - T, V), (R + T, V)))
+    except PrecisionError as exc:
+        raise PrecisionError(f"{exc}, for {where}") from None
     if x is None:
-        raise PrecisionError(f"the isolating bracket of root {m + 1} is not certified")
+        raise PrecisionError(f"the isolating bracket of {where} is not certified")
     return x
 
 
@@ -760,9 +833,8 @@ def find_spectral_roots(
     for a, b, m in _isolate_by_counts(fq.points, fq.P, seeds):
         inside = [s for s in seeds if a < s < b]
         start = inside[0] if len(inside) == 1 else None
-        roots.append(_spectral_root(fq.points, count, a, b, m, bits, start))
-    with mpmath.workprec(bits):
-        return [to_mpf(r) for r in roots], bits
+        roots.append(_spectral_root(fq, count, a, b, m, bits, start))
+    return [mpmath.mp.make_mpf(from_man_exp(m, e)) for m, e in roots], bits
 
 
 def _sign_groups(roots) -> tuple[list, list]:

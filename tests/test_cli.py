@@ -2,6 +2,7 @@ import csv
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qheun import acceptance, cli
+from qheun import acceptance, cli, roots
 from qheun.cli import _build_parser, main
 from qheun.errors import (
     CancellationError,
@@ -604,6 +605,17 @@ def test_main_maps_each_error_to_its_exit_code(p1_file, monkeypatch, capsys, err
     captured = capsys.readouterr()
     assert captured.err == f"error: {error}\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_verify_names_the_root_whose_count_reaches_the_precision_ceiling(p1_file, monkeypatch, capsys):
+    # no certified count succeeds and the ceiling is the base level: the
+    # error names the point, q, the bits and the root, and verify exits 3
+    monkeypatch.setattr(roots, "MAX_BITS", 512)
+    monkeypatch.setattr(roots, "_certified_count", lambda rows, x: None)
+    assert main(["verify", "--params", p1_file]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: the root count at E = -?\d\S*, q = \S+ is not certified at 512 bits, "
+                        r"for root 3 of 3, counted from the largest\n", err), err
 
 
 def test_verify_p4_ratio_column_shows_refined_magnitudes(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -297,6 +298,18 @@ def test_find_real_roots_returns_known_rational_roots_rounded(bits):
     assert {Fraction(0), Fraction(5, 2 ** 10), Fraction(1), Fraction(2), -(1 + 4 * u)} <= set(got)
 
 
+def _cell(y: Fraction, bits: int) -> tuple[Fraction, Fraction, Fraction]:
+    """roots._cell of y as the Fractions (g, down, up)."""
+    G, L, U, k = roots_mod._cell(y.numerator, y.denominator, bits)
+    return tuple(F(X) * F(2) ** k for X in (G, L, U))
+
+
+def _rounded_root(*args):
+    """roots._rounded_root's (m, e) as the Fraction m 2^e, or None."""
+    x = roots_mod._rounded_root(*args)
+    return x if x is None else F(x[0]) * F(2) ** x[1]
+
+
 _EDGES = st.builds(
     lambda bits, w, j, e, neg: (bits, (-1 if neg else 1) * Fraction((1 << (bits + w)) + j) * Fraction(2) ** e),
     st.integers(2, 600), st.integers(0, 3), st.integers(-3, 3), st.integers(-900, 300), st.booleans(),
@@ -316,7 +329,7 @@ def test_cell_is_mpmath_rounding_and_its_cell(case):
     # g exactly when g's mantissa is even.  Binade edges and ties come from
     # the mantissas 2^(bits + w) + j
     bits, y = case
-    g, down, up = roots_mod._cell(y, bits)
+    g, down, up = _cell(y, bits)
     assert g == _rounded(y, bits)
     assert down <= y <= up and down < g < up
     eps = (up - down) / 2 ** 10
@@ -359,7 +372,7 @@ def test_roots_on_a_bisection_midpoint_are_returned_exactly():
         assert (want == root) == (root not in _TIES_64)
         A, B, V, side = _bracket_and_side(_from_roots(Fraction(1), [root]), root > 0)
         for probes in ((), (root,), (root - eps, root + eps), (root + eps,), (root - 2 * eps, root - eps)):
-            assert roots_mod._rounded_root(A, B, V, 64, side, _pairs(probes)) == want, (root, probes)
+            assert _rounded_root(A, B, V, 64, side, _pairs(probes)) == want, (root, probes)
 
 
 @pytest.mark.parametrize(
@@ -377,7 +390,7 @@ def test_an_approximation_far_from_the_root_gives_the_bisection_point(root, gues
     near = Fraction(round(root * 2 ** 30), 2 ** 30)
     for probes in ((), (2 ** Fraction(guess) - 2, 2 ** Fraction(guess) + 2),
                    (near - Fraction(1, 2 ** 29), near + Fraction(1, 2 ** 29))):
-        assert roots_mod._rounded_root(A, B, V, 64, side, _pairs(probes)) == want
+        assert _rounded_root(A, B, V, 64, side, _pairs(probes)) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -402,14 +415,14 @@ def test_an_approximation_whose_bound_misses_the_root_still_gives_the_rounded_ro
     A, B, V, side = _bracket_and_side(_from_roots(Fraction(1), [root]))
     for guess in (-10, 0):
         probes = (2 ** Fraction(guess) - Fraction(1, 2 ** 100), 2 ** Fraction(guess) + Fraction(1, 2 ** 100))
-        assert roots_mod._rounded_root(A, B, V, 64, side, _pairs(probes)) == _rounded(root, 64)
+        assert _rounded_root(A, B, V, 64, side, _pairs(probes)) == _rounded(root, 64)
     for A, B, probes in ((3, 4, ()), (3, 4, (Fraction(7, 4),)), (0, 2, (Fraction(3, 2),))):
-        assert roots_mod._rounded_root(A, B, 2, 64, side, _pairs(probes)) is None
+        assert _rounded_root(A, B, 2, 64, side, _pairs(probes)) is None
     for root in (Fraction(0), Fraction(-1, 3)):
         def side(M, W, root=root):
             return (Fraction(M, W) < root) - (Fraction(M, W) > root)
 
-        assert roots_mod._rounded_root(0, 1, 1, 64, side) is None
+        assert _rounded_root(0, 1, 1, 64, side) is None
 
 
 @pytest.mark.parametrize(
@@ -552,6 +565,178 @@ def test_the_search_makes_the_recorded_calls(monkeypatch):
             per_root.clear()
             find_spectral_roots(p, F(1, 10 ** k), 512, predictions=seeds)
             assert (calls["_count"], per_root) == (plain, [(2, n) for n in newton]), (name, k, seeds)
+
+
+def _recording_counts(monkeypatch) -> list:
+    """The points of every plain count from here on, as Fractions."""
+    points, count = [], roots_mod._count
+
+    def recording(rows, x):
+        points.append(_fraction(x))
+        return count(rows, x)
+
+    monkeypatch.setattr(roots_mod, "_count", recording)
+    return points
+
+
+def _seeds(p, q, preds) -> list[Dyadic]:
+    return roots_mod._prediction_seeds(fixed_q(p, q, 512 + EVAL_GUARD_BITS), preds)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "R31-12", "R32-12", "R33-12"])
+def test_the_seeded_zero_search_makes_one_plain_count_per_sign(name, monkeypatch):
+    # each sign's zero search counts a quarter of its smallest seed, once,
+    # and at most one point between that and 0 but the seeds' midpoints:
+    # none where no root lies below the quarter, else the first
+    # R 2^(-2^j) under it.  That is R32-12's negative side, whose root
+    # nearest 0 lies at 0.21 (q = 1e-3) and 0.246 (q = 1e-6) of its seed,
+    # a prefactor t1 = 2 that is not sharp
+    p = named_set(name)
+    preds = predict_roots(p, classify(p))
+    points = _recording_counts(monkeypatch)
+    for q in (F(1, 1000), F(1, 10 ** 6)):
+        seeds = _seeds(p, q, preds)
+        midpoints = {_fraction((a + b).ldexp(-1)) for a, b in zip(seeds, seeds[1:])}
+        points.clear()
+        find_spectral_roots(p, q, 512, predictions=preds)
+        for sgn in (1, -1):
+            of_sign = [abs(_fraction(s)) for s in seeds if s.m * sgn > 0]
+            if of_sign:
+                quarter = min(of_sign) / 4
+                below = [x for x in points if 0 < sgn * x < quarter and x not in midpoints]
+                assert points.count(sgn * quarter) == 1 and len(below) <= 1, (q, sgn, below)
+                assert len(below) == (name == "R32-12" and sgn < 0), (q, sgn, below)
+
+
+def test_no_isolation_point_is_counted_twice_on_a_balanced_pair(monkeypatch):
+    # the R32 N = 6 set of the roots-certified benchmark: two of its seeds
+    # are a +- pair, whose midpoint is the point 0
+    p = derive(h1=-2, h2=-1, l1=F(67, 6), l2=F(33, 2), alpha1=0, alpha2=F(-41, 3), beta=-3, t1=2, t2=1)
+    preds = predict_roots(p, classify(p))
+    points = _recording_counts(monkeypatch)
+    for q in (F(1, 1000), F(1, 10 ** 6)):
+        seeds = {_fraction(s) for s in _seeds(p, q, preds)}
+        assert any(-s in seeds for s in seeds if s > 0)
+        points.clear()
+        find_spectral_roots(p, q, 512, predictions=preds)
+        assert len(points) == len(set(points)), q
+
+
+def _newton_with_the_noise_at_every_step(ev, lo, hi, P, start=None):
+    """_newton_in_bracket's loop as it ran when ``ev(x)`` gave the noise
+    at every evaluation: the reference of the stops."""
+    neg = hi.m < 0
+
+    def wide(lo, hi):
+        return lo < hi.ldexp(1) if neg else lo.ldexp(1) < hi
+
+    if start is not None and lo < start < hi:
+        x = start
+    else:
+        while wide(lo, hi):
+            x = roots_mod._geometric_mean(lo, hi)
+            if ev(x)[3]:
+                lo = x
+            else:
+                hi = x
+        x = (lo + hi).ldexp(-1)
+    for _ in range(4 * P):
+        p, dp, err, below = ev(x)
+        if not err < abs(p):
+            break
+        if below:
+            lo = x
+        else:
+            hi = x
+        nx = x - p / dp if dp.m else hi
+        if not lo < nx < hi:
+            nx = roots_mod._geometric_mean(lo, hi) if wide(lo, hi) else (lo + hi).ldexp(-1)
+        if not (nx - x).m:
+            break
+        x = nx
+    else:
+        p, dp, err, _ = ev(x)
+    if not dp.m:
+        return None
+    return x, (abs(p) + err).ldexp(2) / abs(dp)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "R31-12", "R32-12", "R33-12",
+                                  "R31-48", "R32-48", "R33-48"])
+def test_newton_stops_where_the_noise_at_every_step_stops_it(name, monkeypatch):
+    # every Newton run of the seeded and unseeded solves, reruns included,
+    # returns the same (r, t) after the same number of evaluations as the
+    # loop that computes the noise at every evaluation
+    evaluations, runs = [0], [0]
+    newton, newton_eval = roots_mod._newton_in_bracket, roots_mod._newton_eval
+
+    def counting(*args):
+        evaluations[0] += 1
+        return newton_eval(*args)
+
+    def pair(v):
+        return v if v is None else [(d.m, d.e) for d in v]
+
+    def replayed(ev, lo, hi, P, start=None):
+        before = evaluations[0]
+        got = newton(ev, lo, hi, P, start)
+        spent, before = evaluations[0] - before, evaluations[0]
+        want = _newton_with_the_noise_at_every_step(lambda x: ev(x, None), lo, hi, P, start)
+        assert (pair(got), spent) == (pair(want), evaluations[0] - before)
+        runs[0] += 1
+        return got
+
+    monkeypatch.setattr(roots_mod, "_newton_eval", counting)
+    monkeypatch.setattr(roots_mod, "_newton_in_bracket", replayed)
+    p = named_set(name)
+    preds = predict_roots(p, classify(p))
+    for q in (F(1, 1000), F(1, 10 ** 6)):
+        for seeds in (preds, None):
+            find_spectral_roots(p, q, 512, predictions=seeds)
+    assert runs[0] >= 4 * (p.N + 1)
+
+
+# sha256 of repr([root._mpf_ ...]) of the two seeded solves below, recorded
+# when every root still took a certified count per halving of Newton's
+# error estimate (397 and 15,195 certified counts)
+_RERUN_DIGESTS = {
+    ("R32-48", F(1, 1000)): "1319a9ec65077951702a74404ec19bfb0217474cd9864606b2b5a3141b45bae0",
+    ("R31-48", F(99, 100)): "58379da64eba64e46ac2896e327eefd6524d3392bd2ad04ec5decb210518a472",
+}
+
+
+@pytest.mark.parametrize("name,q", list(_RERUN_DIGESTS), ids=["R32-48-q1e-3", "R31-48-q99/100"])
+def test_newton_reruns_at_the_precision_each_root_needs(name, q, monkeypatch):
+    # R32's balanced cluster and every root near q = 1 lose bits, so Newton's
+    # estimate at bits + 24 spans many rounding cells; Newton reruns once at
+    # a multiple of 128 bits, and no root takes more than 4 certified counts
+    certified, per_root, reruns = [0], [], []
+    count, spectral_root, newton = (roots_mod._certified_count, roots_mod._spectral_root,
+                                    roots_mod._newton_in_bracket)
+
+    def counting(*args):
+        certified[0] += 1
+        return count(*args)
+
+    def counting_root(*args):
+        before = certified[0]
+        out = spectral_root(*args)
+        per_root.append(certified[0] - before)
+        return out
+
+    def recording(ev, lo, hi, P, start=None):
+        if P != 512 + EVAL_GUARD_BITS:
+            reruns.append(P)
+        return newton(ev, lo, hi, P, start)
+
+    monkeypatch.setattr(roots_mod, "_certified_count", counting)
+    monkeypatch.setattr(roots_mod, "_spectral_root", counting_root)
+    monkeypatch.setattr(roots_mod, "_newton_in_bracket", recording)
+    p = named_set(name)
+    found, _ = find_spectral_roots(p, q, 512, predictions=predict_roots(p, classify(p)))
+    assert hashlib.sha256(repr([r._mpf_ for r in found]).encode()).hexdigest() == _RERUN_DIGESTS[name, q]
+    assert len(per_root) == p.N + 1 and max(per_root) <= 4
+    assert reruns and all(P % 128 == 0 and P > 512 + EVAL_GUARD_BITS for P in reruns)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,11 +1200,11 @@ def _assert_exact_counts(p, r: Fraction, roots, bits: int) -> None:
     _cell, the neighbour with the even mantissa."""
     rows = _exact_favard_rows(p, r)
     for k, x in enumerate(reversed(roots)):
-        g, down, up = roots_mod._cell(x, bits)
+        g, down, up = _cell(x, bits)
         assert g == x, x
         (at_down, root_down), (above_up, root_up) = _exact_count(rows, down), _exact_count(rows, up)
-        at_down += root_down and roots_mod._cell(down, bits)[0] == x
-        above_up += root_up and roots_mod._cell(up, bits)[0] != x
+        at_down += root_down and _cell(down, bits)[0] == x
+        above_up += root_up and _cell(up, bits)[0] != x
         assert (at_down, above_up) == (k + 1, k), (x, k, at_down, above_up)
 
 
@@ -1033,12 +1218,29 @@ def test_exact_counts_at_q_r_to_the_d_check_every_root(name, r):
         _assert_exact_counts(p, r, _exact_roots(p, r, 512), 512)
 
 
+def test_exact_counts_check_the_roots_newton_reran_at_more_bits(monkeypatch):
+    # at q = (99/100)^D Newton's estimates on the R32 N = 12 set are wider
+    # than the 2^-512 grid, and it reruns at the precision each root needs
+    p, r = named_set("R32-12"), F(99, 100)
+    newton, reruns = roots_mod._newton_in_bracket, []
+
+    def recording(ev, lo, hi, P, start=None):
+        if P != 512 + EVAL_GUARD_BITS:
+            reruns.append(P)
+        return newton(ev, lo, hi, P, start)
+
+    monkeypatch.setattr(roots_mod, "_newton_in_bracket", recording)
+    roots = _exact_roots(p, r, 512)
+    assert len(reruns) >= p.N
+    _assert_exact_counts(p, r, roots, 512)
+
+
 def test_exact_counts_catch_each_root_moved_one_unit_up():
     p, r = named_set("R32-12"), F(1, 2)
     roots = _exact_roots(p, r, 512)
     assert len(roots) == 13
     for i, x in enumerate(roots):
-        up = roots_mod._cell(x, 512)[2]
+        up = _cell(x, 512)[2]
         with pytest.raises(AssertionError):
             _assert_exact_counts(p, r, roots[:i] + [2 * up - x] + roots[i + 1:], 512)
 
@@ -1056,7 +1258,7 @@ def test_exact_counts_give_a_tie_at_a_cell_end_to_the_even_mantissa(t2, end):
     root = -C / B
     (x,) = _exact_roots(p, r, bits)
     _assert_exact_counts(p, r, [x], bits)
-    _, down, up = roots_mod._cell(x, bits)
+    _, down, up = _cell(x, bits)
     assert root == {"down": down, "up": up}[end] and _exact_count(rows, root)[1]
     with pytest.raises(AssertionError):
         _assert_exact_counts(p, r, [2 * root - x], bits)
