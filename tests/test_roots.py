@@ -489,48 +489,51 @@ def test_verify_solves_take_no_fallback_and_few_exact_evaluations(p1, p2, p3, p4
 # the N = 12 sets were re-recorded, and the N = 48 R31 and R33 sets
 # recorded, when the seeds became the predicted roots at the search's
 # precision from Box.qpow instead of 128-bit mpf values (_predicted_root).
+# The seeded plain counts, and the seeded Newton counts whose brackets moved,
+# were re-recorded when each sign's zero search began at a quarter of its
+# smallest seed and each distinct isolation point was counted once.
 _SEARCH_CALLS = {
-    ("P1", 3): ((11, (5, 6, 7)), (9, (10, 12, 11))),
-    ("P1", 4): ((11, (5, 5, 6)), (9, (10, 11, 11))),
-    ("P1", 5): ((12, (4, 5, 6)), (10, (10, 14, 11))),
-    ("P1", 6): ((12, (4, 5, 6)), (10, (9, 13, 11))),
-    ("P2", 3): ((9, (6, 7)), (8, (10, 10))),
-    ("P2", 4): ((9, (6, 6)), (8, (9, 10))),
-    ("P2", 5): ((10, (5, 6)), (9, (8, 10))),
-    ("P2", 6): ((10, (5, 6)), (9, (10, 10))),
-    ("P3", 3): ((8, (10, 7)), (7, (10, 10))),
-    ("P3", 4): ((9, (10, 7)), (8, (10, 10))),
-    ("P3", 5): ((9, (10, 7)), (8, (10, 10))),
-    ("P3", 6): ((9, (10, 6)), (8, (10, 10))),
-    ("P4", 3): ((10, (10, 9, 9, 9)), (9, (10, 9, 9, 9))),
-    ("P4", 4): ((10, (10, 9, 9, 9)), (9, (10, 9, 9, 9))),
-    ("P4", 5): ((10, (10, 9, 8, 10)), (9, (10, 9, 8, 10))),
-    ("P4", 6): ((10, (10, 8, 8, 10)), (9, (10, 8, 8, 10))),
+    ("P1", 3): ((6, (5, 6, 7)), (9, (10, 12, 11))),
+    ("P1", 4): ((6, (5, 5, 6)), (9, (10, 11, 11))),
+    ("P1", 5): ((6, (4, 5, 6)), (10, (10, 14, 11))),
+    ("P1", 6): ((6, (4, 5, 6)), (10, (9, 13, 11))),
+    ("P2", 3): ((5, (6, 7)), (8, (10, 10))),
+    ("P2", 4): ((5, (6, 6)), (8, (9, 10))),
+    ("P2", 5): ((5, (5, 6)), (9, (8, 10))),
+    ("P2", 6): ((5, (5, 6)), (9, (10, 10))),
+    ("P3", 3): ((5, (7, 7)), (7, (10, 10))),
+    ("P3", 4): ((5, (6, 7)), (8, (10, 10))),
+    ("P3", 5): ((5, (6, 7)), (8, (10, 10))),
+    ("P3", 6): ((5, (6, 6)), (8, (10, 10))),
+    ("P4", 3): ((7, (11, 9, 9, 10)), (9, (10, 9, 9, 9))),
+    ("P4", 4): ((7, (11, 9, 9, 10)), (9, (10, 9, 9, 9))),
+    ("P4", 5): ((7, (11, 9, 8, 11)), (9, (10, 9, 8, 10))),
+    ("P4", 6): ((7, (11, 8, 8, 11)), (9, (10, 8, 8, 10))),
     ("R31-12", 3): (
-        (23, (3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 5, 5, 6)),
+        (16, (3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 5, 5, 6)),
         (19, (11, 12, 14, 15, 14, 14, 15, 17, 15, 14, 13, 13, 11))),
     ("R31-12", 6): (
-        (24, (2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 4, 4, 5)),
+        (16, (2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 4, 4, 5)),
         (20, (10, 13, 17, 15, 14, 15, 15, 18, 16, 15, 14, 13, 11))),
     ("R32-12", 3): (
-        (33, (4, 4, 4, 5, 6, 7, 13, 10, 8, 8, 9, 11, 12)),
+        (23, (4, 4, 4, 5, 6, 7, 13, 10, 8, 7, 8, 10, 14)),
         (28, (11, 13, 12, 11, 13, 13, 13, 9, 10, 9, 10, 11, 13))),
     ("R32-12", 6): (
-        (37, (3, 3, 3, 4, 5, 6, 12, 10, 8, 7, 8, 11, 12)),
+        (25, (3, 3, 3, 4, 5, 6, 12, 10, 8, 9, 8, 10, 14)),
         (32, (12, 19, 18, 17, 17, 16, 13, 9, 10, 9, 10, 9, 13))),
     ("R33-12", 3): (
-        (22, (4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 7)),
+        (16, (4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 7)),
         (18, (9, 13, 13, 12, 14, 11, 14, 11, 13, 11, 13, 10, 11))),
     ("R33-12", 6): (
-        (23, (3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6)),
+        (16, (3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 6)),
         (21, (10, 15, 16, 18, 13, 15, 14, 16, 13, 13, 14, 12, 11))),
     ("R31-48", 6): (
-        (62, (1,) * 36 + (2,) * 6 + (3, 3, 3, 3, 4, 5, 5)),
+        (52, (1,) * 36 + (2,) * 6 + (3, 3, 3, 3, 4, 5, 5)),
         (57, (15, 15, 23, 20, 18, 15, 16, 17, 32, 30, 27, 25, 24, 21, 19, 17, 13,
               20, 18, 15, 21, 15, 17, 25, 24, 23, 20, 19, 19, 16, 14, 13, 17, 17,
               13, 17, 17, 20, 19, 18, 17, 17, 15, 14, 14, 12, 13, 13, 10))),
     ("R33-48", 6): (
-        (61, (1,) * 22 + (2,) * 14 + (3,) * 6 + (4, 4, 4, 4, 5, 5, 6)),
+        (52, (1,) * 22 + (2,) * 14 + (3,) * 6 + (4, 4, 4, 4, 5, 5, 6)),
         (63, (27, 16, 27, 12, 25, 20, 21, 18, 19, 14, 16, 17, 14, 15, 19, 18, 16,
               26, 15, 24, 15, 21, 14, 21, 15, 17, 23, 17, 20, 14, 21, 14, 17, 11,
               16, 15, 14, 13, 15, 13, 12, 13, 11, 14, 11, 13, 13, 14, 12))),
