@@ -793,6 +793,7 @@ def _spectral_root(fq: FixedQ, count, lo: Dyadic, hi: Dyadic, m: int, bits: int,
     k = t.m.bit_length() + t.e + bits - r.m.bit_length() - r.e  # log2(t 2^bits / |r|), to 1
     if t.m and k > 0:
         P = -(-(lo.P + k + 32) // 128) * 128
+        # ev reads ``rows``, so the rerun evaluates on the P-bit table
         rows, (lo, hi, start) = fixed_q(fq.p, fq.q, P).points, (Dyadic(x.m, x.e, P) for x in (lo, hi, r))
         r, t = _newton_in_bracket(ev, lo, hi, P, start) or (r, t)
     e = min(lo.e, hi.e, r.e, t.e, 0)
