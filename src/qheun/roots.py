@@ -30,7 +30,9 @@ quarter of its smallest seed first and counts each distinct point once
 its stop test can pass (``_newton_eval``); and where Newton's error
 estimate is wider than the 2^-bits grid, as in R32's balanced clusters
 and at every root near q = 1, Newton runs once more at the precision the
-root needs (``_spectral_root``).
+root needs (``_spectral_root``), and that precision is the root's one: its
+certified counts start on the table Newton reran on, so a root that reran
+takes two counts too.
 
 Each returned root is the true root rounded to nearest at ``bits`` bits,
 ties to even, whatever the isolation points and seeds.  One routine,
@@ -370,10 +372,10 @@ def _newton_in_bracket(ev, lo: Dyadic, hi: Dyadic, P: int, start=None):
     return x, (abs(p) + err).ldexp(2) / abs(dp)
 
 
-def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
+def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> tuple[int, int]:
     """The single simple root of n inside (a, b), a Sturm bracket, rounded
-    to nearest at ``bits`` bits (``_rounded_root``), every side an exact
-    sign."""
+    to nearest at ``bits`` bits (``_rounded_root``), as (m, e) for m 2^e,
+    every side an exact sign."""
     V = math.lcm(a.denominator, b.denominator)
     A, B = a.numerator * (V // a.denominator), b.numerator * (V // b.denominator)
     fa = _sign_at(n, A, V)
@@ -385,13 +387,13 @@ def _refine(n: _IPoly, a: Fraction, b: Fraction, bits: int) -> Fraction:
 
     x = _rounded_root(A, B, V, bits, side)
     assert x is not None, "a Sturm bracket holds its root"
-    m, e = x
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+    return x
 
 
-def _real_roots_fractions(coeffs: Sequence[Fraction], bits: int) -> list[Fraction]:
+def _real_roots(coeffs: Sequence[Fraction], bits: int) -> list[tuple[int, int]]:
     """The roots of ``coeffs`` (a nonzero leading coefficient, degree >= 1)
-    rounded to nearest at ``bits`` bits, sorted ascending."""
+    rounded to nearest at ``bits`` bits, sorted ascending, each as (m, e)
+    for m 2^e."""
     deg = len(coeffs) - 1
     chain = _sturm_chain(_integer_scaled(coeffs))
     R = _cauchy_bound(coeffs)
@@ -450,9 +452,7 @@ def find_real_roots(coeffs: Sequence, bits: int) -> list:
     fracs = [_mpf_to_fraction(c) if isinstance(c, mpmath.mpf) else as_fraction(c) for c in coeffs]
     if not fracs[-1]:
         raise PrecisionError("leading coefficient vanished at working precision")
-    # each root is a dyadic of at most ``bits`` bits, exact as an mpf
-    return [mpmath.mp.make_mpf(from_man_exp(r.numerator, 1 - r.denominator.bit_length()))
-            for r in _real_roots_fractions(fracs, bits)]
+    return [mpmath.mp.make_mpf(from_man_exp(m, e)) for m, e in _real_roots(fracs, bits)]
 
 
 # multiplicity_prefactors solves its s-polynomial by this name, so that
@@ -657,46 +657,6 @@ def _newton_eval(rows, x: Dyadic, last=None):
     return c, dc, _point_recursion(rows, x, 2)
 
 
-def _certified_counter(base: FixedQ):
-    """``count(M, W)``: the certified number of roots above E = M/W, W a
-    power of two, or None when E is a root.
-
-    The ratio recursion runs on the fixed-q table's ``favard_boxes``,
-    dyadic.Box intervals at base's P = bits + EVAL_GUARD_BITS around the
-    rows of the exact q, each operation rounded outward on CPython ints
-    (floor and ceiling shifts and divisions), so every s_n box encloses the
-    exact s_n.  A count is certified when every A_n, B_n, D_n box is
-    positive and no s_n box contains 0; otherwise that point is redone at
-    doubled bits, up to MAX_BITS, the base level's table looked up once.  A
-    point where only s_{N+1} still holds 0 there is a root to within that
-    precision (an exact one when q-powers are rational), and count returns
-    None; any other uncertified point raises PrecisionError."""
-    p, q, bits = base.p, base.q, base.P - EVAL_GUARD_BITS
-    levels = [bits]
-    while 2 * levels[-1] <= MAX_BITS:
-        levels.append(2 * levels[-1])
-
-    def count(M: int, W: int) -> int | None:
-        for b in levels:
-            ratio = (base if b == bits else fixed_q(p, q, b + EVAL_GUARD_BITS)).favard_boxes
-            if ratio is None:
-                continue
-            x = Box.ratio(M, W, b + EVAL_GUARD_BITS)
-            n = _certified_count(ratio, x)
-            if n is not None:
-                return n
-            if b == levels[-1] and _certified_count(ratio[:-1], x) is not None:
-                return None  # only s_{N+1} holds 0: E is the root
-        with mpmath.workprec(64):
-            where = mpmath.nstr(mpmath.mpf(M) / W, 20)
-        raise PrecisionError(
-            f"the root count at E = {where}, q = {q} is not certified at "
-            f"{levels[-1]} bits"
-        )
-
-    return count
-
-
 def _gershgorin_bound(rows, P: int) -> Dyadic:
     """A power of two above twice the Gershgorin bound of the symmetrised
     Jacobi matrix: diagonal -C_n/B_n, off-diagonal sqrt(G_{n+1}/(B_n B_{n+1})),
@@ -765,7 +725,7 @@ def _isolate_by_counts(flat, P: int, seeds) -> list[tuple]:
     return out
 
 
-def _spectral_root(fq: FixedQ, count, lo: Dyadic, hi: Dyadic, m: int, bits: int, start) -> tuple[int, int]:
+def _spectral_root(fq: FixedQ, lo: Dyadic, hi: Dyadic, m: int, bits: int, start) -> tuple[int, int]:
     """The root of c_{N+1} with m roots above it, isolated in (lo, hi),
     Dyadic points at fq's precision P, rounded to nearest at ``bits`` bits
     by ``_rounded_root``, as (m, e) for m 2^e, every side decided by a
@@ -774,14 +734,22 @@ def _spectral_root(fq: FixedQ, count, lo: Dyadic, hi: Dyadic, m: int, bits: int,
     fq.points.  Where t is wider than the 2^-bits grid, by the shortfall
     k = log2(t 2^bits / |r|) > 0, Newton runs once more from r on the
     points of fixed_q at P' = P + k + 32 rounded up to a multiple of 128,
-    which roots share, and its r -+ t are the probes.  PrecisionError when
-    an end of (lo, hi) fails its certification, or a count at the
-    precision ceiling, naming the root."""
-    rows = fq.points
+    which roots share, and its r -+ t are the probes.
 
-    def side(M: int, W: int) -> int:
-        c = count(M, W)
-        return 0 if c is None else 1 if c > m else -1
+    The root has one precision: its certified counts start on the table
+    its r came from, fq or the P'-bit one.  The ratio recursion runs on
+    that table's ``favard_boxes``, dyadic.Box intervals around the rows of
+    the exact q, each operation rounded outward on CPython ints (floor and
+    ceiling shifts and divisions), so every s_n box encloses the exact
+    s_n.  A count is certified when every A_n, B_n, D_n box is positive
+    and no s_n box contains 0; otherwise that point is redone on the rungs
+    bits 2^i + EVAL_GUARD_BITS above it, up to MAX_BITS.  A point where
+    only s_{N+1} still holds 0 on the last rung is the root to within that
+    precision (an exact one when q-powers are rational).  PrecisionError
+    when any other point stays uncertified, or an end of (lo, hi) fails
+    its certification, naming the root."""
+    rows = fq.points
+    where = f"root {m + 1} of {len(rows)}, counted from the largest"
 
     def ev(x: Dyadic, last):
         # below the root, w_{N+1} has the sign (-1)^(m+1) of its m+1 roots above
@@ -793,17 +761,36 @@ def _spectral_root(fq: FixedQ, count, lo: Dyadic, hi: Dyadic, m: int, bits: int,
     k = t.m.bit_length() + t.e + bits - r.m.bit_length() - r.e  # log2(t 2^bits / |r|), to 1
     if t.m and k > 0:
         P = -(-(lo.P + k + 32) // 128) * 128
-        # ev reads ``rows``, so the rerun evaluates on the P-bit table
-        rows, (lo, hi, start) = fixed_q(fq.p, fq.q, P).points, (Dyadic(x.m, x.e, P) for x in (lo, hi, r))
+        # ev reads ``rows`` and side ``fq``, so the rerun and the counts use the P-bit table
+        fq = fixed_q(fq.p, fq.q, P)
+        rows, (lo, hi, start) = fq.points, (Dyadic(x.m, x.e, P) for x in (lo, hi, r))
         r, t = _newton_in_bracket(ev, lo, hi, P, start) or (r, t)
+    rungs, b = [fq.P], bits
+    while 2 * b <= MAX_BITS:
+        b *= 2
+        if b + EVAL_GUARD_BITS > fq.P:
+            rungs.append(b + EVAL_GUARD_BITS)
+
+    def side(M: int, W: int) -> int:
+        for P in rungs:
+            ratio = (fq if P == fq.P else fixed_q(fq.p, fq.q, P)).favard_boxes
+            if ratio is None:
+                continue
+            x = Box.ratio(M, W, P)
+            n = _certified_count(ratio, x)
+            if n is not None:
+                return 1 if n > m else -1
+            if P == rungs[-1] and _certified_count(ratio[:-1], x) is not None:
+                return 0  # only s_{N+1} holds 0: E is the root
+        with mpmath.workprec(64):
+            at = mpmath.nstr(mpmath.mpf(M) / W, 20)
+        raise PrecisionError(f"the root count at E = {at}, q = {fq.q} is not certified at "
+                             f"{rungs[-1] - EVAL_GUARD_BITS} bits, for {where}")
+
     e = min(lo.e, hi.e, r.e, t.e, 0)
     A, B, R, T = (x.m << (x.e - e) for x in (lo, hi, r, t))
     V = 1 << -e
-    where = f"root {m + 1} of {len(rows)}, counted from the largest"
-    try:
-        x = _rounded_root(A, B, V, bits, side, ((R - T, V), (R + T, V)))
-    except PrecisionError as exc:
-        raise PrecisionError(f"{exc}, for {where}") from None
+    x = _rounded_root(A, B, V, bits, side, ((R - T, V), (R + T, V)))
     if x is None:
         raise PrecisionError(f"the isolating bracket of {where} is not certified")
     return x
@@ -828,13 +815,12 @@ def find_spectral_roots(
     not read: the polynomial itself is not needed.
     """
     fq = fixed_q(p, as_fraction(q), bits + EVAL_GUARD_BITS)
-    count = _certified_counter(fq)
     seeds = _prediction_seeds(fq, predictions) if predictions else []
     roots = []
     for a, b, m in _isolate_by_counts(fq.points, fq.P, seeds):
         inside = [s for s in seeds if a < s < b]
         start = inside[0] if len(inside) == 1 else None
-        roots.append(_spectral_root(fq, count, a, b, m, bits, start))
+        roots.append(_spectral_root(fq, a, b, m, bits, start))
     return [mpmath.mp.make_mpf(from_man_exp(m, e)) for m, e in roots], bits
 
 

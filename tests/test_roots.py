@@ -18,7 +18,7 @@ from qheun.roots import (
     find_spectral_roots,
     match_predictions,
     real_roots_of_rational_poly,
-    _real_roots_fractions,
+    _real_roots,
     _sign_groups,
 )
 from qheun.qmono import EVAL_GUARD_BITS, AtQ, to_mpf
@@ -282,7 +282,8 @@ _TIES_64 = [1 + Fraction(1, 2 ** 64), -(1 + Fraction(3, 2 ** 64)), 2 - Fraction(
 def test_refined_roots_equal_the_fraction_oracle(rs, lead, bits):
     # the oracle is the exact rational roots, each rounded by mpmath
     coeffs = _from_roots(lead, rs)
-    assert _real_roots_fractions(coeffs, bits) == sorted(_rounded(r, bits) for r in rs)
+    got = [F(m) * F(2) ** e for m, e in _real_roots(coeffs, bits)]
+    assert got == sorted(_rounded(r, bits) for r in rs)
 
 
 @pytest.mark.parametrize("bits", [64, 128])
@@ -699,6 +700,33 @@ def test_newton_stops_where_the_noise_at_every_step_stops_it(name, monkeypatch):
     assert runs[0] >= 4 * (p.N + 1)
 
 
+def test_newton_ends_on_a_null_step_with_the_noise_evaluated_after_it():
+    # f(x) = 3x - 4 at 16 bits, noise only where asked at the first step:
+    # Newton narrows the bracket to two neighbouring 16-bit points, whose
+    # midpoint truncates to x, and evaluates the noise once more after the
+    # loop
+    P, asked = 16, []
+
+    def ev(x, last):
+        asked.append(last)
+        noise = Dyadic(1, -40, P) if last is None else None
+        return Dyadic(3, 0, P) * x - Dyadic(4, 0, P), Dyadic(3, 0, P), noise, _fraction(x) < F(4, 3)
+
+    r, t = roots_mod._newton_in_bracket(ev, Dyadic(1, 0, P), Dyadic(3, -1, P), P)
+    assert asked[0] is None and asked[-1] is None and None not in asked[1:-1]
+    assert len(asked) < 4 * P
+    assert abs(_fraction(r) - F(4, 3)) <= _fraction(t) < F(1, 2 ** 12)
+
+
+def test_newton_gives_no_approximation_where_the_derivative_is_zero():
+    P = 16
+
+    def flat(x, last):  # f = 1 within noise 2, f' = 0
+        return Dyadic(1, 0, P), Dyadic(0, 0, P), Dyadic(1, 1, P), True
+
+    assert roots_mod._newton_in_bracket(flat, Dyadic(1, 0, P), Dyadic(3, -1, P), P) is None
+
+
 # sha256 of repr([root._mpf_ ...]) of the two seeded solves below, recorded
 # when every root still took a certified count per halving of Newton's
 # error estimate (397 and 15,195 certified counts)
@@ -712,19 +740,21 @@ _RERUN_DIGESTS = {
 def test_newton_reruns_at_the_precision_each_root_needs(name, q, monkeypatch):
     # R32's balanced cluster and every root near q = 1 lose bits, so Newton's
     # estimate at bits + 24 spans many rounding cells; Newton reruns once at
-    # a multiple of 128 bits, and no root takes more than 4 certified counts
-    certified, per_root, reruns = [0], [], []
-    count, spectral_root, newton = (roots_mod._certified_count, roots_mod._spectral_root,
-                                    roots_mod._newton_in_bracket)
+    # a multiple of 128 bits, and a root has that one precision: its two
+    # certified counts run on the rerun's table, so no table is built at
+    # 2 * 512 + 24 bits and no root takes more than 3 certified counts
+    counts, per_root, reruns, tables = [], [], [], set()
+    count, spectral_root, newton, table = (roots_mod._certified_count, roots_mod._spectral_root,
+                                           roots_mod._newton_in_bracket, roots_mod.fixed_q)
 
-    def counting(*args):
-        certified[0] += 1
-        return count(*args)
+    def counting(ratio, x):
+        counts.append(x.P)
+        return count(ratio, x)
 
     def counting_root(*args):
-        before = certified[0]
+        before = len(counts), len(reruns)
         out = spectral_root(*args)
-        per_root.append(certified[0] - before)
+        per_root.append((counts[before[0]:], reruns[before[1]:]))
         return out
 
     def recording(ev, lo, hi, P, start=None):
@@ -732,14 +762,22 @@ def test_newton_reruns_at_the_precision_each_root_needs(name, q, monkeypatch):
             reruns.append(P)
         return newton(ev, lo, hi, P, start)
 
+    def table_seen(p, q, P):
+        tables.add(P)
+        return table(p, q, P)
+
     monkeypatch.setattr(roots_mod, "_certified_count", counting)
     monkeypatch.setattr(roots_mod, "_spectral_root", counting_root)
     monkeypatch.setattr(roots_mod, "_newton_in_bracket", recording)
+    monkeypatch.setattr(roots_mod, "fixed_q", table_seen)
     p = named_set(name)
     found, _ = find_spectral_roots(p, q, 512, predictions=predict_roots(p, classify(p)))
     assert hashlib.sha256(repr([r._mpf_ for r in found]).encode()).hexdigest() == _RERUN_DIGESTS[name, q]
-    assert len(per_root) == p.N + 1 and max(per_root) <= 4
+    assert len(per_root) == p.N + 1 and max(len(c) for c, _ in per_root) <= 3
     assert reruns and all(P % 128 == 0 and P > 512 + EVAL_GUARD_BITS for P in reruns)
+    assert all(c == r * 2 for c, r in per_root if r), [(c, r) for c, r in per_root if r]
+    assert 2 * 512 + EVAL_GUARD_BITS not in tables, sorted(tables)
+    assert len(counts) == {"R32-48": 99, "R31-48": 98}[name]
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +896,41 @@ def test_an_uncertified_count_is_redone_at_doubled_bits(p1, monkeypatch):
     got, bits = find_spectral_roots(p1, q, 512)
     assert bits == 512 and [r._mpf_ for r in got] == [r._mpf_ for r in want]
     assert set(seen) == {512 + EVAL_GUARD_BITS, 1024 + EVAL_GUARD_BITS}
+
+
+def test_a_rung_without_favard_boxes_is_skipped(p1, monkeypatch):
+    # an A_1 box that is not positive leaves the first table no ratio rows:
+    # every count runs on the next rung, 1024 bits, and certifies the same
+    # roots
+    q = F(1, 1000)
+    want, _ = find_spectral_roots(p1, q, 512)
+    fq = fixed_q(p1, q, 512 + EVAL_GUARD_BITS)
+    assert fq.points and fq.favard_boxes  # the plain counts and Newton keep their rows
+    (A, *rest), *later = fq.boxes
+    monkeypatch.setitem(fq.__dict__, "boxes", ((Box(-1, A.hi, A.e, A.P), *rest), *later))
+    monkeypatch.delitem(fq.__dict__, "favard_boxes")
+    assert fq.favard_boxes is None
+    certified, seen = roots_mod._certified_count, []
+
+    def recording(ratio, x):
+        seen.append(x.P)
+        return certified(ratio, x)
+
+    monkeypatch.setattr(roots_mod, "_certified_count", recording)
+    got, _ = find_spectral_roots(p1, q, 512)
+    assert [r._mpf_ for r in got] == [r._mpf_ for r in want]
+    assert seen and set(seen) == {1024 + EVAL_GUARD_BITS}
+
+
+def test_a_bracket_that_holds_no_root_is_not_certified(p1):
+    # (r0 / 2, 2 r1) lies between P1's two most negative roots: every side
+    # says the root is below it, and the end that no side moved fails
+    q, prec = F(1, 1000), 512 + EVAL_GUARD_BITS
+    r0, r1, _ = find_spectral_roots(p1, q, 512)[0]
+    lo, hi = Dyadic.of_mpf(r0, prec).ldexp(-1), Dyadic.of_mpf(r1, prec).ldexp(1)
+    with pytest.raises(PrecisionError, match=r"^the isolating bracket of root 3 of 3, counted "
+                                             r"from the largest is not certified$"):
+        roots_mod._spectral_root(fixed_q(p1, q, prec), lo, hi, 2, 512, None)
 
 
 def test_an_exact_root_on_the_bisection_grid_is_returned_exactly():
